@@ -295,3 +295,48 @@ def test_origin_poll_cost_independent_of_topology_size():
         f"origin polling scaled with topology size: {small:.6f}s @25 ASes vs "
         f"{large:.6f}s @120 ASes"
     )
+
+
+# ------------------------------------------------------------ record decoder
+
+
+def test_decoder_cost_independent_of_path_repetition():
+    """Scaling guard: the decoder's gain must not rest on repeated paths.
+
+    Amplified traces repeat ~4k AS-path spellings, so ~98 % of their
+    records hit the path intern table; an un-amplified recording repeats
+    ~38 %.  The miss path (whole-spelling validation, no per-hop object)
+    has to stay close to the hit path: 50k records with all-distinct path
+    spellings must parse within 3x of 50k records sharing one spelling.
+    """
+    import time
+
+    from repro.feeds.dumpfile import parse_event
+
+    count = 50_000
+
+    def lines(path_of):
+        return [
+            f"A|ris|rrc00|64500|10.0.0.0/24|{path_of(i)}|{i}.0|{i}.5"
+            for i in range(count)
+        ]
+
+    def cost(batches):
+        best = float("inf")
+        for batch in batches:
+            start = time.perf_counter()
+            for line in batch:
+                parse_event(line)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    shared = cost([lines(lambda i: "3356 1299 174 64496 64500")] * 3)
+    # 50k spellings fit the table, so a batch parsed twice would hit on the
+    # second pass: each round gets spellings no earlier round used.
+    distinct = cost(
+        lines(lambda i, r=r: f"3356 1299 {r} {100_000 + i} 64500") for r in range(3)
+    )
+    assert distinct < shared * 3, (
+        f"decoder leans on path repetition: {shared:.4f}s shared vs "
+        f"{distinct:.4f}s all-distinct per {count} records"
+    )

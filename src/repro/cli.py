@@ -273,7 +273,7 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
 
     from repro.core.config import ArtemisConfig
     from repro.errors import FeedError, ReproError
-    from repro.feeds.replay import load_trace
+    from repro.feeds.replay import TraceError, load_trace
     from repro.perf import COUNTERS
     from repro.tenants import DetectionPlane, ParallelDetectionPlane, TenantRegistry
     from repro.tenants.synth import build_synth_registry, observed_origin_map
@@ -315,10 +315,20 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
         parallel = ParallelDetectionPlane(
             registry, num_workers=workers, batch_size=args.batch_size
         )
-        parallel.start()
-        parallel.feed_trace(args.trace)
-        result = parallel.finish()
-        events_seen = parallel.events_routed + parallel.events_unrouted
+        try:
+            parallel.start()
+            parallel.feed_trace(args.trace)
+            result = parallel.finish()
+        except TraceError as error:
+            print(f"tenant replay failed: {error}", file=sys.stderr)
+            return 2
+        finally:
+            parallel.close()
+        events_seen = (
+            parallel.events_routed
+            + parallel.events_unrouted
+            + parallel.events_malformed
+        )
         digest = result["digest"]
         alerts = result["alerts"]
         cpu_note = ", ".join(f"{c:.2f}" for c in result["cpu_seconds"])

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import IO, Iterable, Iterator, List, Union
 
-from repro.errors import FeedError
-from repro.feeds.events import ANNOUNCE, WITHDRAW, FeedEvent
-from repro.net.asn import format_as_path, parse_as_path
+from repro.errors import BGPError, FeedError
+from repro.feeds.events import FeedEvent
+from repro.net.asn import format_as_path, intern_as_path
 from repro.net.prefix import Prefix
 
 
@@ -40,25 +40,30 @@ def format_event(event: FeedEvent) -> str:
 
 
 def parse_event(line: str) -> FeedEvent:
-    """Parse one dump line back into a :class:`FeedEvent`."""
-    fields = line.rstrip("\n").split("|")
+    """Parse one dump line back into a :class:`FeedEvent`.
+
+    Every malformed field — count, kind, vantage, prefix, path hop,
+    timestamp — raises :class:`~repro.errors.FeedError`.  Prefix and path
+    are interned per spelling, so events repeating them share one object.
+    """
+    fields = line.split("|")
     if len(fields) != 8:
         raise FeedError(f"dump line has {len(fields)} fields, expected 8: {line!r}")
     kind, source, collector, vantage, prefix, path, observed, delivered = fields
-    if kind not in (ANNOUNCE, WITHDRAW):
-        raise FeedError(f"unknown event kind {kind!r} in dump line")
+    if not (vantage.isdigit() and vantage.isascii()):  # int() alone takes "+5", "１２"
+        raise FeedError(f"invalid vantage ASN {vantage!r} in dump line {line!r}")
     try:
         return FeedEvent(
-            source=source,
-            collector=collector,
-            vantage_asn=int(vantage),
-            kind=kind,
-            prefix=Prefix.parse(prefix),
-            as_path=tuple(parse_as_path(path)),
-            observed_at=float(observed),
-            delivered_at=float(delivered),
+            source,
+            collector,
+            int(vantage),
+            kind,
+            Prefix.parse(prefix),
+            intern_as_path(path),
+            float(observed),
+            float(delivered),
         )
-    except ValueError as error:
+    except (ValueError, BGPError) as error:
         raise FeedError(f"malformed dump line {line!r}: {error}") from None
 
 

@@ -26,10 +26,13 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import FeedError
+from repro.net.asn import MAX_ASN
 from repro.net.prefix import Prefix
 
 ANNOUNCE = "A"
 WITHDRAW = "W"
+
+_INF = float("inf")
 
 
 class FeedEvent:
@@ -57,22 +60,47 @@ class FeedEvent:
         observed_at: float,
         delivered_at: float,
     ):
-        if kind not in (ANNOUNCE, WITHDRAW):
+        # Coerce only what is not already the exact type: the trace decoder
+        # and the live feeds hand over ints, floats and (interned) tuples,
+        # and a shared path tuple must stay shared, not be copied per event.
+        if type(vantage_asn) is not int:
+            vantage_asn = int(vantage_asn)
+        if type(observed_at) is not float:
+            observed_at = float(observed_at)
+        if type(delivered_at) is not float:
+            delivered_at = float(delivered_at)
+        if type(as_path) is not tuple:
+            as_path = tuple(as_path)
+        for hop in as_path:
+            if type(hop) is not int:
+                as_path = tuple(int(a) for a in as_path)
+                break
+        if kind == ANNOUNCE:
+            if not as_path:
+                raise FeedError(f"announce event for {prefix} has an empty AS path")
+        elif kind != WITHDRAW:
             raise FeedError(f"invalid feed event kind {kind!r}")
-        if kind == ANNOUNCE and not as_path:
-            raise FeedError(f"announce event for {prefix} has an empty AS path")
-        if delivered_at < observed_at:
+        if not 0 <= vantage_asn <= MAX_ASN:
+            raise FeedError(f"vantage ASN {vantage_asn} out of 32-bit range")
+        # One chained comparison also rejects NaN (every comparison with it
+        # is false) and infinities, which would poison event-time arithmetic.
+        if not -_INF < observed_at <= delivered_at < _INF:
+            if delivered_at < observed_at:
+                raise FeedError(
+                    f"event delivered at {delivered_at} before observed at {observed_at}"
+                )
             raise FeedError(
-                f"event delivered at {delivered_at} before observed at {observed_at}"
+                f"event timestamps must be finite, got observed {observed_at} "
+                f"and delivered {delivered_at}"
             )
         self.source = source
         self.collector = collector
-        self.vantage_asn = int(vantage_asn)
+        self.vantage_asn = vantage_asn
         self.kind = kind
         self.prefix = prefix
-        self.as_path: Tuple[int, ...] = tuple(int(a) for a in as_path)
-        self.observed_at = float(observed_at)
-        self.delivered_at = float(delivered_at)
+        self.as_path: Tuple[int, ...] = as_path
+        self.observed_at = observed_at
+        self.delivered_at = delivered_at
 
     @property
     def origin_as(self) -> Optional[int]:

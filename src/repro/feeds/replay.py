@@ -10,9 +10,11 @@ equivalent, in three parts:
   timestamps and source/collector identity, framed by a JSON header line
   and a JSON footer carrying the record count and a SHA-256 content
   digest.  :class:`TraceWriter` writes incrementally (safe to tap a live
-  run); :func:`load_trace` validates version, completeness, and digest —
-  a truncated or corrupted trace is a clean :class:`TraceError`, never a
-  hang or a silently wrong replay.
+  run); :func:`load_trace` and the raw-line iterators
+  (:func:`iter_trace_line_bytes`) share one reader that validates
+  version, completeness, count and digest — a truncated or corrupted
+  trace is a clean :class:`TraceError`, never a hang or a silently wrong
+  replay.
 * **Recording** — :class:`TraceRecorder` subscribes to any existing feed
   fan-out (streams, Periscope, batch archives — anything exposing the
   ``subscribe(callback, prefixes=...)`` protocol) and archives exactly
@@ -58,9 +60,10 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import io
 import json
 import time
-from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import FeedError
 from repro.faults.channel import ChannelFault
@@ -79,6 +82,7 @@ TRACE_FORMAT = "repro-feed-trace"
 
 _HEADER_TAG = "#%TRACE "
 _FOOTER_TAG = "#%END "
+_FOOTER_BYTES = _FOOTER_TAG.encode("utf-8")
 
 
 class TraceError(FeedError):
@@ -210,6 +214,87 @@ class Trace:
         )
 
 
+class _RecordReader:
+    """Streams a trace's record bytes and verifies the frame around them.
+
+    The one reader behind :func:`load_trace` and the raw-line iterators:
+    it checks the header at construction and, on reaching the footer, the
+    record count and the SHA-256 digest of the record bytes, hashed a
+    block at a time.
+    """
+
+    #: Bytes read per hashed block (each is extended to a line boundary).
+    BLOCK = 1 << 20
+
+    def __init__(self, handle: IO[bytes]):
+        self._handle = handle
+        first = handle.readline().decode("utf-8", errors="replace")
+        if not first.startswith(_HEADER_TAG):
+            raise TraceError("not a trace file: missing header line")
+        try:
+            header = json.loads(first[len(_HEADER_TAG):])
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"unparseable trace header: {exc}") from None
+        if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
+            raise TraceError(f"unknown trace format in header {first.strip()!r}")
+        version = header.get("version")
+        if not isinstance(version, int) or not 1 <= version <= TRACE_VERSION:
+            raise TraceError(
+                f"unsupported trace version {version!r} "
+                f"(reader supports <= {TRACE_VERSION})"
+            )
+        self.header: Dict = header
+        self.records = 0
+        #: Set once :meth:`blocks` has verified the footer.
+        self.footer: Dict = {}
+        self.digest = ""
+
+    def blocks(self) -> Iterator[bytes]:
+        """Yield the record lines as blocks of whole, newline-ended lines.
+
+        Raises :class:`TraceError` on a missing footer, a record cut off
+        mid-line, or — after the last block — a count or digest mismatch.
+        """
+        digest = hashlib.sha256()
+        footer_line = None
+        while footer_line is None:
+            # A block ends on a line boundary, so the footer line can only
+            # sit at its start or right after a newline.
+            block = self._handle.read(self.BLOCK) + self._handle.readline()
+            if not block:
+                raise TraceError(
+                    f"truncated trace: no footer after {self.records} records "
+                    "(the recording run did not close the writer)"
+                )
+            at_start = block.startswith(_FOOTER_BYTES)
+            cut = 0 if at_start else block.find(b"\n" + _FOOTER_BYTES) + 1
+            if at_start or cut:
+                footer_line = block[cut:].split(b"\n", 1)[0].decode("utf-8", errors="replace")
+                block = block[:cut]
+            elif not block.endswith(b"\n"):
+                # A record without its newline is a write that died mid-line.
+                number = self.records + block.count(b"\n") + 2
+                raise TraceError(f"truncated record at line {number}")
+            if block:
+                digest.update(block)
+                yield block
+                self.records += block.count(b"\n")
+        try:
+            footer = json.loads(footer_line[len(_FOOTER_TAG):])
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"unparseable trace footer: {exc}") from None
+        records = footer.get("records") if isinstance(footer, dict) else None
+        if records != self.records:
+            raise TraceError(
+                f"record count mismatch: footer says {records!r}, "
+                f"file has {self.records}"
+            )
+        self.digest = digest.hexdigest()
+        if footer.get("sha256") != self.digest:
+            raise TraceError("trace digest mismatch: records were corrupted")
+        self.footer = footer
+
+
 def load_trace(source: Union[str, IO[str]]) -> Trace:
     """Load and verify a trace file; raises :class:`TraceError` on damage.
 
@@ -220,53 +305,51 @@ def load_trace(source: Union[str, IO[str]]) -> Trace:
     digest must match what the footer pinned.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_trace(handle)
-    first = source.readline()
-    if not first.startswith(_HEADER_TAG):
-        raise TraceError("not a trace file: missing header line")
-    try:
-        header = json.loads(first[len(_HEADER_TAG):])
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"unparseable trace header: {exc}") from None
-    if header.get("format") != TRACE_FORMAT:
-        raise TraceError(f"unknown trace format {header.get('format')!r}")
-    version = header.get("version")
-    if not isinstance(version, int) or not 1 <= version <= TRACE_VERSION:
-        raise TraceError(
-            f"unsupported trace version {version!r} (reader supports <= {TRACE_VERSION})"
-        )
-    digest = hashlib.sha256()
+        with open(source, "rb") as handle:
+            return _load_trace(handle)
+    return _load_trace(io.BytesIO(source.read().encode("utf-8")))
+
+
+def _load_trace(handle: IO[bytes]) -> Trace:
+    reader = _RecordReader(handle)
     events: List[FeedEvent] = []
-    footer: Optional[Dict] = None
-    for number, line in enumerate(source, start=2):
-        if line.startswith(_FOOTER_TAG):
-            try:
-                footer = json.loads(line[len(_FOOTER_TAG):])
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"unparseable trace footer: {exc}") from None
-            break
-        if not line.endswith("\n"):
-            # A record without its newline is a write that died mid-line.
-            raise TraceError(f"truncated record at line {number}")
-        digest.update(line.encode("utf-8"))
+    append = events.append
+    for block in reader.blocks():
         try:
-            events.append(parse_event(line))
+            # One decode and one split per block, not per record.
+            lines = block[:-1].decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise TraceError(
+                f"records from line {len(events) + 2} on are not UTF-8: {exc}"
+            ) from None
+        try:
+            for line in lines:
+                append(parse_event(line))
         except FeedError as exc:
-            raise TraceError(f"bad record at line {number}: {exc}") from None
-    if footer is None:
-        raise TraceError(
-            f"truncated trace: no footer after {len(events)} records "
-            "(the recording run did not close the writer)"
-        )
-    if footer.get("records") != len(events):
-        raise TraceError(
-            f"record count mismatch: footer says {footer.get('records')}, "
-            f"file has {len(events)}"
-        )
-    if footer.get("sha256") != digest.hexdigest():
-        raise TraceError("trace digest mismatch: records were corrupted")
-    return Trace(header, events, digest.hexdigest(), footer.get("meta"))
+            raise TraceError(
+                f"bad record at line {len(events) + 2}: {exc}"
+            ) from None
+    return Trace(reader.header, events, reader.digest, reader.footer.get("meta"))
+
+
+def iter_trace_line_bytes(path: str) -> Iterator[bytes]:
+    """Yield a trace file's raw record lines as bytes, frame-verified.
+
+    The streaming complement to :func:`load_trace` for consumers that
+    route lines without parsing them (the parallel detection plane): the
+    header is checked up front, and the record count and digest when the
+    footer is reached — a damaged trace raises :class:`TraceError` from
+    the iteration, after its records have been yielded.
+    """
+    with open(path, "rb") as handle:
+        for block in _RecordReader(handle).blocks():
+            yield from block[:-1].split(b"\n")
+
+
+def iter_trace_lines(path: str) -> Iterator[str]:
+    """:func:`iter_trace_line_bytes`, decoded."""
+    for line in iter_trace_line_bytes(path):
+        yield line.decode("utf-8")
 
 
 # ------------------------------------------------------------------- recording

@@ -13,7 +13,8 @@ What the counters capture:
 * **bgp** — UPDATEs processed, flushes run, export announcements built vs
   reused (the per-Loc-RIB-change sharing), and dirty marks skipped because
   the policy can never export to that peer;
-* **interning** — AS-path tuple and prefix-parse cache hit rates;
+* **interning** — AS-path tuple, prefix-parse and AS-path-parse cache hit
+  rates;
 * **checkpointing** — restores performed and copy-on-write forks taken by
   restored speakers (how much of the shared checkpoint a run privatised);
 * **trace replay** — records read and events delivered/dropped on the
@@ -70,6 +71,8 @@ FIELDS: Tuple[str, ...] = (
     "path_intern_misses",
     "prefix_parse_hits",
     "prefix_parse_misses",
+    "path_parse_hits",
+    "path_parse_misses",
     # checkpointing
     "routes_created",
     "checkpoint_restores",
@@ -195,6 +198,7 @@ class PerfCounters:
             self.announcements_reused
             + self.path_intern_hits
             + self.prefix_parse_hits
+            + self.path_parse_hits
             + self.dirty_marks_skipped
         )
 

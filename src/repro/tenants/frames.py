@@ -112,19 +112,29 @@ def encode_batch(epoch: int, lines: List[bytes]) -> bytes:
     return encode_frame(FRAME_BATCH, epoch, body)
 
 
-def decode_batch(body: bytes) -> List[bytes]:
-    """Recover the raw trace lines of a BATCH body."""
+def _split_batch(body: bytes, text: bool) -> List:
     if len(body) < _U32.size:
         raise FrameError("batch body shorter than its line count")
     (count,) = _U32.unpack_from(body)
     if count == 0:
         return []
-    lines = body[_U32.size:].split(b"\n")
+    payload = body[_U32.size:]
+    lines = payload.decode("utf-8").split("\n") if text else payload.split(b"\n")
     if len(lines) != count:
         raise FrameError(
             f"batch line count mismatch: header says {count}, got {len(lines)}"
         )
     return lines
+
+
+def decode_batch(body: bytes) -> List[bytes]:
+    """Recover the raw trace lines of a BATCH body."""
+    return _split_batch(body, text=False)
+
+
+def decode_batch_text(body: bytes) -> List[str]:
+    """The lines of a BATCH body as ``str``: one UTF-8 decode, one split."""
+    return _split_batch(body, text=True)
 
 
 # ---------------------------------------------------------- tagged payloads

@@ -14,7 +14,9 @@ announcements inside a root land with it.  Roots are round-robined across
 workers in canonical order — deterministic for any worker count.
 
 The parent stays out of the parse hot path: it reads the trace file in
-**binary**, routes each raw record line by its prefix field (field 4 of
+**binary** (:func:`~repro.feeds.replay.iter_trace_line_bytes`, which
+verifies the trace's version, record count and digest as it streams),
+routes each raw record line by its prefix field (field 4 of
 the ``|``-separated dump format, extracted without decoding) with a bytes
 memo, and ships line batches down a pipe as
 :mod:`~repro.tenants.frames` ``BATCH`` frames — no pickle anywhere on the
@@ -38,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.feeds.dumpfile import parse_event
-from repro.feeds.replay import TraceError, _FOOTER_TAG, _HEADER_TAG
+from repro.feeds.replay import iter_trace_line_bytes
 from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
 from repro.perf import COUNTERS as _COUNTERS, sample_memory
@@ -49,7 +51,7 @@ from repro.tenants.frames import (
     FRAME_RESULT,
     FRAME_SPEC,
     FRAME_STOP,
-    decode_batch,
+    decode_batch_text,
     decode_error,
     decode_frame,
     decode_payload,
@@ -103,55 +105,6 @@ def assign_roots(
     return routing
 
 
-# ------------------------------------------------------------- trace lines
-
-
-def iter_trace_lines(path: str) -> Iterable[str]:
-    """Yield the raw record lines of a trace file (header/footer checked).
-
-    The parallel plane routes lines without parsing them into events, so
-    this is the cheap streaming complement to
-    :func:`~repro.feeds.replay.load_trace` (which parses and verifies every
-    record).  Truncation — no footer — still fails loudly.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-        if not first.startswith(_HEADER_TAG):
-            raise TraceError("not a trace file: missing header line")
-        sealed = False
-        for line in handle:
-            if line.startswith(_FOOTER_TAG):
-                sealed = True
-                break
-            yield line.rstrip("\n")
-        if not sealed:
-            raise TraceError("truncated trace: no footer")
-
-
-_HEADER_BYTES = _HEADER_TAG.encode("utf-8")
-_FOOTER_BYTES = _FOOTER_TAG.encode("utf-8")
-
-
-def iter_trace_line_bytes(path: str) -> Iterable[bytes]:
-    """Binary twin of :func:`iter_trace_lines`: raw record lines as bytes.
-
-    The parallel plane's hot ingest path: lines read in binary route and
-    ship without ever materializing ``str`` objects in the parent.
-    """
-    with open(path, "rb") as handle:
-        first = handle.readline()
-        if not first.startswith(_HEADER_BYTES):
-            raise TraceError("not a trace file: missing header line")
-        sealed = False
-        for line in handle:
-            if line.startswith(_FOOTER_BYTES):
-                sealed = True
-                break
-            yield line.rstrip(b"\n")
-        if not sealed:
-            raise TraceError("truncated trace: no footer")
-
-
 # ------------------------------------------------------------------ worker
 
 
@@ -191,8 +144,8 @@ def tenant_worker_main(worker_id: int, batch_size: int, conn) -> None:
                 expected_epoch += 1
                 _COUNTERS.detect_worker_batches += 1
                 ingest = plane.ingest
-                for line in decode_batch(body):
-                    ingest(parse_event(line.decode("utf-8")))
+                for line in decode_batch_text(body):
+                    ingest(parse_event(line))
             elif kind == FRAME_SPEC:
                 registry = TenantRegistry.from_spec(decode_payload(body))
                 plane = DetectionPlane(registry, batch_size=batch_size)

@@ -1,0 +1,361 @@
+"""The record decoder: the byte boundary of every recorded feed.
+
+The contract under test (see DESIGN.md "Record decoder contract"):
+
+* ``parse_event(format_event(e))`` round-trips by ``content_key()`` for
+  anything a feed can deliver;
+* every malformed field is a ``FeedError`` from ``parse_event`` and a
+  ``TraceError`` naming the line from ``load_trace`` — never a
+  ``BGPError`` or a bare ``ValueError``;
+* AS paths are interned by exact spelling in a bounded table that is
+  cleared wholesale, and a hit never crosses spellings;
+* both trace readers (``load_trace`` and the raw-line iterators behind
+  ``ParallelDetectionPlane.feed_trace``) verify format, version, record
+  count and digest.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import multiprocessing
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import ArtemisConfig, OwnedPrefix
+from repro.errors import BGPError, FeedError
+from repro.feeds.dumpfile import format_event, parse_event, read_events
+from repro.feeds.events import ANNOUNCE, WITHDRAW, FeedEvent
+from repro.feeds.replay import (
+    TraceError,
+    TraceWriter,
+    iter_trace_line_bytes,
+    iter_trace_lines,
+    load_trace,
+)
+from repro.net import asn
+from repro.net.asn import MAX_ASN, intern_as_path, parse_as_path
+from repro.net.prefix import Prefix
+from repro.perf import COUNTERS
+from repro.tenants import ParallelDetectionPlane, TenantRegistry
+
+# ---------------------------------------------------------------- round trip
+
+_ASNS = st.one_of(
+    st.integers(min_value=0, max_value=65535),
+    st.integers(min_value=65536, max_value=MAX_ASN),  # 4-byte ASNs
+)
+_V4 = st.builds(
+    lambda value, length: Prefix(value >> (32 - length) << (32 - length), length, 4),
+    st.integers(min_value=0, max_value=(1 << 32) - 1),
+    st.integers(min_value=0, max_value=32),
+)
+_V6 = st.builds(
+    lambda value, length: Prefix(value >> (128 - length) << (128 - length), length, 6),
+    st.integers(min_value=0, max_value=(1 << 128) - 1),
+    st.integers(min_value=0, max_value=128),
+)
+_NAMES = st.text(
+    alphabet=st.characters(blacklist_characters="|\n\r", blacklist_categories=("Cs",)),
+    max_size=12,
+)
+_TIMES = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+
+
+@st.composite
+def feed_events(draw):
+    kind = draw(st.sampled_from([ANNOUNCE, WITHDRAW]))
+    path = draw(st.lists(_ASNS, min_size=1, max_size=12)) if kind == ANNOUNCE else []
+    observed = draw(_TIMES)
+    return FeedEvent(
+        source=draw(_NAMES),
+        collector=draw(_NAMES),
+        vantage_asn=draw(_ASNS),
+        kind=kind,
+        prefix=draw(st.one_of(_V4, _V6)),
+        as_path=path,
+        observed_at=observed,
+        delivered_at=observed + draw(st.floats(min_value=0.0, max_value=1e6)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(feed_events())
+def test_format_parse_round_trip(event):
+    assert parse_event(format_event(event)).content_key() == event.content_key()
+
+
+# ------------------------------------------------------------- hostile lines
+
+GOOD = "A|ris|c|1|10.0.0.0/24|1 2 3|1.0|2.0"
+
+
+def line(path="1 2 3", vantage="1", observed="1.0", delivered="2.0", tail=""):
+    return f"A|ris|c|{vantage}|10.0.0.0/24|{path}|{observed}|{delivered}{tail}"
+
+
+HOSTILE = {
+    "7 fields": "A|ris|c|1|10.0.0.0/24|1 2 3|1.0",
+    "9 fields": line(tail="|x"),
+    "alpha hop": line(path="1 x 3"),
+    "signed hop": line(path="+5"),
+    "negative hop": line(path="-1"),
+    "underscore hop": line(path="1_0"),
+    "tab separated": line(path="1\t2"),
+    "fullwidth hop": line(path="１２"),
+    "hop = 2**32": line(path=f"1 {MAX_ASN + 1}"),
+    "hop beyond int() digit limit": line(path="9" * 5000),
+    "empty announce path": line(path=""),
+    "delivered < observed": line(observed="3.0"),
+    "nan observed": line(observed="nan"),
+    "nan delivered": line(delivered="nan"),
+    "inf delivered": line(delivered="inf"),
+    "-inf observed": line(observed="-inf"),
+    "negative vantage": line(vantage="-1"),
+    "signed vantage": line(vantage="+5"),
+    "fullwidth vantage": line(vantage="１２"),
+    "vantage = 2**32": line(vantage=str(MAX_ASN + 1)),
+    "bad kind": "Z" + GOOD[1:],
+    "bad prefix": GOOD.replace("10.0.0.0/24", "10.0.0.0/33"),
+}
+
+
+def seal(lines, header=None, records=None, sha256=None):
+    """A trace file's text around ``lines``, with a digest-valid footer."""
+    header = header or {"format": "repro-feed-trace", "version": 1, "meta": {}}
+    body = "".join(text + "\n" for text in lines)
+    footer = {
+        "records": len(lines) if records is None else records,
+        "sha256": sha256 or hashlib.sha256(body.encode("utf-8")).hexdigest(),
+    }
+    return f"#%TRACE {json.dumps(header)}\n{body}#%END {json.dumps(footer)}\n"
+
+
+@pytest.mark.parametrize("bad", HOSTILE.values(), ids=HOSTILE.keys())
+class TestHostileLines:
+    def test_parse_event_raises_feed_error(self, bad):
+        with pytest.raises(FeedError):
+            parse_event(bad)
+
+    def test_sealed_trace_names_the_line(self, bad, tmp_path):
+        path = tmp_path / "hostile.trace"
+        path.write_text(seal([GOOD, GOOD, bad, GOOD]), encoding="utf-8")
+        with pytest.raises(TraceError, match="bad record at line 4"):
+            load_trace(str(path))
+
+    def test_read_events_raises_feed_error(self, bad, tmp_path):
+        path = tmp_path / "dump.txt"
+        path.write_text(GOOD + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(FeedError):
+            list(read_events(str(path)))
+
+
+def test_constructor_guards_live_feeds_too():
+    fields = dict(
+        source="ris", collector="c", vantage_asn=1, kind=ANNOUNCE,
+        prefix=Prefix.parse("10.0.0.0/24"), as_path=(1, 2),
+        observed_at=1.0, delivered_at=2.0,
+    )
+    FeedEvent(**fields)
+    for override in (
+        {"vantage_asn": -1},
+        {"vantage_asn": MAX_ASN + 1},
+        {"observed_at": float("nan")},
+        {"delivered_at": float("inf")},
+        {"as_path": ()},
+        {"kind": "Z"},
+    ):
+        with pytest.raises(FeedError):
+            FeedEvent(**dict(fields, **override))
+
+
+def test_constructor_coerces_inexact_inputs():
+    event = FeedEvent(
+        source="ris", collector="c", vantage_asn=asn.ASN(7), kind=ANNOUNCE,
+        prefix=Prefix.parse("10.0.0.0/24"), as_path=[asn.ASN(1), True],
+        observed_at=1, delivered_at=2,
+    )
+    assert event.as_path == (1, 1)
+    assert {type(hop) for hop in event.as_path} == {int}
+    assert type(event.vantage_asn) is int
+    assert type(event.observed_at) is float and type(event.delivered_at) is float
+
+
+# -------------------------------------------------------------- intern table
+
+
+class TestPathInternTable:
+    def test_repeated_spellings_share_one_tuple(self):
+        first = intern_as_path("3356 1299 64500")
+        assert intern_as_path("3356 1299 64500") is first
+        assert parse_event(line(path="3356 1299 64500")).as_path is first
+
+    def test_hit_never_crosses_spellings(self):
+        assert intern_as_path("1 23") == (1, 23)
+        assert intern_as_path("12 3") == (12, 3)
+        assert intern_as_path("123") == (123,)
+        assert intern_as_path("") == ()
+
+    def test_filling_past_the_bound_clears_and_stays_correct(self, monkeypatch):
+        monkeypatch.setattr(asn, "_PARSE_CACHE_LIMIT", 8)
+        asn._PARSE_CACHE.clear()
+        kept = intern_as_path("7 8 9")
+        for hop in range(100):
+            assert intern_as_path(f"{hop} {hop + 1}") == (hop, hop + 1)
+            assert len(asn._PARSE_CACHE) <= 8
+        again = intern_as_path("7 8 9")
+        assert again == kept == (7, 8, 9)
+        assert again is not kept  # the table really was cleared in between
+
+    def test_counters_split_hits_from_misses(self):
+        asn._PARSE_CACHE.clear()
+        COUNTERS.reset()
+        for _ in range(5):
+            intern_as_path("64496 64497")
+        assert (COUNTERS.path_parse_misses, COUNTERS.path_parse_hits) == (1, 4)
+
+    def test_parse_as_path_is_the_same_validator(self):
+        assert parse_as_path(" 1  2 ") == [1, 2]
+        for bad in ("1\t2", "１２", "+5", "1_0", str(MAX_ASN + 1)):
+            with pytest.raises(BGPError):
+                parse_as_path(bad)
+        copy = parse_as_path("5 6")
+        copy.append(7)  # a caller's list never aliases the interned tuple
+        assert intern_as_path("5 6") == (5, 6)
+
+
+# ------------------------------------------------------- frame verification
+
+
+def write_trace(path, rounds=30):
+    """Announcements of 10.0.0.0/16 and 10.1.0.0/16; returns the path."""
+    with TraceWriter(str(path)) as writer:
+        for i in range(rounds):
+            for block in (0, 1):
+                writer.append(
+                    FeedEvent(
+                        source="ris", collector="rrc00", vantage_asn=100 + i % 3,
+                        kind=ANNOUNCE, prefix=Prefix.parse(f"10.{block}.0.0/16"),
+                        as_path=(1, 666 if i % 5 == 0 else 65000 + block),
+                        observed_at=float(i), delivered_at=i + 0.25,
+                    )
+                )
+    return str(path)
+
+
+def registry():
+    tenants = TenantRegistry()
+    for block in (0, 1):
+        tenants.add_tenant(
+            f"t{block}",
+            ArtemisConfig([OwnedPrefix(f"10.{block}.0.0/16", [65000 + block])]),
+        )
+    return tenants
+
+
+def damaged(path, tmp_path, edit):
+    text = open(path, encoding="utf-8").read()
+    target = tmp_path / "damaged.trace"
+    target.write_text(edit(text), encoding="utf-8")
+    return str(target)
+
+
+DAMAGE = {
+    "unknown format": (lambda t: t.replace("repro-feed-trace", "other"), "format"),
+    "newer version": (lambda t: t.replace('"version": 1', '"version": 999'), "version"),
+    "wrong count": (lambda t: t.replace('"records": 60', '"records": 61'), "61"),
+    "flipped timestamp byte": (lambda t: t.replace("|7.0|7.25", "|7.0|7.26", 1), "digest"),
+    "no footer": (lambda t: t[: t.index("#%END")], "truncated"),
+    "cut mid-record": (lambda t: t[: t.index("#%END") - 4], "truncated record at line 61"),
+}
+
+
+@pytest.mark.parametrize("edit,message", DAMAGE.values(), ids=DAMAGE.keys())
+class TestBothReadersVerify:
+    def test_load_trace(self, tmp_path, edit, message):
+        bad = damaged(write_trace(tmp_path / "t.trace"), tmp_path, edit)
+        with pytest.raises(TraceError, match=message):
+            load_trace(bad)
+
+    def test_line_iterators(self, tmp_path, edit, message):
+        bad = damaged(write_trace(tmp_path / "t.trace"), tmp_path, edit)
+        with pytest.raises(TraceError, match=message):
+            list(iter_trace_line_bytes(bad))
+        with pytest.raises(TraceError, match=message):
+            list(iter_trace_lines(bad))
+
+    def test_feed_trace_raises_and_no_worker_survives(self, tmp_path, edit, message):
+        bad = damaged(write_trace(tmp_path / "t.trace"), tmp_path, edit)
+        with ParallelDetectionPlane(registry(), num_workers=2) as parallel:
+            processes = list(parallel._processes)
+            assert all(process.is_alive() for process in processes)
+            with pytest.raises(TraceError, match=message):
+                parallel.feed_trace(bad)
+        assert not any(process.is_alive() for process in processes)
+        assert multiprocessing.active_children() == []
+
+
+def test_readers_agree_on_an_intact_trace(tmp_path, monkeypatch):
+    path = write_trace(tmp_path / "t.trace")
+    # A block size smaller than the file: the footer lands mid-stream.
+    monkeypatch.setattr("repro.feeds.replay._RecordReader.BLOCK", 256)
+    trace = load_trace(path)
+    lines = list(iter_trace_lines(path))
+    assert [format_event(event) for event in trace.events] == lines
+    assert [raw.decode("utf-8") for raw in iter_trace_line_bytes(path)] == lines
+    body = "".join(text + "\n" for text in lines).encode("utf-8")
+    assert trace.digest == hashlib.sha256(body).hexdigest()
+
+
+def test_non_utf8_record_bytes_are_a_trace_error(tmp_path):
+    body = GOOD.encode("utf-8") + b"\n" + GOOD.encode("utf-8").replace(b"ris", b"\xff\xfe") + b"\n"
+    footer = {"records": 2, "sha256": hashlib.sha256(body).hexdigest()}
+    path = tmp_path / "latin.trace"
+    path.write_bytes(
+        b'#%TRACE {"format": "repro-feed-trace", "version": 1}\n'
+        + body
+        + f"#%END {json.dumps(footer)}\n".encode("utf-8")
+    )
+    with pytest.raises(TraceError, match="not UTF-8"):
+        load_trace(str(path))
+
+
+def test_empty_trace_loads(tmp_path):
+    path = str(tmp_path / "empty.trace")
+    TraceWriter(path).close()
+    assert load_trace(path).events == []
+    assert list(iter_trace_line_bytes(path)) == []
+
+
+# ----------------------------------------------------------------------- cli
+
+
+class TestTenantReplayCli:
+    def run(self, trace, capsys):
+        from repro.cli import main
+
+        code = main(["replay", trace, "--synth-tenants", "2",
+                     "--synth-prefixes", "8", "--detect-workers", "2"])
+        return code, capsys.readouterr()
+
+    def test_parallel_branch_reaps_workers(self, tmp_path, capsys):
+        code, output = self.run(write_trace(tmp_path / "t.trace"), capsys)
+        assert code == 0
+        assert "events seen" in output.out
+        assert multiprocessing.active_children() == []
+
+    def test_trace_error_after_start_is_exit_2_without_leaks(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def rot(self, path):
+            raise TraceError("trace digest mismatch: records were corrupted")
+
+        # The trace changes between the CLI's load_trace and the workers'
+        # feed: only the second read sees the damage.
+        monkeypatch.setattr(ParallelDetectionPlane, "feed_trace", rot)
+        code, output = self.run(write_trace(tmp_path / "t.trace"), capsys)
+        assert code == 2
+        assert "digest mismatch" in output.err
+        assert multiprocessing.active_children() == []

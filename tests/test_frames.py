@@ -18,6 +18,7 @@ from repro.tenants.frames import (
     FRAME_SPEC,
     FrameError,
     decode_batch,
+    decode_batch_text,
     decode_error,
     decode_frame,
     decode_payload,
@@ -51,14 +52,23 @@ class TestBatchBodies:
         assert (kind, epoch) == (FRAME_BATCH, 7)
         assert decode_batch(body) == lines
 
+    def test_text_decode_is_the_bytes_decode_decoded(self):
+        lines = ["A|rv|c\u00e9|1|10.0.0.0/24|1 2|0.5|0.5", "W|rv|c|1|x||1.0|1.0"]
+        _kind, _epoch, body = decode_frame(
+            encode_batch(7, [line.encode("utf-8") for line in lines])
+        )
+        assert decode_batch_text(body) == lines
+
     def test_empty_batch(self):
         _kind, _epoch, body = decode_frame(encode_batch(1, []))
         assert decode_batch(body) == []
+        assert decode_batch_text(body) == []
 
     def test_count_mismatch_is_loud(self):
         _kind, _epoch, body = decode_frame(encode_batch(1, [b"a", b"b"]))
-        with pytest.raises(FrameError, match="line count mismatch"):
-            decode_batch(body[:4] + b"a\nb\nc")
+        for decode in (decode_batch, decode_batch_text):
+            with pytest.raises(FrameError, match="line count mismatch"):
+                decode(body[:4] + b"a\nb\nc")
 
 
 class TestTaggedPayloads:

@@ -30,7 +30,7 @@ from repro.core.alerts import AlertStatus, AlertType
 from repro.core.config import ArtemisConfig, OwnedPrefix
 from repro.core.detection import DetectionService
 from repro.feeds.events import FeedEvent
-from repro.feeds.replay import TraceError, TraceWriter
+from repro.feeds.replay import TraceError, TraceWriter, iter_trace_lines
 from repro.net.prefix import Prefix
 from repro.perf import COUNTERS
 from repro.tenants import (
@@ -51,7 +51,6 @@ from repro.tenants.synth import (
 )
 from repro.tenants.workers import (
     assign_roots,
-    iter_trace_lines,
     partition_roots,
     tenant_worker_main,
 )
