@@ -340,3 +340,69 @@ def test_decoder_cost_independent_of_path_repetition():
         f"decoder leans on path repetition: {shared:.4f}s shared vs "
         f"{distinct:.4f}s all-distinct per {count} records"
     )
+
+
+# ------------------------------------------------------------- verdict cache
+
+
+def test_verdict_cache_miss_cost_independent_of_cache_size():
+    """Scaling guard: evicting from a full verdict cache must be O(1).
+
+    All-distinct keys through a full cache: every announcement is a miss
+    and an eviction.  A miss costs a ladder run and two appends whatever
+    the bound, so the per-miss cost at the default 65,536 bound must stay
+    within 2x of the cost at 4,096 (measured 1.1-1.3x).  Evicting with
+    ``del cache[next(iter(cache))]`` measured 3.4x: dicts keep dead slots
+    until they resize, and each scan walks the run of them.
+    """
+    import itertools
+    import time
+
+    from repro.core.config import ArtemisConfig, OwnedPrefix
+    from repro.feeds.events import FeedEvent
+    from repro.perf import COUNTERS
+    from repro.tenants import DetectionPlane, TenantRegistry
+
+    registry = TenantRegistry()
+    registry.add_tenant(
+        "acme", ArtemisConfig([OwnedPrefix("10.0.0.0/23", [65001], [64600])])
+    )
+    prefix = Prefix.parse("10.0.0.0/23")
+    count = 65_536
+
+    def cost(cache_size):
+        plane = DetectionPlane(
+            registry, batch_size=1024, verdict_cache_size=cache_size
+        )
+        serial = itertools.count(100_000)
+
+        def feed(n):
+            # Benign paths (legit origin and upstream), distinct first hop:
+            # a new key each, and no alert state to grow under the timer.
+            events = [
+                FeedEvent(
+                    source="ris", collector="rrc00", vantage_asn=100,
+                    kind="A", prefix=prefix,
+                    as_path=(next(serial), 64600, 65001),
+                    observed_at=1.0, delivered_at=1.5,
+                )
+                for _ in range(n)
+            ]
+            start = time.perf_counter()
+            for event in events:
+                plane.ingest(event)
+            plane.flush()
+            return time.perf_counter() - start
+
+        feed(cache_size)  # fill the cache: every later key evicts
+        evictions = COUNTERS.verdict_cache_evictions
+        best = min(feed(count) for _ in range(3))
+        assert COUNTERS.verdict_cache_evictions == evictions + 3 * count
+        assert plane.total_alerts() == 0
+        return best / count
+
+    small, large = cost(4_096), cost(65_536)
+    assert large < small * 2, (
+        f"verdict-cache eviction scales with the cache: {small * 1e6:.2f} us "
+        f"per miss at 4,096 entries vs {large * 1e6:.2f} us at 65,536"
+    )

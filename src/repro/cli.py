@@ -355,6 +355,8 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
         ["pipeline batches", str(COUNTERS.pipeline_batches)],
         ["trie walks", str(COUNTERS.pipeline_trie_walks)],
         ["memo hits", str(COUNTERS.pipeline_memo_hits)],
+        ["verdict cache misses", str(COUNTERS.verdict_cache_misses)],
+        ["verdict cache hit ratio", f"{COUNTERS.verdict_cache_hit_ratio:.6f}"],
         ["backpressure stalls", str(COUNTERS.pipeline_backpressure_stalls)],
         ["alerts (all tenants)", str(alerts)],
         ["merged alert digest", digest[:16]],

@@ -105,6 +105,7 @@ FIELDS: Tuple[str, ...] = (
     # million-prefix tenant plane (flat-array tree, cross-batch verdict
     # cache, and the zero-pickle binary frame transport)
     "verdict_cache_hits",
+    "verdict_cache_misses",
     "verdict_cache_evictions",
     "frames_sent",
     "frames_bytes",
@@ -190,6 +191,12 @@ class PerfCounters:
         if self.events_scheduled == 0:
             return 0.0
         return self.events_cancelled / self.events_scheduled
+
+    @property
+    def verdict_cache_hit_ratio(self) -> float:
+        """Fraction of judged announcements the verdict cache answered."""
+        lookups = self.verdict_cache_hits + self.verdict_cache_misses
+        return self.verdict_cache_hits / lookups if lookups else 0.0
 
     @property
     def allocations_avoided(self) -> int:

@@ -149,6 +149,11 @@ class DetectionPlane:
         #: evicted beyond it, counted in ``verdict_cache_evictions``).
         self.verdict_cache_size = max(1, int(verdict_cache_size))
         self._verdict_cache: Dict[Tuple, Tuple[Verdict, ...]] = {}
+        #: The cache's keys in insertion order — the FIFO eviction index.
+        #: Asking the dict for its own first key instead is O(cache size):
+        #: dicts keep dead slots until they resize, and every scan from
+        #: the front walks them.  Cleared wherever the cache is.
+        self._verdict_order: Deque[Tuple] = deque()
         self._cache_epoch = self.tree.epoch
         self.queue_capacity = max(1, int(queue_capacity))
         #: The depth at which ingest must drain: the batch boundary, or the
@@ -211,11 +216,13 @@ class DetectionPlane:
             counters.pipeline_queue_depth_peak = depth
         resolve = self.tree.resolve
         cache = self._verdict_cache
+        order = self._verdict_order
         tree_epoch = self.tree.epoch
         if tree_epoch != self._cache_epoch:
             # A rule mutation invalidates every cached verdict at once: the
             # epoch is part of the cache's identity, not of each key.
             cache.clear()
+            order.clear()
             self._cache_epoch = tree_epoch
         probe = self.corroborator
         per_batch_probe = probe is not None
@@ -251,11 +258,14 @@ class DetectionPlane:
                     matches, prefix, path, event.vantage_asn, probe=probe,
                 )
                 cache[memo_key] = verdicts
-                if len(cache) > cache_bound and not per_batch_probe:
-                    # FIFO eviction: dicts iterate in insertion order, so
-                    # the first key out is the oldest verdict in.
-                    del cache[next(iter(cache))]
-                    counters.verdict_cache_evictions += 1
+                counters.verdict_cache_misses += 1
+                if not per_batch_probe:
+                    order.append(memo_key)
+                    if len(cache) > cache_bound:
+                        # FIFO eviction: the oldest verdict in is the
+                        # first key out.
+                        del cache[order.popleft()]
+                        counters.verdict_cache_evictions += 1
             else:
                 counters.pipeline_memo_hits += 1
                 counters.verdict_cache_hits += 1
@@ -266,7 +276,8 @@ class DetectionPlane:
             # live for the batch that computed them (the original memo
             # contract); steady-state caching is for the pure ladder.
             cache.clear()
-        self._maybe_prune()
+            order.clear()
+        self._maybe_prune(depth)
         self._drain_notifier()
 
     def _apply(self, verdict: Verdict, event: FeedEvent) -> None:
@@ -348,10 +359,10 @@ class DetectionPlane:
             for s in self._states.values()
         )
 
-    def _maybe_prune(self) -> None:
+    def _maybe_prune(self, drained: int) -> None:
         if self.state_retention is None:
             return
-        self._events_since_prune += self.batch_size
+        self._events_since_prune += drained
         if self._events_since_prune >= PRUNE_CHECK_INTERVAL:
             self._events_since_prune = 0
             self.prune_state(self._last_event_time)

@@ -73,6 +73,11 @@ class TenantWorkerError(ReproError):
 #: line); repeats of the same damaged field stay counted but cheap.
 _MALFORMED = -3
 
+#: Routing-memo bound; cleared wholesale when reached, exactly like
+#: ``Prefix._PARSE_CACHE`` — a full-table or hostile feed must not grow
+#: the parent without limit, and a cleared memo only costs re-parsing.
+_ROUTE_MEMO_MAX = 65536
+
 
 # ---------------------------------------------------------------- partition
 
@@ -287,11 +292,14 @@ class ParallelDetectionPlane:
         try:
             prefix = Prefix.parse(prefix_field.decode("ascii"))
         except (ValueError, UnicodeDecodeError):
-            self._route_memo[prefix_field] = _MALFORMED
-            return _MALFORMED
-        hit = self._routing.longest_match(prefix)
-        worker = None if hit is None else hit[1]
-        self._route_memo[prefix_field] = worker
+            worker = _MALFORMED
+        else:
+            hit = self._routing.longest_match(prefix)
+            worker = None if hit is None else hit[1]
+        memo = self._route_memo
+        if len(memo) >= _ROUTE_MEMO_MAX:
+            memo.clear()
+        memo[prefix_field] = worker
         return worker
 
     def feed_line_bytes(self, lines: Iterable[bytes]) -> None:

@@ -346,6 +346,28 @@ class TestTenantReplayCli:
         assert "events seen" in output.out
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_prints_verdict_cache_hit_ratio(self, tmp_path, capsys, workers):
+        from repro.cli import main
+
+        trace = write_trace(tmp_path / "t.trace")
+        code = main(["replay", trace, "--synth-tenants", "2",
+                     "--synth-prefixes", "8", "--detect-workers", workers])
+        rows = dict(
+            line.strip().rsplit(None, 1)
+            for line in capsys.readouterr().out.splitlines()
+            if line.lstrip().startswith(("memo hits", "verdict cache"))
+        )
+        assert code == 0
+        hits = int(rows["memo hits"])
+        misses = int(rows["verdict cache misses"])
+        # Every judged announcement is a hit or a miss, in the workers too.
+        assert misses > 0
+        assert hits + misses == COUNTERS.pipeline_events_ingested
+        assert float(rows["verdict cache hit ratio"]) == pytest.approx(
+            hits / (hits + misses), abs=1e-6
+        )
+
     def test_trace_error_after_start_is_exit_2_without_leaks(
         self, tmp_path, capsys, monkeypatch
     ):

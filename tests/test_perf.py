@@ -93,6 +93,13 @@ class TestPerfCounters:
         counters.events_cancelled = 4
         assert counters.tombstone_ratio == pytest.approx(0.4)
 
+    def test_verdict_cache_hit_ratio(self):
+        counters = PerfCounters()
+        assert counters.verdict_cache_hit_ratio == 0.0
+        counters.verdict_cache_hits = 3
+        counters.verdict_cache_misses = 9
+        assert counters.verdict_cache_hit_ratio == pytest.approx(0.25)
+
     def test_allocations_avoided_sums_cache_wins(self):
         counters = PerfCounters()
         counters.announcements_reused = 1

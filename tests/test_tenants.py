@@ -23,8 +23,11 @@ Contracts under test (see DESIGN.md "Detection plane"):
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.alerts import AlertStatus, AlertType
 from repro.core.config import ArtemisConfig, OwnedPrefix
@@ -42,7 +45,7 @@ from repro.tenants import (
     merged_alert_digest,
 )
 from repro.tenants import frames
-from repro.tenants.pipeline import classify_batch_verdicts
+from repro.tenants.pipeline import PRUNE_CHECK_INTERVAL, classify_batch_verdicts
 from repro.tenants.synth import (
     baseline_services,
     build_synth_registry,
@@ -50,6 +53,7 @@ from repro.tenants.synth import (
     pad_prefix,
 )
 from repro.tenants.workers import (
+    _ROUTE_MEMO_MAX,
     assign_roots,
     partition_roots,
     tenant_worker_main,
@@ -76,6 +80,11 @@ def make_event(
         observed_at=delivered - 0.5 if observed is None else observed,
         delivered_at=delivered,
     )
+
+
+def assert_cache_order_consistent(plane):
+    """The eviction index names exactly the cached keys, oldest first."""
+    assert list(plane._verdict_order) == list(plane._verdict_cache)
 
 
 def two_tenant_registry(cooldown_a=5.0, cooldown_b=20.0):
@@ -353,15 +362,119 @@ class TestDetectionPlane:
         plane = DetectionPlane(
             two_tenant_registry(), batch_size=4, verdict_cache_size=2
         )
-        # Four distinct keys through a 2-entry cache: evictions must fire
-        # and the plane must still answer correctly.
-        for i in range(4):
+
+        def announce(i):
             plane.ingest(
                 make_event(float(i), "10.0.0.0/23", (64600, 700 + i))
             )
-        plane.flush()
+            plane.flush()
+            return COUNTERS.verdict_cache_hits, COUNTERS.verdict_cache_misses
+
+        # Four distinct keys through a 2-entry cache: the two oldest go,
+        # in insertion order, and the plane still answers correctly.
+        for i in range(4):
+            announce(i)
         assert COUNTERS.verdict_cache_evictions == 2
         assert plane.total_alerts() > 0
+        assert_cache_order_consistent(plane)
+        # The newest key survived (a hit); the oldest did not (a miss,
+        # which in turn evicts key 2 — so key 3 still hits, key 2 misses).
+        assert announce(3) == (1, 4)
+        assert announce(0) == (1, 5)
+        assert announce(3) == (2, 5)
+        assert announce(2) == (2, 6)
+        assert COUNTERS.verdict_cache_evictions == 4
+        assert_cache_order_consistent(plane)
+
+    def test_verdict_cache_survives_corroborator_toggling(self):
+        COUNTERS.reset()
+        plane = DetectionPlane(
+            two_tenant_registry(), batch_size=100, verdict_cache_size=2
+        )
+        serial = iter(range(700, 800))
+
+        def drain(keys):
+            for _ in range(keys):
+                plane.ingest(
+                    make_event(1.0, "10.0.0.0/23", (64600, next(serial)))
+                )
+            plane.flush()
+            assert_cache_order_consistent(plane)
+
+        drain(2)  # a full cross-batch cache ...
+        plane.corroborator = lambda prefix: True
+        drain(3)  # ... then a probed batch: unbounded, dropped at its end
+        assert len(plane._verdict_cache) == 0
+        assert COUNTERS.verdict_cache_evictions == 0
+        plane.corroborator = None
+        drain(3)  # eviction resumes on a consistent order index
+        assert COUNTERS.verdict_cache_evictions == 1
+        plane.corroborator = lambda prefix: True
+        drain(1)
+        plane.corroborator = None
+        drain(4)
+        assert COUNTERS.verdict_cache_evictions == 3
+        assert len(plane._verdict_cache) == 2
+
+    def test_verdict_cache_epoch_bump_with_full_cache(self):
+        COUNTERS.reset()
+        registry = two_tenant_registry()
+        plane = DetectionPlane(registry, batch_size=100, verdict_cache_size=2)
+        for i in range(3):
+            plane.ingest(make_event(1.0, "10.0.0.0/23", (64600, 700 + i)))
+        plane.flush()
+        assert COUNTERS.verdict_cache_evictions == 1
+        registry.add_tenant(
+            "late", ArtemisConfig([OwnedPrefix("10.9.0.0/16", [65009])])
+        )
+        # The epoch bump empties cache and order index together: the next
+        # three keys evict exactly once, and never a pre-bump key.
+        for i in range(3):
+            plane.ingest(make_event(2.0, "10.0.0.0/23", (64600, 710 + i)))
+        plane.flush()
+        assert COUNTERS.verdict_cache_evictions == 2
+        assert_cache_order_consistent(plane)
+        assert [key[1] for key in plane._verdict_order] == [
+            (64600, 711),
+            (64600, 712),
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.lists(st.integers(min_value=0, max_value=11), max_size=60),
+        bound=st.integers(min_value=1, max_value=8),
+        batch_size=st.integers(min_value=1, max_value=16),
+    )
+    def test_verdict_cache_matches_fifo_reference_model(
+        self, keys, bound, batch_size
+    ):
+        # The reference: an insertion-ordered bounded map, hits do not
+        # refresh an entry's age (FIFO, not LRU).
+        model: OrderedDict = OrderedDict()
+        hits = evictions = 0
+        for key in keys:
+            if key in model:
+                hits += 1
+                continue
+            model[key] = True
+            if len(model) > bound:
+                model.popitem(last=False)
+                evictions += 1
+
+        COUNTERS.reset()
+        plane = DetectionPlane(
+            two_tenant_registry(),
+            batch_size=batch_size,
+            verdict_cache_size=bound,
+        )
+        for key in keys:
+            plane.ingest(make_event(1.0, "10.0.0.0/23", (64600, 700 + key)))
+        plane.flush()
+        assert COUNTERS.verdict_cache_hits == hits
+        assert COUNTERS.verdict_cache_misses == len(keys) - hits
+        assert COUNTERS.verdict_cache_evictions == evictions
+        assert_cache_order_consistent(plane)
+        assert [key[1][1] - 700 for key in plane._verdict_order] == list(model)
 
     def test_verdict_cache_invalidated_on_rule_change(self):
         COUNTERS.reset()
@@ -571,6 +684,30 @@ class TestStateBounding:
         plane.prune_state(now=2.0)
         assert COUNTERS.detection_state_entries == 4
 
+    def test_plane_prune_cadence_counts_drained_events(self):
+        # queue_capacity < batch_size: every drain is 64 events deep, and
+        # the sweep interval is in events, not in drains.
+        plane = DetectionPlane(
+            two_tenant_registry(), batch_size=100_000, queue_capacity=64
+        )
+        sweeps = []
+        prune_state = plane.prune_state
+
+        def counting_prune_state(now):
+            sweeps.append(now)
+            return prune_state(now)
+
+        plane.prune_state = counting_prune_state
+        benign = make_event(1.0, "10.0.0.0/23", (64600, 65001))
+        for _ in range(8192):
+            plane.ingest(benign)
+        assert plane.batches_drained == 8192 // 64
+        assert len(sweeps) == 8192 // PRUNE_CHECK_INTERVAL == 2
+        # A partial flush counts its own depth, not a whole batch.
+        plane.ingest(benign)
+        plane.flush()
+        assert len(sweeps) == 2
+
     def test_detection_service_prunes_resolved_incidents(self):
         service = DetectionService(
             ArtemisConfig([OwnedPrefix("10.0.0.0/24", [65001])], alert_cooldown=5.0)
@@ -774,6 +911,30 @@ class TestParallelDetectionPlane:
         assert COUNTERS.events_malformed == 4
         # The well-formed lines still route and detect normally.
         assert result["events_routed"] + result["events_unrouted"] == len(good)
+
+    def test_route_memo_bounded_and_cleared_wholesale(self, tmp_path):
+        trace = write_mini_trace(tmp_path / "mini.trace", rounds=4)
+        good = [line.encode("utf-8") for line in iter_trace_lines(trace)]
+        clean = ParallelDetectionPlane(worker_registry(), num_workers=1)
+        clean.feed_line_bytes(good)
+        expected = clean.finish()
+
+        COUNTERS.reset()
+        garbage = 70_000
+        parallel = ParallelDetectionPlane(worker_registry(), num_workers=1)
+        parallel.feed_line_bytes(good[:16])
+        parallel.feed_line_bytes(
+            b"A|rv|col1|99|junk-%d|99 100|1.0|1.0" % i for i in range(garbage)
+        )
+        memo = parallel._route_memo
+        assert 0 < len(memo) <= _ROUTE_MEMO_MAX
+        assert b"junk-0" not in memo  # cleared, not merely capped
+        parallel.feed_line_bytes(good[16:])
+        result = parallel.finish()
+        assert result["events_malformed"] == garbage
+        assert COUNTERS.events_malformed == garbage
+        assert result["events_routed"] == expected["events_routed"] == len(good)
+        assert result["digest"] == expected["digest"]
 
     def test_spec_frame_interned_once_then_raw_batches(self, tmp_path):
         COUNTERS.reset()
