@@ -332,6 +332,14 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
         digest = result["digest"]
         alerts = result["alerts"]
         cpu_note = ", ".join(f"{c:.2f}" for c in result["cpu_seconds"])
+        per_worker = result["events_per_worker"]
+        events_note = ", ".join(str(n) for n in per_worker)
+        mean_events = sum(per_worker) / len(per_worker)
+        # Max ÷ mean: 1.00 is a perfectly even partition; set beside the
+        # CPU figures it tells partition imbalance from scheduling.
+        skew_note = (
+            f"{max(per_worker) / mean_events:.2f}" if mean_events else "-"
+        )
     else:
         plane = DetectionPlane(registry, batch_size=args.batch_size)
         limit = args.max_events
@@ -341,7 +349,7 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
         events_seen = plane.events_ingested
         digest = plane.digest()
         alerts = plane.total_alerts()
-        cpu_note = "-"
+        cpu_note = events_note = skew_note = "-"
     wall = _time.perf_counter() - started
 
     rows = [
@@ -363,6 +371,8 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
         ["wall seconds", f"{wall:.3f}"],
         ["events / sec", f"{events_seen / wall:,.0f}" if wall > 0 else "-"],
         ["worker cpu seconds", cpu_note],
+        ["worker events", events_note],
+        ["worker event skew (max/mean)", skew_note],
     ]
     print(format_table(["metric", "value"], rows, title="multi-tenant replay"))
     if args.json:

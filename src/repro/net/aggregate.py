@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from repro.net.prefix import Prefix
-from repro.net.trie import PrefixTrie
 
 
 def remove_covered(prefixes: Iterable[Prefix]) -> List[Prefix]:
@@ -24,16 +23,12 @@ def remove_covered(prefixes: Iterable[Prefix]) -> List[Prefix]:
 
     Output is sorted.  Duplicates collapse to one entry.
     """
-    unique = sorted(set(prefixes))
-    trie: PrefixTrie[bool] = PrefixTrie()
-    for prefix in unique:
-        trie[prefix] = True
-    result = []
-    for prefix in unique:
-        covered_by_other = any(
-            covering != prefix for covering, _v in trie.covering(prefix)
-        )
-        if not covered_by_other:
+    result: List[Prefix] = []
+    # ``sort_key`` is (version, network, length): a covering prefix sorts
+    # immediately before everything it covers, so the last kept prefix is
+    # the only candidate cover of the next one.
+    for prefix in sorted(set(prefixes), key=lambda p: p.sort_key):
+        if not result or not result[-1].contains(prefix):
             result.append(prefix)
     return result
 

@@ -1,30 +1,28 @@
 """Zero-pickle binary frame transport for the detection-worker pipes.
 
-``ParallelDetectionPlane`` originally shipped ``("batch", epoch, lines)``
-tuples through ``Connection.send``, i.e. pickle.  Pickling re-serializes
-every trace line's *string object* per shipment and pays the pickle VM on
-both ends; at million-prefix feed rates the parent's send path becomes the
-bottleneck.  This module replaces it with a compact length-prefixed binary
-frame format moved via ``Connection.send_bytes``/``recv_bytes``:
+The detection-worker pipes carry trace lines down and one result up, as
+compact length-prefixed binary frames moved via
+``Connection.send_bytes``/``recv_bytes`` — never ``Connection.send``, whose
+pickle re-serializes every line's string object per shipment and pays the
+pickle VM on both ends.  The registry and prefix tree do **not** travel
+here: workers inherit them at fork (see :mod:`repro.tenants.workers`), so
+the parent's traffic is the trace itself plus a handful of control frames.
 
 * **Header** — ``!BII``: frame kind, epoch, body length.  The epoch field
-  carries the shipment epoch for ``BATCH`` frames and the tree epoch for
-  ``SPEC`` frames (zero elsewhere); the explicit body length lets the
-  receiver reject truncated or corrupt frames loudly.
-* **BATCH** — a u32 line count plus the raw trace lines joined by ``\\n``.
-  Lines stay **bytes end to end**: the parent reads the trace file in
-  binary, routes on the prefix field without decoding, and workers parse
-  events straight from the bytes — no intermediate ``str`` objects cross
-  the pipe at all.
-* **SPEC / RESULT** — a structured payload (the registry spec rows, the
-  worker's result dict) in a tagged binary encoding with a per-frame
+  carries the per-worker shipment epoch for ``BATCH`` frames (zero
+  elsewhere); the explicit body length lets the receiver reject truncated
+  or corrupt frames loudly.
+* **Down (parent → worker): BATCH / FINISH / STOP.**  A ``BATCH`` body is
+  a u32 line count plus the raw trace lines joined by ``\\n``.  Lines stay
+  **bytes end to end**: the parent reads the trace file in binary, routes
+  on the prefix field without decoding, and workers parse events straight
+  from the bytes — no intermediate ``str`` objects cross the pipe at all.
+  ``FINISH`` and ``STOP`` are bare headers.
+* **Up (worker → parent): RESULT / ERROR.**  ``RESULT`` carries the
+  worker's result dict in a tagged binary encoding with a per-frame
   **interned string table**: every distinct string is encoded once and
-  referenced by index.  Spec rows repeat tenant names and policy strings
-  heavily, so the table is the compact part; and because the spec ships
-  **once per epoch** rather than per batch, steady-state traffic is pure
-  ``BATCH`` bytes.
-* **FINISH / STOP / ERROR** — control frames (``ERROR`` carries a UTF-8
-  traceback summary).
+  referenced by index (incident rows repeat tenant names, sources and
+  prefix strings heavily).  ``ERROR`` carries a UTF-8 exception summary.
 
 Every frame sent is counted in :data:`repro.perf.COUNTERS` as
 ``frames_sent`` / ``frames_bytes``.
@@ -43,12 +41,11 @@ from typing import Dict, List, Tuple
 
 from repro.perf import COUNTERS as _COUNTERS
 
-# Frame kinds (parent → worker: BATCH/FINISH/STOP/SPEC; worker → parent:
+# Frame kinds (parent → worker: BATCH/FINISH/STOP; worker → parent:
 # RESULT/ERROR).
 FRAME_BATCH = 0x01
 FRAME_FINISH = 0x02
 FRAME_STOP = 0x03
-FRAME_SPEC = 0x04
 FRAME_RESULT = 0x10
 FRAME_ERROR = 0x11
 
@@ -186,7 +183,7 @@ def _encode_value(
 
 
 def encode_payload(kind: int, epoch: int, value) -> bytes:
-    """A SPEC/RESULT frame: interned string table + tagged value body."""
+    """A payload (RESULT) frame: interned string table + tagged value body."""
     table: Dict[str, int] = {}
     values: List[bytes] = []
     _encode_value(value, table, values)
@@ -241,7 +238,7 @@ def _decode_value(body: bytes, offset: int, strings: List[str]):
 
 
 def decode_payload(body: bytes):
-    """Recover the value of a SPEC/RESULT body."""
+    """Recover the value of a payload (RESULT) body."""
     try:
         (num_strings,) = _U32.unpack_from(body)
     except struct.error:

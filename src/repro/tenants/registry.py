@@ -14,13 +14,14 @@ feed fan-out.  This module is the configuration side of that plane:
 * :class:`TenantRegistry` — compiles :class:`~repro.core.config.ArtemisConfig`
   style ground truth for N tenants into bundle rows, supports incremental
   tenant add/remove (propagated to any attached
-  :class:`~repro.tenants.prefixtree.PrefixTree`), and serializes to a
-  plain-tuple spec for shipping to ``--detect-workers`` processes.
+  :class:`~repro.tenants.prefixtree.PrefixTree`), and dumps to canonical
+  plain-tuple rows.  ``--detect-workers`` processes are forked with the
+  registry itself; nothing here is a wire format.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.config import ArtemisConfig
 from repro.errors import ConfigError
@@ -84,7 +85,7 @@ class TenantRule:
         self.squat_space = squat_space
 
     def to_row(self) -> Tuple:
-        """The plain-tuple wire form (worker-spec transport)."""
+        """The canonical plain-tuple form of this row."""
         return (
             self.tenant,
             str(self.prefix),
@@ -237,6 +238,11 @@ class TenantRegistry:
         if tree not in self._trees:
             self._trees.append(tree)
 
+    def detach_tree(self, tree) -> None:
+        """Stop syncing ``tree`` (its owner is done with it)."""
+        if tree in self._trees:
+            self._trees.remove(tree)
+
     # ---------------------------------------------------------------- access
 
     def __len__(self) -> int:
@@ -269,52 +275,11 @@ class TenantRegistry:
         rows = self._tenants[name]
         return rows[0].cooldown if rows else 0.0
 
-    # ------------------------------------------------------------- transport
+    # ------------------------------------------------------------------ dump
 
     def to_spec(self) -> List[Tuple]:
-        """Plain-tuple rows for worker processes (picklable, re-internable)."""
+        """The canonical plain-tuple row dump (what determinism tests compare)."""
         return [rule.to_row() for rule in self.all_rules()]
-
-    @classmethod
-    def from_spec(cls, rows: Sequence[Tuple]) -> "TenantRegistry":
-        """Rebuild a registry from :meth:`to_spec` rows (re-interns).
-
-        Accepts both the current 12-field rows and the legacy 8-field rows
-        (pre-taxonomy specs carry no adjacency or squat material).  Rows
-        are rebuilt directly — not via :class:`ArtemisConfig` — because a
-        worker partition may hold any subset of a tenant's rows (e.g. only
-        its squat-space row).
-        """
-        registry = cls()
-        grouped: Dict[str, List[Tuple]] = {}
-        for row in rows:
-            grouped.setdefault(row[0], []).append(row)
-        for name, tenant_rows in grouped.items():
-            compiled = tuple(
-                registry._intern_rule(
-                    name,
-                    Prefix.parse(row[1]),
-                    registry._intern_set(row[2]),
-                    registry._intern_set(row[3]),
-                    row[4],
-                    row[5],
-                    row[6],
-                    int(row[7]),
-                    registry._intern_adjacencies(
-                        None
-                        if len(row) < 12 or row[8] is None
-                        else {asn: frozenset(peers) for asn, peers in row[8]}
-                    ),
-                    registry._intern_set(row[9] if len(row) >= 12 else None),
-                    row[10] if len(row) >= 12 else True,
-                    bool(row[11]) if len(row) >= 12 else False,
-                )
-                for row in tenant_rows
-            )
-            registry._tenants[name] = compiled
-            for tree in registry._trees:
-                tree.insert_rules(compiled)
-        return registry
 
     def __repr__(self) -> str:
         return (

@@ -13,6 +13,23 @@ announcement is a single longest-match against the root trie; sub-prefix
 announcements inside a root land with it.  Roots are round-robined across
 workers in canonical order — deterministic for any worker count.
 
+**Hand-off contract.**  Workers are forked (``get_context("fork")``, the
+only start method this module has ever supported) *after* the parent has
+built one :class:`~repro.tenants.flattree.FlatPrefixTree` over the
+registry, and receive ``(registry, tree)`` as plain ``Process`` arguments
+— under fork those are not pickled, the child simply keeps the parent's
+objects copy-on-write.  No registry bytes cross a pipe.  Every worker
+therefore holds the *whole* tree, not just its partition; that is exact,
+not approximate, because of the routing invariant above: a worker only
+ever receives announcements under its own roots, a root is covered by no
+other monitored prefix, and so every rule that can match such an
+announcement sits under that same root — the other workers' rows are
+never reached by any walk.  Workers classify against the registry **as of
+``start()``**: mutating it on the parent afterwards cannot reach them, so
+the parent remembers the pre-fork tree's epoch and
+``feed_line_bytes``/``finish`` raise :class:`TenantWorkerError` if it has
+moved.
+
 The parent stays out of the parse hot path: it reads the trace file in
 **binary** (:func:`~repro.feeds.replay.iter_trace_line_bytes`, which
 verifies the trace's version, record count and digest as it streams),
@@ -20,10 +37,10 @@ routes each raw record line by its prefix field (field 4 of
 the ``|``-separated dump format, extracted without decoding) with a bytes
 memo, and ships line batches down a pipe as
 :mod:`~repro.tenants.frames` ``BATCH`` frames — no pickle anywhere on the
-feed path.  Each worker receives its registry spec once, as a ``SPEC``
-frame with a per-frame interned string table, then parses events straight
-from the batch bytes into its own
-:class:`~repro.tenants.pipeline.DetectionPlane`.
+feed path.  Each worker parses events straight from the batch bytes into
+its own :class:`~repro.tenants.pipeline.DetectionPlane` (lazy per tenant,
+so constructing it over the inherited tree costs nothing).  Frames are
+``BATCH``/``FINISH``/``STOP`` down and ``RESULT``/``ERROR`` up.
 
 Malformed record lines (wrong field count, unparsable prefix field) are
 **dropped by the router** and counted in the ``events_malformed`` perf
@@ -41,6 +58,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.feeds.dumpfile import parse_event
 from repro.feeds.replay import iter_trace_line_bytes
+from repro.net.aggregate import remove_covered
 from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
 from repro.perf import COUNTERS as _COUNTERS, sample_memory
@@ -49,7 +67,6 @@ from repro.tenants.frames import (
     FRAME_ERROR,
     FRAME_FINISH,
     FRAME_RESULT,
-    FRAME_SPEC,
     FRAME_STOP,
     decode_batch_text,
     decode_error,
@@ -61,6 +78,7 @@ from repro.tenants.frames import (
     encode_payload,
     send_frame,
 )
+from repro.tenants.flattree import FlatPrefixTree
 from repro.tenants.pipeline import DetectionPlane, merged_alert_digest
 from repro.tenants.registry import TenantRegistry
 
@@ -87,16 +105,7 @@ def partition_roots(prefixes: Sequence[Prefix]) -> List[Prefix]:
 
     Sorted canonically; this is the routing unit for worker partitioning.
     """
-    trie: PrefixTrie[Prefix] = PrefixTrie()
-    for prefix in prefixes:
-        trie.insert(prefix, prefix)
-    return [
-        prefix
-        for prefix in trie.keys()
-        # The covering chain includes the prefix itself; a root's chain is
-        # exactly that single entry.
-        if len(trie.covering_values(prefix)) == 1
-    ]
+    return remove_covered(prefixes)
 
 
 def assign_roots(
@@ -113,19 +122,25 @@ def assign_roots(
 # ------------------------------------------------------------------ worker
 
 
-def tenant_worker_main(worker_id: int, batch_size: int, conn) -> None:
+def tenant_worker_main(
+    worker_id: int,
+    registry: TenantRegistry,
+    tree: FlatPrefixTree,
+    batch_size: int,
+    conn,
+) -> None:
     """Entry point of one detection worker process.
 
-    Speaks the :mod:`~repro.tenants.frames` protocol: a ``SPEC`` frame
-    builds the plane (it must arrive before any batch), ``BATCH`` frames
-    carry epoch-stamped raw trace lines, ``FINISH`` answers with a
+    ``registry`` and ``tree`` are the parent's own objects, inherited at
+    fork.  Speaks the :mod:`~repro.tenants.frames` protocol: ``BATCH``
+    frames carry epoch-stamped raw trace lines, ``FINISH`` answers with a
     ``RESULT`` payload frame, ``STOP`` exits; any failure answers with an
     ``ERROR`` frame and dies.
     """
     _COUNTERS.reset()
     perf_mark = _COUNTERS.as_dict()
     cpu_mark = time.process_time()
-    plane: Optional[DetectionPlane] = None
+    plane = DetectionPlane(registry, tree=tree, batch_size=batch_size)
     expected_epoch = 1
     while True:
         try:
@@ -135,11 +150,6 @@ def tenant_worker_main(worker_id: int, batch_size: int, conn) -> None:
         try:
             kind, epoch, body = decode_frame(data)
             if kind == FRAME_BATCH:
-                if plane is None:
-                    raise TenantWorkerError(
-                        f"detect worker {worker_id}: batch arrived before "
-                        "the registry spec"
-                    )
                 if epoch != expected_epoch:
                     raise TenantWorkerError(
                         f"detect worker {worker_id}: batch epoch {epoch} "
@@ -151,15 +161,7 @@ def tenant_worker_main(worker_id: int, batch_size: int, conn) -> None:
                 ingest = plane.ingest
                 for line in decode_batch_text(body):
                     ingest(parse_event(line))
-            elif kind == FRAME_SPEC:
-                registry = TenantRegistry.from_spec(decode_payload(body))
-                plane = DetectionPlane(registry, batch_size=batch_size)
             elif kind == FRAME_FINISH:
-                if plane is None:
-                    raise TenantWorkerError(
-                        f"detect worker {worker_id}: finish arrived before "
-                        "the registry spec"
-                    )
                 plane.flush()
                 plane.prune_state(plane._last_event_time)
                 sample_memory()
@@ -235,6 +237,9 @@ class ParallelDetectionPlane:
             [] for _ in range(self.num_workers)
         ]
         self._epochs = [0] * self.num_workers
+        #: The tree the workers were forked with, and its epoch at fork.
+        self._tree: Optional[FlatPrefixTree] = None
+        self._fork_epoch = 0
         self._conns: List = []
         self._processes: List = []
         self.events_routed = 0
@@ -246,44 +251,43 @@ class ParallelDetectionPlane:
     # ----------------------------------------------------------- lifecycle
 
     def start(self) -> None:
-        """Fork the workers and ship each its registry-spec frame."""
+        """Build the shared tree once, then fork the workers with it."""
         if self.started:
             return
         import multiprocessing
 
-        specs = self._worker_specs()
+        # Attached to the registry, so any later add/remove moves its epoch
+        # — the signal the stale-registry guard reads.
+        self._tree = FlatPrefixTree(self.registry)
+        self._fork_epoch = self._tree.epoch
         context = multiprocessing.get_context("fork")
         for worker_id in range(self.num_workers):
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=tenant_worker_main,
-                args=(worker_id, self.batch_size, child_conn),
+                args=(
+                    worker_id,
+                    self.registry,
+                    self._tree,
+                    self.batch_size,
+                    child_conn,
+                ),
                 daemon=True,
             )
             process.start()
             child_conn.close()
             self._conns.append(parent_conn)
             self._processes.append(process)
-        # The spec — tenant names, prefix strings, policy tuples — ships
-        # once per worker as an interned-string-table frame; every later
-        # shipment is raw batch bytes.
-        for worker_id in range(self.num_workers):
-            send_frame(
-                self._conns[worker_id],
-                encode_payload(FRAME_SPEC, 0, specs[worker_id]),
-            )
         self.started = True
 
-    def _worker_specs(self) -> List[List[Tuple]]:
-        """Each worker's registry spec: only the rules under its roots."""
-        specs: List[List[Tuple]] = [[] for _ in range(self.num_workers)]
-        match = self._routing.longest_match
-        for rule in self.registry.all_rules():
-            hit = match(rule.prefix)
-            if hit is None:  # pragma: no cover - every rule sits under a root
-                raise ReproError(f"rule {rule!r} not covered by any root")
-            specs[hit[1]].append(rule.to_row())
-        return specs
+    def _check_registry_unmoved(self) -> None:
+        """Workers hold the registry as of the fork; a later edit is lost."""
+        if self._tree.epoch != self._fork_epoch:
+            raise TenantWorkerError(
+                f"registry changed after start(): workers were forked at "
+                f"tree epoch {self._fork_epoch}, the registry is now at "
+                f"epoch {self._tree.epoch} — they cannot see the change"
+            )
 
     # ------------------------------------------------------------- routing
 
@@ -313,6 +317,7 @@ class ParallelDetectionPlane:
         """
         if not self.started:
             self.start()
+        self._check_registry_unmoved()
         buffers = self._buffers
         limit = self.LINES_PER_SHIPMENT
         memo_get = self._route_memo.get
@@ -369,13 +374,15 @@ class ParallelDetectionPlane:
         counters, max for gauges) and returns::
 
             {"rows", "digest", "alerts", "cpu_seconds": [per worker],
-             "critical_path_cpu", "events_routed", "events_unrouted",
-             "events_malformed", "workers": [per-worker payloads]}
+             "critical_path_cpu", "events_per_worker": [per worker],
+             "events_routed", "events_unrouted", "events_malformed",
+             "workers": [per-worker payloads]}
         """
         if self.finished:
             raise ReproError("parallel plane already finished")
         if not self.started:
             self.start()
+        self._check_registry_unmoved()
         finish_frame = encode_frame(FRAME_FINISH, 0)
         for worker in range(self.num_workers):
             self._ship(worker)
@@ -412,6 +419,9 @@ class ParallelDetectionPlane:
             "alerts": sum(payload["alerts"] for payload in payloads),
             "cpu_seconds": cpu,
             "critical_path_cpu": max(cpu) if cpu else 0.0,
+            "events_per_worker": [
+                payload["events_ingested"] for payload in payloads
+            ],
             "events_routed": self.events_routed,
             "events_unrouted": self.events_unrouted,
             "events_malformed": self.events_malformed,
@@ -433,6 +443,7 @@ class ParallelDetectionPlane:
                 process.join(timeout=5.0)
         self._conns = []
         self._processes = []
+        self.registry.detach_tree(self._tree)
 
     def close(self) -> None:
         """Abort without collecting (error-path cleanup)."""

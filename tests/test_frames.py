@@ -15,7 +15,6 @@ from repro.perf import COUNTERS
 from repro.tenants.frames import (
     FRAME_BATCH,
     FRAME_RESULT,
-    FRAME_SPEC,
     FrameError,
     decode_batch,
     decode_batch_text,
@@ -97,7 +96,7 @@ class TestTaggedPayloads:
         import struct as _struct
 
         values = [0.1, 1e-308, 1e308, -0.0, math.pi, 1234.5678901234567]
-        frame = encode_payload(FRAME_SPEC, 0, tuple(values))
+        frame = encode_payload(FRAME_RESULT, 0, tuple(values))
         decoded = decode_payload(decode_frame(frame)[2])
         for before, after in zip(values, decoded):
             assert _struct.pack("!d", before) == _struct.pack("!d", after)
@@ -105,20 +104,20 @@ class TestTaggedPayloads:
     def test_strings_interned_once(self):
         # The same long string 50 times must not cost 50 copies.
         text = "tenant-with-a-rather-long-name" * 4
-        solo = len(encode_payload(FRAME_SPEC, 0, [text]))
-        many = len(encode_payload(FRAME_SPEC, 0, [text] * 50))
+        solo = len(encode_payload(FRAME_RESULT, 0, [text]))
+        many = len(encode_payload(FRAME_RESULT, 0, [text] * 50))
         assert many < solo + 50 * 6  # 49 repeats cost a tag + index each
 
     def test_bool_is_not_int(self):
         decoded = decode_payload(
-            decode_frame(encode_payload(FRAME_SPEC, 0, (True, 1, False, 0)))[2]
+            decode_frame(encode_payload(FRAME_RESULT, 0, (True, 1, False, 0)))[2]
         )
         assert decoded == (True, 1, False, 0)
         assert [type(v) for v in decoded] == [bool, int, bool, int]
 
     def test_unencodable_type_is_loud(self):
         with pytest.raises(FrameError, match="unencodable"):
-            encode_payload(FRAME_SPEC, 0, {1, 2, 3})
+            encode_payload(FRAME_RESULT, 0, {1, 2, 3})
 
     def test_truncated_payload_is_loud(self):
         frame = encode_payload(FRAME_RESULT, 0, {"key": [1, 2, 3]})

@@ -3,7 +3,7 @@
 Contracts under test (see DESIGN.md "Detection plane"):
 
 * the registry compiles ArtemisConfig ground truth into interned rows and
-  round-trips through its plain-tuple worker spec;
+  dumps them as canonical plain-tuple rows;
 * the shared prefix tree resolves one covering walk into per-tenant
   matches — most specific rule per tenant, deterministic tenant order,
   incremental add/remove with epoch bumps;
@@ -16,8 +16,10 @@ Contracts under test (see DESIGN.md "Detection plane"):
 * resolved-incident bookkeeping is pruned after cooldown + retention in
   both the plane and the single-tenant DetectionService (bounded soaks);
 * the --detect-workers partitioning merges to a digest bit-identical to
-  the single-process plane, and a stale/reordered batch epoch is a loud
-  protocol error, never a silent wrong answer.
+  the single-process plane; workers are forked with the registry and the
+  whole tree (no registry bytes on the pipes); a stale/reordered batch
+  epoch, or a registry edited after the fork, is a loud error, never a
+  silent wrong answer.
 """
 
 from __future__ import annotations
@@ -35,12 +37,15 @@ from repro.core.detection import DetectionService
 from repro.feeds.events import FeedEvent
 from repro.feeds.replay import TraceError, TraceWriter, iter_trace_lines
 from repro.net.prefix import Prefix
+from repro.net.trie import PrefixTrie
 from repro.perf import COUNTERS
 from repro.tenants import (
     DetectionPlane,
+    FlatPrefixTree,
     ParallelDetectionPlane,
     PrefixTree,
     TenantRegistry,
+    TenantWorkerError,
     incident_rows,
     merged_alert_digest,
 )
@@ -148,12 +153,12 @@ class TestTenantRegistry:
             TenantRegistry().remove_tenant("ghost")
 
     def test_spec_roundtrip(self):
+        # The canonical row dump: equal for equal registries, plain data.
         registry = two_tenant_registry()
-        rebuilt = TenantRegistry.from_spec(registry.to_spec())
-        assert rebuilt.to_spec() == registry.to_spec()
-        assert rebuilt.tenant_names() == registry.tenant_names()
-        assert rebuilt.cooldown_for("acme") == 5.0
-        assert rebuilt.rules_for("acme")[0].legit_upstreams == frozenset([64600])
+        assert registry.to_spec() == two_tenant_registry().to_spec()
+        acme = registry.to_spec()[0]
+        assert acme[:4] == ("acme", "10.0.0.0/23", (65001,), (64600,))
+        assert registry.cooldown_for("acme") == 5.0
 
     def test_monitored_prefixes_distinct_and_sorted(self):
         registry = two_tenant_registry()
@@ -794,6 +799,40 @@ class TestPartitioning:
             "192.168.0.0/24",
         ]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                # Few distinct high bits and short lengths: nesting and
+                # duplicates are the common case, not the rare one.
+                st.builds(
+                    lambda value, length: Prefix(value << 24, length, 4),
+                    st.integers(0, 255),
+                    st.integers(0, 12),
+                ),
+                st.builds(
+                    lambda value, length: Prefix(value << 120, length, 6),
+                    st.integers(0, 255),
+                    st.integers(0, 12),
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    def test_partition_roots_matches_trie_oracle(self, prefixes):
+        """The sorted sweep ≡ "covered by nothing but itself" in a trie."""
+        trie = PrefixTrie()
+        for prefix in prefixes:
+            trie.insert(prefix, prefix)
+        oracle = [
+            prefix
+            for prefix in trie.keys()
+            if len(trie.covering_values(prefix)) == 1
+        ]
+        roots = partition_roots(prefixes)
+        assert roots == sorted(oracle, key=lambda p: p.sort_key)
+        assert len(set(roots)) == len(roots)
+
     def test_assign_roots_round_robin_deterministic(self):
         roots = [Prefix.parse(f"10.{i}.0.0/16") for i in range(5)]
         routing = assign_roots(roots, num_workers=2)
@@ -863,13 +902,10 @@ class TestParallelDetectionPlane:
         parent_conn, child_conn = multiprocessing.Pipe()
         thread = threading.Thread(
             target=tenant_worker_main,
-            args=(0, 32, child_conn),
+            args=(0, registry, FlatPrefixTree(registry), 32, child_conn),
             daemon=True,
         )
         thread.start()
-        parent_conn.send_bytes(
-            frames.encode_payload(frames.FRAME_SPEC, 0, registry.to_spec())
-        )
         # Epoch 2 first: a reordered/stale shipment must be rejected.
         parent_conn.send_bytes(frames.encode_batch(2, lines))
         kind, _epoch, body = frames.decode_frame(parent_conn.recv_bytes())
@@ -877,19 +913,109 @@ class TestParallelDetectionPlane:
         assert "epoch" in frames.decode_error(body)
         thread.join(timeout=5.0)
 
-    def test_batch_before_spec_is_loud(self):
-        import multiprocessing
+    def test_start_ships_no_registry_bytes(self):
+        COUNTERS.reset()
+        parallel = ParallelDetectionPlane(worker_registry(), num_workers=2)
+        try:
+            parallel.start()
+            # The workers were forked holding registry and tree: nothing
+            # has crossed a pipe yet.
+            assert COUNTERS.frames_sent == 0
+            assert COUNTERS.frames_bytes == 0
+        finally:
+            parallel.close()
 
-        parent_conn, child_conn = multiprocessing.Pipe()
-        thread = threading.Thread(
-            target=tenant_worker_main, args=(0, 32, child_conn), daemon=True
+    @pytest.mark.parametrize("batch_size", [1, 1024])
+    @pytest.mark.parametrize("num_workers", [1, 2, 3, 4])
+    def test_whole_tree_per_worker_is_exact(
+        self, tmp_path, num_workers, batch_size
+    ):
+        """Every worker holds every tenant's rows, nested ones included.
+
+        Three tenants nest /16 ⊃ /20 ⊃ /24 under one root (so one worker
+        must see all three fire together), two more own disjoint roots,
+        and some announcements are monitored by nobody.
+        """
+        registry = TenantRegistry()
+        for name, prefix, origin in (
+            ("wide", "10.0.0.0/16", 65001),
+            ("mid", "10.0.16.0/20", 65002),
+            ("narrow", "10.0.17.0/24", 65003),
+            ("east", "10.1.0.0/16", 65004),
+            ("v6", "2001:db8::/32", 65005),
+        ):
+            registry.add_tenant(
+                name,
+                ArtemisConfig([OwnedPrefix(prefix, [origin])], alert_cooldown=2.0),
+            )
+        announced = [
+            ("10.0.17.0/24", 65003),  # legit for narrow, hijack for wide+mid
+            ("10.0.17.0/25", 666),  # sub-prefix of all three
+            ("10.0.16.0/20", 65002),
+            ("10.0.32.0/24", 666),  # only under wide
+            ("10.1.0.0/16", 666),
+            ("2001:db8:1::/48", 666),
+            ("172.16.0.0/16", 666),  # unmonitored
+            ("2001:dead::/32", 666),  # unmonitored
+        ]
+        writer = TraceWriter(str(tmp_path / "nested.trace"))
+        t = 0.0
+        for round_number in range(12):
+            for prefix, origin in announced:
+                t += 0.01
+                writer.append(
+                    make_event(
+                        t + 0.2,
+                        prefix,
+                        (1, origin),
+                        vantage=100 + round_number % 3,
+                        observed=t,
+                    )
+                )
+        writer.close()
+        trace = str(tmp_path / "nested.trace")
+
+        from repro.feeds.dumpfile import parse_event
+
+        plane = DetectionPlane(registry, batch_size=batch_size)
+        for line in iter_trace_lines(trace):
+            plane.ingest(parse_event(line))
+        plane.flush()
+        assert {row[0] for row in plane.incident_rows()} == {
+            "wide", "mid", "narrow", "east", "v6",
+        }
+
+        parallel = ParallelDetectionPlane(
+            registry, num_workers=num_workers, batch_size=batch_size
         )
-        thread.start()
-        parent_conn.send_bytes(frames.encode_batch(1, [b"A|s|c|1|x|1|0.0|0.0"]))
-        kind, _epoch, body = frames.decode_frame(parent_conn.recv_bytes())
-        assert kind == frames.FRAME_ERROR
-        assert "before the registry spec" in frames.decode_error(body)
-        thread.join(timeout=5.0)
+        parallel.feed_trace(trace)
+        result = parallel.finish()
+        assert result["digest"] == plane.digest()
+        assert result["rows"] == plane.incident_rows()
+        assert result["events_unrouted"] == 12 * 2
+        assert sum(result["events_per_worker"]) == result["events_routed"]
+        assert len(result["events_per_worker"]) == num_workers
+
+    def test_registry_change_after_start_is_loud(self, tmp_path):
+        trace = write_mini_trace(tmp_path / "mini.trace", rounds=2)
+        registry = worker_registry()
+        parallel = ParallelDetectionPlane(registry, num_workers=2)
+        parallel.start()
+        children = list(parallel._processes)
+        try:
+            parallel.feed_trace(trace)  # before the edit: fine
+            registry.add_tenant(
+                "late", ArtemisConfig([OwnedPrefix("10.200.0.0/16", [65200])])
+            )
+            with pytest.raises(TenantWorkerError, match=r"epoch 1\b.*epoch 2\b"):
+                parallel.feed_trace(trace)
+            with pytest.raises(TenantWorkerError, match="registry changed"):
+                parallel.finish()
+        finally:
+            parallel.close()
+        assert children and not any(child.is_alive() for child in children)
+        # The plane let go of its tree: the registry no longer feeds it.
+        assert registry._trees == []
 
     def test_malformed_lines_dropped_and_counted(self, tmp_path):
         COUNTERS.reset()
@@ -935,20 +1061,6 @@ class TestParallelDetectionPlane:
         assert COUNTERS.events_malformed == garbage
         assert result["events_routed"] == expected["events_routed"] == len(good)
         assert result["digest"] == expected["digest"]
-
-    def test_spec_frame_interned_once_then_raw_batches(self, tmp_path):
-        COUNTERS.reset()
-        trace = write_mini_trace(tmp_path / "mini.trace")
-        parallel = ParallelDetectionPlane(worker_registry(), num_workers=2)
-        parallel.feed_trace(trace)
-        result = parallel.finish()
-        assert result["events_malformed"] == 0
-        # Parent side: one SPEC per worker, plus batch/finish/stop frames.
-        # Workers each reply with one RESULT frame (counted in their own
-        # deltas, which merge back after the RESULT ships — so only the
-        # parent's sends are guaranteed visible here).
-        assert COUNTERS.frames_sent >= 2 * 3
-        assert COUNTERS.frames_bytes > 0
 
 
 # ------------------------------------------------------------------ digests
