@@ -6,7 +6,8 @@ layered on top of ``benchmarks/test_tenants.py``'s architecture bench:
 * **flat-array tree memory** — a ``FlatPrefixTree`` holding ≥1M monitored
   prefixes (10k tenants) must be resident with at least
   ``TENANTS1M_MIN_RSS_RATIO``x (default 4x) less RSS per monitored prefix
-  than the node-object ``PrefixTree`` over the same registry.  Costs are
+  than the node-object oracle ``PrefixTree`` (``tests/oracles.py``) over
+  the same registry.  Costs are
   measured as VmRSS deltas around each build (flat tree first, on the
   cleaner heap), and the flat figure is taken conservatively as
   ``max(rss_delta, tree.nbytes())``.
@@ -59,6 +60,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -70,11 +72,15 @@ from repro.tenants import (
     DetectionPlane,
     FlatPrefixTree,
     ParallelDetectionPlane,
-    PrefixTree,
 )
 from repro.tenants.synth import build_synth_registry, observed_origin_map
 from repro.testbed.scenario import HijackExperiment
 from test_scale import EXPECTED, scale_config
+
+# The node-object tree is the RSS comparator; it lives in the test tree.
+# Appended, not prepended: ``conftest`` must keep resolving to this dir's.
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
+from oracles import PrefixTree  # noqa: E402
 
 _BENCH_JSON = os.path.join(os.path.dirname(__file__), "BENCH_tenants_1m.json")
 _COMMITTED_JSON = os.path.join(os.path.dirname(__file__), "BENCH_tenants.json")

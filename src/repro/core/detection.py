@@ -1,96 +1,65 @@
 """The ARTEMIS detection service.
 
 Runs continuously over every configured source (RIS stream, BGPmon stream,
-Periscope looking glasses) with a server-side filter on the owned prefixes.
-Each arriving feed event is checked against the operator's ground truth:
+Periscope looking glasses) with a server-side filter on the owned prefixes,
+and checks each arriving feed event against the operator's ground truth;
+:mod:`repro.core.rules` lists the rules and the alert type each raises.
 
-* announced prefix **equals** an owned prefix and the origin is not in its
-  legit set → ``EXACT_ORIGIN`` alert (the demo's Phase-2 detection);
-* announced prefix is **more specific** than an owned prefix and the origin
-  is not legit → ``SUB_PREFIX`` alert;
-* origin legit but the AS adjacent to it is not a configured upstream →
-  ``PATH`` (type-1) alert;
-* origin and first hop legit but a deeper path link absent from the
-  configured adjacency map → ``PATH_N`` (type-N) alert;
-* a leak sentinel (known stub) in a transit position → ``ROUTE_LEAK``;
-* announcement inside owned-but-unannounced space → ``SQUATTING``;
-* control plane clean but the data-plane corroboration probe unhealthy →
-  ``UNCHANGED_PATH`` (type-U).
-
-The full rule ladder lives in :mod:`repro.core.rules` and is shared with
-the multi-tenant plane, so both classify byte-identically.  An attached
-corroboration probe additionally *gates* the low-confidence verdicts
-(exact-origin / path): a healthy data plane suppresses them, which is what
-keeps legitimate MOAS and new-peering events from paging the operator.
+There is one detection engine: :class:`DetectionService` is the one-tenant
+case of :class:`~repro.tenants.pipeline.DetectionPlane`.  The operator's
+config compiles into a one-tenant registry and every event goes through a
+plane of batch size 1, so it is judged, and its alert raised, before
+``handle_event`` returns.  Rule selection, corroboration gating, incident
+dedup, the duplicate-delivery founding gate, first-evidence bookkeeping
+and state pruning are the plane's — this class only adds source
+subscription, operator callbacks and the live-sources audit trail.
 
 Because the sources are independent, the incident's detection delay is the
-minimum of the per-source delays (paper §2); the service records the first
-evidence per source so experiment E2 can compare them.
+minimum of the per-source delays (paper §2); the first evidence per source
+is on record so experiment E2 can compare them.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.alerts import AlertManager, AlertType, HijackAlert
+from repro.core.alerts import AlertType, HijackAlert
 from repro.core.config import ArtemisConfig
-from repro.core.rules import CorroborationProbe, classify_announcement, classify_squat
+from repro.core.rules import CorroborationProbe
 from repro.feeds.events import FeedEvent
-from repro.perf import COUNTERS as _COUNTERS
 
 AlertCallback = Callable[[HijackAlert], None]
 
-#: Feed events between opportunistic detection-state prune checks.
-PRUNE_CHECK_INTERVAL = 512
-
-#: Event-time seconds a resolved incident's bookkeeping outlives its
-#: cooldown before :meth:`DetectionService.prune_state` drops it.  The
-#: window is deliberately generous: late evidence re-reads
-#: (``per_source_delay_final`` at end of run) and the duplicate-delivery
-#: founding gate both need the state for a while after resolution, but a
-#: multi-hour soak must not accumulate one entry per incident forever.
-STATE_RETENTION = 3600.0
+#: The one tenant a :class:`DetectionService` registers with its plane.
+_TENANT = "operator"
 
 
 class DetectionService:
     """Classifies feed events against the owned-prefix ground truth."""
 
     def __init__(self, config: ArtemisConfig):
+        # Deferred: repro.tenants compiles ArtemisConfig, so it imports
+        # repro.core, whose package import reaches this module.
+        from repro.tenants.pipeline import DetectionPlane
+        from repro.tenants.registry import TenantRegistry
+
         self.config = config
-        self.alert_manager = AlertManager(cooldown=config.alert_cooldown)
+        registry = TenantRegistry()
+        registry.add_tenant(_TENANT, config)
+        self._plane = DetectionPlane(registry, batch_size=1, notify=self._alerted)
+        state = self._plane.tenant_state(_TENANT)
+        self.alert_manager = state.alerts
+        #: Per (alert id, source): first evidence delivery time — the raw
+        #: material for the per-source delay comparison (E2).
+        self.first_evidence: Dict[int, Dict[str, float]] = state.first_evidence
+        #: Per alert id: sorted tuple of live source names at alert time.
+        self.live_at_alert: Dict[int, Tuple[str, ...]] = state.live_at_alert
         self._callbacks: List[AlertCallback] = []
         self.events_checked = 0
-        #: Per (alert id, source): first evidence delivery time — the raw
-        #: material for the per-source delay comparison (E2).  Keyed by the
-        #: alert's unique id, not its dedup key: the same incident pattern
-        #: can re-fire as a *new* alert after resolve + cooldown, and the
-        #: fresh incident must not inherit the old one's evidence times.
-        self.first_evidence: Dict[int, Dict[str, float]] = {}
         #: Optional :class:`~repro.feeds.health.SourceSupervisor`; when
         #: attached, each new incident records which sources were believed
         #: live at alert time (the degraded-feed audit trail).
         self.supervisor = None
-        #: Per alert id: sorted tuple of live source names at alert time.
-        self.live_at_alert: Dict[int, Tuple[str, ...]] = {}
-        #: Optional data-plane corroboration probe (see
-        #: :meth:`attach_corroborator`); ``None`` → control-plane only.
-        self.corroborator: Optional[CorroborationProbe] = None
-        #: Per incident pattern: content keys of evidence already ingested.
-        #: A duplicating transport (or a replayed trace under a ``dup``
-        #: fault) can deliver the *byte-identical* event twice.  Copies are
-        #: still kept on record as evidence while the incident accepts it
-        #: (operators want every delivery on the books), but a copy never
-        #: *founds* an incident: a duplicated-then-reordered copy surfacing
-        #: after its original's alert was resolved (and past cooldown) must
-        #: not resurrect the incident and re-fire operator callbacks.
-        self._evidence_seen: Dict[Tuple, set] = {}
-        #: Byte-identical duplicate deliveries detected (attached-or-dropped).
-        self.duplicate_events_skipped = 0
-        #: Event-time retention of per-incident state after resolve+cooldown
-        #: (:data:`STATE_RETENTION`); ``None`` disables pruning entirely.
-        self.state_retention: Optional[float] = STATE_RETENTION
-        self._events_since_prune = 0
-        self.entries_pruned = 0
         self.started = False
         self._subscriptions = []
 
@@ -113,7 +82,7 @@ class DetectionService:
         announcement raises ``UNCHANGED_PATH`` (type-U).  With no probe
         attached, classification is control-plane-only.
         """
-        self.corroborator = probe
+        self._plane.corroborator = probe
 
     def start(self, sources: List) -> None:
         """Subscribe to every source, filtered to the monitored prefixes
@@ -142,162 +111,73 @@ class DetectionService:
     def handle_event(self, event: FeedEvent) -> None:
         """Inspect one feed event; raise/extend alerts as needed."""
         self.events_checked += 1
-        if self.state_retention is not None:
-            self._events_since_prune += 1
-            if self._events_since_prune >= PRUNE_CHECK_INTERVAL:
-                self._events_since_prune = 0
-                self.prune_state(event.delivered_at)
-        if not event.is_announcement:
-            return
-        verdict = self.classify(event)
-        if verdict is None:
-            return
-        alert_type, owned_prefix, offender = verdict
-        pattern = (alert_type, owned_prefix, event.prefix, offender)
-        seen = self._evidence_seen.setdefault(pattern, set())
-        content = event.content_key()
-        duplicate = content in seen
-        if duplicate:
-            self.duplicate_events_skipped += 1
-            _COUNTERS.duplicate_evidence_skipped += 1
-        else:
-            seen.add(content)
-        alert, is_new = self.alert_manager.ingest(
-            alert_type, owned_prefix, event.prefix, offender, event,
-            allow_new=not duplicate,
-        )
-        if alert is None:
-            return
-        per_source = self.first_evidence.setdefault(alert.id, {})
-        if event.source not in per_source:
-            per_source[event.source] = event.delivered_at
-        if is_new:
-            if self.supervisor is not None:
-                self.live_at_alert[alert.id] = self.supervisor.live_sources()
-            for callback in self._callbacks:
-                callback(alert)
+        self._plane.ingest(event)
+
+    def _alerted(self, tenant: str, alert: HijackAlert) -> None:
+        """The plane's notify hook: runs inside ``handle_event``, once per
+        new incident — mitigation relies on that synchrony."""
+        if self.supervisor is not None:
+            self.live_at_alert[alert.id] = self.supervisor.live_sources()
+        for callback in self._callbacks:
+            callback(alert)
 
     def classify(
         self, event: FeedEvent
     ) -> Optional[Tuple[AlertType, "Prefix", Optional[int]]]:
         """Pure classification: ``(type, owned_prefix, offender)`` or None.
 
-        Precedence: exact owned entry, then the deeper of the covering
-        owned prefix vs. covering owned *space* (a /24 inside an owned /23
-        is a sub-prefix incident even when a wider space block also covers
-        it; a /24 inside space only is a squatting candidate).
+        Precedence: the most specific monitored prefix covering the
+        announcement decides — an exact owned entry, else the deeper of
+        the covering owned prefix and the covering owned *space* (a /24 in
+        an owned /23 is a sub-prefix incident even under a wider space
+        block; a /24 in a deeper unannounced hole is a squatting one).
+        With ``detect_squatting=False`` owned space is not monitored, so
+        the hole case is ``SUB_PREFIX`` against the covering owned prefix.
         """
-        config = self.config
-        entry = config.entry_for(event.prefix)
-        if entry is not None:
-            # Exact announcement of an owned prefix.
-            return self._verdict(event, entry, exact=True)
-        covering = config.covering_entry(event.prefix)
-        space = config.covering_space(event.prefix) if config.owned_space else None
-        if covering is not None and event.prefix.is_more_specific_of(covering.prefix):
-            if space is None or space.prefix.length <= covering.prefix.length:
-                # A more-specific inside owned announced space.
-                return self._verdict(event, covering, exact=False)
-            # A deeper unannounced hole inside announced space: squatting
-            # semantics win (fall through).
-        if space is not None and config.detect_squatting:
-            verdict = classify_squat(event.origin_as, space.legit_origins)
-            if verdict is None:
-                return None
-            alert_type, offender = verdict
-            return alert_type, space.prefix, offender
-        return None
+        from repro.tenants.pipeline import classify_batch_verdicts
 
-    def _verdict(
-        self, event: FeedEvent, entry, exact: bool
-    ) -> Optional[Tuple[AlertType, "Prefix", Optional[int]]]:
-        """Run the shared rule ladder against one owned entry."""
-        config = self.config
-        verdict = classify_announcement(
+        plane = self._plane
+        verdicts = classify_batch_verdicts(
+            plane.tree.resolve(event.prefix),
             event.prefix,
             event.as_path,
             event.vantage_asn,
-            exact,
-            entry.legit_origins,
-            entry.legit_upstreams,
-            neighbors=config.adjacencies,
-            leak_sentinels=config.leak_sentinels,
-            detect_subprefix=config.detect_subprefix,
-            detect_path=config.detect_path,
-            detect_unchanged_path=config.detect_unchanged_path,
-            probe=self.corroborator,
+            probe=plane.corroborator,
         )
-        if verdict is None:
+        if not verdicts:
             return None
-        alert_type, offender = verdict
-        return alert_type, entry.prefix, offender
-
-    def _check_path(
-        self, event: FeedEvent, entry
-    ) -> Optional[Tuple[AlertType, "Prefix", Optional[int]]]:
-        """Path-family checks for a legit-origin announcement.
-
-        Kept as a thin named stage over the shared rule ladder (tests and
-        tools call it directly); ``classify`` goes through :meth:`_verdict`.
-        """
-        if not entry.origin_is_legit(event.origin_as):
-            return None
-        return self._verdict(event, entry, exact=False)
+        rule, alert_type, offender = verdicts[0]
+        return alert_type, rule.prefix, offender
 
     # --------------------------------------------------------- state bounding
 
+    @property
+    def duplicate_events_skipped(self) -> int:
+        """Byte-identical duplicate deliveries detected (attached-or-dropped)."""
+        return self._plane.duplicate_events_skipped
+
+    @property
+    def state_retention(self) -> Optional[float]:
+        """Seconds per-incident state outlives resolve+cooldown (``None``:
+        never pruned); see :data:`repro.tenants.pipeline.STATE_RETENTION`."""
+        return self._plane.state_retention
+
+    @state_retention.setter
+    def state_retention(self, seconds: Optional[float]) -> None:
+        self._plane.state_retention = seconds
+
+    @property
+    def entries_pruned(self) -> int:
+        return self._plane.entries_pruned
+
     def detection_state_entries(self) -> int:
         """Current per-incident bookkeeping entries (the soak-memory gauge)."""
-        return (
-            len(self.first_evidence)
-            + len(self.live_at_alert)
-            + len(self._evidence_seen)
-        )
+        return self._plane.detection_state_entries()
 
     def prune_state(self, now: float) -> int:
-        """Drop bookkeeping for incidents resolved long before ``now``.
-
-        ``first_evidence``, ``live_at_alert`` and ``_evidence_seen`` each
-        hold one entry per incident forever; over a multi-hour soak with
-        resolutions that is unbounded growth for state nobody will read
-        again.  An entry expires once its incident has been resolved for
-        more than ``cooldown + state_retention`` event-time seconds — the
-        cooldown is when the incident may still be revived by evidence,
-        and the retention window keeps late-evidence re-reads and the
-        duplicate-founding gate intact on any realistic transport
-        timescale.  Returns the number of entries dropped; refreshes the
-        ``detection_state_entries`` peak gauge either way.
-        """
-        entries = self.detection_state_entries()
-        if entries > _COUNTERS.detection_state_entries:
-            _COUNTERS.detection_state_entries = entries
-        if self.state_retention is None:
-            return 0
-        horizon = self.alert_manager.cooldown + self.state_retention
-
-        def expired(alert: Optional[HijackAlert]) -> bool:
-            return (
-                alert is not None
-                and alert.resolved_at is not None
-                and now - alert.resolved_at > horizon
-            )
-
-        dropped = 0
-        by_id = {alert.id: alert for alert in self.alert_manager.alerts}
-        for table in (self.first_evidence, self.live_at_alert):
-            for alert_id in [i for i in table if expired(by_id.get(i))]:
-                del table[alert_id]
-                dropped += 1
-        stale_patterns = [
-            pattern
-            for pattern in self._evidence_seen
-            if expired(self.alert_manager.incident_for(pattern))
-        ]
-        for pattern in stale_patterns:
-            del self._evidence_seen[pattern]
-            dropped += 1
-        self.entries_pruned += dropped
-        return dropped
+        """Drop bookkeeping for incidents resolved long before ``now`` (the
+        plane's sweep, which also runs every ``PRUNE_CHECK_INTERVAL`` events)."""
+        return self._plane.prune_state(now)
 
     # ------------------------------------------------------------------- stats
 

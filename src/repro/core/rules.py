@@ -1,10 +1,9 @@
-"""Shared hijack-classification rules.
+"""The hijack-classification rule ladder.
 
-One pure function implements the full ARTEMIS taxonomy verdict so the
-single-tenant :class:`~repro.core.detection.DetectionService` and the
-multi-tenant :class:`~repro.tenants.pipeline.DetectionPlane` cannot drift:
-both call :func:`classify_announcement` with their own rule rows and get
-byte-identical verdicts for byte-identical inputs.
+One pure function implements the full ARTEMIS taxonomy verdict for one
+announcement against one rule row.  Its one caller in ``src/`` is the
+detection plane (:func:`repro.tenants.pipeline.classify_batch_verdicts`),
+which picks the row — the most specific monitored prefix per tenant.
 
 The rule ladder, in evaluation order (first hit wins):
 

@@ -232,45 +232,6 @@ class PrefixTrie(Generic[V]):
                     node.value,  # type: ignore[misc]
                 )
 
-    def covering_values(
-        self, target: Union[Prefix, Address], into: Optional[List[V]] = None
-    ) -> List[V]:
-        """Values on the covering chain of ``target``, least → most specific.
-
-        Same walk as :meth:`covering` (the stored root-to-``target`` chain,
-        including an exact match), but returns only the values, as a list,
-        without reconstructing a :class:`Prefix` per matched level — the
-        allocation-light variant for hot batch-lookup paths whose values
-        already know their own prefix (e.g. the multi-tenant prefix tree).
-
-        ``into``, when given, is cleared and reused as the result list so
-        repeated lookups (one per unique prefix per batch) allocate
-        nothing; the caller owns the buffer and must consume it before the
-        next call.
-        """
-        if isinstance(target, Address):
-            probe = Prefix(target.value, target.bits, target.version)
-        else:
-            probe = target
-        node = self._roots[probe.version]
-        if into is None:
-            found: List[V] = []
-        else:
-            found = into
-            del found[:]
-        if node.has_value:
-            found.append(node.value)  # type: ignore[arg-type]
-        value = probe.value
-        shift = (32 if probe.version == 4 else 128) - 1
-        for _ in range(probe.length):
-            node = node.children[(value >> shift) & 1]
-            if node is None:
-                break
-            shift -= 1
-            if node.has_value:
-                found.append(node.value)  # type: ignore[arg-type]
-        return found
-
     def items(self) -> Iterator[Tuple[Prefix, V]]:
         """Yield all (prefix, value) pairs in deterministic bit order."""
         for version in (4, 6):

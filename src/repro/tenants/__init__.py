@@ -1,17 +1,17 @@
-"""Multi-tenant detection plane: detection-as-a-service at scale.
+"""The detection plane: the one detection engine, for 1 to N operators.
 
 One ARTEMIS deployment protecting N operators ("tenants") from a single
-shared feed.  The package splits into:
+shared feed; the paper's single operator
+(:class:`~repro.core.detection.DetectionService`) is the N=1 case of the
+same code.  The package splits into:
 
 * :mod:`repro.tenants.registry` — compiled, interned per-tenant rule
   bundles (:class:`TenantRegistry`, :class:`TenantRule`);
-* :mod:`repro.tenants.prefixtree` — the shared radix tree answering
+* :mod:`repro.tenants.flattree` — the shared radix tree answering
   "whose rules match this announcement?" in one O(bits) walk
-  (:class:`PrefixTree`);
-* :mod:`repro.tenants.flattree` — the same tree on a flat array-of-struct
-  layout (:class:`FlatPrefixTree`, the pipeline default): packed int32
-  node/row columns and epoch-stamped free lists hold million-prefix
-  populations at a fraction of the node-object RSS;
+  (:class:`FlatPrefixTree`), on a flat array-of-struct layout: packed
+  int32 node/row columns and epoch-stamped free lists hold million-prefix
+  populations at a fraction of a node-object trie's RSS;
 * :mod:`repro.tenants.pipeline` — the batched ingest → classify → alert →
   notify pipeline (:class:`DetectionPlane`), its bounded cross-batch
   verdict cache, and the canonical merged alert digest;
@@ -30,7 +30,6 @@ from repro.tenants.pipeline import (
     incident_rows,
     merged_alert_digest,
 )
-from repro.tenants.prefixtree import PrefixTree
 from repro.tenants.registry import TenantRegistry, TenantRule
 from repro.tenants.workers import ParallelDetectionPlane, TenantWorkerError
 
@@ -38,7 +37,6 @@ __all__ = [
     "DetectionPlane",
     "FlatPrefixTree",
     "ParallelDetectionPlane",
-    "PrefixTree",
     "TenantRegistry",
     "TenantRule",
     "TenantWorkerError",

@@ -1,11 +1,18 @@
-"""Flat array-of-struct prefix tree for million-prefix tenant populations.
+"""The shared prefix tree: one flat radix trie answering for every tenant.
 
-The node-object :class:`~repro.tenants.prefixtree.PrefixTree` spends one
-``_Node`` (children list + value slot) per radix level plus one Python
-``list`` bucket per stored prefix.  At ~100k monitored prefixes that is an
-acceptable tax; at millions it dominates the plane's RSS.
-:class:`FlatPrefixTree` keeps the exact same resolve semantics on a packed
-layout (the ``repro.bgp.ribcompact`` approach applied to the tenant tree):
+Keeping one :class:`~repro.core.config.ArtemisConfig` trie per tenant and
+probing all N per feed event is O(N · bits) per announcement — the fan-out
+cost the batched pipeline exists to kill.  :class:`FlatPrefixTree` stores
+**all** tenants' rule rows in a single trie: one O(bits) covering walk per
+announced prefix surfaces every tenant whose space it touches, and for each
+tenant only its **most specific** covering rule (an exact owned entry, else
+the deepest covering owned prefix or owned-space block).  A one-tenant tree
+is the paper's single-operator rule selection.
+
+A node-object trie (one ``_Node`` per radix level plus a ``list`` bucket
+per stored prefix) is an acceptable tax at ~100k monitored prefixes; at
+millions it dominates the plane's RSS.  So the layout is packed (the
+``repro.bgp.ribcompact`` approach applied to the tenant tree):
 
 * **Trie nodes** are rows in parallel ``array('i')`` columns — ``left``
   child, ``right`` child, stored ``pid`` — 12 bytes per node instead of a
@@ -31,9 +38,9 @@ layout (the ``repro.bgp.ribcompact`` approach applied to the tenant tree):
 The resident cost is visible as the ``tree_bytes`` gauge in
 :data:`repro.perf.COUNTERS` (refreshed on every mutation batch);
 ``benchmarks/test_tenants_million.py`` pins the RSS-per-prefix advantage
-over the node-object tree, and
+over a node-object tree (``tests/oracles.py``, the reference oracle), and
 ``tests/test_flattree_equivalence.py`` property-tests resolve equivalence
-under randomized add/remove/resolve sequences.
+against it under randomized add/remove/resolve sequences.
 """
 
 from __future__ import annotations
@@ -43,26 +50,34 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.net.prefix import Prefix
 from repro.perf import COUNTERS as _COUNTERS
-from repro.tenants.prefixtree import _NO_MATCHES, Match
 from repro.tenants.registry import TenantRule
+
+#: One resolved match: the rule that applies plus whether the announced
+#: prefix equals the rule's monitored prefix (exact) or is a more-specific
+#: inside it (the sub-prefix case).
+Match = Tuple[TenantRule, bool]
+
+#: Shared empty resolve result.  Most announced prefixes in a real feed
+#: match no tenant at all, so the miss path returns this one list instead
+#: of allocating a fresh empty one per lookup.  Callers must treat resolve
+#: results as read-only (they already do: results are iterated or stored).
+_NO_MATCHES: List[Match] = []
 
 #: Null index for the int32 link columns (child / pid / row-head slots).
 _NIL = -1
 
 
 def _match_tenant(match: Match) -> str:
-    """Sort key for resolve results (tenant name, as in ``PrefixTree``)."""
+    """Sort key for resolve results (tenant name)."""
     return match[0].tenant
 
 
 class FlatPrefixTree:
-    """Drop-in :class:`~repro.tenants.prefixtree.PrefixTree` on flat arrays.
+    """Longest-match service over every tenant's monitored prefixes.
 
-    Same public surface — ``insert_rules`` / ``remove_rules`` / ``resolve``
-    / ``resolve_batch`` / ``monitored_prefixes`` / ``tenants_at`` /
-    ``epoch`` / ``num_rules`` — and byte-identical resolve results, so the
-    batched pipeline and the registry's ``attach_tree`` sync work
-    unchanged.
+    Mutation is incremental — tenants onboard and retire without a rebuild
+    (the registry's ``attach_tree`` sync calls ``insert_rules`` /
+    ``remove_rules``) — and every mutation batch bumps ``epoch``.
     """
 
     def __init__(self, registry=None) -> None:
@@ -92,8 +107,8 @@ class FlatPrefixTree:
         self._free_pids: List[Tuple[int, int]] = []
         self._free_rows: List[Tuple[int, int]] = []
         self._free_nodes: List[Tuple[int, int]] = []
-        #: Same contract as ``PrefixTree.epoch``: bumped once per mutation
-        #: batch; consumers reject stale epochs loudly.
+        #: Bumped once per mutation batch; the verdict cache and the
+        #: worker plane compare epochs to reject stale rules loudly.
         self.epoch = 0
         self.num_rules = 0
         self._size = 0
@@ -274,8 +289,11 @@ class FlatPrefixTree:
     def resolve(self, prefix: Prefix) -> List[Match]:
         """Every tenant rule whose monitored space covers ``prefix``.
 
-        Byte-identical results to :meth:`PrefixTree.resolve`: the most
-        specific rule per tenant, sorted by tenant name.
+        One O(bits) covering walk.  For a tenant monitoring several
+        nested prefixes covering the target, only the **most specific**
+        rule wins.  Results are sorted by tenant name so downstream
+        iteration order — and therefore alert IDs and digests — is
+        deterministic regardless of insertion order.
         """
         _COUNTERS.pipeline_trie_walks += 1
         left, right, node_pid = self._left, self._right, self._node_pid
@@ -314,10 +332,10 @@ class FlatPrefixTree:
         out: List[Match] = []
         for pid in pids:
             # One serial per pid: rows iterate newest-insertion-first (head
-            # insertion), and within a bucket the node tree lets the
-            # latest-inserted rule win — so first-seen-in-this-pid wins
-            # here, while any pid later in the chain (more specific) still
-            # overwrites earlier pids' matches.
+            # insertion) and the latest-inserted rule of a tenant at one
+            # prefix wins — so first-seen-in-this-pid wins here, while any
+            # pid later in the chain (more specific) still overwrites
+            # earlier pids' matches.
             serial += 1
             exact = pid_length[pid] == length
             row = pid_head[pid]
@@ -336,16 +354,6 @@ class FlatPrefixTree:
         self._resolve_serial = serial
         if len(out) > 1:
             out.sort(key=_match_tenant)
-        return out
-
-    def resolve_batch(
-        self, prefixes: Iterable[Prefix]
-    ) -> Dict[Prefix, List[Match]]:
-        """Resolve each distinct prefix once (batch-dedup convenience)."""
-        out: Dict[Prefix, List[Match]] = {}
-        for prefix in prefixes:
-            if prefix not in out:
-                out[prefix] = self.resolve(prefix)
         return out
 
     def monitored_prefixes(self) -> List[Prefix]:

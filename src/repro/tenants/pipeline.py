@@ -1,8 +1,11 @@
-"""The batched multi-tenant detection pipeline.
+"""The detection engine: a batched, multi-tenant pipeline.
 
-The single-tenant engine path dispatches one callback per (event, tenant)
-pair; with a thousand tenants that per-event fan-out dominates the run.
-:class:`DetectionPlane` restructures detection as a throughput pipeline:
+This is the only place announcements are judged.  The paper's single
+operator is the one-tenant case (:class:`~repro.core.detection.DetectionService`
+wraps a one-tenant plane of batch size 1); a deployment protecting a
+thousand operators is the same code with a bigger registry.  Dispatching
+one callback per (event, tenant) pair would make the fan-out dominate such
+a run, so :class:`DetectionPlane` is a throughput pipeline:
 
 1. **ingest** — events land in a bounded queue (a deque); nothing is
    classified per event.
@@ -20,7 +23,9 @@ pair; with a thousand tenants that per-event fan-out dominates the run.
    feed converges to zero tree walks and zero rule-ladder runs per batch.
    With a data-plane ``corroborator`` probe attached the cache reverts to
    per-batch lifetime (cleared after every drain), because a probe's
-   answer is time-dependent and may legitimately differ between batches.
+   answer is time-dependent and may legitimately differ between batches;
+   the probe, like the epoch, is part of the cache's identity, so
+   attaching or swapping one never serves a verdict computed without it.
 3. **alert** — verdicts feed per-tenant :class:`~repro.core.alerts.AlertManager`
    instances (incidents are keyed *per tenant*: the same offending
    announcement raises one incident for every tenant whose space it hits).
@@ -54,8 +59,12 @@ from repro.tenants.registry import TenantRegistry, TenantRule
 #: Events between opportunistic per-tenant state prune sweeps.
 PRUNE_CHECK_INTERVAL = 4096
 
-#: Event-time retention of resolved-incident bookkeeping past cooldown
-#: (same contract as :data:`repro.core.detection.STATE_RETENTION`).
+#: Event-time seconds a resolved incident's bookkeeping outlives its
+#: cooldown before :meth:`DetectionPlane.prune_state` drops it.  The
+#: window is deliberately generous: late evidence re-reads
+#: (``per_source_delay_final`` at end of run) and the duplicate-delivery
+#: founding gate both need the state for a while after resolution, but a
+#: multi-hour soak must not accumulate one entry per incident forever.
 STATE_RETENTION = 3600.0
 
 #: One classification verdict: (rule, alert type, offender ASN).
@@ -65,18 +74,32 @@ Verdict = Tuple[TenantRule, AlertType, Optional[int]]
 class _TenantState:
     """Everything the plane tracks for one tenant."""
 
-    __slots__ = ("alerts", "evidence_seen", "first_evidence", "held")
+    __slots__ = (
+        "alerts", "evidence_seen", "first_evidence", "held", "live_at_alert",
+    )
 
     def __init__(self, cooldown: float):
         self.alerts = AlertManager(cooldown=cooldown)
-        #: Per incident pattern: content keys already ingested (the
-        #: duplicate-delivery founding gate, as in DetectionService).
+        #: Per incident pattern: content keys of evidence already ingested.
+        #: A duplicating transport (or a replayed trace under a ``dup``
+        #: fault) can deliver the *byte-identical* event twice.  Copies are
+        #: still kept on record as evidence while the incident accepts it
+        #: (operators want every delivery on the books), but a copy never
+        #: *founds* an incident: a duplicated-then-reordered copy surfacing
+        #: after its original's alert was resolved (and past cooldown) must
+        #: not resurrect the incident and re-fire operator callbacks.
         self.evidence_seen: Dict[Tuple, set] = {}
-        #: Per alert id, per source: first evidence delivery time.
+        #: Per alert id, per source: first evidence delivery time.  Keyed by
+        #: the alert's unique id, not its dedup key: a pattern re-firing as
+        #: a *new* alert after resolve + cooldown must not inherit the old
+        #: incident's evidence times.
         self.first_evidence: Dict[int, Dict[str, float]] = {}
         #: Alert ids withheld from the notifier until enough distinct
         #: vantages have witnessed them (the autoignore gate).
         self.held: Dict[int, int] = {}
+        #: Per alert id: the feed sources live at alert time, as recorded
+        #: by the ``notify`` consumer; here to be counted and pruned too.
+        self.live_at_alert: Dict[int, Tuple[str, ...]] = {}
 
 
 def classify_batch_verdicts(
@@ -88,12 +111,11 @@ def classify_batch_verdicts(
 ) -> Tuple[Verdict, ...]:
     """Pure verdict computation for one (prefix, path, vantage) key.
 
-    Mirrors ``DetectionService.classify`` per matched tenant rule through
-    the shared :func:`~repro.core.rules.classify_announcement` ladder;
-    squat-space rows go through :func:`~repro.core.rules.classify_squat`.
-    ``probe`` is the optional data-plane corroboration hook — it gates
-    low-confidence verdicts and enables the type-U rule, exactly as in the
-    single-tenant service.
+    Each matched tenant rule goes through the
+    :func:`~repro.core.rules.classify_announcement` ladder; squat-space
+    rows go through :func:`~repro.core.rules.classify_squat`.  ``probe``
+    is the optional data-plane corroboration hook — it gates
+    low-confidence verdicts and enables the type-U rule.
     """
     verdicts: List[Verdict] = []
     for rule, exact in matches:
@@ -136,9 +158,8 @@ class DetectionPlane:
         verdict_cache_size: int = 65536,
     ):
         self.registry = registry
-        #: ``tree`` accepts anything with the ``PrefixTree`` surface; the
-        #: default is the flat array-of-struct tree, which holds resolve
-        #: parity (property-tested) at a fraction of the per-prefix RSS.
+        #: ``tree`` is a pre-built :class:`FlatPrefixTree` over ``registry``
+        #: (forked workers inherit one); by default the plane builds it.
         self.tree = tree if tree is not None else FlatPrefixTree(registry)
         #: Optional data-plane corroboration probe shared by all tenants
         #: (``probe(prefix) -> bool``); evaluated at most once per memo key
@@ -155,6 +176,7 @@ class DetectionPlane:
         #: the front walks them.  Cleared wherever the cache is.
         self._verdict_order: Deque[Tuple] = deque()
         self._cache_epoch = self.tree.epoch
+        self._cache_probe = corroborator
         self.queue_capacity = max(1, int(queue_capacity))
         #: The depth at which ingest must drain: the batch boundary, or the
         #: queue bound if that is smaller (the backpressure configuration).
@@ -166,8 +188,11 @@ class DetectionPlane:
         self._states: Dict[str, _TenantState] = {}
         self.events_ingested = 0
         self.batches_drained = 0
+        #: Byte-identical duplicate deliveries this plane detected
+        #: (attached-or-dropped), one per tenant incident they hit.
+        self.duplicate_events_skipped = 0
         #: Event-time retention for resolved-incident state (``None``
-        #: disables pruning, as in :class:`DetectionService`).
+        #: disables pruning entirely).
         self.state_retention: Optional[float] = STATE_RETENTION
         self._events_since_prune = 0
         self.entries_pruned = 0
@@ -218,13 +243,15 @@ class DetectionPlane:
         cache = self._verdict_cache
         order = self._verdict_order
         tree_epoch = self.tree.epoch
-        if tree_epoch != self._cache_epoch:
-            # A rule mutation invalidates every cached verdict at once: the
-            # epoch is part of the cache's identity, not of each key.
+        probe = self.corroborator
+        if tree_epoch != self._cache_epoch or probe is not self._cache_probe:
+            # A rule mutation, or a probe attached or swapped, invalidates
+            # every cached verdict at once: epoch and probe are part of the
+            # cache's identity, not of each key.
             cache.clear()
             order.clear()
             self._cache_epoch = tree_epoch
-        probe = self.corroborator
+            self._cache_probe = probe
         per_batch_probe = probe is not None
         cache_bound = self.verdict_cache_size
         cache_get = cache.get
@@ -283,15 +310,13 @@ class DetectionPlane:
     def _apply(self, verdict: Verdict, event: FeedEvent) -> None:
         """Feed one verdict into its tenant's alert state (stage 3)."""
         rule, alert_type, offender = verdict
-        state = self._states.get(rule.tenant)
-        if state is None:
-            state = _TenantState(cooldown=rule.cooldown)
-            self._states[rule.tenant] = state
+        state = self.tenant_state(rule.tenant)
         pattern = (alert_type, rule.prefix, event.prefix, offender)
         seen = state.evidence_seen.setdefault(pattern, set())
         content = event.content_key()
         duplicate = content in seen
         if duplicate:
+            self.duplicate_events_skipped += 1
             _COUNTERS.duplicate_evidence_skipped += 1
         else:
             seen.add(content)
@@ -356,6 +381,7 @@ class DetectionPlane:
         """Per-incident bookkeeping entries across all tenants."""
         return sum(
             len(s.first_evidence) + len(s.evidence_seen) + len(s.held)
+            + len(s.live_at_alert)
             for s in self._states.values()
         )
 
@@ -370,8 +396,13 @@ class DetectionPlane:
     def prune_state(self, now: float) -> int:
         """Drop bookkeeping for incidents resolved long before ``now``.
 
-        Same contract as :meth:`DetectionService.prune_state`, applied per
-        tenant; refreshes the shared ``detection_state_entries`` peak gauge.
+        Left alone, the per-tenant tables hold one entry per incident
+        forever.  An entry expires once its incident has been resolved for
+        more than ``cooldown + state_retention`` event-time seconds (the
+        incident may still be revived by evidence inside the cooldown; see
+        :data:`STATE_RETENTION` for the rest).  Returns the number of
+        entries dropped; refreshes the ``detection_state_entries`` peak
+        gauge either way.
         """
         entries = self.detection_state_entries()
         if entries > _COUNTERS.detection_state_entries:
@@ -390,7 +421,7 @@ class DetectionPlane:
                 )
 
             by_id = {a.id: a for a in state.alerts.alerts}
-            for table in (state.first_evidence, state.held):
+            for table in (state.first_evidence, state.held, state.live_at_alert):
                 for alert_id in [i for i in table if expired(by_id.get(i))]:
                     del table[alert_id]
                     dropped += 1
@@ -407,8 +438,14 @@ class DetectionPlane:
 
     # ----------------------------------------------------------------- state
 
-    def tenant_state(self, tenant: str) -> Optional[_TenantState]:
-        return self._states.get(tenant)
+    def tenant_state(self, tenant: str) -> _TenantState:
+        """``tenant``'s alert state, created on first request — so a
+        consumer can hold its (still empty) tables before any verdict."""
+        state = self._states.get(tenant)
+        if state is None:
+            state = _TenantState(cooldown=self.registry.cooldown_for(tenant))
+            self._states[tenant] = state
+        return state
 
     def alert_managers(self) -> Dict[str, AlertManager]:
         """Per-tenant alert managers, for digesting and inspection."""
@@ -438,9 +475,9 @@ class DetectionPlane:
 def incident_rows(managers: Dict[str, AlertManager]) -> List[Tuple]:
     """Canonical, sorted, plain-tuple incident rows for digesting.
 
-    Works for any per-tenant manager mapping — the batched plane, a naive
-    per-tenant :class:`~repro.core.detection.DetectionService` fan-out
-    (wrap each service's ``alert_manager``), or rows merged back from
+    Works for any per-tenant manager mapping — one plane, N one-tenant
+    :class:`~repro.core.detection.DetectionService` instances (wrap each
+    service's ``alert_manager``), or rows merged back from
     ``--detect-workers`` processes.  Alert IDs are deliberately excluded:
     they are per-manager counters and differ across worker partitionings;
     everything observable about the incident is included.

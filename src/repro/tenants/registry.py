@@ -1,9 +1,10 @@
-"""Multi-tenant ground truth: compiled, interned rule bundles.
+"""Detection ground truth: compiled, interned rule bundles per tenant.
 
 Production ARTEMIS runs detection as a *service*: one deployment holds the
 configuration of every operator (tenant) it protects, and a single shared
 prefix tree answers "whose rules match this announcement?" for the whole
-feed fan-out.  This module is the configuration side of that plane:
+feed fan-out.  This module is the configuration side of that plane (a
+single operator's config is a one-tenant registry):
 
 * :class:`TenantRule` — one compiled, immutable bundle row: *tenant X
   monitors prefix P with these legit origins / upstreams and these
@@ -14,7 +15,7 @@ feed fan-out.  This module is the configuration side of that plane:
 * :class:`TenantRegistry` — compiles :class:`~repro.core.config.ArtemisConfig`
   style ground truth for N tenants into bundle rows, supports incremental
   tenant add/remove (propagated to any attached
-  :class:`~repro.tenants.prefixtree.PrefixTree`), and dumps to canonical
+  :class:`~repro.tenants.flattree.FlatPrefixTree`), and dumps to canonical
   plain-tuple rows.  ``--detect-workers`` processes are forked with the
   registry itself; nothing here is a wire format.
 """

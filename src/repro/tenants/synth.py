@@ -113,10 +113,11 @@ def build_synth_registry(
 
 
 def baseline_services(registry: TenantRegistry):
-    """One naive per-tenant DetectionService per tenant (the comparator).
+    """One one-tenant DetectionService per tenant (the comparator).
 
     This is the pre-pipeline architecture the benches measure against:
-    every event is offered to every tenant's service independently.
+    every event is offered to every tenant's own one-tenant plane
+    independently, with no shared tree and no batching.
     Returns ``{tenant: DetectionService}``.
     """
     from repro.core.detection import DetectionService

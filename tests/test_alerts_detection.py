@@ -257,3 +257,97 @@ class TestIncidentLifecycleRegressions:
             AlertType.EXACT_ORIGIN, P("10.0.0.0/23"), P("10.0.0.0/23"), 777, event()
         )
         assert b.id == a.id + 1
+
+
+class TestOneTenantPlaneByConstruction:
+    """DetectionService is the N=1 case of DetectionPlane, not a twin of it."""
+
+    COOLDOWN = 5.0
+
+    def lifecycle_stream(self):
+        """hijack, byte-identical duplicate, [resolve], evidence inside
+        cooldown, post-cooldown re-fire, withdrawal.  ``None`` marks the
+        point where the operator resolves the open incident at t=20."""
+        hijack = event(t=10, source="ris")
+        return [
+            hijack,
+            hijack,
+            event(t=12, source="bgpmon", vantage=4),
+            None,
+            event(t=23, source="periscope", vantage=5),
+            hijack,  # the duplicate again, now against a resolved incident
+            event(t=100, source="bgpmon", vantage=6),
+            event(t=101, kind="W", path=()),
+        ]
+
+    def run(self, ingest, flush, manager):
+        for item in self.lifecycle_stream():
+            if item is None:
+                flush()
+                manager().alerts[0].resolve(20.0)
+            else:
+                ingest(item)
+        flush()
+
+    def test_same_stream_same_incidents_evidence_and_duplicates(self):
+        from repro.tenants import DetectionPlane, TenantRegistry, incident_rows
+
+        config = make_config(alert_cooldown=self.COOLDOWN)
+        service = DetectionService(config)
+        self.run(service.handle_event, lambda: None, lambda: service.alert_manager)
+
+        registry = TenantRegistry()
+        registry.add_tenant("solo", config)
+        plane = DetectionPlane(registry, batch_size=64)
+        state = plane.tenant_state("solo")
+        self.run(plane.ingest, plane.flush, lambda: state.alerts)
+
+        assert len(service.alert_manager) == 2  # the incident and its re-fire
+        assert [len(a.evidence) for a in service.alert_manager.alerts] == [5, 1]
+        assert incident_rows({"solo": service.alert_manager}) == plane.incident_rows()
+        assert service.first_evidence == state.first_evidence
+        assert service.first_evidence[1] == {
+            "ris": 10.0, "bgpmon": 12.0, "periscope": 23.0,
+        }
+        assert service.duplicate_events_skipped == 2
+        assert plane.duplicate_events_skipped == 2
+        assert service.events_checked == 7
+
+    def test_alert_manager_exists_and_is_empty_before_any_event(self):
+        service = DetectionService(make_config())
+        assert len(service.alert_manager) == 0
+        assert service.alert_manager.cooldown == 0.0
+        assert service.first_evidence == {} and service.live_at_alert == {}
+        assert service.detection_state_entries() == 0
+
+    def test_callback_and_live_sources_recorded_inside_handle_event(self):
+        class Supervisor:
+            def live_sources(self):
+                return ("bgpmon", "ris")
+
+        service = DetectionService(make_config())
+        service.attach_supervisor(Supervisor())
+        seen = []
+        service.on_alert(
+            lambda alert: seen.append((alert.id, dict(service.live_at_alert)))
+        )
+        service.handle_event(event(t=10))
+        # Both happened before handle_event returned, in this order: the
+        # audit trail is on record by the time the operator callback runs.
+        assert seen == [(1, {1: ("bgpmon", "ris")})]
+
+    def test_prune_drops_live_at_alert_with_the_rest(self):
+        class Supervisor:
+            def live_sources(self):
+                return ("ris",)
+
+        service = DetectionService(make_config(alert_cooldown=self.COOLDOWN))
+        service.attach_supervisor(Supervisor())
+        service.state_retention = 100.0
+        service.handle_event(event(t=10))
+        assert service.detection_state_entries() == 3
+        service.alert_manager.alerts[0].resolve(20.0)
+        assert service.prune_state(now=50.0) == 0
+        assert service.prune_state(now=200.0) == 3
+        assert service.live_at_alert == {} and service.first_evidence == {}
+        assert service.entries_pruned == 3

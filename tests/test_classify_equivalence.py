@@ -1,12 +1,14 @@
-"""Property test: single-tenant and multi-tenant verdicts never drift.
+"""Property test: the shipped rule selection agrees with an independent one.
 
-Both planes classify through the shared
-:func:`repro.core.rules.classify_announcement` ladder, but each wraps it
-in its own rule-selection machinery (``ArtemisConfig`` tries vs the
-tenant ``PrefixTree``).  This test drives both with the same randomized
-announcements — prefixes inside/outside/astride the owned space, paths
-over legit and bogus ASNs, every corroboration state — and requires
-byte-identical verdicts.
+``DetectionService.classify`` is the flat tenant tree's most-specific
+resolve plus the rule ladder.  The oracle
+(:func:`oracles.classify_with_config_tries`) picks the rule straight off
+``ArtemisConfig``'s own owned-prefix and owned-space tries.  This test
+drives both with the same randomized announcements — prefixes
+inside/outside/astride the owned space, paths over legit and bogus ASNs,
+every corroboration state, every combination of the ``detect_*`` switches —
+and requires byte-identical verdicts; the node-object oracle tree must
+resolve to the same rule too.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.alerts import AlertType
 from repro.core.config import ArtemisConfig, OwnedPrefix, OwnedSpace
 from repro.core.detection import DetectionService
 from repro.feeds.events import FeedEvent
 from repro.net.prefix import Prefix
 from repro.tenants.pipeline import classify_batch_verdicts
-from repro.tenants.prefixtree import PrefixTree
 from repro.tenants.registry import TenantRegistry
+
+from oracles import PrefixTree, classify_with_config_tries
 
 ADJACENCIES = {
     65001: {65010},
@@ -30,23 +34,24 @@ ADJACENCIES = {
 }
 
 
-def build_config() -> ArtemisConfig:
+def build_config(**switches) -> ArtemisConfig:
     return ArtemisConfig(
         owned=[
             OwnedPrefix("10.0.0.0/23", {65001}, {65010}),
             OwnedPrefix("10.0.4.0/24", {65002}),
+            OwnedPrefix("10.0.8.0/22", {65001}),
         ],
-        owned_space=[OwnedSpace(Prefix.parse("10.0.0.0/21"), {65001})],
+        owned_space=[
+            OwnedSpace(Prefix.parse("10.0.0.0/21"), {65001}),
+            # An unannounced hole *inside* the announced 10.0.8.0/22.
+            OwnedSpace(Prefix.parse("10.0.10.0/23"), {65001}),
+        ],
         adjacencies=ADJACENCIES,
         leak_sentinels={64999},
         auto_mitigate=False,
+        **switches,
     )
 
-
-CONFIG = build_config()
-REGISTRY = TenantRegistry()
-REGISTRY.add_tenant("t0", build_config())
-TREE = PrefixTree(REGISTRY)
 
 #: Mix of exact owned, nested, sibling-in-space, space-exact and foreign.
 PREFIXES = [
@@ -58,6 +63,10 @@ PREFIXES = [
     "10.0.4.0/25",
     "10.0.6.0/24",
     "10.0.0.0/21",
+    "10.0.8.0/22",
+    "10.0.9.0/24",
+    "10.0.10.0/23",
+    "10.0.10.0/24",
     "11.0.0.0/24",
 ]
 
@@ -67,18 +76,8 @@ ASNS = [65001, 65002, 65010, 64999, 100, 200, 666]
 PROBES = {"none": None, "healthy": lambda p: True, "unhealthy": lambda p: False}
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    prefix=st.sampled_from(PREFIXES),
-    path=st.lists(st.sampled_from(ASNS), min_size=1, max_size=5),
-    vantage=st.sampled_from(ASNS + [1]),
-    probe_kind=st.sampled_from(sorted(PROBES)),
-)
-def test_single_tenant_and_plane_verdicts_identical(
-    prefix, path, vantage, probe_kind
-):
-    probe = PROBES[probe_kind]
-    event = FeedEvent(
+def announcement(prefix, path, vantage) -> FeedEvent:
+    return FeedEvent(
         source="ris",
         collector="rrc00",
         vantage_asn=vantage,
@@ -88,23 +87,81 @@ def test_single_tenant_and_plane_verdicts_identical(
         observed_at=1.0,
         delivered_at=2.0,
     )
-    service = DetectionService(CONFIG)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    prefix=st.sampled_from(PREFIXES),
+    path=st.lists(st.sampled_from(ASNS), min_size=1, max_size=5),
+    vantage=st.sampled_from(ASNS + [1]),
+    probe_kind=st.sampled_from(sorted(PROBES)),
+    switches=st.fixed_dictionaries(
+        {
+            name: st.booleans()
+            for name in (
+                "detect_squatting",
+                "detect_subprefix",
+                "detect_path",
+                "detect_unchanged_path",
+            )
+        }
+    ),
+)
+def test_single_tenant_and_plane_verdicts_identical(
+    prefix, path, vantage, probe_kind, switches
+):
+    probe = PROBES[probe_kind]
+    config = build_config(**switches)
+    event = announcement(prefix, path, vantage)
+    expected = classify_with_config_tries(config, event, probe)
+
+    service = DetectionService(config)
     service.attach_corroborator(probe)
-    single = service.classify(event)
+    assert service.classify(event) == expected
 
-    matches = TREE.resolve(event.prefix)
+    registry = TenantRegistry()
+    registry.add_tenant("t0", config)
     plane = classify_batch_verdicts(
-        matches, event.prefix, event.as_path, event.vantage_asn, probe=probe
+        PrefixTree(registry).resolve(event.prefix),
+        event.prefix,
+        event.as_path,
+        event.vantage_asn,
+        probe=probe,
     )
-
-    if single is None:
+    if expected is None:
         assert plane == ()
     else:
-        alert_type, owned_prefix, offender = single
         assert len(plane) == 1
         rule, plane_type, plane_offender = plane[0]
-        assert (plane_type, rule.prefix, plane_offender) == (
-            alert_type,
-            owned_prefix,
-            offender,
-        )
+        assert (plane_type, rule.prefix, plane_offender) == expected
+
+
+def squat_hole_event() -> FeedEvent:
+    """AS666 announces a /24 inside owned 10.0.0.0/22's space hole /23."""
+    return announcement("10.0.2.0/24", (100, 666), 100)
+
+
+def squat_hole_config(detect_squatting: bool) -> ArtemisConfig:
+    return ArtemisConfig(
+        [OwnedPrefix("10.0.0.0/22", {65001})],
+        owned_space=[OwnedSpace("10.0.2.0/23", {65001})],
+        detect_squatting=detect_squatting,
+    )
+
+
+def test_hole_in_owned_space_is_squatting_when_squatting_is_on():
+    service = DetectionService(squat_hole_config(detect_squatting=True))
+    verdict = service.classify(squat_hole_event())
+    assert verdict == (AlertType.SQUATTING, Prefix.parse("10.0.2.0/23"), 666)
+
+
+def test_squatting_off_does_not_swallow_subprefix_hijack():
+    # With squatting detection off the hole is not monitored at all; the
+    # announcement is still a more-specific of the owned /22.
+    config = squat_hole_config(detect_squatting=False)
+    service = DetectionService(config)
+    verdict = service.classify(squat_hole_event())
+    assert verdict == (AlertType.SUB_PREFIX, Prefix.parse("10.0.0.0/22"), 666)
+    assert classify_with_config_tries(config, squat_hole_event()) == verdict
+    service.handle_event(squat_hole_event())
+    assert [a.type for a in service.alert_manager.alerts] == [AlertType.SUB_PREFIX]

@@ -1,6 +1,6 @@
 """Unit contracts of the flat array-of-struct prefix tree.
 
-``FlatPrefixTree`` must be a drop-in for the node-object ``PrefixTree``:
+``FlatPrefixTree`` must agree with the node-object oracle ``PrefixTree``:
 same resolve semantics (most specific rule per tenant, sorted tenant
 order, per-bucket exact flags), same incremental mutation surface (epoch
 bump per batch, loud KeyError on unknown removal), plus the flat-specific
@@ -16,7 +16,9 @@ import pytest
 from repro.core.config import ArtemisConfig, OwnedPrefix
 from repro.net.prefix import Prefix
 from repro.perf import COUNTERS
-from repro.tenants import FlatPrefixTree, PrefixTree, TenantRegistry
+from repro.tenants import FlatPrefixTree, TenantRegistry
+
+from oracles import PrefixTree
 
 
 def small_registry():

@@ -2,7 +2,7 @@
 
 Same shape as ``test_classify_equivalence.py``: hypothesis drives
 randomized operation sequences — tenant onboarding, tenant retirement,
-resolve probes — through a ``PrefixTree`` and a ``FlatPrefixTree``
+resolve probes — through the oracle ``PrefixTree`` and a ``FlatPrefixTree``
 attached to one shared registry, and every observable must agree at every
 step: resolve results (rule identity, exact flags, and order), stored
 size, epoch, rule count, monitored-prefix listing, and exact-tenant
@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ArtemisConfig, OwnedPrefix
 from repro.net.prefix import Prefix
-from repro.tenants import FlatPrefixTree, PrefixTree, TenantRegistry
+from repro.tenants import FlatPrefixTree, TenantRegistry
+
+from oracles import PrefixTree
 
 #: Deliberately nested monitored pool: overlaps exercise the
 #: most-specific-per-tenant overwrite and the exact flags.

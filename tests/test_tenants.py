@@ -7,14 +7,15 @@ Contracts under test (see DESIGN.md "Detection plane"):
 * the shared prefix tree resolves one covering walk into per-tenant
   matches — most specific rule per tenant, deterministic tenant order,
   incremental add/remove with epoch bumps;
-* the batched pipeline produces byte-identical incidents to the naive
-  per-tenant DetectionService fan-out, for any batch size, with the
-  memo/backpressure/notifier/autoignore counters visible in repro.perf;
+* the batched pipeline produces byte-identical incidents to a fan-out
+  over one-tenant DetectionServices (tenant isolation), for any batch
+  size, with the memo/backpressure/notifier/autoignore counters visible
+  in repro.perf;
 * incidents are keyed per tenant: cooldown, resurrection, and the
   duplicate-delivery founding gate apply independently per tenant even
   when the same (prefix, origin) pattern fires under two tenants;
-* resolved-incident bookkeeping is pruned after cooldown + retention in
-  both the plane and the single-tenant DetectionService (bounded soaks);
+* resolved-incident bookkeeping is pruned after cooldown + retention —
+  one sweep, the plane's, which DetectionService shares (bounded soaks);
 * the --detect-workers partitioning merges to a digest bit-identical to
   the single-process plane; workers are forked with the registry and the
   whole tree (no registry bytes on the pipes); a stale/reordered batch
@@ -43,7 +44,6 @@ from repro.tenants import (
     DetectionPlane,
     FlatPrefixTree,
     ParallelDetectionPlane,
-    PrefixTree,
     TenantRegistry,
     TenantWorkerError,
     incident_rows,
@@ -63,6 +63,8 @@ from repro.tenants.workers import (
     partition_roots,
     tenant_worker_main,
 )
+
+from oracles import PrefixTree
 
 
 def make_event(
@@ -229,14 +231,6 @@ class TestPrefixTree:
         tree.remove_rules([rule])
         with pytest.raises(KeyError):
             tree.remove_rules([rule])
-
-    def test_resolve_batch_dedups(self):
-        tree = PrefixTree(two_tenant_registry())
-        COUNTERS.reset()
-        prefix = Prefix.parse("10.0.0.0/24")
-        out = tree.resolve_batch([prefix, prefix, prefix])
-        assert COUNTERS.pipeline_trie_walks == 1
-        assert len(out[prefix]) == 2
 
 
 # ------------------------------------------------------------ batch verdicts
@@ -420,6 +414,40 @@ class TestDetectionPlane:
         drain(4)
         assert COUNTERS.verdict_cache_evictions == 3
         assert len(plane._verdict_cache) == 2
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_probe_attached_to_warm_cache_is_never_served_stale(self, batch_size):
+        # Repeated keys (the toggling test above only uses fresh ones): a
+        # clean exact announcement is cached un-probed, then an unhealthy
+        # probe is attached — the hijack instant of a type-U incident.
+        config = ArtemisConfig([OwnedPrefix("10.0.0.0/23", [65001], [64600])])
+        registry = TenantRegistry()
+        registry.add_tenant("acme", config)
+        plane = DetectionPlane(registry, batch_size=batch_size)
+        service = DetectionService(config)
+        clean = [
+            make_event(float(t), "10.0.0.0/23", (64600, 65001), vantage=100 + t)
+            for t in range(5)
+        ]
+        for sink in (plane.ingest, service.handle_event):
+            sink(clean[0])
+            sink(clean[1])
+        plane.flush()
+        assert plane.total_alerts() == 0 and len(plane._verdict_cache) == 1
+        plane.corroborator = unhealthy = lambda prefix: False
+        service.attach_corroborator(unhealthy)
+        for event in clean[2:]:
+            plane.ingest(event)
+            service.handle_event(event)
+        plane.flush()
+        alerts = plane.alert_managers()["acme"].alerts
+        assert [(a.type, a.detected_at) for a in alerts] == [
+            (AlertType.UNCHANGED_PATH, 2.0)
+        ]
+        assert len(alerts[0].evidence) == 3
+        assert plane.incident_rows() == incident_rows(
+            {"acme": service.alert_manager}
+        )
 
     def test_verdict_cache_epoch_bump_with_full_cache(self):
         COUNTERS.reset()
@@ -730,8 +758,6 @@ class TestStateBounding:
         assert service.entries_pruned == 2
 
     def test_detection_service_prune_hook_fires_periodically(self):
-        from repro.core.detection import PRUNE_CHECK_INTERVAL
-
         service = DetectionService(
             ArtemisConfig([OwnedPrefix("10.0.0.0/24", [65001])], alert_cooldown=0.0)
         )
@@ -827,7 +853,7 @@ class TestPartitioning:
         oracle = [
             prefix
             for prefix in trie.keys()
-            if len(trie.covering_values(prefix)) == 1
+            if len(list(trie.covering(prefix))) == 1
         ]
         roots = partition_roots(prefixes)
         assert roots == sorted(oracle, key=lambda p: p.sort_key)
