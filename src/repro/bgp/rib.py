@@ -3,8 +3,8 @@
 Three structures mirror RFC 4271:
 
 * :class:`AdjRibIn` — everything learned, per (peer, prefix);
-* :class:`LocRib` — the winner per prefix, kept in a radix trie so the
-  data plane (and the monitoring service) can do longest-prefix matches;
+* :class:`LocRib` — the winner per prefix, in one int-keyed table that
+  also answers the data plane's longest-prefix matches;
 * Adj-RIB-Out is kept per peer inside the speaker (a plain dict of what was
   last sent), so withdraws are only generated for prefixes actually
   advertised to that peer.
@@ -16,7 +16,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.bgp.route import Route
 from repro.net.prefix import Address, Prefix
-from repro.net.trie import PrefixTrie
 from repro.perf import COUNTERS as _C
 
 #: Shared empty mapping backing :meth:`AdjRibIn.candidates_view` misses —
@@ -25,59 +24,46 @@ _EMPTY: Dict[int, Route] = {}
 
 
 class AdjRibIn:
-    """Routes learned from neighbors, indexed both ways.
+    """Routes learned from neighbors, indexed by prefix.
 
-    ``by_prefix`` drives the decision process (all candidates for a prefix);
-    ``by_peer`` drives session reset / peer removal.  Both outer tables are
-    keyed by :attr:`Prefix.ikey` (C-level int hashing on the hot path); the
-    stored routes carry the real :class:`Prefix` objects.
+    ``by_prefix`` drives the decision process (all candidates for a prefix)
+    and is the only index: the two per-peer readers (session teardown and
+    :meth:`prefixes_from`) are rare, so they scan it instead of every
+    announcement paying for a second table.  It is keyed by
+    :attr:`Prefix.ikey` (C-level int hashing on the hot path); the stored
+    routes carry the real :class:`Prefix` objects.
     """
 
     def __init__(self) -> None:
         self._by_prefix: Dict[int, Dict[int, Route]] = {}
-        self._by_peer: Dict[int, Dict[int, Route]] = {}
         #: ikeys of ``_by_prefix`` rows still shared with a checkpoint master
         #: (see :meth:`__deepcopy__`); empty on every non-forked RIB, so the
         #: hot-path membership tests reduce to one falsy check.
         self._shared_rows: set = set()
-        #: peer ASNs whose ``_by_peer`` row is still shared with the master.
-        self._shared_peers: set = set()
 
     def __deepcopy__(self, memo) -> "AdjRibIn":
         """Copy-on-write fork for checkpoint restore.
 
-        Only the two outer dicts are copied; the inner per-prefix and
-        per-peer rows stay shared with the (frozen) master and are marked in
-        ``_shared_rows`` / ``_shared_peers``.  Every write path un-shares a
-        row by copying it the first time churn touches it, so a restored
-        1000-AS Internet forks O(changed prefixes) dicts instead of the full
-        RIB population.  The :class:`Route` values are immutable and shared
-        unconditionally.
+        Only the outer dict is copied; the inner per-prefix rows stay shared
+        with the (frozen) master and are marked in ``_shared_rows``.  Every
+        write path un-shares a row by copying it the first time churn
+        touches it, so a restored 1000-AS Internet forks O(changed prefixes)
+        dicts instead of the full RIB population.  The :class:`Route` values
+        are immutable and shared unconditionally.
         """
         clone = AdjRibIn.__new__(AdjRibIn)
         memo[id(self)] = clone
         clone._by_prefix = dict(self._by_prefix)
-        clone._by_peer = dict(self._by_peer)
         clone._shared_rows = set(self._by_prefix)
-        clone._shared_peers = set(self._by_peer)
-        # The speaker caches ``prefix_table()`` (and ``import_tables`` hands
-        # out ``_by_peer`` rows); route those cached aliases to the clone's
-        # tables when the speaker is copied in the same deepcopy pass.
+        # The speaker caches ``prefix_table()``; route that cached alias to
+        # the clone's table when the speaker is copied in the same pass.
         memo[id(self._by_prefix)] = clone._by_prefix
-        memo[id(self._by_peer)] = clone._by_peer
         return clone
 
     def _unshare_row(self, ikey: int) -> Dict[int, Route]:
         """Privatise one shared ``_by_prefix`` row (first write after fork)."""
         row = self._by_prefix[ikey] = dict(self._by_prefix[ikey])
         self._shared_rows.discard(ikey)
-        _C.cow_row_forks += 1
-        return row
-
-    def _unshare_peer(self, peer_asn: int) -> Dict[int, Route]:
-        """Privatise one shared ``_by_peer`` row (first write after fork)."""
-        row = self._by_peer[peer_asn] = dict(self._by_peer[peer_asn])
-        self._shared_peers.discard(peer_asn)
         _C.cow_row_forks += 1
         return row
 
@@ -96,35 +82,7 @@ class AdjRibIn:
             by_peer_routes = self._unshare_row(ikey)
         previous = by_peer_routes.get(peer)
         by_peer_routes[peer] = route
-        peer_routes = self._by_peer.get(peer)
-        if peer_routes is None:
-            peer_routes = self._by_peer[peer] = {}
-        elif self._shared_peers and peer in self._shared_peers:
-            peer_routes = self._unshare_peer(peer)
-        peer_routes[ikey] = route
         return previous
-
-    def import_tables(
-        self, peer_asn: int
-    ) -> Tuple[Dict[int, Dict[int, Route]], Dict[int, Route]]:
-        """``(by_prefix, this_peer's_routes)`` for a bulk import from one peer.
-
-        UPDATE processing inserts every announcement of a message from the
-        same sender; handing the two underlying tables out once per message
-        lets the speaker inline :meth:`insert` without re-resolving the
-        peer's row per announcement.  Both tables are keyed by
-        ``prefix.ikey``; callers must keep them in lockstep exactly as
-        :meth:`insert` does.  After a checkpoint fork the caller must also
-        honour :meth:`shared_rows` before writing a ``by_prefix`` row; the
-        peer row handed out here is un-shared eagerly (one copy per sender,
-        not per announcement).
-        """
-        peer_routes = self._by_peer.get(peer_asn)
-        if peer_routes is None:
-            peer_routes = self._by_peer[peer_asn] = {}
-        elif self._shared_peers and peer_asn in self._shared_peers:
-            peer_routes = self._unshare_peer(peer_asn)
-        return self._by_prefix, peer_routes
 
     def shared_rows(self) -> set:
         """The live set of ``_by_prefix`` ikeys still shared with a checkpoint
@@ -138,7 +96,9 @@ class AdjRibIn:
 
         The speaker's decision process reads candidate rows per prefix
         millions of times per run; handing the table out once lets it do a
-        single int-keyed ``dict.get`` per decision.  Read-only for callers.
+        single int-keyed ``dict.get`` per decision.  UPDATE processing also
+        inlines :meth:`insert` against it, honouring :meth:`shared_rows`
+        before writing a row; every other caller treats it as read-only.
         """
         return self._by_prefix
 
@@ -158,13 +118,6 @@ class AdjRibIn:
             if not candidates:
                 del self._by_prefix[ikey]
                 self._shared_rows.discard(ikey)
-        peer_routes = self._by_peer.get(peer_asn)
-        if peer_routes is not None and ikey in peer_routes:
-            if self._shared_peers and peer_asn in self._shared_peers:
-                peer_routes = self._unshare_peer(peer_asn)
-            # The emptied row is kept (bounded by the number of peers ever
-            # seen): :meth:`import_tables` hands out long-lived references.
-            peer_routes.pop(ikey, None)
         return removed
 
     def candidates(self, prefix: Prefix) -> List[Route]:
@@ -189,9 +142,18 @@ class AdjRibIn:
     def route_from(self, peer_asn: int, prefix: Prefix) -> Optional[Route]:
         return self._by_prefix.get(prefix.ikey, _EMPTY).get(peer_asn)
 
+    def _routes_from(self, peer_asn: int) -> List[Route]:
+        """``peer_asn``'s routes in ascending ``ikey`` (= prefix) order: one
+        scan of the table, O(rows) — both callers are cold."""
+        by_prefix = self._by_prefix
+        learned = sorted(
+            ikey for ikey, row in by_prefix.items() if peer_asn in row
+        )
+        return [by_prefix[ikey][peer_asn] for ikey in learned]
+
     def prefixes_from(self, peer_asn: int) -> List[Prefix]:
-        """All prefixes currently learned from ``peer_asn``."""
-        return [route.prefix for route in self._by_peer.get(peer_asn, _EMPTY).values()]
+        """All prefixes currently learned from ``peer_asn``, ascending."""
+        return [route.prefix for route in self._routes_from(peer_asn)]
 
     def drop_peer(self, peer_asn: int) -> List[Prefix]:
         """Remove every route from ``peer_asn`` (session down); returns prefixes."""
@@ -199,11 +161,12 @@ class AdjRibIn:
 
     def drop_peer_routes(self, peer_asn: int) -> List[Tuple[Prefix, Route]]:
         """Like :meth:`drop_peer` but returns ``(prefix, removed_route)`` pairs
-        so the caller can run the withdraw-aware incremental decision."""
-        pairs = [
-            (route.prefix, route)
-            for route in self._by_peer.get(peer_asn, _EMPTY).values()
-        ]
+        so the caller can run the withdraw-aware incremental decision.
+
+        Pairs come in ascending ``ikey`` order whatever the learn order —
+        the one teardown order, shared with the compact layout.
+        """
+        pairs = [(route.prefix, route) for route in self._routes_from(peer_asn)]
         for prefix, _route in pairs:
             self.withdraw(peer_asn, prefix)
         return pairs
@@ -225,14 +188,17 @@ class AdjRibIn:
 class LocRib:
     """Best route per prefix, with longest-prefix-match resolution.
 
-    Exact-prefix operations (the decision process and MRAI flushes hit
-    :meth:`get` for every dirty prefix) are served from a plain dict with
-    the prefix's cached hash; the radix trie is kept in lockstep and only
-    walked for the longest-match / subtree queries that actually need it.
+    One table, ``_exact``, keyed by :attr:`Prefix.ikey`.  Exact-prefix
+    operations (the decision process and MRAI flushes hit :meth:`get` for
+    every dirty prefix) are single int-keyed probes; :meth:`resolve`
+    longest-matches with one probe per prefix length present; and the cold
+    ordered reads (:meth:`routes`, :meth:`prefixes`, :meth:`covered`,
+    :meth:`snapshot`) sort the keys on demand — integer ``ikey`` order is
+    ``sort_key`` order is radix-trie bit order, so they yield exactly what
+    a trie walk would, without a trie to maintain on every install.
     """
 
     def __init__(self) -> None:
-        self._trie: PrefixTrie[Route] = PrefixTrie()
         #: Exact-match table keyed by :attr:`Prefix.ikey` (int hashing is
         #: C-level; a Prefix key would pay a Python ``__hash__`` call per
         #: operation on the busiest table in the simulation).
@@ -242,26 +208,16 @@ class LocRib:
         #: times per run, and the binding skips a Python frame per lookup.
         #: Valid forever: ``_exact`` is never rebound.
         self.get_ikey = self._exact.get
-        #: Trie storage node per installed prefix (``ikey``-keyed): replacing
-        #: a best route (the common case during path exploration) writes the
-        #: node's value directly instead of re-walking the trie bits.
-        self._nodes: Dict[int, object] = {}
         #: Monotone change stamp: bumped on every install/remove, even a
         #: same-attributes refresh (the stored object changed).  Consumers
         #: (table dumps, looking-glass answer caches) key cached derived
         #: state on it instead of re-reading the table.
         self._version = 0
         self._snapshot: Optional[Tuple[Route, ...]] = None
-        #: True while ``_trie`` / ``_nodes`` alias a frozen checkpoint
-        #: master's structures (see :meth:`__deepcopy__`).
-        self._shared_trie = False
         #: ``(version, length) -> live entry count`` — the distinct prefix
         #: lengths present, maintained on install/remove.  :meth:`resolve`
-        #: longest-matches by probing ``_exact`` once per present length
-        #: (longest first) instead of walking the trie, so the hottest
-        #: longest-prefix query (the origin tracker fires it on every
-        #: best-route change network-wide) never touches — or, on a
-        #: checkpoint fork, materializes — the trie.
+        #: probes ``_exact`` once per present length, longest first (the
+        #: origin tracker fires it on every best-route change network-wide).
         self._len_counts: Dict[Tuple[int, int], int] = {}
         #: Lazily rebuilt ``ip_version -> lengths, descending`` cache over
         #: ``_len_counts`` keys; invalidated when a length appears/vanishes.
@@ -273,18 +229,11 @@ class LocRib:
         return self._version
 
     def __deepcopy__(self, memo) -> "LocRib":
-        """Copy-on-write fork for checkpoint restore.
+        """Fork for checkpoint restore: one dict copy of shared Routes.
 
         The exact-match dict is copied eagerly (one dict of shared Route
         references per speaker — cheap, and it lets the rebound ``get_ikey``
-        keep its zero-indirection form), while the radix trie and its node
-        cache stay shared with the frozen master until the first *trie read*
-        (resolve / covered / routes / snapshot) privatises them via
-        :meth:`_materialize`.  Writes while shared maintain only ``_exact``
-        — the authoritative table the trie is rebuilt from — so the ~98% of
-        ASes whose trie is never queried during an attack (a hijack writes
-        into *every* Loc-RIB, but only monitors, looking glasses and batch
-        vantages ever do longest-prefix matches) never pay for a rebuild.
+        keep its zero-indirection form); there is nothing else to privatise.
         """
         clone = LocRib.__new__(LocRib)
         memo[id(self)] = clone
@@ -293,113 +242,47 @@ class LocRib:
         # atomic under deepcopy, so the default path would silently keep the
         # fork reading the *master's* table.  Rebind against the clone's.
         clone.get_ikey = clone._exact.get
-        clone._trie = self._trie
-        clone._nodes = self._nodes
         clone._version = self._version
         clone._snapshot = self._snapshot
-        clone._shared_trie = True
         clone._len_counts = dict(self._len_counts)
         # The cache dict is only ever *replaced* (never mutated in place),
         # so sharing the current one is safe.
         clone._lengths_cache = self._lengths_cache
         return clone
 
-    def _materialize(self) -> None:
-        """Privatise the trie on the first post-fork trie *read*.
-
-        Rebuilt from ``_exact`` (the authoritative table, which post-fork
-        writes have kept current); the master keeps its empty placeholder
-        nodes, the clone starts without them.  Does NOT bump ``_version``:
-        the table content is unchanged, and derived caches keyed on the
-        version (looking-glass answers) stay valid.
-        """
-        trie: PrefixTrie[Route] = PrefixTrie()
-        nodes: Dict[int, object] = {}
-        for route in self._exact.values():
-            nodes[route.prefix.ikey] = trie.insert(route.prefix, route)
-        self._trie = trie
-        self._nodes = nodes
-        self._shared_trie = False
-        _C.cow_table_forks += 1
-
     def get(self, prefix: Prefix) -> Optional[Route]:
         """The installed best route for exactly ``prefix``, if any."""
         return self._exact.get(prefix.ikey)
 
-    def _note_added(self, prefix: Prefix) -> None:
-        key = (prefix.version, prefix.length)
-        count = self._len_counts.get(key)
-        if count:
-            self._len_counts[key] = count + 1
-        else:
-            self._len_counts[key] = 1
-            self._lengths_cache = None
-
-    def _note_removed(self, prefix: Prefix) -> None:
-        key = (prefix.version, prefix.length)
-        count = self._len_counts[key] - 1
-        if count:
-            self._len_counts[key] = count
-        else:
-            del self._len_counts[key]
-            self._lengths_cache = None
-
     def install(self, route: Route) -> Optional[Route]:
         """Install ``route`` as best for its prefix; returns the previous best."""
-        if self._shared_trie:
-            # Trie maintenance is deferred until a trie read materializes
-            # it from ``_exact`` — a hijack writes into every Loc-RIB, and
-            # rebuilding ~1000 tries per fork would dominate the warm run.
-            ikey = route.prefix.ikey
-            previous = self._exact.get(ikey)
-            self._exact[ikey] = route
-            if previous is None:
-                self._note_added(route.prefix)
-            self._version += 1
-            self._snapshot = None
-            return previous
         prefix = route.prefix
         ikey = prefix.ikey
-        node = self._nodes.get(ikey)
-        if node is not None:
-            # The prefix has a (possibly emptied) trie node: O(1) update.
-            # The node doubles as the source of the previous value, saving
-            # the exact-table read.  Inline of ``PrefixTrie.set_value``
-            # (including its size bookkeeping) — this is the hottest write
-            # in the simulation and the call frame is measurable.
-            if node.has_value:
-                previous = node.value
-            else:
-                previous = None
-                self._trie._size += 1
-            node.value = route
-            node.has_value = True
-        else:
-            previous = None
-            self._nodes[ikey] = self._trie.insert(prefix, route)
-        if previous is None:
-            self._note_added(prefix)
+        previous = self._exact.get(ikey)
         self._exact[ikey] = route
+        if previous is None:
+            key = (prefix.version, prefix.length)
+            count = self._len_counts.get(key)
+            if count:
+                self._len_counts[key] = count + 1
+            else:
+                self._len_counts[key] = 1
+                self._lengths_cache = None
         self._version += 1
         self._snapshot = None
         return previous
 
     def remove(self, prefix: Prefix) -> Optional[Route]:
         """Remove the best route for ``prefix``; returns it if present."""
-        if self._shared_trie:
-            removed = self._exact.pop(prefix.ikey, None)
-            if removed is not None:
-                self._note_removed(prefix)
-                self._version += 1
-                self._snapshot = None
-            return removed
-        ikey = prefix.ikey
-        removed = self._exact.pop(ikey, None)
+        removed = self._exact.pop(prefix.ikey, None)
         if removed is not None:
-            # Keep the node cached as an empty placeholder: churn cycles on
-            # the same prefix toggle a flag instead of re-walking the trie.
-            self._trie.clear_value(self._nodes[ikey])
-            self._note_removed(prefix)
+            key = (prefix.version, prefix.length)
+            count = self._len_counts[key] - 1
+            if count:
+                self._len_counts[key] = count
+            else:
+                del self._len_counts[key]
+                self._lengths_cache = None
             self._version += 1
             self._snapshot = None
         return removed
@@ -408,16 +291,13 @@ class LocRib:
         """The current table as a tuple, cached until the next change.
 
         Batch feeds and periodic table dumps between route changes share one
-        tuple instead of re-walking (and re-copying) the trie each time.
+        tuple instead of re-sorting (and re-copying) the table each time.
         """
         cached = self._snapshot
         if cached is not None:
             _C.snapshot_cache_hits += 1
             return cached
-        if self._shared_trie:
-            self._materialize()
-        snapshot = tuple(self._trie.values())
-        self._snapshot = snapshot
+        snapshot = self._snapshot = tuple(self.routes())
         return snapshot
 
     def _lengths_desc(self, version: int) -> List[int]:
@@ -439,12 +319,9 @@ class LocRib:
         This is where de-aggregation wins: once a /24 best route is
         installed, ``resolve`` prefers it over the covering /23.
 
-        Served from the exact-match table: one int-keyed probe per prefix
-        length present (longest first, never longer than a ``Prefix``
-        target).  A real table holds a handful of distinct lengths, so this
-        beats a bit-by-bit trie walk — and on a checkpoint fork it leaves
-        the shared trie untouched, which is what keeps warm-started runs
-        from materializing a trie in every AS the hijack reaches.
+        One int-keyed probe per prefix length present (longest first, never
+        longer than a ``Prefix`` target).  A real table holds a handful of
+        distinct lengths, so this beats a bit-by-bit trie walk.
         """
         if isinstance(target, str):
             target = Prefix.parse(target) if "/" in target else Address.parse(target)
@@ -467,20 +344,28 @@ class LocRib:
         return None
 
     def covered(self, prefix: Prefix) -> Iterator[Tuple[Prefix, Route]]:
-        """Installed routes equal to or more specific than ``prefix``."""
-        if self._shared_trie:
-            self._materialize()
-        return self._trie.covered(prefix)
+        """Installed routes equal to or more specific than ``prefix``, in
+        ascending prefix order.
+
+        In ``ikey`` space the covered set is one contiguous range: from
+        ``prefix`` itself up to (not including) the next network of its
+        length *at length 0* — anything shorter at ``prefix``'s own network
+        value sorts before ``low``, and the bound carries no length bits, so
+        a shorter prefix sitting at the next network value is outside too.
+        """
+        low = prefix.ikey
+        high = low - (prefix.length << 1) + (1 << (prefix.bits - prefix.length + 9))
+        exact = self._exact
+        inside = sorted(ikey for ikey in exact if low <= ikey < high)
+        return iter([(exact[ikey].prefix, exact[ikey]) for ikey in inside])
 
     def routes(self) -> Iterator[Route]:
-        if self._shared_trie:
-            self._materialize()
-        return self._trie.values()
+        """Every installed route, in ascending prefix order."""
+        exact = self._exact
+        return iter([exact[ikey] for ikey in sorted(exact)])
 
     def prefixes(self) -> Iterator[Prefix]:
-        if self._shared_trie:
-            self._materialize()
-        return self._trie.keys()
+        return (route.prefix for route in self.routes())
 
     def __contains__(self, prefix: Prefix) -> bool:
         return prefix.ikey in self._exact

@@ -40,8 +40,6 @@ from repro.errors import BGPError
 from repro.net.prefix import Prefix
 from repro.perf import COUNTERS as _C
 
-_EMPTY: Dict = {}
-
 
 class CompactRow:
     """All learned routes for one prefix, as parallel primitive lists.
@@ -190,29 +188,22 @@ class CompactRow:
 class CompactAdjRibIn:
     """Adj-RIB-In over :class:`CompactRow` tables, copy-on-write forkable.
 
-    Same two-way indexing contract as :class:`~repro.bgp.rib.AdjRibIn` —
-    ``_rows`` (by prefix ikey) drives decisions, ``_by_peer`` drives session
-    teardown — and the same fork discipline: ``__deepcopy__`` copies only
-    the outer dicts, rows privatise on first post-fork write.
+    Same contract as :class:`~repro.bgp.rib.AdjRibIn` — ``_rows`` (by
+    prefix ikey) is the one index, the rare per-peer reads scan it in
+    ascending ``ikey`` — and the same fork discipline: ``__deepcopy__``
+    copies only the outer dict, rows privatise on first post-fork write.
     """
 
     def __init__(self) -> None:
         self._rows: Dict[int, CompactRow] = {}
-        #: peer asn -> {ikey: Prefix} (no per-entry payload; the row is the
-        #: single source of truth for attributes).
-        self._by_peer: Dict[int, Dict[int, Prefix]] = {}
         self._shared_rows: set = set()
-        self._shared_peers: set = set()
 
     def __deepcopy__(self, memo) -> "CompactAdjRibIn":
         clone = CompactAdjRibIn.__new__(CompactAdjRibIn)
         memo[id(self)] = clone
         clone._rows = dict(self._rows)
-        clone._by_peer = dict(self._by_peer)
         clone._shared_rows = set(self._rows)
-        clone._shared_peers = set(self._by_peer)
         memo[id(self._rows)] = clone._rows
-        memo[id(self._by_peer)] = clone._by_peer
         return clone
 
     def _unshare_row(self, ikey: int) -> CompactRow:
@@ -220,12 +211,6 @@ class CompactAdjRibIn:
         self._shared_rows.discard(ikey)
         _C.cow_row_forks += 1
         return row
-
-    def _unshare_peer(self, peer_asn: int) -> Dict[int, Prefix]:
-        table = self._by_peer[peer_asn] = dict(self._by_peer[peer_asn])
-        self._shared_peers.discard(peer_asn)
-        _C.cow_row_forks += 1
-        return table
 
     def prefix_table(self) -> Dict[int, CompactRow]:
         """The live ``ikey -> CompactRow`` table (never rebound)."""
@@ -249,16 +234,9 @@ class CompactAdjRibIn:
             row = self._rows[ikey] = CompactRow(prefix)
         elif self._shared_rows and ikey in self._shared_rows:
             row = self._unshare_row(ikey)
-        replaced = row.set_entry(
+        return row.set_entry(
             peer_asn, path, origin_attr, neg_pref, learned_at, rel_index, communities
         )
-        peer_table = self._by_peer.get(peer_asn)
-        if peer_table is None:
-            peer_table = self._by_peer[peer_asn] = {}
-        elif self._shared_peers and peer_asn in self._shared_peers:
-            peer_table = self._unshare_peer(peer_asn)
-        peer_table[ikey] = prefix
-        return replaced
 
     def withdraw_entry(self, peer_asn: int, prefix: Prefix) -> bool:
         """Remove the peer's route for ``prefix``; True if one was present."""
@@ -276,17 +254,12 @@ class CompactAdjRibIn:
                 if not row.peers:
                     del self._rows[ikey]
                     self._shared_rows.discard(ikey)
-        peer_table = self._by_peer.get(peer_asn)
-        if peer_table is not None and ikey in peer_table:
-            if self._shared_peers and peer_asn in self._shared_peers:
-                peer_table = self._unshare_peer(peer_asn)
-            peer_table.pop(ikey, None)
         return removed
 
     def drop_peer_prefixes(self, peer_asn: int) -> List[Prefix]:
         """Remove every route from ``peer_asn``; returns the prefixes, in
-        the same (insertion) order the classic RIB's teardown path uses."""
-        prefixes = list(self._by_peer.get(peer_asn, _EMPTY).values())
+        the same (ascending ``ikey``) order the classic RIB's teardown uses."""
+        prefixes = self.prefixes_from(peer_asn)
         for prefix in prefixes:
             self.withdraw_entry(peer_asn, prefix)
         return prefixes
@@ -336,7 +309,12 @@ class CompactAdjRibIn:
         return self._materialize_at(row, index)
 
     def prefixes_from(self, peer_asn: int) -> List[Prefix]:
-        return list(self._by_peer.get(peer_asn, _EMPTY).values())
+        """Prefixes learned from ``peer_asn``, ascending: one scan, O(rows)."""
+        rows = self._rows
+        learned = sorted(
+            ikey for ikey, row in rows.items() if peer_asn in row.pos
+        )
+        return [rows[ikey].prefix for ikey in learned]
 
     def prefixes(self) -> Iterator[Prefix]:
         return (row.prefix for row in self._rows.values())

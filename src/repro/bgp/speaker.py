@@ -195,7 +195,7 @@ class BGPSpeaker:
             if self._exportable(route, state):
                 state.dirty[route.prefix.ikey] = route.prefix
         if state.dirty:
-            self._schedule_flush(peer.asn)
+            self._schedule_flush(peer.asn, state)
 
     def remove_peer(self, peer_asn: int) -> None:
         """Session teardown: drop all state learned from / sent to the peer."""
@@ -310,8 +310,7 @@ class BGPSpeaker:
                 )
         if message.announcements:
             # Loop-invariant per-message context: every announcement shares
-            # the sender's relationship and the current clock, and all the
-            # Adj-RIB-In writes target the same peer row.
+            # the sender's relationship and the current clock.
             local_pref = self.policy.import_local_pref(state.relationship)
             learned_at = self.engine.now
             my_asn = self.asn
@@ -334,7 +333,7 @@ class BGPSpeaker:
                 max4 = import_filter.max_length_v4
                 max6 = import_filter.max_length_v6
             accept_import = policy.accept_import
-            by_prefix, peer_routes = self.adj_rib_in.import_tables(sender_asn)
+            by_prefix = self._rib_rows
             by_prefix_get = by_prefix.get
             # Empty (falsy) unless this RIB was forked from a checkpoint;
             # rows listed here are shared with the frozen master and must be
@@ -390,7 +389,7 @@ class BGPSpeaker:
             )
             route._export = None
             created += 1
-            # Inline of AdjRibIn.insert against the hoisted ikey tables.
+            # Inline of AdjRibIn.insert against the hoisted ikey table.
             pikey = prefix.ikey
             row = by_prefix_get(pikey)
             if row is None:
@@ -399,7 +398,6 @@ class BGPSpeaker:
                 row = unshare_row(pikey)
             replaced = row.get(sender_asn)
             row[sender_asn] = route
-            peer_routes[pikey] = route
             touched[pikey] = (
                 ("f", prefix) if pikey in touched else ("a", route, replaced)
             )
@@ -580,14 +578,14 @@ class BGPSpeaker:
             for peer_asn, state, rel_index, adj_rib_out, dirty in self._mark_targets:
                 dirty[pikey] = prefix
                 if not state.flush_scheduled:
-                    self._schedule_flush(peer_asn)
+                    self._schedule_flush(peer_asn, state)
             return
         skipped = 0
         for peer_asn, state, rel_index, adj_rib_out, dirty in self._mark_targets:
             if ok_row[rel_index] or pikey in adj_rib_out:
                 dirty[pikey] = prefix
                 if not state.flush_scheduled:
-                    self._schedule_flush(peer_asn)
+                    self._schedule_flush(peer_asn, state)
             else:
                 skipped += 1
         if skipped:
@@ -676,20 +674,19 @@ class BGPSpeaker:
             for peer_asn, state, rel_index, adj_rib_out, dirty in self._mark_targets:
                 dirty[pikey] = prefix
                 if not state.flush_scheduled:
-                    self._schedule_flush(peer_asn)
+                    self._schedule_flush(peer_asn, state)
             return
         for peer_asn, state, rel_index, adj_rib_out, dirty in self._mark_targets:
             if ok_row[rel_index] or pikey in adj_rib_out:
                 dirty[pikey] = prefix
                 if not state.flush_scheduled:
-                    self._schedule_flush(peer_asn)
+                    self._schedule_flush(peer_asn, state)
             else:
                 _C.dirty_marks_skipped += 1
 
-    def _schedule_flush(self, peer_asn: int) -> None:
-        state = self.peers[peer_asn]
-        if state.flush_scheduled or not state.dirty:
-            return
+    def _schedule_flush(self, peer_asn: int, state: PeerState) -> None:
+        """Queue ``state``'s MRAI flush.  Callers hold the peer's state and
+        have just dirtied it with no flush pending."""
         state.flush_scheduled = True
         when = max(self.engine.now, state.next_allowed_send)
         if self.tracker is not None:

@@ -77,7 +77,6 @@ FIELDS: Tuple[str, ...] = (
     "routes_created",
     "checkpoint_restores",
     "cow_row_forks",
-    "cow_table_forks",
     # trace replay (the pure-ingest path: no engine events here, so the
     # replay throughput headline needs its own counters)
     "replay_records_read",

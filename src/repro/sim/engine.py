@@ -20,8 +20,10 @@ horizon.  :data:`repro.perf.COUNTERS` tracks the scheduling traffic.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.perf import COUNTERS as _C
@@ -29,6 +31,27 @@ from repro.perf import COUNTERS as _C
 #: Queue size below which cancellation never triggers a compaction — for
 #: tiny queues a rebuild costs more than the tombstones it would reclaim.
 _COMPACT_MIN_QUEUE = 64
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic collector while the engine drains.
+
+    A drain allocates millions of container objects (routes, rows, event
+    handles) and frees them by reference count alone — none sit in cycles
+    — so every generation sweep the allocation counters trigger walks a
+    growing heap and frees nothing.  Collection is only deferred: the
+    caller's prior state is restored on the way out, whether the block
+    returns or raises, and entering while already paused (a nested drain,
+    or a caller that disabled ``gc`` itself) changes nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class EventHandle:
@@ -332,45 +355,46 @@ class Engine:
         self._running = True
         fired = 0
         queue = self._queue
-        try:
-            while queue:
-                time, _seq, handle = queue[0]
-                if handle.cancelled:
-                    heapq.heappop(queue)
-                    self._tombstones -= 1
-                    _C.tombstones_purged += 1
-                    continue
-                if until is not None and time > until:
-                    self._now = until
-                    break
-                if max_events is not None and fired >= max_events:
-                    raise SimulationError(
-                        f"run() exceeded max_events={max_events}; likely a "
-                        "non-converging schedule (check MRAI / periodic tasks)"
-                    )
-                # Drain the whole same-time batch without re-checking the
-                # horizon: events never schedule into the past, so nothing
-                # can slip in front of the batch while it runs.
-                self._now = time
-                while queue and queue[0][0] == time:
-                    _t, _s, handle = heapq.heappop(queue)
+        with collector_paused():
+            try:
+                while queue:
+                    time, _seq, handle = queue[0]
                     if handle.cancelled:
+                        heapq.heappop(queue)
                         self._tombstones -= 1
                         _C.tombstones_purged += 1
                         continue
-                    handle.fired = True
-                    self.events_processed += 1
-                    _C.events_processed += 1
-                    fired += 1
-                    callback, args = handle.callback, handle.args
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-                    if max_events is not None and fired >= max_events:
+                    if until is not None and time > until:
+                        self._now = until
                         break
-        finally:
-            self._running = False
+                    if max_events is not None and fired >= max_events:
+                        raise SimulationError(
+                            f"run() exceeded max_events={max_events}; likely a "
+                            "non-converging schedule (check MRAI / periodic tasks)"
+                        )
+                    # Drain the whole same-time batch without re-checking the
+                    # horizon: events never schedule into the past, so nothing
+                    # can slip in front of the batch while it runs.
+                    self._now = time
+                    while queue and queue[0][0] == time:
+                        _t, _s, handle = heapq.heappop(queue)
+                        if handle.cancelled:
+                            self._tombstones -= 1
+                            _C.tombstones_purged += 1
+                            continue
+                        handle.fired = True
+                        self.events_processed += 1
+                        _C.events_processed += 1
+                        fired += 1
+                        callback, args = handle.callback, handle.args
+                        if args:
+                            callback(*args)
+                        else:
+                            callback()
+                        if max_events is not None and fired >= max_events:
+                            break
+            finally:
+                self._running = False
         if until is not None and self._now < until:
             self._now = until
         return self._now

@@ -18,10 +18,11 @@ What is shared vs copied on fork
   network/scenario configs, per-speaker policies, the RPKI registry.
   These either define ``__deepcopy__`` returning ``self`` or are seeded
   into the deepcopy memo here.
-* **Shared until first write (copy-on-write):** Adj-RIB-In rows and the
-  Loc-RIB radix trie.  The fork gets its own *outer* dicts immediately
-  (cheap) but the per-prefix inner tables stay shared; the perf counters
-  ``cow_row_forks`` / ``cow_table_forks`` count privatisations.
+* **Shared until first write (copy-on-write):** Adj-RIB-In rows.  The
+  fork gets its own *outer* dict immediately (cheap) but the per-prefix
+  inner tables stay shared; the perf counter ``cow_row_forks`` counts
+  privatisations.  (The Loc-RIB is one flat dict of shared routes and is
+  copied eagerly.)
 * **Copied eagerly (mutable run state):** the engine (clock + pending
   timers, MRAI and poll events included), session state, Adj-RIB-Out and
   dirty maps, RNG streams (exact generator positions), trackers, feeds,

@@ -35,6 +35,7 @@ from repro.internet.network import Network, NetworkConfig
 from repro.internet.tracker import OriginTracker
 from repro.net.prefix import Prefix
 from repro.sdn.controller import BGPController
+from repro.sim.engine import collector_paused
 from repro.sim.latency import DelaySpec, Uniform, make_delay
 from repro.sim.rng import SeededRNG
 from repro.testbed.peering import PeeringTestbed, VirtualAS
@@ -865,6 +866,7 @@ class HijackExperiment:
 
     # --------------------------------------------------------------------- run
 
+    @collector_paused()
     def run_phase1(self) -> None:
         """Phase-1: legitimate announcement, convergence, LG baseline.
 
@@ -986,6 +988,7 @@ class HijackExperiment:
         for rng in self._iter_world_rngs():
             rng.reseed_run(run_seed)
 
+    @collector_paused()
     def run(self) -> ExperimentResult:
         """Execute all three phases and collect the measurements."""
         cfg = self.config

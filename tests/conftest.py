@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.internet.network import Network, NetworkConfig
@@ -62,6 +64,26 @@ def fast_scenario(seed: int = 0, **overrides) -> ScenarioConfig:
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
+
+
+@pytest.fixture
+def restore_gc():
+    """Leave the cyclic collector the way the test found it, pass or fail."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def caller_gc_enabled(request, restore_gc) -> bool:
+    """Run the test once with the collector enabled and once disabled."""
+    (gc.enable if request.param else gc.disable)()
+    return request.param
+
+
+def gc_collections() -> int:
+    """Collections run so far in this process, all generations."""
+    return sum(generation["collections"] for generation in gc.get_stats())
 
 
 @pytest.fixture

@@ -201,9 +201,9 @@ class TestForkIsolation:
         config = fast_scenario(
             seed=3, network=fast_network_config(), warm_start=True
         )
-        before = COUNTERS.cow_row_forks + COUNTERS.cow_table_forks
+        before = COUNTERS.cow_row_forks
         HijackExperiment(config).run()
-        assert COUNTERS.cow_row_forks + COUNTERS.cow_table_forks > before
+        assert COUNTERS.cow_row_forks > before
 
 
 # ---------------------------------------------------------- keys & registry

@@ -1,9 +1,13 @@
 """Tests for the discrete-event engine."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, collector_paused
+
+from conftest import gc_collections
 
 
 class TestScheduling:
@@ -333,3 +337,66 @@ class TestPeriodicHandleState:
         text = repr(handle)
         assert "firings=2" in text
         assert "next=6.000" in text
+
+
+@pytest.mark.usefixtures("restore_gc")
+class TestCollectorPause:
+    """``run()`` pauses the cyclic collector and hands it back as found."""
+
+    def test_paused_inside_and_restored_on_return(self, caller_gc_enabled):
+        engine = Engine()
+        seen = []
+        engine.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        engine.run()
+        assert seen == [False]
+        assert gc.isenabled() is caller_gc_enabled
+
+    def test_restored_when_a_callback_raises(self, caller_gc_enabled):
+        engine = Engine()
+
+        def boom():
+            raise RuntimeError("callback failed")
+
+        engine.schedule(1.0, boom)
+        with pytest.raises(RuntimeError):
+            engine.run()
+        assert gc.isenabled() is caller_gc_enabled
+
+    def test_restored_after_rejected_reentry(self, caller_gc_enabled):
+        engine = Engine()
+        seen = []
+
+        def reenter():
+            try:
+                engine.run()
+            finally:
+                # The refused inner run() must not lift the outer pause.
+                seen.append(gc.isenabled())
+
+        engine.schedule(1.0, reenter)
+        with pytest.raises(SimulationError):
+            engine.run()
+        assert seen == [False]
+        assert gc.isenabled() is caller_gc_enabled
+
+    def test_nested_pause_is_a_no_op(self):
+        gc.enable()
+        with collector_paused():
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled(), "inner exit lifted the outer pause"
+        assert gc.isenabled()
+
+    def test_no_collection_runs_during_a_drain(self):
+        gc.enable()
+        engine = Engine()
+        # Enough container allocations per event to trip generation 0 many
+        # times over if the collector were live.
+        keep = []
+        for _ in range(50):
+            engine.schedule(1.0, lambda: keep.extend([i] for i in range(1000)))
+        inside = []
+        engine.schedule(2.0, lambda: inside.append(gc_collections()))
+        before = gc_collections()
+        engine.run()
+        assert inside == [before]

@@ -1,5 +1,7 @@
 """Integration tests for the full three-phase hijack experiment."""
 
+import gc
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -7,7 +9,7 @@ from repro.internet.churn import ChurnConfig
 from repro.net.prefix import Prefix
 from repro.testbed.scenario import ExperimentResult, HijackExperiment
 
-from conftest import fast_scenario
+from conftest import fast_scenario, gc_collections
 
 
 class TestFullExperiment:
@@ -129,3 +131,54 @@ class TestVariants:
         assert len(results) == 2
         assert all(result.mitigated for result in results)
         assert len(graph) == size_before
+
+
+@pytest.mark.usefixtures("restore_gc")
+class TestCollectorPause:
+    """The experiment drives ``engine.step()`` itself for about half its
+    events, so it carries the same pause-and-restore contract as
+    ``Engine.run()``."""
+
+    def test_collector_state_restored_after_run(self, caller_gc_enabled):
+        experiment = HijackExperiment(fast_scenario(seed=5))
+        experiment.run_phase1()
+        assert gc.isenabled() is caller_gc_enabled
+        experiment.run()
+        assert gc.isenabled() is caller_gc_enabled
+
+    def test_collector_state_restored_when_the_run_raises(self, caller_gc_enabled):
+        experiment = HijackExperiment(fast_scenario(seed=5))
+        experiment.setup()
+        seen = []
+
+        def boom():
+            seen.append(gc.isenabled())
+            raise RuntimeError("callback failed")
+
+        experiment.network.engine.schedule(1.0, boom)
+        with pytest.raises(RuntimeError):
+            experiment.run()
+        assert seen == [False]
+        assert gc.isenabled() is caller_gc_enabled
+
+    def test_no_collection_runs_while_the_golden_scenario_drains(self):
+        # fast_scenario(seed=5) is test_determinism's golden scenario.  With
+        # a live collector its run() pays for half a dozen sweeps; paused,
+        # the only one counted is the deferred collection that fires as the
+        # pause lifts, after the last event.
+        gc.enable()
+        experiment = HijackExperiment(fast_scenario(seed=5))
+        experiment.setup()
+        during = []
+        engine = experiment.network.engine
+        real_step = engine.step
+
+        def counting_step():
+            during.append(gc_collections())
+            return real_step()
+
+        engine.step = counting_step
+        before = gc_collections()
+        experiment.run()
+        assert during and set(during) == {before}
+        assert gc_collections() - before <= 1
