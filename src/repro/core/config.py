@@ -14,8 +14,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
-from repro.net.prefix import Prefix
-from repro.net.trie import PrefixTrie
+from repro.net.prefix import Prefix, longest_match
 
 
 class OwnedPrefix:
@@ -171,22 +170,22 @@ class ArtemisConfig:
         if not owned:
             raise ConfigError("ARTEMIS needs at least one owned prefix")
         self.owned: List[OwnedPrefix] = list(owned)
-        self._trie: PrefixTrie[OwnedPrefix] = PrefixTrie()
+        self._owned_by_key: Dict[int, OwnedPrefix] = {}
         for entry in self.owned:
-            if entry.prefix in self._trie:
+            if entry.prefix.ikey in self._owned_by_key:
                 raise ConfigError(f"duplicate owned prefix {entry.prefix}")
-            self._trie[entry.prefix] = entry
+            self._owned_by_key[entry.prefix.ikey] = entry
         #: Held-but-unannounced space (squatting ground truth).
         self.owned_space: List[OwnedSpace] = list(owned_space)
-        self._space_trie: PrefixTrie[OwnedSpace] = PrefixTrie()
+        self._space_by_key: Dict[int, OwnedSpace] = {}
         for space in self.owned_space:
-            if space.prefix in self._space_trie:
+            if space.prefix.ikey in self._space_by_key:
                 raise ConfigError(f"duplicate owned space {space.prefix}")
-            if space.prefix in self._trie:
+            if space.prefix.ikey in self._owned_by_key:
                 raise ConfigError(
                     f"{space.prefix} configured as both owned prefix and owned space"
                 )
-            self._space_trie[space.prefix] = space
+            self._space_by_key[space.prefix.ikey] = space
         #: Configured/learned AS adjacency map for hop-N path verification
         #: (``None`` disables the type-N rule, as partial maps are normal).
         self.adjacencies: Optional[Dict[int, FrozenSet[int]]] = (
@@ -231,12 +230,11 @@ class ArtemisConfig:
 
     def entry_for(self, prefix: Prefix) -> Optional[OwnedPrefix]:
         """Exact owned entry for ``prefix``, if configured."""
-        return self._trie.get(prefix)
+        return self._owned_by_key.get(prefix.ikey)
 
     def covering_entry(self, prefix: Prefix) -> Optional[OwnedPrefix]:
         """The most specific owned prefix covering ``prefix`` (or None)."""
-        match = self._trie.longest_match(prefix)
-        return match[1] if match else None
+        return longest_match(self._owned_by_key, prefix)
 
     def covering_space(self, prefix: Prefix) -> Optional[OwnedSpace]:
         """The most specific owned *space* covering ``prefix`` (or None).
@@ -244,8 +242,7 @@ class ArtemisConfig:
         Covering includes the exact prefix itself — squatting the whole
         unannounced block is still squatting.
         """
-        match = self._space_trie.longest_match(prefix)
-        return match[1] if match else None
+        return longest_match(self._space_by_key, prefix)
 
     def max_announce_length(self, version: int) -> int:
         return self.max_announce_length_v4 if version == 4 else self.max_announce_length_v6

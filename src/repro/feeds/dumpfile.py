@@ -15,7 +15,8 @@ the workflow third-party services use on RouteViews data.
 
 from __future__ import annotations
 
-from typing import IO, Iterable, Iterator, List, Union
+from sys import intern
+from typing import IO, Dict, Iterable, Iterator, List, Union
 
 from repro.errors import BGPError, FeedError
 from repro.feeds.events import FeedEvent
@@ -43,20 +44,22 @@ def parse_event(line: str) -> FeedEvent:
     """Parse one dump line back into a :class:`FeedEvent`.
 
     Every malformed field — count, kind, vantage, prefix, path hop,
-    timestamp — raises :class:`~repro.errors.FeedError`.  Prefix and path
-    are interned per spelling, so events repeating them share one object.
+    timestamp — raises :class:`~repro.errors.FeedError`.  Every field but
+    the timestamps is shared per spelling by the events that repeat it.
     """
     fields = line.split("|")
     if len(fields) != 8:
         raise FeedError(f"dump line has {len(fields)} fields, expected 8: {line!r}")
     kind, source, collector, vantage, prefix, path, observed, delivered = fields
-    if not (vantage.isdigit() and vantage.isascii()):  # int() alone takes "+5", "１２"
+    vantage_asn = _VANTAGE_CACHE.get(vantage)
+    if vantage_asn is None and not (vantage.isdigit() and vantage.isascii()):
+        # int() alone takes "+5", "１２"
         raise FeedError(f"invalid vantage ASN {vantage!r} in dump line {line!r}")
     try:
-        return FeedEvent(
-            source,
-            collector,
-            int(vantage),
+        event = FeedEvent(
+            intern(source),
+            intern(collector),
+            int(vantage) if vantage_asn is None else vantage_asn,
             kind,
             Prefix.parse(prefix),
             intern_as_path(path),
@@ -65,6 +68,16 @@ def parse_event(line: str) -> FeedEvent:
         )
     except (ValueError, BGPError) as error:
         raise FeedError(f"malformed dump line {line!r}: {error}") from None
+    if vantage_asn is None:  # passed every check, range included: now remember it
+        if len(_VANTAGE_CACHE) >= _VANTAGE_CACHE_LIMIT:
+            _VANTAGE_CACHE.clear()
+        _VANTAGE_CACHE[vantage] = event.vantage_asn
+    return event
+
+
+#: Vantage spelling -> ASN; bounded, cleared wholesale when full (as ``Prefix.parse``'s).
+_VANTAGE_CACHE: Dict[str, int] = {}
+_VANTAGE_CACHE_LIMIT = 65536
 
 
 def write_events(

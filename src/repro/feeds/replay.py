@@ -72,7 +72,7 @@ from repro.feeds.dumpfile import format_event, parse_event
 from repro.feeds.events import FeedEvent
 from repro.feeds.interest import InterestIndex, Subscription
 from repro.net.prefix import Prefix
-from repro.perf import COUNTERS, sample_memory
+from repro.perf import COUNTERS, collector_paused, sample_memory
 from repro.sim.rng import SeededRNG, derive_seed
 
 #: Current trace format version (bump on incompatible record/frame changes;
@@ -302,7 +302,7 @@ def load_trace(source: Union[str, IO[str]]) -> Trace:
     version, every line between header and footer must be a record, the
     footer must be present (its absence means the recording run died —
     the trace is truncated), and both the record count and the SHA-256
-    digest must match what the footer pinned.
+    digest must match what the footer pinned (cyclic collector paused).
     """
     if isinstance(source, str):
         with open(source, "rb") as handle:
@@ -310,6 +310,7 @@ def load_trace(source: Union[str, IO[str]]) -> Trace:
     return _load_trace(io.BytesIO(source.read().encode("utf-8")))
 
 
+@collector_paused()  # events, floats and interned leaves: nothing cyclic
 def _load_trace(handle: IO[bytes]) -> Trace:
     reader = _RecordReader(handle)
     events: List[FeedEvent] = []

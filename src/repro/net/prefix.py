@@ -12,7 +12,7 @@ spellings of the same network compare equal.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, TypeVar, Union
 
 from repro.errors import PrefixError
 from repro.perf import COUNTERS as _C
@@ -21,6 +21,8 @@ _V4_BITS = 32
 _V6_BITS = 128
 _V4_MAX = (1 << _V4_BITS) - 1
 _V6_MAX = (1 << _V6_BITS) - 1
+
+V = TypeVar("V")
 
 
 def _parse_v4(text: str) -> int:
@@ -378,6 +380,20 @@ class Prefix:
 
     def __hash__(self) -> int:
         return self._hash
+
+
+def longest_match(table: Mapping[int, V], prefix: Prefix) -> Optional[V]:
+    """The value ``table`` (keyed by :attr:`Prefix.ikey`) holds for the most
+    specific prefix covering ``prefix``, or ``None``: one dict probe per
+    supernet down to /0 (its ``ikey`` computed here, no ``Prefix`` built).
+    """
+    bits, value, version_bit = prefix.bits, prefix.value, (prefix.version == 6) << 137
+    for length in range(prefix.length, -1, -1):
+        shift = bits - length
+        hit = table.get(version_bit | ((value >> shift) << (shift + 9)) | (length << 1))
+        if hit is not None:
+            return hit
+    return None
 
 
 #: Interned ``Prefix.parse`` results, keyed by the exact input spelling.

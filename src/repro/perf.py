@@ -46,7 +46,9 @@ meaningless).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+import contextlib
+import gc
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 #: Counter fields, in display order.
 FIELDS: Tuple[str, ...] = (
@@ -224,6 +226,28 @@ class PerfCounters:
 
 #: The process-wide counter instance every hot path increments.
 COUNTERS = PerfCounters()
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic collector across an acyclic allocation burst.
+
+    An engine drain or a trace load allocates up to millions of container
+    objects (routes, rows, event handles, feed events) and frees them by
+    reference count alone — none sit in cycles — so every generation
+    sweep the allocation counters trigger walks a growing heap and frees
+    nothing.  Collection is only deferred: the caller's prior state is
+    restored on the way out, whether the block returns or raises, and
+    entering while already paused (a nested drain, or a caller that
+    disabled ``gc`` itself) changes nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def sample_memory() -> None:

@@ -20,38 +20,15 @@ horizon.  :data:`repro.perf.COUNTERS` tracks the scheduling traffic.
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import heapq
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.perf import COUNTERS as _C
+from repro.perf import COUNTERS as _C, collector_paused
 
 #: Queue size below which cancellation never triggers a compaction — for
 #: tiny queues a rebuild costs more than the tombstones it would reclaim.
 _COMPACT_MIN_QUEUE = 64
-
-
-@contextlib.contextmanager
-def collector_paused() -> Iterator[None]:
-    """Pause CPython's cyclic collector while the engine drains.
-
-    A drain allocates millions of container objects (routes, rows, event
-    handles) and frees them by reference count alone — none sit in cycles
-    — so every generation sweep the allocation counters trigger walks a
-    growing heap and frees nothing.  Collection is only deferred: the
-    caller's prior state is restored on the way out, whether the block
-    returns or raises, and entering while already paused (a nested drain,
-    or a caller that disabled ``gc`` itself) changes nothing.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 class EventHandle:

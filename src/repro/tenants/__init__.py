@@ -5,8 +5,8 @@ shared feed; the paper's single operator
 (:class:`~repro.core.detection.DetectionService`) is the N=1 case of the
 same code.  The package splits into:
 
-* :mod:`repro.tenants.registry` — compiled, interned per-tenant rule
-  bundles (:class:`TenantRegistry`, :class:`TenantRule`);
+* :mod:`repro.tenants.registry` — compiled per-tenant rule bundles over
+  interned policy sets (:class:`TenantRegistry`, :class:`TenantRule`);
 * :mod:`repro.tenants.flattree` — the shared radix tree answering
   "whose rules match this announcement?" in one O(bits) walk
   (:class:`FlatPrefixTree`), on a flat array-of-struct layout: packed

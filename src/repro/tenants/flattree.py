@@ -20,10 +20,10 @@ millions it dominates the plane's RSS.  So the layout is packed (the
 * **Prefixes** are int-keyed ids (*pids*).  Per pid: the prefix length
   (for the exact-match test, one byte) and the head of its rule-row list.
   The :class:`~repro.net.prefix.Prefix` object itself is kept only for
-  iteration APIs, by reference to the registry's interned instance.
+  iteration APIs, by reference to the registry row's instance.
 * **Rule rows** are packed ``(tenant, rule)`` pairs: an ``array('i')`` of
   tenant ids, an ``array('i')`` of next-row links, and one pointer per row
-  to the registry's interned :class:`~repro.tenants.registry.TenantRule`.
+  to the registry's :class:`~repro.tenants.registry.TenantRule`.
 * **Incremental add/remove** reuses freed pid/row/node slots through
   **epoch-stamped free lists**: a slot freed at epoch E is recycled only
   once the tree has moved past E, so any epoch-stamped consumer (the

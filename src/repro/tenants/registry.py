@@ -1,4 +1,4 @@
-"""Detection ground truth: compiled, interned rule bundles per tenant.
+"""Detection ground truth: compiled rule bundles per tenant.
 
 Production ARTEMIS runs detection as a *service*: one deployment holds the
 configuration of every operator (tenant) it protects, and a single shared
@@ -8,10 +8,10 @@ single operator's config is a one-tenant registry):
 
 * :class:`TenantRule` — one compiled, immutable bundle row: *tenant X
   monitors prefix P with these legit origins / upstreams and these
-  detection knobs*.  Rows are **interned** per registry: a thousand
-  tenants sharing the same boilerplate policy (same origin set, same
-  flags) reference the same frozensets, so registry memory scales with
-  distinct policies, not with tenants × prefixes.
+  detection knobs*.  A row names its tenant and prefix, so none is shared;
+  the policy *material* rows point at — origin/upstream/sentinel sets and
+  adjacency maps — is **interned** per registry, so a thousand tenants with
+  the same boilerplate policy reference the same frozensets.
 * :class:`TenantRegistry` — compiles :class:`~repro.core.config.ArtemisConfig`
   style ground truth for N tenants into bundle rows, supports incremental
   tenant add/remove (propagated to any attached
@@ -32,8 +32,8 @@ from repro.net.prefix import Prefix
 class TenantRule:
     """One tenant's compiled rule bundle for one monitored prefix.
 
-    Immutable and hash-shared: construct only through
-    :meth:`TenantRegistry.add_tenant` so interning applies.
+    Immutable: construct only through :meth:`TenantRegistry.add_tenant`,
+    which hands it the registry's interned sets and adjacency map.
 
     ``squat_space`` rows compile an :class:`~repro.core.config.OwnedSpace`
     entry — held-but-unannounced space where *any* non-owner origin is
@@ -125,7 +125,6 @@ class TenantRegistry:
         #: Interning tables: identical policy material is stored once.
         self._asn_sets: Dict[FrozenSet[int], FrozenSet[int]] = {}
         self._adjacency_maps: Dict[Tuple, Dict[int, FrozenSet[int]]] = {}
-        self._rules: Dict[Tuple, TenantRule] = {}
         #: Attached prefix trees, notified on tenant add/remove.
         self._trees: List = []
 
@@ -158,16 +157,6 @@ class TenantRegistry:
             self._adjacency_maps[key] = interned
         return interned
 
-    def _intern_rule(self, *fields) -> TenantRule:
-        # The adjacency map (index 8) is already interned to a canonical
-        # dict; key it by identity so the rule key stays hashable.
-        key = fields[:8] + (id(fields[8]),) + fields[9:]
-        rule = self._rules.get(key)
-        if rule is None:
-            rule = TenantRule(*fields)
-            self._rules[key] = rule
-        return rule
-
     # -------------------------------------------------------------- mutation
 
     def add_tenant(
@@ -176,7 +165,7 @@ class TenantRegistry:
         config: ArtemisConfig,
         autoignore_visibility: int = 0,
     ) -> Tuple[TenantRule, ...]:
-        """Compile one tenant's config into interned rows and publish them.
+        """Compile one tenant's config into rule rows and publish them.
 
         ``autoignore_visibility`` is the tenant's alert-suppression policy:
         a new incident is not surfaced to the notifier until at least that
@@ -186,40 +175,31 @@ class TenantRegistry:
             raise ConfigError(f"tenant {name!r} already registered")
         adjacencies = self._intern_adjacencies(config.adjacencies)
         sentinels = self._intern_set(config.leak_sentinels)
-        rows = tuple(
-            self._intern_rule(
+
+        def row(prefix, origins, upstreams, neighbors, leak_sentinels, squat_space):
+            return TenantRule(
                 name,
-                entry.prefix,
-                self._intern_set(entry.legit_origins),
-                self._intern_set(entry.legit_upstreams),
+                prefix,
+                self._intern_set(origins),
+                self._intern_set(upstreams),
                 config.detect_subprefix,
                 config.detect_path,
                 config.alert_cooldown,
                 int(autoignore_visibility),
-                adjacencies,
-                sentinels,
+                neighbors,
+                leak_sentinels,
                 config.detect_unchanged_path,
-                False,
+                squat_space,
             )
-            for entry in config.owned
+
+        rows = tuple(
+            row(e.prefix, e.legit_origins, e.legit_upstreams, adjacencies, sentinels, False)
+            for e in config.owned
         )
-        if config.detect_squatting and config.owned_space:
+        if config.detect_squatting:
             rows += tuple(
-                self._intern_rule(
-                    name,
-                    space.prefix,
-                    self._intern_set(space.legit_origins),
-                    None,
-                    config.detect_subprefix,
-                    config.detect_path,
-                    config.alert_cooldown,
-                    int(autoignore_visibility),
-                    None,
-                    None,
-                    config.detect_unchanged_path,
-                    True,
-                )
-                for space in config.owned_space
+                row(s.prefix, s.legit_origins, None, None, None, True)
+                for s in config.owned_space
             )
         self._tenants[name] = rows
         for tree in self._trees:
@@ -283,7 +263,4 @@ class TenantRegistry:
         return [rule.to_row() for rule in self.all_rules()]
 
     def __repr__(self) -> str:
-        return (
-            f"<TenantRegistry {len(self._tenants)} tenants, "
-            f"{self.num_rules} rules, {len(self._rules)} interned>"
-        )
+        return f"<TenantRegistry {len(self._tenants)} tenants, {self.num_rules} rules>"

@@ -14,7 +14,7 @@ builds one deterministically:
   watched by many tenants) plus a block of dense *padding* /24s carved
   from otherwise-unused space (11.0.0.0/8 onward).  Dense padding keeps
   the shared tree honest — deep, populated subtrees — while sharing upper
-  trie paths, and the interned policy rows keep registry memory flat.
+  trie paths, and the interned origin sets keep a row down to its slots.
 
 Everything is a pure function of its inputs: same trace + same counts →
 the same registry, rules, and partition, which is what the digest-identity

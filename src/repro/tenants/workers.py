@@ -9,9 +9,9 @@ merged digest is bit-identical to a single worker's by construction.
 
 The partition unit is a **root**: a monitored prefix not covered by any
 other monitored prefix.  Roots are disjoint by definition, so routing one
-announcement is a single longest-match against the root trie; sub-prefix
-announcements inside a root land with it.  Roots are round-robined across
-workers in canonical order — deterministic for any worker count.
+announcement is one longest-match against the ``root.ikey`` → worker dict;
+sub-prefix announcements inside a root land with it.  Roots are round-robined
+across workers in canonical order — deterministic for any worker count.
 
 **Hand-off contract.**  Workers are forked (``get_context("fork")``, the
 only start method this module has ever supported) *after* the parent has
@@ -59,8 +59,7 @@ from repro.errors import ReproError
 from repro.feeds.dumpfile import parse_event
 from repro.feeds.replay import iter_trace_line_bytes
 from repro.net.aggregate import remove_covered
-from repro.net.prefix import Prefix
-from repro.net.trie import PrefixTrie
+from repro.net.prefix import Prefix, longest_match
 from repro.perf import COUNTERS as _COUNTERS, sample_memory
 from repro.tenants.frames import (
     FRAME_BATCH,
@@ -108,15 +107,10 @@ def partition_roots(prefixes: Sequence[Prefix]) -> List[Prefix]:
     return remove_covered(prefixes)
 
 
-def assign_roots(
-    roots: Sequence[Prefix], num_workers: int
-) -> PrefixTrie:
-    """Round-robin roots over workers; returns the root → worker trie."""
-    routing: PrefixTrie[int] = PrefixTrie()
+def assign_roots(roots: Sequence[Prefix], num_workers: int) -> Dict[int, int]:
+    """Round-robin roots over workers; returns ``{root.ikey: worker}``."""
     ordered = sorted(roots, key=lambda p: p.sort_key)
-    for index, root in enumerate(ordered):
-        routing.insert(root, index % num_workers)
-    return routing
+    return {root.ikey: index % num_workers for index, root in enumerate(ordered)}
 
 
 # ------------------------------------------------------------------ worker
@@ -298,8 +292,7 @@ class ParallelDetectionPlane:
         except (ValueError, UnicodeDecodeError):
             worker = _MALFORMED
         else:
-            hit = self._routing.longest_match(prefix)
-            worker = None if hit is None else hit[1]
+            worker = longest_match(self._routing, prefix)
         memo = self._route_memo
         if len(memo) >= _ROUTE_MEMO_MAX:
             memo.clear()

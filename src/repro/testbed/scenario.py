@@ -34,8 +34,8 @@ from repro.internet.churn import BackgroundChurn, ChurnConfig
 from repro.internet.network import Network, NetworkConfig
 from repro.internet.tracker import OriginTracker
 from repro.net.prefix import Prefix
+from repro.perf import collector_paused
 from repro.sdn.controller import BGPController
-from repro.sim.engine import collector_paused
 from repro.sim.latency import DelaySpec, Uniform, make_delay
 from repro.sim.rng import SeededRNG
 from repro.testbed.peering import PeeringTestbed, VirtualAS

@@ -7,8 +7,10 @@ two independent derivations rather than a thing with itself:
 
 * :class:`PrefixTree` — the node-object radix tree the flat tree replaced
   (one ``PrefixTrie`` node per level, one ``list`` bucket per prefix);
-* :func:`classify_with_config_tries` — single-operator rule selection read
-  straight off ``ArtemisConfig``'s own owned-prefix and owned-space tries.
+* :func:`config_tries` / :func:`classify_with_config_tries` — the
+  owned-prefix and owned-space ``PrefixTrie`` pair ``ArtemisConfig`` kept
+  before its tables became ``ikey`` dicts, and single-operator rule
+  selection read straight off that pair.
 
 Neither is imported by anything under ``src/``.
 """
@@ -91,10 +93,26 @@ class PrefixTree:
         return sorted({rule.tenant for rule in bucket}) if bucket else []
 
 
+def config_tries(config: ArtemisConfig) -> Tuple[PrefixTrie, PrefixTrie]:
+    """``(owned, space)`` tries over the config's entries, keyed by prefix."""
+    owned, space = PrefixTrie(), PrefixTrie()
+    for entry in config.owned:
+        owned[entry.prefix] = entry
+    for held in config.owned_space:
+        space[held.prefix] = held
+    return owned, space
+
+
+def most_specific(trie: PrefixTrie, prefix: Prefix):
+    """The value of ``trie``'s longest match for ``prefix``, or None."""
+    match = trie.longest_match(prefix)
+    return None if match is None else match[1]
+
+
 def classify_with_config_tries(
     config: ArtemisConfig, event: FeedEvent, probe=None
 ) -> Optional[Tuple[AlertType, Prefix, Optional[int]]]:
-    """``(type, owned_prefix, offender)`` or None, from the config's tries.
+    """``(type, owned_prefix, offender)`` or None, from :func:`config_tries`.
 
     Precedence: exact owned entry, then the deeper of the covering owned
     prefix vs. covering owned *space*.  Owned space only exists for
@@ -119,11 +137,12 @@ def classify_with_config_tries(
         )
         return None if verdict is None else (verdict[0], entry.prefix, verdict[1])
 
-    entry = config.entry_for(event.prefix)
+    owned_trie, space_trie = config_tries(config)
+    entry = owned_trie.get(event.prefix)
     if entry is not None:
         return ladder(entry, exact=True)
-    covering = config.covering_entry(event.prefix)
-    space = config.covering_space(event.prefix) if config.detect_squatting else None
+    covering = most_specific(owned_trie, event.prefix)
+    space = most_specific(space_trie, event.prefix) if config.detect_squatting else None
     if covering is not None and (
         space is None or space.prefix.length < covering.prefix.length
     ):

@@ -2,8 +2,8 @@
 
 ``DetectionService.classify`` is the flat tenant tree's most-specific
 resolve plus the rule ladder.  The oracle
-(:func:`oracles.classify_with_config_tries`) picks the rule straight off
-``ArtemisConfig``'s own owned-prefix and owned-space tries.  This test
+(:func:`oracles.classify_with_config_tries`) picks the rule off a pair of
+``PrefixTrie`` built over the config's owned prefixes and owned space.  This test
 drives both with the same randomized announcements — prefixes
 inside/outside/astride the owned space, paths over legit and bogus ASNs,
 every corroboration state, every combination of the ``detect_*`` switches —

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.core.config import ArtemisConfig, OwnedPrefix
+from repro.core.config import ArtemisConfig, OwnedPrefix, OwnedSpace
 from repro.errors import ConfigError
 from repro.net.prefix import Prefix
+
+from oracles import config_tries, most_specific
+from test_classify_equivalence import PREFIXES, build_config, squat_hole_config
 
 
 def P(text):
@@ -59,13 +62,27 @@ class TestArtemisConfig:
             ArtemisConfig([])
 
     def test_duplicate_owned_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="duplicate owned prefix 10.0.0.0/23"):
             ArtemisConfig(
                 [
                     OwnedPrefix("10.0.0.0/23", {1}),
-                    OwnedPrefix("10.0.0.0/23", {2}),
+                    # A second spelling of the same network, not the same object.
+                    OwnedPrefix("10.0.1.77/23", {2}),
                 ]
             )
+
+    def test_duplicate_owned_space_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate owned space 10.0.8.0/22"):
+            self.make(
+                owned_space=[OwnedSpace("10.0.8.0/22", {1}), OwnedSpace("10.0.8.0/22", {2})]
+            )
+
+    def test_owned_prefix_also_owned_space_rejected(self):
+        with pytest.raises(
+            ConfigError,
+            match="10.0.0.0/23 configured as both owned prefix and owned space",
+        ):
+            self.make(owned_space=[OwnedSpace("10.0.0.0/23", {64500})])
 
     def test_entry_for_exact_only(self):
         config = self.make()
@@ -87,6 +104,22 @@ class TestArtemisConfig:
         assert config.covering_entry(P("10.0.0.0/24")).prefix == P("10.0.0.0/23")
         assert config.covering_entry(P("10.0.9.0/24")).prefix == P("10.0.0.0/16")
 
+    @pytest.mark.parametrize(
+        "config",
+        [build_config(), squat_hole_config(True), squat_hole_config(False)],
+        ids=["equivalence", "hole-squatting-on", "hole-squatting-off"],
+    )
+    def test_lookups_agree_with_trie_oracle(self, config):
+        owned, space = config_tries(config)
+        probes = PREFIXES + [
+            "0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/22", "10.0.2.0/23",
+            "10.0.2.0/24", "10.0.11.255/32", "2001:db8::/32",
+        ]
+        for probe in map(P, probes):
+            assert config.entry_for(probe) is owned.get(probe)
+            assert config.covering_entry(probe) is most_specific(owned, probe)
+            assert config.covering_space(probe) is most_specific(space, probe)
+
     def test_max_announce_length(self):
         config = self.make()
         assert config.max_announce_length(4) == 24
@@ -104,6 +137,18 @@ class TestArtemisConfig:
         assert back.auto_mitigate is False
         assert back.deaggregation_levels == 2
         assert back.owned_prefixes == config.owned_prefixes
+
+    def test_dict_roundtrip_keeps_every_field_and_lookup(self):
+        config = build_config(alert_cooldown=7.5, detect_path=False)
+        data = config.to_dict()
+        back = ArtemisConfig.from_dict(data)
+        assert back.to_dict() == data
+        assert [str(p) for p in back.monitored_prefixes] == [
+            "10.0.0.0/23", "10.0.4.0/24", "10.0.8.0/22", "10.0.0.0/21", "10.0.10.0/23",
+        ]
+        assert back.entry_for(P("10.0.4.0/24")).legit_origins == {65002}
+        assert back.covering_entry(P("10.0.9.0/24")).prefix == P("10.0.8.0/22")
+        assert back.covering_space(P("10.0.10.0/24")).prefix == P("10.0.10.0/23")
 
     def test_from_dict_missing_owned(self):
         with pytest.raises(ConfigError):

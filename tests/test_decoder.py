@@ -9,6 +9,9 @@ The contract under test (see DESIGN.md "Record decoder contract"):
   ``BGPError`` or a bare ``ValueError``;
 * AS paths are interned by exact spelling in a bounded table that is
   cleared wholesale, and a hit never crosses spellings;
+* records repeating a source, collector or vantage share one object per
+  spelling; the vantage table is bounded the same way and never holds a
+  spelling that failed validation;
 * both trace readers (``load_trace`` and the raw-line iterators behind
   ``ParallelDetectionPlane.feed_trace``) verify format, version, record
   count and digest.
@@ -16,6 +19,7 @@ The contract under test (see DESIGN.md "Record decoder contract"):
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -26,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import ArtemisConfig, OwnedPrefix
 from repro.errors import BGPError, FeedError
+from repro.feeds import dumpfile
 from repro.feeds.dumpfile import format_event, parse_event, read_events
 from repro.feeds.events import ANNOUNCE, WITHDRAW, FeedEvent
 from repro.feeds.replay import (
@@ -38,8 +43,10 @@ from repro.feeds.replay import (
 from repro.net import asn
 from repro.net.asn import MAX_ASN, intern_as_path, parse_as_path
 from repro.net.prefix import Prefix
-from repro.perf import COUNTERS
+from repro.perf import COUNTERS, collector_paused
 from repro.tenants import ParallelDetectionPlane, TenantRegistry
+
+from conftest import gc_collections
 
 # ---------------------------------------------------------------- round trip
 
@@ -117,6 +124,8 @@ HOSTILE = {
     "signed vantage": line(vantage="+5"),
     "fullwidth vantage": line(vantage="１２"),
     "vantage = 2**32": line(vantage=str(MAX_ASN + 1)),
+    "empty vantage": line(vantage=""),
+    "vantage beyond int() digit limit": line(vantage="9" * 5000),
     "bad kind": "Z" + GOOD[1:],
     "bad prefix": GOOD.replace("10.0.0.0/24", "10.0.0.0/33"),
 }
@@ -226,6 +235,45 @@ class TestPathInternTable:
         assert intern_as_path("5 6") == (5, 6)
 
 
+class TestSharedLeafFields:
+    def test_repeated_source_collector_vantage_share_objects(self):
+        text = "A|ris|rrc00|4200000001|10.0.0.0/24|1 2 3|{}|9.0"
+        first, second = parse_event(text.format("1.0")), parse_event(text.format("2.0"))
+        assert first.source is second.source
+        assert first.collector is second.collector
+        # Beyond CPython's small-int cache, so only the table can share it.
+        assert first.vantage_asn is second.vantage_asn
+        assert first.content_key()[:6] == ("ris", "rrc00", 4200000001, "A",
+                                           Prefix.parse("10.0.0.0/24"), (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "vantage", ["+5", "１２", "", "-1", str(MAX_ASN + 1), "9" * 5000],
+        ids=["signed", "fullwidth", "empty", "negative", "2**32", "5000 digits"],
+    )
+    def test_rejected_vantage_is_rejected_again_and_never_cached(self, vantage):
+        for _sighting in range(2):
+            with pytest.raises(FeedError):
+                parse_event(line(vantage=vantage))
+            assert vantage not in dumpfile._VANTAGE_CACHE
+
+    def test_vantage_hit_never_crosses_spellings(self):
+        assert parse_event(line(vantage="7")).vantage_asn == 7
+        assert parse_event(line(vantage="007")).vantage_asn == 7
+        assert parse_event(line(vantage="70")).vantage_asn == 70
+
+    def test_vantage_table_bounded_and_cleared_wholesale(self, monkeypatch):
+        assert dumpfile._VANTAGE_CACHE_LIMIT == 65536  # Prefix.parse's bound
+        monkeypatch.setattr(dumpfile, "_VANTAGE_CACHE_LIMIT", 8)
+        dumpfile._VANTAGE_CACHE.clear()
+        kept = parse_event(line(vantage="4200000001")).vantage_asn
+        for vantage in range(70000, 70100):
+            assert parse_event(line(vantage=str(vantage))).vantage_asn == vantage
+            assert len(dumpfile._VANTAGE_CACHE) <= 8
+        again = parse_event(line(vantage="4200000001")).vantage_asn
+        assert again == kept == 4200000001
+        assert again is not kept  # the table really was cleared in between
+
+
 # ------------------------------------------------------- frame verification
 
 
@@ -295,6 +343,48 @@ class TestBothReadersVerify:
                 parallel.feed_trace(bad)
         assert not any(process.is_alive() for process in processes)
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.usefixtures("restore_gc")
+class TestLoadPausesCollector:
+    """``load_trace`` pauses the cyclic collector and hands it back as found."""
+
+    def test_restored_on_return(self, tmp_path, caller_gc_enabled):
+        trace = load_trace(write_trace(tmp_path / "t.trace"))
+        assert len(trace.events) == 60
+        assert gc.isenabled() is caller_gc_enabled
+
+    @pytest.mark.parametrize("damage", ["no footer", "flipped timestamp byte"])
+    def test_restored_on_a_damaged_frame(self, tmp_path, caller_gc_enabled, damage):
+        edit, message = DAMAGE[damage]
+        bad = damaged(write_trace(tmp_path / "t.trace"), tmp_path, edit)
+        with pytest.raises(TraceError, match=message):
+            load_trace(bad)
+        assert gc.isenabled() is caller_gc_enabled
+
+    def test_restored_on_a_bad_record(self, tmp_path, caller_gc_enabled):
+        path = tmp_path / "hostile.trace"
+        path.write_text(seal([GOOD, HOSTILE["nan observed"]]), encoding="utf-8")
+        with pytest.raises(TraceError, match="bad record at line 3"):
+            load_trace(str(path))
+        assert gc.isenabled() is caller_gc_enabled
+
+    def test_nested_in_a_paused_caller_is_a_no_op(self, tmp_path):
+        path = write_trace(tmp_path / "t.trace")
+        gc.enable()
+        with collector_paused():
+            load_trace(path)
+            assert not gc.isenabled(), "the load lifted its caller's pause"
+        assert gc.isenabled()
+
+    def test_at_most_one_collection_across_a_load(self, tmp_path):
+        # 6,000 records: nine young-generation thresholds' worth of events.
+        path = write_trace(tmp_path / "t.trace", rounds=3000)
+        gc.enable()
+        before = gc_collections()
+        trace = load_trace(path)
+        assert gc_collections() - before <= 1
+        assert len(trace.events) == 6000
 
 
 def test_readers_agree_on_an_intact_trace(tmp_path, monkeypatch):

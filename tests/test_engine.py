@@ -5,7 +5,8 @@ import gc
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Engine, collector_paused
+from repro.perf import collector_paused
+from repro.sim.engine import Engine
 
 from conftest import gc_collections
 

@@ -25,6 +25,7 @@ Contracts under test (see DESIGN.md "Detection plane"):
 
 from __future__ import annotations
 
+import gc
 import threading
 from collections import OrderedDict
 
@@ -51,6 +52,7 @@ from repro.tenants import (
 )
 from repro.tenants import frames
 from repro.tenants.pipeline import PRUNE_CHECK_INTERVAL, classify_batch_verdicts
+from repro.tenants.registry import TenantRule
 from repro.tenants.synth import (
     baseline_services,
     build_synth_registry,
@@ -153,6 +155,25 @@ class TestTenantRegistry:
     def test_remove_unknown_tenant_rejected(self):
         with pytest.raises(Exception, match="no tenant"):
             TenantRegistry().remove_tenant("ghost")
+
+    def test_churned_tenant_leaves_no_rows_behind(self):
+        """1,000 add/remove rounds of one tenant, a new prefix each round:
+        the registry retains the rows a fresh one holds and not one more."""
+
+        def live_rows():
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if type(obj) is TenantRule)
+
+        registry = two_tenant_registry()
+        before = live_rows()  # this registry's two, plus any other test's
+        for round_ in range(1000):
+            registry.add_tenant(
+                "churn", ArtemisConfig([OwnedPrefix(pad_prefix(round_), [65001])])
+            )
+            registry.remove_tenant("churn")
+        assert live_rows() == before
+        assert registry.num_rules == 2
+        assert registry.to_spec() == two_tenant_registry().to_spec()
 
     def test_spec_roundtrip(self):
         # The canonical row dump: equal for equal registries, plain data.
@@ -862,7 +883,7 @@ class TestPartitioning:
     def test_assign_roots_round_robin_deterministic(self):
         roots = [Prefix.parse(f"10.{i}.0.0/16") for i in range(5)]
         routing = assign_roots(roots, num_workers=2)
-        owners = [routing.get(root) for root in roots]
+        owners = [routing[root.ikey] for root in roots]
         assert owners == [0, 1, 0, 1, 0]
 
     def test_iter_trace_lines_rejects_truncation(self, tmp_path):

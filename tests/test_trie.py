@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.prefix import Address, Prefix
+from repro.net.prefix import Address, Prefix, longest_match
 from repro.net.trie import PrefixTrie
 
 
@@ -167,6 +167,37 @@ def test_longest_match_equals_bruteforce(prefixes, probe_value):
         assert match is None
     else:
         assert match[0] == expected
+
+
+@st.composite
+def nested_prefix(draw):
+    """v4 or v6, crowded into the top 10 bits so draws nest and collide."""
+    version = draw(st.sampled_from([4, 6]))
+    bits = 32 if version == 4 else 128
+    value = draw(st.integers(0, (1 << 10) - 1)) << (bits - 10)
+    return Prefix(value, draw(st.integers(0, 14)), version)
+
+
+@given(
+    stored=st.lists(nested_prefix(), max_size=30),
+    probes=st.lists(nested_prefix(), max_size=10),
+    default_routes=st.booleans(),
+)
+def test_walk_up_longest_match_equals_trie(stored, probes, default_routes):
+    """``longest_match`` over an ikey dict ≡ ``PrefixTrie.longest_match``."""
+    if default_routes:
+        stored = stored + [Prefix(0, 0, 4), Prefix(0, 0, 6)]
+    trie, table = PrefixTrie(), {}
+    for index, prefix in enumerate(stored):  # index 0: a falsy stored value
+        trie[prefix] = index
+        table[prefix.ikey] = index
+    shortest = min((prefix.length for prefix in stored), default=0)
+    # Drawn probes, every stored prefix itself, and a supernet of each that
+    # is shorter than anything stored (or the /0 itself).
+    shorter = [prefix.supernet(max(0, shortest - 1)) for prefix in stored]
+    for probe in probes + stored + shorter:
+        match = trie.longest_match(probe)
+        assert longest_match(table, probe) == (None if match is None else match[1])
 
 
 @given(st.lists(v4_prefix(), min_size=1, max_size=30))
