@@ -68,12 +68,11 @@ EXPECTED_10K = {
 }
 
 
-def _scenario(topology: dict, num_shards: int, compact: bool = False):
+def _scenario(topology: dict, num_shards: int):
     return ShardScenarioConfig(
         topology=GeneratorConfig(**topology),
         seed=SEED,
         num_shards=num_shards,
-        compact=compact,
     )
 
 
@@ -84,11 +83,11 @@ def _cached_graph(topology: dict, tmp_path_factory):
     return load_or_build_graph(GeneratorConfig(**topology), SEED, cache_dir)
 
 
-def _run(topology: dict, num_shards: int, graph, compact: bool = False):
+def _run(topology: dict, num_shards: int, graph):
     """One timed scenario run; returns (result, wall_seconds, counters)."""
     COUNTERS.reset()
     started = time.perf_counter()
-    result = run_shard_scenario(_scenario(topology, num_shards, compact), graph=graph)
+    result = run_shard_scenario(_scenario(topology, num_shards), graph=graph)
     wall = time.perf_counter() - started
     return result, wall, COUNTERS.as_dict()
 
@@ -149,7 +148,7 @@ def test_scale10k_full_pinned(benchmark, tmp_path_factory):
     holder = {}
 
     def sharded():
-        holder["run"] = _run(SCALE10K_TOPOLOGY, num_shards, graph, compact=True)
+        holder["run"] = _run(SCALE10K_TOPOLOGY, num_shards, graph)
 
     run_once(benchmark, sharded)
     result, wall, counters = holder["run"]

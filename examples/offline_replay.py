@@ -4,10 +4,11 @@
 Third-party services work this way on RouteViews archives; operators do it
 for post-mortems.  This example:
 
-  1. runs a hijack experiment while recording everything the RIS stream
-     delivered to a dump file (``bgpdump -m``-style lines);
-  2. loads the archive in a fresh process-state and replays it through a
-     brand-new detection service with the same operator configuration;
+  1. runs a hijack experiment while recording everything the streams and
+     looking glasses delivered to a sealed trace file (``bgpdump -m``-style
+     record lines between a header and a count + SHA-256 footer);
+  2. loads and verifies the archive and replays it through a brand-new
+     detection service with the same operator configuration;
   3. shows that offline detection reaches the identical verdict (same
      offender, same first-evidence timestamp) as the live run.
 
@@ -18,8 +19,7 @@ import sys
 import tempfile
 
 from repro.core.config import ArtemisConfig, OwnedPrefix
-from repro.core.detection import DetectionService
-from repro.feeds.dumpfile import FeedRecorder
+from repro.feeds.replay import ReplaySession, TraceRecorder
 from repro.testbed import HijackExperiment, ScenarioConfig
 from repro.topology import GeneratorConfig
 
@@ -29,7 +29,7 @@ def main() -> None:
     dump_path = (
         sys.argv[2]
         if len(sys.argv) > 2
-        else tempfile.NamedTemporaryFile(suffix=".dump", delete=False).name
+        else tempfile.NamedTemporaryFile(suffix=".trace", delete=False).name
     )
 
     # --- live run, with a recorder tee'd onto the RIS stream ------------
@@ -38,15 +38,16 @@ def main() -> None:
     )
     experiment = HijackExperiment(config)
     experiment.setup()
-    recorder = FeedRecorder()
+    recorder = TraceRecorder(dump_path, config=experiment.artemis.config)
     for source in (
         experiment.monitors.ris,
         experiment.monitors.bgpmon,
         experiment.monitors.periscope,
     ):
-        source.subscribe(recorder, prefixes=[config.prefix])
+        recorder.attach(source, prefixes=[config.prefix])
     result = experiment.run()
-    count = recorder.save(dump_path)
+    recorder.close(meta={"hijack_time": result.hijack_time})
+    count = recorder.records
     live_alert = experiment.artemis.alerts[0]
     print(f"live run: detected AS{live_alert.offender_asn} at "
           f"t={live_alert.detected_at:.1f}s (hijack at t={result.hijack_time:.1f}s)")
@@ -57,10 +58,9 @@ def main() -> None:
         owned=[OwnedPrefix(config.prefix, {experiment.victim.asn})],
         auto_mitigate=False,
     )
-    offline = DetectionService(offline_config)
-    loaded = FeedRecorder.load(dump_path)
-    loaded.replay_into(offline.handle_event)
-    offline_alert = offline.alert_manager.alerts[0]
+    offline = ReplaySession(dump_path, config=offline_config)
+    offline.run()
+    offline_alert = offline.alerts[0]
     print(f"offline replay: detected AS{offline_alert.offender_asn} at "
           f"t={offline_alert.detected_at:.1f}s from the archive alone")
 

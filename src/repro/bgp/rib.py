@@ -164,7 +164,7 @@ class AdjRibIn:
         so the caller can run the withdraw-aware incremental decision.
 
         Pairs come in ascending ``ikey`` order whatever the learn order —
-        the one teardown order, shared with the compact layout.
+        the one teardown order.
         """
         pairs = [(route.prefix, route) for route in self._routes_from(peer_asn)]
         for prefix, _route in pairs:

@@ -32,6 +32,7 @@ from typing import List, Optional
 
 from repro.baselines.factories import FACTORIES
 from repro.baselines.runner import BaselineExperiment
+from repro.errors import ReproError
 from repro.eval.experiments import (
     liveness_summary,
     per_source_detection,
@@ -201,24 +202,19 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Replay a recorded trace through a standalone detection plane."""
-    from repro.errors import FeedError
     from repro.feeds.replay import ReplaySession
 
     if args.synth_tenants or args.tenants:
         return _cmd_replay_tenants(args)
 
-    try:
-        session = ReplaySession(
-            args.trace,
-            speed=args.speed,
-            faults=args.faults,
-            seed=args.seed,
-            supervise=args.supervise,
-        )
-        report = session.run(max_events=args.max_events)
-    except FeedError as error:
-        print(f"replay failed: {error}", file=sys.stderr)
-        return 2
+    session = ReplaySession(
+        args.trace,
+        speed=args.speed,
+        faults=args.faults,
+        seed=args.seed,
+        supervise=args.supervise,
+    )
+    report = session.run(max_events=args.max_events)
 
     def fmt(value) -> str:
         if value is None:
@@ -272,8 +268,8 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.core.config import ArtemisConfig
-    from repro.errors import FeedError, ReproError
-    from repro.feeds.replay import TraceError, load_trace
+    from repro.errors import ConfigError
+    from repro.feeds.replay import load_trace
     from repro.perf import COUNTERS
     from repro.tenants import DetectionPlane, ParallelDetectionPlane, TenantRegistry
     from repro.tenants.synth import build_synth_registry, observed_origin_map
@@ -285,28 +281,28 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        trace = load_trace(args.trace)
-        if args.tenants:
+    trace = load_trace(args.trace)
+    if args.tenants:
+        registry = TenantRegistry()
+        try:
             with open(args.tenants, "r", encoding="utf-8") as handle:
                 spec = json.load(handle)
-            registry = TenantRegistry()
             for name, entry in sorted(spec["tenants"].items()):
                 registry.add_tenant(
                     name,
                     ArtemisConfig.from_dict(entry["config"]),
                     autoignore_visibility=entry.get("autoignore_visibility", 0),
                 )
-        else:
-            registry = build_synth_registry(
-                observed_origin_map(trace.events),
-                num_tenants=args.synth_tenants,
-                num_prefixes=args.synth_prefixes
-                or 100 * args.synth_tenants,
-            )
-    except (FeedError, ReproError, OSError, KeyError, ValueError) as error:
-        print(f"tenant replay failed: {error}", file=sys.stderr)
-        return 2
+        except (KeyError, ValueError) as error:  # not JSON, or a missing key
+            raise ConfigError(
+                f"malformed tenant spec {args.tenants}: {error!r}"
+            ) from None
+    else:
+        registry = build_synth_registry(
+            observed_origin_map(trace.events),
+            num_tenants=args.synth_tenants,
+            num_prefixes=args.synth_prefixes or 100 * args.synth_tenants,
+        )
 
     COUNTERS.reset()
     workers = max(1, args.detect_workers)
@@ -319,9 +315,6 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
             parallel.start()
             parallel.feed_trace(args.trace)
             result = parallel.finish()
-        except TraceError as error:
-            print(f"tenant replay failed: {error}", file=sys.stderr)
-            return 2
         finally:
             parallel.close()
         events_seen = (
@@ -617,7 +610,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
         ),
         seed=args.seed,
         num_shards=args.shards,
-        compact=args.compact,
         num_monitors=args.monitors,
         cache_dir=args.cache_dir,
     )
@@ -634,7 +626,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
             num_tier1=args.tier1, num_tier2=args.tier2, num_stubs=args.stubs
         ).total_ases],
         ["shards", args.shards],
-        ["rib", "compact" if args.compact else "classic"],
         ["victim", f"AS{result.victim}"],
         ["hijacker", f"AS{result.hijacker}"],
         ["helper", f"AS{result.helper}"],
@@ -648,7 +639,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
     if args.json:
         payload = {
             "shards": args.shards,
-            "compact": args.compact,
             "seed": args.seed,
             "victim": result.victim,
             "hijacker": result.hijacker,
@@ -852,11 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes to partition the AS graph across "
         "(1 = in-process reference path; outcomes are bit-identical)",
     )
-    scale.add_argument(
-        "--compact",
-        action="store_true",
-        help="use the array-backed compact Adj-RIB-In speakers",
-    )
     scale.add_argument("--tier1", type=int, default=8, help="number of tier-1 ASes")
     scale.add_argument("--tier2", type=int, default=60, help="number of tier-2 ASes")
     scale.add_argument("--stubs", type=int, default=250, help="number of stub ASes")
@@ -895,7 +880,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if profile or profile_json:
         COUNTERS.reset()
         started = time.perf_counter()
-    code = args.func(args)
+    try:
+        code = args.func(args)
+    except (ReproError, OSError) as error:
+        # The one failure contract of every command: bad arguments, a
+        # missing or damaged input file and a dead worker are one line on
+        # stderr and exit code 2, never a traceback.
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 2
     if profile:
         print()
         print(format_profile(time.perf_counter() - started))

@@ -21,7 +21,6 @@ from repro.feeds.batch import BatchArchive
 from repro.feeds.bgpmon import BGPMonStream
 from repro.feeds.collector import RouteCollector
 from repro.feeds.deploy import MonitorDeployment, deploy_monitors
-from repro.feeds.dumpfile import FeedRecorder, read_events, write_events
 from repro.feeds.events import FeedEvent
 from repro.feeds.interest import InterestIndex, Subscription
 from repro.feeds.periscope import LookingGlass, PeriscopeAPI
@@ -42,7 +41,6 @@ __all__ = [
     "BGPMonStream",
     "BatchArchive",
     "FeedEvent",
-    "FeedRecorder",
     "InterestIndex",
     "LookingGlass",
     "MonitorDeployment",
@@ -60,6 +58,4 @@ __all__ = [
     "alert_sequence_digest",
     "deploy_monitors",
     "load_trace",
-    "read_events",
-    "write_events",
 ]

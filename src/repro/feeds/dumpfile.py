@@ -1,22 +1,21 @@
-"""Feed-event dump files.
+"""The feed-event record codec.
 
-Real pipelines persist BGP observations as MRT archives; this module
-provides the equivalent for the simulator's :class:`~repro.feeds.events.FeedEvent`
-stream in a simple line-oriented text format (one event per line, ``|``
-separated — the same spirit as ``bgpdump -m`` output)::
+Real pipelines persist BGP observations as MRT archives; the simulator's
+:class:`~repro.feeds.events.FeedEvent` stream is archived one event per
+line, ``|`` separated (the same spirit as ``bgpdump -m`` output)::
 
     A|<source>|<collector>|<vantage_asn>|<prefix>|<as path>|<observed>|<delivered>
     W|<source>|<collector>|<vantage_asn>|<prefix>||<observed>|<delivered>
 
-Round-trips exactly; readers tolerate comments and blank lines.  This lets
-experiments archive what their monitors saw and re-run detection offline —
-the workflow third-party services use on RouteViews data.
+Round-trips exactly.  This module is only the line codec; the archive
+around it — header, record count, SHA-256, recorder, replay — is
+:mod:`repro.feeds.replay`.
 """
 
 from __future__ import annotations
 
 from sys import intern
-from typing import IO, Dict, Iterable, Iterator, List, Union
+from typing import Dict
 
 from repro.errors import BGPError, FeedError
 from repro.feeds.events import FeedEvent
@@ -78,68 +77,3 @@ def parse_event(line: str) -> FeedEvent:
 #: Vantage spelling -> ASN; bounded, cleared wholesale when full (as ``Prefix.parse``'s).
 _VANTAGE_CACHE: Dict[str, int] = {}
 _VANTAGE_CACHE_LIMIT = 65536
-
-
-def write_events(
-    target: Union[str, IO[str]], events: Iterable[FeedEvent]
-) -> int:
-    """Write events to a path or open text file; returns the count."""
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as handle:
-            return write_events(handle, events)
-    count = 0
-    target.write("# repro feed dump v1\n")
-    for event in events:
-        target.write(format_event(event) + "\n")
-        count += 1
-    return count
-
-
-def read_events(source: Union[str, IO[str]]) -> Iterator[FeedEvent]:
-    """Yield events from a path or open text file."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from read_events(handle)
-            return
-    for line in source:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield parse_event(stripped)
-
-
-class FeedRecorder:
-    """Subscribe to any source and archive everything it delivers.
-
-    ``recorder = FeedRecorder(); stream.subscribe(recorder)`` then
-    ``recorder.save(path)`` at the end of the run.  The recorded list can
-    also be replayed through a detection service directly (offline
-    re-analysis), via :meth:`replay_into`.
-    """
-
-    def __init__(self) -> None:
-        self.events: List[FeedEvent] = []
-
-    def __call__(self, event: FeedEvent) -> None:
-        self.events.append(event)
-
-    def save(self, path: str) -> int:
-        return write_events(path, self.events)
-
-    @classmethod
-    def load(cls, path: str) -> "FeedRecorder":
-        recorder = cls()
-        recorder.events = list(read_events(path))
-        return recorder
-
-    def replay_into(self, handler) -> int:
-        """Feed every recorded event to ``handler(event)`` in delivery order."""
-        for event in sorted(self.events, key=lambda e: e.delivered_at):
-            handler(event)
-        return len(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __repr__(self) -> str:
-        return f"<FeedRecorder {len(self.events)} events>"

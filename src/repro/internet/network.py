@@ -90,10 +90,6 @@ class NetworkConfig:
 class Network:
     """A live simulated Internet."""
 
-    #: Speaker implementation instantiated per AS; the sharded runner swaps
-    #: in the compact-RIB speaker without changing the build sequence.
-    speaker_class = BGPSpeaker
-
     def __init__(
         self,
         graph: ASGraph,
@@ -121,7 +117,7 @@ class Network:
     # ------------------------------------------------------------------ build
 
     def _make_speaker(self, asn: int, policy: Optional[Policy] = None) -> BGPSpeaker:
-        speaker = self.speaker_class(
+        speaker = BGPSpeaker(
             asn,
             self.engine,
             policy=policy or self.config.make_policy(),
@@ -180,6 +176,30 @@ class Network:
             self._register_session(session)
             speaker_a.add_peer(session, a_view)
             speaker_b.add_peer(session, a_view.inverse())
+
+    # -------------------------------------------------------------------- fork
+
+    def fork_memo(self, shared=()) -> Dict[int, object]:
+        """The ``deepcopy`` memo that forks this network copy-on-write.
+
+        The graph, config, RPKI registry, per-speaker policies and the
+        caller's ``shared`` objects map to themselves (frozen after setup,
+        never copied).  Every speaker is pre-registered as an empty shell
+        before any is filled, which (a) bounds recursion depth — a naive
+        deepcopy would chain speaker → session → peer speaker → … through
+        the whole connected graph — and (b) lets every session/callback
+        encountered later resolve its speaker references through the memo.
+        RIB tables fork copy-on-write via the RIBs' own ``__deepcopy__``.
+        """
+        memo: Dict[int, object] = {
+            id(obj): obj for obj in (self.graph, self.config, self.rpki, *shared)
+        }
+        for speaker in self.speakers.values():
+            memo[id(speaker.policy)] = speaker.policy
+            memo[id(speaker)] = BGPSpeaker.__new__(BGPSpeaker)
+        for speaker in self.speakers.values():
+            memo[id(speaker)]._fill_from_fork(speaker, memo)
+        return memo
 
     # ------------------------------------------------------------------ access
 

@@ -71,13 +71,10 @@ class SingleRunner:
         graph: ASGraph,
         config: Optional[NetworkConfig] = None,
         seed: int = 0,
-        compact: bool = False,
     ):
         config = config or NetworkConfig()
         rov = precompute_rov_adopters(graph, config, seed)
-        self.world = ShardWorld(
-            graph, config, seed, graph.asns(), rov_adopters=rov, compact=compact
-        )
+        self.world = ShardWorld(graph, config, seed, graph.asns(), rov_adopters=rov)
         self.now = 0.0
 
     def watch(self, target) -> None:
@@ -138,7 +135,6 @@ class ShardRunner:
         plan: ShardPlan,
         config: Optional[NetworkConfig] = None,
         seed: int = 0,
-        compact: bool = False,
     ):
         if plan.num_shards < 2:
             raise SimulationError("ShardRunner needs >= 2 shards; use SingleRunner")
@@ -178,7 +174,6 @@ class ShardRunner:
                     rov,
                     seed,
                     config,
-                    compact,
                 )
                 process = context.Process(
                     target=worker_main, args=(spec, child_conn), daemon=True
@@ -195,10 +190,16 @@ class ShardRunner:
 
     # ------------------------------------------------------------- transport
 
+    def _send(self, shard: int, request: tuple) -> None:
+        try:
+            self._conns[shard].send(request)
+        except (BrokenPipeError, ConnectionResetError):
+            raise SimulationError(f"shard {shard} worker died") from None
+
     def _recv(self, shard: int):
         try:
             status, payload = self._conns[shard].recv()
-        except EOFError:
+        except (EOFError, ConnectionResetError):  # reset: it died with mail unread
             raise SimulationError(f"shard {shard} worker died") from None
         if status != "ok":
             raise SimulationError(str(payload))
@@ -209,13 +210,13 @@ class ShardRunner:
 
     def _command_all(self, *request) -> None:
         """Send a mutating command to every shard; statuses refresh."""
-        for conn in self._conns:
-            conn.send(request)
+        for shard in range(self.num_shards):
+            self._send(shard, request)
         for shard in range(self.num_shards):
             self._record_status(shard, self._recv(shard))
 
     def _command_one(self, shard: int, *request) -> None:
-        self._conns[shard].send(request)
+        self._send(shard, request)
         self._record_status(shard, self._recv(shard))
 
     # -------------------------------------------------------------- commands
@@ -270,7 +271,7 @@ class ShardRunner:
                 for link in sorted(pending)
             ]
             self._pending[shard] = {}
-            self._conns[shard].send(("window", epoch, window_end, bundles))
+            self._send(shard, ("window", epoch, window_end, bundles))
         link_shards = self._link_shards
         for shard in range(self.num_shards):
             out, next_time, in_flight = self._recv(shard)
@@ -299,24 +300,24 @@ class ShardRunner:
 
     def observe(self, target) -> Dict[int, Optional[int]]:
         merged: Dict[int, Optional[int]] = {}
-        for conn in self._conns:
-            conn.send(("observe", target))
+        for shard in range(self.num_shards):
+            self._send(shard, ("observe", target))
         for shard in range(self.num_shards):
             merged.update(self._recv(shard))
         return merged
 
     def flips(self, target) -> List[Tuple[float, int, Optional[int]]]:
         merged: List[Tuple[float, int, Optional[int]]] = []
-        for conn in self._conns:
-            conn.send(("flips", target))
+        for shard in range(self.num_shards):
+            self._send(shard, ("flips", target))
         for shard in range(self.num_shards):
             merged.extend(self._recv(shard))
         return sorted(merged)
 
     def stats(self) -> Dict[str, int]:
         merged: Dict[str, int] = {}
-        for conn in self._conns:
-            conn.send(("stats",))
+        for shard in range(self.num_shards):
+            self._send(shard, ("stats",))
         for shard in range(self.num_shards):
             for key, value in self._recv(shard).items():
                 merged[key] = merged.get(key, 0) + value
@@ -357,8 +358,8 @@ class ShardRunner:
         extras.
         """
         deltas = []
-        for conn in self._conns:
-            conn.send(("perf",))
+        for shard in range(self.num_shards):
+            self._send(shard, ("perf",))
         for shard in range(self.num_shards):
             delta = self._recv(shard)
             _C.merge(delta)
@@ -398,14 +399,13 @@ def make_runner(
     num_shards: int,
     config: Optional[NetworkConfig] = None,
     seed: int = 0,
-    compact: bool = False,
 ) -> Union[SingleRunner, ShardRunner]:
     """Build the right runner for ``num_shards`` (partitioning included)."""
     if num_shards < 1:
         raise SimulationError(f"num_shards must be >= 1, got {num_shards}")
     if num_shards == 1:
-        return SingleRunner(graph, config, seed, compact=compact)
+        return SingleRunner(graph, config, seed)
     from repro.shard.partition import partition_graph
 
     plan = partition_graph(graph, num_shards, config)
-    return ShardRunner(graph, plan, config, seed, compact=compact)
+    return ShardRunner(graph, plan, config, seed)

@@ -34,7 +34,6 @@ class ShardScenarioConfig:
         topology: Optional[GeneratorConfig] = None,
         seed: int = 0,
         num_shards: int = 1,
-        compact: bool = False,
         prefix: str = "10.0.0.0/22",
         hijack_prefix: str = "10.0.0.0/24",
         t_hijack: float = 400.0,
@@ -49,7 +48,6 @@ class ShardScenarioConfig:
         self.topology = topology or GeneratorConfig()
         self.seed = seed
         self.num_shards = num_shards
-        self.compact = compact
         self.prefix = prefix
         self.hijack_prefix = hijack_prefix
         self.t_hijack = t_hijack
@@ -171,7 +169,6 @@ def run_shard_scenario(
         config.num_shards,
         config=config.network,
         seed=config.seed,
-        compact=config.compact,
     )
     try:
         runner.watch(config.hijack_prefix)

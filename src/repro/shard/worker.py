@@ -37,7 +37,6 @@ class ShardSpec:
         "rov_adopters",
         "seed",
         "config",
-        "compact",
     )
 
     def __init__(
@@ -48,7 +47,6 @@ class ShardSpec:
         rov_adopters: FrozenSet[int],
         seed: int,
         config: Optional[NetworkConfig],
-        compact: bool,
     ):
         self.shard_id = shard_id
         self.graph_lines = graph_lines
@@ -56,7 +54,6 @@ class ShardSpec:
         self.rov_adopters = frozenset(rov_adopters)
         self.seed = seed
         self.config = config
-        self.compact = compact
 
     def build_world(self) -> ShardWorld:
         graph = from_caida_lines(self.graph_lines, validate=False)
@@ -66,7 +63,6 @@ class ShardSpec:
             self.seed,
             self.local_asns,
             rov_adopters=self.rov_adopters,
-            compact=self.compact,
         )
 
 

@@ -22,8 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bgp.rpki import ROVFilter
 from repro.bgp.session import Session
-from repro.bgp.speaker import BGPSpeaker
-from repro.bgp.ribcompact import CompactSpeaker
 from repro.errors import SimulationError
 from repro.internet.network import Network, NetworkConfig
 from repro.internet.origins import OriginCache
@@ -46,7 +44,6 @@ class ShardNetwork(Network):
         seed: int,
         local_asns,
         rov_adopters=frozenset(),
-        compact: bool = False,
         engine: Optional[Engine] = None,
     ):
         self._local_asns = frozenset(local_asns)
@@ -59,8 +56,6 @@ class ShardNetwork(Network):
         #: sessions a window step needs to visit.  Sessions register
         #: themselves here on first send (see ``BoundarySession.send``).
         self.active_boundaries: set = set()
-        if compact:
-            self.speaker_class = CompactSpeaker
         super().__init__(graph, config, seed, engine)
 
     def _build(self) -> None:
@@ -156,11 +151,9 @@ class ShardWorld:
         seed: int,
         local_asns,
         rov_adopters=frozenset(),
-        compact: bool = False,
     ):
         self.network = ShardNetwork(
-            graph, config, seed, local_asns,
-            rov_adopters=rov_adopters, compact=compact,
+            graph, config, seed, local_asns, rov_adopters=rov_adopters
         )
         self.fliplogs: Dict[Prefix, FlipLog] = {}
         self.epoch = 0
@@ -327,32 +320,10 @@ class ShardWorld:
 
 
 def fork_world(world: ShardWorld) -> ShardWorld:
-    """Deepcopy a :class:`ShardWorld` with the checkpoint shell pre-pass.
-
-    Speaker shells are registered in the memo before filling, bounding
-    recursion depth and letting sessions/callbacks resolve speaker
-    references through the memo (same pattern as ``Checkpoint.fork``).
-    Graph, configs, RPKI registry and policies are shared, RIB tables are
-    copy-on-write via the RIBs' own ``__deepcopy__``.
-    """
-    network = world.network
-    memo: Dict[int, object] = {}
-    for shared in (network.graph, network.config, network.rpki):
-        memo[id(shared)] = shared
-    for speaker in network.speakers.values():
-        policy = speaker.policy
-        if id(policy) not in memo:
-            memo[id(policy)] = policy
-    speakers = list(network.speakers.values())
-    shells = []
-    for speaker in speakers:
-        shell = type(speaker).__new__(type(speaker))
-        memo[id(speaker)] = shell
-        shells.append(shell)
-    for speaker, shell in zip(speakers, shells):
-        shell._fill_from_fork(speaker, memo)
+    """Deepcopy a :class:`ShardWorld` through :meth:`Network.fork_memo`."""
+    memo = world.network.fork_memo()
     clone = copy.copy(world)
-    clone.network = copy.deepcopy(network, memo)
+    clone.network = copy.deepcopy(world.network, memo)
     clone.fliplogs = copy.deepcopy(world.fliplogs, memo)
     clone._snapshot = None
     return clone

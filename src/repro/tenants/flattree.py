@@ -11,8 +11,7 @@ is the paper's single-operator rule selection.
 
 A node-object trie (one ``_Node`` per radix level plus a ``list`` bucket
 per stored prefix) is an acceptable tax at ~100k monitored prefixes; at
-millions it dominates the plane's RSS.  So the layout is packed (the
-``repro.bgp.ribcompact`` approach applied to the tenant tree):
+millions it dominates the plane's RSS.  So the layout is packed:
 
 * **Trie nodes** are rows in parallel ``array('i')`` columns — ``left``
   child, ``right`` child, stored ``pid`` — 12 bytes per node instead of a

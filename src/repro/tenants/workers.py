@@ -353,10 +353,16 @@ class ParallelDetectionPlane:
         if not buffer:
             return
         self._epochs[worker] += 1
-        send_frame(
-            self._conns[worker], encode_batch(self._epochs[worker], buffer)
-        )
+        self._send(worker, encode_batch(self._epochs[worker], buffer))
         self._buffers[worker] = []
+
+    def _send(self, worker: int, frame: bytes) -> None:
+        try:
+            send_frame(self._conns[worker], frame)
+        except (BrokenPipeError, ConnectionResetError):
+            raise TenantWorkerError(
+                f"detect worker {worker} died before reporting"
+            ) from None
 
     # -------------------------------------------------------------- finish
 
@@ -379,12 +385,12 @@ class ParallelDetectionPlane:
         finish_frame = encode_frame(FRAME_FINISH, 0)
         for worker in range(self.num_workers):
             self._ship(worker)
-            send_frame(self._conns[worker], finish_frame)
+            self._send(worker, finish_frame)
         payloads = []
         for worker in range(self.num_workers):
             try:
                 data = self._conns[worker].recv_bytes()
-            except EOFError:
+            except (EOFError, ConnectionResetError):  # reset: died with mail unread
                 raise TenantWorkerError(
                     f"detect worker {worker} died before reporting"
                 ) from None

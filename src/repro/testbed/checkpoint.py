@@ -173,39 +173,15 @@ class Checkpoint:
 
     # ------------------------------------------------------------------- fork
 
-    def _shared_objects(self):
-        """Objects shared (not copied) by every fork: frozen after setup."""
-        master = self.experiment
-        network = master.network
-        yield master.config
-        yield master.config.topology
-        yield network.graph
-        yield network.config
-        yield network.rpki
-        for speaker in network.speakers.values():
-            yield speaker.policy
-
     def fork(self) -> HijackExperiment:
         """A private, runnable copy of the captured experiment.
 
-        Speaker shells are pre-registered in the deepcopy memo before any
-        filling happens, which (a) bounds recursion depth — a naive
-        deepcopy would chain speaker → session → peer speaker → … through
-        the whole connected graph — and (b) lets every session/callback
-        encountered later resolve its speaker references through the memo.
+        The network's fork memo (shared world objects, every speaker shell
+        pre-registered and filled — see :meth:`Network.fork_memo`) plus the
+        scenario config and its topology, which are frozen after setup.
         """
         master = self.experiment
-        memo: Dict[int, object] = {}
-        for obj in self._shared_objects():
-            memo[id(obj)] = obj
-        speakers = list(master.network.speakers.values())
-        shells = []
-        for speaker in speakers:
-            shell = type(speaker).__new__(type(speaker))
-            memo[id(speaker)] = shell
-            shells.append(shell)
-        for speaker, shell in zip(speakers, shells):
-            shell._fill_from_fork(speaker, memo)
+        memo = master.network.fork_memo((master.config, master.config.topology))
         fork = copy.deepcopy(master, memo)
         fork.network.engine.thaw()
         _C.checkpoint_restores += 1

@@ -36,12 +36,15 @@ from repro.internet.tracker import OriginTracker
 from repro.net.prefix import Prefix
 from repro.perf import collector_paused
 from repro.sdn.controller import BGPController
-from repro.sim.latency import DelaySpec, Uniform, make_delay
 from repro.sim.rng import SeededRNG
 from repro.testbed.peering import PeeringTestbed, VirtualAS
 from repro.topology.cache import load_or_build_graph
 from repro.topology.generator import GeneratorConfig
 from repro.topology.graph import ASGraph, Relationship
+
+#: Transit sites the victim and the hijacker virtual AS each connect through
+#: (multi-homed, like a PEERING experiment announcing from two muxes).
+SITES_PER_AS = 2
 
 
 class PathPresenceProbe:
@@ -146,9 +149,6 @@ class ScenarioConfig:
         topology: Optional[GeneratorConfig] = None,
         graph: Optional[ASGraph] = None,
         network: Optional[NetworkConfig] = None,
-        victim_sites: int = 2,
-        hijacker_sites: int = 2,
-        controller_delay: DelaySpec = None,
         monitors: Optional[Dict] = None,
         auto_mitigate: bool = True,
         deaggregation_levels: int = 1,
@@ -159,7 +159,6 @@ class ScenarioConfig:
         churn: Optional[ChurnConfig] = ChurnConfig(),
         churn_warmup: float = 180.0,
         observation_window: float = 600.0,
-        probe_depth: int = 1,
         forge_origin: bool = False,
         num_helpers: int = 0,
         enabled_sources: Optional[Tuple[str, ...]] = None,
@@ -175,7 +174,6 @@ class ScenarioConfig:
         cache_dir: Optional[str] = None,
         hijack_type: Optional[str] = None,
         corroborate: Optional[bool] = None,
-        corroborate_threshold: float = 0.95,
     ):
         self.prefix = Prefix.parse(prefix)
         #: Which taxonomy class the attacker plays: ``type-0`` (origin),
@@ -225,14 +223,6 @@ class ScenarioConfig:
         self.topology = topology or GeneratorConfig()
         self.graph = graph
         self.network = network
-        self.victim_sites = int(victim_sites)
-        self.hijacker_sites = int(hijacker_sites)
-        #: SDN programming latency (paper ≈ 15 s).
-        self.controller_delay = (
-            make_delay(controller_delay)
-            if controller_delay is not None
-            else Uniform(10.0, 20.0)
-        )
         #: Keyword arguments forwarded to :func:`deploy_monitors`.
         self.monitors = dict(monitors or {})
         self.auto_mitigate = bool(auto_mitigate)
@@ -246,10 +236,6 @@ class ScenarioConfig:
         #: (pass ``churn=None`` for a quiet laboratory network).
         self.churn = churn
         self.churn_warmup = float(churn_warmup)
-        #: Ground-truth probe granularity below the owned prefix (1 = the
-        #: de-aggregation halves; raise it when the hijacker announces a
-        #: deeper more-specific, e.g. 2 for a /24 inside a /22).
-        self.probe_depth = int(probe_depth)
         #: Derived compatibility flag: True for the classes where the
         #: *hijacker* forges a path ending at the victim (type-N with
         #: N ≥ 1, and type-U) so origin checks pass.  Route leaks forge
@@ -344,12 +330,6 @@ class ScenarioConfig:
         self.corroborate = (
             self.hijack_type == "type-U" if corroborate is None else bool(corroborate)
         )
-        if not 0.0 < float(corroborate_threshold) <= 1.0:
-            raise ExperimentError("corroborate_threshold must be in (0, 1]")
-        #: Healthy-fraction cut-off for the corroborator: the prefix's
-        #: data plane counts as healthy while at least this fraction of
-        #: tracked ASes still reaches legitimate infrastructure.
-        self.corroborate_threshold = float(corroborate_threshold)
 
     @property
     def path_family(self) -> bool:
@@ -521,10 +501,8 @@ class HijackExperiment:
             network_config.rov_adoption = cfg.rov_adoption
         self.network = Network(graph, config=network_config, seed=wseed)
         self.testbed = PeeringTestbed(self.network, seed=wseed)
-        victim_sites = self.testbed.pick_sites(cfg.victim_sites)
-        hijacker_sites = self.testbed.pick_sites(
-            cfg.hijacker_sites, exclude=victim_sites
-        )
+        victim_sites = self.testbed.pick_sites(SITES_PER_AS)
+        hijacker_sites = self.testbed.pick_sites(SITES_PER_AS, exclude=victim_sites)
         self.victim = self.testbed.create_virtual_as(victim_sites)
         self.hijacker = self.testbed.create_virtual_as(hijacker_sites)
         if cfg.hijack_type == "route-leak":
@@ -545,26 +523,23 @@ class HijackExperiment:
                     ),
                 )
             )
-        # Probes must be at least as fine as the hijacked prefix, or the
-        # ground truth cannot see a deep sub-prefix hijack at all.
-        probe_depth = max(
-            cfg.probe_depth, cfg.hijack_prefix.length - cfg.prefix.length
-        )
+        # Ground-truth probe granularity below the owned prefix: 1 = the
+        # de-aggregation halves, and at least as fine as the hijacked
+        # prefix (2 for a /24 inside a /22), or the ground truth cannot see
+        # a deep sub-prefix hijack at all.
+        probe_depth = max(1, cfg.hijack_prefix.length - cfg.prefix.length)
         self.tracker = OriginTracker(self.network, cfg.prefix, probe_depth=probe_depth)
         if cfg.squat_space is not None:
             # The squatted sibling lies outside the main tracker's watch;
             # its recovery (the owner announcing the block post-alert) is
             # judged by a dedicated tracker.
-            self.squat_tracker = OriginTracker(
-                self.network, cfg.hijack_prefix, probe_depth=cfg.probe_depth
-            )
+            self.squat_tracker = OriginTracker(self.network, cfg.hijack_prefix)
         self.monitors = deploy_monitors(self.network, seed=wseed, **cfg.monitors)
         if cfg.churn is not None:
             self.churn = BackgroundChurn(self.network, cfg.churn, seed=wseed)
         self.controller = BGPController(
             self.network.engine,
             [self.victim.speaker],
-            programming_delay=cfg.controller_delay,
             rng=SeededRNG(wseed).substream("controller"),
         )
         helpers = None
@@ -576,7 +551,6 @@ class HijackExperiment:
                     BGPController(
                         self.network.engine,
                         [self.network.speaker(asn)],
-                        programming_delay=cfg.controller_delay,
                         rng=SeededRNG(wseed).substream("helper-controller", asn),
                     )
                     for asn in helper_asns
@@ -671,18 +645,12 @@ class HijackExperiment:
             if self.path_tracker is not None:
                 # Healthy = no tracked AS's data plane goes via the
                 # offender (a MitM attacker blackholes what it attracts).
-                self.corroborator = TrackerCorroborator(
-                    self.path_tracker,
-                    {False},
-                    threshold=cfg.corroborate_threshold,
-                )
+                self.corroborator = TrackerCorroborator(self.path_tracker, {False})
             else:
                 # Healthy = traffic still reaches operator infrastructure
                 # (the victim or a whitelisted helper origin).
                 self.corroborator = TrackerCorroborator(
-                    self.tracker,
-                    {self.victim.asn, *helper_asns},
-                    threshold=cfg.corroborate_threshold,
+                    self.tracker, {self.victim.asn, *helper_asns}
                 )
         self._setup_done = True
         self.phase_walls["setup"] = time.perf_counter() - wall_start

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import gc
+import os
+import signal
+import threading
 
 import pytest
 
@@ -84,6 +87,22 @@ def caller_gc_enabled(request, restore_gc) -> bool:
 def gc_collections() -> int:
     """Collections run so far in this process, all generations."""
     return sum(generation["collections"] for generation in gc.get_stats())
+
+
+def kill_worker(victim, side: str) -> None:
+    """SIGKILL a forked worker so its parent meets the death on ``side``.
+
+    ``"send"``: dead and reaped before the parent's next send.
+    ``"receive"``: stopped first, so it still takes the parent's next
+    message into its pipe buffer, then killed before it can answer.
+    """
+    if side == "send":
+        victim.kill()
+        victim.join(timeout=5.0)
+        assert not victim.is_alive()
+    else:
+        os.kill(victim.pid, signal.SIGSTOP)
+        threading.Timer(0.3, victim.kill).start()
 
 
 @pytest.fixture

@@ -74,6 +74,32 @@ class TestCommands:
         assert "detection delay" in capsys.readouterr().out
 
 
+class TestFailureContract:
+    """Every command fails the same way: one ``repro <command>: <error>``
+    line on stderr, exit code 2, no traceback and no half-printed table."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scale", "--shards", "0"],
+            ["experiment", "--hijack-type", "bogus"],
+            ["experiment", "--hijack-prefix", "11.0.0.0/24"],
+            ["topology", "--tier1", "0", "out.txt"],
+            ["replay", "/nonexistent"],
+        ],
+        ids=["scale-shards-0", "hijack-type", "hijack-prefix", "tier1-0", "missing-trace"],
+    )
+    def test_bad_input_is_one_line_and_exit_2(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro {argv[0]}: ")
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        assert "---" not in captured.out  # no table
+
+
 class TestProfileAndJobs:
     def test_profile_prints_counter_table(self, capsys):
         code = main(["experiment", "--seed", "2", "--profile"] + FAST_WORLD)

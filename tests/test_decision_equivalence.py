@@ -14,17 +14,17 @@ Any divergence between the incremental result and the full rescan — a
 stale best, a missed promotion, a wrong tie-break — fails here with the
 exact speaker and prefix.
 
-A second test pins the session-teardown order the two Adj-RIB-In layouts
-share: a ``remove_peer`` issued mid-convergence must produce the same
-best-change callbacks and schedule the same MRAI flushes, in the same
-order, from :class:`BGPSpeaker` and :class:`CompactSpeaker`.
+A second test pins the session-teardown order: a ``remove_peer`` issued
+mid-convergence must produce the same best-change callbacks and schedule
+the same MRAI flushes, in the same order, on every run — and in the order
+recorded before the second Adj-RIB-In layout was deleted.
 """
 
+import hashlib
 import random
 
 from repro.bgp.decision import select_best
 from repro.bgp.policy import Relationship
-from repro.bgp.ribcompact import CompactSpeaker
 from repro.bgp.session import ActivityTracker, Session
 from repro.bgp.speaker import BGPSpeaker
 from repro.net.prefix import Prefix
@@ -33,12 +33,12 @@ from repro.sim.latency import Constant
 from repro.sim.rng import SeededRNG
 
 
-def _build_world(rng, speaker_class=BGPSpeaker):
+def _build_world(rng):
     engine = Engine()
     tracker = ActivityTracker()
     speakers = {}
     for asn in range(1, 7):
-        speakers[asn] = speaker_class(
+        speakers[asn] = BGPSpeaker(
             asn,
             engine,
             rng=SeededRNG(asn),
@@ -146,12 +146,10 @@ def test_incremental_decisions_match_select_best():
             _assert_loc_rib_matches_full_rescan(speakers)
 
 
-def _teardown_mid_convergence_log(speaker_class, world_seed):
+def _teardown_mid_convergence_log(world_seed):
     """Everything observable about one scripted run: every best-change
     callback and every MRAI flush scheduled, in program order."""
-    engine, tracker, speakers, links = _build_world(
-        random.Random(world_seed), speaker_class
-    )
+    engine, tracker, speakers, links = _build_world(random.Random(world_seed))
     log = []
 
     def on_best_change(speaker, prefix, new, old):
@@ -209,11 +207,7 @@ def _teardown_mid_convergence_log(speaker_class, world_seed):
     speakers[b].remove_peer(a)
     assert len(log) > mark, "teardown changed nothing observable"
     _converge(engine, tracker)
-    if speaker_class is BGPSpeaker:
-        # (The compact speaker materialises winners, so the identity-based
-        # rescan check only reads the classic layout; the compact run is
-        # held to the classic one by the log comparison.)
-        _assert_loc_rib_matches_full_rescan(speakers)
+    _assert_loc_rib_matches_full_rescan(speakers)
     for asn, speaker in speakers.items():
         log.extend(
             ("rib", asn, str(route.prefix), route.as_path)
@@ -222,8 +216,23 @@ def _teardown_mid_convergence_log(speaker_class, world_seed):
     return log
 
 
-def test_mid_convergence_teardown_is_identical_classic_and_compact():
-    for world_seed in range(5):
-        classic = _teardown_mid_convergence_log(BGPSpeaker, world_seed)
-        compact = _teardown_mid_convergence_log(CompactSpeaker, world_seed)
-        assert classic == compact, f"world {world_seed} diverged"
+#: SHA-256 of ``repr(log)`` per world seed, recorded at commit 991779d (the
+#: last with two layouts, which this log held equal): a change of teardown
+#: or flush order fails here even though nothing is left to compare against.
+_TEARDOWN_LOG_SHA256 = [
+    "7f0c3d2d29496d9ddfd2fb1b8498206d1db9aa5795bde800d739e897c209684d",
+    "e2f7b4c0076b50b549e51ac45a56915f8f7a94635b63ba65b726f574b223e2fa",
+    "7874bab9658672497d0e9db6686d973f06b895ffd6f739a05f0d7b52c267ca34",
+    "18e31cea8fab7d96969f068f5468424056a6481eb54d4ec6f9be8ebb69c88f20",
+    "56d7307de0eff18fdde6971e0aafe5d775f49b2ce18f930d328735d8536e9b96",
+]
+
+
+def test_mid_convergence_teardown_is_deterministic():
+    for world_seed, pinned in enumerate(_TEARDOWN_LOG_SHA256):
+        log = _teardown_mid_convergence_log(world_seed)
+        assert log == _teardown_mid_convergence_log(world_seed), (
+            f"world {world_seed} differs between two runs"
+        )
+        digest = hashlib.sha256(repr(log).encode()).hexdigest()
+        assert digest == pinned, f"world {world_seed} teardown order moved"

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro.core.config import ArtemisConfig, OwnedPrefix
 from repro.errors import BGPError, FeedError
 from repro.feeds import dumpfile
-from repro.feeds.dumpfile import format_event, parse_event, read_events
+from repro.feeds.dumpfile import format_event, parse_event
 from repro.feeds.events import ANNOUNCE, WITHDRAW, FeedEvent
 from repro.feeds.replay import (
     TraceError,
@@ -155,10 +155,12 @@ class TestHostileLines:
             load_trace(str(path))
 
     def test_read_events_raises_feed_error(self, bad, tmp_path):
-        path = tmp_path / "dump.txt"
-        path.write_text(GOOD + "\n" + bad + "\n", encoding="utf-8")
+        # Callers that catch FeedError around a file read keep working:
+        # load_trace's TraceError is one.
+        path = tmp_path / "dump.trace"
+        path.write_text(seal([GOOD, bad]), encoding="utf-8")
         with pytest.raises(FeedError):
-            list(read_events(str(path)))
+            load_trace(str(path))
 
 
 def test_constructor_guards_live_feeds_too():

@@ -142,13 +142,13 @@ def test_parallel_runner_rejects_bad_jobs():
 # The sharded engine's whole contract is that partitioning the AS graph
 # across worker processes is an implementation detail: the pinned scenario's
 # outcome digest (per-phase origin maps, flip log, detection delay, traffic
-# totals) must not depend on the shard count, the RIB representation, or
-# which run of the same configuration produced it.
+# totals) must not depend on the shard count or on which run of the same
+# configuration produced it.
 
 SHARD_TOPOLOGY = GeneratorConfig(num_tier1=4, num_tier2=12, num_stubs=40)
 
 
-def _shard_digest(num_shards: int, compact: bool = False) -> str:
+def _shard_digest(num_shards: int) -> str:
     from repro.shard.scenario import ShardScenarioConfig, run_shard_scenario
 
     result = run_shard_scenario(
@@ -156,7 +156,6 @@ def _shard_digest(num_shards: int, compact: bool = False) -> str:
             topology=SHARD_TOPOLOGY,
             seed=7,
             num_shards=num_shards,
-            compact=compact,
         )
     )
     return result.digest
@@ -170,9 +169,3 @@ def test_sharded_scenario_matches_single_process():
 
 def test_sharded_scenario_repeat_is_bit_identical():
     assert _shard_digest(2) == _shard_digest(2)
-
-
-def test_compact_rib_matches_classic_across_shards():
-    reference = _shard_digest(1, compact=False)
-    assert _shard_digest(1, compact=True) == reference
-    assert _shard_digest(2, compact=True) == reference

@@ -1,4 +1,4 @@
-"""Tests for feed-event dump files and offline replay."""
+"""Tests for the feed-event record codec, trace archives and offline replay."""
 
 import io
 
@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.config import ArtemisConfig, OwnedPrefix
-from repro.core.detection import DetectionService
 from repro.errors import FeedError
-from repro.feeds.dumpfile import (
-    FeedRecorder,
-    format_event,
-    parse_event,
-    read_events,
-    write_events,
-)
+from repro.feeds.dumpfile import format_event, parse_event
 from repro.feeds.events import FeedEvent
+from repro.feeds.replay import (
+    ReplaySession,
+    ReplayTap,
+    TraceRecorder,
+    TraceWriter,
+    load_trace,
+)
 from repro.net.prefix import Prefix
 
 
@@ -66,62 +66,64 @@ class TestLineFormat:
 
 class TestFileIO:
     def test_write_read_roundtrip(self, tmp_path):
-        path = str(tmp_path / "dump.txt")
+        path = str(tmp_path / "dump.trace")
         events = [make_event(t=float(t)) for t in range(5, 10)]
-        assert write_events(path, events) == 5
-        loaded = list(read_events(path))
+        with TraceWriter(path) as writer:
+            for event in events:
+                writer.append(event)
+        assert writer.records == 5
+        loaded = load_trace(path).events
         assert [e.delivered_at for e in loaded] == [e.delivered_at for e in events]
 
     def test_stream_objects(self):
         buffer = io.StringIO()
-        write_events(buffer, [make_event()])
+        with TraceWriter(buffer) as writer:
+            writer.append(make_event())
         buffer.seek(0)
-        assert len(list(read_events(buffer))) == 1
-
-    def test_comments_and_blanks_skipped(self):
-        text = "# header\n\n" + format_event(make_event()) + "\n"
-        assert len(list(read_events(io.StringIO(text)))) == 1
+        assert len(load_trace(buffer)) == 1
 
 
 class TestRecorder:
-    def test_records_from_live_source(self, net7):
+    def test_records_from_live_source(self, net7, tmp_path):
         from repro.feeds.ris import RISLiveStream
         from repro.sim.latency import Constant
 
         stream = RISLiveStream.deploy(net7, [3, 4], seed=0, latency=Constant(1.0))
-        recorder = FeedRecorder()
-        stream.subscribe(recorder)
+        recorder = TraceRecorder(str(tmp_path / "live.trace"))
+        recorder.attach(stream)
         net7.announce(6, "10.0.0.0/23")
         net7.run_until_converged()
         net7.run_for(5.0)
-        assert len(recorder) > 0
+        recorder.close()
+        assert recorder.records > 0
 
     def test_save_load(self, tmp_path):
-        recorder = FeedRecorder()
-        recorder.events = [make_event(t=1.0), make_event(t=2.0)]
-        path = str(tmp_path / "rec.txt")
-        recorder.save(path)
-        loaded = FeedRecorder.load(path)
-        assert len(loaded) == 2
+        path = str(tmp_path / "rec.trace")
+        recorder = TraceRecorder(path)
+        recorder(make_event(t=1.0))
+        recorder(make_event(t=2.0))
+        recorder.close()
+        assert len(load_trace(path)) == 2
 
-    def test_offline_replay_detects(self):
+    def test_offline_replay_detects(self, tmp_path):
         # Archive a hijack observation, re-run detection offline.
-        recorder = FeedRecorder()
-        recorder.events = [
-            make_event(path=(3, 64500), t=1.0),   # legit
-            make_event(path=(3, 666), t=2.0),     # hijack evidence
-        ]
+        path = str(tmp_path / "hijack.trace")
+        recorder = TraceRecorder(path)
+        recorder(make_event(path=(3, 64500), t=1.0))   # legit
+        recorder(make_event(path=(3, 666), t=2.0))     # hijack evidence
+        recorder.close()
         config = ArtemisConfig([OwnedPrefix("10.0.0.0/23", {64500})])
-        detection = DetectionService(config)
-        assert recorder.replay_into(detection.handle_event) == 2
-        assert len(detection.alert_manager) == 1
-        assert detection.alert_manager.alerts[0].offender_asn == 666
+        session = ReplaySession(path, config=config)
+        assert session.run()["records_read"] == 2
+        assert len(session.alerts) == 1
+        assert session.alerts[0].offender_asn == 666
 
     def test_replay_orders_by_delivery(self):
-        recorder = FeedRecorder()
-        recorder.events = [make_event(t=5.0), make_event(t=1.0)]
+        # A bare event list (no sealed trace) is replayed in delivery order.
+        tap = ReplayTap([make_event(t=5.0), make_event(t=1.0)])
         seen = []
-        recorder.replay_into(lambda e: seen.append(e.delivered_at))
+        tap.subscribe(lambda e: seen.append(e.delivered_at))
+        tap.run()
         assert seen == [1.0, 5.0]
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bgp.messages import Announcement
 from repro.bgp.rib import AdjRibIn, LocRib
-from repro.bgp.ribcompact import CompactAdjRibIn
 from repro.bgp.route import Route
 from repro.errors import BGPError
 from repro.net.prefix import Prefix
@@ -101,8 +100,8 @@ class TestAdjRibIn:
 
 
 class TestTeardownOrder:
-    """Session teardown order is ascending ``ikey`` (= prefix order) in both
-    layouts, whatever order the routes were learned or re-learned in."""
+    """Session teardown order is ascending ``ikey`` (= prefix order),
+    whatever order the routes were learned or re-learned in."""
 
     #: Shuffled on purpose: v6 first, more-specific before covering,
     #: descending /24s; 10.0.3.0/24 is re-learned last.
@@ -137,22 +136,6 @@ class TestTeardownOrder:
         assert all(route.peer_asn == 5 and route.prefix is p for p, route in pairs)
         ikeys = [p.ikey for p, _route in pairs]
         assert ikeys == sorted(ikeys)
-        assert rib.prefixes_from(5) == []
-        assert [str(p) for p in rib.prefixes_from(7)] == self.ASCENDING
-
-    def test_compact_drops_in_the_same_order(self):
-        rib = CompactAdjRibIn()
-        for text in self.LEARN_ORDER:
-            for peer in (5, 7):
-                prefix = P(text)
-                rib.insert_fields(
-                    prefix.ikey, prefix, peer, (peer, 6), 0, -100, 0.0, None, ()
-                )
-        rib.withdraw_entry(5, P("10.0.2.0/24"))
-        prefix = P("10.0.2.0/24")
-        rib.insert_fields(prefix.ikey, prefix, 5, (5, 9), 0, -100, 0.0, None, ())
-        assert [str(p) for p in rib.prefixes_from(5)] == self.ASCENDING
-        assert [str(p) for p in rib.drop_peer_prefixes(5)] == self.ASCENDING
         assert rib.prefixes_from(5) == []
         assert [str(p) for p in rib.prefixes_from(7)] == self.ASCENDING
 

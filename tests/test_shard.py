@@ -6,9 +6,13 @@ The bit-identity guarantee itself (``--shards 1`` vs ``2`` vs ``4``) is
 enforced in ``tests/test_determinism.py`` next to the other golden digests.
 """
 
+import multiprocessing
 import os
+import time
 
 import pytest
+
+from conftest import kill_worker
 
 from repro.errors import SimulationError
 from repro.internet.network import NetworkConfig
@@ -192,6 +196,27 @@ class TestRunners:
         with make_runner(graph, 2, seed=7) as runner:
             with pytest.raises(SimulationError, match="no snapshot"):
                 runner.restore()
+
+
+class TestWorkerDeath:
+    """A SIGKILLed shard worker is a typed error naming the shard on
+    whichever side of the pipe meets it first — never a bare ``OSError``,
+    never a hang — and ``close()`` still reaps every child."""
+
+    @pytest.mark.parametrize("side", ["send", "receive"])
+    def test_dead_worker_is_a_typed_error(self, graph, side):
+        runner = make_runner(graph, 2, seed=7)
+        try:
+            runner.originate(graph.stubs()[0], "10.0.0.0/24")
+            runner.run_to(50.0)
+            kill_worker(runner._processes[1], side)
+            started = time.monotonic()
+            with pytest.raises(SimulationError, match="shard 1 worker died"):
+                runner.run_to(100.0)
+            assert time.monotonic() - started < 5.0
+        finally:
+            runner.close()
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------- topology cache

@@ -26,13 +26,16 @@ Contracts under test (see DESIGN.md "Detection plane"):
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import threading
+import time
 from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import kill_worker
 from repro.core.alerts import AlertStatus, AlertType
 from repro.core.config import ArtemisConfig, OwnedPrefix
 from repro.core.detection import DetectionService
@@ -1063,6 +1066,29 @@ class TestParallelDetectionPlane:
         assert children and not any(child.is_alive() for child in children)
         # The plane let go of its tree: the registry no longer feeds it.
         assert registry._trees == []
+
+    @pytest.mark.parametrize("side", ["send", "receive"])
+    def test_dead_worker_is_a_typed_error(self, tmp_path, side):
+        """A SIGKILLed detection worker is a typed error naming it on
+        whichever side of the pipe meets it first — never a bare
+        ``OSError``, never a hang — and ``close()`` still reaps every child."""
+        trace = write_mini_trace(tmp_path / "mini.trace", rounds=2)
+        parallel = ParallelDetectionPlane(worker_registry(), num_workers=2)
+        parallel.LINES_PER_SHIPMENT = 4  # so feeding 16 lines ships batches
+        parallel.start()
+        try:
+            parallel.feed_trace(trace)
+            kill_worker(parallel._processes[1], side)
+            started = time.monotonic()
+            with pytest.raises(TenantWorkerError, match="detect worker 1 died"):
+                if side == "send":
+                    parallel.feed_trace(trace)  # ships a BATCH frame
+                else:
+                    parallel.finish()  # sends FINISH, then waits for RESULT
+            assert time.monotonic() - started < 5.0
+        finally:
+            parallel.close()
+        assert multiprocessing.active_children() == []
 
     def test_malformed_lines_dropped_and_counted(self, tmp_path):
         COUNTERS.reset()
