@@ -27,9 +27,6 @@ from repro.sim.engine import Engine
 from repro.sim.latency import Delay, make_delay
 from repro.sim.rng import SeededRNG
 
-#: Backwards-compatible alias; the class moved to :mod:`repro.feeds.interest`.
-_Subscription = Subscription
-
 
 class StreamingService:
     """Base class for RIS-live / BGPmon style streams."""
@@ -84,7 +81,7 @@ class StreamingService:
         self,
         callback: FeedCallback,
         prefixes: Optional[Sequence[Prefix]] = None,
-    ) -> _Subscription:
+    ) -> Subscription:
         """Receive events, optionally filtered to overlapping ``prefixes``.
 
         Returns the subscription; set ``subscription.active = False`` (or

@@ -65,14 +65,8 @@ class PrefixTrie(Generic[V]):
             shift -= 1
         return node
 
-    def insert(self, prefix: Prefix, value: V) -> "_Node[V]":
-        """Insert or replace the value stored at ``prefix``.
-
-        Returns the storage node so callers that repeatedly replace the same
-        prefix's value can cache it and write ``node.value`` directly instead
-        of re-walking the trie.  A cached node stays valid exactly until the
-        prefix is removed (removal may prune the node object).
-        """
+    def insert(self, prefix: Prefix, value: V) -> None:
+        """Insert or replace the value stored at ``prefix``."""
         node = self._roots[prefix.version]
         key = prefix.value
         shift = (32 if prefix.version == 4 else 128) - 1
@@ -88,37 +82,9 @@ class PrefixTrie(Generic[V]):
             self._size += 1
         node.value = value
         node.has_value = True
-        return node
 
     def __setitem__(self, prefix: Prefix, value: V) -> None:
         self.insert(prefix, value)
-
-    # ------------------------------------------------- cached-node fast path
-
-    def set_value(self, node: "_Node[V]", value: V) -> None:
-        """Set the value on a node returned by :meth:`insert` (O(1)).
-
-        Revives a node previously emptied with :meth:`clear_value`; the
-        caller guarantees the node still belongs to this trie (i.e. its
-        prefix was never pruned via :meth:`remove`).
-        """
-        if not node.has_value:
-            self._size += 1
-        node.value = value
-        node.has_value = True
-
-    def clear_value(self, node: "_Node[V]") -> None:
-        """Unmark a node returned by :meth:`insert` without pruning (O(1)).
-
-        The node stays in the trie as an empty placeholder — iteration,
-        matching and subtree walks all skip it — so churn cycles on a stable
-        prefix set toggle a flag instead of rebuilding trie paths.  Memory
-        stays bounded by the distinct prefixes ever inserted.
-        """
-        if node.has_value:
-            node.value = None
-            node.has_value = False
-            self._size -= 1
 
     def get(self, prefix: Prefix, default: Optional[V] = None) -> Optional[V]:
         """Exact lookup; returns ``default`` when absent."""

@@ -1,0 +1,173 @@
+"""The one worker-process substrate: N forked children, one duplex pipe each.
+
+Everything about running worker processes that is not the caller's message
+vocabulary lives here, once, for the sharded simulator
+(:mod:`repro.shard.runner`) and the detection workers
+(:mod:`repro.tenants.workers`).  The caller decides *what* is said; this
+module owns how it travels and what a failure looks like:
+
+* **Down** a message is either ``bytes`` — shipped raw as one frame, read
+  by the child with ``recv_bytes()`` and counted in ``frames_sent`` /
+  ``frames_bytes`` — or any other object, pickled and read with ``recv()``.
+* **Up** every reply is a pickled pair, ``("ok", payload)`` or
+  ``("error", message)``.  An error reply raises the caller's typed error
+  carrying the worker's own message; so does a reply that is not such a
+  pair.  The other end is a fork of this very process, so unpickling it
+  reads nothing this program did not write.
+* **Dead** is a typed error, never a bare ``OSError``.  A worker found dead
+  on a send first has its pipe drained for *last words*: an error reply it
+  managed to send before dying is raised as such, and ``"<label> died"``
+  is only for a worker that left nothing.
+* **A fan-out reads every worker's reply before raising** the first error,
+  so a worker that answers an error and stays alive leaves no reply unread
+  to be mistaken for the answer to the next request.
+* **close()** says a best-effort farewell, closes the pipes, and escalates
+  ``join`` → ``terminate`` → ``join``; it is idempotent and safe after a
+  start that failed half-way.
+
+Not here yet: liveness timeouts, re-fork and redelivery (ROADMAP item 1).
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import pickle
+from typing import Callable, List, Sequence, Type
+
+from repro.perf import COUNTERS as _COUNTERS
+
+
+def _child_main(inherited: Sequence, target: Callable, args: tuple, conn) -> None:
+    """First thing in a child: drop the parent's pipe ends the fork copied.
+
+    While a child holds a copy of the parent's end of its own pipe (or of
+    an earlier worker's), that pipe never reads EOF, and ``except EOFError``
+    in a worker's receive loop — "the parent is gone" — could never fire.
+    """
+    for parent_end in inherited:
+        parent_end.close()
+    target(*args, conn)
+
+
+class WorkerGroup:
+    """Forked workers addressed by index, failing as the caller's ``error``.
+
+    ``label`` names a worker in messages: ``"shard {} worker"`` formats to
+    ``"shard 1 worker died"``.
+    """
+
+    def __init__(self, label: str, error: Type[Exception]):
+        self._label = label
+        self._error = error
+        self._context = multiprocessing.get_context("fork")
+        self._conns: List = []
+        #: The children, in fork order (tests kill them through this).
+        self.processes: List = []
+
+    def fork(self, target: Callable, *args) -> None:
+        """Start the next worker running ``target(*args, conn)``.
+
+        Under fork ``args`` are not pickled: the child keeps the parent's
+        objects copy-on-write.
+        """
+        parent_conn, child_conn = self._context.Pipe()
+        try:
+            process = self._context.Process(
+                target=_child_main,
+                args=(self._conns + [parent_conn], target, args, child_conn),
+                daemon=True,
+            )
+            process.start()
+        except BaseException:
+            parent_conn.close()
+            raise
+        finally:
+            child_conn.close()
+        self._conns.append(parent_conn)
+        self.processes.append(process)
+
+    def send(self, worker: int, message) -> None:
+        """Ship one message: ``bytes`` raw and counted, anything else pickled."""
+        conn = self._conns[worker]
+        try:
+            if isinstance(message, bytes):
+                conn.send_bytes(message)
+                _COUNTERS.frames_sent += 1
+                _COUNTERS.frames_bytes += len(message)
+            else:
+                conn.send(message)
+            return
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        # Raised outside the handler, so the typed error does not drag the
+        # pipe exception (and the pickler's buffer its frames hold) along.
+        raise self._last_words(worker)
+
+    def recv(self, worker: int):
+        """The payload of the worker's next reply; an error reply raises."""
+        try:
+            data = self._conns[worker].recv_bytes()
+        except (EOFError, OSError):  # OSError: reset, or killed mid-reply
+            raise self._error(f"{self._label.format(worker)} died") from None
+        try:
+            status, payload = pickle.loads(data)
+        except Exception as exc:  # noqa: BLE001 - pickle's set is open-ended
+            raise self._error(
+                f"{self._label.format(worker)}: unreadable reply ({exc!r})"
+            ) from None
+        if status != "ok":
+            raise self._error(str(payload))
+        return payload
+
+    def _last_words(self, worker: int) -> Exception:
+        """The error for a worker met dead on send, in its own words if any.
+
+        Its end of the pipe is closed, so reading never blocks: what it
+        sent before dying comes out first, then end-of-file.
+        """
+        try:
+            while True:
+                self.recv(worker)  # an ok reply is not what killed it
+        except self._error as exc:
+            return exc  # its error reply, or "died" once the pipe is dry
+
+    def ask_all(self, messages: Sequence) -> List:
+        """Send ``messages[i]`` to worker ``i``; return every reply's payload.
+
+        Every worker that took its message is read before the first
+        failure is raised, so the reply streams stay aligned.
+        """
+        failures: List[Exception] = []
+        asked: List[int] = []
+        for worker, message in enumerate(messages):
+            try:
+                self.send(worker, message)
+                asked.append(worker)
+            except self._error as exc:
+                failures.append(exc)
+        replies = []
+        for worker in asked:
+            try:
+                replies.append(self.recv(worker))
+            except self._error as exc:
+                failures.append(exc)
+        if failures:
+            raise failures[0]
+        return replies
+
+    def close(self, farewell) -> None:
+        """Tell every worker ``farewell`` (best effort), then reap them all."""
+        for worker in range(len(self._conns)):
+            try:
+                self.send(worker, farewell)
+            except (self._error, OSError):
+                pass
+        for conn in self._conns:
+            conn.close()
+        for process in self.processes:
+            process.join(timeout=10.0)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=5.0)
+        self._conns = []
+        self.processes = []

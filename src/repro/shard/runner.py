@@ -24,12 +24,12 @@ with an empty cut, so callers and tests can compare the two bit-for-bit.
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.internet.network import NetworkConfig
 from repro.perf import COUNTERS as _C
+from repro.proc import WorkerGroup
 from repro.shard.boundary import DeliveryBundle, SendRecord
 from repro.shard.partition import LinkKey, ShardPlan
 from repro.shard.worker import ShardSpec, worker_main
@@ -161,12 +161,9 @@ class ShardRunner:
         # Ship the topology as canonical annotated text (one serialization,
         # every worker rebuilds the same graph the cache/CLI would load).
         lines = to_caida_lines(graph, annotate=True)
-        context = multiprocessing.get_context("fork")
-        self._processes = []
-        self._conns = []
+        self._group = WorkerGroup("shard {} worker", SimulationError)
         try:
             for shard in range(plan.num_shards):
-                parent_conn, child_conn = context.Pipe()
                 spec = ShardSpec(
                     shard,
                     lines,
@@ -175,49 +172,30 @@ class ShardRunner:
                     seed,
                     config,
                 )
-                process = context.Process(
-                    target=worker_main, args=(spec, child_conn), daemon=True
-                )
-                process.start()
-                child_conn.close()
-                self._processes.append(process)
-                self._conns.append(parent_conn)
+                self._group.fork(worker_main, spec)
             for shard in range(plan.num_shards):
-                self._record_status(shard, self._recv(shard))
+                self._record_status(shard, self._group.recv(shard))
         except BaseException:
             self.close()
             raise
 
     # ------------------------------------------------------------- transport
 
-    def _send(self, shard: int, request: tuple) -> None:
-        try:
-            self._conns[shard].send(request)
-        except (BrokenPipeError, ConnectionResetError):
-            raise SimulationError(f"shard {shard} worker died") from None
-
-    def _recv(self, shard: int):
-        try:
-            status, payload = self._conns[shard].recv()
-        except (EOFError, ConnectionResetError):  # reset: it died with mail unread
-            raise SimulationError(f"shard {shard} worker died") from None
-        if status != "ok":
-            raise SimulationError(str(payload))
-        return payload
-
     def _record_status(self, shard: int, status: Tuple[Optional[float], int]) -> None:
         self._next_times[shard], self._in_flight[shard] = status
 
+    def _ask_all(self, *request) -> List:
+        """One request to every shard; every reply, in shard order."""
+        return self._group.ask_all([request] * self.num_shards)
+
     def _command_all(self, *request) -> None:
         """Send a mutating command to every shard; statuses refresh."""
-        for shard in range(self.num_shards):
-            self._send(shard, request)
-        for shard in range(self.num_shards):
-            self._record_status(shard, self._recv(shard))
+        for shard, status in enumerate(self._ask_all(*request)):
+            self._record_status(shard, status)
 
     def _command_one(self, shard: int, *request) -> None:
-        self._send(shard, request)
-        self._record_status(shard, self._recv(shard))
+        self._group.send(shard, request)
+        self._record_status(shard, self._group.recv(shard))
 
     # -------------------------------------------------------------- commands
 
@@ -264,6 +242,7 @@ class ShardRunner:
             window_end = horizon
         self.epoch += 1
         epoch = self.epoch
+        requests = []
         for shard in range(self.num_shards):
             pending = self._pending[shard]
             bundles = [
@@ -271,10 +250,10 @@ class ShardRunner:
                 for link in sorted(pending)
             ]
             self._pending[shard] = {}
-            self._send(shard, ("window", epoch, window_end, bundles))
+            requests.append(("window", epoch, window_end, bundles))
         link_shards = self._link_shards
-        for shard in range(self.num_shards):
-            out, next_time, in_flight = self._recv(shard)
+        replies = self._group.ask_all(requests)
+        for shard, (out, next_time, in_flight) in enumerate(replies):
             self._next_times[shard] = next_time
             self._in_flight[shard] = in_flight
             for link, records in out.items():
@@ -300,26 +279,20 @@ class ShardRunner:
 
     def observe(self, target) -> Dict[int, Optional[int]]:
         merged: Dict[int, Optional[int]] = {}
-        for shard in range(self.num_shards):
-            self._send(shard, ("observe", target))
-        for shard in range(self.num_shards):
-            merged.update(self._recv(shard))
+        for origins in self._ask_all("observe", target):
+            merged.update(origins)
         return merged
 
     def flips(self, target) -> List[Tuple[float, int, Optional[int]]]:
         merged: List[Tuple[float, int, Optional[int]]] = []
-        for shard in range(self.num_shards):
-            self._send(shard, ("flips", target))
-        for shard in range(self.num_shards):
-            merged.extend(self._recv(shard))
+        for flips in self._ask_all("flips", target):
+            merged.extend(flips)
         return sorted(merged)
 
     def stats(self) -> Dict[str, int]:
         merged: Dict[str, int] = {}
-        for shard in range(self.num_shards):
-            self._send(shard, ("stats",))
-        for shard in range(self.num_shards):
-            for key, value in self._recv(shard).items():
+        for stats in self._ask_all("stats"):
+            for key, value in stats.items():
                 merged[key] = merged.get(key, 0) + value
         return merged
 
@@ -357,35 +330,15 @@ class ShardRunner:
         balance and the critical path; ``merge`` ignores the non-counter
         extras.
         """
-        deltas = []
-        for shard in range(self.num_shards):
-            self._send(shard, ("perf",))
-        for shard in range(self.num_shards):
-            delta = self._recv(shard)
+        deltas = self._ask_all("perf")
+        for delta in deltas:
             _C.merge(delta)
-            deltas.append(delta)
         return deltas
 
     # --------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        for conn in getattr(self, "_conns", []):
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for process in getattr(self, "_processes", []):
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-        self._conns = []
-        self._processes = []
+        self._group.close(("stop",))
 
     def __enter__(self) -> "ShardRunner":
         return self

@@ -13,12 +13,13 @@ announcement is one longest-match against the ``root.ikey`` → worker dict;
 sub-prefix announcements inside a root land with it.  Roots are round-robined
 across workers in canonical order — deterministic for any worker count.
 
-**Hand-off contract.**  Workers are forked (``get_context("fork")``, the
-only start method this module has ever supported) *after* the parent has
-built one :class:`~repro.tenants.flattree.FlatPrefixTree` over the
-registry, and receive ``(registry, tree)`` as plain ``Process`` arguments
-— under fork those are not pickled, the child simply keeps the parent's
-objects copy-on-write.  No registry bytes cross a pipe.  Every worker
+**Hand-off contract.**  Workers are forked (through
+:class:`repro.proc.WorkerGroup`; fork is the only start method this module
+has ever supported) *after* the parent has built one
+:class:`~repro.tenants.flattree.FlatPrefixTree` over the registry, and
+receive ``(registry, tree)`` as plain ``Process`` arguments — under fork
+those are not pickled, the child simply keeps the parent's objects
+copy-on-write.  No registry bytes cross a pipe.  Every worker
 therefore holds the *whole* tree, not just its partition; that is exact,
 not approximate, because of the routing invariant above: a worker only
 ever receives announcements under its own roots, a root is covered by no
@@ -39,8 +40,12 @@ memo, and ships line batches down a pipe as
 :mod:`~repro.tenants.frames` ``BATCH`` frames — no pickle anywhere on the
 feed path.  Each worker parses events straight from the batch bytes into
 its own :class:`~repro.tenants.pipeline.DetectionPlane` (lazy per tenant,
-so constructing it over the inherited tree costs nothing).  Frames are
-``BATCH``/``FINISH``/``STOP`` down and ``RESULT``/``ERROR`` up.
+so constructing it over the inherited tree costs nothing).  Frames go
+down only (``BATCH``/``FINISH``/``STOP``); up, a worker answers ``FINISH``
+once with :mod:`repro.proc`'s pickled ``("ok", result)`` /
+``("error", message)`` pair, and who died, what a dead worker's last words
+were and how the children are reaped is that module's contract, not this
+one's.
 
 Malformed record lines (wrong field count, unparsable prefix field) are
 **dropped by the router** and counted in the ``events_malformed`` perf
@@ -63,19 +68,12 @@ from repro.net.prefix import Prefix, longest_match
 from repro.perf import COUNTERS as _COUNTERS, sample_memory
 from repro.tenants.frames import (
     FRAME_BATCH,
-    FRAME_ERROR,
     FRAME_FINISH,
-    FRAME_RESULT,
     FRAME_STOP,
     decode_batch_text,
-    decode_error,
     decode_frame,
-    decode_payload,
     encode_batch,
-    encode_error,
     encode_frame,
-    encode_payload,
-    send_frame,
 )
 from repro.tenants.flattree import FlatPrefixTree
 from repro.tenants.pipeline import DetectionPlane, merged_alert_digest
@@ -126,10 +124,11 @@ def tenant_worker_main(
     """Entry point of one detection worker process.
 
     ``registry`` and ``tree`` are the parent's own objects, inherited at
-    fork.  Speaks the :mod:`~repro.tenants.frames` protocol: ``BATCH``
-    frames carry epoch-stamped raw trace lines, ``FINISH`` answers with a
-    ``RESULT`` payload frame, ``STOP`` exits; any failure answers with an
-    ``ERROR`` frame and dies.
+    fork.  Down the pipe it reads :mod:`~repro.tenants.frames`: ``BATCH``
+    frames carry epoch-stamped raw trace lines, ``FINISH`` is answered with
+    ``("ok", result)``, ``STOP`` exits; any failure is answered with
+    ``("error", repr(exc))`` — the :mod:`repro.proc` reply pair — and the
+    worker dies.
     """
     _COUNTERS.reset()
     perf_mark = _COUNTERS.as_dict()
@@ -169,7 +168,7 @@ def tenant_worker_main(
                     "perf": _COUNTERS.delta_since(perf_mark),
                     "cpu_seconds": time.process_time() - cpu_mark,
                 }
-                send_frame(conn, encode_payload(FRAME_RESULT, 0, payload))
+                conn.send(("ok", payload))
             elif kind == FRAME_STOP:
                 break
             else:
@@ -179,8 +178,8 @@ def tenant_worker_main(
                 )
         except BaseException as exc:  # noqa: BLE001 - report, then die
             try:
-                send_frame(conn, encode_error(f"{exc!r}"))
-            except (BrokenPipeError, OSError):
+                conn.send(("error", repr(exc)))
+            except OSError:  # the parent is gone too
                 pass
             break
     conn.close()
@@ -234,8 +233,12 @@ class ParallelDetectionPlane:
         #: The tree the workers were forked with, and its epoch at fork.
         self._tree: Optional[FlatPrefixTree] = None
         self._fork_epoch = 0
-        self._conns: List = []
-        self._processes: List = []
+        # Imported on use, as ``multiprocessing`` was before it: every
+        # single-process run imports this package, and multiprocessing,
+        # pickle and socket would cost each ≈0.9 MB of resident set.
+        from repro.proc import WorkerGroup
+
+        self._group = WorkerGroup("detect worker {}", TenantWorkerError)
         self.events_routed = 0
         self.events_unrouted = 0
         self.events_malformed = 0
@@ -248,30 +251,18 @@ class ParallelDetectionPlane:
         """Build the shared tree once, then fork the workers with it."""
         if self.started:
             return
-        import multiprocessing
-
         # Attached to the registry, so any later add/remove moves its epoch
         # — the signal the stale-registry guard reads.
         self._tree = FlatPrefixTree(self.registry)
         self._fork_epoch = self._tree.epoch
-        context = multiprocessing.get_context("fork")
         for worker_id in range(self.num_workers):
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=tenant_worker_main,
-                args=(
-                    worker_id,
-                    self.registry,
-                    self._tree,
-                    self.batch_size,
-                    child_conn,
-                ),
-                daemon=True,
+            self._group.fork(
+                tenant_worker_main,
+                worker_id,
+                self.registry,
+                self._tree,
+                self.batch_size,
             )
-            process.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._processes.append(process)
         self.started = True
 
     def _check_registry_unmoved(self) -> None:
@@ -353,16 +344,8 @@ class ParallelDetectionPlane:
         if not buffer:
             return
         self._epochs[worker] += 1
-        self._send(worker, encode_batch(self._epochs[worker], buffer))
+        self._group.send(worker, encode_batch(self._epochs[worker], buffer))
         self._buffers[worker] = []
-
-    def _send(self, worker: int, frame: bytes) -> None:
-        try:
-            send_frame(self._conns[worker], frame)
-        except (BrokenPipeError, ConnectionResetError):
-            raise TenantWorkerError(
-                f"detect worker {worker} died before reporting"
-            ) from None
 
     # -------------------------------------------------------------- finish
 
@@ -382,31 +365,15 @@ class ParallelDetectionPlane:
         if not self.started:
             self.start()
         self._check_registry_unmoved()
-        finish_frame = encode_frame(FRAME_FINISH, 0)
         for worker in range(self.num_workers):
             self._ship(worker)
-            self._send(worker, finish_frame)
-        payloads = []
-        for worker in range(self.num_workers):
-            try:
-                data = self._conns[worker].recv_bytes()
-            except (EOFError, ConnectionResetError):  # reset: died with mail unread
-                raise TenantWorkerError(
-                    f"detect worker {worker} died before reporting"
-                ) from None
-            kind, _epoch, body = decode_frame(data)
-            if kind == FRAME_ERROR:
-                raise TenantWorkerError(decode_error(body))
-            if kind != FRAME_RESULT:
-                raise TenantWorkerError(
-                    f"detect worker {worker}: unexpected frame kind "
-                    f"0x{kind:02x} in reply to finish"
-                )
-            payload = decode_payload(body)
-            payloads.append(payload)
+        payloads = self._group.ask_all(
+            [encode_frame(FRAME_FINISH, 0)] * self.num_workers
+        )
+        for payload in payloads:
             _COUNTERS.merge(payload["perf"])
         self.finished = True
-        self._shutdown()
+        self.close()
         rows: List[Tuple] = []
         for payload in payloads:
             rows.extend(payload["rows"])
@@ -427,27 +394,11 @@ class ParallelDetectionPlane:
             "workers": payloads,
         }
 
-    def _shutdown(self) -> None:
-        stop_frame = encode_frame(FRAME_STOP, 0)
-        for conn in self._conns:
-            try:
-                send_frame(conn, stop_frame)
-            except (BrokenPipeError, OSError):
-                pass
-            conn.close()
-        for process in self._processes:
-            process.join(timeout=10.0)
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
-                process.join(timeout=5.0)
-        self._conns = []
-        self._processes = []
-        self.registry.detach_tree(self._tree)
-
     def close(self) -> None:
-        """Abort without collecting (error-path cleanup)."""
-        if self._processes:
-            self._shutdown()
+        """Stop and reap the workers; also the error-path cleanup."""
+        if self._group.processes:
+            self._group.close(encode_frame(FRAME_STOP, 0))
+            self.registry.detach_tree(self._tree)
 
     def __enter__(self) -> "ParallelDetectionPlane":
         self.start()

@@ -339,7 +339,7 @@ class TestBothReadersVerify:
     def test_feed_trace_raises_and_no_worker_survives(self, tmp_path, edit, message):
         bad = damaged(write_trace(tmp_path / "t.trace"), tmp_path, edit)
         with ParallelDetectionPlane(registry(), num_workers=2) as parallel:
-            processes = list(parallel._processes)
+            processes = list(parallel._group.processes)
             assert all(process.is_alive() for process in processes)
             with pytest.raises(TraceError, match=message):
                 parallel.feed_trace(bad)

@@ -167,6 +167,37 @@ class TestRunners:
         assert set(origins) == set(graph.asns())
         assert origins[victim] == victim
 
+    def test_replies_stay_aligned_after_an_error_reply(self, graph):
+        """An error reply from one fan-out leaves nothing for the next to read.
+
+        Every shard answers ``flips`` on an unwatched target with an error
+        and stays alive; each later command must get *its own* answer, not
+        another shard's leftover.
+        """
+        victim = graph.stubs()[0]
+
+        def after_the_error(runner):
+            with pytest.raises(SimulationError, match="not being watched"):
+                runner.flips("10.0.0.0/24")
+            stats = runner.stats()
+            origins = runner.observe("10.0.0.0/24")
+            runner.watch("10.0.0.0/24")
+            runner.originate(victim, "10.0.0.0/24")
+            runner.run_to(200.0)
+            return stats, origins, runner.flips("10.0.0.0/24")
+
+        with make_runner(graph, 1, seed=7) as single:
+            expected = after_the_error(single)
+        with make_runner(graph, 2, seed=7) as sharded:
+            stats, origins, flips = after_the_error(sharded)
+        assert sorted(stats) == [
+            "total_messages", "total_nlri", "updates_received", "updates_sent",
+        ]
+        assert all(type(value) is int for value in stats.values())
+        assert set(origins) == set(graph.asns())
+        assert (stats, origins, flips) == expected
+        assert flips
+
     def test_cannot_run_backwards(self, graph):
         with make_runner(graph, 2, seed=7) as runner:
             runner.run_to(10.0)
@@ -209,7 +240,7 @@ class TestWorkerDeath:
         try:
             runner.originate(graph.stubs()[0], "10.0.0.0/24")
             runner.run_to(50.0)
-            kill_worker(runner._processes[1], side)
+            kill_worker(runner._group.processes[1], side)
             started = time.monotonic()
             with pytest.raises(SimulationError, match="shard 1 worker died"):
                 runner.run_to(100.0)

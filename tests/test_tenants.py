@@ -958,9 +958,9 @@ class TestParallelDetectionPlane:
         thread.start()
         # Epoch 2 first: a reordered/stale shipment must be rejected.
         parent_conn.send_bytes(frames.encode_batch(2, lines))
-        kind, _epoch, body = frames.decode_frame(parent_conn.recv_bytes())
-        assert kind == frames.FRAME_ERROR
-        assert "epoch" in frames.decode_error(body)
+        status, message = parent_conn.recv()
+        assert status == "error"
+        assert "epoch" in message
         thread.join(timeout=5.0)
 
     def test_start_ships_no_registry_bytes(self):
@@ -1042,6 +1042,9 @@ class TestParallelDetectionPlane:
         result = parallel.finish()
         assert result["digest"] == plane.digest()
         assert result["rows"] == plane.incident_rows()
+        # Float bits and tuple-vs-list survive the pipe: the digest hashes
+        # repr() output, which ``==`` alone does not pin.
+        assert repr(result["rows"]) == repr(plane.incident_rows())
         assert result["events_unrouted"] == 12 * 2
         assert sum(result["events_per_worker"]) == result["events_routed"]
         assert len(result["events_per_worker"]) == num_workers
@@ -1051,7 +1054,7 @@ class TestParallelDetectionPlane:
         registry = worker_registry()
         parallel = ParallelDetectionPlane(registry, num_workers=2)
         parallel.start()
-        children = list(parallel._processes)
+        children = list(parallel._group.processes)
         try:
             parallel.feed_trace(trace)  # before the edit: fine
             registry.add_tenant(
@@ -1078,7 +1081,7 @@ class TestParallelDetectionPlane:
         parallel.start()
         try:
             parallel.feed_trace(trace)
-            kill_worker(parallel._processes[1], side)
+            kill_worker(parallel._group.processes[1], side)
             started = time.monotonic()
             with pytest.raises(TenantWorkerError, match="detect worker 1 died"):
                 if side == "send":
@@ -1086,6 +1089,35 @@ class TestParallelDetectionPlane:
                 else:
                     parallel.finish()  # sends FINISH, then waits for RESULT
             assert time.monotonic() - started < 5.0
+        finally:
+            parallel.close()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("pause", [0.0, 0.3], ids=["at-once", "after-pause"])
+    @pytest.mark.parametrize("trailing", [0, 64, 4096])
+    def test_worker_last_words_reach_the_caller(self, tmp_path, trailing, pause):
+        """A worker that reported why it is dying is never just "died".
+
+        The record routes (its prefix field is fine) but fails
+        ``parse_event`` in the worker, which answers an error and exits.
+        Whether the parent next sends (more lines, or FINISH) or receives,
+        and however long the worker has been gone, the error raised is the
+        worker's own diagnosis.
+        """
+        trace = write_mini_trace(tmp_path / "mini.trace", rounds=1)
+        good = next(iter_trace_lines(trace))
+        fields = good.split("|")
+        fields[6] = "not-a-time"
+        parallel = ParallelDetectionPlane(worker_registry(), num_workers=2)
+        parallel.LINES_PER_SHIPMENT = 4
+        parallel.start()
+        try:
+            with pytest.raises(TenantWorkerError, match="not-a-time") as caught:
+                parallel.feed_lines([good, good, good, "|".join(fields)])
+                time.sleep(pause)
+                parallel.feed_lines([good] * trailing)
+                parallel.finish()
+            assert "died" not in str(caught.value)
         finally:
             parallel.close()
         assert multiprocessing.active_children() == []
