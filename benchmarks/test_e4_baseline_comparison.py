@@ -14,16 +14,16 @@ argus < phas < rib-dump on detection.
 
 from conftest import LIGHT_CHURN, bench_scenario, run_once
 
-from repro.baselines.factories import argus_factory, phas_factory, ribdump_factory
-from repro.eval.experiments import run_artemis_suite, run_baseline_suite
+from repro.baselines import PROFILES
+from repro.eval.experiments import run_artemis_suite
 from repro.eval.report import format_table
 from repro.eval.stats import summarize
 
 SEEDS = range(3)
 
 
-def _scenario():
-    return bench_scenario(churn=LIGHT_CHURN)
+def _scenario(**defender):
+    return bench_scenario(churn=LIGHT_CHURN, **defender)
 
 
 def _run_all():
@@ -35,15 +35,11 @@ def _run_all():
             "total": summarize(r.total_time for r in artemis),
         }
     }
-    for name, factory in [
-        ("argus", argus_factory),
-        ("phas", phas_factory),
-        ("rib-dump", ribdump_factory),
-    ]:
-        results = run_baseline_suite(_scenario(), factory, seeds=SEEDS)
+    for name in ("argus", "phas", "rib-dump"):
+        results = run_artemis_suite(_scenario(**PROFILES[name]), seeds=SEEDS)
         rows[name] = {
             "detect": summarize(r.detection_delay for r in results),
-            "react": summarize(r.reaction_delay for r in results),
+            "react": summarize(r.announce_delay for r in results),
             "total": summarize(r.total_time for r in results),
         }
     return rows

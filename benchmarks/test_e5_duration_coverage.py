@@ -13,9 +13,9 @@ the manual pipelines cover well under half.
 
 from conftest import LIGHT_CHURN, bench_scenario, run_once
 
-from repro.baselines.factories import phas_factory
+from repro.baselines import PROFILES
 from repro.eval.durations import HijackDurationModel
-from repro.eval.experiments import run_artemis_suite, run_baseline_suite
+from repro.eval.experiments import run_artemis_suite
 from repro.eval.report import format_table
 from repro.eval.stats import summarize
 from repro.sim.rng import SeededRNG
@@ -26,8 +26,8 @@ NUM_EVENT_SAMPLES = 20_000
 
 def _measure():
     artemis = run_artemis_suite(bench_scenario(churn=LIGHT_CHURN), seeds=SEEDS)
-    phas = run_baseline_suite(
-        bench_scenario(churn=LIGHT_CHURN), phas_factory, seeds=SEEDS
+    phas = run_artemis_suite(
+        bench_scenario(churn=LIGHT_CHURN, **PROFILES["phas"]), seeds=SEEDS
     )
     return {
         "artemis": summarize(r.total_time for r in artemis).mean,

@@ -23,19 +23,20 @@ Run:  python examples/youtube_hijack.py [seed]
 
 import sys
 
-from repro.baselines import BaselineExperiment, phas_factory
+from repro.baselines import PROFILES
 from repro.eval.report import format_duration
 from repro.testbed import HijackExperiment, ScenarioConfig
 from repro.topology import GeneratorConfig
 
 
-def scenario(seed: int) -> ScenarioConfig:
+def scenario(seed: int, **defender) -> ScenarioConfig:
     return ScenarioConfig(
         prefix="208.65.152.0/22",        # YouTube's covering prefix
         hijack_prefix="208.65.153.0/24",  # what Pakistan Telecom announced
         seed=seed,
         topology=GeneratorConfig(num_tier1=5, num_tier2=25, num_stubs=90),
         observation_window=900.0,
+        **defender,
     )
 
 
@@ -61,15 +62,16 @@ def main() -> None:
 
     print()
     print("=== WITHOUT ARTEMIS (2008 reality: third-party alert + manual ops) ===")
-    baseline = BaselineExperiment(scenario(seed), phas_factory).run()
+    # The same experiment, defended by a PHAS-style service and a human.
+    baseline = HijackExperiment(scenario(seed, **PROFILES["phas"])).run()
     print(f"detection delay     : {format_duration(baseline.detection_delay)}")
-    print(f"operator reaction   : {format_duration(baseline.reaction_delay)}")
+    print(f"operator reaction   : {format_duration(baseline.announce_delay)}")
     print(f"residual hijacked   : {baseline.residual_hijack_fraction:.0%}")
     total = (
         format_duration(baseline.total_time)
         if baseline.mitigated
         else f"outage still partial after the operator acted "
-        f"({format_duration(baseline.detection_delay + baseline.reaction_delay)}"
+        f"({format_duration(baseline.detection_delay + baseline.announce_delay)}"
         f" until any countermeasure existed)"
     )
     print(f"TOTAL outage        : {total}")

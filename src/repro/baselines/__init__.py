@@ -1,4 +1,4 @@
-"""Prior-art defence pipelines the paper argues against.
+"""Prior-art defences the paper argues against.
 
 Each baseline is a *third-party* alert service plus a *human* operator:
 detection happens outside the victim's network (from batch archives or live
@@ -7,41 +7,14 @@ is a manual router reconfiguration.  The paper's motivation quantifies this
 pipeline: 2-hour RIBs / 15-minute update files, and ~80 minutes for YouTube
 to react to the 2008 hijack.
 
-* :class:`~repro.baselines.thirdparty.PhasBaseline` — PHAS-style: batch
-  update files, email notification, manual everything.
-* :class:`~repro.baselines.thirdparty.RibDumpBaseline` — detection only
-  from 2-hour RIB snapshots (the slowest path).
-* :class:`~repro.baselines.thirdparty.ArgusBaseline` — Argus-style: live
-  stream detection (fast!) but still third-party notification + manual
-  verification + manual mitigation, showing detection speed alone does not
-  shorten the outage much.
+None of that needs a second experiment: a third-party defender is ARTEMIS on
+one slow feed with a human between the alert and the routers.
+:class:`~repro.baselines.operator.OperatorModel` is the human;
+:data:`~repro.baselines.profiles.PROFILES` names the three defenders as
+scenario values (``argus``, ``phas``, ``rib-dump``).
 """
 
-from repro.baselines.factories import (
-    FACTORIES,
-    argus_factory,
-    phas_factory,
-    ribdump_factory,
-)
 from repro.baselines.operator import OperatorModel
-from repro.baselines.runner import BaselineExperiment, BaselineResult
-from repro.baselines.thirdparty import (
-    ArgusBaseline,
-    PhasBaseline,
-    RibDumpBaseline,
-    ThirdPartyPipeline,
-)
+from repro.baselines.profiles import PROFILES
 
-__all__ = [
-    "FACTORIES",
-    "ArgusBaseline",
-    "argus_factory",
-    "phas_factory",
-    "ribdump_factory",
-    "BaselineExperiment",
-    "BaselineResult",
-    "OperatorModel",
-    "PhasBaseline",
-    "RibDumpBaseline",
-    "ThirdPartyPipeline",
-]
+__all__ = ["PROFILES", "OperatorModel"]

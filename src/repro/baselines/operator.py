@@ -27,6 +27,7 @@ class OperatorModel:
         self,
         verification_delay: Delay = None,
         reconfiguration_delay: Delay = None,
+        stream: str = "operator",
     ):
         #: Notice the alert, investigate, decide it is real (mean 25 min).
         self.verification_delay = (
@@ -40,6 +41,13 @@ class OperatorModel:
             if reconfiguration_delay is not None
             else LogNormal(mean=15 * 60.0, sigma=0.7)
         )
+        #: Label of this human's RNG substream: defenders compared on one
+        #: seed each draw their own delays.
+        self.stream = stream
+
+    def rng(self, seed: int) -> SeededRNG:
+        """The stream one run's two draws come from."""
+        return SeededRNG(seed).substream("baseline", self.stream)
 
     def sample_verification(self, rng: SeededRNG) -> float:
         return self.verification_delay.sample(rng)
@@ -53,11 +61,12 @@ class OperatorModel:
         return self.verification_delay.mean + self.reconfiguration_delay.mean
 
     @classmethod
-    def prompt(cls) -> "OperatorModel":
+    def prompt(cls, stream: str = "operator") -> "OperatorModel":
         """An unusually fast operator (on-call, minutes not tens of minutes)."""
         return cls(
             verification_delay=LogNormal(mean=5 * 60.0, sigma=0.6),
             reconfiguration_delay=LogNormal(mean=4 * 60.0, sigma=0.6),
+            stream=stream,
         )
 
     def __repr__(self) -> str:

@@ -30,8 +30,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.baselines.factories import FACTORIES
-from repro.baselines.runner import BaselineExperiment
+from repro.baselines import PROFILES
 from repro.errors import ReproError
 from repro.eval.experiments import (
     liveness_summary,
@@ -146,7 +145,11 @@ def _add_world_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _scenario_from_args(args: argparse.Namespace, seed: Optional[int] = None) -> ScenarioConfig:
+def _scenario_from_args(
+    args: argparse.Namespace, seed: Optional[int] = None, defender: Optional[str] = None
+) -> ScenarioConfig:
+    """The scenario the world flags describe, defended by ARTEMIS — or, with
+    ``defender``, by that :data:`~repro.baselines.PROFILES` entry."""
     config = ScenarioConfig(
         prefix=args.prefix,
         hijack_prefix=args.hijack_prefix,
@@ -166,6 +169,7 @@ def _scenario_from_args(args: argparse.Namespace, seed: Optional[int] = None) ->
         warm_start=getattr(args, "warm_start", False),
         record_trace=getattr(args, "record_trace", None),
         cache_dir=getattr(args, "cache_dir", None),
+        **(PROFILES[defender] if defender else {}),
     )
     path = getattr(args, "checkpoint", None)
     if path is not None:
@@ -274,6 +278,7 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
     from repro.tenants import DetectionPlane, ParallelDetectionPlane, TenantRegistry
     from repro.tenants.synth import build_synth_registry, observed_origin_map
 
+    workers = max(1, args.detect_workers)
     if args.faults or args.supervise or args.speed is not None:
         print(
             "tenant mode is a flat-out pure-ingest path: "
@@ -281,7 +286,16 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    trace = load_trace(args.trace)
+    if workers > 1 and args.max_events is not None:
+        print(
+            "detection workers stream the whole trace file: "
+            "--max-events does not apply with --detect-workers > 1",
+            file=sys.stderr,
+        )
+        return 2
+    # Workers read the file themselves; the parent loads the trace only for
+    # what reads it here: a synthetic registry, or single-process ingest.
+    trace = load_trace(args.trace) if workers == 1 or not args.tenants else None
     if args.tenants:
         registry = TenantRegistry()
         try:
@@ -305,7 +319,6 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
         )
 
     COUNTERS.reset()
-    workers = max(1, args.detect_workers)
     started = _time.perf_counter()
     if workers > 1:
         parallel = ParallelDetectionPlane(
@@ -504,24 +517,20 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
 
 def cmd_baselines(args: argparse.Namespace) -> int:
     """Compare ARTEMIS against third-party pipelines on one hijack."""
-    artemis_result = HijackExperiment(_scenario_from_args(args)).run()
-    rows = [
-        [
-            "artemis",
-            (artemis_result.detection_delay or 0) / 60.0,
-            (artemis_result.announce_delay or 0) / 60.0,
-            (artemis_result.total_time or 0) / 60.0,
-        ]
-    ]
-    for name in args.systems:
-        factory = FACTORIES[name]
-        result = BaselineExperiment(_scenario_from_args(args), factory).run()
+
+    def minutes(seconds: Optional[float]) -> Optional[float]:
+        # A miss (never detected, never recovered) prints "-", not 0.00.
+        return None if seconds is None else seconds / 60.0
+
+    rows = []
+    for name in [None, *args.systems]:
+        result = HijackExperiment(_scenario_from_args(args, defender=name)).run()
         rows.append(
             [
-                name,
-                (result.detection_delay or 0) / 60.0,
-                (result.reaction_delay or 0) / 60.0,
-                (result.total_time or 0) / 60.0 if result.total_time else None,
+                name or "artemis",
+                minutes(result.detection_delay),
+                minutes(result.announce_delay),
+                minutes(result.total_time),
             ]
         )
     print(
@@ -799,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--systems",
         nargs="+",
         default=["argus", "phas"],
-        choices=sorted(FACTORIES),
+        choices=sorted(PROFILES),
         help="which baselines to run",
     )
     baselines.set_defaults(func=cmd_baselines)

@@ -5,6 +5,11 @@ continuously; a new alert triggers the mitigation service (when
 ``auto_mitigate`` is on) which programs de-aggregated announcements through
 the controller; the monitoring service runs in parallel throughout and
 reports the mitigation's spread.
+
+The paper's comparison — a third-party alert service plus a human — is the
+same application with one more stage: an optional *operator* between a new
+alert and the mitigation service, who first verifies the alert and then
+reconfigures.  ARTEMIS proper is the case with nobody there.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from repro.core.mitigation import MitigationAction, MitigationService
 from repro.core.monitoring import MonitoringService
 from repro.errors import ConfigError
 from repro.sdn.controller import BGPController
+from repro.sim.rng import SeededRNG
 
 
 class Artemis:
@@ -31,6 +37,8 @@ class Artemis:
         periscope=None,
         helpers=None,
         supervisor=None,
+        operator=None,
+        rng: Optional[SeededRNG] = None,
     ):
         """``sources`` are the live feeds for detection+monitoring.
 
@@ -43,7 +51,10 @@ class Artemis:
         :class:`~repro.feeds.health.SourceSupervisor` watching the feeds:
         when given, it starts/stops with the application, alerts record
         which sources were live, and detection+monitoring are registered
-        for failover onto any backup sources it holds.
+        for failover onto any backup sources it holds.  ``operator`` is an
+        optional :class:`~repro.baselines.operator.OperatorModel`: the human
+        every alert waits for before it is mitigated, drawing the two delays
+        from ``rng``.
         """
         self.config = config
         self.controller = controller
@@ -57,6 +68,8 @@ class Artemis:
         self.mitigation = MitigationService(config, controller, helpers=helpers)
         self.monitoring = MonitoringService(config)
         self.supervisor = supervisor
+        self.operator = operator
+        self.rng = rng or SeededRNG(0)
         if supervisor is not None:
             self.detection.attach_supervisor(supervisor)
             monitored = config.monitored_prefixes
@@ -108,9 +121,40 @@ class Artemis:
 
     def _handle_alert(self, alert: HijackAlert) -> None:
         if self.config.auto_mitigate:
-            self.mitigation.execute(alert)
+
+            def mitigate(verified_at: Optional[float] = None) -> None:
+                action = self.mitigation.execute(alert)
+                action.verified_at = verified_at
+
+            if self.operator is None:
+                mitigate()
+            else:
+                self._ask_operator(alert, mitigate)
         for callback in self._alert_callbacks:
             callback(alert)
+
+    def _ask_operator(
+        self, alert: HijackAlert, mitigate: Callable[[float], None]
+    ) -> None:
+        """The human gate: verify the alert, then reconfigure, then ``mitigate``.
+
+        Two engine events per incident; both delays are drawn when the alert
+        arrives (verification first), so the draws do not depend on what the
+        world does while the human is busy.
+        """
+        engine = self.controller.engine
+        verify = self.operator.sample_verification(self.rng)
+        reconfigure = self.operator.sample_reconfiguration(self.rng)
+
+        def verified() -> None:
+            self.log.record_operator(alert, "verified", engine.now)
+            engine.schedule(reconfigure, approved, engine.now)
+
+        def approved(verified_at: float) -> None:
+            self.log.record_operator(alert, "approved", engine.now)
+            mitigate(verified_at)
+
+        engine.schedule(verify, verified)
 
     # ------------------------------------------------------------------- views
 

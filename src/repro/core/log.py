@@ -57,8 +57,14 @@ class IncidentLog:
             }
         )
 
+    def record_operator(self, alert: HijackAlert, step: str, when: float) -> None:
+        """Log a human gate step, ``verified`` or ``approved`` (called by
+        :class:`~repro.core.artemis.Artemis` when it has an operator)."""
+        self.entries.append({"time": when, "event": step, "alert_id": alert.id})
+
     def record_resolution(self, alert: HijackAlert) -> None:
-        """Log an alert's resolution (called by the orchestration layer)."""
+        """Log an alert's resolution (called by the experiment driver, which
+        is what knows every AS is back on the legitimate origin)."""
         self.entries.append(
             {
                 "time": alert.resolved_at,
@@ -95,10 +101,8 @@ class IncidentLog:
                     f"{stamp}  MITIGATE #{entry['alert_id']} {entry['strategy']}"
                     f"{helpers}: {', '.join(entry['prefixes'])}"
                 )
-            elif entry["event"] == "resolved":
-                lines.append(f"{stamp}  RESOLVED #{entry['alert_id']}")
-            else:
-                lines.append(f"{stamp}  {entry['event']}")
+            else:  # verified / approved / resolved
+                lines.append(f"{stamp}  {entry['event'].upper()} #{entry['alert_id']}")
         return "\n".join(lines)
 
     def __len__(self) -> int:

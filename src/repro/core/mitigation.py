@@ -128,6 +128,9 @@ class MitigationAction:
         #: Prefixes handed to the controller.
         self.prefixes = list(prefixes)
         self.triggered_at = triggered_at
+        #: When a human operator confirmed the alert; ``triggered_at`` is then
+        #: the instant they finished reconfiguring.  None: nobody in the loop.
+        self.verified_at: Optional[float] = None
         #: False when ISP filtering (/24 case) caps what we can do.
         self.expected_full_recovery = expected_full_recovery
         self.ops: List[ControllerOp] = []

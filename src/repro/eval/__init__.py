@@ -3,7 +3,7 @@
 from repro.eval.calibration import CalibrationReport, check_calibration
 from repro.eval.catalog import HijackEvent, HijackEventCatalog
 from repro.eval.durations import HijackDurationModel
-from repro.eval.experiments import run_artemis_suite, run_baseline_suite, summarize_results
+from repro.eval.experiments import run_artemis_suite, summarize_results
 from repro.eval.report import format_series, format_table
 from repro.eval.stats import Summary, summarize
 
@@ -17,7 +17,6 @@ __all__ = [
     "format_series",
     "format_table",
     "run_artemis_suite",
-    "run_baseline_suite",
     "summarize",
     "summarize_results",
 ]

@@ -1,8 +1,9 @@
 """Suite runners: repeat seeded experiments and aggregate the paper's metrics.
 
 The paper reports means "over a few dozen experiments"; these helpers run N
-seeded repetitions of :class:`~repro.testbed.scenario.HijackExperiment` (or a
-baseline) with fresh topologies/sites per seed, then summarise each timing.
+seeded repetitions of :class:`~repro.testbed.scenario.HijackExperiment` — of
+ARTEMIS, or of any :data:`~repro.baselines.PROFILES` defender the template
+names — with fresh topologies/sites per seed, then summarise each timing.
 
 Seeded experiments are embarrassingly parallel — each seed builds its own
 world from scratch and shares nothing at runtime — so
@@ -18,7 +19,6 @@ import copy
 import multiprocessing
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines.runner import BaselineExperiment, BaselineResult
 from repro.eval.stats import Summary, summarize
 from repro.perf import COUNTERS, sample_memory
 from repro.testbed.scenario import ExperimentResult, HijackExperiment, ScenarioConfig
@@ -72,7 +72,7 @@ def run_artemis_suite(
     on_result: Optional[Callable[[ExperimentResult], None]] = None,
     jobs: int = 1,
 ) -> List[ExperimentResult]:
-    """Run one ARTEMIS experiment per seed (independent worlds).
+    """Run one experiment per seed (independent worlds).
 
     ``jobs > 1`` fans the seeds out over that many worker processes; the
     per-seed outputs are identical to a serial run (each world is fully
@@ -130,22 +130,6 @@ def run_artemis_suite(
     return results
 
 
-def run_baseline_suite(
-    template: ScenarioConfig,
-    make_pipeline,
-    seeds: Sequence[int],
-    timeout: float = 6 * 3600.0,
-) -> List[BaselineResult]:
-    """Run one baseline experiment per seed."""
-    results = []
-    for seed in seeds:
-        runner = BaselineExperiment(
-            _config_for_seed(template, seed), make_pipeline, timeout=timeout
-        )
-        results.append(runner.run())
-    return results
-
-
 def summarize_results(
     results: Sequence,
     fields: Sequence[str] = (
@@ -155,14 +139,10 @@ def summarize_results(
         "total_time",
     ),
 ) -> Dict[str, Summary]:
-    """Per-field :class:`~repro.eval.stats.Summary` across runs.
-
-    Works for both :class:`ExperimentResult` and :class:`BaselineResult`
-    (missing attributes are skipped as None).
-    """
+    """Per-field :class:`~repro.eval.stats.Summary` across runs."""
     table: Dict[str, Summary] = {}
     for field in fields:
-        table[field] = summarize(getattr(r, field, None) for r in results)
+        table[field] = summarize(getattr(r, field) for r in results)
     return table
 
 

@@ -42,6 +42,10 @@ class MonitorDeployment:
         self.bgpmon_vantages = bgpmon_vantages
         self.lg_asns = lg_asns
         self.batch_vantages = batch_vantages
+        #: The RIB-snapshot-only archive a "rib-dump" defender reads.  It
+        #: brings monitor sessions of its own, so the scenario deploys it
+        #: only when that source is enabled (never part of the shared world).
+        self.rib_archive: Optional[BatchArchive] = None
 
     @property
     def streams(self) -> List:

@@ -27,6 +27,7 @@ from repro.core.config import ArtemisConfig, OwnedPrefix, OwnedSpace
 from repro.core.mitigation import HelperFleet
 from repro.errors import ExperimentError
 from repro.faults import FaultInjector, FaultPlan, load_plan
+from repro.feeds.batch import BatchArchive
 from repro.feeds.deploy import MonitorDeployment, deploy_monitors
 from repro.feeds.health import SourceSupervisor
 from repro.feeds.replay import TraceRecorder
@@ -174,6 +175,7 @@ class ScenarioConfig:
         cache_dir: Optional[str] = None,
         hijack_type: Optional[str] = None,
         corroborate: Optional[bool] = None,
+        operator=None,
     ):
         self.prefix = Prefix.parse(prefix)
         #: Which taxonomy class the attacker plays: ``type-0`` (origin),
@@ -246,19 +248,26 @@ class ScenarioConfig:
         #: Outsourced-mitigation helper ASes (tier-1s with an agreement),
         #: engaged when the victim alone cannot fully recover.
         self.num_helpers = int(num_helpers)
-        #: Which sources ARTEMIS consumes ("ris", "bgpmon", "periscope").
-        #: The full infrastructure is always deployed — ablating at the
-        #: subscription level keeps the simulated world bit-identical
-        #: across configurations (clean A1 ablation).
-        valid = {"ris", "bgpmon", "periscope"}
+        #: Which sources the defender consumes.  ARTEMIS' live three are
+        #: the default; a third-party service reads one of the archives
+        #: instead: "batch" (15-minute update files + 2 h RIBs) or
+        #: "rib-dump" (2 h RIBs only).  The live infrastructure and the
+        #: batch archive are always deployed — ablating at the subscription
+        #: level keeps the simulated world bit-identical across
+        #: configurations (clean A1 ablation).  "rib-dump" is the exception:
+        #: that archive peers with vantages of its own, so it is deployed
+        #: only when enabled and every other world never sees it.
+        live = {"ris", "bgpmon", "periscope"}
         if enabled_sources is None:
-            self.enabled_sources = tuple(sorted(valid))
+            self.enabled_sources = tuple(sorted(live))
         else:
-            unknown = set(enabled_sources) - valid
+            unknown = set(enabled_sources) - live - {"batch", "rib-dump"}
             if unknown:
                 raise ExperimentError(f"unknown sources {sorted(unknown)}")
             if not enabled_sources:
                 raise ExperimentError("ARTEMIS needs at least one source")
+            if "batch" in enabled_sources and not self.monitors.get("with_batch", True):
+                raise ExperimentError('source "batch" needs monitors with_batch=True')
             self.enabled_sources = tuple(sorted(set(enabled_sources)))
         #: Extra time after ground-truth recovery for feeds to flush, so the
         #: monitoring view's curve also ends clean.
@@ -330,6 +339,12 @@ class ScenarioConfig:
         self.corroborate = (
             self.hijack_type == "type-U" if corroborate is None else bool(corroborate)
         )
+        #: Who pushes the button: an
+        #: :class:`~repro.baselines.operator.OperatorModel` standing between
+        #: every alert and its mitigation (verify, then reconfigure by hand —
+        #: at the console, so the controller adds no programming delay), or
+        #: ``None`` for ARTEMIS, where nobody does.
+        self.operator = operator
 
     @property
     def path_family(self) -> bool:
@@ -363,7 +378,8 @@ class ExperimentResult:
         self.hijack_time: float = 0.0
         #: Hijack → first alert (paper: ≈45 s mean).
         self.detection_delay: Optional[float] = None
-        #: Alert → de-aggregated prefixes announced (paper: ≈15 s).
+        #: Alert → de-aggregated prefixes announced (paper: ≈15 s; with a
+        #: human operator in the loop, their whole reaction).
         self.announce_delay: Optional[float] = None
         #: Announcement → every AS back on the legit origin (paper: ≤5 min).
         self.completion_delay: Optional[float] = None
@@ -540,6 +556,9 @@ class HijackExperiment:
         self.controller = BGPController(
             self.network.engine,
             [self.victim.speaker],
+            # A human reconfigures at the console: their delay is the
+            # operator's, and the controller adds none of its own.
+            programming_delay=None if cfg.operator is None else 0.0,
             rng=SeededRNG(wseed).substream("controller"),
         )
         helpers = None
@@ -593,11 +612,22 @@ class HijackExperiment:
             deaggregation_levels=cfg.deaggregation_levels,
             max_announce_length_v4=cfg.max_announce_length_v4,
         )
-        streams = []
-        if "ris" in cfg.enabled_sources:
-            streams.append(self.monitors.ris)
-        if "bgpmon" in cfg.enabled_sources:
-            streams.append(self.monitors.bgpmon)
+        sources = {
+            "ris": self.monitors.ris,
+            "bgpmon": self.monitors.bgpmon,
+            "batch": self.monitors.batch,
+        }
+        if "rib-dump" in cfg.enabled_sources:
+            # Deployed last: its monitor sessions join each vantage's peer
+            # list behind everything a world without it has.
+            sources["rib-dump"] = self.monitors.rib_archive = BatchArchive.deploy(
+                self.network,
+                self.monitors.batch_vantages or self.monitors.ris_vantages,
+                seed=wseed,
+                name="rib-only",
+                publish_updates=False,
+            )
+        streams = [sources[name] for name in sources if name in cfg.enabled_sources]
         periscope = (
             self.monitors.periscope if "periscope" in cfg.enabled_sources else None
         )
@@ -610,7 +640,7 @@ class HijackExperiment:
         self.supervisor = SourceSupervisor(
             self.network.engine, supervised, **cfg.supervision
         )
-        if cfg.failover_to_batch and self.monitors.batch is not None:
+        if cfg.failover_to_batch and self.monitors.batch not in (None, *streams):
             self.supervisor.add_backup(self.monitors.batch)
         self.artemis = Artemis(
             artemis_config,
@@ -619,6 +649,8 @@ class HijackExperiment:
             periscope=periscope,
             helpers=helpers,
             supervisor=self.supervisor,
+            operator=cfg.operator,
+            rng=cfg.operator and cfg.operator.rng(wseed),
         )
         if cfg.faults is not None:
             # Targets are validated now (setup time); the plan is armed at
@@ -939,6 +971,9 @@ class HijackExperiment:
             yield lg.rng
         if monitors.batch is not None:
             yield monitors.batch.rng
+        if monitors.rib_archive is not None:
+            yield monitors.rib_archive.rng
+        yield self.artemis.rng
         helpers = self.artemis.mitigation.helpers
         if helpers is not None:
             yield helpers.rng
@@ -1071,12 +1106,18 @@ class HijackExperiment:
         if not forged and helpers is not None:
             # Helper-origin routes deliver traffic to the victim by tunnel.
             accepted |= set(helpers.helper_asns)
-        if detected and cfg.auto_mitigate:
+        # ARTEMIS has acted by the time the alert callback returns; a human
+        # operator has not, so wait for the action to exist before reading it.
+        mitigating = detected and cfg.auto_mitigate and self._run_until(
+            lambda: bool(self.artemis.actions), cfg.completion_timeout
+        )
+        if mitigating:
             action = self.artemis.actions[0]
             self._run_until(
                 lambda: action.announced_at is not None, cfg.completion_timeout
             )
-            result.announce_delay = action.announce_delay
+            if action.announced_at is not None:
+                result.announce_delay = action.announced_at - alert.detected_at
             result.strategy = action.strategy
             recovered = self._run_until_routing(
                 accepted,
@@ -1096,6 +1137,7 @@ class HijackExperiment:
                     result.total_time = completion - hijack_time
                     result.mitigated = True
                     alert.resolve(completion)
+                    self.artemis.log.record_resolution(alert)
             else:
                 # Partial recovery (e.g. the /24 case): observe a bit longer
                 # so the residual fraction is post-convergence.

@@ -155,3 +155,91 @@ class TestProfileAndJobs:
     def test_jobs_default_is_serial(self):
         args = build_parser().parse_args(["suite"])
         assert args.jobs == 1
+
+
+class TestBaselinesCommand:
+    """`repro baselines` runs every row through the one experiment driver."""
+
+    def table(self, capsys, *extra):
+        code = main(["baselines", "--seed", "3", "--systems", "argus", "phas"]
+                    + FAST_WORLD + list(extra))
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        return {row.split()[0]: row.split()[1:] for row in lines[3:]}
+
+    def test_slash23_every_defender_recovers(self, capsys):
+        rows = self.table(capsys)
+        assert list(rows) == ["artemis", "argus", "phas"]
+        totals = [float(cells[2]) for cells in rows.values()]
+        assert totals == sorted(totals)  # ARTEMIS first, the batch service last
+        assert float(rows["argus"][1]) > 3 * float(rows["artemis"][1])  # the human
+
+    def test_slash24_miss_prints_dash_not_zero(self, capsys):
+        # A /24 cannot be out-de-aggregated: nobody fully recovers, and an
+        # unrecovered hijack is "-" in every row (ARTEMIS' used to read 0.00).
+        rows = self.table(capsys, "--prefix", "10.0.0.0/24")
+        assert [cells[2] for cells in rows.values()] == ["-", "-", "-"]
+        assert all(float(cells[0]) > 0 for cells in rows.values())
+
+
+class TestTenantReplayLoadsWhatItReads:
+    @pytest.fixture
+    def trace_and_spec(self, tmp_path):
+        from repro.core.config import ArtemisConfig, OwnedPrefix
+        from repro.feeds.events import ANNOUNCE, FeedEvent
+        from repro.feeds.replay import TraceWriter
+        from repro.net.prefix import Prefix
+
+        trace = str(tmp_path / "t.trace")
+        with TraceWriter(trace) as writer:
+            for i in range(40):
+                writer.append(
+                    FeedEvent(
+                        source="ris", collector="rrc00", vantage_asn=100 + i % 3,
+                        kind=ANNOUNCE, prefix=Prefix.parse(f"10.{i % 2}.0.0/16"),
+                        as_path=(1, 666 if i % 5 == 0 else 65000 + i % 2),
+                        observed_at=float(i), delivered_at=i + 0.25,
+                    )
+                )
+        spec = {
+            "tenants": {
+                f"t{block}": {
+                    "config": ArtemisConfig(
+                        [OwnedPrefix(f"10.{block}.0.0/16", [65000 + block])]
+                    ).to_dict()
+                }
+                for block in (0, 1)
+            }
+        }
+        path = tmp_path / "tenants.json"
+        path.write_text(json.dumps(spec))
+        return trace, str(path)
+
+    def digest(self, capsys):
+        out = capsys.readouterr().out
+        return next(l.split()[-1] for l in out.splitlines() if "merged alert digest" in l)
+
+    def test_worker_mode_with_a_registry_file_never_loads_the_trace(
+        self, trace_and_spec, capsys, monkeypatch
+    ):
+        trace, spec = trace_and_spec
+        assert main(["replay", trace, "--tenants", spec]) == 0
+        single = self.digest(capsys)
+
+        def refuse(path):
+            raise AssertionError("worker mode read the trace into the parent")
+
+        monkeypatch.setattr("repro.feeds.replay.load_trace", refuse)
+        code = main(["replay", trace, "--tenants", spec, "--detect-workers", "2"])
+        assert code == 0
+        assert self.digest(capsys) == single
+
+    def test_max_events_is_refused_with_workers(self, trace_and_spec, capsys):
+        trace, spec = trace_and_spec
+        argv = ["replay", trace, "--tenants", spec, "--max-events", "5"]
+        assert main(argv + ["--detect-workers", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "--max-events does not apply" in captured.err
+        assert captured.out == ""
+        assert main(argv) == 0  # single process honours it
+        assert "events seen" in capsys.readouterr().out

@@ -49,6 +49,18 @@ def test_readme_mentions_core_commands():
         assert needle in readme
 
 
+def test_readme_architecture_lists_every_top_level_module():
+    readme = (SRC.parent.parent / "README.md").read_text()
+    block = readme.split("## Architecture")[1].split("```")[1]
+    listed = {line.split()[0] for line in block.splitlines() if line.startswith("repro.")}
+    shipped = {
+        f"repro.{info.name}"
+        for info in pkgutil.iter_modules([str(SRC)])
+        if info.name != "__main__"
+    }
+    assert listed == shipped
+
+
 def test_design_doc_covers_every_bench():
     design = (SRC.parent.parent / "DESIGN.md").read_text()
     bench_dir = SRC.parent.parent / "benchmarks"
