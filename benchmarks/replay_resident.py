@@ -9,8 +9,10 @@ base trace in ``bench/.cache``::
 
 ``rss`` prints RSS (``/proc/self/statm``, MiB) after each stage of what
 ``bench/rep.py::timed_replay`` does; ``malloc`` runs the same path under
-``tracemalloc`` and prints live bytes grouped by allocating module and the
-largest allocating lines.  Not a test and not part of ``bench/``: it
+``tracemalloc`` and prints what the compiled ground truth costs per
+monitored row (the figure ``tests/test_tenants.py`` pins at a tenth of the
+size), then live bytes grouped by allocating module and the largest
+allocating lines.  Not a test and not part of ``bench/``: it
 claims nothing, it attributes.
 """
 
@@ -43,10 +45,19 @@ def main(mode: str) -> None:
 
     stages.append(("imports", rss_mib()))
     prepared = inputs.prepare("replay_steady", inputs.DEFAULT_SEED)
-    registry = rep.build_registry(rep.origin_map(prepared["summary"]))
+    origins = rep.origin_map(prepared["summary"])
+    traced = tracemalloc.get_traced_memory()[0] if mode == "malloc" else 0
+    registry = rep.build_registry(origins)
     stages.append(("registry build", rss_mib()))
     plane = DetectionPlane(registry, batch_size=rep.BATCH_SIZE)
     stages.append(("tree + plane", rss_mib()))
+    if mode == "malloc":
+        traced = tracemalloc.get_traced_memory()[0] - traced
+        print(
+            f"registry + tree  {traced / MIB:8.2f} MiB traced, "
+            f"{traced / registry.num_rules:.1f} B per monitored row "
+            f"({registry.num_rules} rows, {len(plane.tree)} prefixes)"
+        )
     trace = load_trace(prepared["trace"])
     stages.append(("load_trace", rss_mib()))
     for event in trace.events:

@@ -194,7 +194,7 @@ class LocRib:
     longest-matches with one probe per prefix length present; and the cold
     ordered reads (:meth:`routes`, :meth:`prefixes`, :meth:`covered`,
     :meth:`snapshot`) sort the keys on demand — integer ``ikey`` order is
-    ``sort_key`` order is radix-trie bit order, so they yield exactly what
+    the prefix total order is radix-trie bit order, so they yield exactly what
     a trie walk would, without a trie to maintain on every install.
     """
 

@@ -715,7 +715,7 @@ class BGPSpeaker:
         my_asn = self.asn
         dirty = state.dirty
         reused = 0
-        # ``Prefix.ikey`` integer order equals ``sort_key`` order by
+        # ``Prefix.ikey`` integer order is the prefix total order by
         # construction, so the deterministic flush order comes from a plain
         # C-level int sort instead of a Python key function per prefix.
         for pikey in sorted(dirty):

@@ -24,10 +24,13 @@ def remove_covered(prefixes: Iterable[Prefix]) -> List[Prefix]:
     Output is sorted.  Duplicates collapse to one entry.
     """
     result: List[Prefix] = []
-    # ``sort_key`` is (version, network, length): a covering prefix sorts
-    # immediately before everything it covers, so the last kept prefix is
-    # the only candidate cover of the next one.
-    for prefix in sorted(set(prefixes), key=lambda p: p.sort_key):
+    # Deduplicated and sorted as ints (no ``Prefix.__hash__``, no key
+    # function).  ``ikey`` order is (version, network, length): a covering
+    # prefix sorts immediately before everything it covers, so the last
+    # kept prefix is the only candidate cover of the next one.
+    by_key = {prefix.ikey: prefix for prefix in prefixes}
+    for key in sorted(by_key):
+        prefix = by_key[key]
         if not result or not result[-1].contains(prefix):
             result.append(prefix)
     return result

@@ -168,7 +168,7 @@ class Prefix:
     more-specifics, which the radix trie and de-aggregation code rely on.
     """
 
-    __slots__ = ("value", "length", "version", "_hash", "sort_key", "ikey")
+    __slots__ = ("value", "length", "version", "ikey")
 
     def __init__(self, value: int, length: int, version: int = 4):
         if version not in (4, 6):
@@ -183,18 +183,12 @@ class Prefix:
         self.value = value & mask
         self.length = length
         self.version = version
-        self._hash = hash((version, self.value, length))
-        #: Total-order key ``(version, value, length)`` — the tuple ``__lt__``
-        #: compares.  Hot sorts (e.g. MRAI flush order) use it directly so
-        #: ordering costs one tuple comparison instead of rich-compare calls.
-        self.sort_key = (version, self.value, length)
-        #: Unique integer key (version, value and length packed into one
-        #: int).  Hot per-prefix tables key on this instead of the Prefix
-        #: itself: hashing an int happens entirely in C, where hashing a
-        #: Prefix costs a Python-level ``__hash__`` call per dict operation.
-        # Version bit on top so plain integer ordering of keys matches
-        # ``sort_key`` ordering (hot paths sort dirty-prefix ikeys with
-        # C-level int comparisons instead of a Python key function).
+        #: The prefix's one key: version, value and length packed into a
+        #: unique int whose integer order *is* the total order (version bit
+        #: on top, then network value, then length) — ``==``, ``<``, ``hash``
+        #: and every sort read it and nothing else.  Hot tables key on it,
+        #: not on the Prefix (an int hashes in C, a Prefix through a Python
+        #: ``__hash__`` call) and hot sorts compare ikeys in C, keyless.
         self.ikey = ((version == 6) << 137) | (self.value << 9) | (length << 1)
 
     @classmethod
@@ -364,22 +358,18 @@ class Prefix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Prefix):
             return NotImplemented
-        return (
-            self.version == other.version
-            and self.value == other.value
-            and self.length == other.length
-        )
+        return self.ikey == other.ikey
 
     def __lt__(self, other: "Prefix") -> bool:
         if not isinstance(other, Prefix):
             return NotImplemented
-        return self.sort_key < other.sort_key
+        return self.ikey < other.ikey
 
     def __le__(self, other: "Prefix") -> bool:
         return self == other or self < other
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.ikey)
 
 
 def longest_match(table: Mapping[int, V], prefix: Prefix) -> Optional[V]:

@@ -45,6 +45,7 @@ against it under randomized add/remove/resolve sequences.
 from __future__ import annotations
 
 from array import array
+from operator import attrgetter
 from typing import Dict, Iterable, List, Tuple
 
 from repro.net.prefix import Prefix
@@ -68,7 +69,7 @@ _NIL = -1
 
 def _match_tenant(match: Match) -> str:
     """Sort key for resolve results (tenant name)."""
-    return match[0].tenant
+    return match[0].policy.tenant
 
 
 class FlatPrefixTree:
@@ -128,40 +129,46 @@ class FlatPrefixTree:
         return _NIL
 
     def _new_node(self) -> int:
-        index = self._alloc(self._free_nodes)
-        if index != _NIL:
-            self._left[index] = _NIL
-            self._right[index] = _NIL
-            self._node_pid[index] = _NIL
-            return index
+        if self._free_nodes:
+            index = self._alloc(self._free_nodes)
+            if index != _NIL:
+                self._left[index] = _NIL
+                self._right[index] = _NIL
+                self._node_pid[index] = _NIL
+                return index
+        index = len(self._left)
         self._left.append(_NIL)
         self._right.append(_NIL)
         self._node_pid.append(_NIL)
-        return len(self._left) - 1
+        return index
 
     def _new_pid(self, prefix: Prefix) -> int:
-        pid = self._alloc(self._free_pids)
-        if pid != _NIL:
-            self._pid_length[pid] = prefix.length
-            self._pid_head[pid] = _NIL
-            self._pid_prefix[pid] = prefix
-            return pid
+        if self._free_pids:
+            pid = self._alloc(self._free_pids)
+            if pid != _NIL:
+                self._pid_length[pid] = prefix.length
+                self._pid_head[pid] = _NIL
+                self._pid_prefix[pid] = prefix
+                return pid
+        pid = len(self._pid_head)
         self._pid_length.append(prefix.length)
         self._pid_head.append(_NIL)
         self._pid_prefix.append(prefix)
-        return len(self._pid_head) - 1
+        return pid
 
     def _new_row(self, tid: int, rule: TenantRule, next_row: int) -> int:
-        row = self._alloc(self._free_rows)
-        if row != _NIL:
-            self._row_tenant[row] = tid
-            self._row_next[row] = next_row
-            self._row_rule[row] = rule
-            return row
+        if self._free_rows:
+            row = self._alloc(self._free_rows)
+            if row != _NIL:
+                self._row_tenant[row] = tid
+                self._row_next[row] = next_row
+                self._row_rule[row] = rule
+                return row
+        row = len(self._row_tenant)
         self._row_tenant.append(tid)
         self._row_next.append(next_row)
         self._row_rule.append(rule)
-        return len(self._row_tenant) - 1
+        return row
 
     def _tenant_id(self, name: str) -> int:
         tid = self._tid_of.get(name)
@@ -173,27 +180,6 @@ class FlatPrefixTree:
         return tid
 
     # -------------------------------------------------------------- mutation
-
-    def _ensure_node(self, prefix: Prefix) -> int:
-        """Walk/extend the trie to ``prefix``'s node; return its index."""
-        left, right = self._left, self._right
-        node = 0 if prefix.version == 4 else 1
-        value = prefix.value
-        shift = prefix.bits - 1
-        for _ in range(prefix.length):
-            if (value >> shift) & 1:
-                child = right[node]
-                if child == _NIL:
-                    child = self._new_node()
-                    right[node] = child
-            else:
-                child = left[node]
-                if child == _NIL:
-                    child = self._new_node()
-                    left[node] = child
-            node = child
-            shift -= 1
-        return node
 
     def _find_path(self, prefix: Prefix) -> List[int]:
         """Nodes from the root to ``prefix``'s node, or ``[]`` if absent."""
@@ -234,54 +220,102 @@ class FlatPrefixTree:
             self._free_nodes.append((self.epoch, current))
 
     def insert_rules(self, rules: Iterable[TenantRule]) -> None:
-        """Add rule rows (a tenant onboarding); one epoch bump per call."""
+        """Add rule rows (a tenant's, or a registry's); one epoch bump per call.
+
+        A sorted bulk load: in ``prefix.ikey`` order — trie bit order — each
+        prefix's path starts with a stretch of the previous one's, so the
+        walk keeps that path as a node stack and descends only from the
+        common ancestor: a node is reached once per batch, not once per row
+        under it.  The sort is stable, so one prefix's rows keep arrival
+        order and "latest-inserted rule of a tenant wins" holds.
+        """
+        batch = sorted(rules, key=attrgetter("prefix.ikey"))
+        left, right, node_pid = self._left, self._right, self._node_pid
+        pid_head = self._pid_head
+        new_node, new_row, tenant_id = self._new_node, self._new_row, self._tenant_id
+        # The previous prefix (none yet: no real ikey is negative, no
+        # version 0), its pid, and its node path from the root.
+        ikey, value, length, version, bits, pid = -1, 0, 0, 0, 0, _NIL
+        stack: List[int] = []
         added = 0
-        for rule in rules:
-            node = self._ensure_node(rule.prefix)
-            pid = self._node_pid[node]
-            if pid == _NIL:
-                pid = self._new_pid(rule.prefix)
-                self._node_pid[node] = pid
-                self._size += 1
-            row = self._new_row(
-                self._tenant_id(rule.tenant), rule, self._pid_head[pid]
-            )
-            self._pid_head[pid] = row
-            added += 1
-        if added:
-            self.num_rules += added
-            self.epoch += 1
-            self._refresh_bytes_gauge()
+        try:
+            for rule in batch:
+                # Before any slot is taken: a row that cannot name its
+                # tenant must not leave a prefix with no rows behind.
+                tid = tenant_id(rule.policy.tenant)
+                prefix = rule.prefix
+                if prefix.ikey != ikey:
+                    # Bits shared with the previous prefix: none across
+                    # families, else its length less the bits from where
+                    # the values part (a shorter prefix sorting *after* a
+                    # longer one parts from it inside its own length).
+                    if prefix.version == version:
+                        shared = length - (
+                            (prefix.value ^ value) >> (bits - length)
+                        ).bit_length()
+                        del stack[shared + 1:]
+                    else:
+                        shared = 0
+                        version = prefix.version
+                        bits = 32 if version == 4 else 128  # ``prefix.bits``
+                        stack = [0 if version == 4 else 1]
+                    ikey, value, length = prefix.ikey, prefix.value, prefix.length
+                    node = stack[shared]
+                    for shift in range(bits - 1 - shared, bits - 1 - length, -1):
+                        side = right if (value >> shift) & 1 else left
+                        child = side[node]
+                        if child == _NIL:
+                            child = new_node()
+                            side[node] = child
+                        stack.append(child)
+                        node = child
+                    pid = node_pid[node]
+                    if pid == _NIL:
+                        pid = self._new_pid(prefix)
+                        node_pid[node] = pid
+                        self._size += 1
+                pid_head[pid] = new_row(tid, rule, pid_head[pid])
+                added += 1
+        finally:
+            # Also when a row raised: what is already linked is counted
+            # and the epoch moves, so no verdict cache outlives the change.
+            if added:
+                self.num_rules += added
+                self.epoch += 1
+                self._refresh_bytes_gauge()
 
     def remove_rules(self, rules: Iterable[TenantRule]) -> None:
         """Drop rule rows (a tenant retiring); one epoch bump per call."""
         removed = 0
-        for rule in rules:
-            path = self._find_path(rule.prefix)
-            pid = self._node_pid[path[-1]] if path else _NIL
-            if pid == _NIL:
-                raise KeyError(f"rule {rule!r} not present in the prefix tree")
-            row_rule, row_next = self._row_rule, self._row_next
-            row = self._pid_head[pid]
-            previous = _NIL
-            while row != _NIL and row_rule[row] is not rule:
-                previous = row
-                row = row_next[row]
-            if row == _NIL:
-                raise KeyError(f"rule {rule!r} not present in the prefix tree")
-            if previous == _NIL:
-                self._pid_head[pid] = row_next[row]
-            else:
-                row_next[previous] = row_next[row]
-            self._free_rows.append((self.epoch, row))
-            row_rule[row] = None  # type: ignore[call-overload]
-            if self._pid_head[pid] == _NIL:
-                self._drop_pid(pid, path)
-            removed += 1
-        if removed:
-            self.num_rules -= removed
-            self.epoch += 1
-            self._refresh_bytes_gauge()
+        try:
+            for rule in rules:
+                path = self._find_path(rule.prefix)
+                pid = self._node_pid[path[-1]] if path else _NIL
+                if pid == _NIL:
+                    raise KeyError(f"rule {rule!r} not present in the prefix tree")
+                row_rule, row_next = self._row_rule, self._row_next
+                row = self._pid_head[pid]
+                previous = _NIL
+                while row != _NIL and row_rule[row] is not rule:
+                    previous = row
+                    row = row_next[row]
+                if row == _NIL:
+                    raise KeyError(f"rule {rule!r} not present in the prefix tree")
+                if previous == _NIL:
+                    self._pid_head[pid] = row_next[row]
+                else:
+                    row_next[previous] = row_next[row]
+                self._free_rows.append((self.epoch, row))
+                row_rule[row] = None  # type: ignore[call-overload]
+                if self._pid_head[pid] == _NIL:
+                    self._drop_pid(pid, path)
+                removed += 1
+        finally:
+            # A batch that raises on an absent rule unlinked those before it.
+            if removed:
+                self.num_rules -= removed
+                self.epoch += 1
+                self._refresh_bytes_gauge()
 
     # ---------------------------------------------------------------- lookup
 
@@ -358,7 +392,7 @@ class FlatPrefixTree:
     def monitored_prefixes(self) -> List[Prefix]:
         """Distinct stored prefixes, in deterministic bit order."""
         live = [p for p in self._pid_prefix if p is not None]
-        live.sort(key=lambda p: p.sort_key)
+        live.sort(key=attrgetter("ikey"))
         return live
 
     def tenants_at(self, prefix: Prefix) -> List[str]:
@@ -370,7 +404,7 @@ class FlatPrefixTree:
         names = set()
         row = self._pid_head[pid]
         while row != _NIL:
-            names.add(self._row_rule[row].tenant)
+            names.add(self._row_rule[row].policy.tenant)
             row = self._row_next[row]
         return sorted(names)
 

@@ -124,6 +124,7 @@ def classify_batch_verdicts(
         if rule.squat_space:
             verdict = classify_squat(path[-1], rule.legit_origins)
         else:
+            policy = rule.policy
             verdict = classify_announcement(
                 prefix,
                 path,
@@ -131,11 +132,11 @@ def classify_batch_verdicts(
                 exact,
                 rule.legit_origins,
                 rule.legit_upstreams,
-                neighbors=rule.neighbors,
-                leak_sentinels=rule.leak_sentinels,
-                detect_subprefix=rule.detect_subprefix,
-                detect_path=rule.detect_path,
-                detect_unchanged_path=rule.detect_unchanged_path,
+                neighbors=policy.neighbors,
+                leak_sentinels=policy.leak_sentinels,
+                detect_subprefix=policy.detect_subprefix,
+                detect_path=policy.detect_path,
+                detect_unchanged_path=policy.detect_unchanged_path,
                 probe=probe,
             )
         if verdict is not None:
@@ -271,16 +272,17 @@ class DetectionPlane:
             # multi-hop repeats across vantage points stay cache hits.
             # ``Prefix.ikey`` stands in for the prefix object: one int,
             # unique per (version, value, length), hashed at C speed.
+            ikey = prefix.ikey
             if len(path) >= 2:
-                memo_key = (prefix.ikey, path)
+                memo_key = (ikey, path)
             else:
-                memo_key = (prefix.ikey, path, event.vantage_asn)
+                memo_key = (ikey, path, event.vantage_asn)
             verdicts = cache_get(memo_key)
             if verdicts is None:
-                matches = walks_get(prefix)
+                matches = walks_get(ikey)
                 if matches is None:
                     matches = resolve(prefix)
-                    walks[prefix] = matches
+                    walks[ikey] = matches
                 verdicts = classify_batch_verdicts(
                     matches, prefix, path, event.vantage_asn, probe=probe,
                 )
@@ -310,7 +312,8 @@ class DetectionPlane:
     def _apply(self, verdict: Verdict, event: FeedEvent) -> None:
         """Feed one verdict into its tenant's alert state (stage 3)."""
         rule, alert_type, offender = verdict
-        state = self.tenant_state(rule.tenant)
+        policy = rule.policy
+        state = self.tenant_state(policy.tenant)
         pattern = (alert_type, rule.prefix, event.prefix, offender)
         seen = state.evidence_seen.setdefault(pattern, set())
         content = event.content_key()
@@ -330,14 +333,14 @@ class DetectionPlane:
         if event.source not in per_source:
             per_source[event.source] = event.delivered_at
         if is_new:
-            if rule.autoignore_visibility > 1:
+            if policy.autoignore_visibility > 1:
                 # Withhold the notification until enough distinct vantage
                 # ASes corroborate; the incident itself is already on the
                 # books (digests and state are unaffected).
-                state.held[alert.id] = rule.autoignore_visibility
+                state.held[alert.id] = policy.autoignore_visibility
                 _COUNTERS.autoignore_suppressed += 1
             else:
-                self._enqueue_notification(rule.tenant, alert)
+                self._enqueue_notification(policy.tenant, alert)
         elif state.held:
             threshold = state.held.get(alert.id)
             if (
@@ -345,7 +348,7 @@ class DetectionPlane:
                 and len(alert.witness_vantages) >= threshold
             ):
                 del state.held[alert.id]
-                self._enqueue_notification(rule.tenant, alert)
+                self._enqueue_notification(policy.tenant, alert)
 
     # ---------------------------------------------------------------- notify
 

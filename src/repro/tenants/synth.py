@@ -23,6 +23,7 @@ assertions in the benches rely on.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.config import ArtemisConfig, OwnedPrefix
@@ -80,7 +81,7 @@ def build_synth_registry(
     per_tenant = num_prefixes // num_tenants
     if per_tenant < 1:
         raise ConfigError("fewer prefixes than tenants")
-    live = sorted(origin_map, key=lambda p: p.sort_key)
+    live = sorted(origin_map, key=attrgetter("ikey"))
     live_per_tenant = min(live_per_tenant, len(live), per_tenant)
     pad_per_tenant = per_tenant - live_per_tenant
     registry = TenantRegistry()
@@ -125,6 +126,7 @@ def baseline_services(registry: TenantRegistry):
     services = {}
     for name in registry.tenant_names():
         rules = registry.rules_for(name)
+        policy = rules[0].policy
         config = ArtemisConfig(
             [
                 OwnedPrefix(
@@ -132,9 +134,9 @@ def baseline_services(registry: TenantRegistry):
                 )
                 for rule in rules
             ],
-            detect_subprefix=rules[0].detect_subprefix,
-            detect_path=rules[0].detect_path,
-            alert_cooldown=rules[0].cooldown,
+            detect_subprefix=policy.detect_subprefix,
+            detect_path=policy.detect_path,
+            alert_cooldown=policy.cooldown,
         )
         services[name] = DetectionService(config)
     return services

@@ -57,8 +57,9 @@ is a protocol bug and kills the run, never a silent wrong answer.
 
 from __future__ import annotations
 
+import gc
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.feeds.dumpfile import parse_event
@@ -97,7 +98,7 @@ _ROUTE_MEMO_MAX = 65536
 # ---------------------------------------------------------------- partition
 
 
-def partition_roots(prefixes: Sequence[Prefix]) -> List[Prefix]:
+def partition_roots(prefixes: Iterable[Prefix]) -> List[Prefix]:
     """The maximal monitored prefixes (covered by no other monitored one).
 
     Sorted canonically; this is the routing unit for worker partitioning.
@@ -105,10 +106,10 @@ def partition_roots(prefixes: Sequence[Prefix]) -> List[Prefix]:
     return remove_covered(prefixes)
 
 
-def assign_roots(roots: Sequence[Prefix], num_workers: int) -> Dict[int, int]:
+def assign_roots(roots: Iterable[Prefix], num_workers: int) -> Dict[int, int]:
     """Round-robin roots over workers; returns ``{root.ikey: worker}``."""
-    ordered = sorted(roots, key=lambda p: p.sort_key)
-    return {root.ikey: index % num_workers for index, root in enumerate(ordered)}
+    ordered = sorted(root.ikey for root in roots)
+    return {ikey: index % num_workers for index, ikey in enumerate(ordered)}
 
 
 # ------------------------------------------------------------------ worker
@@ -218,10 +219,10 @@ class ParallelDetectionPlane:
         self.registry = registry
         self.num_workers = int(num_workers)
         self.batch_size = int(batch_size)
-        monitored = registry.monitored_prefixes()
-        if not monitored:
+        # Straight from the rows: the partition dedupes and sorts on ``ikey``.
+        self.roots = partition_roots(rule.prefix for rule in registry.all_rules())
+        if not self.roots:
             raise ReproError("registry has no monitored prefixes to partition")
-        self.roots = partition_roots(monitored)
         self._routing = assign_roots(self.roots, self.num_workers)
         #: prefix field (bytes) → worker id, ``None`` (unrouted), or
         #: :data:`_MALFORMED`.
@@ -255,6 +256,10 @@ class ParallelDetectionPlane:
         # — the signal the stale-registry guard reads.
         self._tree = FlatPrefixTree(self.registry)
         self._fork_epoch = self._tree.epoch
+        # What the children are forked to share: frozen, no full collection
+        # — here or in a worker, whenever CPython's thresholds next call for
+        # one — walks it and dirties the copy-on-write pages it sits on.
+        gc.freeze()
         for worker_id in range(self.num_workers):
             self._group.fork(
                 tenant_worker_main,
@@ -398,6 +403,7 @@ class ParallelDetectionPlane:
         """Stop and reap the workers; also the error-path cleanup."""
         if self._group.processes:
             self._group.close(encode_frame(FRAME_STOP, 0))
+        if self._tree is not None:
             self.registry.detach_tree(self._tree)
 
     def __enter__(self) -> "ParallelDetectionPlane":

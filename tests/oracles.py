@@ -61,17 +61,19 @@ class PrefixTree:
     def remove_rules(self, rules: Iterable[TenantRule]) -> None:
         """Drop rule rows (a tenant retiring); one epoch bump per call."""
         removed = 0
-        for rule in rules:
-            bucket = self._trie.get(rule.prefix)
-            if bucket is None or rule not in bucket:
-                raise KeyError(f"rule {rule!r} not present in the prefix tree")
-            bucket.remove(rule)
-            if not bucket:
-                self._trie.remove(rule.prefix)
-            removed += 1
-        if removed:
-            self.num_rules -= removed
-            self.epoch += 1
+        try:
+            for rule in rules:
+                bucket = self._trie.get(rule.prefix)
+                if bucket is None or rule not in bucket:
+                    raise KeyError(f"rule {rule!r} not present in the prefix tree")
+                bucket.remove(rule)
+                if not bucket:
+                    self._trie.remove(rule.prefix)
+                removed += 1
+        finally:  # a failed batch still counts what it unlinked
+            if removed:
+                self.num_rules -= removed
+                self.epoch += 1
 
     def resolve(self, prefix: Prefix) -> List[Match]:
         """The most specific covering rule per tenant, sorted by tenant."""
@@ -80,7 +82,7 @@ class PrefixTree:
         for stored, bucket in self._trie.covering(prefix):
             exact = stored.length == prefix.length
             for rule in bucket:
-                per_tenant[rule.tenant] = (rule, exact)
+                per_tenant[rule.policy.tenant] = (rule, exact)
         return [per_tenant[name] for name in sorted(per_tenant)]
 
     def monitored_prefixes(self) -> List[Prefix]:
@@ -90,7 +92,7 @@ class PrefixTree:
     def tenants_at(self, prefix: Prefix) -> List[str]:
         """Tenant names monitoring exactly ``prefix``."""
         bucket = self._trie.get(prefix)
-        return sorted({rule.tenant for rule in bucket}) if bucket else []
+        return sorted({rule.policy.tenant for rule in bucket}) if bucket else []
 
 
 def config_tries(config: ArtemisConfig) -> Tuple[PrefixTrie, PrefixTrie]:

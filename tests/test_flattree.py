@@ -42,10 +42,10 @@ class TestResolveSemantics:
     def test_exact_and_covering_matches(self):
         tree = FlatPrefixTree(small_registry())
         matches = tree.resolve(Prefix.parse("10.0.0.0/16"))
-        assert [(m[0].tenant, m[1]) for m in matches] == [("alpha", True)]
+        assert [(m[0].policy.tenant, m[1]) for m in matches] == [("alpha", True)]
         matches = tree.resolve(Prefix.parse("10.0.0.0/24"))
         # Covered by alpha's /16 and beta's /23, exactly equal to neither.
-        assert [(m[0].tenant, m[1]) for m in matches] == [
+        assert [(m[0].policy.tenant, m[1]) for m in matches] == [
             ("alpha", False),
             ("beta", False),
         ]
@@ -53,7 +53,7 @@ class TestResolveSemantics:
     def test_most_specific_rule_per_tenant_wins(self):
         tree = FlatPrefixTree(small_registry())
         matches = tree.resolve(Prefix.parse("10.0.1.0/24"))
-        by_tenant = {m[0].tenant: m for m in matches}
+        by_tenant = {m[0].policy.tenant: m for m in matches}
         # Alpha monitors both the /16 and the /24; the /24 must win.
         assert str(by_tenant["alpha"][0].prefix) == "10.0.1.0/24"
         assert by_tenant["alpha"][1] is True
@@ -66,7 +66,7 @@ class TestResolveSemantics:
             )
         tree = FlatPrefixTree(registry)
         matches = tree.resolve(Prefix.parse("10.0.0.0/24"))
-        assert [m[0].tenant for m in matches] == ["alpha", "mid", "zeta"]
+        assert [m[0].policy.tenant for m in matches] == ["alpha", "mid", "zeta"]
 
     def test_miss_returns_shared_empty_list(self):
         tree = FlatPrefixTree(small_registry())
@@ -90,7 +90,7 @@ class TestResolveSemantics:
         # A /128 probe exercises the deepest walk and the unsigned length
         # column (128 does not fit a signed byte).
         matches = tree.resolve(Prefix.parse("2001:db8::1/128"))
-        assert [(m[0].tenant, m[1]) for m in matches] == [("v6", False)]
+        assert [(m[0].policy.tenant, m[1]) for m in matches] == [("v6", False)]
 
     def test_tenants_at_and_monitored_prefixes(self):
         registry = small_registry()
@@ -122,6 +122,53 @@ class TestMutation:
         tree.remove_rules(victim)
         with pytest.raises(KeyError, match="not present in the prefix tree"):
             tree.remove_rules(victim)
+
+    @pytest.mark.parametrize("tree_class", [FlatPrefixTree, PrefixTree])
+    def test_failed_removal_counts_what_it_unlinked(self, tree_class):
+        """``remove_rules([present, absent])`` raises on ``absent`` with
+        ``present`` already gone: the rule count and the epoch must say so,
+        or an epoch-stamped cache keeps serving the removed row."""
+        registry = small_registry()
+        tree = tree_class(registry)
+        present = registry.rules_for("beta")[0]
+        absent = TenantRegistry().add_tenant(
+            "ghost", ArtemisConfig([OwnedPrefix("10.9.0.0/16", [65009])])
+        )[0]
+        epoch, rules, size = tree.epoch, tree.num_rules, len(tree)
+        with pytest.raises(KeyError, match="not present in the prefix tree"):
+            tree.remove_rules([present, absent])
+        assert tree.resolve(present.prefix) == [(registry.rules_for("alpha")[0], False)]
+        assert tree.num_rules == rules - 1
+        assert len(tree) == size - 1
+        assert tree.epoch == epoch + 1
+        # A batch that fails on its first row changed nothing: no bump.
+        with pytest.raises(KeyError):
+            tree.remove_rules([absent, registry.rules_for("alpha")[0]])
+        assert (tree.epoch, tree.num_rules) == (epoch + 1, rules - 1)
+
+    def test_failed_insert_counts_what_it_linked(self):
+        """A row that cannot name its tenant stops the batch: the rows
+        before it (in prefix order) are linked, counted and epoch-stamped,
+        and the bad row's prefix is not left behind with no rows."""
+
+        class Nameless:
+            prefix = Prefix.parse("10.200.0.0/16")
+
+        registry = small_registry()
+        tree = FlatPrefixTree(registry)
+        good = TenantRegistry().add_tenant(
+            "gamma", ArtemisConfig([OwnedPrefix("10.7.0.0/16", [65007])])
+        )[0]
+        epoch, rules, size = tree.epoch, tree.num_rules, len(tree)
+        with pytest.raises(AttributeError):
+            tree.insert_rules([Nameless(), good])
+        assert tree.resolve(good.prefix) == [(good, True)]
+        assert (tree.epoch, tree.num_rules, len(tree)) == (epoch + 1, rules + 1, size + 1)
+        assert Nameless.prefix not in tree.monitored_prefixes()
+        # Rows the sort itself rejects never reach the tree.
+        with pytest.raises(AttributeError):
+            tree.insert_rules([good, object()])
+        assert (tree.epoch, tree.num_rules) == (epoch + 1, rules + 1)
 
     def test_slots_recycled_across_epochs(self):
         registry = small_registry()

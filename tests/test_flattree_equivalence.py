@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import ArtemisConfig, OwnedPrefix
 from repro.net.prefix import Prefix
 from repro.tenants import FlatPrefixTree, TenantRegistry
+from repro.tenants.registry import TenantPolicy, TenantRule
 
 from oracles import PrefixTree
 
@@ -68,7 +69,7 @@ def _config(seed: int) -> ArtemisConfig:
 
 
 def _observe(tree, probe):
-    return [(id(rule), rule.tenant, exact) for rule, exact in tree.resolve(probe)]
+    return [(id(rule), rule.policy.tenant, exact) for rule, exact in tree.resolve(probe)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -105,3 +106,83 @@ def test_flat_tree_equivalent_under_randomized_churn(ops):
     assert node.monitored_prefixes() == flat.monitored_prefixes()
     for prefix in node.monitored_prefixes():
         assert node.tenants_at(prefix) == flat.tenants_at(prefix)
+
+
+# ------------------------------------------------------------- bulk load
+#
+# ``FlatPrefixTree.insert_rules`` sorts its batch and descends from each
+# prefix's common ancestor with the previous one.  The property: whatever
+# the batches, the tree is the one the same rows build one at a time — in
+# the node oracle and in a second flat tree fed single-row batches.
+
+_BULK_POOL = [Prefix.parse(text) for text in _POOL + [
+    "::/0",
+    "2001:db8:0:1::/64",
+    "2001:db9::/32",
+    "10.0.0.0/25",
+    "255.255.255.255/32",
+]]
+
+_BULK_PROBES = _PROBES + _BULK_POOL[len(_POOL):]
+
+_BULK_POLICIES = [
+    TenantPolicy(name, True, True, 0.0, 0, None, None, True)
+    for name in ("t-a", "t-b", "t-c")
+]
+
+#: (insert?, picks): an insert batch takes (tenant, prefix) picks — the same
+#: pick twice is the same prefix twice under one tenant; a remove batch
+#: reads each pick as an index into the live rows.
+_BULK_OPS = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.integers(0, len(_BULK_POLICIES) - 1),
+                st.integers(0, len(_BULK_POOL) - 1),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_BULK_OPS)
+def test_bulk_load_is_the_one_at_a_time_insert(ops):
+    bulk, single, node = FlatPrefixTree(), FlatPrefixTree(), PrefixTree()
+    live = []
+    for insert, picks in ops:
+        if insert or not live:
+            batch = [
+                TenantRule(_BULK_POLICIES[tenant], _BULK_POOL[index], frozenset({65000}))
+                for tenant, index in picks
+            ]
+            live.extend(batch)
+            bulk.insert_rules(batch)
+            for rule in batch:
+                single.insert_rules([rule])
+                node.insert_rules([rule])
+        else:
+            chosen = sorted({(tenant * 31 + index) % len(live) for tenant, index in picks})
+            batch = [live[i] for i in chosen]
+            for i in reversed(chosen):
+                del live[i]
+            bulk.remove_rules(batch)
+            for rule in batch:
+                single.remove_rules([rule])
+                node.remove_rules([rule])
+        assert bulk.num_rules == single.num_rules == node.num_rules == len(live)
+        assert len(bulk) == len(single) == len(node)
+        assert bulk.nbytes() == single.nbytes()
+        for probe in _BULK_PROBES:
+            expected = _observe(node, probe)
+            assert _observe(bulk, probe) == expected, probe
+            assert _observe(single, probe) == expected, probe
+        monitored = node.monitored_prefixes()
+        assert bulk.monitored_prefixes() == single.monitored_prefixes() == monitored
+        for prefix in monitored:
+            assert bulk.tenants_at(prefix) == node.tenants_at(prefix)

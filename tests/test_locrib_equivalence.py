@@ -2,8 +2,8 @@
 
 ``LocRib`` keeps one ``ikey``-keyed dict and serves its ordered reads
 (``routes``, ``prefixes``, ``covered``, ``snapshot``) by sorting keys on
-demand.  The claim it rests on — integer ``ikey`` order is ``sort_key``
-order is radix-trie bit order — is checked here against the thing it
+demand.  The claim it rests on — integer ``ikey`` order is the
+(version, value, length) order is radix-trie bit order — is checked here against the thing it
 replaced: hypothesis drives one install/remove sequence through a
 ``LocRib`` and through a ``PrefixTrie`` (the oracle, same idea as
 ``tests/oracles.py``), and after every step the four reads must equal the

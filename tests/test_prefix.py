@@ -1,5 +1,7 @@
 """Unit and property tests for repro.net.prefix."""
 
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -209,6 +211,35 @@ def v4_prefixes(draw):
     value = draw(st.integers(min_value=0, max_value=(1 << 32) - 1))
     length = draw(st.integers(min_value=0, max_value=32))
     return Prefix(value, length, 4)
+
+
+@st.composite
+def v6_prefixes(draw):
+    value = draw(st.integers(min_value=0, max_value=(1 << 128) - 1))
+    length = draw(st.integers(min_value=0, max_value=128))
+    return Prefix(value, length, 6)
+
+
+@given(st.lists(st.one_of(v4_prefixes(), v6_prefixes()), max_size=30))
+def test_one_key_orders_compares_and_hashes(prefixes):
+    """``ikey`` is the only key a Prefix carries: ``sorted``, ``<``, ``==``,
+    ``hash`` and dict lookup must read as (version, network, length) does."""
+
+    def triple(p):
+        return (p.version, p.value, p.length)
+
+    assert sorted(prefixes) == sorted(prefixes, key=triple)
+    assert [p.ikey for p in sorted(prefixes)] == sorted(p.ikey for p in prefixes)
+    table = {p: triple(p) for p in prefixes}
+    for a in prefixes:
+        twin = Prefix(a.value, a.length, a.version)
+        assert twin == a and hash(twin) == hash(a) and table[twin] == triple(a)
+        assert copy.deepcopy(a) is a
+        for b in prefixes:
+            assert (a < b) == (triple(a) < triple(b))
+            assert (a == b) == (triple(a) == triple(b))
+            assert (a <= b) == (triple(a) <= triple(b))
+    assert len(table) == len({triple(p) for p in prefixes})
 
 
 @given(v4_prefixes())

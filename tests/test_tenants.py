@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 from conftest import kill_worker
 from repro.core.alerts import AlertStatus, AlertType
-from repro.core.config import ArtemisConfig, OwnedPrefix
+from repro.core.config import ArtemisConfig, OwnedPrefix, OwnedSpace
 from repro.core.detection import DetectionService
 from repro.feeds.events import FeedEvent
 from repro.feeds.replay import TraceError, TraceWriter, iter_trace_lines
@@ -97,6 +97,13 @@ def make_event(
 def assert_cache_order_consistent(plane):
     """The eviction index names exactly the cached keys, oldest first."""
     assert list(plane._verdict_order) == list(plane._verdict_cache)
+
+
+#: The live prefixes the pinned synthetic registries are built around.
+SYNTH_ORIGINS = {
+    Prefix.parse("10.0.0.0/24"): 65001,
+    Prefix.parse("10.1.0.0/24"): 65002,
+}
 
 
 def two_tenant_registry(cooldown_a=5.0, cooldown_b=20.0):
@@ -186,13 +193,82 @@ class TestTenantRegistry:
         assert acme[:4] == ("acme", "10.0.0.0/23", (65001,), (64600,))
         assert registry.cooldown_for("acme") == 5.0
 
+    def test_spec_bytes_pinned(self):
+        """``to_spec()`` is what worker-count and reload determinism compare:
+        its bytes are pinned (values read at commit 34ae900, when a row held
+        its tenant's settings itself and squat rows simply had no adjacency
+        map or sentinels), so moving a field between row and policy cannot
+        move them."""
+        import hashlib
+
+        def spec_hash(registry):
+            return hashlib.sha256(repr(registry.to_spec()).encode("utf-8")).hexdigest()
+
+        synth = build_synth_registry(SYNTH_ORIGINS, num_tenants=10, num_prefixes=200)
+        assert spec_hash(synth) == (
+            "755624cd303dfb58c0e467291dc5bb3163b7b0a253b822a1e8a2be1142d56b32"
+        )
+        registry = TenantRegistry()
+        registry.add_tenant(
+            "full",
+            ArtemisConfig(
+                [
+                    OwnedPrefix("10.0.0.0/23", [65001, 65003], [64600]),
+                    OwnedPrefix("2001:db8::/32", [65001]),
+                ],
+                alert_cooldown=7.5,
+                detect_path=False,
+                owned_space=[OwnedSpace("10.8.0.0/16", [65001])],
+                adjacencies={65001: [64600, 64601], 64600: [65001]},
+                leak_sentinels=[64999],
+                detect_unchanged_path=False,
+            ),
+            autoignore_visibility=3,
+        )
+        registry.add_tenant(
+            "plain",
+            ArtemisConfig([OwnedPrefix("10.0.0.0/24", [65002])], detect_subprefix=False),
+        )
+        assert spec_hash(registry) == (
+            "0d6fd18a275f1a970b1b61dc39f939c0de3092ee53717119c6d06174c5875b20"
+        )
+        squat = registry.to_spec()[2]
+        assert squat[1] == "10.8.0.0/16" and squat[8:10] == (None, None)
+        # One policy object per tenant, shared by all of its rows.
+        full = registry.rules_for("full")
+        assert len({id(rule.policy) for rule in full}) == 1
+        assert full[0].policy is not registry.rules_for("plain")[0].policy
+
+    def test_bytes_per_row_ceiling(self):
+        """What a monitored row costs to keep — registry rows, prefixes,
+        policies and the tree over them — is pinned: 428.9 B at commit
+        34ae900, 260.5 B since ``Prefix`` carries one key and a tenant's
+        settings are stored once.  ``tracemalloc`` repeats exactly, so the
+        next slot added to ``Prefix`` or ``TenantRule`` fails here."""
+        import tracemalloc
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            registry = build_synth_registry(
+                SYNTH_ORIGINS, num_tenants=100, num_prefixes=10_400
+            )
+            tree = FlatPrefixTree(registry)
+            gc.collect()
+            per_row = (tracemalloc.get_traced_memory()[0] - before) / registry.num_rules
+        finally:
+            tracemalloc.stop()
+        assert len(tree) == 10_202
+        assert per_row <= 290, f"{per_row:.1f} B per monitored row"
+
     def test_monitored_prefixes_distinct_and_sorted(self):
         registry = two_tenant_registry()
         registry.add_tenant(
             "gamma", ArtemisConfig([OwnedPrefix("10.0.0.0/24", [65009])])
         )
         monitored = registry.monitored_prefixes()
-        assert monitored == sorted(set(monitored), key=lambda p: p.sort_key)
+        assert monitored == sorted(set(monitored), key=lambda p: p.ikey)
         assert len(monitored) == 2  # /23 and /24, the duplicate collapsed
 
 
@@ -203,7 +279,7 @@ class TestPrefixTree:
     def test_resolve_exact_and_covering(self):
         tree = PrefixTree(two_tenant_registry())
         matches = tree.resolve(Prefix.parse("10.0.0.0/24"))
-        assert [(r.tenant, exact) for r, exact in matches] == [
+        assert [(r.policy.tenant, exact) for r, exact in matches] == [
             ("acme", False),
             ("beta", True),
         ]
@@ -246,7 +322,7 @@ class TestPrefixTree:
         assert tree.epoch == epoch + 2
         assert tree.tenants_at(Prefix.parse("10.0.0.0/24")) == ["gamma"]
         matches = tree.resolve(Prefix.parse("10.0.0.0/24"))
-        assert {r.tenant for r, _ in matches} == {"acme", "gamma"}
+        assert {r.policy.tenant for r, _ in matches} == {"acme", "gamma"}
 
     def test_remove_unknown_rule_is_loud(self):
         registry = two_tenant_registry()
@@ -267,14 +343,14 @@ class TestClassifyBatchVerdicts:
         prefix = Prefix.parse("10.0.0.0/24")
         matches = tree.resolve(prefix)
         verdicts = classify_batch_verdicts(matches, prefix, (3, 7, 666), 3)
-        assert [(r.tenant, t) for r, t, _ in verdicts] == [
+        assert [(r.policy.tenant, t) for r, t, _ in verdicts] == [
             ("acme", AlertType.SUB_PREFIX),
             ("beta", AlertType.EXACT_ORIGIN),
         ]
         # Legit origin for beta, sub-prefix for acme; acme's path rule does
         # not apply to the covering match with a foreign origin.
         verdicts = classify_batch_verdicts(matches, prefix, (3, 7, 65002), 3)
-        assert [(r.tenant, t, o) for r, t, o in verdicts] == [
+        assert [(r.policy.tenant, t, o) for r, t, o in verdicts] == [
             ("acme", AlertType.SUB_PREFIX, 65002)
         ]
 
@@ -284,7 +360,7 @@ class TestClassifyBatchVerdicts:
         prefix = Prefix.parse("10.0.0.0/23")
         matches = tree.resolve(prefix)
         verdicts = classify_batch_verdicts(matches, prefix, (3, 9, 65001), 3)
-        assert [(r.tenant, t, o) for r, t, o in verdicts] == [
+        assert [(r.policy.tenant, t, o) for r, t, o in verdicts] == [
             ("acme", AlertType.PATH, 9)
         ]
         assert (
@@ -553,6 +629,26 @@ class TestDetectionPlane:
         # re-hit the rebuilt cache.
         assert COUNTERS.pipeline_trie_walks == 2
         assert COUNTERS.verdict_cache_hits == hits_before + 3
+
+    def test_failed_removal_never_serves_the_removed_rule(self):
+        """A ``remove_rules`` batch that raises half-way has still removed
+        the rows before the bad one; the tree's epoch must move so that the
+        identical announcement is re-judged, not answered from the cache."""
+        registry = two_tenant_registry(cooldown_a=0.0, cooldown_b=0.0)
+        plane = DetectionPlane(registry, batch_size=1)
+        plane.ingest(make_event(1.0, "10.0.0.0/24", (64600, 666)))
+        evidence = lambda name: len(plane.alert_managers()[name].alerts[0].evidence)
+        assert (evidence("acme"), evidence("beta")) == (1, 1)
+        gone = registry.rules_for("beta")[0]
+        absent = TenantRegistry().add_tenant(
+            "ghost", ArtemisConfig([OwnedPrefix("10.9.0.0/16", [65009])])
+        )[0]
+        with pytest.raises(KeyError):
+            plane.tree.remove_rules([gone, absent])
+        plane.ingest(make_event(2.0, "10.0.0.0/24", (64600, 666)))
+        # acme's covering /23 still matches; beta's row is gone for good.
+        assert (evidence("acme"), evidence("beta")) == (2, 1)
+        assert plane.tree.num_rules == 1
 
     def test_verdict_cache_per_batch_with_corroborator(self):
         COUNTERS.reset()
@@ -880,8 +976,33 @@ class TestPartitioning:
             if len(list(trie.covering(prefix))) == 1
         ]
         roots = partition_roots(prefixes)
-        assert roots == sorted(oracle, key=lambda p: p.sort_key)
+        assert roots == sorted(oracle, key=lambda p: p.ikey)
         assert len(set(roots)) == len(roots)
+
+    def test_plane_partitions_nested_and_duplicate_rows(self):
+        """The plane takes its roots straight from the registry's rows —
+        the same prefix under several tenants, nested covers, both
+        families — and they are the trie oracle's maximal prefixes."""
+        registry = two_tenant_registry()  # 10.0.0.0/23 ⊃ 10.0.0.0/24
+        for name, owned in (
+            ("gamma", ["10.0.0.0/24", "10.0.0.0/23", "2001:db8::/32"]),
+            ("delta", ["10.0.1.0/24", "192.168.0.0/24", "2001:db8::/64"]),
+            ("omega", ["192.168.0.0/24", "11.0.0.0/8"]),
+        ):
+            registry.add_tenant(
+                name, ArtemisConfig([OwnedPrefix(text, [65009]) for text in owned])
+            )
+        trie = PrefixTrie()
+        for rule in registry.all_rules():
+            trie.insert(rule.prefix, rule.prefix)
+        oracle = [p for p in trie.keys() if len(list(trie.covering(p))) == 1]
+        plane = ParallelDetectionPlane(registry, num_workers=3)
+        assert [str(root) for root in plane.roots] == [
+            "10.0.0.0/23", "11.0.0.0/8", "192.168.0.0/24", "2001:db8::/32",
+        ]
+        assert plane.roots == oracle == partition_roots(registry.monitored_prefixes())
+        assert plane._routing == assign_roots(reversed(plane.roots), num_workers=3)
+        assert [plane._routing[root.ikey] for root in plane.roots] == [0, 1, 2, 0]
 
     def test_assign_roots_round_robin_deterministic(self):
         roots = [Prefix.parse(f"10.{i}.0.0/16") for i in range(5)]
@@ -974,6 +1095,24 @@ class TestParallelDetectionPlane:
             assert COUNTERS.frames_bytes == 0
         finally:
             parallel.close()
+
+    def test_start_that_never_forked_detaches_its_tree(self, monkeypatch):
+        """``start()`` attaches its tree to the registry before the first
+        fork; when that fork raises, ``close()`` must still let go of it,
+        or every later ``add_tenant`` keeps syncing a tree nobody reads."""
+        registry = worker_registry()
+        parallel = ParallelDetectionPlane(registry, num_workers=2)
+
+        def no_fork(*args):
+            raise OSError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(parallel._group, "fork", no_fork)
+        with pytest.raises(OSError, match="fork"):
+            parallel.start()
+        assert registry._trees == [parallel._tree]
+        parallel.close()
+        assert registry._trees == []
+        parallel.close()  # idempotent
 
     @pytest.mark.parametrize("batch_size", [1, 1024])
     @pytest.mark.parametrize("num_workers", [1, 2, 3, 4])
