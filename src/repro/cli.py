@@ -270,10 +270,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_replay_tenants(args: argparse.Namespace) -> int:
     """Replay a trace through the multi-tenant batched detection plane."""
     import time as _time
+    from itertools import islice
 
     from repro.core.config import ArtemisConfig
     from repro.errors import ConfigError
-    from repro.feeds.replay import load_trace
+    from repro.feeds.dumpfile import decode_records
+    from repro.feeds.events import validated_event
+    from repro.feeds.replay import iter_trace_lines
     from repro.perf import COUNTERS
     from repro.tenants import DetectionPlane, ParallelDetectionPlane, TenantRegistry
     from repro.tenants.synth import build_synth_registry, observed_origin_map
@@ -293,9 +296,8 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # Workers read the file themselves; the parent loads the trace only for
-    # what reads it here: a synthetic registry, or single-process ingest.
-    trace = load_trace(args.trace) if workers == 1 or not args.tenants else None
+    # Nothing here holds the trace: workers and the single-process plane
+    # stream its lines, and a synthetic registry takes one pass of its own.
     if args.tenants:
         registry = TenantRegistry()
         try:
@@ -313,7 +315,9 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
             ) from None
     else:
         registry = build_synth_registry(
-            observed_origin_map(trace.events),
+            observed_origin_map(
+                map(validated_event, decode_records(iter_trace_lines(args.trace)))
+            ),
             num_tenants=args.synth_tenants,
             num_prefixes=args.synth_prefixes or 100 * args.synth_tenants,
         )
@@ -347,11 +351,11 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
             f"{max(per_worker) / mean_events:.2f}" if mean_events else "-"
         )
     else:
+        # The worker loop without a pipe.
         plane = DetectionPlane(registry, batch_size=args.batch_size)
-        limit = args.max_events
-        for event in trace.events if limit is None else trace.events[:limit]:
-            plane.ingest(event)
+        plane.ingest_lines(islice(iter_trace_lines(args.trace), args.max_events))
         plane.flush()
+        plane.prune_state()
         events_seen = plane.events_ingested
         digest = plane.digest()
         alerts = plane.total_alerts()

@@ -144,3 +144,27 @@ class FeedEvent:
             f"{self.kind} {self.prefix} [{path}] obs={self.observed_at:.2f} "
             f"dlv={self.delivered_at:.2f})"
         )
+
+
+_new = object.__new__
+
+
+def validated_event(record) -> FeedEvent:
+    """The event of one record from :func:`repro.feeds.dumpfile.decode_records`.
+
+    The decoder has already checked the eight values against everything the
+    constructor checks, so this only stores them; for anything that did not
+    come out of the decoder, construct a :class:`FeedEvent`.
+    """
+    event = _new(FeedEvent)
+    (
+        event.source,
+        event.collector,
+        event.vantage_asn,
+        event.kind,
+        event.prefix,
+        event.as_path,
+        event.observed_at,
+        event.delivered_at,
+    ) = record
+    return event

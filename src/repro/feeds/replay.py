@@ -68,8 +68,8 @@ from typing import Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
 from repro.errors import FeedError
 from repro.faults.channel import ChannelFault
 from repro.faults.plan import FaultPlan, load_plan
-from repro.feeds.dumpfile import format_event, parse_event
-from repro.feeds.events import FeedEvent
+from repro.feeds.dumpfile import decode_records, format_event
+from repro.feeds.events import FeedEvent, validated_event
 from repro.feeds.interest import InterestIndex, Subscription
 from repro.net.prefix import Prefix
 from repro.perf import COUNTERS, collector_paused, sample_memory
@@ -314,7 +314,6 @@ def load_trace(source: Union[str, IO[str]]) -> Trace:
 def _load_trace(handle: IO[bytes]) -> Trace:
     reader = _RecordReader(handle)
     events: List[FeedEvent] = []
-    append = events.append
     for block in reader.blocks():
         try:
             # One decode and one split per block, not per record.
@@ -324,8 +323,7 @@ def _load_trace(handle: IO[bytes]) -> Trace:
                 f"records from line {len(events) + 2} on are not UTF-8: {exc}"
             ) from None
         try:
-            for line in lines:
-                append(parse_event(line))
+            events.extend(map(validated_event, decode_records(lines)))
         except FeedError as exc:
             raise TraceError(
                 f"bad record at line {len(events) + 2}: {exc}"

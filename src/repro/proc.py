@@ -25,7 +25,7 @@ module owns how it travels and what a failure looks like:
   ``join`` → ``terminate`` → ``join``; it is idempotent and safe after a
   start that failed half-way.
 
-Not here yet: liveness timeouts, re-fork and redelivery (ROADMAP item 1).
+Not here yet: liveness timeouts, re-fork and redelivery (ROADMAP item 4).
 """
 
 from __future__ import annotations

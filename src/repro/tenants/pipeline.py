@@ -8,7 +8,10 @@ one callback per (event, tenant) pair would make the fan-out dominate such
 a run, so :class:`DetectionPlane` is a throughput pipeline:
 
 1. **ingest** — events land in a bounded queue (a deque); nothing is
-   classified per event.
+   classified per event.  Recorded dump lines have an entry of their own
+   (:meth:`DetectionPlane.ingest_lines`): the same batches, judged from the
+   decoder's validated fields, with a :class:`FeedEvent` built only for a
+   record that carries a verdict.
 2. **classify** — when a batch's worth has accumulated (or on an explicit
    :meth:`flush`), the whole batch drains at once: **one shared-tree walk
    per unique announced prefix per batch**, and one verdict computation per
@@ -47,11 +50,13 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from itertools import chain, islice
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.alerts import AlertManager, AlertType, HijackAlert
 from repro.core.rules import classify_announcement, classify_squat
-from repro.feeds.events import ANNOUNCE, FeedEvent
+from repro.feeds.dumpfile import Record, decode_records
+from repro.feeds.events import ANNOUNCE, FeedEvent, validated_event
 from repro.perf import COUNTERS as _COUNTERS
 from repro.tenants.flattree import FlatPrefixTree
 from repro.tenants.registry import TenantRegistry, TenantRule
@@ -183,7 +188,9 @@ class DetectionPlane:
         #: queue bound if that is smaller (the backpressure configuration).
         self._drain_depth = min(self.batch_size, self.queue_capacity)
         self.notifier_capacity = max(1, int(notifier_capacity))
-        self._queue: Deque[FeedEvent] = deque()
+        #: Staged for the next drain: events from :meth:`ingest`, decoded
+        #: records from :meth:`ingest_lines`.
+        self._queue: Deque[Union[FeedEvent, Record]] = deque()
         self._notifications: Deque[Tuple[str, HijackAlert]] = deque()
         self._notify = notify
         self._states: Dict[str, _TenantState] = {}
@@ -204,26 +211,48 @@ class DetectionPlane:
     def ingest(self, event: FeedEvent) -> None:
         """Stage one event; drains automatically at a batch boundary.
 
-        Per-event work here is the floor of the whole plane's throughput,
-        so the off-boundary path is one append, one counter, and one
-        compare.  The queue only grows between drains, so its depth peaks
-        exactly when a drain triggers — the peak gauge is maintained in
-        :meth:`_drain`, not per event.
+        The live-feed entry: simulator feeds deliver objects, and no line
+        exists.  Per-event work here is the floor of the whole plane's
+        throughput, so the off-boundary path is one append, one counter,
+        and one compare.  The queue only grows between drains, so its depth
+        peaks exactly when a drain triggers — the peak gauge is maintained
+        in :meth:`_drain`, not per event.
         """
         queue = self._queue
         queue.append(event)
         self.events_ingested += 1
         _COUNTERS.pipeline_events_ingested += 1
-        depth = len(queue)
-        if depth >= self._drain_depth:
-            if depth >= self.queue_capacity:
-                # The queue hit its bound before the batch filled: the
-                # producer outran the configured batch cadence, so stall it
-                # with an inline drain rather than grow without limit.
-                _COUNTERS.pipeline_backpressure_stalls += 1
+        if len(queue) >= self._drain_depth:
             self._drain()
 
     __call__ = ingest
+
+    def ingest_lines(self, lines: Iterable[str]) -> None:
+        """Stage recorded dump lines: ``ingest(parse_event(line))`` per line.
+
+        The replay entry.  Batch boundaries, prune cadence, the per-batch
+        walk memo, epoch/probe invalidation and every counter are those of
+        the one-line-at-a-time spelling, however the lines are cut into
+        calls.  What differs is the order of work: a whole batch goes from
+        decoded fields straight to its verdicts, and only a record that
+        carries one becomes a :class:`FeedEvent` — a feed is almost entirely
+        benign, and a benign record needs neither the object nor the queue.
+        Lines that do not fill a batch wait in the queue as validated
+        records.  A malformed line raises the decoder's
+        :class:`~repro.errors.FeedError` and ends the replay: its batch is
+        left part-judged, the rest of ``lines`` unread.
+        """
+        lines = iter(lines)
+        queue = self._queue
+        while True:
+            room = self._drain_depth - len(queue)
+            block = list(islice(lines, room))
+            self.events_ingested += len(block)
+            _COUNTERS.pipeline_events_ingested += len(block)
+            if len(block) < room:
+                queue.extend(decode_records(block))
+                return
+            self._drain(block)
 
     def flush(self) -> None:
         """Drain any partial batch (end of stream)."""
@@ -232,14 +261,20 @@ class DetectionPlane:
 
     # -------------------------------------------------------------- classify
 
-    def _drain(self) -> None:
+    def _drain(self, lines: Sequence[str] = ()) -> None:
+        """Judge one batch: what is queued, then ``lines``' records."""
         queue = self._queue
         self.batches_drained += 1
         counters = _COUNTERS
         counters.pipeline_batches += 1
-        depth = len(queue)
+        depth = len(queue) + len(lines)
         if depth > counters.pipeline_queue_depth_peak:
             counters.pipeline_queue_depth_peak = depth
+        if depth >= self.queue_capacity:
+            # The queue hit its bound before the batch filled: the
+            # producer outran the configured batch cadence, so it was
+            # stalled with an inline drain rather than grow without limit.
+            counters.pipeline_backpressure_stalls += 1
         resolve = self.tree.resolve
         cache = self._verdict_cache
         order = self._verdict_order
@@ -259,13 +294,27 @@ class DetectionPlane:
         walks: Dict = {}
         walks_get = walks.get
         apply_verdict = self._apply
-        while queue:
-            event = queue.popleft()
-            if event.kind != ANNOUNCE:
+        last_event_time = self._last_event_time
+        hits = 0
+        # One loop judges both shapes — an event that was queued, a record
+        # the decoder just validated — so there is one verdict lookup.  The
+        # queue is emptied first: a consumer's callback may ingest.
+        batch = list(queue)
+        queue.clear()
+        for item in chain(batch, decode_records(lines) if lines else ()):
+            if type(item) is tuple:
+                event = None
+                _, _, vantage_asn, kind, prefix, path, _, delivered_at = item
+            else:
+                event = item
+                kind = event.kind
+                prefix = event.prefix
+                path = event.as_path
+                vantage_asn = event.vantage_asn
+                delivered_at = event.delivered_at
+            if kind != ANNOUNCE:
                 continue
-            self._last_event_time = event.delivered_at
-            path = event.as_path
-            prefix = event.prefix
+            last_event_time = delivered_at
             # The rule ladder inspects the whole path, so the cache key is
             # (prefix, path); the vantage only matters for single-hop paths
             # (the len-1 first-hop rule), so it joins the key only there —
@@ -276,7 +325,7 @@ class DetectionPlane:
             if len(path) >= 2:
                 memo_key = (ikey, path)
             else:
-                memo_key = (ikey, path, event.vantage_asn)
+                memo_key = (ikey, path, vantage_asn)
             verdicts = cache_get(memo_key)
             if verdicts is None:
                 matches = walks_get(ikey)
@@ -284,7 +333,7 @@ class DetectionPlane:
                     matches = resolve(prefix)
                     walks[ikey] = matches
                 verdicts = classify_batch_verdicts(
-                    matches, prefix, path, event.vantage_asn, probe=probe,
+                    matches, prefix, path, vantage_asn, probe=probe,
                 )
                 cache[memo_key] = verdicts
                 counters.verdict_cache_misses += 1
@@ -296,10 +345,15 @@ class DetectionPlane:
                         del cache[order.popleft()]
                         counters.verdict_cache_evictions += 1
             else:
-                counters.pipeline_memo_hits += 1
-                counters.verdict_cache_hits += 1
-            for verdict in verdicts:
-                apply_verdict(verdict, event)
+                hits += 1
+            if verdicts:
+                if event is None:
+                    event = validated_event(item)
+                for verdict in verdicts:
+                    apply_verdict(verdict, event)
+        self._last_event_time = last_event_time
+        counters.pipeline_memo_hits += hits
+        counters.verdict_cache_hits += hits
         if per_batch_probe:
             # A probe's answer is time-dependent, so probed verdicts only
             # live for the batch that computed them (the original memo
@@ -396,8 +450,9 @@ class DetectionPlane:
             self._events_since_prune = 0
             self.prune_state(self._last_event_time)
 
-    def prune_state(self, now: float) -> int:
-        """Drop bookkeeping for incidents resolved long before ``now``.
+    def prune_state(self, now: Optional[float] = None) -> int:
+        """Drop bookkeeping for incidents resolved long before ``now``
+        (by default the delivery time of the last announcement judged).
 
         Left alone, the per-tenant tables hold one entry per incident
         forever.  An entry expires once its incident has been resolved for
@@ -407,6 +462,8 @@ class DetectionPlane:
         entries dropped; refreshes the ``detection_state_entries`` peak
         gauge either way.
         """
+        if now is None:
+            now = self._last_event_time
         entries = self.detection_state_entries()
         if entries > _COUNTERS.detection_state_entries:
             _COUNTERS.detection_state_entries = entries

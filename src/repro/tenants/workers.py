@@ -38,9 +38,12 @@ routes each raw record line by its prefix field (field 4 of
 the ``|``-separated dump format, extracted without decoding) with a bytes
 memo, and ships line batches down a pipe as
 :mod:`~repro.tenants.frames` ``BATCH`` frames — no pickle anywhere on the
-feed path.  Each worker parses events straight from the batch bytes into
-its own :class:`~repro.tenants.pipeline.DetectionPlane` (lazy per tenant,
-so constructing it over the inherited tree costs nothing).  Frames go
+feed path.  Each worker hands a batch's lines to the line entry of its own
+:class:`~repro.tenants.pipeline.DetectionPlane`
+(:meth:`~repro.tenants.pipeline.DetectionPlane.ingest_lines`; the plane is
+lazy per tenant, so constructing it over the inherited tree costs nothing)
+— decoding and validating a record is :mod:`repro.feeds.dumpfile`'s job
+alone.  Frames go
 down only (``BATCH``/``FINISH``/``STOP``); up, a worker answers ``FINISH``
 once with :mod:`repro.proc`'s pickled ``("ok", result)`` /
 ``("error", message)`` pair, and who died, what a dead worker's last words
@@ -62,7 +65,6 @@ import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.feeds.dumpfile import parse_event
 from repro.feeds.replay import iter_trace_line_bytes
 from repro.net.aggregate import remove_covered
 from repro.net.prefix import Prefix, longest_match
@@ -152,12 +154,10 @@ def tenant_worker_main(
                     )
                 expected_epoch += 1
                 _COUNTERS.detect_worker_batches += 1
-                ingest = plane.ingest
-                for line in decode_batch_text(body):
-                    ingest(parse_event(line))
+                plane.ingest_lines(decode_batch_text(body))
             elif kind == FRAME_FINISH:
                 plane.flush()
-                plane.prune_state(plane._last_event_time)
+                plane.prune_state()
                 sample_memory()
                 payload = {
                     "worker": worker_id,
@@ -330,8 +330,6 @@ class ParallelDetectionPlane:
                 self.events_malformed += 1
                 counters.events_malformed += 1
                 continue
-            self.events_routed += 1
-            counters.detect_events_routed += 1
             buffer = buffers[worker]
             buffer.append(line)
             if len(buffer) >= limit:
@@ -349,6 +347,8 @@ class ParallelDetectionPlane:
         if not buffer:
             return
         self._epochs[worker] += 1
+        self.events_routed += len(buffer)
+        _COUNTERS.detect_events_routed += len(buffer)
         self._group.send(worker, encode_batch(self._epochs[worker], buffer))
         self._buffers[worker] = []
 
