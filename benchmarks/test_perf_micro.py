@@ -1,16 +1,21 @@
 """Performance microbenchmarks of the substrate hot paths.
 
 Not a paper artefact — these guard the simulator's own performance (the
-reproduction suites run hundreds of full experiments, so trie lookups,
-the decision process, and event dispatch must stay cheap).
+reproduction suites run hundreds of full experiments, so prefix-table
+lookups, the decision process, and event dispatch must stay cheap).
 """
 
 import pytest
 
 from repro.bgp.decision import select_best
 from repro.bgp.route import Route
-from repro.net.prefix import Address, Prefix
-from repro.net.trie import PrefixTrie
+from repro.net.prefix import (
+    Address,
+    Prefix,
+    covering,
+    longest_match,
+    present_lengths,
+)
 from repro.sim.engine import Engine
 from repro.sim.rng import SeededRNG
 from repro.testbed.scenario import HijackExperiment, ScenarioConfig
@@ -21,32 +26,28 @@ def test_perf_prefix_parse(benchmark):
     benchmark(Prefix.parse, "203.0.113.0/24")
 
 
-def test_perf_trie_longest_match(benchmark):
-    rng = SeededRNG(0)
-    trie = PrefixTrie()
-    for _ in range(10_000):
+def _random_table(seed, count=10_000):
+    """An ``ikey`` prefix table of ``count`` random v4 /8–/24 prefixes."""
+    rng = SeededRNG(seed)
+    table = {}
+    for _ in range(count):
         value = rng.getrandbits(32)
-        length = rng.randint(8, 24)
-        trie[Prefix(value, length, 4)] = value
-    probe = Address(rng.getrandbits(32), 4)
-    benchmark(trie.longest_match, probe)
+        table[Prefix(value, rng.randint(8, 24), 4).ikey] = value
+    return table, Address(rng.getrandbits(32), 4)
 
 
-def test_perf_trie_insert_remove(benchmark):
-    rng = SeededRNG(1)
-    prefixes = [
-        Prefix(rng.getrandbits(32), rng.randint(8, 24), 4) for _ in range(500)
-    ]
+def test_perf_prefix_table_longest_match(benchmark):
+    """Longest match over 10k prefixes, probing only the lengths present."""
+    table, probe = _random_table(0)
+    lengths = present_lengths(table)[4]
+    benchmark(longest_match, table, probe, lengths)
 
-    def cycle():
-        trie = PrefixTrie()
-        for prefix in prefixes:
-            trie[prefix] = 1
-        for prefix in prefixes:
-            if prefix in trie:
-                trie.remove(prefix)
 
-    benchmark(cycle)
+def test_perf_prefix_table_covering(benchmark):
+    """Every covering value over 10k prefixes (the RPKI and interest read)."""
+    table, probe = _random_table(1)
+    lengths = present_lengths(table)[4]
+    benchmark(covering, table, probe, lengths)
 
 
 def test_perf_decision_process(benchmark):
@@ -213,7 +214,7 @@ def test_fanout_cost_independent_of_subscription_count():
     """Scaling guard: 128x more subscriptions must not mean 128x slower.
 
     With the old linear scan, per-observation cost grew with the number of
-    subscriptions; the trie-backed index bounds it by the prefix length.
+    subscriptions; the interest index bounds it by the filter lengths present.
     The 10x bound is deliberately loose — it only has to rule out the
     linear regime, not measure constants.
     """

@@ -9,7 +9,7 @@ Quick tour (see ``examples/quickstart.py`` for a runnable version)::
     result = HijackExperiment(ScenarioConfig(seed=1)).run()
     print(result.detection_delay, result.announce_delay, result.total_time)
 
-Layering (bottom-up): :mod:`repro.net` (prefixes, tries) → :mod:`repro.sim`
+Layering (bottom-up): :mod:`repro.net` (prefixes, prefix tables) → :mod:`repro.sim`
 (event engine) → :mod:`repro.bgp` (speakers, RIBs, policy) →
 :mod:`repro.topology` / :mod:`repro.internet` (runnable Internets) →
 :mod:`repro.feeds` (RIS/BGPmon/Periscope/batch) → :mod:`repro.sdn` +
@@ -19,7 +19,7 @@ Layering (bottom-up): :mod:`repro.net` (prefixes, tries) → :mod:`repro.sim`
 
 from repro.core import Artemis, ArtemisConfig, HijackAlert, OwnedPrefix
 from repro.internet import Network, NetworkConfig, OriginTracker
-from repro.net import Address, Prefix, PrefixTrie
+from repro.net import Address, Prefix
 from repro.sdn import BGPController
 from repro.sim import Engine, SeededRNG
 from repro.testbed import ExperimentResult, HijackExperiment, ScenarioConfig
@@ -43,7 +43,6 @@ __all__ = [
     "OriginTracker",
     "OwnedPrefix",
     "Prefix",
-    "PrefixTrie",
     "ScenarioConfig",
     "SeededRNG",
     "generate_internet",

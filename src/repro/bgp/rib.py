@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.bgp.route import Route
-from repro.net.prefix import Address, Prefix
+from repro.net.prefix import Address, Prefix, covered_range, longest_match
 from repro.perf import COUNTERS as _C
 
 #: Shared empty mapping backing :meth:`AdjRibIn.candidates_view` misses —
@@ -325,36 +325,15 @@ class LocRib:
         """
         if isinstance(target, str):
             target = Prefix.parse(target) if "/" in target else Address.parse(target)
-        if isinstance(target, Prefix):
-            value, target_length = target.value, target.length
-        else:
-            value, target_length = target.value, target.bits
-        version, bits = target.version, target.bits
-        version_bit = (version == 6) << 137
-        exact_get = self._exact.get
-        for length in self._lengths_desc(version):
-            if length > target_length:
-                continue
-            shift = bits - length
-            network = (value >> shift) << shift if length else 0
-            # Prefix.ikey layout: version bit | network value | length.
-            route = exact_get(version_bit | (network << 9) | (length << 1))
-            if route is not None:
-                return route
-        return None
+        return longest_match(self._exact, target, self._lengths_desc(target.version))
 
     def covered(self, prefix: Prefix) -> Iterator[Tuple[Prefix, Route]]:
         """Installed routes equal to or more specific than ``prefix``, in
-        ascending prefix order.
-
-        In ``ikey`` space the covered set is one contiguous range: from
-        ``prefix`` itself up to (not including) the next network of its
-        length *at length 0* — anything shorter at ``prefix``'s own network
-        value sorts before ``low``, and the bound carries no length bits, so
-        a shorter prefix sitting at the next network value is outside too.
+        ascending prefix order: one table scan for the keys inside
+        :func:`~repro.net.prefix.covered_range`, sorted.  Cold — a
+        looking-glass miss (DESIGN.md "Versioned RIB reads" has the cost).
         """
-        low = prefix.ikey
-        high = low - (prefix.length << 1) + (1 << (prefix.bits - prefix.length + 9))
+        low, high = covered_range(prefix)
         exact = self._exact
         inside = sorted(ikey for ikey in exact if low <= ikey < high)
         return iter([(exact[ikey].prefix, exact[ikey]) for ikey in inside])

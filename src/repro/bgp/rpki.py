@@ -21,13 +21,12 @@ path validation covers.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.bgp.messages import Announcement
 from repro.bgp.policy import RouteFilter
 from repro.errors import BGPError
-from repro.net.prefix import Prefix
-from repro.net.trie import PrefixTrie
+from repro.net.prefix import Prefix, covering
 
 
 class Validity(enum.Enum):
@@ -87,35 +86,35 @@ class RPKIRegistry:
     """
 
     def __init__(self, roas: Iterable[ROA] = ()):
-        self._trie: PrefixTrie[List[ROA]] = PrefixTrie()
+        #: ROA prefix ikey -> the ROAs published for exactly that prefix.
+        self._roas: Dict[int, List[ROA]] = {}
         self._count = 0
         for roa in roas:
             self.add_roa(roa)
 
     def add_roa(self, roa: ROA) -> None:
-        bucket = self._trie.get(roa.prefix)
+        bucket = self._roas.get(roa.prefix.ikey)
         if bucket is None:
-            bucket = []
-            self._trie[roa.prefix] = bucket
+            bucket = self._roas[roa.prefix.ikey] = []
         if roa in bucket:
             raise BGPError(f"duplicate {roa!r}")
         bucket.append(roa)
         self._count += 1
 
     def remove_roa(self, roa: ROA) -> None:
-        bucket = self._trie.get(roa.prefix)
+        bucket = self._roas.get(roa.prefix.ikey)
         if not bucket or roa not in bucket:
             raise BGPError(f"{roa!r} is not in the registry")
         bucket.remove(roa)
         self._count -= 1
         if not bucket:
-            self._trie.remove(roa.prefix)
+            del self._roas[roa.prefix.ikey]
 
     def covering_roas(self, prefix: Prefix) -> List[ROA]:
         """Every ROA whose prefix covers ``prefix``."""
         return [
             roa
-            for _p, bucket in self._trie.covering(prefix)
+            for bucket in covering(self._roas, prefix)
             for roa in bucket
         ]
 

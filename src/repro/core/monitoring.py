@@ -18,8 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import ArtemisConfig
 from repro.feeds.events import FeedEvent
-from repro.net.prefix import Prefix
-from repro.net.trie import PrefixTrie
+from repro.net.prefix import Prefix, longest_match
 
 
 class VantageState:
@@ -27,22 +26,24 @@ class VantageState:
 
     def __init__(self, vantage_asn: int):
         self.vantage_asn = vantage_asn
-        #: prefix -> (origin_asn, as_path) as last reported by any source.
-        self._table: PrefixTrie[Tuple[int, Tuple[int, ...]]] = PrefixTrie()
+        #: prefix ikey -> (prefix, origin_asn, as_path) as last reported by
+        #: any source.
+        self._table: Dict[int, Tuple[Prefix, int, Tuple[int, ...]]] = {}
         self.last_update: float = float("-inf")
 
     def apply(self, event: FeedEvent) -> None:
         if event.is_announcement:
-            self._table[event.prefix] = (event.origin_as, event.as_path)
+            self._table[event.prefix.ikey] = (
+                event.prefix, event.origin_as, event.as_path
+            )
         else:
-            if event.prefix in self._table:
-                self._table.remove(event.prefix)
+            self._table.pop(event.prefix.ikey, None)
         self.last_update = max(self.last_update, event.delivered_at)
 
     def origin_for_address(self, address) -> Optional[int]:
         """Origin this vantage selects for one address (longest match)."""
-        match = self._table.longest_match(address)
-        return match[1][0] if match else None
+        match = longest_match(self._table, address)
+        return match[1] if match else None
 
     def probe_origins(self, prefix: Prefix, depth: int = 1) -> Tuple[Optional[int], ...]:
         """Selected origin for each de-aggregation-granularity probe.
@@ -58,10 +59,8 @@ class VantageState:
         )
 
     def routes(self) -> List[Tuple[Prefix, int, Tuple[int, ...]]]:
-        return [
-            (prefix, origin, path)
-            for prefix, (origin, path) in self._table.items()
-        ]
+        """Every (prefix, origin, path) held, in ascending prefix order."""
+        return [self._table[ikey] for ikey in sorted(self._table)]
 
     def __repr__(self) -> str:
         return f"<VantageState AS{self.vantage_asn} routes={len(self._table)}>"

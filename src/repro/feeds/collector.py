@@ -75,7 +75,7 @@ class RouteCollector:
 
         ``prefixes`` optionally filters the feed to overlapping prefixes —
         same semantics as the downstream services, answered through the
-        shared trie-backed interest index.
+        shared interest index.
         """
         return self._interest.add(callback, prefixes)
 

@@ -1,16 +1,17 @@
-"""Trie-indexed subscription interest matching.
+"""Subscription interest matching over one ``ikey``-keyed prefix table.
 
 Every feed fan-out path (streams, Periscope, batch archives, raw
 collectors) answers the same question for each observation: *which
 subscribers asked for this prefix?*  Answering it by scanning the
 subscription list is O(subscriptions × watched-prefixes) per observation —
 ruinous under background churn, where almost every observation matches
-nobody.  :class:`InterestIndex` stores each subscription's filter prefixes
-in a :class:`~repro.net.trie.PrefixTrie`, so a lookup walks at most
-``prefix.length`` trie nodes regardless of how many subscriptions exist:
-the subscriptions overlapping an observed prefix are exactly those whose
-filter prefix either *covers* it (an ancestor on the trie path) or is
-*covered* by it (the stored subtree under it).
+nobody.  :class:`InterestIndex` keys each subscription's filter prefixes
+by :attr:`~repro.net.prefix.Prefix.ikey`, so a lookup costs one dict probe
+per filter length present plus two bisects, regardless of how many
+subscriptions exist: the subscriptions overlapping an observed prefix are
+exactly those whose filter prefix either *covers* it (a supernet, found by
+:func:`~repro.net.prefix.covering`) or is *covered* by it (one contiguous
+run of the sorted keys, :func:`~repro.net.prefix.covered_range`).
 
 The index preserves the list semantics the services had before it:
 subscriptions receive events in subscription order, a subscription whose
@@ -20,11 +21,11 @@ subscriptions receive events in subscription order, a subscription whose
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.feeds.events import FeedEvent
-from repro.net.prefix import Prefix
-from repro.net.trie import PrefixTrie
+from repro.net.prefix import Prefix, covered_range, covering, present_lengths
 
 FeedCallback = Callable[[FeedEvent], None]
 
@@ -52,9 +53,9 @@ class Subscription:
 
 
 class InterestIndex:
-    """Maps an observed prefix to its interested subscriptions in O(bits).
+    """Maps an observed prefix to its interested subscriptions.
 
-    Filter prefixes are trie keys; each key's value is the ordered set of
+    Filter prefixes are table keys; each key's value is the ordered set of
     subscriptions watching it.  Wildcard (unfiltered) subscriptions are kept
     aside.  Lookup counters make the filtering observable from service
     stats: ``lookups`` total, ``hits`` with at least one match.
@@ -64,8 +65,13 @@ class InterestIndex:
         self._next_seq = 0
         #: Wildcard subscriptions, in subscription order (dict = ordered set).
         self._wildcards: Dict[Subscription, None] = {}
-        #: filter prefix -> ordered set of subscriptions watching it.
-        self._trie: PrefixTrie[Dict[Subscription, None]] = PrefixTrie()
+        #: filter prefix ikey -> ordered set of subscriptions watching it.
+        self._table: Dict[int, Dict[Subscription, None]] = {}
+        #: ``_table``'s keys, ascending: the covered side is one bisected run.
+        self._keys: List[int] = []
+        #: ``present_lengths(_keys)``, rebuilt on the first lookup after a
+        #: key came or went (subscriptions change rarely, lookups constantly).
+        self._lengths: Optional[Dict[int, List[int]]] = None
         self._size = 0
         self.lookups = 0
         self.hits = 0
@@ -89,10 +95,11 @@ class InterestIndex:
             self._wildcards[subscription] = None
         else:
             for prefix in subscription.prefixes:
-                bucket = self._trie.get(prefix)
+                bucket = self._table.get(prefix.ikey)
                 if bucket is None:
-                    bucket = {}
-                    self._trie[prefix] = bucket
+                    bucket = self._table[prefix.ikey] = {}
+                    insort(self._keys, prefix.ikey)
+                    self._lengths = None
                 bucket[subscription] = None
         self._size += 1
         return subscription
@@ -102,27 +109,37 @@ class InterestIndex:
         subscription.active = False
         removed = False
         if subscription.prefixes is None:
-            removed = self._wildcards.pop(subscription, None) is not None or removed
+            removed = subscription in self._wildcards
+            self._wildcards.pop(subscription, None)
         else:
             for prefix in subscription.prefixes:
-                bucket = self._trie.get(prefix)
+                bucket = self._table.get(prefix.ikey)
                 if bucket is None or subscription not in bucket:
                     continue
                 del bucket[subscription]
                 removed = True
                 if not bucket:
-                    self._trie.remove(prefix)
+                    del self._table[prefix.ikey]
+                    del self._keys[bisect_left(self._keys, prefix.ikey)]
+                    self._lengths = None
         if removed:
             self._size -= 1
 
-    def _candidates(self, prefix: Prefix) -> List[Subscription]:
-        """Unique subscriptions overlapping ``prefix``, unordered."""
-        seen: Dict[Subscription, None] = dict(self._wildcards)
-        for _stored, bucket in self._trie.covering(prefix):
-            seen.update(bucket)
-        for _stored, bucket in self._trie.covered(prefix):
-            seen.update(bucket)
-        return list(seen)
+    def _buckets(self, prefix: Prefix) -> List[Dict[Subscription, None]]:
+        """Every subscription set that may want ``prefix``: the wildcards,
+        the buckets of the filter prefixes covering it, then of those
+        strictly inside it."""
+        lengths = self._lengths
+        if lengths is None:
+            lengths = self._lengths = present_lengths(self._keys)
+        table, keys = self._table, self._keys
+        low, high = covered_range(prefix)
+        # ``prefix`` itself is covering's: the inside run starts after it.
+        inside = keys[bisect_right(keys, low):bisect_left(keys, high)]
+        buckets = [self._wildcards]
+        buckets += covering(table, prefix, lengths[prefix.version])
+        buckets += [table[key] for key in inside]
+        return buckets
 
     def lookup(self, prefix: Prefix) -> List[Subscription]:
         """Active subscriptions interested in ``prefix``, in subscription order.
@@ -132,9 +149,12 @@ class InterestIndex:
         service's ``unsubscribe``).
         """
         self.lookups += 1
+        candidates: Dict[Subscription, None] = {}  # an ordered set: no repeats
+        for bucket in self._buckets(prefix):
+            candidates.update(bucket)
         matched: List[Subscription] = []
         stale: List[Subscription] = []
-        for subscription in self._candidates(prefix):
+        for subscription in candidates:
             if subscription.active:
                 matched.append(subscription)
             else:
@@ -150,18 +170,9 @@ class InterestIndex:
         """True if at least one active subscription overlaps ``prefix``.
 
         Pure read — no counters, no lazy cleanup — so the fast-reject path
-        of a service stays allocation-free.
+        of a service stays cheap.
         """
-        for subscription in self._wildcards:
-            if subscription.active:
-                return True
-        for _stored, bucket in self._trie.covering(prefix):
-            if any(s.active for s in bucket):
-                return True
-        for _stored, bucket in self._trie.covered(prefix):
-            if any(s.active for s in bucket):
-                return True
-        return False
+        return any(s.active for bucket in self._buckets(prefix) for s in bucket)
 
     def __repr__(self) -> str:
         return (

@@ -8,10 +8,10 @@ sources "return in near real-time BGP routes/updates for a given list of
 prefixes"), which is also what keeps the monitoring overhead accounting
 honest — filtered-out events are counted but not delivered.
 
-Subscription matching goes through the shared trie-backed
+Subscription matching goes through the shared
 :class:`~repro.feeds.interest.InterestIndex`, so the per-observation cost
-under background churn is bounded by the prefix length, not by the number
-of subscriptions.
+under background churn is bounded by the filter lengths present, not by
+the number of subscriptions.
 """
 
 from __future__ import annotations

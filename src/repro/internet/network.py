@@ -385,7 +385,7 @@ class Network:
         The first query resolves every speaker (one longest-match walk
         each); from then on :meth:`_on_route_change` re-resolves only the
         speaker whose Loc-RIB changed, so repeated polling between route
-        changes never walks the tries again.
+        changes never longest-matches again.
         """
         probe = self._normalize_target(target)
         cache = self._origin_caches.get(probe)

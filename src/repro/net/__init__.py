@@ -1,9 +1,11 @@
-"""Core networking primitives: IP addresses, prefixes, and a radix trie.
+"""Core networking primitives: IP addresses, prefixes, and prefix tables.
 
 These types are the foundation of the whole library: BGP routes are keyed by
-:class:`~repro.net.prefix.Prefix`, data-plane resolution is a longest-prefix
-match over a :class:`~repro.net.trie.PrefixTrie`, and ARTEMIS' mitigation is
-prefix de-aggregation arithmetic (:meth:`Prefix.deaggregate`).
+:class:`~repro.net.prefix.Prefix`, a prefix table is a plain dict keyed by
+:attr:`Prefix.ikey` read through :mod:`repro.net.prefix`'s helpers
+(data-plane resolution is :func:`~repro.net.prefix.longest_match` over one),
+and ARTEMIS' mitigation is prefix de-aggregation arithmetic
+(:meth:`Prefix.deaggregate`).
 """
 
 from repro.net.aggregate import (
@@ -14,13 +16,11 @@ from repro.net.aggregate import (
 )
 from repro.net.asn import ASN, format_as_path, parse_as_path
 from repro.net.prefix import Address, Prefix
-from repro.net.trie import PrefixTrie
 
 __all__ = [
     "ASN",
     "Address",
     "Prefix",
-    "PrefixTrie",
     "aggregate",
     "covers_same_space",
     "format_as_path",

@@ -12,7 +12,7 @@ spellings of the same network compare equal.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, TypeVar, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, TypeVar, Union
 
 from repro.errors import PrefixError
 from repro.perf import COUNTERS as _C
@@ -165,7 +165,7 @@ class Prefix:
     equals ``Prefix.parse("10.0.0.0/23")``.  Prefixes are immutable,
     hashable, and totally ordered (version, network value, length) — the
     ordering groups covering prefixes immediately before their
-    more-specifics, which the radix trie and de-aggregation code rely on.
+    more-specifics, which :func:`covered_range` and de-aggregation rely on.
     """
 
     __slots__ = ("value", "length", "version", "ikey")
@@ -372,18 +372,77 @@ class Prefix:
         return hash(self.ikey)
 
 
-def longest_match(table: Mapping[int, V], prefix: Prefix) -> Optional[V]:
-    """The value ``table`` (keyed by :attr:`Prefix.ikey`) holds for the most
-    specific prefix covering ``prefix``, or ``None``: one dict probe per
-    supernet down to /0 (its ``ikey`` computed here, no ``Prefix`` built).
-    """
-    bits, value, version_bit = prefix.bits, prefix.value, (prefix.version == 6) << 137
-    for length in range(prefix.length, -1, -1):
-        shift = bits - length
-        hit = table.get(version_bit | ((value >> shift) << (shift + 9)) | (length << 1))
-        if hit is not None:
-            return hit
+# A prefix table is a plain dict keyed by :attr:`Prefix.ikey`, read through the
+# functions below; this module alone knows the ``ikey`` layout.  A caller that
+# keeps its table's :func:`present_lengths` passes them as ``lengths``: one
+# probe per length present, not one per possible length (33 or 129).  Each
+# query runs its own probe loop: a shared key generator doubled the cost of
+# ``LocRib.resolve``, which stops at its first hit.
+
+Target = Union[Address, Prefix]
+
+
+def longest_match(
+    table: Mapping[int, V], target: Target, lengths: Optional[List[int]] = None
+) -> Optional[V]:
+    """The value ``table`` holds for the most specific prefix covering
+    ``target`` (an :class:`Address` is its host prefix; a stored prefix longer
+    than a ``Prefix`` target never matches), or ``None``: one probe per
+    length, longest first — every length down to /0, or only ``lengths``."""
+    bits, value = target.bits, target.value
+    top = target.length if isinstance(target, Prefix) else bits
+    version_bit = (target.version == 6) << 137
+    get = table.get
+    for length in range(top, -1, -1) if lengths is None else lengths:
+        if length <= top:
+            shift = bits - length
+            hit = get(version_bit | ((value >> shift) << (shift + 9)) | (length << 1))
+            if hit is not None:
+                return hit
     return None
+
+
+def covering(
+    table: Mapping[int, V], target: Target, lengths: Optional[List[int]] = None
+) -> List[V]:
+    """Every value ``table`` holds at ``target`` or a supernet of it, least
+    specific first — :func:`longest_match`'s probes, every hit kept."""
+    bits, value = target.bits, target.value
+    top = target.length if isinstance(target, Prefix) else bits
+    version_bit = (target.version == 6) << 137
+    get = table.get
+    hits = []
+    for length in range(top + 1) if lengths is None else reversed(lengths):
+        if length <= top:
+            shift = bits - length
+            hit = get(version_bit | ((value >> shift) << (shift + 9)) | (length << 1))
+            if hit is not None:
+                hits.append(hit)
+    return hits
+
+
+def covered_range(prefix: Prefix) -> Tuple[int, int]:
+    """``[low, high)``: the ``ikey`` range holding ``prefix`` and every prefix
+    inside it.
+
+    The covered set is one contiguous range: from ``prefix`` itself up to
+    (not including) the next network of its length *at length 0* — anything
+    shorter at ``prefix``'s own network value sorts before ``low``, and the
+    bound carries no length bits, so a shorter prefix sitting at the next
+    network value is outside too.
+    """
+    low = prefix.ikey
+    return low, low - (prefix.length << 1) + (1 << (prefix.bits - prefix.length + 9))
+
+
+def present_lengths(ikeys: Iterable[int]) -> Dict[int, List[int]]:
+    """``{4: [...], 6: [...]}``: the distinct prefix lengths among ``ikeys``,
+    longest first — the ``lengths`` argument for a table with those keys."""
+    seen = {(ikey >> 137, (ikey >> 1) & 0xFF) for ikey in ikeys}
+    return {
+        version: sorted((n for v6, n in seen if v6 == (version == 6)), reverse=True)
+        for version in (4, 6)
+    }
 
 
 #: Interned ``Prefix.parse`` results, keyed by the exact input spelling.

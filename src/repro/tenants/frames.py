@@ -82,10 +82,15 @@ def _split_batch(body: bytes, text: bool) -> List:
     if len(body) < _U32.size:
         raise FrameError("batch body shorter than its line count")
     (count,) = _U32.unpack_from(body)
-    if count == 0:
-        return []
     payload = body[_U32.size:]
-    lines = payload.decode("utf-8").split("\n") if text else payload.split(b"\n")
+    if count == 0 and not payload:
+        return []
+    try:
+        lines = payload.decode("utf-8").split("\n") if text else payload.split(b"\n")
+    except UnicodeDecodeError as exc:
+        raise FrameError(f"batch payload is not UTF-8: {exc}") from None
+    # A payload splits into at least one line, so a zero count over a
+    # payload (a damaged count field) is a mismatch too, never ``[]``.
     if len(lines) != count:
         raise FrameError(
             f"batch line count mismatch: header says {count}, got {len(lines)}"

@@ -1,6 +1,7 @@
-"""Tests for the trie-backed subscription interest index."""
+"""Tests for the subscription interest index."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.feeds.interest import InterestIndex, Subscription
 from repro.net.prefix import Prefix
@@ -8,6 +9,38 @@ from repro.net.prefix import Prefix
 
 def P(text):
     return Prefix.parse(text)
+
+
+#: Filter prefixes: nested, disjoint, both families and both default routes.
+_FILTERS = [
+    P(text)
+    for text in (
+        "0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/16", "10.0.0.0/23", "10.0.0.0/24",
+        "10.0.1.0/24", "10.0.2.0/23", "99.1.0.0/24", "::/0", "2001:db8::/32",
+        "2001:db8::/48",
+    )
+]
+
+#: Every filter prefix plus observations inside, around and outside them.
+_OBSERVED = _FILTERS + [
+    P(text)
+    for text in (
+        "10.0.0.0/25", "10.200.0.0/16", "99.1.0.128/25", "99.2.0.0/16",
+        "172.16.0.0/12", "2001:db8:1::/48", "2001:db9::/32",
+    )
+]
+
+#: ("add", None | filter list), ("discard" | "deactivate", which subscription).
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.none() | st.lists(st.sampled_from(_FILTERS), min_size=1, max_size=3),
+        ),
+        st.tuples(st.sampled_from(["discard", "deactivate"]), st.integers(0, 63)),
+    ),
+    max_size=25,
+)
 
 
 class TestSubscription:
@@ -40,24 +73,32 @@ class TestInterestIndex:
         assert index.lookup(P("10.0.2.0/24")) == []  # disjoint
         assert index.lookup(P("11.0.0.0/23")) == []
 
-    def test_lookup_agrees_with_linear_scan(self):
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_OPS)
+    def test_lookup_agrees_with_linear_scan(self, ops):
+        """After every add, ``discard`` or ``active = False``, each lookup is
+        the linear scan over ``Subscription.matches`` in subscription order,
+        ``any_match`` agrees, and a lookup round leaves only active
+        subscriptions behind (the inactive ones are dropped lazily)."""
         index = InterestIndex()
-        filters = [
-            None,
-            [P("10.0.0.0/23")],
-            [P("10.0.0.0/16"), P("99.1.0.0/24")],
-            [P("0.0.0.0/0")],
-            [P("2001:db8::/32")],
-        ]
-        subs = [index.add(lambda e: None, f) for f in filters]
-        observed = [
-            P("10.0.0.0/23"), P("10.0.1.0/24"), P("10.200.0.0/16"),
-            P("99.1.0.128/25"), P("99.2.0.0/16"), P("2001:db8:1::/48"),
-            P("172.16.0.0/12"),
-        ]
-        for prefix in observed:
-            expected = [s for s in subs if s.matches(prefix)]
-            assert index.lookup(prefix) == expected
+        subs = []
+        lookups = hits = 0
+        for op, arg in ops:
+            if op == "add":
+                subs.append(index.add(lambda e: None, arg))
+            elif subs:
+                sub = subs[arg % len(subs)]
+                if op == "discard":
+                    index.discard(sub)
+                else:
+                    sub.active = False
+            for prefix in _OBSERVED:
+                expected = [s for s in subs if s.active and s.matches(prefix)]
+                assert index.any_match(prefix) == bool(expected)
+                assert index.lookup(prefix) == expected
+                lookups, hits = lookups + 1, hits + bool(expected)
+            assert len(index) == sum(s.active for s in subs)
+        assert (index.lookups, index.hits) == (lookups, hits)
 
     def test_delivery_order_is_subscription_order(self):
         index = InterestIndex()

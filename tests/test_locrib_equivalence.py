@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.bgp.rib import LocRib
 from repro.bgp.route import Route
 from repro.net.prefix import Prefix
-from repro.net.trie import PrefixTrie
+
+from oracles import PrefixTrie
 
 #: Nested and disjoint, both address families, the two default routes and
 #: host routes: every ordering edge the trie walk has.  Each family also has

@@ -1,6 +1,7 @@
 """Tests for RPKI ROAs, RFC 6811 validation, and ROV enforcement."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bgp.messages import Announcement
 from repro.bgp.rpki import ROA, ROVFilter, RPKIRegistry, Validity
@@ -89,6 +90,48 @@ class TestRegistry:
         assert rov.accepts(A("10.0.0.0/23", 64500))
         assert rov.accepts(A("99.0.0.0/16", 666))        # not-found passes
         assert not rov.accepts(A("10.0.0.0/23", 666))    # invalid dropped
+
+
+@st.composite
+def nested_roa(draw):
+    """A ROA in the top 10 bits of either family, so draws nest and collide."""
+    version = draw(st.sampled_from([4, 6]))
+    bits = 32 if version == 4 else 128
+    value = draw(st.integers(0, (1 << 10) - 1)) << (bits - 10)
+    prefix = Prefix(value, draw(st.integers(0, 14)), version)
+    max_length = prefix.length + draw(st.integers(0, 3))
+    return ROA(prefix, draw(st.sampled_from([1, 2])), max_length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    roas=st.lists(nested_roa(), max_size=12, unique=True),
+    withdrawn=st.sets(st.integers(0, 11)),
+    announced=st.lists(st.tuples(nested_roa(), st.sampled_from([1, 2, 3]))),
+)
+def test_validate_equals_brute_force(roas, withdrawn, announced):
+    """RFC 6811 over the whole ROA list, after adds and removes, ≡ the
+    registry's table reads (covering ROAs least specific first)."""
+    registry = RPKIRegistry(roas)
+    for index in sorted(withdrawn):
+        if index < len(roas):
+            registry.remove_roa(roas[index])
+    live = [roa for index, roa in enumerate(roas) if index not in withdrawn]
+    assert len(registry) == len(live)
+    for probe, origin in announced:
+        announcement = Announcement(probe.prefix, (64999, origin))
+        covering = sorted(
+            (roa for roa in live if roa.prefix.contains(probe.prefix)),
+            key=lambda roa: roa.prefix.length,
+        )
+        if not covering:
+            expected = Validity.NOT_FOUND
+        elif any(roa.matches(announcement) for roa in covering):
+            expected = Validity.VALID
+        else:
+            expected = Validity.INVALID
+        assert registry.covering_roas(probe.prefix) == covering
+        assert registry.validate(announcement) is expected
 
 
 class TestROVInNetwork:

@@ -178,6 +178,10 @@ class TestCollectorPause:
             return real_step()
 
         engine.step = counting_step
+        # Empty generation 0 first: the few containers allocated between
+        # reading ``before`` and run() pausing the collector must not be
+        # the ones that tip it over its threshold.
+        gc.collect()
         before = gc_collections()
         experiment.run()
         assert during and set(during) == {before}

@@ -42,7 +42,6 @@ from repro.core.detection import DetectionService
 from repro.feeds.events import FeedEvent
 from repro.feeds.replay import TraceError, TraceWriter, iter_trace_lines
 from repro.net.prefix import Prefix
-from repro.net.trie import PrefixTrie
 from repro.perf import COUNTERS
 from repro.tenants import (
     DetectionPlane,
@@ -69,7 +68,7 @@ from repro.tenants.workers import (
     tenant_worker_main,
 )
 
-from oracles import PrefixTree
+from oracles import PrefixTree, PrefixTrie
 
 
 def make_event(

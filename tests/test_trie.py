@@ -1,10 +1,27 @@
-"""Unit and property tests for the radix trie."""
+"""The ``ikey`` prefix-table helpers against the radix-trie oracle.
+
+``src/`` keeps every prefix table as a dict keyed by ``Prefix.ikey`` and
+reads it through ``repro.net.prefix``'s ``longest_match``, ``covering``,
+``covered_range`` and ``present_lengths``.  The property tests below hold
+each of them equal to ``PrefixTrie`` (``tests/oracles.py``, the bit-per-level
+trie those tables replaced) over mixed v4/v6 sets, both default routes and
+random insert/remove sequences, with and without a present-lengths list;
+the unit tests first pin the oracle itself.
+"""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.net.prefix import Address, Prefix, longest_match
-from repro.net.trie import PrefixTrie
+from repro.net.prefix import (
+    Address,
+    Prefix,
+    covered_range,
+    covering,
+    longest_match,
+    present_lengths,
+)
+
+from oracles import PrefixTrie
 
 
 def P(text):
@@ -277,3 +294,87 @@ class TestDefaultRouteEdgeCases:
         keys = list(self.trie.keys())
         assert keys == sorted(keys)
         assert len(keys) == 5
+
+
+# ------------------------------------------------- ikey helpers ≡ the oracle
+
+#: Probes beyond the stored prefixes: both default routes, space inside and
+#: outside the drawn prefixes in each family, and host addresses (an
+#: ``Address`` target is its host prefix).
+_EXTRA_PROBES = [
+    Prefix.parse(text)
+    for text in (
+        "0.0.0.0/0", "::/0", "10.0.0.0/25", "11.0.0.0/8", "172.16.0.0/12",
+        "2001:db9::/32",
+    )
+] + [
+    Address.parse(text)
+    for text in ("10.0.1.77", "99.0.0.1", "2001:db8::1", "fe80::1")
+]
+
+_OPS = st.lists(
+    st.tuples(st.booleans(), nested_prefix()),  # (insert?, prefix)
+    min_size=1,
+    max_size=40,
+)
+
+
+def _assert_helpers_equal_trie(table, trie, probes):
+    lengths = present_lengths(table)
+    for version in (4, 6):
+        held = {p.length for p in trie.keys() if p.version == version}
+        assert lengths[version] == sorted(held, reverse=True)
+    keys = sorted(table)
+    for probe in probes:
+        match = trie.longest_match(probe)
+        expected = None if match is None else match[1]
+        above = [value for _p, value in trie.covering(probe)]
+        for probe_lengths in (None, lengths[probe.version]):
+            assert longest_match(table, probe, probe_lengths) == expected
+            assert covering(table, probe, probe_lengths) == above
+        if isinstance(probe, Prefix):
+            low, high = covered_range(probe)
+            inside = [table[key] for key in keys if low <= key < high]
+            assert inside == [value for _p, value in trie.covered(probe)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_OPS, default_routes=st.booleans())
+def test_helpers_equal_trie_under_insert_remove(ops, default_routes):
+    """After every insert or remove, each helper over the ``ikey`` dict
+    answers what the trie answers — content and order — for every stored
+    prefix, a supernet, the extra probes and both default routes."""
+    table, trie = {}, PrefixTrie()
+    if default_routes:
+        ops = [(True, Prefix(0, 0, 4)), (True, Prefix(0, 0, 6))] + ops
+    for serial, (insert, prefix) in enumerate(ops):
+        if insert:
+            table[prefix.ikey] = serial  # serial 0: a falsy stored value
+            trie[prefix] = serial
+        elif prefix in trie:
+            assert table.pop(prefix.ikey) == trie.remove(prefix)
+        stored = list(trie.keys())
+        supernets = [p.supernet(p.length // 2) for p in stored]
+        _assert_helpers_equal_trie(table, trie, stored + supernets + _EXTRA_PROBES)
+
+
+def test_covered_range_is_version_scoped_and_excludes_the_next_network():
+    """Both /0 ranges stay inside their family, and a shorter prefix sitting
+    at the next network value is outside the range."""
+    v4, v6 = covered_range(P("0.0.0.0/0")), covered_range(P("::/0"))
+    assert v4[1] <= v6[0]
+    for text in ("255.255.255.255/32", "0.0.0.0/0", "10.0.0.0/8"):
+        assert v4[0] <= P(text).ikey < v4[1]
+    assert v6[0] <= P("ffff::/16").ikey < v6[1]
+    low, high = covered_range(P("10.0.1.0/24"))
+    assert P("10.0.1.255/32").ikey < high <= P("10.0.2.0/23").ikey
+    assert not low <= P("10.0.0.0/23").ikey < high
+
+
+def test_present_lengths_reads_every_length_field():
+    """Host routes and both defaults: /128 needs the length field's top bit."""
+    texts = ("0.0.0.0/0", "10.0.0.1/32", "::/0", "::1/128")
+    table = {P(text).ikey: text for text in texts}
+    assert present_lengths(table) == {4: [32, 0], 6: [128, 0]}
+    assert covering(table, Address.parse("::1")) == ["::/0", "::1/128"]
+    assert longest_match(table, Address.parse("10.0.0.1"), [32, 0]) == "10.0.0.1/32"
