@@ -2,13 +2,13 @@
 
 Not a paper artefact — this bench guards the pure-ingest path that
 ``repro.feeds.replay`` adds: a recorded feed trace streamed straight into
-Detection/Monitoring with no simulator, engine, or AS graph in the loop.
+Detection/Monitoring with no network or AS graph in the loop.
 The workload is the pinned 1000-AS scenario of ``test_scale.py``: one
 recorded live run (whose seed-pinned outcome doubles as the proof that
 recording perturbs nothing), then replays of that trace —
 
 * **flat-out** — sustained updates/sec with everything enabled
-  (supervision on the replay clock, lag accounting, alert digesting),
+  (supervision on the tap's event-time engine, lag accounting, alert digesting),
   guarded by a configurable throughput floor;
 * **paced via a virtual timer** — the 1x replay finishes instantly on the
   virtual clock while remaining bit-identical to flat-out (the event-time
@@ -101,7 +101,7 @@ def test_replay_flat_out_throughput(benchmark, recorded_scale):
         == recorded_scale["result"].per_source_delay_final
     )
     assert report["mean_lag_by_source"] == recorded_scale["live_lag"]
-    # Flat-out must not fail over healthy recorded sources (clock seam).
+    # Flat-out must not fail over healthy recorded sources (one clock).
     assert report["supervisor_transitions"] == []
 
     floor = float(os.environ.get("REPLAY_MIN_RATE", "2000"))
@@ -198,7 +198,7 @@ def test_replay_fault_soak(benchmark, recorded_scale):
     assert chaos_report["events_dropped"] > 0
     assert chaos_report["fault_channel"]["duplicated"] > 0
     assert chaos_report["fault_channel"]["reordered"] > 0
-    # The recorded ris outage must surface as DEAD → LIVE on the replay clock.
+    # The recorded ris outage must surface as DEAD → LIVE on the tap's engine.
     states = [
         (source, state)
         for _w, source, state in chaos_report["supervisor_transitions"]

@@ -716,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--supervise",
         action="store_true",
-        help="run the source supervisor against the replay clock",
+        help="run the source supervisor on the replay's event-time engine",
     )
     replay.add_argument(
         "--max-events",

@@ -12,12 +12,12 @@ delay.  The third-party baselines consume this feed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import FeedError
 from repro.feeds.collector import RouteCollector
 from repro.feeds.events import FeedEvent
-from repro.feeds.interest import FeedCallback, InterestIndex, Subscription
+from repro.feeds.health import Transport
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 from repro.sim.latency import Constant, Delay, make_delay
@@ -28,10 +28,13 @@ DEFAULT_UPDATE_INTERVAL = 15 * 60.0
 DEFAULT_RIB_INTERVAL = 2 * 3600.0
 
 
-class BatchArchive:
-    """An archive publishing periodic update files and RIB dumps."""
+class BatchArchive(Transport):
+    """An archive publishing periodic update files and RIB dumps.
 
-    source_name = "batch"
+    Publication timers start with the first subscription.  While the
+    transport is down the consumer cannot fetch published files; their
+    rows are lost to it (archives keep the files, re-fetch is out of scope).
+    """
 
     def __init__(
         self,
@@ -46,7 +49,7 @@ class BatchArchive:
     ):
         if update_interval <= 0 or rib_interval <= 0:
             raise FeedError("publication intervals must be positive")
-        self.engine = engine
+        super().__init__(engine)
         self.update_interval = float(update_interval)
         self.rib_interval = float(rib_interval)
         #: Download + parse time once a file appears.
@@ -54,7 +57,6 @@ class BatchArchive:
         self.rng = rng or SeededRNG(0)
         self.name = name
         self.collectors: List[RouteCollector] = []
-        self._interest = InterestIndex()
         self._buffer: List[Tuple[str, int, str, Prefix, Tuple[int, ...], float]] = []
         self._started = False
         self.publish_ribs = publish_ribs
@@ -64,14 +66,7 @@ class BatchArchive:
         self.files_published = 0
         self.events_delivered = 0
         self.events_filtered = 0
-        #: Uniform source-transport protocol (see repro.feeds.health): while
-        #: down the consumer cannot fetch published files; their rows are
-        #: lost to it (archives keep the files, re-fetch is out of scope).
-        self.transport_up = True
-        self._down_until = 0.0
-        self.last_activity_at = 0.0
         self.files_missed = 0
-        self.outages = 0
 
     def attach_collector(self, collector: RouteCollector) -> None:
         if collector in self.collectors:
@@ -79,46 +74,7 @@ class BatchArchive:
         self.collectors.append(collector)
         collector.subscribe(self._on_observation)
 
-    def subscribe(
-        self,
-        callback: FeedCallback,
-        prefixes: Optional[Sequence[Prefix]] = None,
-    ) -> Subscription:
-        """Receive archived events at file-publication time.
-
-        Publication timers start with the first subscription.
-        """
-        subscription = self._interest.add(callback, prefixes)
-        self._start()
-        return subscription
-
-    def unsubscribe(self, subscription: Subscription) -> None:
-        self._interest.discard(subscription)
-
-    # --------------------------------------------------------------- transport
-
-    def disconnect(self, down_until: Optional[float] = None) -> None:
-        """Make the archive unfetchable until ``down_until`` (None = open)."""
-        if not self.transport_up:
-            return
-        self.transport_up = False
-        self.outages += 1
-        self._down_until = float("inf") if down_until is None else float(down_until)
-
-    def reconnect(self) -> bool:
-        if self.transport_up:
-            return True
-        if self.engine.now < self._down_until:
-            return False
-        self.transport_up = True
-        self.last_activity_at = self.engine.now
-        return True
-
-    def restore_transport(self) -> None:
-        self._down_until = 0.0
-        self.reconnect()
-
-    def _start(self) -> None:
+    def _subscribed(self) -> None:
         if self._started:
             return
         self._started = True

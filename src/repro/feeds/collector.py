@@ -13,11 +13,11 @@ terminate sessions without colliding with topology ASes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bgp.messages import UpdateMessage
 from repro.errors import FeedError
-from repro.feeds.interest import InterestIndex, Subscription
+from repro.feeds.interest import Subscribable
 from repro.net.prefix import Prefix
 from repro.perf import COUNTERS as _C
 from repro.sim.engine import Engine
@@ -31,10 +31,15 @@ ObservationCallback = Callable[
 ]
 
 
-class RouteCollector:
-    """A passive multi-peer BGP measurement box."""
+class RouteCollector(Subscribable):
+    """A passive multi-peer BGP measurement box.
+
+    Subscribers get raw, zero-added-latency observations
+    (:data:`ObservationCallback`), filtered like any other source's.
+    """
 
     def __init__(self, name: str, engine: Engine, asn: Optional[int] = None):
+        super().__init__()
         self.name = name
         self.engine = engine
         if asn is None:
@@ -45,7 +50,6 @@ class RouteCollector:
 
             asn = COLLECTOR_ASN_BASE + derive_seed(0, "collector", name) % 90_000_000
         self.asn = int(asn)
-        self._interest = InterestIndex()
         #: Current table per (vantage, prefix) — the collector's own RIB view,
         #: used for RIB dumps by the batch archive.
         self.table: Dict[Tuple[int, Prefix], Tuple[int, ...]] = {}
@@ -65,22 +69,6 @@ class RouteCollector:
         self.fault_channel = None
         self.messages_lost_down = 0
         self.crashes = 0
-
-    def subscribe(
-        self,
-        callback: ObservationCallback,
-        prefixes: Optional[Sequence[Prefix]] = None,
-    ) -> Subscription:
-        """Register a consumer for raw (zero-added-latency) observations.
-
-        ``prefixes`` optionally filters the feed to overlapping prefixes —
-        same semantics as the downstream services, answered through the
-        shared interest index.
-        """
-        return self._interest.add(callback, prefixes)
-
-    def unsubscribe(self, subscription: Subscription) -> None:
-        self._interest.discard(subscription)
 
     def register_vantage(self, vantage_asn: int) -> None:
         """Record that ``vantage_asn`` feeds this collector (bookkeeping)."""

@@ -13,12 +13,13 @@ Two timestamps matter for the paper's delay analysis:
 
 Both timestamps are **event time** — the clock of the run that produced
 the event — and stay attached to the event forever: a recorded trace
-replayed at 10x (or flat-out) carries the original values.  Consumers
-must therefore compute every lag, staleness, or delay as a difference of
-event timestamps (or against a clock advanced *by* the event stream,
-e.g. :class:`~repro.feeds.replay.ReplayClock`) and never against host
-wall-clock, or the arithmetic breaks the moment ingestion speed differs
-from 1x.
+replayed at 10x (or flat-out) carries the original values.  There is one
+clock to compare them with, an :class:`~repro.sim.engine.Engine` running
+in event time: the simulator's in a live run, the
+:class:`~repro.feeds.replay.ReplayTap`'s under replay.  Consumers compute
+every lag, staleness, or delay as a difference of event timestamps or
+against that engine, never against host wall-clock, or the arithmetic
+breaks the moment ingestion speed differs from 1x.
 """
 
 from __future__ import annotations

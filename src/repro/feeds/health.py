@@ -29,22 +29,17 @@ subscribed to every *backup* source while any primary is DEAD, and those
 subscriptions are dropped again once every primary is back — interest
 follows the surviving sources instead of silently starving.
 
-Sources must expose the transport protocol the feed services implement:
-``name``, ``transport_up`` (bool), ``last_activity_at`` (float) and
-``reconnect() -> bool``.
+Sources expose the transport protocol ``name``, ``transport_up`` (bool),
+``last_activity_at`` (float) and ``reconnect() -> bool``.  Streams,
+archives and recorded sources inherit it from :class:`Transport`, which
+a fault can ``disconnect`` until a window end and ``restore_transport``;
+Periscope derives it from its looking glasses.
 
-Time source: every threshold here is compared against a *clock*, not
-against host wall time.  In live runs the clock is the engine (the
-default), so behaviour is unchanged; under trace replay it is the
-:class:`~repro.feeds.replay.ReplayClock`, which advances with the event
-stream.  That is what keeps the staleness arithmetic replay-speed
-invariant: a flat-out replay that drains an hour of trace in a second
-sees staleness in *recorded* seconds (no spurious failover), and a
-paused replay freezes the clock (a healthy source cannot silently age
-into DEAD).  Engine-less supervisors are driven by calling
-:meth:`SourceSupervisor.check_now` from the replay loop; reconnect
-backoff then runs on due-times checked at each call instead of scheduled
-engine events.
+One clock: thresholds are compared against the supervisor's engine, and
+checks and retries are engine events.  A replayed trace's engine
+(:class:`~repro.feeds.replay.ReplayTap`) runs in event time, so staleness
+is in recorded seconds at any replay speed, and a paused replay, whose
+engine does not move, cannot age a healthy source into DEAD.
 """
 
 from __future__ import annotations
@@ -53,12 +48,65 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FeedError
 from repro.feeds.events import FeedEvent
+from repro.feeds.interest import Subscribable
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 
 #: Supervisor states.
 LIVE = "live"
 DEAD = "dead"
+
+
+class Transport(Subscribable):
+    """A subscribable source whose transport can drop: the supervisor's view.
+
+    While ``transport_up`` is False the source delivers nothing (each
+    subclass decides what it loses); a fault opens the outage with
+    :meth:`disconnect` and the server side ends it with
+    :meth:`restore_transport`.
+    """
+
+    def __init__(self, engine: Engine) -> None:
+        super().__init__()
+        self.engine = engine
+        self.transport_up = True
+        #: Earliest engine time a reconnect can succeed (the window end).
+        self._down_until = 0.0
+        #: Last time the transport showed life: the staleness clock.
+        self.last_activity_at = engine.now
+        self.outages = 0
+
+    def disconnect(self, down_until: Optional[float] = None) -> None:
+        """Drop the transport (fault injection / network outage).
+
+        ``down_until`` is the earliest engine time :meth:`reconnect` can
+        succeed; ``None`` means the outage is open-ended until
+        :meth:`restore_transport`.
+        """
+        if not self.transport_up:
+            return
+        self.transport_up = False
+        self.outages += 1
+        self._down_until = float("inf") if down_until is None else float(down_until)
+
+    def reconnect(self) -> bool:
+        """Attempt to re-establish the transport; True when it succeeded.
+
+        Fails while the outage window is still open — this is what the
+        supervisor's exponential-backoff retry loop probes.
+        """
+        if self.transport_up:
+            return True
+        if self.engine.now < self._down_until:
+            return False
+        self.transport_up = True
+        self.last_activity_at = self.engine.now
+        return True
+
+    def restore_transport(self) -> None:
+        """End the outage window and bring the transport straight back up."""
+        self._down_until = 0.0
+        self.reconnect()
 
 
 class SourceHealth:
@@ -73,7 +121,6 @@ class SourceHealth:
         "downtime",
         "max_staleness",
         "_retry_handle",
-        "next_retry_at",
     )
 
     def __init__(self, source):
@@ -89,10 +136,6 @@ class SourceHealth:
         #: Worst observed event-gap while live (the degradation signal).
         self.max_staleness = 0.0
         self._retry_handle = None
-        #: Clock time of the next reconnect attempt when the supervisor has
-        #: no engine to schedule on (engine-less replay mode); None while
-        #: live or when retries are engine-scheduled.
-        self.next_retry_at: Optional[float] = None
 
     @property
     def name(self) -> str:
@@ -124,13 +167,12 @@ class SourceSupervisor:
 
     def __init__(
         self,
-        engine: Optional[Engine],
+        engine: Engine,
         sources: Sequence,
         check_interval: float = 5.0,
         staleness_timeout: float = 30.0,
         backoff_base: float = 1.0,
         backoff_cap: float = 60.0,
-        clock=None,
     ):
         if check_interval <= 0:
             raise FeedError(f"check interval must be positive, got {check_interval}")
@@ -142,14 +184,7 @@ class SourceSupervisor:
             raise FeedError(
                 f"invalid backoff parameters base={backoff_base} cap={backoff_cap}"
             )
-        if engine is None and clock is None:
-            raise FeedError("supervisor needs an engine or an explicit clock")
         self.engine = engine
-        #: Where "now" comes from.  Defaults to the engine (live runs); an
-        #: explicit clock (anything with ``.now``) decouples the staleness
-        #: arithmetic from the engine — the replay path passes the event-time
-        #: :class:`~repro.feeds.replay.ReplayClock` here.
-        self.clock = clock if clock is not None else engine
         self.check_interval = float(check_interval)
         self.staleness_timeout = float(staleness_timeout)
         self.backoff_base = float(backoff_base)
@@ -173,11 +208,6 @@ class SourceSupervisor:
     def start(self) -> None:
         if self.started:
             return
-        if self.engine is None:
-            raise FeedError(
-                "engine-less supervisor cannot self-schedule; drive it with "
-                "check_now() from the replay loop instead"
-            )
         self.started = True
         self._check_handle = self.engine.schedule_periodic(
             self.check_interval, self._check_all
@@ -231,30 +261,8 @@ class SourceSupervisor:
 
     # ------------------------------------------------------------------ checks
 
-    def check_now(self) -> None:
-        """One supervision pass against the current clock (replay driver).
-
-        Engine-driven supervisors run :meth:`_check_all` periodically and
-        retries as scheduled events; an engine-less supervisor gets the
-        same state machine by having the replay loop call this at its own
-        check cadence — staleness checks run, and reconnect attempts
-        whose backoff due-time has passed fire.
-        """
-        self._check_all()
-        if self.engine is not None:
-            return
-        now = self.clock.now
-        for health in self.health.values():
-            if (
-                health.state == DEAD
-                and health.next_retry_at is not None
-                and now >= health.next_retry_at
-            ):
-                health.next_retry_at = None
-                self._attempt_reconnect(health)
-
     def _check_all(self) -> None:
-        now = self.clock.now
+        now = self.engine.now
         for health in self.health.values():
             if health.state == DEAD:
                 continue  # the retry loop owns dead sources
@@ -269,32 +277,24 @@ class SourceSupervisor:
                 continue
             self._mark_dead(health, now)
 
-    def _schedule_retry(self, health: SourceHealth, wait: float) -> None:
-        """Arrange the next reconnect attempt ``wait`` clock-seconds out."""
-        if self.engine is not None:
-            health._retry_handle = self.engine.schedule(
-                wait, self._attempt_reconnect, health
-            )
-        else:
-            health.next_retry_at = self.clock.now + wait
-
     def _mark_dead(self, health: SourceHealth, now: float) -> None:
         health.state = DEAD
         health.detected_down_at = now
         health.reconnect_attempts = 0
         self.transitions.append((now, health.name, DEAD))
         self._engage_backups()
-        self._schedule_retry(health, self.backoff_base)
+        health._retry_handle = self.engine.schedule(
+            self.backoff_base, self._attempt_reconnect, health
+        )
 
     def _attempt_reconnect(self, health: SourceHealth) -> None:
         health._retry_handle = None
-        if health.state != DEAD or (self.engine is not None and not self.started):
+        if health.state != DEAD or not self.started:
             return
         health.reconnect_attempts += 1
         if health.source.reconnect():
-            now = self.clock.now
+            now = self.engine.now
             health.state = LIVE
-            health.next_retry_at = None
             started = health.detected_down_at
             if started is not None:
                 health.outages.append((started, now))
@@ -309,7 +309,9 @@ class SourceSupervisor:
             self.backoff_base * (2.0 ** health.reconnect_attempts),
             self.backoff_cap,
         )
-        self._schedule_retry(health, wait)
+        health._retry_handle = self.engine.schedule(
+            wait, self._attempt_reconnect, health
+        )
 
     # ------------------------------------------------------------------- views
 
@@ -326,12 +328,12 @@ class SourceSupervisor:
 
     def staleness_table(self) -> Dict[str, float]:
         """Current per-source staleness in seconds (the degradation view)."""
-        now = self.clock.now
+        now = self.engine.now
         return {name: h.staleness(now) for name, h in sorted(self.health.items())}
 
     def report(self) -> Dict[str, Dict]:
         """Per-source health summary, JSON-ready and deterministic."""
-        now = self.clock.now
+        now = self.engine.now
         return {name: h.to_dict(now) for name, h in sorted(self.health.items())}
 
     def __repr__(self) -> str:

@@ -17,17 +17,18 @@ The index preserves the list semantics the services had before it:
 subscriptions receive events in subscription order, a subscription whose
 ``active`` flag was cleared is skipped (and dropped lazily), and a
 ``prefixes=None`` subscription matches everything.
+
+:class:`Subscribable` is the one ``subscribe`` / ``unsubscribe`` every
+source (collectors, streams, archives, Periscope, recorded sources)
+inherits over its index.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.feeds.events import FeedEvent
 from repro.net.prefix import Prefix, covered_range, covering, present_lengths
-
-FeedCallback = Callable[[FeedEvent], None]
 
 
 class Subscription:
@@ -180,3 +181,28 @@ class InterestIndex:
             f"(wildcard={len(self._wildcards)}) lookups={self.lookups} "
             f"hits={self.hits}>"
         )
+
+
+class Subscribable:
+    """The subscription half of the source contract, over ``self._interest``."""
+
+    def __init__(self) -> None:
+        self._interest = InterestIndex()
+
+    def subscribe(
+        self, callback, prefixes: Optional[Sequence[Prefix]] = None
+    ) -> Subscription:
+        """Receive deliveries, optionally filtered to overlapping ``prefixes``.
+
+        Returns the subscription; set ``subscription.active = False`` (or
+        call :meth:`unsubscribe`) to stop deliveries.
+        """
+        subscription = self._interest.add(callback, prefixes)
+        self._subscribed()
+        return subscription
+
+    def unsubscribe(self, subscription: Subscription) -> None:
+        self._interest.discard(subscription)
+
+    def _subscribed(self) -> None:
+        """Hook run after every new subscription (archives start publishing)."""

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.bgp.speaker import BGPSpeaker
 from repro.errors import FeedError
 from repro.feeds.events import FeedEvent
-from repro.feeds.interest import FeedCallback, InterestIndex, Subscription
+from repro.feeds.interest import Subscribable
 from repro.net.prefix import Prefix
 from repro.perf import COUNTERS as _C
 from repro.sim.engine import Engine
@@ -169,10 +169,8 @@ class LookingGlass:
         return f"<LookingGlass {self.name} AS{self.asn} {state}>"
 
 
-class PeriscopeAPI:
+class PeriscopeAPI(Subscribable):
     """Unified poll scheduler over a set of looking glasses."""
-
-    source_name = "periscope"
 
     def __init__(
         self,
@@ -184,12 +182,12 @@ class PeriscopeAPI:
     ):
         if poll_interval <= 0:
             raise FeedError(f"poll interval must be positive, got {poll_interval}")
+        super().__init__()
         self.engine = engine
         self.looking_glasses = list(looking_glasses)
         self.poll_interval = float(poll_interval)
         self.rng = rng or SeededRNG(0)
         self.name = name
-        self._interest = InterestIndex()
         self._watched: List[Prefix] = []
         self._poll_handles = []
         #: Last answer per (lg_name, prefix): dedup state.
@@ -214,17 +212,6 @@ class PeriscopeAPI:
             return False
         self.last_activity_at = self.engine.now
         return True
-
-    def subscribe(
-        self,
-        callback: FeedCallback,
-        prefixes: Optional[Sequence[Prefix]] = None,
-    ) -> Subscription:
-        """Receive change events, optionally filtered by prefix overlap."""
-        return self._interest.add(callback, prefixes)
-
-    def unsubscribe(self, subscription: Subscription) -> None:
-        self._interest.discard(subscription)
 
     def watch(self, prefixes: Sequence[Prefix]) -> None:
         """Start polling every LG for each of ``prefixes``.

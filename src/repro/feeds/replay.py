@@ -20,10 +20,11 @@ equivalent, in three parts:
   ``subscribe(callback, prefixes=...)`` protocol) and archives exactly
   what the detection plane saw.  Recording with the same prefix filter
   detection uses is what makes replay digest-identical to the live run.
-* **Replay** — :class:`ReplayTap` streams a trace into
-  :class:`~repro.core.detection.DetectionService` /
-  :class:`~repro.core.monitoring.MonitoringService` at Nx speed or
-  flat-out, with **no simulator, engine, or AS graph in the loop**.
+* **Replay** — :class:`ReplayTap` delivers a trace at Nx speed or
+  flat-out through one :class:`RecordedSource` per recorded source name,
+  on an engine whose clock is event time — **no network or AS graph in
+  the loop**.  :class:`ReplaySession` subscribes detection and monitoring
+  to those sources and supervises them, as ARTEMIS does live feeds.
 
 Event time vs wall clock
 ------------------------
@@ -31,17 +32,17 @@ Event time vs wall clock
 Replay never restamps events: ``observed_at`` / ``delivered_at`` keep the
 values recorded during the live run, so every consumer computing lag or
 detection delay from event timestamps is replay-speed-invariant by
-construction.  The only wall-clock concern is *pacing* (``speed=N``
-sleeps between deliveries) and it is isolated in an injectable timer —
-:class:`VirtualTimer` makes paced replays run instantly under test.
-
-Liveness supervision replays too: :class:`ReplayClock` is a monotone
-*event-time* clock advanced as records are delivered, and the per-source
-:class:`ReplaySourceView` facades track ``last_activity_at`` in event
-time.  A :class:`~repro.feeds.health.SourceSupervisor` constructed with
-``clock=tap.clock`` therefore measures staleness in recorded seconds:
-flat-out replay cannot false-positive a failover, and a paused replay
-(clock frozen) cannot starve a healthy source to death.
+construction.  The tap's engine is the one clock.  Records go out at
+their recorded times, and everything else in a replay is an engine event
+at event time: a reordered or duplicated copy, an outage window opening
+and closing, a supervisor's check or reconnect retry.  A
+:class:`~repro.feeds.health.SourceSupervisor` on ``tap.engine`` therefore
+measures staleness in recorded seconds: flat-out replay cannot
+false-positive a failover, and a paused replay, whose engine does not
+move, cannot age a healthy source into DEAD.  Wall-clock time enters only
+through *pacing* (``speed=N`` sleeps between deliveries), isolated in an
+injectable timer — :class:`VirtualTimer` makes paced replays run
+instantly under test.
 
 Faults on the replay path
 -------------------------
@@ -49,8 +50,10 @@ Faults on the replay path
 :class:`ReplayInjector` interprets PR-4 style
 :class:`~repro.faults.plan.FaultPlan` schedules over the event stream in
 event time (times relative to the recorded ``hijack_time``): ``outage``
-and ``collector_crash`` drop matching records and open transport-down
-windows on the source views; ``loss`` / ``dup`` / ``reorder`` reuse
+and ``collector_crash`` drop matching records, and an ``outage`` on a
+source name is also that source's ``disconnect(down_until=end)`` /
+``restore_transport()`` pair on the engine, as the live injector applies
+it to a stream; ``loss`` / ``dup`` / ``reorder`` reuse
 :class:`~repro.faults.channel.ChannelFault` per fault entry.  ``delay``
 and ``flap`` need a live collector/latency model and are skipped (the
 skips are reported, never silent).
@@ -59,7 +62,6 @@ skips are reported, never silent).
 from __future__ import annotations
 
 import hashlib
-import heapq
 import io
 import json
 import time
@@ -70,9 +72,11 @@ from repro.faults.channel import ChannelFault
 from repro.faults.plan import FaultPlan, load_plan
 from repro.feeds.dumpfile import decode_records, format_event
 from repro.feeds.events import FeedEvent, validated_event
-from repro.feeds.interest import InterestIndex, Subscription
+from repro.feeds.health import SourceSupervisor, Transport
+from repro.feeds.interest import Subscription
 from repro.net.prefix import Prefix
 from repro.perf import COUNTERS, collector_paused, sample_memory
+from repro.sim.engine import Engine
 from repro.sim.rng import SeededRNG, derive_seed
 
 #: Current trace format version (bump on incompatible record/frame changes;
@@ -362,10 +366,6 @@ class TraceRecorder:
     protocol, so — given the same prefix filter the detection service
     uses — the archived sequence is exactly the event sequence detection
     consumed, which is what makes a later replay digest-identical.
-    :meth:`attach_collector` additionally taps a raw
-    :class:`~repro.feeds.collector.RouteCollector` (whose subscribers get
-    plain observation tuples rather than events) by wrapping observations
-    into zero-latency :class:`FeedEvent` records.
     """
 
     def __init__(
@@ -390,25 +390,6 @@ class TraceRecorder:
         for source in sources:
             self.attach(source, prefixes=prefixes)
 
-    def attach_collector(self, collector) -> None:
-        """Record a raw collector's observations as zero-latency events."""
-
-        def on_observation(coll, vantage_asn, kind, prefix, as_path, when):
-            self.writer.append(
-                FeedEvent(
-                    source=coll.name,
-                    collector=coll.name,
-                    vantage_asn=vantage_asn,
-                    kind=kind,
-                    prefix=prefix,
-                    as_path=as_path,
-                    observed_at=when,
-                    delivered_at=when,
-                )
-            )
-
-        self._subscriptions.append(collector.subscribe(on_observation))
-
     def detach(self) -> None:
         """Stop recording without sealing the file."""
         for subscription in self._subscriptions:
@@ -428,30 +409,7 @@ class TraceRecorder:
         return f"<TraceRecorder {self.records} records>"
 
 
-# ---------------------------------------------------------------- replay clock
-
-
-class ReplayClock:
-    """Monotone *event-time* clock: "now" is the trace position.
-
-    Replaces ``engine.now`` for every consumer that needs a notion of
-    time under replay (the source supervisor above all).  It advances
-    only as records are delivered, so time under replay moves at recorded
-    speed regardless of how fast the host drains the trace — the fix for
-    wall-clock-based staleness arithmetic.
-    """
-
-    __slots__ = ("now",)
-
-    def __init__(self, start: float = 0.0):
-        self.now = float(start)
-
-    def advance(self, when: float) -> None:
-        if when > self.now:
-            self.now = when
-
-    def __repr__(self) -> str:
-        return f"<ReplayClock now={self.now:.3f}>"
+# ---------------------------------------------------------------- wall timers
 
 
 class VirtualTimer:
@@ -482,51 +440,35 @@ class _WallTimer:
     sleep = staticmethod(time.sleep)
 
 
-# --------------------------------------------------------------- source views
+# ------------------------------------------------------------ recorded sources
 
 
-class ReplaySourceView:
-    """Supervisor-facing facade for one recorded source.
+class RecordedSource(Transport):
+    """One source name of a recorded trace, replayed on the tap's engine.
 
-    Implements the transport protocol (``name``, ``transport_up``,
-    ``last_activity_at``, ``reconnect()``) against the replay clock:
-    activity is the event time of the source's last delivered record, and
-    transport state follows the outage windows a fault plan opened.
+    Subscribers get the source's records.  ``last_activity_at`` is the
+    event time of its last delivered record, and a fault-plan outage is
+    a :meth:`disconnect` / :meth:`restore_transport` pair on the engine.
     """
 
-    __slots__ = ("name", "last_activity_at", "_clock", "_windows")
-
-    def __init__(self, name: str, clock: ReplayClock, start: float):
+    def __init__(self, name: str, engine: Engine):
+        super().__init__(engine)
         self.name = name
-        self.last_activity_at = float(start)
-        self._clock = clock
-        #: Transport-down (start, end) windows in event time, sorted.
-        self._windows: List[Tuple[float, float]] = []
 
-    def add_outage_window(self, start: float, end: float) -> None:
-        self._windows.append((float(start), float(end)))
-        self._windows.sort()
-
-    def _down_at(self, now: float) -> bool:
-        return any(start <= now < end for start, end in self._windows)
-
-    @property
-    def transport_up(self) -> bool:
-        return not self._down_at(self._clock.now)
-
-    def reconnect(self) -> bool:
-        """Probe succeeds exactly when the recorded outage has passed."""
-        return self.transport_up
+    def deliver(self, event: FeedEvent) -> bool:
+        """Hand one record to its subscribers; False when none asked for it."""
+        self.last_activity_at = event.delivered_at
+        subscriptions = self._interest.lookup(event.prefix)
+        for subscription in subscriptions:
+            subscription.callback(event)
+        return bool(subscriptions)
 
     def __repr__(self) -> str:
-        return f"<ReplaySourceView {self.name} up={self.transport_up}>"
+        return f"<RecordedSource {self.name} up={self.transport_up}>"
 
 
 # ------------------------------------------------------------- fault injection
 
-
-#: Fault kinds the replay path can interpret without a live world.
-REPLAY_FAULT_KINDS = ("outage", "loss", "dup", "reorder", "collector_crash")
 
 _PASS: Tuple[float, ...] = (0.0,)
 
@@ -545,8 +487,9 @@ class ReplayInjector:
     def __init__(self, plan: FaultPlan, arm_at: float, seed: int = 0):
         self.plan = plan
         self.arm_at = float(arm_at)
-        #: (fault, window) pairs that silence matching records entirely.
-        self._drops: List[Tuple[str, float, float]] = []
+        #: (target, start, end) windows that silence matching records; one
+        #: on a source name is also that source's transport outage.
+        self.drops: List[Tuple[str, float, float]] = []
         #: (target, ChannelFault) pairs judged in plan order.
         self._channels: List[Tuple[str, ChannelFault]] = []
         #: Fault kinds in the plan that replay cannot express (reported).
@@ -556,7 +499,7 @@ class ReplayInjector:
             start = self.arm_at + fault.at
             end = float("inf") if fault.until is None else self.arm_at + fault.until
             if fault.kind in ("outage", "collector_crash"):
-                self._drops.append((fault.target, start, end))
+                self.drops.append((fault.target, start, end))
             elif fault.kind in ("loss", "dup", "reorder"):
                 rng = SeededRNG(
                     derive_seed(seed, "replay", plan.seed, index, fault.kind, fault.target)
@@ -582,18 +525,10 @@ class ReplayInjector:
             or event.collector.startswith(target + "-")
         )
 
-    def outage_windows(self, source_name: str) -> List[Tuple[float, float]]:
-        """Transport-down windows the plan opens for one *source* name."""
-        return [
-            (start, end)
-            for target, start, end in self._drops
-            if target == source_name
-        ]
-
     def judge(self, event: FeedEvent) -> Tuple[float, ...]:
         """Per-copy extra delays for one record (``()`` drops it)."""
         now = event.delivered_at
-        for target, start, end in self._drops:
+        for target, start, end in self.drops:
             if start <= now < end and self._matches(target, event):
                 self.events_dropped += 1
                 return ()
@@ -632,38 +567,34 @@ class ReplayInjector:
 
 
 class ReplayTap:
-    """A feed source that streams a recorded trace — no engine, no graph.
+    """Replays a recorded trace through its sources on an engine — no graph.
 
-    Exposes the standard ``subscribe(callback, prefixes=...)`` protocol,
-    so :class:`~repro.core.detection.DetectionService` and
-    :class:`~repro.core.monitoring.MonitoringService` consume it exactly
-    like a live stream.  :meth:`run` drains the trace:
-
-    * ``speed=None`` (default) — flat-out, as fast as the host ingests;
-    * ``speed=N`` — paced so one recorded second takes ``1/N`` wall
-      seconds, through the injectable ``timer``.
-
-    Events are delivered with their recorded timestamps untouched; the
-    :class:`ReplayClock` tracks the event time of the replay head, and
-    supervision (``run(supervisor=...)``) is driven in event time at the
-    supervisor's own check interval — replay speed cannot skew it.
+    Each recorded source name is a :class:`RecordedSource` in
+    :attr:`sources`, subscribed to like a live stream.  :meth:`run` drains
+    the trace flat-out (``speed=None``) or paced so one recorded second
+    takes ``1/N`` wall seconds (``speed=N``, through the injectable
+    ``timer``).  Records go out in trace order, timestamps untouched;
+    everything else is an event on :attr:`engine`, whose clock is event
+    time: a reordered or duplicated copy, an outage window's disconnect and
+    restore, a supervisor's checks and retries.  Before each record the
+    engine fires whatever is due by the record's time, and it runs to the
+    end once the trace is drained, so an unfaulted, unsupervised replay
+    does no engine work per record.
 
     ``run(max_events=K)`` is resumable: it consumes at most ``K`` further
-    records and returns, leaving the clock frozen at the pause point.
+    records and returns with the engine at the last record read, where it
+    stays until :meth:`run` is called again.
     """
 
     def __init__(
         self,
-        trace: Union[Trace, str, Sequence[FeedEvent]],
-        name: str = "replay",
+        trace: Union[Trace, Sequence[FeedEvent]],
         speed: Optional[float] = None,
         timer=None,
         faults: Union[FaultPlan, Dict, str, None] = None,
         arm_at: Optional[float] = None,
         seed: int = 0,
     ):
-        if isinstance(trace, str):
-            trace = load_trace(trace)
         if isinstance(trace, Trace):
             self.trace: Optional[Trace] = trace
             events = trace.events
@@ -676,12 +607,12 @@ class ReplayTap:
         self.speed = speed
         self._timer = timer if timer is not None else _WallTimer()
         start = self.events[0].delivered_at if self.events else 0.0
-        self.clock = ReplayClock(start)
-        self.name = name
-        self._interest = InterestIndex()
-        self._views: Dict[str, ReplaySourceView] = {}
-        for source_name in sorted({event.source for event in self.events}):
-            self._views[source_name] = ReplaySourceView(source_name, self.clock, start)
+        self.engine = Engine()
+        self.engine.run(until=start)
+        self.sources: Dict[str, RecordedSource] = {
+            source_name: RecordedSource(source_name, self.engine)
+            for source_name in sorted({event.source for event in self.events})
+        }
         # Fault plan, armed at the recorded hijack instant by default.
         self.injector: Optional[ReplayInjector] = None
         if faults is not None:
@@ -693,16 +624,13 @@ class ReplayTap:
                 recorded = self.trace.hijack_time if self.trace is not None else None
                 arm_at = recorded if recorded is not None else start
             self.injector = ReplayInjector(faults, arm_at=arm_at, seed=seed)
-            for source_name, view in self._views.items():
-                for window_start, window_end in self.injector.outage_windows(source_name):
-                    view.add_outage_window(window_start, window_end)
-        # Delivery state.
+            for target, down, up in self.injector.drops:
+                if target in self.sources:
+                    self._schedule(down, self.sources[target].disconnect, up)
+                    self._schedule(up, self.sources[target].restore_transport)
         self._cursor = 0
-        self._sequence = 0
-        #: Min-heap of (due_time, seq, event) for reordered/duplicated copies.
-        self._pending: List[Tuple[float, int, FeedEvent]] = []
-        self._supervisor = None
-        self._next_check: Optional[float] = None
+        #: Copies scheduled on the engine and not yet delivered.
+        self._in_flight = 0
         # Stats.
         self.records_read = 0
         self.events_delivered = 0
@@ -714,46 +642,15 @@ class ReplayTap:
         self.behind_peak = 0.0
         self.wall_seconds = 0.0
         self.finished = False
-        #: Event time of the tap's last delivery (transport protocol).
-        self.last_activity_at = start
-
-    # ----------------------------------------------------- transport protocol
-
-    @property
-    def transport_up(self) -> bool:
-        return True
-
-    def reconnect(self) -> bool:
-        return True
-
-    # ------------------------------------------------------------ subscribers
-
-    def subscribe(
-        self, callback, prefixes: Optional[Sequence[Prefix]] = None
-    ) -> Subscription:
-        return self._interest.add(callback, prefixes=prefixes)
-
-    def source_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._views))
-
-    def source_view(self, name: str) -> ReplaySourceView:
-        view = self._views.get(name)
-        if view is None:
-            raise TraceError(f"no source {name!r} in trace (have {self.source_names()})")
-        return view
-
-    def source_views(self) -> List[ReplaySourceView]:
-        return [self._views[name] for name in self.source_names()]
 
     # ----------------------------------------------------------------- replay
 
-    def _advance_to(self, when: float) -> None:
-        """Move event time forward, firing due supervision checks en route."""
-        while self._next_check is not None and self._next_check <= when:
-            self.clock.advance(self._next_check)
-            self._supervisor.check_now()
-            self._next_check += self._supervisor.check_interval
-        self.clock.advance(when)
+    def _schedule(self, when: float, callback, *args) -> float:
+        """Schedule at event time ``when``, or now if the engine is past it
+        (a trace whose delivery times step backwards); returns the time."""
+        when = max(when, self.engine.now)
+        self.engine.schedule_at(when, callback, *args)
+        return when
 
     def _pace(self, event_time: float, wall_anchor: float, event_anchor: float) -> None:
         if self.speed is None:
@@ -766,49 +663,39 @@ class ReplayTap:
             self.behind_peak = -delta
 
     def _deliver(self, event: FeedEvent) -> None:
-        self.last_activity_at = event.delivered_at
-        view = self._views.get(event.source)
-        if view is not None:
-            view.last_activity_at = event.delivered_at
-        subscriptions = self._interest.lookup(event.prefix)
-        if not subscriptions:
+        if self.sources[event.source].deliver(event):
+            self.events_delivered += 1
+            COUNTERS.replay_events_delivered += 1
+        else:
             self.events_filtered += 1
-            return
-        for subscription in subscriptions:
-            subscription.callback(event)
-        self.events_delivered += 1
-        COUNTERS.replay_events_delivered += 1
 
-    def _flush_pending(self, up_to: float) -> None:
-        while self._pending and self._pending[0][0] <= up_to:
-            due, _seq, event = heapq.heappop(self._pending)
-            self._advance_to(due)
-            self._deliver(event)
+    def _deliver_copy(self, event: FeedEvent) -> None:
+        self._in_flight -= 1
+        self._deliver(event)
 
-    def run(self, max_events: Optional[int] = None, supervisor=None) -> "ReplayTap":
-        """Drain the trace (or the next ``max_events`` records) into subscribers."""
-        if supervisor is not None:
-            self._supervisor = supervisor
-            if self._next_check is None:
-                self._next_check = self.clock.now + supervisor.check_interval
+    def run(self, max_events: Optional[int] = None) -> "ReplayTap":
+        """Drain the trace (or the next ``max_events`` records) into the sources."""
+        engine = self.engine
+        events = self.events
+        stop = len(events)
+        if max_events is not None:
+            stop = min(stop, self._cursor + max_events)
         wall_start = self._timer.monotonic()
         # Re-anchor pacing at every call so a paused replay resumes at
         # recorded cadence instead of sprinting to catch up.
-        event_anchor = self.clock.now
-        budget = max_events
+        event_anchor = when = engine.now
+        due = engine.peek_time()
         try:
-            while self._cursor < len(self.events):
-                if budget is not None and budget <= 0:
-                    return self
-                event = self.events[self._cursor]
-                self._flush_pending(event.delivered_at)
+            while self._cursor < stop:
+                event = events[self._cursor]
+                when = event.delivered_at
+                while due is not None and due <= when:
+                    engine.step()
+                    due = engine.peek_time()
                 self._cursor += 1
                 self.records_read += 1
                 COUNTERS.replay_records_read += 1
-                if budget is not None:
-                    budget -= 1
-                self._pace(event.delivered_at, wall_start, event_anchor)
-                self._advance_to(event.delivered_at)
+                self._pace(when, wall_start, event_anchor)
                 verdict = (
                     self.injector.judge(event) if self.injector is not None else _PASS
                 )
@@ -817,23 +704,27 @@ class ReplayTap:
                     COUNTERS.replay_events_dropped += 1
                     continue
                 # One delivery per copy: on-time copies go out now, delayed
-                # copies (reordering) join the pending heap and surface as
-                # the event clock passes their due time.
+                # copies (reordering) are engine events at their due time.
                 for extra in verdict:
                     if extra <= 0.0:
                         self._deliver(event)
                     else:
-                        self._sequence += 1
+                        at = self._schedule(when + extra, self._deliver_copy, event)
+                        if due is None or at < due:
+                            due = at
                         self.copies_queued += 1
-                        heapq.heappush(
-                            self._pending,
-                            (event.delivered_at + extra, self._sequence, event),
-                        )
-                if len(self._pending) > self.backlog_peak:
-                    self.backlog_peak = len(self._pending)
+                        self._in_flight += 1
+                if self._in_flight > self.backlog_peak:
+                    self.backlog_peak = self._in_flight
                     if self.backlog_peak > COUNTERS.replay_backlog_peak:
                         COUNTERS.replay_backlog_peak = self.backlog_peak
-            self._flush_pending(float("inf"))
+            # Paused, the engine waits at the last record read; drained, it
+            # runs on until the last delayed copy is out.
+            engine.run(until=max(when, engine.now))
+            if self._cursor < len(events):
+                return self
+            while self._in_flight:
+                engine.step()
             self.finished = True
             return self
         finally:
@@ -932,9 +823,12 @@ class ReplaySession:
     """A standalone detection plane fed from a recorded trace.
 
     Builds :class:`DetectionService` + :class:`MonitoringService` from the
-    trace's embedded config (or an explicit one), optionally supervises
-    the recorded sources against the replay clock, and reports the load
-    numbers the bench harness and the ``replay`` CLI print.
+    trace's embedded config (or an explicit one) and subscribes them to
+    the tap's recorded sources; with ``supervise=True`` it also starts a
+    :class:`~repro.feeds.health.SourceSupervisor` over those sources on the
+    tap's engine, as :class:`~repro.core.artemis.Artemis` does with live
+    feeds.  Reports the load numbers the bench harness and the ``replay``
+    CLI print.
     """
 
     def __init__(
@@ -950,7 +844,6 @@ class ReplaySession:
     ):
         from repro.core.detection import DetectionService
         from repro.core.monitoring import MonitoringService
-        from repro.feeds.health import SourceSupervisor
 
         if isinstance(trace, str):
             trace = load_trace(trace)
@@ -962,19 +855,18 @@ class ReplaySession:
             )
         self.config = config
         self.tap = ReplayTap(trace, speed=speed, timer=timer, faults=faults, seed=seed)
+        sources = list(self.tap.sources.values())
         self.detection = DetectionService(config)
         self.monitoring = MonitoringService(config)
-        self.detection.start([self.tap])
-        self.monitoring.start([self.tap])
+        self.detection.start(sources)
+        self.monitoring.start(sources)
         self.supervisor = None
         if supervise:
             self.supervisor = SourceSupervisor(
-                None,
-                self.tap.source_views(),
-                clock=self.tap.clock,
-                **(supervision or {}),
+                self.tap.engine, sources, **(supervision or {})
             )
             self.detection.attach_supervisor(self.supervisor)
+            self.supervisor.start()
         self._timer = self.tap._timer
         self._run_wall_start: Optional[float] = None
         #: Wall seconds from run start to the first alert callback.
@@ -989,7 +881,7 @@ class ReplaySession:
         """Drain the trace (or a slice) and return :meth:`report`."""
         if self._run_wall_start is None:
             self._run_wall_start = self._timer.monotonic()
-        self.tap.run(max_events=max_events, supervisor=self.supervisor)
+        self.tap.run(max_events=max_events)
         return self.report()
 
     @property

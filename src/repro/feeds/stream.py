@@ -16,20 +16,25 @@ the number of subscriptions.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import FeedError
 from repro.feeds.collector import RouteCollector
 from repro.feeds.events import FeedEvent
-from repro.feeds.interest import FeedCallback, InterestIndex, Subscription
+from repro.feeds.health import Transport
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 from repro.sim.latency import Delay, make_delay
 from repro.sim.rng import SeededRNG
 
 
-class StreamingService:
-    """Base class for RIS-live / BGPmon style streams."""
+class StreamingService(Transport):
+    """Base class for RIS-live / BGPmon style streams.
+
+    While the transport is down (:class:`~repro.feeds.health.Transport`),
+    observations are not published and in-flight publications are lost on
+    delivery: a dropped streaming connection loses whatever was on the wire.
+    """
 
     #: Subclasses override: service name stamped on events.
     source_name = "stream"
@@ -41,29 +46,17 @@ class StreamingService:
         rng: Optional[SeededRNG] = None,
         name: Optional[str] = None,
     ):
-        self.engine = engine
+        super().__init__(engine)
         self.latency = make_delay(latency)
         self.rng = rng or SeededRNG(0)
         self.name = name or self.source_name
         self.collectors: List[RouteCollector] = []
-        self._interest = InterestIndex()
         self.events_published = 0
         self.events_delivered = 0
         self.events_filtered = 0
-        #: Transport liveness: while False, observations are not published
-        #: and in-flight publications are lost on delivery (a dropped
-        #: streaming connection loses whatever was on the wire).
-        self.transport_up = True
-        #: Earliest time a reconnect can succeed (set by the fault layer;
-        #: models the server side of an outage staying down for a window).
-        self._down_until = 0.0
-        #: Last simulated time the transport showed life (any observation
-        #: reaching the publication stage) — the supervisor's staleness clock.
-        self.last_activity_at = 0.0
         #: Events lost to outages, split by where the outage caught them.
         self.events_lost_down = 0
         self.events_lost_in_flight = 0
-        self.outages = 0
         #: Publication-latency inflation applied by the fault layer:
         #: ``latency * delay_factor + delay_add``.  Neutral values are exact
         #: float no-ops, so the unfaulted path is bit-identical.
@@ -76,55 +69,6 @@ class StreamingService:
             raise FeedError(f"{self.name} already attached to {collector.name}")
         self.collectors.append(collector)
         collector.subscribe(self._on_observation)
-
-    def subscribe(
-        self,
-        callback: FeedCallback,
-        prefixes: Optional[Sequence[Prefix]] = None,
-    ) -> Subscription:
-        """Receive events, optionally filtered to overlapping ``prefixes``.
-
-        Returns the subscription; set ``subscription.active = False`` (or
-        call :meth:`unsubscribe`) to stop deliveries.
-        """
-        return self._interest.add(callback, prefixes)
-
-    def unsubscribe(self, subscription: Subscription) -> None:
-        self._interest.discard(subscription)
-
-    # --------------------------------------------------------------- transport
-
-    def disconnect(self, down_until: Optional[float] = None) -> None:
-        """Drop the transport (fault injection / network outage).
-
-        ``down_until`` is the earliest simulated time :meth:`reconnect` can
-        succeed; ``None`` means the outage is open-ended until someone calls
-        :meth:`reconnect` after clearing it (or :meth:`restore_transport`).
-        """
-        if not self.transport_up:
-            return
-        self.transport_up = False
-        self.outages += 1
-        self._down_until = float("inf") if down_until is None else float(down_until)
-
-    def reconnect(self) -> bool:
-        """Attempt to re-establish the transport; True when it succeeded.
-
-        Fails while the outage window is still open — this is what the
-        supervisor's exponential-backoff retry loop probes.
-        """
-        if self.transport_up:
-            return True
-        if self.engine.now < self._down_until:
-            return False
-        self.transport_up = True
-        self.last_activity_at = self.engine.now
-        return True
-
-    def restore_transport(self) -> None:
-        """End the outage window and bring the transport straight back up."""
-        self._down_until = 0.0
-        self.reconnect()
 
     # ------------------------------------------------------------------ engine
 

@@ -122,7 +122,7 @@ class TestRecorder:
         # A bare event list (no sealed trace) is replayed in delivery order.
         tap = ReplayTap([make_event(t=5.0), make_event(t=1.0)])
         seen = []
-        tap.subscribe(lambda e: seen.append(e.delivered_at))
+        tap.sources["ris"].subscribe(lambda e: seen.append(e.delivered_at))
         tap.run()
         assert seen == [1.0, 5.0]
 

@@ -1,4 +1,4 @@
-"""Recorded-trace replay: format, digest identity, and the clock seams.
+"""Recorded-trace replay: format, digest identity, and the one clock.
 
 The contract under test (see DESIGN.md "Trace format"):
 
@@ -8,10 +8,10 @@ The contract under test (see DESIGN.md "Trace format"):
 * replaying a recorded run — flat-out or paced at any speed — reproduces
   the live run's alert sequence digest, per-source detection delays, and
   monitoring lag tables *exactly* (the event-time contract);
-* the supervisor under replay measures staleness in recorded time: a
-  flat-out replay never false-fails a healthy source, a paused replay
-  cannot age one into DEAD, and a recorded outage plan still produces the
-  DEAD → LIVE transition sequence;
+* the supervisor under replay runs on the tap's engine, whose clock is
+  event time: a flat-out replay never false-fails a healthy source, a
+  paused replay cannot age one into DEAD, and a recorded outage produces
+  DEAD and LIVE at the times a live supervisor on an engine would;
 * byte-identical duplicate deliveries (a ``dup`` fault on the replay
   path) never found new incidents or re-key first evidence.
 """
@@ -24,10 +24,10 @@ import pytest
 
 from conftest import fast_scenario
 from repro.core.alerts import AlertManager, AlertType
+from repro.core.config import ArtemisConfig, OwnedPrefix
 from repro.faults import Fault, FaultPlan
 from repro.feeds.events import ANNOUNCE, FeedEvent
 from repro.feeds.replay import (
-    ReplayClock,
     ReplaySession,
     ReplayTap,
     TraceError,
@@ -127,8 +127,6 @@ class TestTraceFormat:
             load_trace(io.StringIO(text))
 
     def test_embedded_config_roundtrips(self, tmp_path):
-        from repro.core.config import ArtemisConfig, OwnedPrefix
-
         config = ArtemisConfig(owned=[OwnedPrefix(PREFIX, {64500})])
         path = str(tmp_path / "t.trace")
         with TraceWriter(path, config=config) as writer:
@@ -237,13 +235,13 @@ class TestRecordedReplay:
         assert report["alert_digest"] == recorded["live_digest"]
 
 
-# ------------------------------------------------- supervisor clock seams
+# ------------------------------------------------- supervision on the engine
 
 
 class TestReplaySupervision:
     def test_flat_out_replay_never_false_fails_a_source(self, recorded):
         # Hours of recorded quiet drain in milliseconds; staleness runs on
-        # the replay clock, so nothing may be declared DEAD.
+        # the tap's event-time engine, so nothing may be declared DEAD.
         session = ReplaySession(
             recorded["path"],
             supervise=True,
@@ -256,18 +254,28 @@ class TestReplaySupervision:
         )
 
     def test_paused_replay_does_not_age_sources_into_dead(self, recorded):
+        timer = VirtualTimer()
         session = ReplaySession(
             recorded["path"],
+            speed=1.0,
+            timer=timer,
             supervise=True,
             supervision=dict(check_interval=5.0, staleness_timeout=10.0),
         )
         session.run(max_events=20)
-        # The operator walks away; wall time passes, the replay clock does
-        # not.  However often supervision fires, nothing may die.
-        for _ in range(50):
-            session.supervisor.check_now()
+        paused_at = session.tap.engine.now
+        assert paused_at == session.tap.events[19].delivered_at
+        staleness = session.supervisor.staleness_table()
+        # The operator walks away: an hour of wall time passes, the engine
+        # does not move, so no source ages and nothing may die.
+        timer.sleep(3600.0)
+        assert session.tap.engine.now == paused_at
+        assert session.supervisor.staleness_table() == staleness
         assert session.supervisor.dead_sources() == ()
         assert session.supervisor.transitions == []
+        report = session.run()
+        assert report["finished"]
+        assert report["supervisor_transitions"] == []
 
     def test_recorded_outage_produces_dead_then_live(self, recorded):
         trace = load_trace(recorded["path"])
@@ -296,6 +304,54 @@ class TestReplaySupervision:
         assert report["events_dropped"] > 0
         assert report["source_report"]["ris"]["outages"] >= 1
         assert report["source_report"]["ris"]["state"] == "live"
+
+    def test_recorded_outage_follows_live_retry_contract(self, tmp_path):
+        # One ris record a second from 0.5 s; the outage window is
+        # [100, 160) in event time, so the last record before it is 99.5.
+        path = str(tmp_path / "steady.trace")
+        with TraceWriter(path) as writer:
+            for second in range(300):
+                writer.append(
+                    FeedEvent("ris", "ris-rrc00", 100, ANNOUNCE, PREFIX,
+                              (100, 64500), second, second + 0.5)
+                )
+            writer.close(meta={"hijack_time": 100.0})
+        plan = FaultPlan([Fault("outage", "ris", at=0.0, duration=60.0)])
+        interval, timeout, base, cap = 5.0, 10.0, 1.0, 60.0
+        session = ReplaySession(
+            path,
+            config=ArtemisConfig([OwnedPrefix(PREFIX, {64500})]),
+            faults=plan,
+            supervise=True,
+            supervision=dict(check_interval=interval, staleness_timeout=timeout,
+                             backoff_base=base, backoff_cap=cap),
+        )
+        report = session.run()
+        # DEAD: the first check (every interval from the first record) at
+        # which the source has been silent past the timeout.
+        dead_at = 0.5 + interval
+        while dead_at - 99.5 <= timeout:
+            dead_at += interval
+        # LIVE: the first backoff retry (base, 2·base, 4·base, … capped)
+        # at or after the window end — what a live supervisor does.
+        live_at, attempts, wait = dead_at, 0, base
+        while True:
+            live_at += wait
+            attempts += 1
+            if live_at >= 160.0:
+                break
+            wait = min(base * 2.0 ** attempts, cap)
+        assert (dead_at, live_at, attempts) == (110.5, 173.5, 6)
+        assert report["supervisor_transitions"] == [
+            [dead_at, "ris", "dead"],
+            [live_at, "ris", "live"],
+        ]
+        ris = report["source_report"]["ris"]
+        assert ris["reconnect_attempts"] == attempts
+        assert ris["outages"] == 1
+        assert ris["downtime"] == live_at - dead_at
+        assert session.tap.sources["ris"].outages == 1
+        assert report["events_dropped"] == 60
 
 
 # ------------------------------------------- duplicate-delivery idempotence
@@ -365,17 +421,42 @@ class TestDuplicateReplayIdempotence:
 
 
 class TestReplayTapMechanics:
-    def test_clock_is_monotone(self):
-        clock = ReplayClock(10.0)
-        clock.advance(5.0)
-        assert clock.now == 10.0
-        clock.advance(12.5)
-        assert clock.now == 12.5
+    def test_backward_step_under_reorder_stays_monotone(self, tmp_path):
+        # A hostile trace: delivery time steps back ~9 s once, while every
+        # record's copy is delayed onto the engine.  The late record's copy
+        # falls before the engine's clock and must not be scheduled there.
+        events = make_events(12)
+        events.insert(10, FeedEvent("ris", "ris-rrc0", 99, ANNOUNCE, PREFIX,
+                                    (99, 666), 0.5, 0.6))
+        path = str(tmp_path / "backstep.trace")
+        with TraceWriter(path) as writer:
+            for event in events:
+                writer.append(event)
+            writer.close()
+        plan = FaultPlan([Fault("reorder", "ris", at=0.0, duration=1000.0,
+                                probability=1.0, jitter=1.0)])
+        tap = ReplayTap(load_trace(path), faults=plan, arm_at=0.0)
+        clocks, seen = [], []
+
+        def on_event(event):
+            clocks.append(tap.engine.now)
+            seen.append(event)
+
+        tap.sources["ris"].subscribe(on_event)
+        tap.run()
+        assert tap.finished
+        assert tap.copies_queued == len(events)
+        assert sorted(e.content_key() for e in seen) == sorted(
+            e.content_key() for e in events
+        )
+        assert clocks == sorted(clocks)
+        assert tap.engine.now >= clocks[-1]
 
     def test_tap_filters_by_subscription_interest(self):
         tap = ReplayTap(make_events())
         seen = []
-        tap.subscribe(seen.append, prefixes=[Prefix.parse("192.0.2.0/24")])
+        elsewhere = [Prefix.parse("192.0.2.0/24")]
+        tap.sources["ris"].subscribe(seen.append, prefixes=elsewhere)
         tap.run()
         assert seen == []
         assert tap.events_filtered == len(tap.events)
