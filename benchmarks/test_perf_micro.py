@@ -241,63 +241,6 @@ def test_fanout_cost_independent_of_subscription_count():
     )
 
 
-# --------------------------------------------------- incremental origin polls
-
-
-def _converged_network(num_stubs):
-    from repro.internet.network import Network, NetworkConfig
-    from repro.sim.latency import Constant
-    from repro.topology.generator import GeneratorConfig, generate_internet
-
-    graph = generate_internet(
-        GeneratorConfig(num_tier1=3, num_tier2=10, num_stubs=num_stubs), seed=7
-    )
-    config = NetworkConfig(
-        processing_delay=Constant(0.05),
-        mrai=Constant(0.5),
-        session_delay_override=Constant(0.02),
-    )
-    net = Network(graph, config=config, seed=7)
-    victim = max(net.asns())
-    net.announce(victim, "10.0.0.0/23")
-    net.run_until_converged()
-    net.origin_map("10.0.0.5")  # prime the cache
-    return net
-
-
-def test_perf_origin_map_repeated_polls(benchmark):
-    """Steady-state origin_map poll on a converged ~40-AS network."""
-    net = _converged_network(num_stubs=25)
-    benchmark(net.origin_map, "10.0.0.5")
-    assert net.origin_cache_stats["hits"] > 0
-
-
-def test_origin_poll_cost_independent_of_topology_size():
-    """Scaling guard: between route changes, fraction polls must not walk
-    the topology.  ``fraction_routing_to`` is a dict read against the
-    incremental cache, so a ~4x larger network must not cost ~4x more;
-    the old implementation re-resolved every speaker per poll."""
-    import time
-
-    rounds = 20_000
-
-    def cost(net):
-        victim = max(net.asns())
-        best = float("inf")
-        for _ in range(5):
-            start = time.perf_counter()
-            for _ in range(rounds):
-                net.fraction_routing_to("10.0.0.5", victim)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    small, large = cost(_converged_network(12)), cost(_converged_network(107))
-    assert large < small * 10, (
-        f"origin polling scaled with topology size: {small:.6f}s @25 ASes vs "
-        f"{large:.6f}s @120 ASes"
-    )
-
-
 # ------------------------------------------------------------ record decoder
 
 

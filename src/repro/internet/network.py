@@ -21,12 +21,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.bgp.policy import FilterChain, MaxLengthFilter, Policy, Relationship
-from repro.bgp.route import Route
 from repro.bgp.rpki import ROVFilter, RPKIRegistry
 from repro.bgp.session import ActivityTracker, Session
 from repro.bgp.speaker import BGPSpeaker
 from repro.errors import SimulationError, TopologyError
-from repro.internet.origins import OriginCache
 from repro.net.prefix import Address, Prefix
 from repro.sim.engine import Engine
 from repro.sim.latency import Delay, DelaySpec, LogNormal, Uniform, make_delay
@@ -106,8 +104,6 @@ class Network:
         self.sessions: List[Session] = []
         #: Endpoint pair (sorted ASN tuple) -> session, for O(1) link control.
         self._session_index: Dict[Tuple[int, int], Session] = {}
-        #: Per-target incremental origin caches (see ``origin_map``).
-        self._origin_caches: Dict[Prefix, OriginCache] = {}
         #: Shared RPKI registry; publish ROAs at any time.  Only ASes in
         #: ``rov_adopters`` enforce them.
         self.rpki = RPKIRegistry()
@@ -127,11 +123,6 @@ class Network:
             mrai=self.config.mrai,
         )
         self.speakers[asn] = speaker
-        speaker.on_best_change(self._on_route_change)
-        # ASes attached after a cache was built join every cached target
-        # (with no routes yet, so their origin starts as None).
-        for cache in self._origin_caches.values():
-            cache.set(asn, speaker.resolve_origin(cache.target))
         return speaker
 
     def _session_delay(self, region_a: Optional[Region], region_b: Optional[Region]) -> Delay:
@@ -152,26 +143,53 @@ class Network:
         self.sessions.append(session)
         self._session_index[key] = session
 
+    def _is_local(self, asn: int) -> bool:
+        """Whether this network builds ``asn``'s speaker (every AS here)."""
+        return True
+
+    def _cut_link(
+        self, a: int, b: int, a_view: Relationship, delay: Delay, rng: SeededRNG
+    ) -> None:
+        """Wire a link with exactly one local endpoint (never, here)."""
+        raise TopologyError(f"AS{a}<->AS{b} has a non-local endpoint")
+
     def _build(self) -> None:
+        """The one world build: speakers in node order, sessions in link order.
+
+        Every node draws its ROV adoption and every link its substreams in
+        whole-graph order, local or not, so a network that builds only some
+        ASes (:meth:`_is_local`) gives each of them the draws and the peer
+        insertion order of the whole-graph build — same-instant MRAI
+        flushes fire in peer order and each consumes a draw.
+        """
         rov_rng = self.rng.substream("rov")
+        adoption = self.config.rov_adoption
         for node in self.graph.nodes():
+            adopts = adoption > 0.0 and rov_rng.random() < adoption
+            if not self._is_local(node.asn):
+                continue
             policy = None
-            if self.config.rov_adoption > 0.0 and rov_rng.random() < self.config.rov_adoption:
+            if adopts:
                 self.rov_adopters.add(node.asn)
                 policy = self.config.make_policy(ROVFilter(self.rpki))
             self._make_speaker(node.asn, policy=policy)
         for a, b, a_view in self.graph.links():
+            a_local = self._is_local(a)
+            b_local = self._is_local(b)
+            if not (a_local or b_local):
+                continue
+            delay = self._session_delay(
+                self.graph.node(a).region, self.graph.node(b).region
+            )
+            rng = self.rng.substream("session", a, b)
+            if not (a_local and b_local):
+                self._cut_link(a, b, a_view, delay, rng)
+                continue
             speaker_a = self.speakers[a]
             speaker_b = self.speakers[b]
             session = Session(
-                self.engine,
-                speaker_a,
-                speaker_b,
-                delay=self._session_delay(
-                    self.graph.node(a).region, self.graph.node(b).region
-                ),
-                rng=self.rng.substream("session", a, b),
-                tracker=self.tracker,
+                self.engine, speaker_a, speaker_b,
+                delay=delay, rng=rng, tracker=self.tracker,
             )
             self._register_session(session)
             speaker_a.add_peer(session, a_view)
@@ -372,93 +390,27 @@ class Network:
 
     @staticmethod
     def _normalize_target(target: Union[Address, Prefix, str]) -> Prefix:
-        """Canonical probe prefix for a target (addresses → host prefixes)."""
+        """Canonical watch prefix for a target (addresses → host prefixes)."""
         if isinstance(target, str):
             target = Prefix.parse(target)
         if isinstance(target, Address):
             return Prefix(target.value, target.bits, target.version)
         return target
 
-    def _origin_cache_for(self, target: Union[Address, Prefix, str]) -> OriginCache:
-        """The incremental cache for ``target``, built on first use.
-
-        The first query resolves every speaker (one longest-match walk
-        each); from then on :meth:`_on_route_change` re-resolves only the
-        speaker whose Loc-RIB changed, so repeated polling between route
-        changes never longest-matches again.
-        """
-        probe = self._normalize_target(target)
-        cache = self._origin_caches.get(probe)
-        if cache is None:
-            cache = OriginCache(probe)
-            for asn in self.asns():
-                cache.set(asn, self.speakers[asn].resolve_origin(probe))
-            self._origin_caches[probe] = cache
-        else:
-            cache.hits += 1
-        return cache
-
-    def _on_route_change(
-        self,
-        speaker: BGPSpeaker,
-        prefix: Prefix,
-        new_route: Optional[Route],
-        old_route: Optional[Route],
-    ) -> None:
-        """Loc-RIB change hook: refresh only the affected cache entries."""
-        for cache in self._origin_caches.values():
-            # Inline of prefix.overlaps(cache.target) — this hook runs for
-            # every Loc-RIB change in the simulation, and almost every
-            # change (churn prefixes) misses every cache.
-            target = cache.target
-            if prefix.version != target.version:
-                continue
-            if prefix.length >= target.length:
-                if (prefix.value >> cache.cover_shift) != cache.cover_top:
-                    continue
-            else:
-                shift = target.bits - prefix.length
-                if (target.value >> shift) != (prefix.value >> shift):
-                    continue
-            cache.invalidations += 1
-            cache.set(speaker.asn, speaker.resolve_origin(cache.target))
-
     def origin_map(self, target: Union[Address, Prefix, str]) -> Dict[int, Optional[int]]:
-        """Data-plane ground truth: every AS's selected origin for ``target``."""
-        return self._origin_cache_for(target).snapshot()
+        """Data-plane ground truth: every AS's selected origin for ``target``.
 
-    def fraction_routing_to(
-        self, target: Union[Address, Prefix, str], origin_asn: int
-    ) -> float:
-        """Fraction of ASes whose selected origin for ``target`` is ``origin_asn``."""
-        return self._origin_cache_for(target).fraction(origin_asn)
-
-    def ases_routing_to(
-        self, target: Union[Address, Prefix, str], origin_asn: int
-    ) -> List[int]:
-        """ASNs whose selected origin for ``target`` is ``origin_asn``."""
-        cache = self._origin_cache_for(target)
-        return sorted(
-            asn for asn, origin in cache.origins.items() if origin == origin_asn
-        )
-
-    @property
-    def origin_cache_stats(self) -> Dict[str, int]:
-        """Aggregate cache effectiveness counters across all targets."""
-        return {
-            "targets": len(self._origin_caches),
-            "hits": sum(c.hits for c in self._origin_caches.values()),
-            "invalidations": sum(
-                c.invalidations for c in self._origin_caches.values()
-            ),
-        }
+        A one-shot read, one longest match per AS.  A prefix is probed at
+        its network address, as :class:`~repro.internet.tracker.OriginTracker`
+        probes it; to follow the answer over time, track it instead.
+        """
+        probe = self._normalize_target(target).network
+        return {asn: self.speakers[asn].resolve_origin(probe) for asn in self.asns()}
 
     def __repr__(self) -> str:
-        stats = self.origin_cache_stats
         return (
             f"<Network {len(self.speakers)} ASes, {len(self.sessions)} sessions, "
-            f"t={self.engine.now:.1f}s, origin-cache targets={stats['targets']} "
-            f"hits={stats['hits']} invalidations={stats['invalidations']}>"
+            f"t={self.engine.now:.1f}s>"
         )
 
 

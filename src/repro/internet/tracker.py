@@ -16,7 +16,7 @@ polling.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.bgp.route import Route
 from repro.bgp.speaker import BGPSpeaker
@@ -42,18 +42,17 @@ class OriginTracker:
     def __init__(
         self,
         network: Network,
-        watch: Union[Prefix, str],
+        watch: Union[Address, Prefix, str],
         probe_depth: int = 1,
-        exclude_asns: Sequence[int] = (),
         value_fn=None,
     ):
         """``value_fn(speaker, probe_address)`` extracts the tracked value
         per probe; the default is the selected origin AS.  Any hashable
-        value works — e.g. :func:`path_presence_tracker` tracks whether a
-        given AS appears on the selected path (type-1 hijack ground truth).
+        value works — e.g. :class:`~repro.testbed.scenario.PathPresenceProbe`
+        tracks whether a given AS appears on the selected path (type-1
+        hijack ground truth).  An address ``watch`` is its host prefix.
         """
-        if isinstance(watch, str):
-            watch = Prefix.parse(watch)
+        watch = Network._normalize_target(watch)
         self.network = network
         self.watch = watch
         self._value_fn = value_fn or _selected_origin
@@ -65,7 +64,6 @@ class OriginTracker:
         #: Loc-RIB change network-wide, so the overlap test is inlined bitwise.
         self._watch_shift = watch.bits - watch.length
         self._watch_top = watch.value >> self._watch_shift
-        self.exclude: Set[int] = set(exclude_asns)
         self._current: Dict[Key, Optional[int]] = {}
         #: Per-AS probe-value rows maintained incrementally on every flip,
         #: so the fraction views never rebuild the whole map.
@@ -81,8 +79,6 @@ class OriginTracker:
 
     def track_speaker(self, speaker: BGPSpeaker) -> None:
         """Start tracking an AS (also used for ASes attached later)."""
-        if speaker.asn in self.exclude:
-            return
         now = self.network.engine.now
         values: List[Optional[int]] = []
         for index, probe in enumerate(self.probes):
@@ -103,7 +99,7 @@ class OriginTracker:
         old_route: Optional[Route],
     ) -> None:
         watch = self.watch
-        if prefix.version != watch.version or speaker.asn in self.exclude:
+        if prefix.version != watch.version:
             return
         # Inline prefix.overlaps(watch): compare on the shorter length.
         if prefix.length >= watch.length:
@@ -116,8 +112,6 @@ class OriginTracker:
         now = self.network.engine.now
         for index, probe in enumerate(self.probes):
             key = (speaker.asn, index)
-            if key not in self._current:
-                continue
             value = self._value_fn(speaker, probe)
             if self._current[key] != value:
                 self._current[key] = value

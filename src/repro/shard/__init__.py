@@ -13,7 +13,8 @@ Layers:
 * :mod:`repro.shard.partition` — edge-cut partitioning + lookahead bounds;
 * :mod:`repro.shard.boundary` — the cross-shard session mirror and bundles;
 * :mod:`repro.shard.world` — a shard-local :class:`~repro.internet.network.Network`
-  subclass plus flip tracking and warm-start forking;
+  (the one build, restricted to local ASes) plus flip tracking and
+  warm-start forking;
 * :mod:`repro.shard.worker` — the worker-process command loop;
 * :mod:`repro.shard.runner` — the coordinator (conservative windows,
   bundle routing, quiescence detection) and the in-process 1-shard runner;
@@ -22,14 +23,13 @@ Layers:
 """
 
 from repro.shard.partition import ShardPlan, partition_graph
-from repro.shard.runner import make_runner, precompute_rov_adopters
+from repro.shard.runner import make_runner
 from repro.shard.scenario import ShardScenarioConfig, run_shard_scenario
 
 __all__ = [
     "ShardPlan",
     "partition_graph",
     "make_runner",
-    "precompute_rov_adopters",
     "ShardScenarioConfig",
     "run_shard_scenario",
 ]

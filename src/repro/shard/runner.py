@@ -24,7 +24,7 @@ with an empty cut, so callers and tests can compare the two bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.internet.network import NetworkConfig
@@ -34,31 +34,8 @@ from repro.shard.boundary import DeliveryBundle, SendRecord
 from repro.shard.partition import LinkKey, ShardPlan
 from repro.shard.worker import ShardSpec, worker_main
 from repro.shard.world import ShardWorld
-from repro.sim.rng import SeededRNG
 from repro.topology.graph import ASGraph
 from repro.topology.serial import to_caida_lines
-
-
-def precompute_rov_adopters(
-    graph: ASGraph, config: Optional[NetworkConfig], seed: int
-) -> FrozenSet[int]:
-    """Replicate the single-process build's ROV adoption draw.
-
-    :meth:`Network._build` draws one uniform per node, in ``graph.nodes()``
-    order, from ``SeededRNG(seed).substream("network").substream("rov")``.
-    A shard building only its own nodes would consume that stream
-    differently, so the coordinator resolves the draws over the full node
-    order once and ships the resulting ASN set to every worker.
-    """
-    config = config or NetworkConfig()
-    if config.rov_adoption <= 0.0:
-        return frozenset()
-    rng = SeededRNG(seed).substream("network").substream("rov")
-    return frozenset(
-        node.asn
-        for node in graph.nodes()
-        if rng.random() < config.rov_adoption
-    )
 
 
 class SingleRunner:
@@ -72,9 +49,7 @@ class SingleRunner:
         config: Optional[NetworkConfig] = None,
         seed: int = 0,
     ):
-        config = config or NetworkConfig()
-        rov = precompute_rov_adopters(graph, config, seed)
-        self.world = ShardWorld(graph, config, seed, graph.asns(), rov_adopters=rov)
+        self.world = ShardWorld(graph, config, seed, graph.asns())
         self.now = 0.0
 
     def watch(self, target) -> None:
@@ -138,7 +113,6 @@ class ShardRunner:
     ):
         if plan.num_shards < 2:
             raise SimulationError("ShardRunner needs >= 2 shards; use SingleRunner")
-        config = config or NetworkConfig()
         self.plan = plan
         self.num_shards = plan.num_shards
         self.now = 0.0
@@ -157,7 +131,6 @@ class ShardRunner:
         self._next_times: List[Optional[float]] = [None] * plan.num_shards
         self._in_flight: List[int] = [0] * plan.num_shards
         self._snapshot_state: Optional[tuple] = None
-        rov = precompute_rov_adopters(graph, config, seed)
         # Ship the topology as canonical annotated text (one serialization,
         # every worker rebuilds the same graph the cache/CLI would load).
         lines = to_caida_lines(graph, annotate=True)
@@ -168,7 +141,6 @@ class ShardRunner:
                     shard,
                     lines,
                     frozenset(plan.shard_asns[shard]),
-                    rov,
                     seed,
                     config,
                 )

@@ -34,7 +34,6 @@ class ShardSpec:
         "shard_id",
         "graph_lines",
         "local_asns",
-        "rov_adopters",
         "seed",
         "config",
     )
@@ -44,26 +43,18 @@ class ShardSpec:
         shard_id: int,
         graph_lines: List[str],
         local_asns: FrozenSet[int],
-        rov_adopters: FrozenSet[int],
         seed: int,
         config: Optional[NetworkConfig],
     ):
         self.shard_id = shard_id
         self.graph_lines = graph_lines
         self.local_asns = frozenset(local_asns)
-        self.rov_adopters = frozenset(rov_adopters)
         self.seed = seed
         self.config = config
 
     def build_world(self) -> ShardWorld:
         graph = from_caida_lines(self.graph_lines, validate=False)
-        return ShardWorld(
-            graph,
-            self.config,
-            self.seed,
-            self.local_asns,
-            rov_adopters=self.rov_adopters,
-        )
+        return ShardWorld(graph, self.config, self.seed, self.local_asns)
 
 
 def _refresh_gauges() -> None:

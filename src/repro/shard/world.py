@@ -1,16 +1,17 @@
 """Shard-local world state: network subclass, flip tracking, warm forking.
 
-:class:`ShardNetwork` builds BGP state for **one shard** of a partitioned
-graph while iterating the *full* graph's deterministic build sequence — the
-same speaker substreams, the same session substreams, and critically the
-same per-speaker peer insertion order as the single-process build.  Peer
-order matters because same-instant flushes fire in peer-registration order
-and each consumes an MRAI sample from the speaker's RNG; building from a
-subgraph and appending boundary links afterwards would silently reorder
-those draws.
+:class:`ShardNetwork` is a :class:`Network` that builds **one shard** of a
+partitioned graph: :meth:`Network._build` runs unchanged over the full
+graph, asks :meth:`~ShardNetwork._is_local` which speakers to build, and
+hands every link with one remote endpoint to
+:meth:`~ShardNetwork._cut_link`, which wires a :class:`BoundarySession`
+mirror in its place.  Speaker substreams, session substreams, ROV draws and
+per-speaker peer insertion order are therefore the single-process build's
+by construction.
 
 :class:`ShardWorld` wraps a shard network with everything a worker process
-(or the in-process single-shard runner) needs: origin-flip logging, the
+(or the in-process single-shard runner) needs: origin-flip tracking (one
+:class:`~repro.internet.tracker.OriginTracker` per watched target), the
 epoch-validated window step, and warm-start snapshot/restore using the
 checkpoint machinery's copy-on-write shell-fork pattern.
 """
@@ -20,15 +21,16 @@ from __future__ import annotations
 import copy
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.bgp.rpki import ROVFilter
-from repro.bgp.session import Session
+from repro.bgp.policy import Relationship
 from repro.errors import SimulationError
 from repro.internet.network import Network, NetworkConfig
-from repro.internet.origins import OriginCache
+from repro.internet.tracker import OriginTracker
 from repro.net.prefix import Address, Prefix
 from repro.perf import COUNTERS as _C
 from repro.shard.boundary import BoundarySession, DeliveryBundle, RemoteEndpoint, SendRecord
 from repro.sim.engine import Engine
+from repro.sim.latency import Delay
+from repro.sim.rng import SeededRNG
 from repro.topology.graph import ASGraph
 
 LinkKey = Tuple[int, int]
@@ -43,14 +45,9 @@ class ShardNetwork(Network):
         config: Optional[NetworkConfig],
         seed: int,
         local_asns,
-        rov_adopters=frozenset(),
         engine: Optional[Engine] = None,
     ):
         self._local_asns = frozenset(local_asns)
-        #: ROV adopters are precomputed by the coordinator over the *full*
-        #: node order (replicating the single-process draw sequence) — a
-        #: shard drawing over its subset would consume the stream differently.
-        self._rov_precomputed = frozenset(rov_adopters)
         self.boundary_sessions: Dict[LinkKey, BoundarySession] = {}
         #: Cut links with unshipped or uncommitted records — the only
         #: sessions a window step needs to visit.  Sessions register
@@ -58,87 +55,29 @@ class ShardNetwork(Network):
         self.active_boundaries: set = set()
         super().__init__(graph, config, seed, engine)
 
-    def _build(self) -> None:
-        local = self._local_asns
-        for node in self.graph.nodes():
-            if node.asn not in local:
-                continue
-            policy = None
-            if node.asn in self._rov_precomputed:
-                self.rov_adopters.add(node.asn)
-                policy = self.config.make_policy(ROVFilter(self.rpki))
-            self._make_speaker(node.asn, policy=policy)
-        # Full-graph link order, filtered — NOT a subgraph walk: see module
-        # docstring for why peer insertion order must match the mega-build.
-        for a, b, a_view in self.graph.links():
-            a_local = a in local
-            b_local = b in local
-            if not a_local and not b_local:
-                continue
-            delay = self._session_delay(
-                self.graph.node(a).region, self.graph.node(b).region
-            )
-            rng = self.rng.substream("session", a, b)
-            if a_local and b_local:
-                session = Session(
-                    self.engine,
-                    self.speakers[a],
-                    self.speakers[b],
-                    delay=delay,
-                    rng=rng,
-                    tracker=self.tracker,
-                )
-                self._register_session(session)
-                self.speakers[a].add_peer(session, a_view)
-                self.speakers[b].add_peer(session, a_view.inverse())
-            else:
-                if a_local:
-                    endpoint_a: object = self.speakers[a]
-                    endpoint_b: object = RemoteEndpoint(b)
-                else:
-                    endpoint_a = RemoteEndpoint(a)
-                    endpoint_b = self.speakers[b]
-                session = BoundarySession(
-                    self.engine,
-                    endpoint_a,
-                    endpoint_b,
-                    delay=delay,
-                    rng=rng,
-                    tracker=self.tracker,
-                )
-                key = (a, b) if a <= b else (b, a)
-                session._key = key
-                session._active_set = self.active_boundaries
-                self.boundary_sessions[key] = session
-                if a_local:
-                    self.speakers[a].add_peer(session, a_view)
-                else:
-                    self.speakers[b].add_peer(session, a_view.inverse())
+    def _is_local(self, asn: int) -> bool:
+        return asn in self._local_asns
 
-
-class FlipLog:
-    """Ordered record of data-plane origin changes for one watched target.
-
-    Registered on every speaker *after* the network's own origin-cache hook,
-    so by the time :meth:`on_change` runs the cache entry is fresh; the log
-    just diffs it against the last seen origin.  Flip records —
-    ``(time, asn, new_origin)`` — are part of the scenario outcome digest.
-    """
-
-    __slots__ = ("engine", "cache", "last", "flips")
-
-    def __init__(self, engine: Engine, cache: OriginCache):
-        self.engine = engine
-        self.cache = cache
-        self.last: Dict[int, Optional[int]] = dict(cache.origins)
-        self.flips: List[Tuple[float, int, Optional[int]]] = []
-
-    def on_change(self, speaker, prefix, new_route, old_route) -> None:
-        asn = speaker.asn
-        origin = self.cache.origins.get(asn)
-        if origin != self.last.get(asn):
-            self.last[asn] = origin
-            self.flips.append((self.engine.now, asn, origin))
+    def _cut_link(
+        self, a: int, b: int, a_view: Relationship, delay: Delay, rng: SeededRNG
+    ) -> None:
+        a_local = a in self._local_asns
+        session = BoundarySession(
+            self.engine,
+            self.speakers[a] if a_local else RemoteEndpoint(a),
+            RemoteEndpoint(b) if a_local else self.speakers[b],
+            delay=delay,
+            rng=rng,
+            tracker=self.tracker,
+        )
+        key = (a, b) if a <= b else (b, a)
+        session._key = key
+        session._active_set = self.active_boundaries
+        self.boundary_sessions[key] = session
+        if a_local:
+            self.speakers[a].add_peer(session, a_view)
+        else:
+            self.speakers[b].add_peer(session, a_view.inverse())
 
 
 class ShardWorld:
@@ -150,12 +89,10 @@ class ShardWorld:
         config: Optional[NetworkConfig],
         seed: int,
         local_asns,
-        rov_adopters=frozenset(),
     ):
-        self.network = ShardNetwork(
-            graph, config, seed, local_asns, rov_adopters=rov_adopters
-        )
-        self.fliplogs: Dict[Prefix, FlipLog] = {}
+        self.network = ShardNetwork(graph, config, seed, local_asns)
+        #: Watched prefix -> its one-probe tracker (see :meth:`watch`).
+        self.trackers: Dict[Prefix, OriginTracker] = {}
         self.epoch = 0
         self._snapshot: Optional["ShardWorld"] = None
         self._snapshot_epoch = 0
@@ -163,14 +100,11 @@ class ShardWorld:
     # ------------------------------------------------------------- commands
 
     def watch(self, target: Union[Address, Prefix, str]) -> None:
-        """Start tracking data-plane origin flips for ``target``."""
-        cache = self.network._origin_cache_for(target)
-        if cache.target in self.fliplogs:
-            return
-        log = FlipLog(self.network.engine, cache)
-        for speaker in self.network.speakers.values():
-            speaker.on_best_change(log.on_change)
-        self.fliplogs[cache.target] = log
+        """Start tracking data-plane origin flips for ``target``, probed at
+        its network address as :meth:`observe` reads it."""
+        watch = Network._normalize_target(target)
+        if watch not in self.trackers:
+            self.trackers[watch] = OriginTracker(self.network, watch, probe_depth=0)
 
     def originate(self, asn: int, prefix: Union[Prefix, str]) -> None:
         if asn in self.network.speakers:
@@ -261,11 +195,11 @@ class ShardWorld:
         return self.network.origin_map(target)
 
     def flips(self, target: Union[Address, Prefix, str]) -> List[Tuple[float, int, Optional[int]]]:
-        probe = Network._normalize_target(target)
-        log = self.fliplogs.get(probe)
-        if log is None:
-            raise SimulationError(f"target {probe} is not being watched")
-        return list(log.flips)
+        watch = Network._normalize_target(target)
+        tracker = self.trackers.get(watch)
+        if tracker is None:
+            raise SimulationError(f"target {watch} is not being watched")
+        return [(time, asn, value) for time, asn, _probe, value in tracker.flips]
 
     def stats(self) -> Dict[str, int]:
         speakers = self.network.speakers.values()
@@ -305,7 +239,7 @@ class ShardWorld:
         fork = fork_world(master)
         fork.network.engine.thaw()
         self.network = fork.network
-        self.fliplogs = fork.fliplogs
+        self.trackers = fork.trackers
 
     def restore(self) -> None:
         """Replace the live state with a fresh fork of the snapshot."""
@@ -315,7 +249,7 @@ class ShardWorld:
         fork.network.engine.thaw()
         _C.checkpoint_restores += 1
         self.network = fork.network
-        self.fliplogs = fork.fliplogs
+        self.trackers = fork.trackers
         self.epoch = self._snapshot_epoch
 
 
@@ -324,6 +258,6 @@ def fork_world(world: ShardWorld) -> ShardWorld:
     memo = world.network.fork_memo()
     clone = copy.copy(world)
     clone.network = copy.deepcopy(world.network, memo)
-    clone.fliplogs = copy.deepcopy(world.fliplogs, memo)
+    clone.trackers = copy.deepcopy(world.trackers, memo)
     clone._snapshot = None
     return clone

@@ -89,6 +89,12 @@ def gc_collections() -> int:
     return sum(generation["collections"] for generation in gc.get_stats())
 
 
+def fraction_routing_to(network: Network, target, origin: int) -> float:
+    """Fraction of ASes whose data-plane origin for ``target`` is ``origin``."""
+    origins = network.origin_map(target)
+    return sum(value == origin for value in origins.values()) / len(origins)
+
+
 def kill_worker(victim, side: str) -> None:
     """SIGKILL a forked worker so its parent meets the death on ``side``.
 

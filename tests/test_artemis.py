@@ -12,6 +12,8 @@ from repro.sdn.controller import BGPController
 from repro.sim.latency import Constant
 from repro.sim.rng import SeededRNG
 
+from conftest import fraction_routing_to
+
 
 def P(text):
     return Prefix.parse(text)
@@ -90,8 +92,8 @@ class TestEndToEnd:
         assert action.prefixes == [P("10.0.0.0/24"), P("10.0.1.0/24")]
         assert action.announced_at is not None
         net.run_until_converged()
-        assert net.fraction_routing_to("10.0.0.7", 6) == 1.0
-        assert net.fraction_routing_to("10.0.1.7", 6) == 1.0
+        assert fraction_routing_to(net, "10.0.0.7", 6) == 1.0
+        assert fraction_routing_to(net, "10.0.1.7", 6) == 1.0
 
     def test_auto_mitigate_disabled(self, net7):
         # Vantages at 4 and 5 (the hijacker AS7's providers) see the bogus

@@ -5,6 +5,8 @@ import pytest
 from repro.errors import TopologyError
 from repro.net.prefix import Prefix
 
+from conftest import fraction_routing_to
+
 
 def P(text):
     return Prefix.parse(text)
@@ -68,7 +70,7 @@ class TestLinkFailure:
         net7.announce(6, "10.0.0.0/24")
         net7.announce(6, "10.0.1.0/24")
         net7.run_until_converged()
-        assert net7.fraction_routing_to("10.0.0.9", 6) == 1.0
+        assert fraction_routing_to(net7, "10.0.0.9", 6) == 1.0
 
 
 class TestLinkRestoration:
@@ -107,7 +109,7 @@ class TestLinkRestoration:
             net7.run_until_converged()
             net7.restore_link(3, 4)
             net7.run_until_converged()
-        assert net7.fraction_routing_to("10.0.0.1", 6) == 1.0
+        assert fraction_routing_to(net7, "10.0.0.1", 6) == 1.0
 
 
 class TestSessionSemantics:

@@ -10,7 +10,7 @@ from repro.internet.network import Network, NetworkConfig
 from repro.net.prefix import Prefix
 from repro.testbed.scenario import HijackExperiment
 
-from conftest import fast_network_config, fast_scenario, tiny_graph
+from conftest import fast_network_config, fast_scenario, fraction_routing_to, tiny_graph
 
 
 def P(text):
@@ -143,10 +143,11 @@ class TestROVInNetwork:
         net.rpki.add_roa(ROA(P("10.0.0.0/23"), 6, max_length=24))
         net.announce(6, "10.0.0.0/23")
         net.run_until_converged()
-        assert net.fraction_routing_to("10.0.0.1", 6) == 1.0
+        assert fraction_routing_to(net, "10.0.0.1", 6) == 1.0
         net.announce(7, "10.0.0.0/23")  # invalid at every adopter
         net.run_until_converged()
-        hijacked = net.ases_routing_to("10.0.0.1", 7)
+        origins = net.origin_map("10.0.0.1")
+        hijacked = [asn for asn, origin in origins.items() if origin == 7]
         assert hijacked == [7]  # only the hijacker itself
 
     def test_rov_cannot_stop_forged_path(self):

@@ -8,7 +8,7 @@ from repro.testbed.scenario import HijackExperiment
 from repro.topology.scalefree import ScaleFreeConfig, generate_scalefree_internet
 from repro.topology.stats import cone_sizes, degree_histogram
 
-from conftest import fast_network_config, fast_scenario
+from conftest import fast_network_config, fast_scenario, fraction_routing_to
 
 
 class TestGeneration:
@@ -64,7 +64,7 @@ class TestExternalValidity:
         origin = graph.stubs()[0]
         network.announce(origin, "10.0.0.0/23")
         network.run_until_converged()
-        assert network.fraction_routing_to("10.0.0.1", origin) == 1.0
+        assert fraction_routing_to(network, "10.0.0.1", origin) == 1.0
 
     def test_full_experiment_on_scalefree(self):
         graph = generate_scalefree_internet(ScaleFreeConfig(num_ases=60), seed=6)

@@ -15,11 +15,11 @@ import pytest
 from conftest import kill_worker
 
 from repro.errors import SimulationError
-from repro.internet.network import NetworkConfig
+from repro.internet.network import Network, NetworkConfig
 from repro.shard.boundary import DeliveryBundle
 from repro.shard.partition import partition_graph
 from repro.shard.runner import ShardRunner, SingleRunner, make_runner
-from repro.shard.world import ShardWorld
+from repro.shard.world import ShardNetwork, ShardWorld
 from repro.sim.latency import Constant
 from repro.topology.cache import cache_path, graph_cache_key, load_or_build_graph
 from repro.topology.generator import GeneratorConfig, generate_internet
@@ -96,6 +96,26 @@ class TestAnnotatedRoundTrip:
             assert clone.tier == original.tier
             assert clone.region == original.region
             assert clone.tags == original.tags
+
+
+# ------------------------------------------------------------- shard build
+
+
+class TestShardBuild:
+    def test_shards_rebuild_the_whole_graph_world(self, graph):
+        """Peer insertion order and ROV draws are the whole-graph build's."""
+        config = NetworkConfig(rov_adoption=0.3)
+        whole = Network(graph, config, seed=7)
+        plan = partition_graph(graph, 3, config)
+        adopters = set()
+        for asns in plan.shard_asns:
+            shard = ShardNetwork(graph, config, 7, asns)
+            assert sorted(shard.speakers) == asns
+            for asn, speaker in shard.speakers.items():
+                assert list(speaker.peers) == list(whole.speakers[asn].peers)
+            adopters |= shard.rov_adopters
+        assert whole.rov_adopters
+        assert adopters == whole.rov_adopters
 
 
 # ------------------------------------------------------- window protocol
@@ -197,6 +217,21 @@ class TestRunners:
         assert set(origins) == set(graph.asns())
         assert (stats, origins, flips) == expected
         assert flips
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_observe_and_flips_use_one_probe(self, graph, num_shards):
+        """A /24 target is probed at its network address by both reads, so
+        the AS holding a /25 inside it reads the /25's origin in each."""
+        victim, squatter = graph.stubs()[0], graph.stubs()[1]
+        with make_runner(graph, num_shards, seed=7) as runner:
+            runner.watch("10.0.0.0/24")
+            runner.originate(victim, "10.0.0.0/24")
+            runner.originate(squatter, "10.0.0.0/25")
+            runner.run_to(300.0)
+            origins = runner.observe("10.0.0.0/24")
+            last = {asn: value for _time, asn, value in runner.flips("10.0.0.0/24")}
+        assert origins[squatter] == squatter
+        assert {asn: last.get(asn) for asn in origins} == origins
 
     def test_cannot_run_backwards(self, graph):
         with make_runner(graph, 2, seed=7) as runner:

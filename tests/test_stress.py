@@ -12,7 +12,7 @@ from repro.sim.rng import SeededRNG
 from repro.topology.generator import GeneratorConfig, generate_internet
 from repro.internet.network import Network
 
-from conftest import fast_network_config
+from conftest import fast_network_config, fraction_routing_to
 
 
 def P(text):
@@ -108,15 +108,15 @@ class TestLargeWorld:
         hijacker = graph.stubs()[-1]
         network.announce(victim, "10.0.0.0/23")
         network.run_until_converged()
-        assert network.fraction_routing_to("10.0.0.1", victim) == 1.0
+        assert fraction_routing_to(network, "10.0.0.1", victim) == 1.0
         network.announce(hijacker, "10.0.0.0/23")
         network.run_until_converged()
-        hijacked = network.fraction_routing_to("10.0.0.1", hijacker)
+        hijacked = fraction_routing_to(network, "10.0.0.1", hijacker)
         assert 0.0 < hijacked < 1.0
         network.announce(victim, "10.0.0.0/24")
         network.announce(victim, "10.0.1.0/24")
         network.run_until_converged()
-        assert network.fraction_routing_to("10.0.0.1", victim) == 1.0
+        assert fraction_routing_to(network, "10.0.0.1", victim) == 1.0
         # RIB sanity at scale: every speaker holds ≤ the 4 live prefixes.
         for asn in network.asns():
             assert len(network.speaker(asn).loc_rib) <= 4

@@ -6,6 +6,8 @@ from repro.errors import TestbedError
 from repro.net.prefix import Prefix
 from repro.testbed.peering import VIRTUAL_ASN_BASE, PeeringTestbed
 
+from conftest import fraction_routing_to
+
 
 def P(text):
     return Prefix.parse(text)
@@ -45,7 +47,7 @@ class TestVirtualAS:
         assert virtual.sites == [3, 5]
         virtual.announce("10.0.0.0/23")
         net7.run_until_converged()
-        assert net7.fraction_routing_to("10.0.0.5", virtual.asn) == 1.0
+        assert fraction_routing_to(net7, "10.0.0.5", virtual.asn) == 1.0
         assert virtual.announced == [P("10.0.0.0/23")]
 
     def test_withdraw(self, net7):
@@ -55,7 +57,7 @@ class TestVirtualAS:
         net7.run_until_converged()
         virtual.withdraw("10.0.0.0/23")
         net7.run_until_converged()
-        assert net7.fraction_routing_to("10.0.0.5", virtual.asn) == 0.0
+        assert fraction_routing_to(net7, "10.0.0.5", virtual.asn) == 0.0
 
     def test_sequential_asns(self, net7):
         testbed = PeeringTestbed(net7, seed=1)
