@@ -21,8 +21,9 @@ from typing import Dict, Iterable, Iterator, Tuple
 
 from repro.errors import BGPError, FeedError
 from repro.feeds.events import ANNOUNCE, WITHDRAW, FeedEvent, validated_event
-from repro.net.asn import MAX_ASN, format_as_path, intern_as_path
-from repro.net.prefix import Prefix
+from repro.net.asn import _PARSE_CACHE as _PATHS, MAX_ASN, format_as_path, intern_as_path
+from repro.net.prefix import _PARSE_CACHE as _PREFIXES, Prefix
+from repro.perf import COUNTERS as _C
 
 #: One decoded record: :class:`FeedEvent`'s eight fields, in its field order.
 Record = Tuple[str, str, int, str, Prefix, Tuple[int, ...], float, float]
@@ -55,53 +56,91 @@ def decode_records(lines: Iterable[str]) -> Iterator[Record]:
     :func:`~repro.feeds.events.validated_event` builds the event without
     looking at them again — or the consumer never builds one.  Every value
     but the timestamps is shared per spelling by the records that repeat it.
+
+    A line is split once, from the right, into its *lead*
+    (``kind|source|collector|vantage``), prefix, path and timestamps.  A
+    lead seen before is one lookup in the lead table; a new one goes through
+    :func:`_validated_lead` and is stored only once its whole record has
+    passed.  Prefix and path are read straight from the ``Prefix.parse``
+    and ``intern_as_path`` tables, and their hits are counted once per call.
     """
-    vantage_get = _VANTAGE_CACHE.get
+    lead_get = _LEAD_CACHE.get
+    prefix_get = _PREFIXES.get
+    path_get = _PATHS.get
     parse_prefix = Prefix.parse
-    for line in lines:
-        fields = line.split("|")
-        if len(fields) != 8:
-            raise FeedError(f"dump line has {len(fields)} fields, expected 8: {line!r}")
-        kind, source, collector, vantage, prefix, path, observed, delivered = fields
-        vantage_asn = vantage_get(vantage)
-        fresh = vantage_asn is None
-        if fresh and not (vantage.isdigit() and vantage.isascii()):
-            # int() alone takes "+5", "１２"
-            raise FeedError(f"invalid vantage ASN {vantage!r} in dump line {line!r}")
-        try:
+    prefix_hits = path_hits = 0
+    try:
+        for line in lines:
+            fields = line.rsplit("|", 4)
+            # A stored lead has three separators, so a hit means 8 fields.
+            lead = lead_get(fields[0])
+            fresh = lead is None
             if fresh:
-                vantage_asn = int(vantage)
-            prefix = parse_prefix(prefix)
-            as_path = intern_as_path(path)
-            observed_at = float(observed)
-            delivered_at = float(delivered)
-        except (ValueError, BGPError) as error:
-            raise FeedError(f"malformed dump line {line!r}: {error}") from None
-        record = (
-            intern(source),
-            intern(collector),
-            vantage_asn,
-            kind,
-            prefix,
-            as_path,
-            observed_at,
-            delivered_at,
-        )
-        # FeedEvent's own checks, as one conjunction: an announcement has a
-        # path, anything else is a withdrawal; the timestamps are finite and
-        # ordered; a vantage not seen before is in range (digits: never < 0).
-        if not (
-            (as_path if kind == ANNOUNCE else kind == WITHDRAW)
-            and -inf < observed_at <= delivered_at < inf
-            and (not fresh or vantage_asn <= MAX_ASN)
-        ):
-            FeedEvent(*record)  # raises, naming the field
-            raise FeedError(f"malformed dump line {line!r}")
-        if fresh:  # passed every check, range included: now remember it
-            if len(_VANTAGE_CACHE) >= _VANTAGE_CACHE_LIMIT:
-                _VANTAGE_CACHE.clear()
-            _VANTAGE_CACHE[vantage] = vantage_asn
-        yield record
+                lead = _validated_lead(line)
+            source, collector, vantage_asn, kind = lead
+            lead_text, prefix_text, path_text, observed, delivered = fields
+            try:
+                prefix = prefix_get(prefix_text)
+                if prefix is None:
+                    prefix = parse_prefix(prefix_text)
+                else:
+                    prefix_hits += 1
+                as_path = path_get(path_text)
+                if as_path is None:
+                    as_path = intern_as_path(path_text)
+                else:
+                    path_hits += 1
+                observed_at = float(observed)
+                delivered_at = float(delivered)
+            except (ValueError, BGPError) as error:
+                raise FeedError(f"malformed dump line {line!r}: {error}") from None
+            record = (
+                source,
+                collector,
+                vantage_asn,
+                kind,
+                prefix,
+                as_path,
+                observed_at,
+                delivered_at,
+            )
+            # FeedEvent's own checks, as one conjunction: an announcement has
+            # a path, anything else is a withdrawal; the timestamps are finite
+            # and ordered; a lead not seen before has its vantage in range
+            # (digits: never < 0).
+            if not (
+                (as_path if kind == ANNOUNCE else kind == WITHDRAW)
+                and -inf < observed_at <= delivered_at < inf
+                and (not fresh or vantage_asn <= MAX_ASN)
+            ):
+                FeedEvent(*record)  # raises, naming the field
+                raise FeedError(f"malformed dump line {line!r}")
+            if fresh:  # passed every check, kind and range included: remember it
+                if len(_LEAD_CACHE) >= _LEAD_CACHE_LIMIT:
+                    _LEAD_CACHE.clear()
+                _LEAD_CACHE[lead_text] = lead
+            yield record
+    finally:
+        _C.prefix_parse_hits += prefix_hits
+        _C.path_parse_hits += path_hits
+
+
+def _validated_lead(line: str) -> Tuple[str, str, int, str]:
+    """``(source, collector, vantage_asn, kind)`` of a line whose lead is not
+    in the table: the field count and the vantage spelling are checked here,
+    kind and vantage range by the caller's conjunction."""
+    fields = line.split("|")
+    if len(fields) != 8:
+        raise FeedError(f"dump line has {len(fields)} fields, expected 8: {line!r}")
+    kind, source, collector, vantage = fields[:4]
+    if not (vantage.isdigit() and vantage.isascii()):
+        # int() alone takes "+5", "１２"
+        raise FeedError(f"invalid vantage ASN {vantage!r} in dump line {line!r}")
+    try:
+        vantage_asn = int(vantage)
+    except ValueError as error:  # beyond int()'s digit limit
+        raise FeedError(f"malformed dump line {line!r}: {error}") from None
+    return intern(source), intern(collector), vantage_asn, kind
 
 
 def parse_event(line: str) -> FeedEvent:
@@ -111,6 +150,8 @@ def parse_event(line: str) -> FeedEvent:
     return validated_event(record)
 
 
-#: Vantage spelling -> ASN; bounded, cleared wholesale when full (as ``Prefix.parse``'s).
-_VANTAGE_CACHE: Dict[str, int] = {}
-_VANTAGE_CACHE_LIMIT = 65536
+#: Lead spelling (``kind|source|collector|vantage``) -> its validated
+#: ``(source, collector, vantage_asn, kind)``; bounded, cleared wholesale
+#: when full (as ``Prefix.parse``'s).
+_LEAD_CACHE: Dict[str, Tuple[str, str, int, str]] = {}
+_LEAD_CACHE_LIMIT = 65536

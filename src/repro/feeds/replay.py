@@ -319,13 +319,7 @@ def _load_trace(handle: IO[bytes]) -> Trace:
     reader = _RecordReader(handle)
     events: List[FeedEvent] = []
     for block in reader.blocks():
-        try:
-            # One decode and one split per block, not per record.
-            lines = block[:-1].decode("utf-8").split("\n")
-        except UnicodeDecodeError as exc:
-            raise TraceError(
-                f"records from line {len(events) + 2} on are not UTF-8: {exc}"
-            ) from None
+        lines = _block_lines(reader, block)
         try:
             events.extend(map(validated_event, decode_records(lines)))
         except FeedError as exc:
@@ -333,6 +327,19 @@ def _load_trace(handle: IO[bytes]) -> Trace:
                 f"bad record at line {len(events) + 2}: {exc}"
             ) from None
     return Trace(reader.header, events, reader.digest, reader.footer.get("meta"))
+
+
+def _block_lines(reader: _RecordReader, block: bytes) -> List[str]:
+    """One block of ``reader``'s record lines as text: one decode and one
+    split per block, not per record; bytes that are not UTF-8 are a
+    :class:`TraceError` naming the block's first line."""
+    try:
+        return block[:-1].decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        # The reader counts a block's lines once it is resumed past it.
+        raise TraceError(
+            f"records from line {reader.records + 2} on are not UTF-8: {exc}"
+        ) from None
 
 
 def iter_trace_line_bytes(path: str) -> Iterator[bytes]:
@@ -350,9 +357,12 @@ def iter_trace_line_bytes(path: str) -> Iterator[bytes]:
 
 
 def iter_trace_lines(path: str) -> Iterator[str]:
-    """:func:`iter_trace_line_bytes`, decoded."""
-    for line in iter_trace_line_bytes(path):
-        yield line.decode("utf-8")
+    """:func:`iter_trace_line_bytes`, decoded a block at a time (as
+    :func:`load_trace` decodes, with its :class:`TraceError`)."""
+    with open(path, "rb") as handle:
+        reader = _RecordReader(handle)
+        for block in reader.blocks():
+            yield from _block_lines(reader, block)
 
 
 # ------------------------------------------------------------------- recording

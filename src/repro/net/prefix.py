@@ -350,6 +350,11 @@ class Prefix:
         return self
 
     def __str__(self) -> str:
+        if self.version == 4:  # no Address: every digest and incident row formats these
+            value = self.value
+            return "%d.%d.%d.%d/%d" % (
+                value >> 24, value >> 16 & 0xFF, value >> 8 & 0xFF, value & 0xFF, self.length
+            )
         return f"{self.network}/{self.length}"
 
     def __repr__(self) -> str:

@@ -34,9 +34,10 @@ moved.
 The parent stays out of the parse hot path: it reads the trace file in
 **binary** (:func:`~repro.feeds.replay.iter_trace_line_bytes`, which
 verifies the trace's version, record count and digest as it streams),
-routes each raw record line by its prefix field (field 4 of
-the ``|``-separated dump format, extracted without decoding) with a bytes
-memo, and ships line batches down a pipe as
+splits each raw record line once (``line.split(b"|", 8)``: exactly 8
+parts, or the line is malformed), routes it by its prefix field (field 4
+of the ``|``-separated dump format, never decoded) with a bytes memo, and
+ships line batches down a pipe as
 :mod:`~repro.tenants.frames` ``BATCH`` frames — no pickle anywhere on the
 feed path.  Each worker hands a batch's lines to the line entry of its own
 :class:`~repro.tenants.pipeline.DetectionPlane`
@@ -312,13 +313,14 @@ class ParallelDetectionPlane:
         memo_get = self._route_memo.get
         counters = _COUNTERS
         for line in lines:
-            # The dump format has exactly 8 fields (7 separators); count()
-            # validates that without splitting the whole line.
-            if line.count(b"|") != 7:
+            # The dump format has exactly 8 fields: one split both checks the
+            # count (a ninth part means a separator too many) and finds field 4.
+            fields = line.split(b"|", 8)
+            if len(fields) != 8:
                 self.events_malformed += 1
                 counters.events_malformed += 1
                 continue
-            prefix_field = line.split(b"|", 5)[4]
+            prefix_field = fields[4]
             worker = memo_get(prefix_field, -2)
             if worker == -2:
                 worker = self._route_prefix(prefix_field)

@@ -9,9 +9,12 @@ The contract under test (see DESIGN.md "Record decoder contract"):
   ``BGPError`` or a bare ``ValueError``;
 * AS paths are interned by exact spelling in a bounded table that is
   cleared wholesale, and a hit never crosses spellings;
-* records repeating a source, collector or vantage share one object per
-  spelling; the vantage table is bounded the same way and never holds a
-  spelling that failed validation;
+* records repeating a lead (``kind|source|collector|vantage``) share its
+  objects; the lead table is bounded the same way, never holds a lead whose
+  record failed validation, and a record decoded behind a warm lead is the
+  cold decoder's record, or its error, exactly;
+* the ``Prefix.parse`` and path-parse counters read what one parse per
+  record would count;
 * both trace readers (``load_trace`` and the raw-line iterators behind
   ``ParallelDetectionPlane.feed_trace``) verify format, version, record
   count and digest.
@@ -31,7 +34,7 @@ from hypothesis import strategies as st
 from repro.core.config import ArtemisConfig, OwnedPrefix
 from repro.errors import BGPError, FeedError
 from repro.feeds import dumpfile
-from repro.feeds.dumpfile import format_event, parse_event
+from repro.feeds.dumpfile import decode_records, format_event, parse_event
 from repro.feeds.events import ANNOUNCE, WITHDRAW, FeedEvent
 from repro.feeds.replay import (
     TraceError,
@@ -41,6 +44,7 @@ from repro.feeds.replay import (
     load_trace,
 )
 from repro.net import asn
+from repro.net import prefix as prefix_module
 from repro.net.asn import MAX_ASN, intern_as_path, parse_as_path
 from repro.net.prefix import Prefix
 from repro.perf import COUNTERS, collector_paused
@@ -237,6 +241,18 @@ class TestPathInternTable:
         assert intern_as_path("5 6") == (5, 6)
 
 
+def clear_decoder_tables():
+    """A cold decoder: no lead, prefix or path spelling seen before."""
+    dumpfile._LEAD_CACHE.clear()
+    prefix_module._PARSE_CACHE.clear()
+    asn._PARSE_CACHE.clear()
+
+
+def lead(text):
+    """The lead of a dump line: everything before its last four fields."""
+    return text.rsplit("|", 4)[0]
+
+
 class TestSharedLeafFields:
     def test_repeated_source_collector_vantage_share_objects(self):
         text = "A|ris|rrc00|4200000001|10.0.0.0/24|1 2 3|{}|9.0"
@@ -247,6 +263,13 @@ class TestSharedLeafFields:
         assert first.vantage_asn is second.vantage_asn
         assert first.content_key()[:6] == ("ris", "rrc00", 4200000001, "A",
                                            Prefix.parse("10.0.0.0/24"), (1, 2, 3))
+        # The table holds the records' own objects, and a second lead spelling
+        # the same names still shares them (interned when the lead is new).
+        stored = dumpfile._LEAD_CACHE[lead(text)]
+        assert all(a is b for a, b in zip(stored, first.content_key()[:4]))
+        withdrawal = parse_event("W|ris|rrc00|4200000001|10.0.0.0/24||3.0|9.0")
+        assert withdrawal.source is first.source
+        assert withdrawal.collector is first.collector
 
     @pytest.mark.parametrize(
         "vantage", ["+5", "１２", "", "-1", str(MAX_ASN + 1), "9" * 5000],
@@ -256,24 +279,87 @@ class TestSharedLeafFields:
         for _sighting in range(2):
             with pytest.raises(FeedError):
                 parse_event(line(vantage=vantage))
-            assert vantage not in dumpfile._VANTAGE_CACHE
+            assert lead(line(vantage=vantage)) not in dumpfile._LEAD_CACHE
+
+    @pytest.mark.parametrize(
+        "bad", [HOSTILE["bad kind"], HOSTILE["nan observed"], HOSTILE["alpha hop"],
+                HOSTILE["bad prefix"], HOSTILE["empty announce path"]],
+        ids=["bad kind", "nan observed", "alpha hop", "bad prefix", "empty path"],
+    )
+    def test_a_lead_is_stored_only_once_its_whole_record_passed(self, bad):
+        clear_decoder_tables()
+        with pytest.raises(FeedError):
+            parse_event(bad)
+        assert dumpfile._LEAD_CACHE == {}
+        parse_event(GOOD)
+        assert list(dumpfile._LEAD_CACHE) == [lead(GOOD)]
 
     def test_vantage_hit_never_crosses_spellings(self):
         assert parse_event(line(vantage="7")).vantage_asn == 7
         assert parse_event(line(vantage="007")).vantage_asn == 7
         assert parse_event(line(vantage="70")).vantage_asn == 70
+        # Leads that differ only in where a name ends are different keys.
+        body = "|10.0.0.0/24|1 2 3|1.0|2.0"
+        assert parse_event("A|ris|c|17" + body).content_key()[:4] == ("ris", "c", 17, "A")
+        assert parse_event("A|ris|c1|7" + body).content_key()[:4] == ("ris", "c1", 7, "A")
+        assert parse_event("A|ri|sc1|7" + body).content_key()[:4] == ("ri", "sc1", 7, "A")
+        assert parse_event("W|ris|c|17|10.0.0.0/24||1.0|2.0").kind == WITHDRAW
 
     def test_vantage_table_bounded_and_cleared_wholesale(self, monkeypatch):
-        assert dumpfile._VANTAGE_CACHE_LIMIT == 65536  # Prefix.parse's bound
-        monkeypatch.setattr(dumpfile, "_VANTAGE_CACHE_LIMIT", 8)
-        dumpfile._VANTAGE_CACHE.clear()
+        assert dumpfile._LEAD_CACHE_LIMIT == 65536  # Prefix.parse's bound
+        monkeypatch.setattr(dumpfile, "_LEAD_CACHE_LIMIT", 8)
+        dumpfile._LEAD_CACHE.clear()
         kept = parse_event(line(vantage="4200000001")).vantage_asn
         for vantage in range(70000, 70100):
             assert parse_event(line(vantage=str(vantage))).vantage_asn == vantage
-            assert len(dumpfile._VANTAGE_CACHE) <= 8
+            assert len(dumpfile._LEAD_CACHE) <= 8
         again = parse_event(line(vantage="4200000001")).vantage_asn
         assert again == kept == 4200000001
         assert again is not kept  # the table really was cleared in between
+
+
+#: One mutated field's text: the characters every field check turns on, and
+#: digit runs on both sides of the 32-bit ASN bound.
+_FIELD_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(list("0123456789| +-.") + ["nan", "inf", "１", "２", ""]),
+        st.integers(min_value=0, max_value=1 << 33).map(str),
+    ),
+    max_size=6,
+).map("".join)
+
+
+def decoded(text):
+    """``decode_records`` on one line: the record with its exact types, or
+    the error's type and text."""
+    try:
+        (record,) = decode_records([text])
+    except FeedError as error:
+        return type(error), str(error)
+    return (
+        repr(record),
+        [type(value) for value in record],
+        [type(hop) for hop in record[5]],
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(field=st.integers(min_value=0, max_value=7), text=_FIELD_TEXT)
+def test_a_warm_lead_decodes_as_a_cold_decoder(field, text):
+    fields = GOOD.split("|")
+    fields[field] = text
+    mutated = "|".join(fields)
+    clear_decoder_tables()
+    cold = decoded(mutated)
+    # Warm: GOOD's prefix and path are interned, and the mutated line's own
+    # lead is stored if any record can carry it.
+    clear_decoder_tables()
+    for primer in (GOOD, lead(mutated) + GOOD[len(lead(GOOD)):]):
+        try:
+            parse_event(primer)
+        except FeedError:
+            pass
+    assert decoded(mutated) == cold
 
 
 # ------------------------------------------------------- frame verification
@@ -401,7 +487,29 @@ def test_readers_agree_on_an_intact_trace(tmp_path, monkeypatch):
     assert trace.digest == hashlib.sha256(body).hexdigest()
 
 
-def test_non_utf8_record_bytes_are_a_trace_error(tmp_path):
+def test_parse_counters_read_one_parse_per_record(tmp_path):
+    """Hits are counted once per decode call: the totals are those of one
+    ``Prefix.parse`` and one ``intern_as_path`` call per record."""
+    lines = list(iter_trace_lines(write_trace(tmp_path / "t.trace", rounds=30)))
+
+    def counts():
+        return (COUNTERS.prefix_parse_misses, COUNTERS.prefix_parse_hits,
+                COUNTERS.path_parse_misses, COUNTERS.path_parse_hits)
+
+    clear_decoder_tables()
+    COUNTERS.reset()
+    assert len(list(decode_records(lines))) == 60
+    # Two prefixes and three paths, each parsed once.
+    assert counts() == (2, 58, 3, 57)
+    records = decode_records(lines)
+    next(records), next(records)
+    records.close()  # a consumer that stops early still has its hits counted
+    assert counts() == (2, 60, 3, 59)
+
+
+def test_non_utf8_record_bytes_are_a_trace_error(tmp_path, capsys):
+    from repro.cli import main
+
     body = GOOD.encode("utf-8") + b"\n" + GOOD.encode("utf-8").replace(b"ris", b"\xff\xfe") + b"\n"
     footer = {"records": 2, "sha256": hashlib.sha256(body).hexdigest()}
     path = tmp_path / "latin.trace"
@@ -410,8 +518,16 @@ def test_non_utf8_record_bytes_are_a_trace_error(tmp_path):
         + body
         + f"#%END {json.dumps(footer)}\n".encode("utf-8")
     )
-    with pytest.raises(TraceError, match="not UTF-8"):
+    with pytest.raises(TraceError, match="records from line 2 on are not UTF-8") as loaded:
         load_trace(str(path))
+    with pytest.raises(TraceError) as streamed:
+        list(iter_trace_lines(str(path)))
+    assert str(streamed.value) == str(loaded.value)
+    # The single-process tenant replay streams through iter_trace_lines.
+    code = main(["replay", str(path), "--synth-tenants", "2",
+                 "--synth-prefixes", "8", "--detect-workers", "1"])
+    assert code == 2
+    assert str(loaded.value) in capsys.readouterr().err
 
 
 def test_empty_trace_loads(tmp_path):

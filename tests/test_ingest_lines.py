@@ -11,9 +11,9 @@ contract"):
   byte-identical duplicate lines, and across a registry edit between two
   calls (epoch invalidation);
 * building the event only for a record that carries a verdict skips no
-  check: a damaged copy of a line whose verdict is already cached raises
-  the same ``FeedError`` text through ``parse_event``, ``load_trace``,
-  ``ingest_lines`` and a detection worker.
+  check: a damaged copy of a line whose verdict and lead are already
+  cached raises, through ``load_trace``, ``ingest_lines`` and a detection
+  worker, the ``FeedError`` text a cold decoder gives ``parse_event``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.perf import COUNTERS
 from repro.tenants import DetectionPlane, FlatPrefixTree, TenantRegistry, frames
 from repro.tenants.workers import tenant_worker_main
 
-from test_decoder import GOOD, HOSTILE, seal
+from test_decoder import GOOD, HOSTILE, clear_decoder_tables, seal
 from test_tenants import two_tenant_registry
 
 # -------------------------------------------------------------- equivalence
@@ -212,6 +212,8 @@ def warm_registry():
 
 
 def feed_error_text(bad):
+    """The cold decoder's text for ``bad``: no lead, prefix or path warm."""
+    clear_decoder_tables()
     with pytest.raises(FeedError) as caught:
         parse_event(bad)
     return str(caught.value)
