@@ -192,7 +192,7 @@ class Policy:
             (False,) * len(Relationship),
         )
         #: ``mark_grid[new_index][old_index]`` — elementwise OR of the two
-        #: export rows, so :meth:`BGPSpeaker._mark_exports` decides each peer
+        #: export rows, so :meth:`BGPSpeaker._install_best` decides each peer
         #: with a single tuple index.  All-True rows are normalised to the
         #: single shared :attr:`mark_all_row` object, so the speaker can
         #: recognise "mark everyone" with one identity check.

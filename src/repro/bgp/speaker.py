@@ -111,7 +111,7 @@ class BGPSpeaker:
         self.mrai = mrai or Constant(5.0)
         self.peers: Dict[int, PeerState] = {}
         #: Flattened ``(peer_asn, state, rel_index, adj_rib_out, dirty)``
-        #: rows in ``peers`` iteration order — :meth:`_mark_exports` walks
+        #: rows in ``peers`` iteration order — :meth:`_install_best` walks
         #: this per Loc-RIB change, and the tuple form saves three attribute
         #: loads per peer per call.  Rebuilt on peer add/remove; valid
         #: because a :class:`PeerState` never rebinds those two dicts.
@@ -513,7 +513,24 @@ class BGPSpeaker:
     def _install_best(
         self, prefix: Prefix, best: Optional[Route], old: Optional[Route]
     ) -> None:
-        """Commit a decision outcome: install/remove, callbacks, exports."""
+        """Commit a decision outcome: install/remove, callbacks, exports.
+
+        Exports: ``prefix`` is dirtied towards every peer the change can
+        matter to.  A peer is skipped when the policy can export neither the
+        new nor the old route to it *and* nothing was previously advertised
+        (so there is nothing to withdraw either) — e.g. a provider-learned
+        route never dirties other providers or peers under Gao-Rexford.
+
+        Skipping is safe only because a route's exportability cannot change
+        between mark time and flush time: a session's relationship is fixed
+        for its lifetime, and the one event that could flip a route's
+        learned relationship — ``remove_peer`` tearing down the session it
+        was learned over — drops the route from the Adj-RIB-In and re-runs
+        the decision for every affected prefix, which re-marks through here
+        (the vanished peer maps to a ``None`` relationship, i.e. exportable
+        to all).  If relationships ever become mutable in place, this must
+        fall back to marking every peer.
+        """
         if best is old:
             return
         if (
@@ -541,8 +558,7 @@ class BGPSpeaker:
             self._loc_install(best)
         for callback in self._best_change_callbacks:
             callback(self, prefix, best, old)
-        # --- export marking (inline of _mark_exports; see its docstring
-        # below for the skipping-soundness argument) ---
+        # --- export marking ---
         # One precomputed OR of the two export rows; the per-peer check
         # collapses to a single integer tuple index.  The new route is the
         # just-installed best, so its import-time relationship index is both
@@ -608,81 +624,6 @@ class BGPSpeaker:
 
     def _exportable(self, route: Optional[Route], state: PeerState) -> bool:
         return self.policy.export_grid[self._rel_grid_index(route)][state.rel_index]
-
-    def _mark_exports(
-        self,
-        prefix: Prefix,
-        new_route: Optional[Route] = None,
-        old_route: Optional[Route] = None,
-    ) -> None:
-        """Dirty ``prefix`` towards every peer the change can matter to.
-
-        A peer is skipped when the policy can export neither the new nor the
-        old route to it *and* nothing was previously advertised (so there is
-        nothing to withdraw either) — e.g. a provider-learned route never
-        dirties other providers or peers under Gao-Rexford.  Called with no
-        routes (the conservative default), every peer is marked.
-
-        Skipping is safe only because a route's exportability cannot change
-        between mark time and flush time: a session's relationship is fixed
-        for its lifetime, and the one event that could flip a route's
-        learned relationship — ``remove_peer`` tearing down the session it
-        was learned over — drops the route from the Adj-RIB-In and re-runs
-        the decision for every affected prefix, which re-marks through here
-        (the vanished peer maps to a ``None`` relationship, i.e. exportable
-        to all).  If relationships ever become mutable in place, this must
-        fall back to marking every peer.
-        """
-        if new_route is None and old_route is None:
-            # Conservative (no change information): mark every peer.
-            ok_row = self.policy.mark_all_row
-        else:
-            # One precomputed OR of the two export rows; the per-peer check
-            # collapses to a single integer tuple index.  The new route is
-            # the just-installed best, so its import-time relationship index
-            # is both present and current; the old route may predate a peer
-            # teardown and goes through the resolving helper.
-            if new_route is None:
-                new_index = ABSENT_REL_INDEX
-            else:
-                new_index = new_route.learned_rel_index
-                if new_index is None:
-                    new_index = self._rel_grid_index(new_route)
-            # Inline of _rel_grid_index(old_route): unlike the new side this
-            # must resolve the peer live — the route may predate a session
-            # teardown, and a vanished peer maps to the conservative
-            # export-to-all row.
-            if old_route is None:
-                old_index = ABSENT_REL_INDEX
-            else:
-                old_peer = old_route.peer_asn
-                if old_peer is None:
-                    old_index = LOCAL_REL_INDEX
-                else:
-                    old_state = self.peers.get(old_peer)
-                    old_index = (
-                        old_state.rel_index
-                        if old_state is not None
-                        else LOCAL_REL_INDEX
-                    )
-            ok_row = self.policy.mark_grid[new_index][old_index]
-        pikey = prefix.ikey
-        if ok_row is self.policy.mark_all_row:
-            # All-True rows (any local- or customer-learned side) are
-            # normalised to one shared object, so this identity check skips
-            # the per-peer row indexing for the most common case.
-            for peer_asn, state, rel_index, adj_rib_out, dirty in self._mark_targets:
-                dirty[pikey] = prefix
-                if not state.flush_scheduled:
-                    self._schedule_flush(peer_asn, state)
-            return
-        for peer_asn, state, rel_index, adj_rib_out, dirty in self._mark_targets:
-            if ok_row[rel_index] or pikey in adj_rib_out:
-                dirty[pikey] = prefix
-                if not state.flush_scheduled:
-                    self._schedule_flush(peer_asn, state)
-            else:
-                _C.dirty_marks_skipped += 1
 
     def _schedule_flush(self, peer_asn: int, state: PeerState) -> None:
         """Queue ``state``'s MRAI flush.  Callers hold the peer's state and

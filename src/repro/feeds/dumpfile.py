@@ -25,8 +25,12 @@ from repro.net.asn import _PARSE_CACHE as _PATHS, MAX_ASN, format_as_path, inter
 from repro.net.prefix import _PARSE_CACHE as _PREFIXES, Prefix
 from repro.perf import COUNTERS as _C
 
-#: One decoded record: :class:`FeedEvent`'s eight fields, in its field order.
-Record = Tuple[str, str, int, str, Prefix, Tuple[int, ...], float, float]
+#: A record's validated ``(source, collector, vantage_asn, kind)``: one tuple
+#: per lead spelling, shared by every record that spells it.
+Lead = Tuple[str, str, int, str]
+#: One decoded record: ``(lead, prefix, as_path, observed_at, delivered_at)``
+#: — :class:`FeedEvent`'s eight fields, its first four grouped as the lead.
+Record = Tuple[Lead, Prefix, Tuple[int, ...], float, float]
 
 
 def format_event(event: FeedEvent) -> str:
@@ -46,16 +50,19 @@ def format_event(event: FeedEvent) -> str:
 
 
 def decode_records(lines: Iterable[str]) -> Iterator[Record]:
-    """Validate a block of dump lines; yield each record's eight values.
+    """Validate a block of dump lines; yield each one's :data:`Record`.
 
     The one spelling of "a well-formed record".  Every malformed field —
     count, kind, vantage, prefix, path hop, timestamp — raises
     :class:`~repro.errors.FeedError` from the iteration, at the bad line.
-    The values come in :class:`FeedEvent`'s field order, exactly typed and
+    A record is ``(lead, prefix, as_path, observed_at, delivered_at)``,
+    :class:`FeedEvent`'s eight fields with the first four grouped as the
+    lead ``(source, collector, vantage_asn, kind)``, exactly typed and
     already checked against everything its constructor checks, so
     :func:`~repro.feeds.events.validated_event` builds the event without
     looking at them again — or the consumer never builds one.  Every value
-    but the timestamps is shared per spelling by the records that repeat it.
+    but the timestamps is shared per spelling by the records that repeat
+    it; the lead is the lead table's own tuple.
 
     A line is split once, from the right, into its *lead*
     (``kind|source|collector|vantage``), prefix, path and timestamps.  A
@@ -77,7 +84,6 @@ def decode_records(lines: Iterable[str]) -> Iterator[Record]:
             fresh = lead is None
             if fresh:
                 lead = _validated_lead(line)
-            source, collector, vantage_asn, kind = lead
             lead_text, prefix_text, path_text, observed, delivered = fields
             try:
                 prefix = prefix_get(prefix_text)
@@ -94,38 +100,30 @@ def decode_records(lines: Iterable[str]) -> Iterator[Record]:
                 delivered_at = float(delivered)
             except (ValueError, BGPError) as error:
                 raise FeedError(f"malformed dump line {line!r}: {error}") from None
-            record = (
-                source,
-                collector,
-                vantage_asn,
-                kind,
-                prefix,
-                as_path,
-                observed_at,
-                delivered_at,
-            )
             # FeedEvent's own checks, as one conjunction: an announcement has
             # a path, anything else is a withdrawal; the timestamps are finite
             # and ordered; a lead not seen before has its vantage in range
             # (digits: never < 0).
+            kind = lead[3]
             if not (
                 (as_path if kind == ANNOUNCE else kind == WITHDRAW)
                 and -inf < observed_at <= delivered_at < inf
-                and (not fresh or vantage_asn <= MAX_ASN)
+                and (not fresh or lead[2] <= MAX_ASN)
             ):
-                FeedEvent(*record)  # raises, naming the field
+                # raises, naming the field
+                FeedEvent(*lead, prefix, as_path, observed_at, delivered_at)
                 raise FeedError(f"malformed dump line {line!r}")
             if fresh:  # passed every check, kind and range included: remember it
                 if len(_LEAD_CACHE) >= _LEAD_CACHE_LIMIT:
                     _LEAD_CACHE.clear()
                 _LEAD_CACHE[lead_text] = lead
-            yield record
+            yield lead, prefix, as_path, observed_at, delivered_at
     finally:
         _C.prefix_parse_hits += prefix_hits
         _C.path_parse_hits += path_hits
 
 
-def _validated_lead(line: str) -> Tuple[str, str, int, str]:
+def _validated_lead(line: str) -> Lead:
     """``(source, collector, vantage_asn, kind)`` of a line whose lead is not
     in the table: the field count and the vantage spelling are checked here,
     kind and vantage range by the caller's conjunction."""
@@ -153,5 +151,5 @@ def parse_event(line: str) -> FeedEvent:
 #: Lead spelling (``kind|source|collector|vantage``) -> its validated
 #: ``(source, collector, vantage_asn, kind)``; bounded, cleared wholesale
 #: when full (as ``Prefix.parse``'s).
-_LEAD_CACHE: Dict[str, Tuple[str, str, int, str]] = {}
+_LEAD_CACHE: Dict[str, Lead] = {}
 _LEAD_CACHE_LIMIT = 65536

@@ -153,16 +153,15 @@ _new = object.__new__
 def validated_event(record) -> FeedEvent:
     """The event of one record from :func:`repro.feeds.dumpfile.decode_records`.
 
-    The decoder has already checked the eight values against everything the
-    constructor checks, so this only stores them; for anything that did not
-    come out of the decoder, construct a :class:`FeedEvent`.
+    A record is ``(lead, prefix, as_path, observed_at, delivered_at)`` with
+    ``lead = (source, collector, vantage_asn, kind)``.  The decoder has
+    already checked the eight values against everything the constructor
+    checks, so this only stores them; for anything that did not come out of
+    the decoder, construct a :class:`FeedEvent`.
     """
     event = _new(FeedEvent)
     (
-        event.source,
-        event.collector,
-        event.vantage_asn,
-        event.kind,
+        (event.source, event.collector, event.vantage_asn, event.kind),
         event.prefix,
         event.as_path,
         event.observed_at,

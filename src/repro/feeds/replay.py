@@ -14,7 +14,8 @@ equivalent, in three parts:
   (:func:`iter_trace_line_bytes`) share one reader that validates
   version, completeness, count and digest — a truncated or corrupted
   trace is a clean :class:`TraceError`, never a hang or a silently wrong
-  replay.
+  replay.  A loaded :class:`Trace` holds its records as five flat columns;
+  ``trace.events`` builds each event as it is read (:class:`TraceEvents`).
 * **Recording** — :class:`TraceRecorder` subscribes to any existing feed
   fan-out (streams, Periscope, batch archives — anything exposing the
   ``subscribe(callback, prefixes=...)`` protocol) and archives exactly
@@ -65,12 +66,14 @@ import hashlib
 import io
 import json
 import time
+from array import array
+from collections.abc import Sequence as SequenceABC
 from typing import Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import FeedError
 from repro.faults.channel import ChannelFault
 from repro.faults.plan import FaultPlan, load_plan
-from repro.feeds.dumpfile import decode_records, format_event
+from repro.feeds.dumpfile import Record, decode_records, format_event
 from repro.feeds.events import FeedEvent, validated_event
 from repro.feeds.health import SourceSupervisor, Transport
 from repro.feeds.interest import Subscription
@@ -164,13 +167,56 @@ class TraceWriter:
 # --------------------------------------------------------------------- reading
 
 
-class Trace:
-    """A fully loaded, digest-verified trace."""
+#: A loaded trace's ``(leads, prefixes, paths, observed, delivered)``: one
+#: :data:`~repro.feeds.dumpfile.Record` field per column, one record per position.
+Columns = Tuple[List, List, List, array, array]
 
-    def __init__(self, header: Dict, events: List[FeedEvent], digest: str,
+
+class TraceEvents(SequenceABC):
+    """A loaded trace's records as :class:`FeedEvent` objects, built on access.
+
+    A read-only sequence over the trace's five record columns: ``len``,
+    iteration, positive and negative indices, and slices (which return a
+    list).  Every access builds a *fresh* event from the columns, with the
+    field types :func:`~repro.feeds.events.validated_event` gives — so
+    identity is not preserved: ``events[0] is events[0]`` is false, and an
+    event kept by a consumer is that consumer's own object.  Only
+    :func:`load_trace` builds one.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: Columns):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(validated_event, zip(*(c[index] for c in self._columns))))
+        leads, prefixes, paths, observed, delivered = self._columns
+        return validated_event(
+            (leads[index], prefixes[index], paths[index], observed[index], delivered[index])
+        )
+
+    def __iter__(self) -> Iterator[FeedEvent]:
+        return map(validated_event, zip(*self._columns))
+
+    def __repr__(self) -> str:
+        return f"<TraceEvents {len(self)} records>"
+
+
+class Trace:
+    """A fully loaded, digest-verified trace, held as record columns."""
+
+    def __init__(self, header: Dict, columns: Columns, digest: str,
                  footer_meta: Optional[Dict] = None):
         self.header = header
-        self.events = events
+        self._leads = columns[0]
+        self._delivered = columns[4]
+        #: The records as events, each built on access (:class:`TraceEvents`).
+        self.events = TraceEvents(columns)
         #: SHA-256 hex digest over the record lines (verified at load).
         self.digest = digest
         self._footer_meta = dict(footer_meta or {})
@@ -200,20 +246,22 @@ class Trace:
 
     def source_names(self) -> Tuple[str, ...]:
         """Distinct source names appearing in the trace, sorted."""
-        return tuple(sorted({event.source for event in self.events}))
+        return tuple(sorted({lead[0] for lead in set(self._leads)}))
 
     def span(self) -> float:
-        """Event-time extent of the trace (0 for empty/single-event)."""
-        if len(self.events) < 2:
+        """Event-time extent of the trace: latest minus earliest delivery
+        time, whatever their order (0 for an empty or one-record trace)."""
+        delivered = self._delivered
+        if not delivered:
             return 0.0
-        return self.events[-1].delivered_at - self.events[0].delivered_at
+        return max(delivered) - min(delivered)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._leads)
 
     def __repr__(self) -> str:
         return (
-            f"<Trace {len(self.events)} records span={self.span():.1f}s "
+            f"<Trace {len(self)} records span={self.span():.1f}s "
             f"sources={','.join(self.source_names())}>"
         )
 
@@ -314,19 +362,24 @@ def load_trace(source: Union[str, IO[str]]) -> Trace:
     return _load_trace(io.BytesIO(source.read().encode("utf-8")))
 
 
-@collector_paused()  # events, floats and interned leaves: nothing cyclic
+@collector_paused()  # flat columns and interned leaves: nothing cyclic
 def _load_trace(handle: IO[bytes]) -> Trace:
     reader = _RecordReader(handle)
-    events: List[FeedEvent] = []
+    # The lead, prefix and path columns hold references to objects shared
+    # per spelling; the timestamps are doubles.
+    columns: Columns = ([], [], [], array("d"), array("d"))
     for block in reader.blocks():
         lines = _block_lines(reader, block)
+        records: List[Record] = []
         try:
-            events.extend(map(validated_event, decode_records(lines)))
+            records.extend(decode_records(lines))
         except FeedError as exc:
             raise TraceError(
-                f"bad record at line {len(events) + 2}: {exc}"
+                f"bad record at line {len(columns[0]) + len(records) + 2}: {exc}"
             ) from None
-    return Trace(reader.header, events, reader.digest, reader.footer.get("meta"))
+        for column, values in zip(columns, zip(*records)):
+            column.extend(values)
+    return Trace(reader.header, columns, reader.digest, reader.footer.get("meta"))
 
 
 def _block_lines(reader: _RecordReader, block: bytes) -> List[str]:
@@ -607,11 +660,13 @@ class ReplayTap:
     ):
         if isinstance(trace, Trace):
             self.trace: Optional[Trace] = trace
-            events = trace.events
+            # The trace's own view: each record becomes an event as it is read.
+            self.events: Sequence[FeedEvent] = trace.events
+            source_names = trace.source_names()
         else:
             self.trace = None
-            events = sorted(trace, key=lambda e: e.delivered_at)
-        self.events: List[FeedEvent] = list(events)
+            self.events = sorted(trace, key=lambda e: e.delivered_at)
+            source_names = sorted({event.source for event in self.events})
         if speed is not None and speed <= 0:
             raise TraceError(f"replay speed must be positive, got {speed}")
         self.speed = speed
@@ -621,7 +676,7 @@ class ReplayTap:
         self.engine.run(until=start)
         self.sources: Dict[str, RecordedSource] = {
             source_name: RecordedSource(source_name, self.engine)
-            for source_name in sorted({event.source for event in self.events})
+            for source_name in source_names
         }
         # Fault plan, armed at the recorded hijack instant by default.
         self.injector: Optional[ReplayInjector] = None

@@ -304,7 +304,7 @@ class DetectionPlane:
         for item in chain(batch, decode_records(lines) if lines else ()):
             if type(item) is tuple:
                 event = None
-                _, _, vantage_asn, kind, prefix, path, _, delivered_at = item
+                (_, _, vantage_asn, kind), prefix, path, _, delivered_at = item
             else:
                 event = item
                 kind = event.kind

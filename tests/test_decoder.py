@@ -330,16 +330,17 @@ _FIELD_TEXT = st.lists(
 
 
 def decoded(text):
-    """``decode_records`` on one line: the record with its exact types, or
-    the error's type and text."""
+    """``decode_records`` on one line: the record with its exact types, lead
+    fields included, or the error's type and text."""
     try:
         (record,) = decode_records([text])
     except FeedError as error:
         return type(error), str(error)
+    lead, *fields = record
     return (
         repr(record),
-        [type(value) for value in record],
-        [type(hop) for hop in record[5]],
+        [type(value) for value in (*lead, *fields)],
+        [type(hop) for hop in record[2]],
     )
 
 
@@ -533,7 +534,9 @@ def test_non_utf8_record_bytes_are_a_trace_error(tmp_path, capsys):
 def test_empty_trace_loads(tmp_path):
     path = str(tmp_path / "empty.trace")
     TraceWriter(path).close()
-    assert load_trace(path).events == []
+    trace = load_trace(path)
+    assert len(trace.events) == 0 and not trace.events
+    assert list(trace.events) == [] and trace.span() == 0.0
     assert list(iter_trace_line_bytes(path)) == []
 
 

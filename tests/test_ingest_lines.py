@@ -272,7 +272,7 @@ def test_a_cached_benign_verdict_builds_no_event(monkeypatch):
     hijack = GOOD.replace("1 2 3", "1 2 666")
     plane = DetectionPlane(warm_registry(), batch_size=2)
     plane.ingest_lines([GOOD, GOOD, hijack, GOOD, GOOD, GOOD])
-    assert len(built) == 1 and built[0][5] == (1, 2, 666)
+    assert len(built) == 1 and built[0][2] == (1, 2, 666)  # (lead, prefix, path, ...)
     assert plane.total_alerts() == 1
     plane.ingest_lines([hijack])  # a tail waits as a record: judged at the boundary
     assert len(built) == 1
