@@ -1,9 +1,10 @@
-"""Million-prefix detection plane: flat-tree memory, sustained throughput.
+"""Million-prefix detection plane: prefix-table memory, sustained throughput.
 
 Not a paper artefact — this bench guards the million-prefix scaling work
 layered on top of ``benchmarks/test_tenants.py``'s architecture bench:
 
-* **flat-array tree memory** — a ``FlatPrefixTree`` holding ≥1M monitored
+* **prefix-table memory** — a ``FlatPrefixTree`` (one ``ikey`` dict of
+  every tenant's rules) holding ≥1M monitored
   prefixes (10k tenants) must be resident with at least
   ``TENANTS1M_MIN_RSS_RATIO``x (default 4x) less RSS per monitored prefix
   than the node-object oracle ``PrefixTree`` (``tests/oracles.py``) over
@@ -149,9 +150,9 @@ def trace_world(recorded_unfiltered):
 
 @pytest.mark.slow
 def test_million_prefix_tree_memory(benchmark, trace_world):
-    """Flat tree at ≥1M prefixes: resident, and ≥4x leaner than nodes.
+    """Prefix table at ≥1M prefixes: resident, and ≥4x leaner than nodes.
 
-    Builds the flat tree first (cleaner heap), then the node tree, each
+    Builds the table first (cleaner heap), then the node tree, each
     bracketed by ``gc.collect`` + VmRSS reads; both stay alive while the
     other is measured so freed pages cannot offset a delta.  The flat
     cost is ``max(rss_delta, nbytes())`` — the self-reported byte count
@@ -200,7 +201,7 @@ def test_million_prefix_tree_memory(benchmark, trace_world):
     ratio = node_bytes / flat_bytes if flat_bytes else float("inf")
     if MIN_RSS_RATIO > 0:
         assert ratio >= MIN_RSS_RATIO, (
-            f"flat tree only {ratio:.2f}x leaner than the node tree "
+            f"prefix table only {ratio:.2f}x leaner than the node tree "
             f"(floor {MIN_RSS_RATIO:.1f}x): node {node_bytes / 2**20:.1f} "
             f"MiB vs flat {flat_bytes / 2**20:.1f} MiB for {monitored} "
             "prefixes"
@@ -384,7 +385,7 @@ def test_worker_digest_identity(benchmark, trace_world):
     if os.environ.get("TENANTS1M_WRITE") == "1":
         payload = {
             "description": (
-                "Million-prefix detection plane: flat-array prefix tree "
+                "Million-prefix detection plane: tenant prefix-table "
                 "residency vs the node tree at 10k tenants / 1M monitored "
                 "prefixes, warm-cache sustained replay at the committed "
                 "reference population, and binary-frame worker fan-out "

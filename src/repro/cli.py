@@ -371,7 +371,7 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
         ["batch size", str(args.batch_size)],
         ["events seen", str(events_seen)],
         ["pipeline batches", str(COUNTERS.pipeline_batches)],
-        ["trie walks", str(COUNTERS.pipeline_trie_walks)],
+        ["prefix-table lookups", str(COUNTERS.pipeline_trie_walks)],
         ["memo hits", str(COUNTERS.pipeline_memo_hits)],
         ["verdict cache misses", str(COUNTERS.verdict_cache_misses)],
         ["verdict cache hit ratio", f"{COUNTERS.verdict_cache_hit_ratio:.6f}"],

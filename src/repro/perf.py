@@ -25,7 +25,7 @@ What the counters capture:
   worker processes, sync-barrier stalls (windows a shard ran with nothing
   to do), windows executed, and the per-shard peak RSS gauge;
 * **multi-tenant detection plane** — events ingested and batches drained by
-  the :mod:`repro.tenants` pipeline, shared-tree walks vs per-batch memo
+  the :mod:`repro.tenants` pipeline, prefix-table lookups vs per-batch memo
   hits (the amortization ratio), backpressure stalls (a full ingest queue
   forcing an inline drain), notifier emissions/drops, autoignore
   suppressions, and the ``--detect-workers`` routing/batch counters, plus
@@ -33,7 +33,7 @@ What the counters capture:
 * **million-prefix tenant plane** — cross-batch verdict-cache hits and
   evictions, binary frames shipped to detection workers (count and
   bytes), malformed trace lines dropped by the parent-side router, and
-  the flat-array tree's resident-byte gauge (``tree_bytes``);
+  the tenant prefix table's resident-byte gauge (``tree_bytes``);
 * **memory gauges** — peak RSS, intern-table populations and serialized
   checkpoint size, sampled with :func:`sample_memory` rather than bumped.
 

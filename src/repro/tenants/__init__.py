@@ -7,11 +7,9 @@ same code.  The package splits into:
 
 * :mod:`repro.tenants.registry` — compiled per-tenant rule bundles over
   interned policy sets (:class:`TenantRegistry`, :class:`TenantRule`);
-* :mod:`repro.tenants.flattree` — the shared radix tree answering
-  "whose rules match this announcement?" in one O(bits) walk
-  (:class:`FlatPrefixTree`), on a flat array-of-struct layout: packed
-  int32 node/row columns and epoch-stamped free lists hold million-prefix
-  populations at a fraction of a node-object trie's RSS;
+* :mod:`repro.tenants.flattree` — the shared prefix table answering
+  "whose rules match this announcement?" in one covering lookup
+  (:class:`FlatPrefixTree`, an ``ikey`` dict of every tenant's rules);
 * :mod:`repro.tenants.pipeline` — the batched ingest → classify → alert →
   notify pipeline (:class:`DetectionPlane`), its bounded cross-batch
   verdict cache, and the canonical merged alert digest;

@@ -13,7 +13,7 @@ a run, so :class:`DetectionPlane` is a throughput pipeline:
    decoder's validated fields, with a :class:`FeedEvent` built only for a
    record that carries a verdict.
 2. **classify** — when a batch's worth has accumulated (or on an explicit
-   :meth:`flush`), the whole batch drains at once: **one shared-tree walk
+   :meth:`flush`), the whole batch drains at once: **one prefix-table lookup
    per unique announced prefix per batch**, and one verdict computation per
    unique ``(prefix, as_path)`` pair (plus the vantage for single-hop
    paths, which the len-1 first-hop rule judges) — everything else is a
@@ -23,7 +23,7 @@ a run, so :class:`DetectionPlane` is a throughput pipeline:
    bounded FIFO dict keyed on ``(prefix.ikey, path[, vantage])`` that
    survives from one drain to the next and is invalidated wholesale when
    the tree's epoch moves (a tenant onboarded or retired).  A steady-state
-   feed converges to zero tree walks and zero rule-ladder runs per batch.
+   feed converges to zero table lookups and zero rule-ladder runs per batch.
    With a data-plane ``corroborator`` probe attached the cache reverts to
    per-batch lifetime (cleared after every drain), because a probe's
    answer is time-dependent and may legitimately differ between batches;
@@ -150,7 +150,7 @@ def classify_batch_verdicts(
 
 
 class DetectionPlane:
-    """Batched multi-tenant detection over one shared prefix tree."""
+    """Batched multi-tenant detection over one shared prefix table."""
 
     def __init__(
         self,
@@ -231,7 +231,7 @@ class DetectionPlane:
         """Stage recorded dump lines: ``ingest(parse_event(line))`` per line.
 
         The replay entry.  Batch boundaries, prune cadence, the per-batch
-        walk memo, epoch/probe invalidation and every counter are those of
+        lookup memo, epoch/probe invalidation and every counter are those of
         the one-line-at-a-time spelling, however the lines are cut into
         calls.  What differs is the order of work: a whole batch goes from
         decoded fields straight to its verdicts, and only a record that

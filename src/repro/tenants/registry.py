@@ -2,7 +2,7 @@
 
 Production ARTEMIS runs detection as a *service*: one deployment holds the
 configuration of every operator (tenant) it protects, and a single shared
-prefix tree answers "whose rules match this announcement?" for the whole
+prefix table answers "whose rules match this announcement?" for the whole
 feed fan-out.  This module is the configuration side of that plane (a
 single operator's config is a one-tenant registry):
 

@@ -13,8 +13,8 @@ builds one deterministically:
   prefixes from the trace (spread round-robin, so each live prefix is
   watched by many tenants) plus a block of dense *padding* /24s carved
   from otherwise-unused space (11.0.0.0/8 onward).  Dense padding keeps
-  the shared tree honest — deep, populated subtrees — while sharing upper
-  trie paths, and the interned origin sets keep a row down to its slots.
+  the shared prefix table at deployment size, one entry per padding /24,
+  and the interned origin sets keep a row down to its slots.
 
 Everything is a pure function of its inputs: same trace + same counts →
 the same registry, rules, and partition, which is what the digest-identity

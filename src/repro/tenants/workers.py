@@ -25,7 +25,7 @@ not approximate, because of the routing invariant above: a worker only
 ever receives announcements under its own roots, a root is covered by no
 other monitored prefix, and so every rule that can match such an
 announcement sits under that same root — the other workers' rows are
-never reached by any walk.  Workers classify against the registry **as of
+never reached by any lookup.  Workers classify against the registry **as of
 ``start()``**: mutating it on the parent afterwards cannot reach them, so
 the parent remembers the pre-fork tree's epoch and
 ``feed_line_bytes``/``finish`` raise :class:`TenantWorkerError` if it has

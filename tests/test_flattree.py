@@ -1,10 +1,10 @@
-"""Unit contracts of the flat array-of-struct prefix tree.
+"""Unit contracts of the shared tenant prefix table.
 
 ``FlatPrefixTree`` must agree with the node-object oracle ``PrefixTree``:
 same resolve semantics (most specific rule per tenant, sorted tenant
 order, per-bucket exact flags), same incremental mutation surface (epoch
-bump per batch, loud KeyError on unknown removal), plus the flat-specific
-contracts — epoch-stamped slot recycling and the ``tree_bytes`` gauge.
+bump per batch, loud KeyError on unknown removal), plus the ``tree_bytes``
+gauge.
 Cross-implementation equivalence under randomized operation sequences is
 property-tested separately in ``test_flattree_equivalence.py``.
 """
@@ -87,8 +87,7 @@ class TestResolveSemantics:
             "v6", ArtemisConfig([OwnedPrefix("2001:db8::/32", [65001])])
         )
         tree = FlatPrefixTree(registry)
-        # A /128 probe exercises the deepest walk and the unsigned length
-        # column (128 does not fit a signed byte).
+        # A /128 probe: the longest IPv6 length, against a /32 entry.
         matches = tree.resolve(Prefix.parse("2001:db8::1/128"))
         assert [(m[0].policy.tenant, m[1]) for m in matches] == [("v6", False)]
 
@@ -147,57 +146,37 @@ class TestMutation:
         assert (tree.epoch, tree.num_rules) == (epoch + 1, rules - 1)
 
     def test_failed_insert_counts_what_it_linked(self):
-        """A row that cannot name its tenant stops the batch: the rows
-        before it (in prefix order) are linked, counted and epoch-stamped,
-        and the bad row's prefix is not left behind with no rows."""
+        """A row that cannot name its tenant, or names no prefix, stops the
+        batch: the rows before it in arrival order are linked, counted and
+        epoch-stamped, and the bad row's prefix is not left behind."""
 
         class Nameless:
             prefix = Prefix.parse("10.200.0.0/16")
 
         registry = small_registry()
         tree = FlatPrefixTree(registry)
-        good = TenantRegistry().add_tenant(
+        tenant = TenantRegistry()
+        good = tenant.add_tenant(
             "gamma", ArtemisConfig([OwnedPrefix("10.7.0.0/16", [65007])])
         )[0]
+        later = tenant.add_tenant(
+            "delta", ArtemisConfig([OwnedPrefix("10.8.0.0/16", [65008])])
+        )[0]
         epoch, rules, size = tree.epoch, tree.num_rules, len(tree)
+        # A batch that fails on its first row changed nothing: no bump.
         with pytest.raises(AttributeError):
             tree.insert_rules([Nameless(), good])
+        assert (tree.epoch, tree.num_rules, len(tree)) == (epoch, rules, size)
+        assert tree.resolve(good.prefix) == []
+        with pytest.raises(AttributeError):
+            tree.insert_rules([good, Nameless()])
         assert tree.resolve(good.prefix) == [(good, True)]
         assert (tree.epoch, tree.num_rules, len(tree)) == (epoch + 1, rules + 1, size + 1)
         assert Nameless.prefix not in tree.monitored_prefixes()
-        # Rows the sort itself rejects never reach the tree.
         with pytest.raises(AttributeError):
-            tree.insert_rules([good, object()])
-        assert (tree.epoch, tree.num_rules) == (epoch + 1, rules + 1)
-
-    def test_slots_recycled_across_epochs(self):
-        registry = small_registry()
-        tree = FlatPrefixTree(registry)
-        nodes_before = len(tree._left)
-        pids_before = len(tree._pid_head)
-        registry.add_tenant(
-            "churn", ArtemisConfig([OwnedPrefix("10.50.0.0/16", [65050])])
-        )
-        grown_nodes = len(tree._left)
-        grown_pids = len(tree._pid_head)
-        # Free at epoch E, re-add at a later epoch: the freed node/pid/row
-        # slots must be reused, not appended after.
-        for _ in range(3):
-            registry.remove_tenant("churn")
-            registry.add_tenant(
-                "churn", ArtemisConfig([OwnedPrefix("10.50.0.0/16", [65050])])
-            )
-        assert len(tree._left) == grown_nodes
-        assert len(tree._pid_head) == grown_pids
-        assert grown_nodes > nodes_before and grown_pids > pids_before
-
-    def test_slot_never_recycled_within_its_epoch(self):
-        tree = FlatPrefixTree()
-        # Freed at the current epoch: not yet reusable.
-        tree._free_pids.append((tree.epoch, 7))
-        assert tree._alloc(tree._free_pids) == -1
-        tree.epoch += 1
-        assert tree._alloc(tree._free_pids) == 7
+            tree.insert_rules([later, object()])
+        assert tree.resolve(later.prefix) == [(later, True)]
+        assert (tree.epoch, tree.num_rules, len(tree)) == (epoch + 2, rules + 2, size + 2)
 
     def test_size_tracks_distinct_prefixes(self):
         registry = small_registry()

@@ -92,8 +92,8 @@ def test_flat_tree_equivalent_under_randomized_churn(ops):
             name, _seed = live.pop(seed % len(live))
             registry.remove_tenant(name)
         elif kind == "readd":
-            # Retire and immediately re-onboard: exercises free-list
-            # recycling against the epoch stamps.
+            # Retire and immediately re-onboard: the tenant's rows leave
+            # and re-enter their prefixes' entries within two epochs.
             index = seed % len(live)
             name, tenant_seed = live[index]
             registry.remove_tenant(name)
@@ -108,12 +108,12 @@ def test_flat_tree_equivalent_under_randomized_churn(ops):
         assert node.tenants_at(prefix) == flat.tenants_at(prefix)
 
 
-# ------------------------------------------------------------- bulk load
+# ------------------------------------------------------------ batch mutation
 #
-# ``FlatPrefixTree.insert_rules`` sorts its batch and descends from each
-# prefix's common ancestor with the previous one.  The property: whatever
-# the batches, the tree is the one the same rows build one at a time — in
-# the node oracle and in a second flat tree fed single-row batches.
+# ``FlatPrefixTree.insert_rules`` and ``remove_rules`` take a batch of rows
+# and bump the epoch once for it.  The property: whatever the batches, the
+# table is the one the same rows build one at a time — in the node oracle
+# and in a second table fed single-row batches.
 
 _BULK_POOL = [Prefix.parse(text) for text in _POOL + [
     "::/0",
