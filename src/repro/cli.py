@@ -274,9 +274,7 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
 
     from repro.core.config import ArtemisConfig
     from repro.errors import ConfigError
-    from repro.feeds.dumpfile import decode_records
-    from repro.feeds.events import validated_event
-    from repro.feeds.replay import iter_trace_lines
+    from repro.feeds.replay import iter_trace_events, iter_trace_lines
     from repro.perf import COUNTERS
     from repro.tenants import DetectionPlane, ParallelDetectionPlane, TenantRegistry
     from repro.tenants.synth import build_synth_registry, observed_origin_map
@@ -315,9 +313,7 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
             ) from None
     else:
         registry = build_synth_registry(
-            observed_origin_map(
-                map(validated_event, decode_records(iter_trace_lines(args.trace)))
-            ),
+            observed_origin_map(iter_trace_events(args.trace)),
             num_tenants=args.synth_tenants,
             num_prefixes=args.synth_prefixes or 100 * args.synth_tenants,
         )

@@ -10,38 +10,36 @@ equivalent, in three parts:
   timestamps and source/collector identity, framed by a JSON header line
   and a JSON footer carrying the record count and a SHA-256 content
   digest.  :class:`TraceWriter` writes incrementally (safe to tap a live
-  run); :func:`load_trace` and the raw-line iterators
-  (:func:`iter_trace_line_bytes`) share one reader that validates
-  version, completeness, count and digest — a truncated or corrupted
-  trace is a clean :class:`TraceError`, never a hang or a silently wrong
-  replay.  A loaded :class:`Trace` holds its records as five flat columns;
-  ``trace.events`` builds each event as it is read (:class:`TraceEvents`).
+  run); :func:`load_trace`, the line and event iterators and the replay
+  tap share one reader that validates version, completeness, count and
+  digest — a truncated or corrupted trace is a clean :class:`TraceError`,
+  never a hang or a silently wrong replay.  A loaded :class:`Trace` holds
+  its records as five flat columns; ``trace.events`` builds each event as
+  it is read (:class:`TraceEvents`).
 * **Recording** — :class:`TraceRecorder` subscribes to any existing feed
   fan-out (streams, Periscope, batch archives — anything exposing the
   ``subscribe(callback, prefixes=...)`` protocol) and archives exactly
   what the detection plane saw.  Recording with the same prefix filter
   detection uses is what makes replay digest-identical to the live run.
-* **Replay** — :class:`ReplayTap` delivers a trace at Nx speed or
+* **Replay** — :class:`ReplayTap` streams a trace file at Nx speed or
   flat-out through one :class:`RecordedSource` per recorded source name,
   on an engine whose clock is event time — **no network or AS graph in
-  the loop**.  :class:`ReplaySession` subscribes detection and monitoring
-  to those sources and supervises them, as ARTEMIS does live feeds.
+  the loop**, and never the whole trace in memory: one verifying pass at
+  construction, then delivery a block at a time.  :class:`ReplaySession`
+  subscribes detection and monitoring to those sources and supervises
+  them, as ARTEMIS does live feeds.
 
 Event time vs wall clock
 ------------------------
 
-Replay never restamps events: ``observed_at`` / ``delivered_at`` keep the
-values recorded during the live run, so every consumer computing lag or
+Replay never restamps events, so every consumer computing lag or
 detection delay from event timestamps is replay-speed-invariant by
-construction.  The tap's engine is the one clock.  Records go out at
-their recorded times, and everything else in a replay is an engine event
-at event time: a reordered or duplicated copy, an outage window opening
-and closing, a supervisor's check or reconnect retry.  A
-:class:`~repro.feeds.health.SourceSupervisor` on ``tap.engine`` therefore
-measures staleness in recorded seconds: flat-out replay cannot
-false-positive a failover, and a paused replay, whose engine does not
-move, cannot age a healthy source into DEAD.  Wall-clock time enters only
-through *pacing* (``speed=N`` sleeps between deliveries), isolated in an
+construction.  The tap's engine is the one clock: a
+:class:`~repro.feeds.health.SourceSupervisor` on ``tap.engine`` measures
+staleness in recorded seconds, so flat-out replay cannot false-positive
+a failover, and a paused replay, whose engine does not move, cannot age
+a healthy source into DEAD.  Wall-clock time enters only through
+*pacing* (``speed=N`` sleeps between deliveries), isolated in an
 injectable timer — :class:`VirtualTimer` makes paced replays run
 instantly under test.
 
@@ -68,6 +66,8 @@ import json
 import time
 from array import array
 from collections.abc import Sequence as SequenceABC
+from itertools import islice
+from operator import itemgetter
 from typing import Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import FeedError
@@ -108,23 +108,14 @@ class TraceWriter:
     its footer is detected by :func:`load_trace` as truncated.
     """
 
-    def __init__(
-        self,
-        target: Union[str, IO[str]],
-        meta: Optional[Dict] = None,
-        config=None,
-    ):
+    def __init__(self, target: Union[str, IO[str]], meta: Optional[Dict] = None, config=None):
         if isinstance(target, str):
             self._file: IO[str] = open(target, "w", encoding="utf-8")
             self._owns_file = True
         else:
             self._file = target
             self._owns_file = False
-        header: Dict = {
-            "format": TRACE_FORMAT,
-            "version": TRACE_VERSION,
-            "meta": dict(meta or {}),
-        }
+        header: Dict = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "meta": dict(meta or {})}
         if config is not None:
             header["config"] = config.to_dict()
         self._file.write(_HEADER_TAG + json.dumps(header, sort_keys=True) + "\n")
@@ -145,10 +136,7 @@ class TraceWriter:
         """Seal the trace with its footer (idempotent)."""
         if self.closed:
             return
-        footer: Dict = {
-            "records": self.records,
-            "sha256": self._digest.hexdigest(),
-        }
+        footer: Dict = {"records": self.records, "sha256": self._digest.hexdigest()}
         if meta:
             footer["meta"] = dict(meta)
         self._file.write(_FOOTER_TAG + json.dumps(footer, sort_keys=True) + "\n")
@@ -207,25 +195,17 @@ class TraceEvents(SequenceABC):
         return f"<TraceEvents {len(self)} records>"
 
 
-class Trace:
-    """A fully loaded, digest-verified trace, held as record columns."""
-
-    def __init__(self, header: Dict, columns: Columns, digest: str,
-                 footer_meta: Optional[Dict] = None):
-        self.header = header
-        self._leads = columns[0]
-        self._delivered = columns[4]
-        #: The records as events, each built on access (:class:`TraceEvents`).
-        self.events = TraceEvents(columns)
-        #: SHA-256 hex digest over the record lines (verified at load).
-        self.digest = digest
-        self._footer_meta = dict(footer_meta or {})
+class _TraceFrame:
+    """What a verified trace's header and footer say, read alike from a
+    loaded :class:`Trace` and from a :class:`ReplayTap`: each sets
+    ``header``, ``footer`` and ``digest`` (SHA-256 hex over the record
+    lines) from the reader that verified them."""
 
     @property
     def meta(self) -> Dict:
         """Header meta merged with close-time footer meta (footer wins)."""
         merged = dict(self.header.get("meta", {}))
-        merged.update(self._footer_meta)
+        merged.update(self.footer.get("meta", {}))
         return merged
 
     @property
@@ -243,6 +223,19 @@ class Trace:
         """Recorded hijack instant (the fault-plan / delay reference)."""
         value = self.meta.get("hijack_time")
         return None if value is None else float(value)
+
+
+class Trace(_TraceFrame):
+    """A fully loaded, digest-verified trace, held as record columns."""
+
+    def __init__(self, header: Dict, columns: Columns, digest: str, footer: Dict):
+        self.header = header
+        self.footer = footer
+        self.digest = digest
+        self._leads = columns[0]
+        self._delivered = columns[4]
+        #: The records as events, each built on access (:class:`TraceEvents`).
+        self.events = TraceEvents(columns)
 
     def source_names(self) -> Tuple[str, ...]:
         """Distinct source names appearing in the trace, sorted."""
@@ -269,10 +262,10 @@ class Trace:
 class _RecordReader:
     """Streams a trace's record bytes and verifies the frame around them.
 
-    The one reader behind :func:`load_trace` and the raw-line iterators:
-    it checks the header at construction and, on reaching the footer, the
-    record count and the SHA-256 digest of the record bytes, hashed a
-    block at a time.
+    The one reader behind :func:`load_trace`, the iterators and the replay
+    tap: it checks the header at construction and, on reaching the footer,
+    the record count and the SHA-256 digest of the record bytes, hashed a
+    block at a time.  :meth:`record_blocks` is the one decode of a block.
     """
 
     #: Bytes read per hashed block (each is extended to a line boundary).
@@ -346,6 +339,35 @@ class _RecordReader:
             raise TraceError("trace digest mismatch: records were corrupted")
         self.footer = footer
 
+    def text_blocks(self) -> Iterator[List[str]]:
+        """:meth:`blocks` as lists of text lines: one decode and one split
+        per block, not per record; bytes that are not UTF-8 are a
+        :class:`TraceError` naming the block's first line."""
+        for block in self.blocks():
+            try:
+                lines = block[:-1].decode("utf-8").split("\n")
+            except UnicodeDecodeError as exc:
+                # The count covers the lines of the blocks before this one.
+                raise TraceError(
+                    f"records from line {self.records + 2} on are not UTF-8: {exc}"
+                ) from None
+            yield lines
+
+    def record_blocks(self) -> Iterator[List[Record]]:
+        """:meth:`text_blocks` decoded into validated records; a malformed
+        one is a :class:`TraceError` naming its line.  One list is refilled
+        per block, so a block's records are freed before the next decodes."""
+        records: List[Record] = []
+        for lines in self.text_blocks():
+            records.clear()
+            try:
+                records.extend(decode_records(lines))
+            except FeedError as exc:
+                raise TraceError(
+                    f"bad record at line {self.records + len(records) + 2}: {exc}"
+                ) from None
+            yield records
+
 
 def load_trace(source: Union[str, IO[str]]) -> Trace:
     """Load and verify a trace file; raises :class:`TraceError` on damage.
@@ -368,42 +390,18 @@ def _load_trace(handle: IO[bytes]) -> Trace:
     # The lead, prefix and path columns hold references to objects shared
     # per spelling; the timestamps are doubles.
     columns: Columns = ([], [], [], array("d"), array("d"))
-    for block in reader.blocks():
-        lines = _block_lines(reader, block)
-        records: List[Record] = []
-        try:
-            records.extend(decode_records(lines))
-        except FeedError as exc:
-            raise TraceError(
-                f"bad record at line {len(columns[0]) + len(records) + 2}: {exc}"
-            ) from None
+    for records in reader.record_blocks():
         for column, values in zip(columns, zip(*records)):
             column.extend(values)
-    return Trace(reader.header, columns, reader.digest, reader.footer.get("meta"))
-
-
-def _block_lines(reader: _RecordReader, block: bytes) -> List[str]:
-    """One block of ``reader``'s record lines as text: one decode and one
-    split per block, not per record; bytes that are not UTF-8 are a
-    :class:`TraceError` naming the block's first line."""
-    try:
-        return block[:-1].decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        # The reader counts a block's lines once it is resumed past it.
-        raise TraceError(
-            f"records from line {reader.records + 2} on are not UTF-8: {exc}"
-        ) from None
+    return Trace(reader.header, columns, reader.digest, reader.footer)
 
 
 def iter_trace_line_bytes(path: str) -> Iterator[bytes]:
-    """Yield a trace file's raw record lines as bytes, frame-verified.
-
-    The streaming complement to :func:`load_trace` for consumers that
-    route lines without parsing them (the parallel detection plane): the
-    header is checked up front, and the record count and digest when the
-    footer is reached — a damaged trace raises :class:`TraceError` from
-    the iteration, after its records have been yielded.
-    """
+    """Yield a trace file's raw record lines as bytes, frame-verified, for
+    consumers that route lines without parsing them (the parallel detection
+    plane).  Like every iterator here it checks the header up front and
+    count and digest at the footer, so a damaged trace raises
+    :class:`TraceError` from the iteration, after its records were yielded."""
     with open(path, "rb") as handle:
         for block in _RecordReader(handle).blocks():
             yield from block[:-1].split(b"\n")
@@ -413,9 +411,23 @@ def iter_trace_lines(path: str) -> Iterator[str]:
     """:func:`iter_trace_line_bytes`, decoded a block at a time (as
     :func:`load_trace` decodes, with its :class:`TraceError`)."""
     with open(path, "rb") as handle:
+        for lines in _RecordReader(handle).text_blocks():
+            yield from lines
+
+
+def iter_trace_events(path: str, digest: Optional[str] = None) -> Iterator[FeedEvent]:
+    """A trace file's records as events, one block in memory at a time (as
+    :func:`load_trace` decodes, with its :class:`TraceError`); given a
+    ``digest``, the records must still hash to it once they are read."""
+    with open(path, "rb") as handle:
         reader = _RecordReader(handle)
-        for block in reader.blocks():
-            yield from _block_lines(reader, block)
+        for records in reader.record_blocks():
+            yield from map(validated_event, records)
+    if digest is not None and reader.digest != digest:
+        raise TraceError(
+            f"{path} changed after it was verified: its records now hash "
+            f"to {reader.digest[:16]}, not {digest[:16]}"
+        )
 
 
 # ------------------------------------------------------------------- recording
@@ -431,12 +443,7 @@ class TraceRecorder:
     consumed, which is what makes a later replay digest-identical.
     """
 
-    def __init__(
-        self,
-        target: Union[str, IO[str]],
-        meta: Optional[Dict] = None,
-        config=None,
-    ):
+    def __init__(self, target: Union[str, IO[str]], meta: Optional[Dict] = None, config=None):
         self.writer = TraceWriter(target, meta=meta, config=config)
         self._subscriptions: List[Subscription] = []
 
@@ -496,13 +503,6 @@ class VirtualTimer:
         self.slept += seconds
 
 
-class _WallTimer:
-    """The real thing: ``time.monotonic`` / ``time.sleep``."""
-
-    monotonic = staticmethod(time.monotonic)
-    sleep = staticmethod(time.sleep)
-
-
 # ------------------------------------------------------------ recorded sources
 
 
@@ -557,7 +557,6 @@ class ReplayInjector:
         self._channels: List[Tuple[str, ChannelFault]] = []
         #: Fault kinds in the plan that replay cannot express (reported).
         self.skipped: List[str] = []
-        self.events_dropped = 0
         for index, fault in enumerate(plan):
             start = self.arm_at + fault.at
             end = float("inf") if fault.until is None else self.arm_at + fault.until
@@ -593,7 +592,6 @@ class ReplayInjector:
         now = event.delivered_at
         for target, start, end in self.drops:
             if start <= now < end and self._matches(target, event):
-                self.events_dropped += 1
                 return ()
         copies: Optional[List[float]] = None
         for target, channel in self._channels:
@@ -601,7 +599,6 @@ class ReplayInjector:
                 continue
             verdict = channel.on_message(now)
             if not verdict:
-                self.events_dropped += 1
                 return ()
             if verdict == _PASS:
                 continue
@@ -612,71 +609,77 @@ class ReplayInjector:
         return _PASS if copies is None else tuple(copies)
 
     def channel_stats(self) -> Dict[str, int]:
-        judged = dropped = duplicated = reordered = 0
-        for _target, channel in self._channels:
-            judged += channel.messages_judged
-            dropped += channel.messages_dropped
-            duplicated += channel.messages_duplicated
-            reordered += channel.messages_reordered
+        channels = [channel for _target, channel in self._channels]
         return {
-            "judged": judged,
-            "dropped": dropped,
-            "duplicated": duplicated,
-            "reordered": reordered,
+            "judged": sum(channel.messages_judged for channel in channels),
+            "dropped": sum(channel.messages_dropped for channel in channels),
+            "duplicated": sum(channel.messages_duplicated for channel in channels),
+            "reordered": sum(channel.messages_reordered for channel in channels),
         }
 
 
 # ----------------------------------------------------------------- replay tap
 
 
-class ReplayTap:
-    """Replays a recorded trace through its sources on an engine — no graph.
+class ReplayTap(_TraceFrame):
+    """Streams a recorded trace file through its sources on an engine — no
+    graph, and never the whole trace in memory.
+
+    Construction is one verifying pass (header, every record, count and
+    digest: a damaged trace raises :class:`TraceError` before anything is
+    delivered) that keeps only the source names, the first delivery time,
+    and the header and footer — the footer's ``hijack_time`` arms a fault
+    plan.  :meth:`run` reads the file again a block at a time and raises
+    :class:`TraceError` after the last record if that pass hashes
+    differently (the file changed); what it delivered stays delivered.
 
     Each recorded source name is a :class:`RecordedSource` in
-    :attr:`sources`, subscribed to like a live stream.  :meth:`run` drains
-    the trace flat-out (``speed=None``) or paced so one recorded second
-    takes ``1/N`` wall seconds (``speed=N``, through the injectable
-    ``timer``).  Records go out in trace order, timestamps untouched;
-    everything else is an event on :attr:`engine`, whose clock is event
-    time: a reordered or duplicated copy, an outage window's disconnect and
-    restore, a supervisor's checks and retries.  Before each record the
+    :attr:`sources`.  Records go out in trace order, timestamps untouched,
+    flat-out (``speed=None``) or paced so one recorded second takes ``1/N``
+    wall seconds (``speed=N``, through the injectable ``timer``);
+    everything else — a reordered or duplicated copy, an outage's
+    disconnect and restore, a supervisor's checks — is an event on
+    :attr:`engine`, whose clock is event time.  Before each record the
     engine fires whatever is due by the record's time, and it runs to the
     end once the trace is drained, so an unfaulted, unsupervised replay
-    does no engine work per record.
-
-    ``run(max_events=K)`` is resumable: it consumes at most ``K`` further
-    records and returns with the engine at the last record read, where it
-    stays until :meth:`run` is called again.
+    does no engine work per record.  ``run(max_events=K)`` is resumable: it
+    reads at most ``K`` further records and leaves the engine at the last
+    one read until :meth:`run` is called again.
     """
 
     def __init__(
         self,
-        trace: Union[Trace, Sequence[FeedEvent]],
+        path: str,
         speed: Optional[float] = None,
         timer=None,
         faults: Union[FaultPlan, Dict, str, None] = None,
         arm_at: Optional[float] = None,
         seed: int = 0,
     ):
-        if isinstance(trace, Trace):
-            self.trace: Optional[Trace] = trace
-            # The trace's own view: each record becomes an event as it is read.
-            self.events: Sequence[FeedEvent] = trace.events
-            source_names = trace.source_names()
-        else:
-            self.trace = None
-            self.events = sorted(trace, key=lambda e: e.delivered_at)
-            source_names = sorted({event.source for event in self.events})
         if speed is not None and speed <= 0:
             raise TraceError(f"replay speed must be positive, got {speed}")
+        # The verifying pass: records are decoded and dropped block by block.
+        leads: set = set()
+        start: Optional[float] = None
+        with open(path, "rb") as handle:
+            reader = _RecordReader(handle)
+            for records in reader.record_blocks():
+                if start is None and records:
+                    start = records[0][4]
+                leads.update(map(itemgetter(0), records))
+        start = 0.0 if start is None else start
+        self.path = path
+        self.header, self.footer, self.digest = reader.header, reader.footer, reader.digest
+        #: The trace's record count, verified against its footer.
+        self.records = reader.records
         self.speed = speed
-        self._timer = timer if timer is not None else _WallTimer()
-        start = self.events[0].delivered_at if self.events else 0.0
+        # Wall time: the ``time`` module has the timer's monotonic() and sleep().
+        self._timer = timer if timer is not None else time
         self.engine = Engine()
         self.engine.run(until=start)
         self.sources: Dict[str, RecordedSource] = {
             source_name: RecordedSource(source_name, self.engine)
-            for source_name in source_names
+            for source_name in sorted({lead[0] for lead in leads})
         }
         # Fault plan, armed at the recorded hijack instant by default.
         self.injector: Optional[ReplayInjector] = None
@@ -686,14 +689,15 @@ class ReplayTap:
             elif isinstance(faults, dict):
                 faults = FaultPlan.from_dict(faults)
             if arm_at is None:
-                recorded = self.trace.hijack_time if self.trace is not None else None
+                recorded = self.hijack_time
                 arm_at = recorded if recorded is not None else start
             self.injector = ReplayInjector(faults, arm_at=arm_at, seed=seed)
             for target, down, up in self.injector.drops:
                 if target in self.sources:
                     self._schedule(down, self.sources[target].disconnect, up)
                     self._schedule(up, self.sources[target].restore_transport)
-        self._cursor = 0
+        #: The delivering pass, opened on the first :meth:`run`.
+        self._events = iter_trace_events(path, self.digest)
         #: Copies scheduled on the engine and not yet delivered.
         self._in_flight = 0
         # Stats.
@@ -741,29 +745,21 @@ class ReplayTap:
     def run(self, max_events: Optional[int] = None) -> "ReplayTap":
         """Drain the trace (or the next ``max_events`` records) into the sources."""
         engine = self.engine
-        events = self.events
-        stop = len(events)
-        if max_events is not None:
-            stop = min(stop, self._cursor + max_events)
         wall_start = self._timer.monotonic()
         # Re-anchor pacing at every call so a paused replay resumes at
         # recorded cadence instead of sprinting to catch up.
         event_anchor = when = engine.now
         due = engine.peek_time()
         try:
-            while self._cursor < stop:
-                event = events[self._cursor]
+            for event in islice(self._events, max_events):
                 when = event.delivered_at
                 while due is not None and due <= when:
                     engine.step()
                     due = engine.peek_time()
-                self._cursor += 1
                 self.records_read += 1
                 COUNTERS.replay_records_read += 1
                 self._pace(when, wall_start, event_anchor)
-                verdict = (
-                    self.injector.judge(event) if self.injector is not None else _PASS
-                )
+                verdict = _PASS if self.injector is None else self.injector.judge(event)
                 if not verdict:
                     self.events_dropped += 1
                     COUNTERS.replay_events_dropped += 1
@@ -786,8 +782,12 @@ class ReplayTap:
             # Paused, the engine waits at the last record read; drained, it
             # runs on until the last delayed copy is out.
             engine.run(until=max(when, engine.now))
-            if self._cursor < len(events):
+            if self.records_read < self.records:
                 return self
+            # One more step past the last record runs the pass's footer and
+            # digest checks; a record there means the file grew.
+            for _extra in self._events:
+                raise TraceError(f"{self.path} changed after it was verified")
             while self._in_flight:
                 engine.step()
             self.finished = True
@@ -797,14 +797,12 @@ class ReplayTap:
 
     # ------------------------------------------------------------------ stats
 
-    def updates_per_second(self) -> Optional[float]:
-        if self.wall_seconds <= 0:
-            return None
-        return self.records_read / self.wall_seconds
-
     def stats(self) -> Dict:
+        """Counters of the replay so far; ``updates_per_second`` is records
+        read over :meth:`run`'s wall seconds, reading and decoding included."""
+        wall = self.wall_seconds
         return {
-            "records": len(self.events),
+            "records": self.records,
             "records_read": self.records_read,
             "events_delivered": self.events_delivered,
             "events_filtered": self.events_filtered,
@@ -812,14 +810,14 @@ class ReplayTap:
             "copies_queued": self.copies_queued,
             "backlog_peak": self.backlog_peak,
             "behind_peak_wall": self.behind_peak,
-            "wall_seconds": self.wall_seconds,
-            "updates_per_second": self.updates_per_second(),
+            "wall_seconds": wall,
+            "updates_per_second": self.records_read / wall if wall > 0 else None,
             "finished": self.finished,
         }
 
     def __repr__(self) -> str:
         return (
-            f"<ReplayTap {self.records_read}/{len(self.events)} records "
+            f"<ReplayTap {self.records_read}/{self.records} records "
             f"speed={'flat-out' if self.speed is None else self.speed}>"
         )
 
@@ -885,11 +883,12 @@ def alert_sequence_digest(alerts) -> str:
 
 
 class ReplaySession:
-    """A standalone detection plane fed from a recorded trace.
+    """A standalone detection plane fed from a recorded trace file.
 
     Builds :class:`DetectionService` + :class:`MonitoringService` from the
     trace's embedded config (or an explicit one) and subscribes them to
-    the tap's recorded sources; with ``supervise=True`` it also starts a
+    the recorded sources of a :class:`ReplayTap` over ``path``; with
+    ``supervise=True`` it also starts a
     :class:`~repro.feeds.health.SourceSupervisor` over those sources on the
     tap's engine, as :class:`~repro.core.artemis.Artemis` does with live
     feeds.  Reports the load numbers the bench harness and the ``replay``
@@ -898,7 +897,7 @@ class ReplaySession:
 
     def __init__(
         self,
-        trace: Union[Trace, str],
+        path: str,
         config=None,
         speed: Optional[float] = None,
         timer=None,
@@ -910,16 +909,13 @@ class ReplaySession:
         from repro.core.detection import DetectionService
         from repro.core.monitoring import MonitoringService
 
-        if isinstance(trace, str):
-            trace = load_trace(trace)
-        self.trace = trace
-        config = config if config is not None else trace.config
+        self.tap = ReplayTap(path, speed=speed, timer=timer, faults=faults, seed=seed)
+        config = config if config is not None else self.tap.config
         if config is None:
             raise TraceError(
                 "trace has no embedded config; pass config= explicitly"
             )
         self.config = config
-        self.tap = ReplayTap(trace, speed=speed, timer=timer, faults=faults, seed=seed)
         sources = list(self.tap.sources.values())
         self.detection = DetectionService(config)
         self.monitoring = MonitoringService(config)
@@ -962,7 +958,7 @@ class ReplaySession:
         report["mean_lag_by_source"] = self.monitoring.mean_lag_by_source()
         report["time_to_first_alert_wall"] = self.first_alert_wall
         report["peak_rss_kb"] = COUNTERS.peak_rss_kb
-        hijack_time = self.trace.hijack_time
+        hijack_time = self.tap.hijack_time
         if self.alerts and hijack_time is not None:
             first = self.alerts[0]
             report["detection_delay"] = first.detected_at - hijack_time

@@ -191,7 +191,8 @@ class TestTenantReplayLoadsWhatItReads:
         from repro.net.prefix import Prefix
 
         trace = str(tmp_path / "t.trace")
-        with TraceWriter(trace) as writer:
+        owned = ArtemisConfig([OwnedPrefix("10.0.0.0/16", [65000])])
+        with TraceWriter(trace, config=owned) as writer:
             for i in range(40):
                 writer.append(
                     FeedEvent(
@@ -233,6 +234,28 @@ class TestTenantReplayLoadsWhatItReads:
         code = main(["replay", trace, "--tenants", spec, "--detect-workers", "2"])
         assert code == 0
         assert self.digest(capsys) == single
+
+    def test_replay_without_tenants_never_loads_the_trace(
+        self, trace_and_spec, capsys, monkeypatch
+    ):
+        from repro.feeds.replay import alert_sequence_digest
+
+        def row(out, name):
+            return next(l.split()[-1] for l in out.splitlines() if l.split()[:-1] == name.split())
+
+        trace, _spec = trace_and_spec
+        assert main(["replay", trace]) == 0
+        out = capsys.readouterr().out
+        loaded = row(out, "alert digest")
+        assert int(row(out, "alerts")) > 0
+        assert loaded != alert_sequence_digest([])[:16]
+
+        def refuse(path):
+            raise AssertionError("the replay tap loaded the trace")
+
+        monkeypatch.setattr("repro.feeds.replay.load_trace", refuse)
+        assert main(["replay", trace]) == 0
+        assert row(capsys.readouterr().out, "alert digest") == loaded
 
     def test_max_events_is_refused_with_workers(self, trace_and_spec, capsys):
         trace, spec = trace_and_spec

@@ -9,13 +9,7 @@ from repro.core.config import ArtemisConfig, OwnedPrefix
 from repro.errors import FeedError
 from repro.feeds.dumpfile import format_event, parse_event
 from repro.feeds.events import FeedEvent
-from repro.feeds.replay import (
-    ReplaySession,
-    ReplayTap,
-    TraceRecorder,
-    TraceWriter,
-    load_trace,
-)
+from repro.feeds.replay import ReplaySession, TraceRecorder, TraceWriter, load_trace
 from repro.net.prefix import Prefix
 
 
@@ -117,14 +111,6 @@ class TestRecorder:
         assert session.run()["records_read"] == 2
         assert len(session.alerts) == 1
         assert session.alerts[0].offender_asn == 666
-
-    def test_replay_orders_by_delivery(self):
-        # A bare event list (no sealed trace) is replayed in delivery order.
-        tap = ReplayTap([make_event(t=5.0), make_event(t=1.0)])
-        seen = []
-        tap.sources["ris"].subscribe(lambda e: seen.append(e.delivered_at))
-        tap.run()
-        assert seen == [1.0, 5.0]
 
 
 path_elements = st.lists(

@@ -13,12 +13,16 @@ The contract under test (see DESIGN.md "Trace format"):
   paused replay cannot age one into DEAD, and a recorded outage produces
   DEAD and LIVE at the times a live supervisor on an engine would;
 * byte-identical duplicate deliveries (a ``dup`` fault on the replay
-  path) never found new incidents or re-key first evidence.
+  path) never found new incidents or re-key first evidence;
+* the tap takes a path and verifies the whole file before its first
+  delivery, then streams it again; a file that changed in between is a
+  :class:`TraceError` from ``run()``.
 """
 
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
@@ -28,6 +32,7 @@ from repro.core.config import ArtemisConfig, OwnedPrefix
 from repro.faults import Fault, FaultPlan
 from repro.feeds.events import ANNOUNCE, FeedEvent
 from repro.feeds.replay import (
+    RecordedSource,
     ReplaySession,
     ReplayTap,
     TraceError,
@@ -56,6 +61,14 @@ def make_events(count: int = 6, source: str = "ris") -> list:
         )
         for i in range(count)
     ]
+
+
+def write_events(path, events, config=None) -> str:
+    """Seal ``events`` into a trace file at ``path``; returns the path."""
+    with TraceWriter(str(path), config=config) as writer:
+        for event in events:
+            writer.append(event)
+    return str(path)
 
 
 # ------------------------------------------------------------- trace format
@@ -264,7 +277,7 @@ class TestReplaySupervision:
         )
         session.run(max_events=20)
         paused_at = session.tap.engine.now
-        assert paused_at == session.tap.events[19].delivered_at
+        assert paused_at == load_trace(recorded["path"]).events[19].delivered_at
         staleness = session.supervisor.staleness_table()
         # The operator walks away: an hour of wall time passes, the engine
         # does not move, so no source ages and nothing may die.
@@ -428,14 +441,10 @@ class TestReplayTapMechanics:
         events = make_events(12)
         events.insert(10, FeedEvent("ris", "ris-rrc0", 99, ANNOUNCE, PREFIX,
                                     (99, 666), 0.5, 0.6))
-        path = str(tmp_path / "backstep.trace")
-        with TraceWriter(path) as writer:
-            for event in events:
-                writer.append(event)
-            writer.close()
+        path = write_events(tmp_path / "backstep.trace", events)
         plan = FaultPlan([Fault("reorder", "ris", at=0.0, duration=1000.0,
                                 probability=1.0, jitter=1.0)])
-        tap = ReplayTap(load_trace(path), faults=plan, arm_at=0.0)
+        tap = ReplayTap(path, faults=plan, arm_at=0.0)
         clocks, seen = [], []
 
         def on_event(event):
@@ -452,18 +461,91 @@ class TestReplayTapMechanics:
         assert clocks == sorted(clocks)
         assert tap.engine.now >= clocks[-1]
 
-    def test_tap_filters_by_subscription_interest(self):
-        tap = ReplayTap(make_events())
+    def test_tap_filters_by_subscription_interest(self, tmp_path):
+        tap = ReplayTap(write_events(tmp_path / "t.trace", make_events()))
         seen = []
         elsewhere = [Prefix.parse("192.0.2.0/24")]
         tap.sources["ris"].subscribe(seen.append, prefixes=elsewhere)
         tap.run()
         assert seen == []
-        assert tap.events_filtered == len(tap.events)
+        assert tap.events_filtered == tap.records == 6
 
-    def test_unexpressible_fault_kinds_are_reported_not_silent(self):
+    def test_unexpressible_fault_kinds_are_reported_not_silent(self, tmp_path):
         plan = FaultPlan(
             [Fault("delay", "ris", at=0.0, duration=10.0, factor=3.0)]
         )
-        tap = ReplayTap(make_events(), faults=plan, arm_at=0.0)
+        path = write_events(tmp_path / "t.trace", make_events())
+        tap = ReplayTap(path, faults=plan, arm_at=0.0)
         assert tap.injector.skipped == ["delay:ris"]
+
+
+# ------------------------------------------------ verify once, then stream
+
+
+def rewrite_footer(path, **changes) -> None:
+    """Overwrite fields of the sealed footer of the trace at ``path``."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    footer = json.loads(lines[-1][len("#%END "):])
+    footer.update(changes)
+    lines[-1] = "#%END " + json.dumps(footer, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(lines)
+
+
+def damage_last_record(path) -> None:
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    lines[-2] = "Z" + lines[-2][1:]  # kind Z: not a record
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(lines)
+
+
+class TestStreamingTap:
+    """``ReplayTap`` verifies the whole file before its first delivery, then
+    reads it again a block at a time, and fails if the two passes differ."""
+
+    CONFIG = ArtemisConfig([OwnedPrefix(PREFIX, {64500})])
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (damage_last_record, "bad record at line 7"),
+            (lambda path: rewrite_footer(path, records=5), "record count mismatch"),
+            (lambda path: rewrite_footer(path, sha256="0" * 64), "digest mismatch"),
+        ],
+        ids=["last-record", "footer-count", "footer-digest"],
+    )
+    def test_damage_raises_before_any_delivery(self, tmp_path, monkeypatch, damage, message):
+        path = write_events(tmp_path / "t.trace", make_events(), config=self.CONFIG)
+        damage(path)
+        delivered = []
+        monkeypatch.setattr(RecordedSource, "deliver", lambda source, event: delivered.append(event))
+        with pytest.raises(TraceError, match=message):
+            ReplaySession(path)
+        assert delivered == []
+
+    @pytest.mark.parametrize("max_events", [None, 6], ids=["drain", "exactly-the-verified-count"])
+    @pytest.mark.parametrize("count", [6, 4, 8], ids=["edited", "shorter", "longer"])
+    def test_a_file_changed_after_construction_fails_run(self, tmp_path, count, max_events):
+        path = write_events(tmp_path / "t.trace", make_events(), config=self.CONFIG)
+        session = ReplaySession(path)
+        changed = make_events(count)
+        changed[3] = FeedEvent("ris", "ris-rrc0", 103, ANNOUNCE, PREFIX, (103, 64500), 3.0, 3.5)
+        write_events(path, changed, config=self.CONFIG)
+        with pytest.raises(TraceError, match="changed after it was verified"):
+            session.run(max_events=max_events)
+        assert not session.tap.finished
+
+    def test_the_tap_reads_header_and_footer_without_the_records(self, tmp_path):
+        path = str(tmp_path / "t.trace")
+        with TraceWriter(path, meta={"seed": 7}, config=self.CONFIG) as writer:
+            for event in make_events():
+                writer.append(event)
+            writer.close(meta={"hijack_time": 2.5})
+        tap, trace = ReplayTap(path), load_trace(path)
+        assert (tap.meta, tap.hijack_time, tap.digest) == (trace.meta, 2.5, trace.digest)
+        assert tap.config.to_dict() == trace.config.to_dict()
+        assert tap.records == len(trace) == 6
+        assert sorted(tap.sources) == list(trace.source_names())
+        assert not hasattr(tap, "events") and not hasattr(tap, "trace")

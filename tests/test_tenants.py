@@ -1083,6 +1083,27 @@ class TestParallelDetectionPlane:
         assert "epoch" in message
         thread.join(timeout=5.0)
 
+    @pytest.mark.parametrize("sent, expected", [(2, 1), (1, 2)], ids=["skipped", "repeated"])
+    def test_wrong_batch_epoch_fails_finish(self, tmp_path, sent, expected):
+        """A forked worker handed a BATCH whose epoch skips ahead or repeats
+        dies with its diagnosis, and ``finish()`` raises it."""
+        trace = write_mini_trace(tmp_path / "mini.trace", rounds=2)
+        lines = [line.encode("utf-8") for line in iter_trace_lines(trace)]
+        parallel = ParallelDetectionPlane(worker_registry(), num_workers=1)
+        parallel.start()
+        try:
+            if expected == 2:
+                parallel.feed_line_bytes(lines)
+                parallel._ship(0)  # epoch 1, in order
+            parallel._group.send(0, frames.encode_batch(sent, lines))
+            with pytest.raises(
+                TenantWorkerError, match=f"batch epoch {sent} arrived, expected {expected}"
+            ):
+                parallel.finish()
+        finally:
+            parallel.close()
+        assert multiprocessing.active_children() == []
+
     def test_start_ships_no_registry_bytes(self):
         COUNTERS.reset()
         parallel = ParallelDetectionPlane(worker_registry(), num_workers=2)

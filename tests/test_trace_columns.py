@@ -11,7 +11,9 @@ The contract under test (see DESIGN.md "Record decoder contract" and
 * events are built fresh on every access, so identity is not preserved;
 * a load holds no event objects — at most 64 B per record, traced;
 * ``span()`` is the extent of the delivery times, in whatever order they
-  come, and ``ReplayTap`` replays the trace's own view rather than a copy.
+  come;
+* a ``ReplayTap`` holds none of this: its traced peak does not grow with
+  the trace's length.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ from hypothesis import strategies as st
 
 from repro.feeds.dumpfile import parse_event
 from repro.feeds.events import ANNOUNCE, WITHDRAW, FeedEvent
-from repro.feeds.replay import ReplayTap, TraceEvents, TraceWriter, iter_trace_lines, load_trace
+from repro.feeds.replay import (
+    ReplayTap,
+    TraceEvents,
+    TraceWriter,
+    _RecordReader,
+    iter_trace_lines,
+    load_trace,
+)
 from repro.net.prefix import Prefix
 
 from test_decoder import write_trace
@@ -177,15 +186,48 @@ def test_span_of_one_record_is_zero(tmp_path):
     assert load_trace(path).span() == 0.0
 
 
-def test_tap_replays_the_trace_view_without_copying(tmp_path):
-    trace = load_trace(write_backstep_trace(tmp_path / "backstep.trace"))
-    tap = ReplayTap(trace)
-    assert tap.events is trace.events
-    assert sorted(tap.sources) == list(trace.source_names())
+def traced(action):
+    """Bytes ``action()`` leaves live and its peak, both traced above what
+    was live when it started."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        action()
+        held, peak = tracemalloc.get_traced_memory()
+        return held - before, peak - before
+    finally:
+        tracemalloc.stop()
+
+
+def tap_replay(path):
+    """``ReplayTap(path).run()`` with one no-op subscriber per source."""
+    tap = ReplayTap(path)
+    for source in tap.sources.values():
+        source.subscribe(lambda event: None)
+    tap.run()
+    assert tap.finished and tap.records_read == tap.records
+
+
+def test_tap_peak_memory_is_constant_in_trace_length(tmp_path, monkeypatch):
+    """The tap holds one block of records, never the trace.  Blocks shrink
+    to 16 KiB (≈230 records) so test-sized traces span many of them: a
+    trace 8x longer peaks within 1.25x as high, and below what
+    ``load_trace`` keeps of it."""
+    monkeypatch.setattr(_RecordReader, "BLOCK", 1 << 14)
+    short = write_mini_trace(tmp_path / "short.trace", rounds=200)  # 1,600 records
+    long = write_mini_trace(tmp_path / "long.trace", rounds=1600)  # 12,800 records
+    tap_replay(short)  # warm the decoder's tables
+    _, short_peak = traced(lambda: tap_replay(short))
+    _, long_peak = traced(lambda: tap_replay(long))
+    loaded = []
+    load_held, _ = traced(lambda: loaded.append(load_trace(long)))
+    assert long_peak <= 1.25 * short_peak, (short_peak, long_peak)
+    assert long_peak < load_held, (long_peak, load_held)
+    # The replay delivered every record, in file order.
     seen = []
+    tap = ReplayTap(long)
     for source in tap.sources.values():
         source.subscribe(seen.append)
     tap.run()
-    assert [event.content_key() for event in seen] == [
-        event.content_key() for event in trace.events
-    ]
+    assert [e.content_key() for e in seen] == [e.content_key() for e in loaded[0].events]
