@@ -80,21 +80,6 @@ class Announcement:
         """The AS that sent this announcement (first path element)."""
         return self.as_path[0]
 
-    def prepended(self, asn: int, times: int = 1) -> "Announcement":
-        """A copy with ``asn`` prepended ``times`` times (export-side)."""
-        if times < 1:
-            raise BGPError(f"prepend count must be >= 1, got {times}")
-        return Announcement(
-            self.prefix,
-            (int(asn),) * times + self.as_path,
-            self.origin_attr,
-            self.communities,
-        )
-
-    def has_loop(self, asn: int) -> bool:
-        """True if ``asn`` already appears in the AS path (RFC 4271 loop check)."""
-        return int(asn) in self.as_path
-
     def __deepcopy__(self, memo) -> "Announcement":
         # Immutable value object: checkpoint forks share announcements
         # (Adj-RIB-Out tables, in-flight updates) structurally.
@@ -182,16 +167,3 @@ class UpdateMessage:
             f"UpdateMessage(from=AS{self.sender_asn} "
             f"+{len(self.announcements)} -{len(self.withdrawals)})"
         )
-
-
-def single_announcement(
-    prefix: Prefix, as_path: Sequence[int], origin_attr: int = ORIGIN_IGP
-) -> UpdateMessage:
-    """Convenience: an UPDATE carrying exactly one announcement."""
-    announcement = Announcement(prefix, as_path, origin_attr)
-    return UpdateMessage(announcement.sender_as, announcements=(announcement,))
-
-
-def single_withdrawal(sender_asn: int, prefix: Prefix) -> UpdateMessage:
-    """Convenience: an UPDATE carrying exactly one withdrawal."""
-    return UpdateMessage(sender_asn, withdrawals=(Withdrawal(prefix),))

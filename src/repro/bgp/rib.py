@@ -12,24 +12,20 @@ Three structures mirror RFC 4271:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.bgp.route import Route
 from repro.net.prefix import Address, Prefix, covered_range, longest_match
 from repro.perf import COUNTERS as _C
-
-#: Shared empty mapping backing :meth:`AdjRibIn.candidates_view` misses —
-#: callers only iterate the view, so one immutable-by-convention dict is safe.
-_EMPTY: Dict[int, Route] = {}
 
 
 class AdjRibIn:
     """Routes learned from neighbors, indexed by prefix.
 
     ``by_prefix`` drives the decision process (all candidates for a prefix)
-    and is the only index: the two per-peer readers (session teardown and
-    :meth:`prefixes_from`) are rare, so they scan it instead of every
-    announcement paying for a second table.  It is keyed by
+    and is the only index: the per-peer reader (session teardown) is rare,
+    so it scans it instead of every announcement paying for a second
+    table.  It is keyed by
     :attr:`Prefix.ikey` (C-level int hashing on the hot path); the stored
     routes carry the real :class:`Prefix` objects.
     """
@@ -125,22 +121,9 @@ class AdjRibIn:
 
         Convenience/API form — the copy makes the result safe to hold across
         mutations.  Hot paths (the decision process, LG queries) use
-        :meth:`candidates_view` or :meth:`prefix_table` instead; as of the
-        warm-start work no simulation hot path calls this.
+        :meth:`prefix_table` instead; no simulation hot path calls this.
         """
-        return list(self._by_prefix.get(prefix.ikey, _EMPTY).values())
-
-    def candidates_view(self, prefix: Prefix) -> Iterable[Route]:
-        """Like :meth:`candidates` but without the list copy.
-
-        The returned view aliases internal state: it is only valid until the
-        next mutation and must not be stored.  The decision process full scan
-        iterates it exactly once, which is all the hot path needs.
-        """
-        return self._by_prefix.get(prefix.ikey, _EMPTY).values()
-
-    def route_from(self, peer_asn: int, prefix: Prefix) -> Optional[Route]:
-        return self._by_prefix.get(prefix.ikey, _EMPTY).get(peer_asn)
+        return list(self._by_prefix.get(prefix.ikey, {}).values())
 
     def _routes_from(self, peer_asn: int) -> List[Route]:
         """``peer_asn``'s routes in ascending ``ikey`` (= prefix) order: one
@@ -151,17 +134,9 @@ class AdjRibIn:
         )
         return [by_prefix[ikey][peer_asn] for ikey in learned]
 
-    def prefixes_from(self, peer_asn: int) -> List[Prefix]:
-        """All prefixes currently learned from ``peer_asn``, ascending."""
-        return [route.prefix for route in self._routes_from(peer_asn)]
-
-    def drop_peer(self, peer_asn: int) -> List[Prefix]:
-        """Remove every route from ``peer_asn`` (session down); returns prefixes."""
-        return [prefix for prefix, _route in self.drop_peer_routes(peer_asn)]
-
     def drop_peer_routes(self, peer_asn: int) -> List[Tuple[Prefix, Route]]:
-        """Like :meth:`drop_peer` but returns ``(prefix, removed_route)`` pairs
-        so the caller can run the withdraw-aware incremental decision.
+        """Remove every route from ``peer_asn`` (session down) and return the
+        ``(prefix, removed_route)`` pairs for the withdraw-aware decision.
 
         Pairs come in ascending ``ikey`` order whatever the learn order —
         the one teardown order.

@@ -99,24 +99,6 @@ class Route:
         """A self-originated route (empty AS path, top preference)."""
         return cls(prefix, (), None, local_pref)
 
-    @classmethod
-    def from_announcement(
-        cls,
-        announcement: Announcement,
-        peer_asn: int,
-        local_pref: int,
-        learned_at: float,
-    ) -> "Route":
-        return cls(
-            announcement.prefix,
-            announcement.as_path,
-            peer_asn,
-            local_pref,
-            announcement.origin_attr,
-            learned_at,
-            announcement.communities,
-        )
-
     @property
     def is_local(self) -> bool:
         """True for self-originated routes."""
@@ -130,10 +112,6 @@ class Route:
         ``None`` as X itself; :class:`~repro.bgp.speaker.BGPSpeaker` does so.
         """
         return self.as_path[-1] if self.as_path else None
-
-    @property
-    def path_length(self) -> int:
-        return len(self.as_path)
 
     def to_announcement(self, sender_asn: int, prepend: int = 1) -> Announcement:
         """Export form of this route: ``sender_asn`` prepended to the path."""
@@ -170,14 +148,6 @@ class Route:
         # dedup compares announcement *content* when the cache identity
         # misses, so sharing the cache across forks cannot change behaviour.
         return self
-
-    def same_attributes(self, other: "Route") -> bool:
-        """True when re-announcing ``other`` instead of ``self`` would be a no-op."""
-        return (
-            self.prefix == other.prefix
-            and self.as_path == other.as_path
-            and self.origin_attr == other.origin_attr
-        )
 
     def __repr__(self) -> str:
         path = " ".join(str(a) for a in self.as_path) or "local"

@@ -101,15 +101,6 @@ class RPKIRegistry:
         bucket.append(roa)
         self._count += 1
 
-    def remove_roa(self, roa: ROA) -> None:
-        bucket = self._roas.get(roa.prefix.ikey)
-        if not bucket or roa not in bucket:
-            raise BGPError(f"{roa!r} is not in the registry")
-        bucket.remove(roa)
-        self._count -= 1
-        if not bucket:
-            del self._roas[roa.prefix.ikey]
-
     def covering_roas(self, prefix: Prefix) -> List[ROA]:
         """Every ROA whose prefix covers ``prefix``."""
         return [

@@ -345,7 +345,7 @@ class BGPSpeaker:
             created = 0
         for announcement in message.announcements:
             as_path = announcement.as_path
-            if my_asn in as_path:  # inline has_loop
+            if my_asn in as_path:  # RFC 4271 loop check
                 continue
             prefix = announcement.prefix
             if accept_all:
@@ -439,16 +439,6 @@ class BGPSpeaker:
 
     # ----------------------------------------------------------------- decision
 
-    def _candidates(self, prefix: Prefix) -> List[Route]:
-        # candidates_view avoids the defensive copy candidates() makes; the
-        # list() here is the *one* copy this caller actually needs (it
-        # appends the local route and hands ownership out).
-        routes = list(self.adj_rib_in.candidates_view(prefix))
-        local = self._local_routes.get(prefix.ikey)
-        if local is not None:
-            routes.append(local)
-        return routes
-
     def _run_decision(self, prefix: Prefix, old: object = _UNKNOWN) -> None:
         """Full decision process: rescan every candidate for ``prefix``.
 
@@ -536,8 +526,8 @@ class BGPSpeaker:
         if (
             best is not None
             and old is not None
-            # Inline of same_attributes minus the prefix check: both routes
-            # are for ``prefix`` by construction.
+            # Same attributes (both routes are for ``prefix`` by
+            # construction, so the prefix needs no check).
             and best.origin_attr == old.origin_attr
             and best.as_path == old.as_path
             # Same peer too: a learned path always starts with its peer's

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
-from repro.net.prefix import Prefix, longest_match
+from repro.net.prefix import Prefix
 
 
 class OwnedPrefix:
@@ -51,12 +51,6 @@ class OwnedPrefix:
 
     def origin_is_legit(self, origin_asn: Optional[int]) -> bool:
         return origin_asn is not None and int(origin_asn) in self.legit_origins
-
-    def upstream_is_legit(self, upstream_asn: int) -> bool:
-        """True when path checking is off or the upstream is whitelisted."""
-        if self.legit_upstreams is None:
-            return True
-        return int(upstream_asn) in self.legit_upstreams
 
     def to_dict(self) -> Dict:
         data: Dict = {
@@ -231,18 +225,6 @@ class ArtemisConfig:
     def entry_for(self, prefix: Prefix) -> Optional[OwnedPrefix]:
         """Exact owned entry for ``prefix``, if configured."""
         return self._owned_by_key.get(prefix.ikey)
-
-    def covering_entry(self, prefix: Prefix) -> Optional[OwnedPrefix]:
-        """The most specific owned prefix covering ``prefix`` (or None)."""
-        return longest_match(self._owned_by_key, prefix)
-
-    def covering_space(self, prefix: Prefix) -> Optional[OwnedSpace]:
-        """The most specific owned *space* covering ``prefix`` (or None).
-
-        Covering includes the exact prefix itself — squatting the whole
-        unannounced block is still squatting.
-        """
-        return longest_match(self._space_by_key, prefix)
 
     def max_announce_length(self, version: int) -> int:
         return self.max_announce_length_v4 if version == 4 else self.max_announce_length_v6

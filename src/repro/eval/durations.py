@@ -72,10 +72,6 @@ class HijackDurationModel:
                 return p0 + (p1 - p0) * fraction
         return 1.0
 
-    def fraction_shorter_than(self, duration: float) -> float:
-        """Convenience alias: fraction of hijacks ending within ``duration``."""
-        return self.cdf(duration)
-
     def fraction_outlived_by(self, response_time: float) -> float:
         """Fraction of hijack events that last *longer* than ``response_time``.
 

@@ -42,7 +42,6 @@ class FaultInjector:
         self.log: List[Tuple[float, str, str]] = []
         self.faults_applied = 0
         self._armed = False
-        self._handles: List = []
         #: Lazily installed per-collector channel judges (shared across the
         #: loss/dup/reorder faults that hit the same collector).
         self._channels: Dict[str, ChannelFault] = {}
@@ -124,16 +123,7 @@ class FaultInjector:
             start = base + fault.at
             end = None if fault.until is None else base + fault.until
             apply = getattr(self, f"_apply_{fault.kind}")
-            self._handles.append(
-                self.engine.schedule_at(start, apply, fault, index, end)
-            )
-
-    def disarm(self) -> None:
-        """Cancel every not-yet-fired fault timer."""
-        for handle in self._handles:
-            handle.cancel()
-        self._handles.clear()
-        self._armed = False
+            self.engine.schedule_at(start, apply, fault, index, end)
 
     def _note(self, action: str, target: str) -> None:
         self.log.append((self.engine.now, action, target))
@@ -141,7 +131,7 @@ class FaultInjector:
 
     def _later(self, when: Optional[float], callback, *args) -> None:
         if when is not None:
-            self._handles.append(self.engine.schedule_at(when, callback, *args))
+            self.engine.schedule_at(when, callback, *args)
 
     # ----------------------------------------------------------- fault actions
 
@@ -272,10 +262,8 @@ class FaultInjector:
             session.tear_down()
             host.remove_peer(collector.asn)
             self._note("flap-down", f"{fault.target}:AS{fault.vantage}")
-        self._handles.append(
-            self.engine.schedule(
-                fault.period / 2.0, self._flap_up, fault, session, host, collector, end
-            )
+        self.engine.schedule(
+            fault.period / 2.0, self._flap_up, fault, session, host, collector, end
         )
 
     def _flap_up(self, fault: Fault, session, host, collector, end) -> None:
@@ -284,16 +272,14 @@ class FaultInjector:
             host.add_peer(session, Relationship.MONITOR)
             self._note("flap-up", f"{fault.target}:AS{fault.vantage}")
         if self.engine.now + fault.period / 2.0 < end:
-            self._handles.append(
-                self.engine.schedule(
-                    fault.period / 2.0,
-                    self._flap_down,
-                    fault,
-                    session,
-                    host,
-                    collector,
-                    end,
-                )
+            self.engine.schedule(
+                fault.period / 2.0,
+                self._flap_down,
+                fault,
+                session,
+                host,
+                collector,
+                end,
             )
 
     def __repr__(self) -> str:

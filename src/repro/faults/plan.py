@@ -192,14 +192,6 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.faults)
 
-    def add(self, fault: Fault) -> "FaultPlan":
-        self.faults.append(fault)
-        return self
-
-    def targets(self) -> List[str]:
-        """Distinct fault targets, sorted."""
-        return sorted({fault.target for fault in self.faults})
-
     def to_dict(self) -> Dict:
         return {
             "name": self.name,

@@ -47,21 +47,6 @@ class MonitorDeployment:
         #: only when that source is enabled (never part of the shared world).
         self.rib_archive: Optional[BatchArchive] = None
 
-    @property
-    def streams(self) -> List:
-        """All push-style sources (for uniform subscription loops)."""
-        return [self.ris, self.bgpmon]
-
-    @property
-    def all_vantage_asns(self) -> List[int]:
-        """Union of every AS any source observes, sorted."""
-        return sorted(
-            set(self.ris_vantages)
-            | set(self.bgpmon_vantages)
-            | set(self.lg_asns)
-            | set(self.batch_vantages)
-        )
-
     def __repr__(self) -> str:
         return (
             f"<MonitorDeployment ris={len(self.ris_vantages)} "

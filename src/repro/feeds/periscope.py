@@ -243,14 +243,6 @@ class PeriscopeAPI(Subscribable):
     def polling(self) -> bool:
         return bool(self._poll_handles)
 
-    def queries_per_minute(self) -> float:
-        """Steady-state query load this configuration generates."""
-        if not self._poll_handles:
-            return 0.0
-        return len(self.looking_glasses) * len(self._watched) * (
-            60.0 / self.poll_interval
-        )
-
     # ----------------------------------------------------------------- polling
 
     def _poll(self, lg: LookingGlass) -> None:

@@ -86,10 +86,6 @@ class BackgroundChurn:
         self._running = False
         self.events_generated = 0
 
-    @property
-    def running(self) -> bool:
-        return self._running
-
     def start(self, warm_fraction: float = 0.8) -> None:
         """Begin churning; ``warm_fraction`` of the pool starts announced.
 

@@ -123,10 +123,6 @@ class OriginTracker:
     def tracked_asns(self) -> List[int]:
         return sorted({asn for asn, _index in self._current})
 
-    def origin_map(self) -> Dict[int, Tuple[Optional[int], ...]]:
-        """Per AS: tuple of current origins, one per probe."""
-        return {asn: tuple(values) for asn, values in sorted(self._per_as.items())}
-
     @staticmethod
     def _mode_check(mode: str):
         """The per-AS probe aggregator for a fraction ``mode``.
@@ -171,14 +167,6 @@ class OriginTracker:
         return all(
             value in accepted for values in per_as.values() for value in values
         )
-
-    def ases_routing_to(self, origin: int) -> List[int]:
-        """ASes with at least one probe resolving to ``origin``."""
-        return [
-            asn
-            for asn, probe_origins in self.origin_map().items()
-            if origin in probe_origins
-        ]
 
     # ------------------------------------------------------------------ replay
 

@@ -248,12 +248,6 @@ class Prefix:
         """Number of addresses covered."""
         return 1 << (self.bits - self.length)
 
-    def bit_at(self, position: int) -> int:
-        """Return the bit at ``position`` (0 = most significant)."""
-        if not 0 <= position < self.bits:
-            raise PrefixError(f"bit position {position} out of range")
-        return (self.value >> (self.bits - 1 - position)) & 1
-
     def contains_address(self, address: Union[Address, str]) -> bool:
         """True if ``address`` falls inside this prefix."""
         if isinstance(address, str):
@@ -268,10 +262,6 @@ class Prefix:
             return False
         shift = self.bits - self.length
         return (other.value >> shift) == (self.value >> shift) if self.length else True
-
-    def is_more_specific_of(self, other: "Prefix") -> bool:
-        """True if this prefix is *strictly* inside ``other``."""
-        return other.contains(self) and self.length > other.length
 
     def overlaps(self, other: "Prefix") -> bool:
         """True if the two prefixes share any address."""
@@ -330,20 +320,6 @@ class Prefix:
                 f"cannot de-aggregate {self} beyond /{self.bits}"
             )
         return list(self.subnets(target_length))
-
-    def common_prefix_length(self, other: "Prefix") -> int:
-        """Number of leading bits (up to min length) shared with ``other``."""
-        if other.version != self.version:
-            return 0
-        limit = min(self.length, other.length)
-        diff = self.value ^ other.value
-        shift = self.bits - limit
-        diff >>= shift
-        common = limit
-        while diff:
-            diff >>= 1
-            common -= 1
-        return common
 
     def __deepcopy__(self, memo) -> "Prefix":
         # Immutable value object: shared structurally by checkpoint forks.

@@ -79,11 +79,6 @@ class BGPController:
         self.name = name
         self.ops: List[ControllerOp] = []
 
-    def add_router(self, router: BGPSpeaker) -> None:
-        if router.asn in self.routers:
-            raise MitigationError(f"router AS{router.asn} already controlled")
-        self.routers[router.asn] = router
-
     def _resolve_targets(
         self, router_asns: Optional[Sequence[int]]
     ) -> List[BGPSpeaker]:

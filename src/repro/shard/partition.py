@@ -70,15 +70,6 @@ class ShardPlan:
     def shard_of(self, asn: int) -> int:
         return self.assignment[asn]
 
-    def cut_links_of(self, shard: int) -> List[LinkKey]:
-        """The cut links with exactly one endpoint on ``shard``."""
-        return [
-            key
-            for key in self.cut_links
-            if (self.assignment[key[0]] == shard)
-            != (self.assignment[key[1]] == shard)
-        ]
-
     def __repr__(self) -> str:
         sizes = [len(asns) for asns in self.shard_asns]
         return (

@@ -129,8 +129,7 @@ def worker_main(spec: ShardSpec, conn) -> None:
                 cpu_mark = time.process_time()
                 reply = delta
             elif command == "stop":
-                conn.send(("ok", None))
-                break
+                break  # a farewell: the parent has closed its end already
             else:
                 raise ValueError(f"unknown shard command {command!r}")
         except BaseException as exc:  # noqa: BLE001 - ship home, stay alive

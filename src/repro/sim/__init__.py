@@ -17,7 +17,7 @@ from repro.sim.latency import (
     Uniform,
     make_delay,
 )
-from repro.sim.rng import SeededRNG, derive_seed, make_rng
+from repro.sim.rng import SeededRNG, derive_seed
 
 __all__ = [
     "Constant",
@@ -31,5 +31,4 @@ __all__ = [
     "Uniform",
     "derive_seed",
     "make_delay",
-    "make_rng",
 ]

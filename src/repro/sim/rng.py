@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional
 
 
 def derive_seed(base_seed: int, *names: object) -> int:
@@ -68,14 +67,3 @@ class SeededRNG(random.Random):
         what substreams derive from) is deliberately left unchanged.
         """
         self.seed(derive_seed(self.base_seed, "run", run_seed))
-
-    def jittered(self, value: float, fraction: float) -> float:
-        """``value`` multiplied by a uniform factor in [1-fraction, 1+fraction]."""
-        if fraction < 0:
-            raise ValueError("jitter fraction must be non-negative")
-        return value * self.uniform(1.0 - fraction, 1.0 + fraction)
-
-
-def make_rng(seed: Optional[int]) -> SeededRNG:
-    """Build a :class:`SeededRNG`; ``None`` maps to seed 0 (still deterministic)."""
-    return SeededRNG(0 if seed is None else seed)

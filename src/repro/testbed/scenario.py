@@ -42,6 +42,7 @@ from repro.testbed.peering import PeeringTestbed, VirtualAS
 from repro.topology.cache import load_or_build_graph
 from repro.topology.generator import GeneratorConfig
 from repro.topology.graph import ASGraph, Relationship
+from repro.topology.stats import customer_cone
 
 #: Transit sites the victim and the hijacker virtual AS each connect through
 #: (multi-homed, like a PEERING experiment announcing from two muxes).
@@ -733,20 +734,6 @@ class HijackExperiment:
             if node.tier == 3 and "attached" not in node.tags
         )
 
-    def _customer_cone(self, root: int) -> set:
-        """All ASes reachable from ``root`` by walking customer edges
-        (BGP routes learned from inside this cone are customer routes)."""
-        graph = self.network.graph
-        seen = {root}
-        stack = [root]
-        while stack:
-            asn = stack.pop()
-            for neighbor, rel in graph.neighbors(asn):
-                if rel is Relationship.CUSTOMER and neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return seen
-
     def _pick_leaker(self) -> int:
         """The leaking AS for a route-leak scenario: a real multihomed
         stub (≥ 2 providers — it learns the victim's route from one and
@@ -777,7 +764,7 @@ class HijackExperiment:
             for provider in providers:
                 cone = cones.get(provider)
                 if cone is None:
-                    cone = cones[provider] = self._customer_cone(provider)
+                    cone = cones[provider] = customer_cone(graph, provider)
                 if victim_asn not in cone:
                     return node.asn
         if fallback is None:

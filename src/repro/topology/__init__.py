@@ -10,14 +10,12 @@ real relationship inference datasets can be plugged in.
 """
 
 from repro.topology.generator import GeneratorConfig, generate_internet
-from repro.topology.scalefree import ScaleFreeConfig, generate_scalefree_internet
 from repro.topology.geo import REGIONS, Region, region_by_name, session_delay_between
 from repro.topology.graph import ASGraph, ASNode
 from repro.topology.serial import from_caida_lines, to_caida_lines
 from repro.topology.stats import (
     average_path_length,
     customer_cone,
-    summarize_topology,
     tier_sizes,
 )
 
@@ -27,15 +25,12 @@ __all__ = [
     "GeneratorConfig",
     "REGIONS",
     "Region",
-    "ScaleFreeConfig",
-    "generate_scalefree_internet",
     "average_path_length",
     "customer_cone",
     "from_caida_lines",
     "generate_internet",
     "region_by_name",
     "session_delay_between",
-    "summarize_topology",
     "tier_sizes",
     "to_caida_lines",
 ]

@@ -146,9 +146,3 @@ def save_caida(graph: ASGraph, path: str, annotate: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for line in to_caida_lines(graph, annotate=annotate):
             handle.write(line + "\n")
-
-
-def load_caida(path: str, validate: bool = True) -> ASGraph:
-    """Read a CAIDA as-rel file from ``path``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return from_caida_lines(handle, validate=validate)

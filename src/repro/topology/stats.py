@@ -89,18 +89,3 @@ def average_path_length(graph: ASGraph, sample: int = 25, seed: int = 0) -> floa
                 total += distance
                 pairs += 1
     return total / pairs if pairs else 0.0
-
-
-def summarize_topology(graph: ASGraph) -> Dict[str, object]:
-    """A one-call structural report (used by examples and tests)."""
-    degrees = [graph.degree(asn) for asn in graph.asns()]
-    cones = cone_sizes(graph)
-    return {
-        "ases": len(graph),
-        "links": graph.link_count(),
-        "tiers": tier_sizes(graph),
-        "max_degree": max(degrees) if degrees else 0,
-        "mean_degree": sum(degrees) / len(degrees) if degrees else 0.0,
-        "largest_cone": max(cones.values()) if cones else 0,
-        "avg_path_length": average_path_length(graph),
-    }

@@ -78,8 +78,7 @@ class PrefixTrie(Generic[V]):
         return node is not None and node.has_value
 
     def _find(self, prefix: Prefix) -> Optional[_Node[V]]:
-        # Hot path: inline the per-bit extraction (value >> shift) & 1 with
-        # locals instead of calling Prefix.bit_at for every level.
+        # One bit per level, most significant first: (value >> shift) & 1.
         node = self._roots[prefix.version]
         value = prefix.value
         shift = (32 if prefix.version == 4 else 128) - 1

@@ -6,7 +6,7 @@ from repro.core.config import ArtemisConfig, OwnedPrefix, OwnedSpace
 from repro.errors import ConfigError
 from repro.net.prefix import Prefix
 
-from oracles import config_tries, most_specific
+from oracles import config_tries
 from test_classify_equivalence import PREFIXES, build_config, squat_hole_config
 
 
@@ -29,15 +29,6 @@ class TestOwnedPrefix:
     def test_multi_origin(self):
         owned = OwnedPrefix("10.0.0.0/23", {1, 2})
         assert owned.origin_is_legit(1) and owned.origin_is_legit(2)
-
-    def test_upstreams_default_permissive(self):
-        owned = OwnedPrefix("10.0.0.0/23", {1})
-        assert owned.upstream_is_legit(999)
-
-    def test_upstreams_enforced_when_set(self):
-        owned = OwnedPrefix("10.0.0.0/23", {1}, legit_upstreams={10, 11})
-        assert owned.upstream_is_legit(10)
-        assert not owned.upstream_is_legit(12)
 
     def test_dict_roundtrip(self):
         owned = OwnedPrefix("10.0.0.0/23", {1, 2}, legit_upstreams={3}, description="main")
@@ -89,36 +80,19 @@ class TestArtemisConfig:
         assert config.entry_for(P("10.0.0.0/23")) is not None
         assert config.entry_for(P("10.0.0.0/24")) is None
 
-    def test_covering_entry(self):
-        config = self.make()
-        assert config.covering_entry(P("10.0.0.0/24")).prefix == P("10.0.0.0/23")
-        assert config.covering_entry(P("11.0.0.0/24")) is None
-
-    def test_covering_entry_most_specific_wins(self):
-        config = ArtemisConfig(
-            [
-                OwnedPrefix("10.0.0.0/16", {1}),
-                OwnedPrefix("10.0.0.0/23", {2}),
-            ]
-        )
-        assert config.covering_entry(P("10.0.0.0/24")).prefix == P("10.0.0.0/23")
-        assert config.covering_entry(P("10.0.9.0/24")).prefix == P("10.0.0.0/16")
-
     @pytest.mark.parametrize(
         "config",
         [build_config(), squat_hole_config(True), squat_hole_config(False)],
         ids=["equivalence", "hole-squatting-on", "hole-squatting-off"],
     )
     def test_lookups_agree_with_trie_oracle(self, config):
-        owned, space = config_tries(config)
+        owned, _space = config_tries(config)
         probes = PREFIXES + [
             "0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/22", "10.0.2.0/23",
             "10.0.2.0/24", "10.0.11.255/32", "2001:db8::/32",
         ]
         for probe in map(P, probes):
             assert config.entry_for(probe) is owned.get(probe)
-            assert config.covering_entry(probe) is most_specific(owned, probe)
-            assert config.covering_space(probe) is most_specific(space, probe)
 
     def test_max_announce_length(self):
         config = self.make()
@@ -147,8 +121,6 @@ class TestArtemisConfig:
             "10.0.0.0/23", "10.0.4.0/24", "10.0.8.0/22", "10.0.0.0/21", "10.0.10.0/23",
         ]
         assert back.entry_for(P("10.0.4.0/24")).legit_origins == {65002}
-        assert back.covering_entry(P("10.0.9.0/24")).prefix == P("10.0.8.0/22")
-        assert back.covering_space(P("10.0.10.0/24")).prefix == P("10.0.10.0/23")
 
     def test_from_dict_missing_owned(self):
         with pytest.raises(ConfigError):

@@ -80,7 +80,11 @@ def _assert_loc_rib_matches_full_rescan(speakers):
             prefixes[prefix.ikey] = prefix
         # Every known prefix: incremental best == reference full scan.
         for prefix in prefixes.values():
-            expected = select_best(speaker._candidates(prefix))
+            candidates = speaker.adj_rib_in.candidates(prefix)
+            local = speaker._local_routes.get(prefix.ikey)
+            if local is not None:
+                candidates.append(local)
+            expected = select_best(candidates)
             installed = speaker.loc_rib.get(prefix)
             assert installed is expected, (
                 f"AS{asn} {prefix}: loc_rib has {installed!r}, "

@@ -319,6 +319,25 @@ class TestDelayAndChannelFaults:
         actions = [entry[1] for entry in result.fault_log]
         assert "crash" in actions and "restart" in actions
 
+    def test_outage_on_one_looking_glass(self):
+        probe = HijackExperiment(chaos_config())
+        probe.setup()
+        name = probe.monitors.periscope.looking_glasses[0].name
+        plan = FaultPlan([Fault("outage", name, 5.0, duration=120.0)])
+        exp, result = run_chaos(faults=plan)
+        start = result.hijack_time + 5.0
+        assert [tuple(entry) for entry in result.fault_log] == [
+            (start, "lg-fail", name),
+            (start + 120.0, "lg-repair", name),
+        ]
+        failed, *others = exp.monitors.periscope.looking_glasses
+        assert failed.failures == 1 and failed.up
+        assert [lg.failures for lg in others] == [0] * len(others)
+        answers = []
+        failed.query(exp.config.prefix, lambda observed_at, rows: answers.append(rows))
+        exp.network.engine.run_for(3600.0)
+        assert answers and answers[0]
+
     def test_flap_cycles_one_vantage_session(self):
         exp0 = HijackExperiment(chaos_config())
         exp0.setup()

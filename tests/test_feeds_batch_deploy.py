@@ -142,14 +142,13 @@ class TestDeployMonitors:
 
     def test_vantages_are_real_ases(self, gen_network):
         deployment = deploy_monitors(gen_network, seed=3)
-        for asn in deployment.all_vantage_asns:
+        vantages = (
+            deployment.ris_vantages + deployment.bgpmon_vantages
+            + deployment.lg_asns + deployment.batch_vantages
+        )
+        for asn in vantages:
             assert asn in gen_network.speakers
 
     def test_too_many_vantages_rejected(self, net7):
         with pytest.raises(FeedError):
             deploy_monitors(net7, num_ris_vantages=100)
-
-    def test_streams_property(self, gen_network):
-        deployment = deploy_monitors(gen_network, seed=1)
-        assert deployment.ris in deployment.streams
-        assert deployment.bgpmon in deployment.streams

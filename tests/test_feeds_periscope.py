@@ -154,13 +154,6 @@ class TestPeriscope:
         net7.run_for(100.0)
         assert api.queries_sent == count
 
-    def test_queries_per_minute(self, net7):
-        api = self._periscope(net7, [3, 4], poll=30.0)
-        assert api.queries_per_minute() == 0.0
-        api.watch([P("10.0.0.0/23"), P("99.0.0.0/16")])
-        # 2 LGs * 2 prefixes * 2 polls/minute
-        assert api.queries_per_minute() == pytest.approx(8.0)
-
     def test_invalid_poll_interval(self, net7):
         with pytest.raises(FeedError):
             PeriscopeAPI(net7.engine, [], poll_interval=0.0)

@@ -1,13 +1,10 @@
-"""Tests for the incident log and the hijack-event catalog."""
+"""Tests for the incident log."""
 
 import json
 
 import pytest
 
 from repro.core.log import IncidentLog
-from repro.errors import ExperimentError
-from repro.eval.catalog import HijackEvent, HijackEventCatalog
-from repro.sim.rng import SeededRNG
 from repro.testbed.scenario import HijackExperiment
 
 from conftest import fast_scenario
@@ -60,64 +57,3 @@ class TestIncidentLog:
         text = log.to_text()
         assert "ALERT" in text and "MITIGATE" in text
 
-
-class TestHijackEvent:
-    def test_end(self):
-        event = HijackEvent(100.0, 50.0, "exact-origin")
-        assert event.end == 150.0
-
-
-class TestCatalog:
-    @pytest.fixture(scope="class")
-    def catalog(self):
-        return HijackEventCatalog.generate(seed=1, horizon_days=30, events_per_day=10)
-
-    def test_event_count_near_rate(self, catalog):
-        assert 200 <= len(catalog) <= 400  # Poisson around 300
-
-    def test_sorted_by_start(self, catalog):
-        starts = [e.start for e in catalog.events]
-        assert starts == sorted(starts)
-        assert all(0 <= s < catalog.horizon for s in starts)
-
-    def test_type_mix(self, catalog):
-        counts = catalog.count_by_kind()
-        assert set(counts) == {"exact-origin", "sub-prefix", "path"}
-        assert counts["exact-origin"] > counts["path"]
-
-    def test_duration_anchor(self, catalog):
-        # >20% of events last under 10 minutes (the Argus statistic).
-        assert catalog.fraction_shorter_than(600) > 0.15
-
-    def test_coverage_monotone_in_response_time(self, catalog):
-        fast = catalog.coverage(6 * 60)
-        slow = catalog.coverage(80 * 60)
-        assert fast > slow
-        assert fast > 0.75
-
-    def test_exposure_grows_with_response_time(self, catalog):
-        assert catalog.exposure_seconds(60) < catalog.exposure_seconds(3600)
-
-    def test_concurrent_at(self, catalog):
-        mid = catalog.horizon / 2
-        assert catalog.concurrent_at(mid) >= 0
-
-    def test_deterministic(self):
-        a = HijackEventCatalog.generate(seed=5, horizon_days=5)
-        b = HijackEventCatalog.generate(seed=5, horizon_days=5)
-        assert [(e.start, e.duration, e.kind) for e in a.events] == [
-            (e.start, e.duration, e.kind) for e in b.events
-        ]
-
-    def test_validation(self):
-        with pytest.raises(ExperimentError):
-            HijackEventCatalog.generate(horizon_days=0)
-        with pytest.raises(ExperimentError):
-            HijackEventCatalog.generate(events_per_day=-1)
-        with pytest.raises(ExperimentError):
-            HijackEventCatalog.generate(type_mix={"exact-origin": 0.0})
-
-    def test_empty_catalog(self):
-        catalog = HijackEventCatalog([], horizon=1000.0)
-        assert catalog.coverage(60) == 0.0
-        assert catalog.fraction_shorter_than(60) == 0.0

@@ -4,12 +4,9 @@ import pytest
 
 from repro.bgp.messages import (
     ORIGIN_EGP,
-    ORIGIN_IGP,
     Announcement,
     UpdateMessage,
     Withdrawal,
-    single_announcement,
-    single_withdrawal,
 )
 from repro.errors import BGPError
 from repro.net.prefix import Prefix
@@ -32,25 +29,6 @@ class TestAnnouncement:
     def test_invalid_origin_attr(self):
         with pytest.raises(BGPError):
             Announcement(P("10.0.0.0/23"), [1], origin_attr=7)
-
-    def test_prepended(self):
-        a = Announcement(P("10.0.0.0/23"), [2, 3])
-        b = a.prepended(1)
-        assert b.as_path == (1, 2, 3)
-        assert a.as_path == (2, 3)  # original untouched
-
-    def test_prepend_multiple(self):
-        a = Announcement(P("10.0.0.0/23"), [2])
-        assert a.prepended(1, times=3).as_path == (1, 1, 1, 2)
-
-    def test_prepend_zero_rejected(self):
-        with pytest.raises(BGPError):
-            Announcement(P("10.0.0.0/23"), [2]).prepended(1, times=0)
-
-    def test_has_loop(self):
-        a = Announcement(P("10.0.0.0/23"), [3, 2, 1])
-        assert a.has_loop(2)
-        assert not a.has_loop(9)
 
     def test_equality_and_hash(self):
         a = Announcement(P("10.0.0.0/23"), [1, 2])
@@ -92,13 +70,3 @@ class TestUpdateMessage:
             withdrawals=[Withdrawal(P("10.0.1.0/24")), Withdrawal(P("10.0.2.0/24"))],
         )
         assert message.size == 3
-
-    def test_single_announcement_helper(self):
-        message = single_announcement(P("10.0.0.0/23"), [5, 6], ORIGIN_IGP)
-        assert message.sender_asn == 5
-        assert len(message.announcements) == 1
-
-    def test_single_withdrawal_helper(self):
-        message = single_withdrawal(5, P("10.0.0.0/23"))
-        assert message.sender_asn == 5
-        assert message.withdrawals[0].prefix == P("10.0.0.0/23")

@@ -80,16 +80,6 @@ class TestController:
         with pytest.raises(MitigationError):
             BGPController(Engine(), [])
 
-    def test_add_router(self, world):
-        engine, router, controller = world
-        other = BGPSpeaker(64501, engine, rng=SeededRNG(3))
-        controller.add_router(other)
-        controller.announce_prefix("10.0.0.0/24")
-        engine.run()
-        assert other.originates(P("10.0.0.0/24"))
-        with pytest.raises(MitigationError):
-            controller.add_router(other)
-
     def test_ops_recorded(self, world):
         engine, _router, controller = world
         controller.announce_prefix("10.0.0.0/24")

@@ -90,12 +90,6 @@ class TestPrefixBasics:
         assert Prefix.parse("10.0.0.0/23").num_addresses == 512
         assert Prefix.parse("10.0.0.0/32").num_addresses == 1
 
-    def test_bit_at(self):
-        prefix = Prefix.parse("128.0.0.0/1")
-        assert prefix.bit_at(0) == 1
-        with pytest.raises(PrefixError):
-            prefix.bit_at(32)
-
     def test_equality_and_hash(self):
         a = Prefix.parse("10.0.0.0/24")
         assert a == Prefix.parse("10.0.0.0/24")
@@ -129,14 +123,6 @@ class TestContainment:
     def test_default_route_contains_everything_v4(self):
         default = Prefix.parse("0.0.0.0/0")
         assert default.contains(Prefix.parse("203.0.113.0/24"))
-
-    def test_is_more_specific_of(self):
-        assert Prefix.parse("10.0.0.0/24").is_more_specific_of(
-            Prefix.parse("10.0.0.0/23")
-        )
-        assert not Prefix.parse("10.0.0.0/23").is_more_specific_of(
-            Prefix.parse("10.0.0.0/23")
-        )
 
     def test_overlaps(self):
         a = Prefix.parse("10.0.0.0/23")
@@ -193,12 +179,6 @@ class TestSplitAndDeaggregate:
         assert Prefix.parse("10.0.1.0/24").supernet(16) == Prefix.parse("10.0.0.0/16")
         with pytest.raises(PrefixError):
             Prefix.parse("10.0.0.0/24").supernet(25)
-
-    def test_common_prefix_length(self):
-        a = Prefix.parse("10.0.0.0/24")
-        b = Prefix.parse("10.0.1.0/24")
-        assert a.common_prefix_length(b) == 23
-        assert a.common_prefix_length(Prefix.parse("::/0")) == 0
 
 
 # --------------------------------------------------------------- properties

@@ -12,7 +12,7 @@ from repro.sim.latency import (
     Uniform,
     make_delay,
 )
-from repro.sim.rng import SeededRNG, derive_seed, make_rng
+from repro.sim.rng import SeededRNG, derive_seed
 
 
 class TestDeriveSeed:
@@ -43,20 +43,6 @@ class TestSeededRNG:
     def test_substreams_differ(self):
         rng = SeededRNG(3)
         assert rng.substream("a").random() != rng.substream("b").random()
-
-    def test_jittered_bounds(self):
-        rng = SeededRNG(1)
-        for _ in range(100):
-            value = rng.jittered(10.0, 0.2)
-            assert 8.0 <= value <= 12.0
-
-    def test_jittered_negative_fraction(self):
-        with pytest.raises(ValueError):
-            SeededRNG(1).jittered(1.0, -0.1)
-
-    def test_make_rng_none(self):
-        assert make_rng(None).base_seed == 0
-        assert make_rng(9).base_seed == 9
 
 
 class TestDistributions:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bgp.messages import Announcement
 from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.route import Route
 from repro.errors import BGPError
@@ -22,18 +21,10 @@ class TestRoute:
         route = Route.local(P("10.0.0.0/23"))
         assert route.is_local
         assert route.origin_as is None
-        assert route.path_length == 0
 
     def test_learned_requires_path(self):
         with pytest.raises(BGPError):
             Route(P("10.0.0.0/23"), [], peer_asn=5, local_pref=100)
-
-    def test_from_announcement(self):
-        announcement = Announcement(P("10.0.0.0/23"), [5, 6])
-        route = Route.from_announcement(announcement, peer_asn=5, local_pref=200, learned_at=3.0)
-        assert route.origin_as == 6
-        assert route.peer_asn == 5
-        assert route.learned_at == 3.0
 
     def test_to_announcement_prepends(self):
         route = learned("10.0.0.0/23", [5, 6], peer=5)
@@ -45,13 +36,6 @@ class TestRoute:
         out = route.to_announcement(sender_asn=9)
         assert out.as_path == (9,)
         assert out.origin_as == 9
-
-    def test_same_attributes(self):
-        a = learned("10.0.0.0/23", [5, 6], peer=5, at=1.0)
-        b = learned("10.0.0.0/23", [5, 6], peer=5, at=9.0)
-        c = learned("10.0.0.0/23", [5, 7], peer=5)
-        assert a.same_attributes(b)
-        assert not a.same_attributes(c)
 
 
 class TestAdjRibIn:
@@ -77,26 +61,14 @@ class TestAdjRibIn:
         assert rib.candidates(P("10.0.0.0/23")) == []
         assert rib.withdraw(5, P("10.0.0.0/23")) is None
 
-    def test_route_from(self):
-        rib = AdjRibIn()
-        rib.insert(learned("10.0.0.0/23", [5, 6], peer=5))
-        assert rib.route_from(5, P("10.0.0.0/23")).origin_as == 6
-        assert rib.route_from(9, P("10.0.0.0/23")) is None
-
     def test_drop_peer(self):
         rib = AdjRibIn()
         rib.insert(learned("10.0.0.0/23", [5, 6], peer=5))
         rib.insert(learned("10.0.1.0/24", [5, 8], peer=5))
         rib.insert(learned("10.0.0.0/23", [7, 6], peer=7))
-        dropped = rib.drop_peer(5)
-        assert sorted(str(p) for p in dropped) == ["10.0.0.0/23", "10.0.1.0/24"]
+        dropped = rib.drop_peer_routes(5)
+        assert [str(p) for p, _route in dropped] == ["10.0.0.0/23", "10.0.1.0/24"]
         assert len(rib) == 1
-
-    def test_prefixes_from(self):
-        rib = AdjRibIn()
-        rib.insert(learned("10.0.0.0/23", [5, 6], peer=5))
-        assert rib.prefixes_from(5) == [P("10.0.0.0/23")]
-        assert rib.prefixes_from(6) == []
 
 
 class TestTeardownOrder:
@@ -130,14 +102,13 @@ class TestTeardownOrder:
             rib.insert(learned(text, [7, 6], peer=7))
         rib.withdraw(5, P("10.0.2.0/24"))
         rib.insert(learned("10.0.2.0/24", [5, 9], peer=5))
-        assert [str(p) for p in rib.prefixes_from(5)] == self.ASCENDING
         pairs = rib.drop_peer_routes(5)
         assert [str(p) for p, _route in pairs] == self.ASCENDING
         assert all(route.peer_asn == 5 and route.prefix is p for p, route in pairs)
         ikeys = [p.ikey for p, _route in pairs]
         assert ikeys == sorted(ikeys)
-        assert rib.prefixes_from(5) == []
-        assert [str(p) for p in rib.prefixes_from(7)] == self.ASCENDING
+        assert rib.drop_peer_routes(5) == []
+        assert [str(p) for p, _route in rib.drop_peer_routes(7)] == self.ASCENDING
 
 
 class TestLocRib:

@@ -67,12 +67,6 @@ class TestPartition:
         assert plan.lookahead is None
         assert set(plan.assignment.values()) == {0}
 
-    def test_cut_links_of_partitions_the_cut(self, graph):
-        plan = partition_graph(graph, 2)
-        # With two shards every cut link touches both.
-        assert set(plan.cut_links_of(0)) == set(plan.cut_links)
-        assert set(plan.cut_links_of(1)) == set(plan.cut_links)
-
     def test_zero_floor_cut_raises(self, graph):
         config = NetworkConfig(session_delay_override=Constant(0.0))
         with pytest.raises(SimulationError, match="zero delay lower bound"):
@@ -262,6 +256,12 @@ class TestRunners:
         with make_runner(graph, 2, seed=7) as runner:
             with pytest.raises(SimulationError, match="no snapshot"):
                 runner.restore()
+
+    def test_close_prints_no_worker_traceback(self, graph, capfd):
+        """``close()`` reads no reply to its ``stop``, so a worker answers
+        none; one that did wrote a ``BrokenPipeError`` to stderr."""
+        ShardRunner(graph, partition_graph(graph, 2), seed=7).close()
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestWorkerDeath:

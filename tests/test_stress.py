@@ -3,7 +3,7 @@ guarantees — behaviours that only show up beyond toy sizes."""
 
 import pytest
 
-from repro.bgp.messages import single_announcement
+from repro.bgp.messages import Announcement, UpdateMessage
 from repro.bgp.session import ActivityTracker, Session
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
@@ -78,7 +78,7 @@ class TestSessionFifo:
         for index in range(200):
             prefix = P(f"10.{index // 250}.{index % 250}.0/24")
             sent.append(prefix)
-            session.send(1, single_announcement(prefix, [1]))
+            session.send(1, UpdateMessage(1, announcements=(Announcement(prefix, [1]),)))
         engine.run()
         assert receiver.received == sent
 
@@ -90,8 +90,8 @@ class TestSessionFifo:
         forward = [P(f"10.0.{i}.0/24") for i in range(50)]
         backward = [P(f"10.1.{i}.0/24") for i in range(50)]
         for f_prefix, b_prefix in zip(forward, backward):
-            session.send(1, single_announcement(f_prefix, [1]))
-            session.send(2, single_announcement(b_prefix, [2]))
+            session.send(1, UpdateMessage(1, announcements=(Announcement(f_prefix, [1]),)))
+            session.send(2, UpdateMessage(2, announcements=(Announcement(b_prefix, [2]),)))
         engine.run()
         assert b.received == forward
         assert a.received == backward

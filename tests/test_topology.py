@@ -263,10 +263,11 @@ class TestSerial:
             from_caida_lines([bad])
 
     def test_file_roundtrip(self, tmp_path):
-        from repro.topology.serial import load_caida, save_caida
+        from repro.topology.serial import save_caida
 
         graph = generate_internet(GeneratorConfig(num_tier1=3, num_tier2=5, num_stubs=8), seed=2)
         path = str(tmp_path / "as-rel.txt")
         save_caida(graph, path)
-        loaded = load_caida(path)
+        with open(path, encoding="utf-8") as handle:
+            loaded = from_caida_lines(handle)
         assert len(loaded) == len(graph)

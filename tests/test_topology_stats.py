@@ -8,7 +8,6 @@ from repro.topology.stats import (
     cone_sizes,
     customer_cone,
     degree_histogram,
-    summarize_topology,
     tier_sizes,
     undirected_path_lengths,
 )
@@ -49,12 +48,6 @@ class TestTinyGraphStats:
     def test_average_path_length_positive(self, graph7):
         apl = average_path_length(graph7)
         assert 1.0 < apl < 4.0
-
-    def test_summary_keys(self, graph7):
-        summary = summarize_topology(graph7)
-        assert summary["ases"] == 7
-        assert summary["links"] == graph7.link_count()
-        assert summary["largest_cone"] == 5
 
 
 class TestGeneratedTopologyShape:

@@ -45,12 +45,6 @@ class TestTracking:
         assert 0.0 < hijacked < 1.0
         assert legit + hijacked == pytest.approx(1.0)
 
-    def test_ases_routing_to(self, net7):
-        tracker = OriginTracker(net7, "10.0.0.0/23")
-        net7.announce(6, "10.0.0.0/23")
-        net7.run_until_converged()
-        assert tracker.ases_routing_to(6) == net7.asns()
-
     def test_mixed_probe_origins_not_fully_legit(self, net7):
         tracker = OriginTracker(net7, "10.0.0.0/23")
         # Victim announces only one half; other half goes to another AS.
