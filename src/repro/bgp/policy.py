@@ -53,7 +53,7 @@ class Relationship(enum.Enum):
 #: avoid enum hashing by indexing with this instead of dict lookups).
 REL_INDEX: Dict[Relationship, int] = {rel: i for i, rel in enumerate(Relationship)}
 
-#: Extra "learned from" indices into :attr:`Policy.export_grid` beyond the
+#: Extra "learned from" indices into :data:`EXPORT_GRID` beyond the
 #: real relationships: a local (self-originated) route, and the absent route
 #: of a (new, old) change pair (its export row is all-False).
 LOCAL_REL_INDEX: int = len(Relationship)
@@ -138,12 +138,63 @@ class FilterChain(RouteFilter):
         return f"FilterChain({list(self.filters)})"
 
 
-class Policy:
-    """Per-speaker routing policy.
+def should_export(
+    learned_from: Optional[Relationship], export_to: Relationship
+) -> bool:
+    """Gao-Rexford export rule.
 
-    Combines relationship-based preference, the valley-free export rule, and
-    an optional import filter chain.  Subclass and override the hooks to
-    model special behaviour (e.g. a transit AS that leaks routes).
+    ``learned_from`` is ``None`` for self-originated routes (exported to
+    everyone).  Monitors receive everything; routes are never exported
+    *from* a monitor because monitors never announce.
+    """
+    if export_to is Relationship.MONITOR:
+        return True
+    if learned_from is None or learned_from is Relationship.CUSTOMER:
+        return True
+    # Peer- or provider-learned: only export to customers (no valleys).
+    return export_to is Relationship.CUSTOMER
+
+
+def _export_row(learned_from: Optional[Relationship]) -> Tuple[bool, ...]:
+    return tuple(should_export(learned_from, to) for to in Relationship)
+
+
+#: :func:`should_export` lowered to integer-indexed tuples, built once per
+#: process: ``EXPORT_GRID[learned_index][to_index]`` with ``learned_index``
+#: a peer's ``REL_INDEX`` value, ``LOCAL_REL_INDEX`` (self-originated /
+#: vanished peer) or ``ABSENT_REL_INDEX`` (no route on that side of a
+#: change), and ``to_index`` the receiving peer's ``REL_INDEX``.
+EXPORT_GRID: Tuple[Tuple[bool, ...], ...] = (
+    *(_export_row(rel) for rel in Relationship),
+    _export_row(None),
+    (False,) * len(Relationship),
+)
+
+#: Conservative row (mark every peer).  Every all-True row of
+#: :data:`MARK_GRID` is this one object, so the speaker recognises "mark
+#: everyone" with one identity check.
+MARK_ALL_ROW: Tuple[bool, ...] = (True,) * len(Relationship)
+
+def _mark_row(new_row: Tuple[bool, ...], old_row: Tuple[bool, ...]) -> Tuple[bool, ...]:
+    row = tuple(a or b for a, b in zip(new_row, old_row))
+    return MARK_ALL_ROW if all(row) else row
+
+
+#: ``MARK_GRID[new_index][old_index]`` — elementwise OR of the two export
+#: rows, so :meth:`BGPSpeaker._install_best` decides each peer with a
+#: single tuple index.
+MARK_GRID: Tuple[Tuple[Tuple[bool, ...], ...], ...] = tuple(
+    tuple(_mark_row(new_row, old_row) for old_row in EXPORT_GRID)
+    for new_row in EXPORT_GRID
+)
+
+
+class Policy:
+    """A speaker's import side: the import filter chain and LOCAL_PREF by
+    relationship.  Export is the process-wide :data:`EXPORT_GRID`.
+
+    Frozen after set-up: one instance serves every speaker with the same
+    import rule, and checkpoint forks share it.
     """
 
     def __init__(
@@ -155,89 +206,6 @@ class Policy:
         self.local_pref = dict(DEFAULT_LOCAL_PREF)
         if local_pref_overrides:
             self.local_pref.update(local_pref_overrides)
-        self.refresh_export_matrix()
-
-    def refresh_export_matrix(self) -> None:
-        """(Re)build the precomputed ``should_export`` truth table.
-
-        ``should_export`` is pure over its two enum arguments, so the hot
-        export paths read ``export_matrix[learned_from][export_to]`` instead
-        of re-running the rule per (prefix, peer).  Subclasses that override
-        :meth:`should_export` get their override baked in automatically
-        (built last in ``__init__``); ones whose rule depends on mutable
-        state must call this after changing that state — or bypass the
-        matrix entirely.
-        """
-        learned_values = (None, *Relationship)
-        self.export_matrix: Dict[
-            Optional[Relationship], Dict[Relationship, bool]
-        ] = {
-            learned: {to: self.should_export(learned, to) for to in Relationship}
-            for learned in learned_values
-        }
-        #: The same table with rows as tuples indexed by ``REL_INDEX`` — the
-        #: speaker's per-peer loops index these instead of hashing enums.
-        self.export_rows: Dict[Optional[Relationship], Tuple[bool, ...]] = {
-            learned: tuple(row[to] for to in Relationship)
-            for learned, row in self.export_matrix.items()
-        }
-        #: Fully integer-indexed form: ``export_grid[learned_index][to_index]``
-        #: with ``learned_index`` a peer's ``REL_INDEX`` value,
-        #: ``LOCAL_REL_INDEX`` (self-originated / vanished peer), or
-        #: ``ABSENT_REL_INDEX`` (no route on that side of a change).
-        local_row = self.export_rows[None]
-        self.export_grid: Tuple[Tuple[bool, ...], ...] = (
-            *(self.export_rows[rel] for rel in Relationship),
-            local_row,
-            (False,) * len(Relationship),
-        )
-        #: ``mark_grid[new_index][old_index]`` — elementwise OR of the two
-        #: export rows, so :meth:`BGPSpeaker._install_best` decides each peer
-        #: with a single tuple index.  All-True rows are normalised to the
-        #: single shared :attr:`mark_all_row` object, so the speaker can
-        #: recognise "mark everyone" with one identity check.
-        all_row = (True,) * len(Relationship)
-        #: Conservative row (no change information): every peer is marked.
-        self.mark_all_row: Tuple[bool, ...] = all_row
-        grid = self.export_grid
-        self.mark_grid: Tuple[Tuple[Tuple[bool, ...], ...], ...] = tuple(
-            tuple(
-                row if not all(row) else all_row
-                for row in (
-                    tuple(a or b for a, b in zip(grid[new], grid[old]))
-                    for old in range(len(grid))
-                )
-            )
-            for new in range(len(grid))
-        )
-
-    def accept_import(
-        self, announcement: Announcement, relationship: Relationship
-    ) -> bool:
-        """Import-side filtering (loop checking is done by the speaker)."""
-        return self.import_filter.accepts(announcement)
-
-    def import_local_pref(self, relationship: Relationship) -> int:
-        """LOCAL_PREF for a route learned over a ``relationship`` session."""
-        return self.local_pref[relationship]
-
-    def should_export(
-        self,
-        learned_from: Optional[Relationship],
-        export_to: Relationship,
-    ) -> bool:
-        """Gao-Rexford export rule.
-
-        ``learned_from`` is ``None`` for self-originated routes (exported to
-        everyone).  Monitors receive everything; routes are never exported
-        *from* a monitor because monitors never announce.
-        """
-        if export_to is Relationship.MONITOR:
-            return True
-        if learned_from is None or learned_from is Relationship.CUSTOMER:
-            return True
-        # Peer- or provider-learned: only export to customers (no valleys).
-        return export_to is Relationship.CUSTOMER
 
     def __repr__(self) -> str:
         return f"Policy(import={self.import_filter!r})"

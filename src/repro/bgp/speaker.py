@@ -19,7 +19,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 from repro.bgp.messages import Announcement, UpdateMessage, Withdrawal
 from repro.bgp.policy import (
     ABSENT_REL_INDEX,
+    EXPORT_GRID,
     LOCAL_REL_INDEX,
+    MARK_ALL_ROW,
+    MARK_GRID,
     AcceptAll,
     MaxLengthFilter,
     Policy,
@@ -61,7 +64,7 @@ class PeerState:
     def __init__(self, session: Session, relationship: Relationship):
         self.session = session
         self.relationship = relationship
-        #: Dense index into the policy's tuple-indexed export rows.
+        #: Dense index into the tuple-indexed export rows (``EXPORT_GRID``).
         self.rel_index = REL_INDEX[relationship]
         #: What we last advertised to this peer, keyed by ``prefix.ikey``.
         self.adj_rib_out: Dict[int, Announcement] = {}
@@ -113,8 +116,9 @@ class BGPSpeaker:
         #: Flattened ``(peer_asn, state, rel_index, adj_rib_out, dirty)``
         #: rows in ``peers`` iteration order — :meth:`_install_best` walks
         #: this per Loc-RIB change, and the tuple form saves three attribute
-        #: loads per peer per call.  Rebuilt on peer add/remove; valid
-        #: because a :class:`PeerState` never rebinds those two dicts.
+        #: loads per peer per call.  ``add_peer`` appends a row,
+        #: ``remove_peer`` rebuilds; valid because a :class:`PeerState` never
+        #: rebinds those two dicts.
         self._mark_targets: List[tuple] = []
         self.adj_rib_in = AdjRibIn()
         self.loc_rib = LocRib()
@@ -187,7 +191,11 @@ class BGPSpeaker:
             raise BGPError(f"AS{self.asn} already has a session with AS{peer.asn}")
         state = PeerState(session, relationship)
         self.peers[peer.asn] = state
-        self._rebuild_mark_targets()
+        # A new key goes last in ``peers``, so one appended row keeps the
+        # list in peer order.
+        self._mark_targets.append(
+            (peer.asn, state, state.rel_index, state.adj_rib_out, state.dirty)
+        )
         # Initial table exchange: everything currently best *and exportable
         # to this neighbor* is candidate for advertisement (non-exportable
         # routes would be dropped by the flush anyway).
@@ -311,28 +319,24 @@ class BGPSpeaker:
         if message.announcements:
             # Loop-invariant per-message context: every announcement shares
             # the sender's relationship and the current clock.
-            local_pref = self.policy.import_local_pref(state.relationship)
+            policy = self.policy
+            local_pref = policy.local_pref[state.relationship]
             learned_at = self.engine.now
             my_asn = self.asn
-            relationship = state.relationship
             rel_index = state.rel_index
-            policy = self.policy
             # The permissive default accepts everything; detect it once per
-            # message and skip two call frames per announcement.  The other
+            # message and skip a call frame per announcement.  The other
             # ubiquitous filter — the plain too-specific limit every transit
             # AS applies — gets the same treatment: its verdict is two
             # integer compares, hoisted to ``max4``/``max6``.
             import_filter = policy.import_filter
-            default_accept = type(policy).accept_import is Policy.accept_import
-            accept_all = default_accept and type(import_filter) is AcceptAll
+            accept_all = type(import_filter) is AcceptAll
             max4 = max6 = 0
-            plain_max_length = default_accept and (
-                type(import_filter) is MaxLengthFilter
-            )
+            plain_max_length = type(import_filter) is MaxLengthFilter
             if plain_max_length:
                 max4 = import_filter.max_length_v4
                 max6 = import_filter.max_length_v6
-            accept_import = policy.accept_import
+            accepts = import_filter.accepts
             by_prefix = self._rib_rows
             by_prefix_get = by_prefix.get
             # Empty (falsy) unless this RIB was forked from a checkpoint;
@@ -353,7 +357,7 @@ class BGPSpeaker:
             elif plain_max_length:
                 accepted = prefix.length <= (max4 if prefix.version == 4 else max6)
             else:
-                accepted = accept_import(announcement, relationship)
+                accepted = accepts(announcement)
             if not accepted:
                 # A rejected announcement still implicitly withdraws any
                 # previously accepted route for the prefix from this peer.
@@ -574,10 +578,9 @@ class BGPSpeaker:
                     if old_state is not None
                     else LOCAL_REL_INDEX
                 )
-        policy = self.policy
-        ok_row = policy.mark_grid[new_index][old_index]
+        ok_row = MARK_GRID[new_index][old_index]
         pikey = prefix.ikey
-        if ok_row is policy.mark_all_row:
+        if ok_row is MARK_ALL_ROW:
             # All-True rows (any local- or customer-learned side) are
             # normalised to one shared object, so this identity check skips
             # the per-peer row indexing for the most common case.
@@ -600,10 +603,10 @@ class BGPSpeaker:
     # ------------------------------------------------------------------- export
 
     def _rel_grid_index(self, route: Optional[Route]) -> int:
-        """``route``'s row index into the policy's integer-indexed export
-        grid: ``ABSENT_REL_INDEX`` for no route, ``LOCAL_REL_INDEX`` for
-        local routes and routes whose peer is gone (conservative: exportable
-        to all, matching the ``None`` learned relationship)."""
+        """``route``'s row index into ``EXPORT_GRID``: ``ABSENT_REL_INDEX``
+        for no route, ``LOCAL_REL_INDEX`` for local routes and routes whose
+        peer is gone (conservative: exportable to all, matching the ``None``
+        learned relationship)."""
         if route is None:
             return ABSENT_REL_INDEX
         peer_asn = route.peer_asn
@@ -613,7 +616,7 @@ class BGPSpeaker:
         return state.rel_index if state is not None else LOCAL_REL_INDEX
 
     def _exportable(self, route: Optional[Route], state: PeerState) -> bool:
-        return self.policy.export_grid[self._rel_grid_index(route)][state.rel_index]
+        return EXPORT_GRID[self._rel_grid_index(route)][state.rel_index]
 
     def _schedule_flush(self, peer_asn: int, state: PeerState) -> None:
         """Queue ``state``'s MRAI flush.  Callers hold the peer's state and
@@ -641,7 +644,7 @@ class BGPSpeaker:
         withdrawals: List[Withdrawal] = []
         loc_rib_get = self.loc_rib.get_ikey
         adj_rib_out = state.adj_rib_out
-        grid = self.policy.export_grid
+        grid = EXPORT_GRID
         rel_index = state.rel_index
         my_asn = self.asn
         dirty = state.dirty

@@ -75,8 +75,9 @@ class NetworkConfig:
         self.rov_adoption = float(rov_adoption)
 
     def make_policy(self, rov_filter: Optional[ROVFilter] = None) -> Policy:
-        """Policy for one AS (every AS filters longer-than-/24 by default;
-        ROV enforcement added for adopting ASes)."""
+        """The import policy (every AS filters longer-than-/24 by default;
+        ROV enforcement added for adopting ASes).  Policies are frozen, so
+        one instance serves every AS with the same rule."""
         length_filter = MaxLengthFilter(
             self.max_prefix_length_v4, self.max_prefix_length_v6
         )
@@ -160,18 +161,22 @@ class Network:
         whole-graph order, local or not, so a network that builds only some
         ASes (:meth:`_is_local`) gives each of them the draws and the peer
         insertion order of the whole-graph build — same-instant MRAI
-        flushes fire in peer order and each consumes a draw.
+        flushes fire in peer order and each consumes a draw.  Two policies
+        serve every AS: the plain import rule and, for ROV adopters, the
+        same rule behind an RPKI filter.
         """
         rov_rng = self.rng.substream("rov")
         adoption = self.config.rov_adoption
+        plain = self.config.make_policy()
+        rov = self.config.make_policy(ROVFilter(self.rpki))
         for node in self.graph.nodes():
             adopts = adoption > 0.0 and rov_rng.random() < adoption
             if not self._is_local(node.asn):
                 continue
-            policy = None
+            policy = plain
             if adopts:
                 self.rov_adopters.add(node.asn)
-                policy = self.config.make_policy(ROVFilter(self.rpki))
+                policy = rov
             self._make_speaker(node.asn, policy=policy)
         for a, b, a_view in self.graph.links():
             a_local = self._is_local(a)
@@ -200,8 +205,8 @@ class Network:
     def fork_memo(self, shared=()) -> Dict[int, object]:
         """The ``deepcopy`` memo that forks this network copy-on-write.
 
-        The graph, config, RPKI registry, per-speaker policies and the
-        caller's ``shared`` objects map to themselves (frozen after setup,
+        The graph, config, RPKI registry, the speakers' shared policies and
+        the caller's ``shared`` objects map to themselves (frozen after setup,
         never copied).  Every speaker is pre-registered as an empty shell
         before any is filled, which (a) bounds recursion depth — a naive
         deepcopy would chain speaker → session → peer speaker → … through
@@ -242,12 +247,22 @@ class Network:
         """Attach a new edge AS at runtime (used by the PEERING-style testbed).
 
         The new AS buys transit from each listed provider.  The topology
-        graph is extended too, so later queries stay consistent.
+        graph is extended too, so later queries stay consistent.  Every
+        check runs before anything is mutated: a refused attach leaves the
+        network as it was.
         """
-        if asn in self.speakers:
+        if asn in self.speakers or asn in self.graph:
             raise TopologyError(f"AS{asn} already exists in this network")
         if not provider_asns:
             raise TopologyError(f"stub AS{asn} needs at least one provider")
+        if len(set(provider_asns)) != len(provider_asns):
+            raise TopologyError(f"stub AS{asn} lists a provider twice: {provider_asns}")
+        for provider in provider_asns:
+            self.speaker(provider)
+            if self._session_key(asn, provider) in self._session_index:
+                raise TopologyError(
+                    f"a session between AS{asn} and AS{provider} already exists"
+                )
         self.graph.add_as(asn, tier=3, region=region, tags={"stub", "attached"})
         speaker = self._make_speaker(asn, policy=policy)
         for provider in provider_asns:

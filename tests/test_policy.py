@@ -4,13 +4,20 @@ import pytest
 
 from repro.bgp.messages import Announcement
 from repro.bgp.policy import (
+    ABSENT_REL_INDEX,
     DEFAULT_LOCAL_PREF,
+    EXPORT_GRID,
+    LOCAL_REL_INDEX,
+    MARK_ALL_ROW,
+    MARK_GRID,
+    REL_INDEX,
     AcceptAll,
     FilterChain,
     MaxLengthFilter,
     Policy,
     PrefixDenyFilter,
     Relationship,
+    should_export,
 )
 from repro.errors import BGPError
 from repro.net.prefix import Prefix
@@ -38,33 +45,70 @@ class TestRelationship:
 class TestExportRule:
     """The valley-free matrix: rows = learned from, cols = export to."""
 
-    def setup_method(self):
-        self.policy = Policy()
-
     @pytest.mark.parametrize(
         "to", [Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER]
     )
     def test_self_originated_exported_everywhere(self, to):
-        assert self.policy.should_export(None, to)
+        assert should_export(None, to)
 
     @pytest.mark.parametrize(
         "to", [Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER]
     )
     def test_customer_routes_exported_everywhere(self, to):
-        assert self.policy.should_export(Relationship.CUSTOMER, to)
+        assert should_export(Relationship.CUSTOMER, to)
 
     @pytest.mark.parametrize("learned", [Relationship.PEER, Relationship.PROVIDER])
     def test_peer_and_provider_routes_only_to_customers(self, learned):
-        assert self.policy.should_export(learned, Relationship.CUSTOMER)
-        assert not self.policy.should_export(learned, Relationship.PEER)
-        assert not self.policy.should_export(learned, Relationship.PROVIDER)
+        assert should_export(learned, Relationship.CUSTOMER)
+        assert not should_export(learned, Relationship.PEER)
+        assert not should_export(learned, Relationship.PROVIDER)
 
     @pytest.mark.parametrize(
         "learned",
         [None, Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER],
     )
     def test_monitors_receive_everything(self, learned):
-        assert self.policy.should_export(learned, Relationship.MONITOR)
+        assert should_export(learned, Relationship.MONITOR)
+
+
+#: Every row of the grids, keyed by its learned-from value; ``"absent"``
+#: (no route on that side of a change) has no ``should_export`` meaning.
+GRID_ROWS = {
+    **{rel: REL_INDEX[rel] for rel in Relationship},
+    None: LOCAL_REL_INDEX,
+    "absent": ABSENT_REL_INDEX,
+}
+
+
+def brute_force_row(learned):
+    if learned == "absent":
+        return tuple(False for _ in Relationship)
+    return tuple(should_export(learned, to) for to in Relationship)
+
+
+class TestGrids:
+    """The process-wide tables the speaker reads instead of the rule."""
+
+    def test_export_grid_is_the_rule(self):
+        assert sorted(GRID_ROWS.values()) == list(range(len(EXPORT_GRID)))
+        for learned, index in GRID_ROWS.items():
+            assert EXPORT_GRID[index] == brute_force_row(learned), learned
+
+    def test_mark_grid_is_the_elementwise_or(self):
+        for new, new_index in GRID_ROWS.items():
+            for old, old_index in GRID_ROWS.items():
+                expected = tuple(
+                    a or b for a, b in zip(brute_force_row(new), brute_force_row(old))
+                )
+                assert MARK_GRID[new_index][old_index] == expected, (new, old)
+
+    def test_every_all_true_row_is_the_shared_object(self):
+        all_true = [row for rows in MARK_GRID for row in rows if all(row)]
+        assert all_true  # a local or customer-learned side marks everyone
+        assert all(row is MARK_ALL_ROW for row in all_true)
+        assert not any(
+            row is MARK_ALL_ROW for rows in MARK_GRID for row in rows if not all(row)
+        )
 
 
 class TestFilters:
@@ -108,10 +152,12 @@ class TestFilters:
 class TestPolicyImport:
     def test_import_filter_applied(self):
         policy = Policy(import_filter=MaxLengthFilter(24))
-        assert policy.accept_import(A("10.0.0.0/24"), Relationship.PEER)
-        assert not policy.accept_import(A("10.0.0.0/25"), Relationship.PEER)
+        assert policy.import_filter.accepts(A("10.0.0.0/24"))
+        assert not policy.import_filter.accepts(A("10.0.0.0/25"))
+        assert type(Policy().import_filter) is AcceptAll
 
     def test_local_pref_overrides(self):
         policy = Policy(local_pref_overrides={Relationship.PEER: 250})
-        assert policy.import_local_pref(Relationship.PEER) == 250
-        assert policy.import_local_pref(Relationship.CUSTOMER) == 300
+        assert policy.local_pref[Relationship.PEER] == 250
+        assert policy.local_pref[Relationship.CUSTOMER] == 300
+        assert Policy().local_pref == DEFAULT_LOCAL_PREF
