@@ -49,7 +49,7 @@ import pytest
 
 from conftest import run_once
 from repro.faults import Fault, FaultPlan
-from repro.feeds.replay import ReplaySession, VirtualTimer, alert_sequence_digest
+from repro.feeds.replay import ReplaySession, VirtualTimer
 from repro.perf import COUNTERS
 from repro.testbed.scenario import HijackExperiment
 from test_scale import EXPECTED, scale_config
@@ -78,7 +78,7 @@ def recorded_scale(tmp_path_factory):
     return {
         "path": path,
         "result": result,
-        "live_digest": alert_sequence_digest(experiment.artemis.alerts),
+        "live_digest": experiment.artemis.detection.digest(),
         "live_lag": experiment.artemis.monitoring.mean_lag_by_source(),
     }
 
@@ -95,7 +95,7 @@ def test_replay_flat_out_throughput(benchmark, recorded_scale):
     report = run_once(benchmark, session.run)
 
     assert report["finished"]
-    assert report["alert_digest"] == recorded_scale["live_digest"]
+    assert report["merged_alert_digest"] == recorded_scale["live_digest"]
     assert (
         report["per_source_delay_final"]
         == recorded_scale["result"].per_source_delay_final
@@ -136,7 +136,7 @@ def test_replay_flat_out_throughput(benchmark, recorded_scale):
         "time_to_first_alert_wall": round(report["time_to_first_alert_wall"], 4),
         "detection_delay": report["detection_delay"],
         "peak_rss_kb": report["peak_rss_kb"],
-        "alert_digest": report["alert_digest"],
+        "merged_alert_digest": report["merged_alert_digest"],
     }
     benchmark.extra_info.update(numbers)
     _bench_numbers["flat_out"] = numbers
@@ -149,7 +149,7 @@ def test_replay_paced_virtual_bit_identity(benchmark, recorded_scale):
     session = ReplaySession(recorded_scale["path"], speed=1.0, timer=timer)
     report = run_once(benchmark, session.run)
 
-    assert report["alert_digest"] == recorded_scale["live_digest"]
+    assert report["merged_alert_digest"] == recorded_scale["live_digest"]
     assert report["mean_lag_by_source"] == recorded_scale["live_lag"]
     # The virtual timer absorbed the pacing: it "slept" roughly the trace
     # span, while the wall clock saw only the ingest work itself.
@@ -157,7 +157,7 @@ def test_replay_paced_virtual_bit_identity(benchmark, recorded_scale):
     benchmark.extra_info["virtual_sleep_seconds"] = round(timer.slept, 1)
     _bench_numbers["paced_1x_virtual"] = {
         "virtual_sleep_seconds": round(timer.slept, 1),
-        "alert_digest": report["alert_digest"],
+        "merged_alert_digest": report["merged_alert_digest"],
     }
 
 

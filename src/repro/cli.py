@@ -31,7 +31,7 @@ import time
 from typing import List, Optional
 
 from repro.baselines import PROFILES
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.eval.experiments import (
     liveness_summary,
     per_source_detection,
@@ -76,17 +76,10 @@ def _add_world_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--corroborate",
-        dest="corroborate",
         action="store_true",
         default=None,
         help="gate low-confidence verdicts on a data-plane probe "
         "(default: only for type-U, which needs it)",
-    )
-    parser.add_argument(
-        "--no-corroborate",
-        dest="corroborate",
-        action="store_false",
-        help="disable data-plane corroboration",
     )
     parser.add_argument(
         "--helpers", type=int, default=0, help="outsourced-mitigation helper ASes"
@@ -204,98 +197,96 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
-    """Replay a recorded trace through a standalone detection plane."""
+#: The one replay report, whichever engine ran: its table rows (label,
+#: key) and then the keys only ``--json`` writes.  An engine leaves a key
+#: it does not measure at ``None``, printed as "-".
+_REPLAY_ROWS = (
+    ("trace", "trace"),
+    ("engine", "engine"),
+    ("speed", "speed"),
+    ("tenants", "tenants"),
+    ("rules", "rules"),
+    ("monitored prefixes", "monitored_prefixes"),
+    ("detect workers", "detect_workers"),
+    ("batch size", "batch_size"),
+    ("records read", "records_read"),
+    ("events dropped (faults)", "events_dropped"),
+    ("duplicate deliveries", "duplicate_events_skipped"),
+    ("pending-copy backlog peak", "backlog_peak"),
+    ("pipeline batches", "pipeline_batches"),
+    ("prefix-table lookups", "pipeline_trie_walks"),
+    ("memo hits", "pipeline_memo_hits"),
+    ("verdict cache misses", "verdict_cache_misses"),
+    ("verdict cache hit ratio", "verdict_cache_hit_ratio"),
+    ("backpressure stalls", "pipeline_backpressure_stalls"),
+    ("alerts", "alerts"),
+    ("detection delay (s)", "detection_delay"),
+    ("first alert wall (s)", "time_to_first_alert_wall"),
+    ("merged alert digest", "merged_alert_digest"),
+    ("wall seconds", "wall_seconds"),
+    ("updates / sec", "updates_per_second"),
+    ("peak RSS (KB)", "peak_rss_kb"),
+    ("worker cpu seconds", "worker_cpu_seconds"),
+    ("worker events", "worker_events"),
+    ("worker event skew (max/mean)", "worker_event_skew"),
+)
+_REPLAY_JSON_ONLY = (
+    "events_delivered", "per_source_delay_final", "mean_lag_by_source",
+    "source_report", "supervisor_transitions", "fault_channel",
+    "faults_skipped", "counters",
+)
+
+
+def _check_replay_flags(args: argparse.Namespace, plane: bool) -> None:
+    """Refuse, by name, every flag the engine that runs would ignore."""
+    workers = args.detect_workers or 1
+    registry = "without --tenants or --synth-tenants"
+    session = "to a registry replay: it runs flat out, without faults or a supervisor"
+    for flag, given, applies, reason in (
+        ("--synth-tenants", args.synth_tenants, not args.tenants, "with --tenants"),
+        ("--speed", args.speed is not None, not plane, session),
+        ("--faults", args.faults, not plane, session),
+        ("--supervise", args.supervise, not plane, session),
+        ("--seed", args.seed is not None, args.faults, "without --faults"),
+        ("--detect-workers", args.detect_workers is not None, plane, registry),
+        ("--batch-size", args.batch_size is not None, plane, registry),
+        ("--synth-prefixes", args.synth_prefixes is not None, args.synth_tenants,
+         "without --synth-tenants"),
+        ("--max-events", args.max_events is not None, workers == 1,
+         "with --detect-workers > 1: detection workers stream the whole trace"),
+    ):
+        if given and not applies:
+            raise ConfigError(f"{flag} does not apply {reason}")
+
+
+def _replay_session(args: argparse.Namespace):
+    """The event-time engine: tap, fault plan, pacing and supervisor."""
     from repro.feeds.replay import ReplaySession
 
-    if args.synth_tenants or args.tenants:
-        return _cmd_replay_tenants(args)
-
+    COUNTERS.reset()
     session = ReplaySession(
         args.trace,
         speed=args.speed,
         faults=args.faults,
-        seed=args.seed,
+        seed=args.seed or 0,
         supervise=args.supervise,
     )
     report = session.run(max_events=args.max_events)
-
-    def fmt(value) -> str:
-        if value is None:
-            return "-"
-        if isinstance(value, float):
-            return f"{value:.3f}"
-        return str(value)
-
-    rows = [
-        ["trace", args.trace],
-        ["speed", "flat-out" if args.speed is None else f"{args.speed:g}x"],
-        ["records read", fmt(report["records_read"])],
-        ["events delivered", fmt(report["events_delivered"])],
-        ["events dropped (faults)", fmt(report["events_dropped"])],
-        ["duplicate deliveries", fmt(report["duplicate_events_skipped"])],
-        ["pending-copy backlog peak", fmt(report["backlog_peak"])],
-        ["wall seconds", fmt(report["wall_seconds"])],
-        ["updates / sec", fmt(report["updates_per_second"])],
-        ["alerts", fmt(report["alerts"])],
-        ["detection delay (s)", fmt(report["detection_delay"])],
-        ["first alert wall (s)", fmt(report["time_to_first_alert_wall"])],
-        ["alert digest", report["alert_digest"][:16]],
-        ["peak RSS (KB)", fmt(report["peak_rss_kb"])],
-    ]
-    print(format_table(["metric", "value"], rows, title="trace replay"))
-    if report["per_source_delay_final"]:
-        print()
-        print(
-            format_table(
-                ["source", "delay (s)"],
-                [
-                    [source, delay]
-                    for source, delay in sorted(
-                        report["per_source_delay_final"].items()
-                    )
-                ],
-                title="per-source detection delay",
-                precision=2,
-            )
-        )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nreport written to {args.json}")
-    return 0
+    report.update(engine="session", detect_workers=1, batch_size=1)
+    return report, session.detection.registry
 
 
-def _cmd_replay_tenants(args: argparse.Namespace) -> int:
-    """Replay a trace through the multi-tenant batched detection plane."""
-    import time as _time
+def _replay_plane(args: argparse.Namespace):
+    """The flat-out engine: the registry plane in process, or partitioned
+    across detection workers.  Nothing here holds the trace: both stream
+    its lines, and a synthetic registry takes one pass of its own."""
     from itertools import islice
 
     from repro.core.config import ArtemisConfig
-    from repro.errors import ConfigError
     from repro.feeds.replay import iter_trace_events, iter_trace_lines
-    from repro.perf import COUNTERS
     from repro.tenants import DetectionPlane, ParallelDetectionPlane, TenantRegistry
     from repro.tenants.synth import build_synth_registry, observed_origin_map
 
-    workers = max(1, args.detect_workers)
-    if args.faults or args.supervise or args.speed is not None:
-        print(
-            "tenant mode is a flat-out pure-ingest path: "
-            "--faults/--supervise/--speed do not apply",
-            file=sys.stderr,
-        )
-        return 2
-    if workers > 1 and args.max_events is not None:
-        print(
-            "detection workers stream the whole trace file: "
-            "--max-events does not apply with --detect-workers > 1",
-            file=sys.stderr,
-        )
-        return 2
-    # Nothing here holds the trace: workers and the single-process plane
-    # stream its lines, and a synthetic registry takes one pass of its own.
     if args.tenants:
         registry = TenantRegistry()
         try:
@@ -307,7 +298,8 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
                     ArtemisConfig.from_dict(entry["config"]),
                     autoignore_visibility=entry.get("autoignore_visibility", 0),
                 )
-        except (KeyError, ValueError) as error:  # not JSON, or a missing key
+        # Not JSON, a missing key, or a list or string where an object belongs.
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
             raise ConfigError(
                 f"malformed tenant spec {args.tenants}: {error!r}"
             ) from None
@@ -317,12 +309,13 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
             num_tenants=args.synth_tenants,
             num_prefixes=args.synth_prefixes or 100 * args.synth_tenants,
         )
-
+    workers = args.detect_workers or 1
+    batch_size = args.batch_size or 256
     COUNTERS.reset()
-    started = _time.perf_counter()
+    started = time.perf_counter()
     if workers > 1:
         parallel = ParallelDetectionPlane(
-            registry, num_workers=workers, batch_size=args.batch_size
+            registry, num_workers=workers, batch_size=batch_size
         )
         try:
             parallel.start()
@@ -330,70 +323,89 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
             result = parallel.finish()
         finally:
             parallel.close()
-        events_seen = (
-            parallel.events_routed
-            + parallel.events_unrouted
-            + parallel.events_malformed
-        )
-        digest = result["digest"]
-        alerts = result["alerts"]
-        cpu_note = ", ".join(f"{c:.2f}" for c in result["cpu_seconds"])
         per_worker = result["events_per_worker"]
-        events_note = ", ".join(str(n) for n in per_worker)
         mean_events = sum(per_worker) / len(per_worker)
-        # Max ÷ mean: 1.00 is a perfectly even partition; set beside the
-        # CPU figures it tells partition imbalance from scheduling.
-        skew_note = (
-            f"{max(per_worker) / mean_events:.2f}" if mean_events else "-"
-        )
+        report = {
+            "records_read": parallel.events_routed
+            + parallel.events_unrouted
+            + parallel.events_malformed,
+            "alerts": result["alerts"],
+            "merged_alert_digest": result["digest"],
+            "worker_cpu_seconds": result["cpu_seconds"],
+            "worker_events": per_worker,
+            # Max ÷ mean: 1.00 is a perfectly even partition; set beside the
+            # CPU figures it tells partition imbalance from scheduling.
+            "worker_event_skew": max(per_worker) / mean_events if mean_events else None,
+        }
     else:
         # The worker loop without a pipe.
-        plane = DetectionPlane(registry, batch_size=args.batch_size)
+        plane = DetectionPlane(registry, batch_size=batch_size)
         plane.ingest_lines(islice(iter_trace_lines(args.trace), args.max_events))
         plane.flush()
         plane.prune_state()
-        events_seen = plane.events_ingested
-        digest = plane.digest()
-        alerts = plane.total_alerts()
-        cpu_note = events_note = skew_note = "-"
-    wall = _time.perf_counter() - started
-
-    rows = [
-        ["trace", args.trace],
-        ["tenants", str(len(registry))],
-        ["rules", str(registry.num_rules)],
-        ["monitored prefixes", str(len(registry.monitored_prefixes()))],
-        ["detect workers", str(workers)],
-        ["batch size", str(args.batch_size)],
-        ["events seen", str(events_seen)],
-        ["pipeline batches", str(COUNTERS.pipeline_batches)],
-        ["prefix-table lookups", str(COUNTERS.pipeline_trie_walks)],
-        ["memo hits", str(COUNTERS.pipeline_memo_hits)],
-        ["verdict cache misses", str(COUNTERS.verdict_cache_misses)],
-        ["verdict cache hit ratio", f"{COUNTERS.verdict_cache_hit_ratio:.6f}"],
-        ["backpressure stalls", str(COUNTERS.pipeline_backpressure_stalls)],
-        ["alerts (all tenants)", str(alerts)],
-        ["merged alert digest", digest[:16]],
-        ["wall seconds", f"{wall:.3f}"],
-        ["events / sec", f"{events_seen / wall:,.0f}" if wall > 0 else "-"],
-        ["worker cpu seconds", cpu_note],
-        ["worker events", events_note],
-        ["worker event skew (max/mean)", skew_note],
-    ]
-    print(format_table(["metric", "value"], rows, title="multi-tenant replay"))
-    if args.json:
         report = {
-            "trace": args.trace,
-            "tenants": len(registry),
-            "rules": registry.num_rules,
-            "detect_workers": workers,
-            "batch_size": args.batch_size,
-            "events_seen": events_seen,
-            "alerts": alerts,
-            "merged_alert_digest": digest,
-            "wall_seconds": wall,
-            "counters": COUNTERS.as_dict(),
+            "records_read": plane.events_ingested,
+            "duplicate_events_skipped": plane.duplicate_events_skipped,
+            "alerts": plane.total_alerts(),
+            "merged_alert_digest": plane.digest(),
         }
+    wall = time.perf_counter() - started
+    report.update(
+        engine="plane",
+        detect_workers=workers,
+        batch_size=batch_size,
+        wall_seconds=wall,
+        updates_per_second=report["records_read"] / wall if wall > 0 else None,
+    )
+    return report, registry
+
+
+def cmd_replay(args: argparse.Namespace) -> int:
+    """Replay a recorded trace through a standalone detection plane: the
+    event-time session, or with ``--tenants`` / ``--synth-tenants`` the
+    flat-out registry plane.  Both print one table and write one report."""
+    plane = bool(args.tenants or args.synth_tenants)
+    _check_replay_flags(args, plane)
+    found, registry = _replay_plane(args) if plane else _replay_session(args)
+    sample_memory()
+    counters = COUNTERS.as_dict()
+    found.update(
+        counters,
+        trace=args.trace,
+        speed=args.speed,
+        tenants=len(registry),
+        rules=registry.num_rules,
+        monitored_prefixes=len(registry.monitored_prefixes()),
+        verdict_cache_hit_ratio=COUNTERS.verdict_cache_hit_ratio,
+        counters=counters,
+    )
+    keys = [key for _label, key in _REPLAY_ROWS] + list(_REPLAY_JSON_ONLY)
+    report = {key: found.get(key) for key in keys}
+
+    def fmt(key: str, value) -> str:
+        if key == "speed":
+            return "flat-out" if value is None else f"{value:g}x"
+        if value is None:
+            return "-"
+        if isinstance(value, list):  # per worker: CPU seconds or events
+            return ", ".join(fmt(key, item) for item in value)
+        if isinstance(value, float):
+            return format(value, ".6f" if key == "verdict_cache_hit_ratio" else ".3f")
+        return str(value)[:16] if key == "merged_alert_digest" else str(value)
+
+    rows = [[label, fmt(key, report[key])] for label, key in _REPLAY_ROWS]
+    print(format_table(["metric", "value"], rows, title="trace replay"))
+    if report["per_source_delay_final"]:
+        print()
+        print(
+            format_table(
+                ["source", "delay (s)"],
+                sorted(report["per_source_delay_final"].items()),
+                title="per-source detection delay",
+                precision=2,
+            )
+        )
+    if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -470,14 +482,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 def cmd_taxonomy(args: argparse.Namespace) -> int:
     """Sweep the hijack taxonomy and print the accuracy×delay matrix."""
-    from repro.eval.taxonomy import (
-        TAXONOMY,
-        run_false_positive_suite,
-        run_taxonomy_matrix,
-    )
+    from repro.eval.taxonomy import run_false_positive_suite, run_taxonomy_matrix
 
-    classes = args.classes or list(TAXONOMY)
-    matrix = run_taxonomy_matrix(seeds=list(args.seeds), classes=classes)
+    matrix = run_taxonomy_matrix(seeds=list(args.seeds))
     rows = [
         [
             hijack_type,
@@ -498,14 +505,13 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
             precision=2,
         )
     )
-    fp = run_false_positive_suite(corroborate=not args.no_corroborate)
+    fp = run_false_positive_suite()
     print()
     print(
         format_table(
             ["benign scenario", "events", "false positives"],
             [[s["name"], s["events"], s["false_positives"]] for s in fp["scenarios"]],
-            title="false-positive suite "
-            + ("(corroborated)" if fp["corroborate"] else "(control-plane only)"),
+            title="false-positive suite (corroborated)",
         )
     )
     if args.json:
@@ -619,7 +625,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
         ),
         seed=args.seed,
         num_shards=args.shards,
-        num_monitors=args.monitors,
         cache_dir=args.cache_dir,
     )
     started = time.perf_counter()
@@ -666,6 +671,18 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(minimum: int):
+    """An argparse ``type``: an integer no smaller than ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -695,70 +712,64 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--speed",
         type=float,
-        default=None,
         metavar="N",
-        help="pace at N× recorded time (default: flat-out)",
+        help="pace at N× recorded time (default: flat-out; session only)",
     )
     replay.add_argument(
         "--faults",
-        default=None,
         metavar="PLAN.json",
-        help="fault plan applied to the replay path (armed at the recorded "
+        help="fault plan for the event-time session (armed at the recorded "
         "hijack instant; delay/flap entries are reported as skipped)",
     )
     replay.add_argument(
-        "--seed", type=int, default=0, help="seed for fault-channel draws"
+        "--seed",
+        type=int,
+        help="seed for the --faults channel draws (default: 0)",
     )
     replay.add_argument(
         "--supervise",
         action="store_true",
-        help="run the source supervisor on the replay's event-time engine",
+        help="run the source supervisor on the session's event-time engine",
     )
     replay.add_argument(
         "--max-events",
-        type=int,
-        default=None,
+        type=_at_least(0),
         metavar="K",
-        help="stop after K records (resumable ingest smoke checks)",
+        help="stop after K records (resumable smoke checks; one process only)",
     )
     replay.add_argument(
         "--tenants",
-        default=None,
         metavar="FILE.json",
-        help="multi-tenant mode: per-tenant configs "
+        help="registry plane: per-tenant configs "
         '({"tenants": {name: {"config": ..., "autoignore_visibility": 0}}})',
     )
     replay.add_argument(
         "--synth-tenants",
-        type=int,
-        default=0,
+        type=_at_least(1),
         metavar="N",
-        help="multi-tenant mode: build N synthetic tenants grounded in the "
+        help="registry plane: build N synthetic tenants grounded in the "
         "trace's observed origins",
     )
     replay.add_argument(
         "--synth-prefixes",
-        type=int,
-        default=0,
+        type=_at_least(1),
         metavar="M",
         help="total monitored prefixes for --synth-tenants "
-        "(default: 100 per tenant; the flat-array tree holds million-scale "
+        "(default: 100 per tenant; the ikey prefix table holds million-scale "
         "populations, e.g. --synth-tenants 10000 --synth-prefixes 1000000)",
     )
     replay.add_argument(
         "--detect-workers",
-        type=int,
-        default=1,
+        type=_at_least(1),
         metavar="N",
-        help="partition the prefix space across N detection worker "
-        "processes (tenant mode only)",
+        help="partition the registry plane's prefix space across N "
+        "detection worker processes (default: 1, in process)",
     )
     replay.add_argument(
         "--batch-size",
-        type=int,
-        default=256,
+        type=_at_least(1),
         metavar="B",
-        help="classifier batch size for the tenant pipeline",
+        help="the registry plane's classifier batch size (default: 256)",
     )
     replay.add_argument("--json", default=None, help="write the report JSON here")
     replay.set_defaults(func=cmd_replay)
@@ -784,18 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=[11],
         help="experiment seeds per class",
-    )
-    taxonomy.add_argument(
-        "--classes",
-        nargs="+",
-        default=None,
-        metavar="TYPE",
-        help="taxonomy classes to sweep (default: all)",
-    )
-    taxonomy.add_argument(
-        "--no-corroborate",
-        action="store_true",
-        help="run the false-positive suite without the data-plane probe",
     )
     taxonomy.add_argument("--json", default=None, help="write the matrix JSON here")
     taxonomy.set_defaults(func=cmd_taxonomy)
@@ -854,9 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--tier1", type=int, default=8, help="number of tier-1 ASes")
     scale.add_argument("--tier2", type=int, default=60, help="number of tier-2 ASes")
     scale.add_argument("--stubs", type=int, default=250, help="number of stub ASes")
-    scale.add_argument(
-        "--monitors", type=int, default=8, help="data-plane monitor vantages"
-    )
     scale.add_argument(
         "--cache-dir",
         default=None,

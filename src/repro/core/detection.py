@@ -44,7 +44,8 @@ class DetectionService:
         from repro.tenants.registry import TenantRegistry
 
         self.config = config
-        registry = TenantRegistry()
+        #: The one-tenant registry ``config`` compiles into.
+        self.registry = registry = TenantRegistry()
         registry.add_tenant(_TENANT, config)
         self._plane = DetectionPlane(registry, batch_size=1, notify=self._alerted)
         state = self._plane.tenant_state(_TENANT)
@@ -194,6 +195,12 @@ class DetectionService:
             source: delivered - reference_time
             for source, delivered in sorted(per_source.items())
         }
+
+    def digest(self) -> str:
+        """The plane's merged alert digest, this service's one tenant being
+        ``operator`` — equal to a registry replay holding the same config
+        under that name."""
+        return self._plane.digest()
 
     def __repr__(self) -> str:
         return (

@@ -31,7 +31,6 @@ from repro.feeds.replay import (
     TraceError,
     TraceRecorder,
     TraceWriter,
-    alert_sequence_digest,
     load_trace,
 )
 from repro.feeds.ris import RISLiveStream
@@ -55,7 +54,6 @@ __all__ = [
     "TraceError",
     "TraceRecorder",
     "TraceWriter",
-    "alert_sequence_digest",
     "deploy_monitors",
     "load_trace",
 ]

@@ -822,63 +822,6 @@ class ReplayTap(_TraceFrame):
         )
 
 
-# ------------------------------------------------------------- alert digests
-
-
-def alert_sequence_digest(alerts) -> str:
-    """Canonical SHA-256 over a detection run's alert sequence.
-
-    Evidence is grouped by *incident pattern* (type, owned prefix,
-    announced prefix, offender) rather than by alert object: an operator
-    resolving an alert mid-run can split later evidence of the same
-    pattern into a fresh alert object, and that bookkeeping choice must
-    not change the digest — live-vs-replay comparison cares about what
-    was detected and when, not about resolution actions the replay never
-    performs.
-    """
-    order: List[Tuple] = []
-    incidents: Dict[Tuple, Dict] = {}
-    for alert in alerts:
-        signature = (
-            alert.type.value,
-            str(alert.owned_prefix),
-            str(alert.announced_prefix),
-            alert.offender_asn,
-        )
-        bucket = incidents.get(signature)
-        if bucket is None:
-            bucket = {
-                "detected_at": repr(alert.detected_at),
-                "first_source": alert.first_source,
-                "evidence": [],
-            }
-            incidents[signature] = bucket
-            order.append(signature)
-        for event in alert.evidence:
-            bucket["evidence"].append(
-                (
-                    event.source,
-                    event.collector,
-                    event.vantage_asn,
-                    event.kind,
-                    str(event.prefix),
-                    event.as_path,
-                    repr(event.observed_at),
-                    repr(event.delivered_at),
-                )
-            )
-    material = [
-        (
-            signature,
-            incidents[signature]["detected_at"],
-            incidents[signature]["first_source"],
-            sorted(incidents[signature]["evidence"]),
-        )
-        for signature in order
-    ]
-    return hashlib.sha256(repr(material).encode("utf-8")).hexdigest()
-
-
 # ------------------------------------------------------------ replay session
 
 
@@ -953,7 +896,7 @@ class ReplaySession:
         sample_memory()
         report = dict(self.tap.stats())
         report["alerts"] = len(self.alerts)
-        report["alert_digest"] = alert_sequence_digest(self.alerts)
+        report["merged_alert_digest"] = self.detection.digest()
         report["duplicate_events_skipped"] = self.detection.duplicate_events_skipped
         report["mean_lag_by_source"] = self.monitoring.mean_lag_by_source()
         report["time_to_first_alert_wall"] = self.first_alert_wall

@@ -538,39 +538,48 @@ def incident_rows(managers: Dict[str, AlertManager]) -> List[Tuple]:
     Works for any per-tenant manager mapping — one plane, N one-tenant
     :class:`~repro.core.detection.DetectionService` instances (wrap each
     service's ``alert_manager``), or rows merged back from
-    ``--detect-workers`` processes.  Alert IDs are deliberately excluded:
-    they are per-manager counters and differ across worker partitionings;
-    everything observable about the incident is included.
+    ``--detect-workers`` processes.  One row per tenant and incident
+    pattern (type, owned prefix, announced prefix, offender): a resolve
+    followed by fresh evidence of the same pattern splits it into a second
+    alert object, and that bookkeeping must not move the digest — a replay
+    that never resolves folds the same evidence into one object.  The row
+    keeps the first object's ``detected_at`` and ``first_source`` and
+    holds every object's evidence.  Alert IDs are deliberately excluded:
+    they are per-manager counters and differ across worker partitionings.
     """
     rows: List[Tuple] = []
     for tenant in sorted(managers):
+        incidents: Dict[Tuple, Tuple[float, str, List[Tuple]]] = {}
         for alert in managers[tenant].alerts:
-            rows.append(
-                (
-                    tenant,
-                    alert.type.value,
-                    str(alert.owned_prefix),
-                    str(alert.announced_prefix),
-                    -1 if alert.offender_asn is None else alert.offender_asn,
-                    alert.detected_at,
-                    alert.first_source,
-                    tuple(
-                        sorted(
-                            (
-                                e.source,
-                                e.collector,
-                                e.vantage_asn,
-                                e.kind,
-                                str(e.prefix),
-                                e.as_path,
-                                e.observed_at,
-                                e.delivered_at,
-                            )
-                            for e in alert.evidence
-                        )
-                    ),
-                )
+            pattern = (
+                tenant,
+                alert.type.value,
+                str(alert.owned_prefix),
+                str(alert.announced_prefix),
+                -1 if alert.offender_asn is None else alert.offender_asn,
             )
+            incident = incidents.get(pattern)
+            if incident is None:
+                incident = incidents[pattern] = (
+                    alert.detected_at, alert.first_source, []
+                )
+            incident[2].extend(
+                (
+                    e.source,
+                    e.collector,
+                    e.vantage_asn,
+                    e.kind,
+                    str(e.prefix),
+                    e.as_path,
+                    e.observed_at,
+                    e.delivered_at,
+                )
+                for e in alert.evidence
+            )
+        rows.extend(
+            pattern + (detected_at, first_source, tuple(sorted(evidence)))
+            for pattern, (detected_at, first_source, evidence) in incidents.items()
+        )
     rows.sort()
     return rows
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface (driving main() in-process)."""
 
 import json
+import os
 
 import pytest
 
@@ -29,6 +30,21 @@ class TestParser:
     def test_baseline_choices_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["baselines", "--systems", "voodoo"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--no-corroborate"],
+            ["taxonomy", "--classes", "type-0"],
+            ["taxonomy", "--no-corroborate"],
+            ["scale", "--monitors", "4"],
+        ],
+    )
+    def test_unused_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit:
+            build_parser().parse_args(argv)
+        assert exit.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -182,40 +198,42 @@ class TestBaselinesCommand:
         assert all(float(cells[0]) > 0 for cells in rows.values())
 
 
-class TestTenantReplayLoadsWhatItReads:
-    @pytest.fixture
-    def trace_and_spec(self, tmp_path):
-        from repro.core.config import ArtemisConfig, OwnedPrefix
-        from repro.feeds.events import ANNOUNCE, FeedEvent
-        from repro.feeds.replay import TraceWriter
-        from repro.net.prefix import Prefix
+@pytest.fixture
+def trace_and_spec(tmp_path):
+    """A 40-record trace owning 10.0.0.0/16, and a two-tenant spec."""
+    from repro.core.config import ArtemisConfig, OwnedPrefix
+    from repro.feeds.events import ANNOUNCE, FeedEvent
+    from repro.feeds.replay import TraceWriter
+    from repro.net.prefix import Prefix
 
-        trace = str(tmp_path / "t.trace")
-        owned = ArtemisConfig([OwnedPrefix("10.0.0.0/16", [65000])])
-        with TraceWriter(trace, config=owned) as writer:
-            for i in range(40):
-                writer.append(
-                    FeedEvent(
-                        source="ris", collector="rrc00", vantage_asn=100 + i % 3,
-                        kind=ANNOUNCE, prefix=Prefix.parse(f"10.{i % 2}.0.0/16"),
-                        as_path=(1, 666 if i % 5 == 0 else 65000 + i % 2),
-                        observed_at=float(i), delivered_at=i + 0.25,
-                    )
+    trace = str(tmp_path / "t.trace")
+    owned = ArtemisConfig([OwnedPrefix("10.0.0.0/16", [65000])])
+    with TraceWriter(trace, config=owned) as writer:
+        for i in range(40):
+            writer.append(
+                FeedEvent(
+                    source="ris", collector="rrc00", vantage_asn=100 + i % 3,
+                    kind=ANNOUNCE, prefix=Prefix.parse(f"10.{i % 2}.0.0/16"),
+                    as_path=(1, 666 if i % 5 == 0 else 65000 + i % 2),
+                    observed_at=float(i), delivered_at=i + 0.25,
                 )
-        spec = {
-            "tenants": {
-                f"t{block}": {
-                    "config": ArtemisConfig(
-                        [OwnedPrefix(f"10.{block}.0.0/16", [65000 + block])]
-                    ).to_dict()
-                }
-                for block in (0, 1)
+            )
+    spec = {
+        "tenants": {
+            f"t{block}": {
+                "config": ArtemisConfig(
+                    [OwnedPrefix(f"10.{block}.0.0/16", [65000 + block])]
+                ).to_dict()
             }
+            for block in (0, 1)
         }
-        path = tmp_path / "tenants.json"
-        path.write_text(json.dumps(spec))
-        return trace, str(path)
+    }
+    path = tmp_path / "tenants.json"
+    path.write_text(json.dumps(spec))
+    return trace, str(path)
 
+
+class TestTenantReplayLoadsWhatItReads:
     def digest(self, capsys):
         out = capsys.readouterr().out
         return next(l.split()[-1] for l in out.splitlines() if "merged alert digest" in l)
@@ -238,7 +256,7 @@ class TestTenantReplayLoadsWhatItReads:
     def test_replay_without_tenants_never_loads_the_trace(
         self, trace_and_spec, capsys, monkeypatch
     ):
-        from repro.feeds.replay import alert_sequence_digest
+        from repro.tenants import merged_alert_digest
 
         def row(out, name):
             return next(l.split()[-1] for l in out.splitlines() if l.split()[:-1] == name.split())
@@ -246,16 +264,16 @@ class TestTenantReplayLoadsWhatItReads:
         trace, _spec = trace_and_spec
         assert main(["replay", trace]) == 0
         out = capsys.readouterr().out
-        loaded = row(out, "alert digest")
+        loaded = row(out, "merged alert digest")
         assert int(row(out, "alerts")) > 0
-        assert loaded != alert_sequence_digest([])[:16]
+        assert loaded != merged_alert_digest([])[:16]
 
         def refuse(path):
             raise AssertionError("the replay tap loaded the trace")
 
         monkeypatch.setattr("repro.feeds.replay.load_trace", refuse)
         assert main(["replay", trace]) == 0
-        assert row(capsys.readouterr().out, "alert digest") == loaded
+        assert row(capsys.readouterr().out, "merged alert digest") == loaded
 
     def test_max_events_is_refused_with_workers(self, trace_and_spec, capsys):
         trace, spec = trace_and_spec
@@ -265,4 +283,123 @@ class TestTenantReplayLoadsWhatItReads:
         assert "--max-events does not apply" in captured.err
         assert captured.out == ""
         assert main(argv) == 0  # single process honours it
-        assert "events seen" in capsys.readouterr().out
+        assert "records read" in capsys.readouterr().out
+
+
+KILL_PLAN = os.path.join(
+    os.path.dirname(__file__), "..", "examples", "fault_plans", "midhijack_kill.json"
+)
+
+
+class TestOneReplayCommand:
+    """One command, two engines: each flag applies to the engine that runs
+    or exits 2 naming itself, and both engines report one digest."""
+
+    @staticmethod
+    def rows(out):
+        """The "trace replay" table of one run's output, label -> value."""
+        table = out.split("trace replay\n", 1)[1].split("\n\n", 1)[0]
+        return {
+            " ".join(line.split()[:-1]): line.split()[-1]
+            for line in table.splitlines()[2:]
+        }
+
+    def test_one_tenant_spec_prints_the_session_digest(
+        self, trace_and_spec, tmp_path, capsys
+    ):
+        from repro.feeds.replay import ReplayTap
+
+        trace, _spec = trace_and_spec
+        config = ReplayTap(trace).config.to_dict()
+        spec = tmp_path / "operator.json"
+        spec.write_text(json.dumps({"tenants": {"operator": {"config": config}}}))
+        reports = []
+        for extra in ([], ["--tenants", str(spec)]):
+            out = tmp_path / f"report{len(reports)}.json"
+            assert main(["replay", trace, "--json", str(out)] + extra) == 0
+            reports.append(json.loads(out.read_text()))
+        session, plane = reports
+        assert (session["engine"], plane["engine"]) == ("session", "plane")
+        assert session.keys() == plane.keys()  # one schema
+        assert session["alerts"] == plane["alerts"] > 0
+        assert session["merged_alert_digest"] == plane["merged_alert_digest"]
+        out = capsys.readouterr().out
+        first, second = out.split("report written")[:2]
+        rows = [self.rows(first), self.rows(second)]
+        assert list(rows[0]) == list(rows[1])  # one table layout
+        assert rows[0]["merged alert digest"] == session["merged_alert_digest"][:16]
+
+    @pytest.mark.parametrize(
+        "registry, extra, outcome",
+        [
+            # The event-time session.
+            (None, ["--speed", "1000"], ("speed", "1000x")),
+            (None, ["--supervise"], ("records read", "40")),
+            (None, ["--max-events", "5"], ("records read", "5")),
+            (None, ["--faults", KILL_PLAN, "--seed", "3"], ("records read", "40")),
+            (None, ["--seed", "3"], "--seed"),
+            (None, ["--detect-workers", "3"], "--detect-workers"),
+            (None, ["--batch-size", "7"], "--batch-size"),
+            (None, ["--synth-prefixes", "8"], "--synth-prefixes"),
+            # The registry plane.
+            ("spec", ["--batch-size", "7"], ("batch size", "7")),
+            ("spec", ["--detect-workers", "2"], ("detect workers", "2")),
+            ("spec", ["--max-events", "5"], ("records read", "5")),
+            ("synth", ["--synth-prefixes", "8"], ("rules", "8")),
+            ("spec", ["--speed", "2"], "--speed"),
+            ("spec", ["--faults", KILL_PLAN], "--faults"),
+            ("spec", ["--supervise"], "--supervise"),
+            ("spec", ["--seed", "3"], "--seed"),
+            ("spec", ["--synth-tenants", "2"], "--synth-tenants"),
+            ("spec", ["--synth-prefixes", "8"], "--synth-prefixes"),
+            ("spec", ["--max-events", "5", "--detect-workers", "2"], "--max-events"),
+        ],
+    )
+    def test_each_flag_applies_or_names_itself(
+        self, trace_and_spec, capsys, registry, extra, outcome
+    ):
+        trace, spec = trace_and_spec
+        argv = ["replay", trace] + extra
+        if registry == "spec":
+            argv += ["--tenants", spec]
+        elif registry == "synth":
+            argv += ["--synth-tenants", "2"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        if isinstance(outcome, str):
+            assert code == 2
+            assert captured.err.startswith(f"repro replay: {outcome} does not apply")
+            assert captured.out == ""
+        else:
+            assert code == 0
+            label, value = outcome
+            assert self.rows(captured.out)[label] == value
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-events", "-1"), ("--batch-size", "-5"), ("--detect-workers", "0")],
+    )
+    def test_bad_numeric_flags_are_refused_at_parse_time(
+        self, trace_and_spec, capsys, flag, value
+    ):
+        trace, spec = trace_and_spec
+        with pytest.raises(SystemExit) as exit:
+            main(["replay", trace, "--tenants", spec, flag, value])
+        assert exit.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be at least" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [[], {"tenants": {"a": "not an object"}}, {"tenants": []}],
+        ids=["top-level-list", "string-entry", "tenants-list"],
+    )
+    def test_malformed_tenant_spec_is_exit_2(self, trace_and_spec, tmp_path, capsys, spec):
+        trace, _spec = trace_and_spec
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert main(["replay", trace, "--tenants", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro replay: malformed tenant spec")
+        assert captured.err.count("\n") == 1 and captured.out == ""

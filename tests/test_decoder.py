@@ -554,7 +554,7 @@ class TestTenantReplayCli:
     def test_parallel_branch_reaps_workers(self, tmp_path, capsys):
         code, output = self.run(write_trace(tmp_path / "t.trace"), capsys)
         assert code == 0
-        assert "events seen" in output.out
+        assert "records read" in output.out
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", ["1", "2"])

@@ -6,7 +6,7 @@ The contract under test (see DESIGN.md "Trace format"):
   through :func:`load_trace`, and damage (truncation, edits, bad counts)
   is a clean :class:`TraceError`, never a hang or a silent partial load;
 * replaying a recorded run — flat-out or paced at any speed — reproduces
-  the live run's alert sequence digest, per-source detection delays, and
+  the live run's merged alert digest, per-source detection delays, and
   monitoring lag tables *exactly* (the event-time contract);
 * the supervisor under replay runs on the tap's engine, whose clock is
   event time: a flat-out replay never false-fails a healthy source, a
@@ -38,7 +38,6 @@ from repro.feeds.replay import (
     TraceError,
     TraceWriter,
     VirtualTimer,
-    alert_sequence_digest,
     load_trace,
 )
 from repro.net.prefix import Prefix
@@ -166,7 +165,8 @@ def recorded(tmp_path_factory):
     return {
         "path": path,
         "result": result,
-        "live_digest": alert_sequence_digest(experiment.artemis.alerts),
+        "live_digest": experiment.artemis.detection.digest(),
+        "live_alerts": len(experiment.artemis.alerts),
         "live_lag": experiment.artemis.monitoring.mean_lag_by_source(),
         "live_fraction": experiment.artemis.monitoring.fraction_series(PREFIX),
     }
@@ -193,7 +193,10 @@ class TestRecordedReplay:
         session = ReplaySession(recorded["path"])
         report = session.run()
         assert report["finished"]
-        assert report["alert_digest"] == recorded["live_digest"]
+        # The split case: the live run resolved and re-raised the incident,
+        # the replay never resolves — rows grouped by pattern agree.
+        assert (recorded["live_alerts"], report["alerts"]) == (2, 1)
+        assert report["merged_alert_digest"] == recorded["live_digest"]
         assert report["detection_delay"] == recorded["result"].detection_delay
         assert (
             report["per_source_delay_final"]
@@ -210,9 +213,9 @@ class TestRecordedReplay:
         flat = ReplaySession(recorded["path"])
         report_1x, report_10x, report_flat = at_1x.run(), at_10x.run(), flat.run()
         assert (
-            report_1x["alert_digest"]
-            == report_10x["alert_digest"]
-            == report_flat["alert_digest"]
+            report_1x["merged_alert_digest"]
+            == report_10x["merged_alert_digest"]
+            == report_flat["merged_alert_digest"]
             == recorded["live_digest"]
         )
         assert (
@@ -245,7 +248,7 @@ class TestRecordedReplay:
         assert session.tap.records_read == 10
         report = session.run()
         assert report["finished"]
-        assert report["alert_digest"] == recorded["live_digest"]
+        assert report["merged_alert_digest"] == recorded["live_digest"]
 
 
 # ------------------------------------------------- supervision on the engine

@@ -1344,6 +1344,57 @@ class TestMergedDigest:
             # Nothing in the row is a per-manager alert id.
             assert plane.alert_managers()[row[0]].alerts[0].id not in row[2:5]
 
+    @staticmethod
+    def lifecycle(resolve_at):
+        """Two incident patterns under cooldown 0; the first is resolved at
+        ``resolve_at`` (``None``: never) between its two reports."""
+        from repro.core.alerts import AlertManager
+
+        manager = AlertManager(cooldown=0.0)
+        owned = Prefix.parse("10.0.0.0/23")
+        hijack = [
+            make_event(1.0, "10.0.0.0/24", (1, 666), source="ris"),
+            make_event(4.0, "10.0.0.0/24", (2, 666), source="bgpmon", vantage=200),
+        ]
+        other = make_event(3.0, "10.0.1.0/24", (1, 777), source="periscope")
+        manager.ingest(AlertType.SUB_PREFIX, owned, hijack[0].prefix, 666, hijack[0])
+        manager.ingest(AlertType.SUB_PREFIX, owned, other.prefix, 777, other)
+        if resolve_at is not None:
+            manager.alerts[0].resolve(resolve_at)
+        manager.ingest(AlertType.SUB_PREFIX, owned, hijack[1].prefix, 666, hijack[1])
+        return manager
+
+    @staticmethod
+    def per_object_rows(manager):
+        """One row per alert object — what the rows were before grouping."""
+        return sorted(
+            (
+                "t", a.type.value, str(a.owned_prefix), str(a.announced_prefix),
+                a.offender_asn, a.detected_at, a.first_source,
+                tuple(sorted(
+                    (e.source, e.collector, e.vantage_asn, e.kind, str(e.prefix),
+                     e.as_path, e.observed_at, e.delivered_at)
+                    for e in a.evidence
+                )),
+            )
+            for a in manager.alerts
+        )
+
+    def test_a_resolved_then_refired_pattern_is_one_row(self):
+        split, whole = self.lifecycle(resolve_at=2.0), self.lifecycle(resolve_at=None)
+        assert (len(split), len(whole)) == (3, 2)  # the re-fire is a new object
+        assert self.per_object_rows(split) != self.per_object_rows(whole)
+        rows = incident_rows({"t": split})
+        assert rows == incident_rows({"t": whole}) == self.per_object_rows(whole)
+        hijack_row = rows[0]
+        assert hijack_row[3] == "10.0.0.0/24"
+        assert hijack_row[5:7] == (1.0, "ris")  # the first object's
+        assert [e[0] for e in hijack_row[7]] == ["bgpmon", "ris"]  # both objects'
+
+    def test_rows_are_per_object_when_nothing_resolved(self):
+        manager = self.lifecycle(resolve_at=None)
+        assert incident_rows({"t": manager}) == self.per_object_rows(manager)
+
 
 # -------------------------------------------------------------------- synth
 
