@@ -229,6 +229,8 @@ _REPLAY_ROWS = (
     ("worker cpu seconds", "worker_cpu_seconds"),
     ("worker events", "worker_events"),
     ("worker event skew (max/mean)", "worker_event_skew"),
+    ("router send wait (s)", "router_send_wait_s"),
+    ("worker recv wait (s)", "worker_recv_wait_s"),
 )
 _REPLAY_JSON_ONLY = (
     "events_delivered", "per_source_delay_final", "mean_lag_by_source",
@@ -336,6 +338,10 @@ def _replay_plane(args: argparse.Namespace):
             # Max ÷ mean: 1.00 is a perfectly even partition; set beside the
             # CPU figures it tells partition imbalance from scheduling.
             "worker_event_skew": max(per_worker) / mean_events if mean_events else None,
+            # Time blocked on the pipes: the router in its sends, the
+            # workers (summed) waiting for their next frame.
+            "router_send_wait_s": result["send_wait_ns"] / 1e9,
+            "worker_recv_wait_s": result["recv_wait_ns"] / 1e9,
         }
     else:
         # The worker loop without a pipe.

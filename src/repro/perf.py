@@ -34,6 +34,8 @@ What the counters capture:
   evictions, binary frames shipped to detection workers (count and
   bytes), malformed trace lines dropped by the parent-side router, and
   the tenant prefix table's resident-byte gauge (``tree_bytes``);
+* **worker pipes** — nanoseconds the parent spent blocked sending to a
+  worker and detection workers spent blocked waiting for a frame;
 * **memory gauges** — peak RSS, intern-table populations and serialized
   checkpoint size, sampled with :func:`sample_memory` rather than bumped.
 
@@ -111,6 +113,11 @@ FIELDS: Tuple[str, ...] = (
     "frames_sent",
     "frames_bytes",
     "events_malformed",
+    # worker pipes: nanoseconds blocked writing a message to a worker
+    # (repro.proc.WorkerGroup.send) and, in a detection worker, waiting
+    # for the next frame (summed across workers)
+    "pipe_send_wait_ns",
+    "pipe_recv_wait_ns",
 )
 
 #: Gauge fields: sampled point-in-time values, merged with ``max`` instead

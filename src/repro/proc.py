@@ -21,6 +21,12 @@ module owns how it travels and what a failure looks like:
 * **A fan-out reads every worker's reply before raising** the first error,
   so a worker that answers an error and stays alive leaves no reply unread
   to be mistaken for the answer to the next request.
+* **Buffered.** Each pipe asks the kernel for :data:`PIPE_BUFFER_BYTES`
+  of socket buffer both ways, so a send queues several whole shipments
+  instead of waiting for the worker to finish its current one; the kernel
+  clamps the request at ``net.core.wmem_max`` / ``rmem_max``, and a send
+  still blocks once a worker is a full buffer behind.  Time blocked in
+  :meth:`WorkerGroup.send` is counted in ``pipe_send_wait_ns``.
 * **close()** says a best-effort farewell, closes the pipes, and escalates
   ``join`` → ``terminate`` → ``join``; it is idempotent and safe after a
   start that failed half-way.
@@ -32,9 +38,24 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import socket
+from multiprocessing.reduction import ForkingPickler
+from time import perf_counter_ns
 from typing import Callable, List, Sequence, Type
 
 from repro.perf import COUNTERS as _COUNTERS
+
+#: Socket buffer requested for each direction of every worker pipe: room
+#: for several 4096-line detection shipments (≈340 KB each), where the
+#: default (≈208 KiB on Linux) holds less than one.
+PIPE_BUFFER_BYTES = 4 << 20
+
+
+def _widen(conn) -> None:
+    """Ask for :data:`PIPE_BUFFER_BYTES` both ways on ``conn``'s socket."""
+    with socket.fromfd(conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, PIPE_BUFFER_BYTES)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, PIPE_BUFFER_BYTES)
 
 
 def _child_main(inherited: Sequence, target: Callable, args: tuple, conn) -> None:
@@ -61,6 +82,9 @@ class WorkerGroup:
         self._error = error
         self._context = multiprocessing.get_context("fork")
         self._conns: List = []
+        #: Nanoseconds this group's sends spent blocked (also counted in
+        #: ``pipe_send_wait_ns``).
+        self.send_wait_ns = 0
         #: The children, in fork order (tests kill them through this).
         self.processes: List = []
 
@@ -72,6 +96,8 @@ class WorkerGroup:
         """
         parent_conn, child_conn = self._context.Pipe()
         try:
+            _widen(parent_conn)
+            _widen(child_conn)
             process = self._context.Process(
                 target=_child_main,
                 args=(self._conns + [parent_conn], target, args, child_conn),
@@ -87,18 +113,26 @@ class WorkerGroup:
         self.processes.append(process)
 
     def send(self, worker: int, message) -> None:
-        """Ship one message: ``bytes`` raw and counted, anything else pickled."""
-        conn = self._conns[worker]
+        """Ship one message: ``bytes`` raw and counted, anything else pickled.
+
+        Only the write is timed (``pipe_send_wait_ns``), once per message:
+        it returns as soon as the kernel has queued the bytes.
+        """
+        raw = isinstance(message, bytes)
+        data = message if raw else ForkingPickler.dumps(message)
         try:
-            if isinstance(message, bytes):
-                conn.send_bytes(message)
-                _COUNTERS.frames_sent += 1
-                _COUNTERS.frames_bytes += len(message)
-            else:
-                conn.send(message)
-            return
+            started = perf_counter_ns()
+            self._conns[worker].send_bytes(data)
         except (BrokenPipeError, ConnectionResetError):
             pass
+        else:
+            waited = perf_counter_ns() - started
+            self.send_wait_ns += waited
+            _COUNTERS.pipe_send_wait_ns += waited
+            if raw:
+                _COUNTERS.frames_sent += 1
+                _COUNTERS.frames_bytes += len(data)
+            return
         # Raised outside the handler, so the typed error does not drag the
         # pipe exception (and the pickler's buffer its frames hold) along.
         raise self._last_words(worker)

@@ -14,11 +14,11 @@ handful of control frames.
   elsewhere); the explicit body length lets the receiver reject truncated
   or corrupt frames loudly.
 * **BATCH / FINISH / STOP.**  A ``BATCH`` body is a u32 line count plus the
-  raw trace lines joined by ``\\n``.  Lines stay **bytes end to end**: the
-  parent reads the trace file in binary, routes on the prefix field without
-  decoding, and workers parse events straight from the bytes — no
-  intermediate ``str`` objects cross the pipe at all.  ``FINISH`` and
-  ``STOP`` are bare headers.
+  raw trace lines joined by ``\\n``.  The parent never decodes a line: it
+  reads the trace file in binary and routes on the prefix field as bytes.
+  A worker decodes each ``BATCH`` body once (:func:`decode_batch_text`:
+  one UTF-8 decode and one split per frame) and hands the ``str`` lines to
+  its plane.  ``FINISH`` and ``STOP`` are bare headers.
 
 Worker → parent there is no frame: a worker answers ``FINISH`` once, with
 :mod:`repro.proc`'s pickled ``("ok", result)`` / ``("error", message)``

@@ -19,8 +19,9 @@ has ever supported) *after* the parent has built one
 :class:`~repro.tenants.flattree.FlatPrefixTree` over the registry, and
 receive ``(registry, tree)`` as plain ``Process`` arguments — under fork
 those are not pickled, the child simply keeps the parent's objects
-copy-on-write.  No registry bytes cross a pipe.  Every worker
-therefore holds the *whole* tree, not just its partition; that is exact,
+copy-on-write.  No registry bytes cross a pipe.  The roots are taken
+from that same tree, so routing and the workers' rows are one snapshot.
+Every worker holds the *whole* tree, not just its partition; that is exact,
 not approximate, because of the routing invariant above: a worker only
 ever receives announcements under its own roots, a root is covered by no
 other monitored prefix, and so every rule that can match such an
@@ -141,9 +142,11 @@ def tenant_worker_main(
     expected_epoch = 1
     while True:
         try:
+            waited = time.perf_counter_ns()
             data = conn.recv_bytes()
         except EOFError:
             break
+        _COUNTERS.pipe_recv_wait_ns += time.perf_counter_ns() - waited
         try:
             kind, epoch, body = decode_frame(data)
             if kind == FRAME_BATCH:
@@ -220,11 +223,10 @@ class ParallelDetectionPlane:
         self.registry = registry
         self.num_workers = int(num_workers)
         self.batch_size = int(batch_size)
-        # Straight from the rows: the partition dedupes and sorts on ``ikey``.
-        self.roots = partition_roots(rule.prefix for rule in registry.all_rules())
-        if not self.roots:
-            raise ReproError("registry has no monitored prefixes to partition")
-        self._routing = assign_roots(self.roots, self.num_workers)
+        #: The partition and its ``root.ikey`` → worker map, both taken in
+        #: :meth:`start` from the tree the workers are forked with.
+        self.roots: List[Prefix] = []
+        self._routing: Dict[int, int] = {}
         #: prefix field (bytes) → worker id, ``None`` (unrouted), or
         #: :data:`_MALFORMED`.
         self._route_memo: Dict[bytes, Optional[int]] = {}
@@ -250,13 +252,24 @@ class ParallelDetectionPlane:
     # ----------------------------------------------------------- lifecycle
 
     def start(self) -> None:
-        """Build the shared tree once, then fork the workers with it."""
+        """Build the shared tree once, partition it, and fork the workers.
+
+        Routing and the workers' tree are one snapshot of the registry, so
+        a tenant added between construction and here is routed too.
+        """
         if self.started:
             return
         # Attached to the registry, so any later add/remove moves its epoch
         # — the signal the stale-registry guard reads.
-        self._tree = FlatPrefixTree(self.registry)
-        self._fork_epoch = self._tree.epoch
+        tree = FlatPrefixTree(self.registry)
+        roots = partition_roots(tree.monitored_prefixes())
+        if not roots:
+            self.registry.detach_tree(tree)
+            raise ReproError("registry has no monitored prefixes to partition")
+        self._tree = tree
+        self._fork_epoch = tree.epoch
+        self.roots = roots
+        self._routing = assign_roots(roots, self.num_workers)
         # What the children are forked to share: frozen, no full collection
         # — here or in a worker, whenever CPython's thresholds next call for
         # one — walks it and dirties the copy-on-write pages it sits on.
@@ -365,7 +378,11 @@ class ParallelDetectionPlane:
             {"rows", "digest", "alerts", "cpu_seconds": [per worker],
              "critical_path_cpu", "events_per_worker": [per worker],
              "events_routed", "events_unrouted", "events_malformed",
-             "workers": [per-worker payloads]}
+             "send_wait_ns", "recv_wait_ns", "workers": [per-worker payloads]}
+
+        ``send_wait_ns`` is the time this plane's router spent blocked
+        writing to the worker pipes; ``recv_wait_ns`` the workers' time
+        blocked waiting for a frame, summed.
         """
         if self.finished:
             raise ReproError("parallel plane already finished")
@@ -398,6 +415,10 @@ class ParallelDetectionPlane:
             "events_routed": self.events_routed,
             "events_unrouted": self.events_unrouted,
             "events_malformed": self.events_malformed,
+            "send_wait_ns": self._group.send_wait_ns,
+            "recv_wait_ns": sum(
+                payload["perf"]["pipe_recv_wait_ns"] for payload in payloads
+            ),
             "workers": payloads,
         }
 

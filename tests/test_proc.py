@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import socket
 import struct
 import subprocess
 import sys
@@ -19,7 +20,8 @@ import pytest
 
 from conftest import kill_worker
 
-from repro.proc import WorkerGroup
+from repro.perf import COUNTERS
+from repro.proc import PIPE_BUFFER_BYTES, WorkerGroup
 
 
 class ToyError(Exception):
@@ -57,6 +59,30 @@ def raw_echo(conn):
             conn.send(("ok", conn.recv_bytes()))
     except EOFError:
         pass
+
+
+def slow_reader(conn):
+    """Sleep before reading anything, then report the sizes of three frames."""
+    time.sleep(1.5)
+    conn.send(("ok", [len(conn.recv_bytes()) for _ in range(3)]))
+    conn.recv_bytes()  # the farewell
+
+
+def kernel_limit(name):
+    """``/proc/sys/net/core/<name>``, or 0 where the host has none."""
+    try:
+        with open(f"/proc/sys/net/core/{name}") as limit:
+            return int(limit.read())
+    except (OSError, ValueError):
+        return 0
+
+
+def buffer_sizes(fileno):
+    with socket.fromfd(fileno, socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        return tuple(
+            sock.getsockopt(socket.SOL_SOCKET, option)
+            for option in (socket.SO_SNDBUF, socket.SO_RCVBUF)
+        )
 
 
 STOP = ("stop", None)
@@ -100,6 +126,42 @@ class TestRoundTrip:
 
         group.fork(child, "a", 2)
         assert group.recv(0) == ("a", 2)
+
+
+class TestBuffering:
+    def test_pipe_buffers_are_what_the_kernel_grants(self, group):
+        """The parent end holds exactly what the kernel grants a fresh
+        socket pair for the same request, clamp and doubling included."""
+        forked(group, 1)
+        left, right = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+        with left, right:
+            for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                left.setsockopt(socket.SOL_SOCKET, option, PIPE_BUFFER_BYTES)
+            granted = buffer_sizes(left.fileno())
+        assert buffer_sizes(group._conns[0].fileno()) == granted
+
+    @pytest.mark.skipif(
+        kernel_limit("wmem_max") < 1 << 20,
+        reason="net.core.wmem_max < 1 MiB: the kernel clamps the request, "
+        "and a send waits for the reader as it does with default buffers",
+    )
+    def test_sends_queue_while_a_worker_sleeps(self):
+        """Three ~300 KB frames fit the pipe: the sends return at once
+        while the worker has not read anything yet."""
+        group = WorkerGroup("slow {}", ToyError)
+        try:
+            group.fork(slow_reader)
+            before = COUNTERS.pipe_send_wait_ns
+            started = time.monotonic()
+            for index in range(3):
+                group.send(0, bytes([index]) * 300_000)
+            assert time.monotonic() - started < 0.5
+            assert group.send_wait_ns == COUNTERS.pipe_send_wait_ns - before
+            assert group.send_wait_ns < 500_000_000
+            assert group.recv(0) == [300_000] * 3
+        finally:
+            group.close(b"")
+        assert multiprocessing.active_children() == []
 
 
 class TestErrorReplies:

@@ -39,6 +39,7 @@ from conftest import kill_worker
 from repro.core.alerts import AlertStatus, AlertType
 from repro.core.config import ArtemisConfig, OwnedPrefix, OwnedSpace
 from repro.core.detection import DetectionService
+from repro.feeds.dumpfile import format_event
 from repro.feeds.events import FeedEvent
 from repro.feeds.replay import TraceError, TraceWriter, iter_trace_lines
 from repro.net.prefix import Prefix
@@ -996,6 +997,8 @@ class TestPartitioning:
             trie.insert(rule.prefix, rule.prefix)
         oracle = [p for p in trie.keys() if len(list(trie.covering(p))) == 1]
         plane = ParallelDetectionPlane(registry, num_workers=3)
+        plane.start()  # the partition is taken from the tree it forks with
+        plane.close()
         assert [str(root) for root in plane.roots] == [
             "10.0.0.0/23", "11.0.0.0/8", "192.168.0.0/24", "2001:db8::/32",
         ]
@@ -1057,11 +1060,42 @@ class TestParallelDetectionPlane:
         trace = write_mini_trace(tmp_path / "mini.trace")
         parallel = ParallelDetectionPlane(worker_registry(), num_workers=2)
         parallel.feed_trace(trace)
-        parallel.finish()
+        result = parallel.finish()
         assert COUNTERS.detect_events_routed == 40 * 8
         assert COUNTERS.detect_worker_batches >= 2
         assert COUNTERS.pipeline_events_ingested == 40 * 8
         assert COUNTERS.pipeline_batches >= 2
+        # The pipe waits: the router's own, and the workers' summed home.
+        assert result["send_wait_ns"] == COUNTERS.pipe_send_wait_ns > 0
+        assert result["recv_wait_ns"] == COUNTERS.pipe_recv_wait_ns > 0
+        assert result["recv_wait_ns"] == sum(
+            payload["perf"]["pipe_recv_wait_ns"] for payload in result["workers"]
+        )
+
+    def test_tenant_added_before_start_is_routed(self):
+        """Routing is partitioned from the tree the workers fork with, not
+        from the registry as it stood at construction."""
+        registry = TenantRegistry()
+        registry.add_tenant("acme", ArtemisConfig([OwnedPrefix("10.0.0.0/23", [65001])]))
+        parallel = ParallelDetectionPlane(registry, num_workers=2)
+        registry.add_tenant("late", ArtemisConfig([OwnedPrefix("20.0.0.0/24", [65020])]))
+        events = [
+            make_event(1.0 + step, prefix, (100 + step, 666), vantage=100 + step)
+            for step in range(4)
+            for prefix in ("10.0.0.0/23", "20.0.0.0/24")
+        ]
+        plane = DetectionPlane(registry)
+        for event in events:
+            plane.ingest(event)
+        plane.flush()
+        assert {row[0] for row in plane.incident_rows()} == {"acme", "late"}
+        parallel.start()
+        parallel.feed_lines(format_event(event) for event in events)
+        result = parallel.finish()
+        assert result["events_unrouted"] == 0
+        assert result["events_routed"] == 8
+        assert result["rows"] == plane.incident_rows()
+        assert result["digest"] == plane.digest()
 
     def test_epoch_violation_is_loud(self, tmp_path):
         import multiprocessing
