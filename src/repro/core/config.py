@@ -39,11 +39,11 @@ class OwnedPrefix:
         if isinstance(prefix, str):
             prefix = Prefix.parse(prefix)
         self.prefix = prefix
-        self.legit_origins: FrozenSet[int] = frozenset(int(a) for a in legit_origins)
+        self.legit_origins: FrozenSet[int] = frozenset(map(int, legit_origins))
         if not self.legit_origins:
             raise ConfigError(f"owned prefix {prefix} needs at least one legit origin")
         self.legit_upstreams: Optional[FrozenSet[int]] = (
-            frozenset(int(a) for a in legit_upstreams)
+            frozenset(map(int, legit_upstreams))
             if legit_upstreams is not None
             else None
         )
@@ -100,7 +100,7 @@ class OwnedSpace:
         if isinstance(prefix, str):
             prefix = Prefix.parse(prefix)
         self.prefix = prefix
-        self.legit_origins: FrozenSet[int] = frozenset(int(a) for a in legit_origins)
+        self.legit_origins: FrozenSet[int] = frozenset(map(int, legit_origins))
         if not self.legit_origins:
             raise ConfigError(f"owned space {prefix} needs at least one legit origin")
         self.description = description

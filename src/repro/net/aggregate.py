@@ -15,25 +15,13 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, uncovered_keys
 
 
 def remove_covered(prefixes: Iterable[Prefix]) -> List[Prefix]:
-    """Drop any prefix covered by another prefix of the set.
-
-    Output is sorted.  Duplicates collapse to one entry.
-    """
-    result: List[Prefix] = []
-    # Deduplicated and sorted as ints (no ``Prefix.__hash__``, no key
-    # function).  ``ikey`` order is (version, network, length): a covering
-    # prefix sorts immediately before everything it covers, so the last
-    # kept prefix is the only candidate cover of the next one.
+    """Drop any prefix covered by another of the set; sorted, duplicates collapsed."""
     by_key = {prefix.ikey: prefix for prefix in prefixes}
-    for key in sorted(by_key):
-        prefix = by_key[key]
-        if not result or not result[-1].contains(prefix):
-            result.append(prefix)
-    return result
+    return [by_key[key] for key in uncovered_keys(by_key)]
 
 
 def merge_siblings(prefixes: Iterable[Prefix]) -> List[Prefix]:

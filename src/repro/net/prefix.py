@@ -416,13 +416,31 @@ def covered_range(prefix: Prefix) -> Tuple[int, int]:
     return low, low - (prefix.length << 1) + (1 << (prefix.bits - prefix.length + 9))
 
 
+#: ``_SPANS[v6][length << 1]``: ``high - low`` of a :func:`covered_range`.
+_SPANS = tuple(
+    {n << 1: (1 << (bits - n + 9)) - (n << 1) for n in range(bits + 1)} for bits in (32, 128)
+)
+
+
+def uncovered_keys(ikeys: Iterable[int]) -> List[int]:
+    """The distinct ``ikeys`` no other key's prefix covers, ascending: one
+    sorted walk keeping each key at or past the last kept key's ``high``."""
+    kept: List[int] = []
+    high = -1
+    for key in sorted(ikeys):
+        if key >= high:
+            kept.append(key)
+            high = key + _SPANS[key >> 137][key & 0x1FE]
+    return kept
+
+
 def present_lengths(ikeys: Iterable[int]) -> Dict[int, List[int]]:
     """``{4: [...], 6: [...]}``: the distinct prefix lengths among ``ikeys``,
     longest first — the ``lengths`` argument for a table with those keys."""
-    seen = {(ikey >> 137, (ikey >> 1) & 0xFF) for ikey in ikeys}
+    seen = {(ikey >> 137) << 9 | ikey & 0x1FE for ikey in ikeys}  # no tuple per key
     return {
-        version: sorted((n for v6, n in seen if v6 == (version == 6)), reverse=True)
-        for version in (4, 6)
+        4: sorted((code >> 1 for code in seen if code < 512), reverse=True),
+        6: sorted((code - 512 >> 1 for code in seen if code >= 512), reverse=True),
     }
 
 

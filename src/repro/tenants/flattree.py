@@ -14,9 +14,10 @@ holds the node-object tree it is property-tested against.
 from __future__ import annotations
 
 import sys
+from itertools import islice
 from typing import Dict, Iterable, List, Tuple, Union
 
-from repro.net.prefix import Prefix, covering, present_lengths
+from repro.net.prefix import Prefix, covering, present_lengths, uncovered_keys
 from repro.perf import COUNTERS as _COUNTERS
 from repro.tenants.registry import TenantRule
 
@@ -37,6 +38,10 @@ def _rows(held: Held) -> Tuple[TenantRule, ...]:
     return held if type(held) is tuple else (held,)
 
 
+def _tuple_size(held: Held) -> int:  # a table value's share of ``nbytes()``
+    return sys.getsizeof(held) if type(held) is tuple else 0
+
+
 class FlatPrefixTree:
     """Longest-match service over every tenant's monitored prefixes.
 
@@ -46,8 +51,10 @@ class FlatPrefixTree:
 
     def __init__(self, registry=None) -> None:
         self._table: Dict[int, Held] = {}
-        #: ``present_lengths`` of the table, refreshed once per mutation batch.
+        #: The table's ``present_lengths``, grown by each batch's new keys (a
+        #: removal leaves a vanished length: a probe there just misses).
         self._lengths = present_lengths(())
+        self._tuple_bytes = 0  # the shared-prefix rule tuples' bytes, kept per row
         #: Bumped once per mutation batch; the verdict cache and the
         #: worker plane compare epochs to reject stale rules loudly.
         self.epoch = 0
@@ -63,6 +70,7 @@ class FlatPrefixTree:
     def insert_rules(self, rules: Iterable[TenantRule]) -> None:
         """Add rule rows in arrival order; one epoch bump per call."""
         table = self._table
+        size = len(table)
         added = 0
         try:
             for rule in rules:
@@ -70,13 +78,17 @@ class FlatPrefixTree:
                 key = rule.prefix.ikey
                 held = table.get(key)
                 table[key] = rule if held is None else _rows(held) + (rule,)
+                if held is not None:
+                    self._tuple_bytes += _tuple_size(table[key]) - _tuple_size(held)
                 added += 1
         finally:
             # Also when a row raised: what is already linked is counted
             # and the epoch moves, so no verdict cache outlives the change.
             if added:
                 self.num_rules += added
-                self._changed()
+                # The keys this batch created are the dict's last ones: only
+                # they are read, so a batch costs its rows, not the table.
+                self._changed(present_lengths(islice(reversed(table), len(table) - size)))
 
     def remove_rules(self, rules: Iterable[TenantRule]) -> None:
         """Drop rule rows (a tenant retiring); one epoch bump per call."""
@@ -84,12 +96,15 @@ class FlatPrefixTree:
         try:
             for rule in rules:
                 key = rule.prefix.ikey
-                rows = list(_rows(self._table.get(key, ())))
+                held = self._table.get(key, ())
+                rows = list(_rows(held))
                 if rule not in rows:
                     raise KeyError(f"rule {rule!r} not present in the prefix tree")
                 rows.remove(rule)
+                self._tuple_bytes -= _tuple_size(held)
                 if rows:
                     self._table[key] = rows[0] if len(rows) == 1 else tuple(rows)
+                    self._tuple_bytes += _tuple_size(self._table[key])
                 else:
                     del self._table[key]
                 removed += 1
@@ -97,11 +112,12 @@ class FlatPrefixTree:
             # A batch that raises on an absent rule unlinked those before it.
             if removed:
                 self.num_rules -= removed
-                self._changed()
+                self._changed({})
 
-    def _changed(self) -> None:
+    def _changed(self, added_lengths: Dict[int, List[int]]) -> None:
         self.epoch += 1
-        self._lengths = present_lengths(self._table)
+        for version, new in added_lengths.items():
+            self._lengths[version] = sorted({*self._lengths[version], *new}, reverse=True)
         _COUNTERS.tree_bytes = max(_COUNTERS.tree_bytes, self.nbytes())
 
     def resolve(self, prefix: Prefix) -> List[Match]:
@@ -129,6 +145,11 @@ class FlatPrefixTree:
         """Distinct stored prefixes, in deterministic bit order."""
         return [_rows(self._table[key])[0].prefix for key in sorted(self._table)]
 
+    def roots(self) -> List[Prefix]:
+        """Stored prefixes no other stored prefix covers, in bit order."""
+        table = self._table
+        return [_rows(table[key])[0].prefix for key in uncovered_keys(table)]
+
     def tenants_at(self, prefix: Prefix) -> List[str]:
         """Tenant names monitoring exactly ``prefix``."""
         rows = _rows(self._table.get(prefix.ikey, ()))
@@ -137,9 +158,7 @@ class FlatPrefixTree:
     def nbytes(self) -> int:
         """Resident bytes of the table's own storage (``tree_bytes``): the dict
         and each shared prefix's rule tuple; keys and rules are the registry's."""
-        return sys.getsizeof(self._table) + sum(
-            sys.getsizeof(held) for held in self._table.values() if type(held) is tuple
-        )
+        return sys.getsizeof(self._table) + self._tuple_bytes
 
     def __repr__(self) -> str:
         return (

@@ -150,7 +150,7 @@ class TenantRegistry:
             return None
         # The config classes coerce to ``frozenset`` of ``int`` where the
         # value enters; only what bypassed them is coerced here.
-        key = asns if type(asns) is frozenset else frozenset(int(a) for a in asns)
+        key = asns if type(asns) is frozenset else frozenset(map(int, asns))
         return self._asn_sets.setdefault(key, key)
 
     def _intern_adjacencies(
@@ -198,10 +198,14 @@ class TenantRegistry:
             self._intern_set(config.leak_sentinels),
             config.detect_unchanged_path,
         )
-        intern = self._intern_set
+        intern, shared = self._intern_set, self._asn_sets.setdefault
         rows = tuple(
             TenantRule(
-                policy, e.prefix, intern(e.legit_origins), intern(e.legit_upstreams)
+                policy,
+                e.prefix,
+                # Config entries hold frozensets: one dict call interns them.
+                shared(o, o) if type(o := e.legit_origins) is frozenset else intern(o),
+                None if (u := e.legit_upstreams) is None else intern(u),
             )
             for e in config.owned
         )

@@ -8,10 +8,12 @@ result is a plain concatenation — no cross-worker reconciliation, and the
 merged digest is bit-identical to a single worker's by construction.
 
 The partition unit is a **root**: a monitored prefix not covered by any
-other monitored prefix.  Roots are disjoint by definition, so routing one
-announcement is one longest-match against the ``root.ikey`` → worker dict;
-sub-prefix announcements inside a root land with it.  Roots are round-robined
-across workers in canonical order — deterministic for any worker count.
+other monitored prefix.  ``start()`` takes the roots from one ascending walk
+over the shared tree's own keys (:func:`~repro.net.prefix.uncovered_keys`)
+and round-robins them across workers in that order — deterministic for any
+worker count.  Roots are disjoint, so routing one announcement is one
+longest-match against the ``root.ikey`` → worker dict at the roots' present
+lengths; sub-prefix announcements inside a root land with it.
 
 **Hand-off contract.**  Workers are forked (through
 :class:`repro.proc.WorkerGroup`; fork is the only start method this module
@@ -64,12 +66,12 @@ from __future__ import annotations
 
 import gc
 import time
+from itertools import cycle
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.feeds.replay import iter_trace_line_bytes
-from repro.net.aggregate import remove_covered
-from repro.net.prefix import Prefix, longest_match
+from repro.net.prefix import Prefix, longest_match, present_lengths
 from repro.perf import COUNTERS as _COUNTERS, sample_memory
 from repro.tenants.frames import (
     FRAME_BATCH,
@@ -97,23 +99,6 @@ _MALFORMED = -3
 #: ``Prefix._PARSE_CACHE`` — a full-table or hostile feed must not grow
 #: the parent without limit, and a cleared memo only costs re-parsing.
 _ROUTE_MEMO_MAX = 65536
-
-
-# ---------------------------------------------------------------- partition
-
-
-def partition_roots(prefixes: Iterable[Prefix]) -> List[Prefix]:
-    """The maximal monitored prefixes (covered by no other monitored one).
-
-    Sorted canonically; this is the routing unit for worker partitioning.
-    """
-    return remove_covered(prefixes)
-
-
-def assign_roots(roots: Iterable[Prefix], num_workers: int) -> Dict[int, int]:
-    """Round-robin roots over workers; returns ``{root.ikey: worker}``."""
-    ordered = sorted(root.ikey for root in roots)
-    return {ikey: index % num_workers for index, ikey in enumerate(ordered)}
 
 
 # ------------------------------------------------------------------ worker
@@ -223,10 +208,11 @@ class ParallelDetectionPlane:
         self.registry = registry
         self.num_workers = int(num_workers)
         self.batch_size = int(batch_size)
-        #: The partition and its ``root.ikey`` → worker map, both taken in
-        #: :meth:`start` from the tree the workers are forked with.
+        #: The partition, its ``root.ikey`` → worker map and the roots' present
+        #: lengths, taken in :meth:`start` from the tree the workers fork with.
         self.roots: List[Prefix] = []
         self._routing: Dict[int, int] = {}
+        self._route_lengths = present_lengths(())
         #: prefix field (bytes) → worker id, ``None`` (unrouted), or
         #: :data:`_MALFORMED`.
         self._route_memo: Dict[bytes, Optional[int]] = {}
@@ -262,14 +248,17 @@ class ParallelDetectionPlane:
         # Attached to the registry, so any later add/remove moves its epoch
         # — the signal the stale-registry guard reads.
         tree = FlatPrefixTree(self.registry)
-        roots = partition_roots(tree.monitored_prefixes())
+        roots = tree.roots()
         if not roots:
             self.registry.detach_tree(tree)
             raise ReproError("registry has no monitored prefixes to partition")
         self._tree = tree
         self._fork_epoch = tree.epoch
         self.roots = roots
-        self._routing = assign_roots(roots, self.num_workers)
+        self._routing = dict(
+            zip([root.ikey for root in roots], cycle(range(self.num_workers)))
+        )
+        self._route_lengths = present_lengths(self._routing)
         # What the children are forked to share: frozen, no full collection
         # — here or in a worker, whenever CPython's thresholds next call for
         # one — walks it and dirties the copy-on-write pages it sits on.
@@ -302,7 +291,8 @@ class ParallelDetectionPlane:
         except (ValueError, UnicodeDecodeError):
             worker = _MALFORMED
         else:
-            worker = longest_match(self._routing, prefix)
+            lengths = self._route_lengths[prefix.version]
+            worker = longest_match(self._routing, prefix, lengths)
         memo = self._route_memo
         if len(memo) >= _ROUTE_MEMO_MAX:
             memo.clear()

@@ -14,9 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import ArtemisConfig, OwnedPrefix
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, present_lengths
 from repro.perf import COUNTERS
-from repro.tenants import FlatPrefixTree, TenantRegistry
+from repro.tenants import FlatPrefixTree, TenantRegistry, flattree
 
 from oracles import PrefixTree
 
@@ -177,6 +177,54 @@ class TestMutation:
             tree.insert_rules([later, object()])
         assert tree.resolve(later.prefix) == [(later, True)]
         assert (tree.epoch, tree.num_rules, len(tree)) == (epoch + 2, rules + 2, size + 2)
+
+    def test_failed_insert_keeps_the_lengths_it_linked(self):
+        """The rows before a bad one are resolvable even at a prefix length
+        the table did not hold before the batch."""
+        tree = FlatPrefixTree(small_registry())
+        good = TenantRegistry().add_tenant(
+            "gamma", ArtemisConfig([OwnedPrefix("10.7.0.0/17", [65007])])
+        )[0]
+        with pytest.raises(AttributeError):
+            tree.insert_rules([good, object()])
+        assert tree.resolve(Prefix.parse("10.7.1.0/24")) == [(good, False)]
+
+    def test_tenant_add_reads_only_its_own_keys(self, monkeypatch):
+        """On a 10k-prefix attached tree, onboarding a tenant hands
+        ``present_lengths`` that tenant's new keys and nothing else, and
+        retiring it hands it none: a mutation costs its own rows."""
+        from repro.tenants.synth import build_synth_registry
+
+        registry = build_synth_registry(
+            {Prefix.parse("10.0.0.0/24"): 65001}, num_tenants=10, num_prefixes=10_000
+        )
+        tree = FlatPrefixTree(registry)
+        assert len(tree) > 9_000
+        passed = []
+
+        def recording(ikeys):
+            ikeys = list(ikeys)
+            passed.append(ikeys)
+            return present_lengths(ikeys)
+
+        monkeypatch.setattr(flattree, "present_lengths", recording)
+        rows = registry.add_tenant(
+            "newcomer",
+            ArtemisConfig(
+                [
+                    OwnedPrefix("10.200.0.0/16", [65200]),
+                    OwnedPrefix("10.0.0.0/24", [65201]),  # a key already stored
+                    OwnedPrefix("2001:db8::/48", [65200]),
+                ]
+            ),
+        )
+        assert len(passed) == 1
+        assert sorted(passed[0]) == [rows[0].prefix.ikey, rows[2].prefix.ikey]
+        assert tree.resolve(Prefix.parse("10.200.7.0/24")) == [(rows[0], False)]
+        assert tree.resolve(Prefix.parse("2001:db8::/48")) == [(rows[2], True)]
+        registry.remove_tenant("newcomer")
+        assert len(passed) == 1
+        assert tree.resolve(Prefix.parse("10.200.7.0/24")) == []
 
     def test_size_tracks_distinct_prefixes(self):
         registry = small_registry()

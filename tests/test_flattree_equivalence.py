@@ -12,10 +12,12 @@ identity — the strictest possible match.
 
 from __future__ import annotations
 
+import sys
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ArtemisConfig, OwnedPrefix
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, present_lengths
 from repro.tenants import FlatPrefixTree, TenantRegistry
 from repro.tenants.registry import TenantPolicy, TenantRule
 
@@ -186,3 +188,59 @@ def test_bulk_load_is_the_one_at_a_time_insert(ops):
         assert bulk.monitored_prefixes() == single.monitored_prefixes() == monitored
         for prefix in monitored:
             assert bulk.tenants_at(prefix) == node.tenants_at(prefix)
+
+
+# ------------------------------------------------------------ O(batch) upkeep
+#
+# A mutation batch keeps the tree's lengths and shared-tuple bytes up to date
+# from its own rows: a removal may leave a vanished length behind (a probe at
+# an absent length just misses).  The property: whatever the batches, the
+# tree answers as a tree freshly built from the live rows, and ``nbytes()``
+# is a full recount.
+
+_RANDOM_PROBES = st.lists(
+    st.one_of(
+        st.builds(
+            lambda value, length: Prefix(value, length, 4),
+            st.integers(0, (1 << 32) - 1),
+            st.integers(0, 32),
+        ),
+        st.builds(
+            lambda value, length: Prefix(value, length, 6),
+            st.integers(0, (1 << 128) - 1),
+            st.integers(0, 128),
+        ),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_BULK_OPS, probes=_RANDOM_PROBES)
+def test_mutated_tree_answers_as_a_fresh_build(ops, probes):
+    tree = FlatPrefixTree()
+    live = []
+    for insert, picks in ops:
+        if insert or not live:
+            batch = [
+                TenantRule(_BULK_POLICIES[tenant], _BULK_POOL[index], frozenset({65000}))
+                for tenant, index in picks
+            ]
+            live.extend(batch)
+            tree.insert_rules(batch)
+        else:
+            chosen = sorted({(tenant * 31 + index) % len(live) for tenant, index in picks})
+            tree.remove_rules([live[i] for i in chosen])
+            for i in reversed(chosen):
+                del live[i]
+        fresh = FlatPrefixTree()
+        fresh.insert_rules(live)
+        assert tree.nbytes() == sys.getsizeof(tree._table) + sum(
+            sys.getsizeof(held) for held in tree._table.values() if type(held) is tuple
+        )
+        stored = present_lengths(tree._table)
+        for version in (4, 6):
+            assert set(stored[version]) <= set(tree._lengths[version])
+            assert tree._lengths[version] == sorted(set(tree._lengths[version]), reverse=True)
+        for probe in _BULK_PROBES + fresh.monitored_prefixes() + probes:
+            assert _observe(tree, probe) == _observe(fresh, probe), probe

@@ -42,7 +42,7 @@ from repro.core.detection import DetectionService
 from repro.feeds.dumpfile import format_event
 from repro.feeds.events import FeedEvent
 from repro.feeds.replay import TraceError, TraceWriter, iter_trace_lines
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, uncovered_keys
 from repro.perf import COUNTERS
 from repro.tenants import (
     DetectionPlane,
@@ -62,12 +62,7 @@ from repro.tenants.synth import (
     observed_origin_map,
     pad_prefix,
 )
-from repro.tenants.workers import (
-    _ROUTE_MEMO_MAX,
-    assign_roots,
-    partition_roots,
-    tenant_worker_main,
-)
+from repro.tenants.workers import _ROUTE_MEMO_MAX, tenant_worker_main
 
 from oracles import PrefixTree, PrefixTrie
 
@@ -930,19 +925,46 @@ def worker_registry(tenants=8):
     return registry
 
 
+def trie_roots(prefixes):
+    """The oracle partition: prefixes covered by nothing but themselves in
+    a trie, in bit order."""
+    trie = PrefixTrie()
+    for prefix in prefixes:
+        trie.insert(prefix, prefix)
+    return [prefix for prefix in trie.keys() if len(list(trie.covering(prefix))) == 1]
+
+
 class TestPartitioning:
-    def test_partition_roots_keeps_only_maximal_prefixes(self):
+    def test_uncovered_keys_keeps_only_maximal_prefixes(self):
         prefixes = [
             Prefix.parse("10.0.0.0/16"),
             Prefix.parse("10.0.1.0/24"),  # nested: not a root
             Prefix.parse("10.1.0.0/16"),
             Prefix.parse("192.168.0.0/24"),
         ]
-        roots = partition_roots(prefixes)
-        assert sorted(str(p) for p in roots) == [
-            "10.0.0.0/16",
-            "10.1.0.0/16",
-            "192.168.0.0/24",
+        roots = uncovered_keys(prefix.ikey for prefix in prefixes)
+        assert roots == [prefixes[0].ikey, prefixes[2].ikey, prefixes[3].ikey]
+
+    def test_uncovered_keys_at_the_ends_of_both_families(self):
+        """Host prefixes at the top of each space, each family's /0, and a
+        prefix right after a cover's range: the spans are exact."""
+        texts = [
+            "0.0.0.0/1", "127.255.255.255/32", "128.0.0.0/32",
+            "255.255.255.254/32", "255.255.255.255/32",
+            "::/1", "7fff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128",
+            "8000::/128", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128",
+        ]
+        prefixes = [Prefix.parse(text) for text in texts]
+        keys = uncovered_keys(prefix.ikey for prefix in prefixes)
+        assert keys == [prefix.ikey for prefix in trie_roots(prefixes)]
+        assert [str(p) for p in prefixes if p.ikey in keys] == [
+            "0.0.0.0/1", "128.0.0.0/32", "255.255.255.254/32",
+            "255.255.255.255/32", "::/1", "8000::/128",
+            "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128",
+        ]
+        zeros = [Prefix.parse("0.0.0.0/0"), Prefix.parse("::/0")]
+        assert uncovered_keys(p.ikey for p in prefixes + zeros) == [
+            zeros[0].ikey, zeros[1].ikey,
         ]
 
     @settings(max_examples=200, deadline=None)
@@ -961,28 +983,23 @@ class TestPartitioning:
                     st.integers(0, 255),
                     st.integers(0, 12),
                 ),
+                # Each family's /0 covers the whole family and nothing else.
+                st.sampled_from([Prefix(0, 0, 4), Prefix(0, 0, 6)]),
             ),
             max_size=40,
         )
     )
-    def test_partition_roots_matches_trie_oracle(self, prefixes):
+    def test_uncovered_keys_matches_trie_oracle(self, prefixes):
         """The sorted sweep ≡ "covered by nothing but itself" in a trie."""
-        trie = PrefixTrie()
-        for prefix in prefixes:
-            trie.insert(prefix, prefix)
-        oracle = [
-            prefix
-            for prefix in trie.keys()
-            if len(list(trie.covering(prefix))) == 1
-        ]
-        roots = partition_roots(prefixes)
-        assert roots == sorted(oracle, key=lambda p: p.ikey)
+        roots = uncovered_keys(prefix.ikey for prefix in prefixes)
+        assert roots == [prefix.ikey for prefix in trie_roots(prefixes)]
         assert len(set(roots)) == len(roots)
 
     def test_plane_partitions_nested_and_duplicate_rows(self):
-        """The plane takes its roots straight from the registry's rows —
-        the same prefix under several tenants, nested covers, both
-        families — and they are the trie oracle's maximal prefixes."""
+        """The plane takes its roots straight from the tree's keys — the
+        same prefix under several tenants, nested covers, both families —
+        and they are the trie oracle's maximal prefixes, round-robined in
+        bit order."""
         registry = two_tenant_registry()  # 10.0.0.0/23 ⊃ 10.0.0.0/24
         for name, owned in (
             ("gamma", ["10.0.0.0/24", "10.0.0.0/23", "2001:db8::/32"]),
@@ -992,25 +1009,32 @@ class TestPartitioning:
             registry.add_tenant(
                 name, ArtemisConfig([OwnedPrefix(text, [65009]) for text in owned])
             )
-        trie = PrefixTrie()
-        for rule in registry.all_rules():
-            trie.insert(rule.prefix, rule.prefix)
-        oracle = [p for p in trie.keys() if len(list(trie.covering(p))) == 1]
+        oracle = trie_roots(rule.prefix for rule in registry.all_rules())
         plane = ParallelDetectionPlane(registry, num_workers=3)
         plane.start()  # the partition is taken from the tree it forks with
         plane.close()
         assert [str(root) for root in plane.roots] == [
             "10.0.0.0/23", "11.0.0.0/8", "192.168.0.0/24", "2001:db8::/32",
         ]
-        assert plane.roots == oracle == partition_roots(registry.monitored_prefixes())
-        assert plane._routing == assign_roots(reversed(plane.roots), num_workers=3)
+        assert plane.roots == oracle
+        assert plane._routing == {
+            root.ikey: index % 3 for index, root in enumerate(oracle)
+        }
         assert [plane._routing[root.ikey] for root in plane.roots] == [0, 1, 2, 0]
+        assert plane._route_lengths == {4: [24, 23, 8], 6: [32]}
 
-    def test_assign_roots_round_robin_deterministic(self):
+    def test_roots_round_robin_deterministic(self):
+        registry = TenantRegistry()
+        for i in reversed(range(5)):
+            registry.add_tenant(
+                f"t{i}", ArtemisConfig([OwnedPrefix(f"10.{i}.0.0/16", [65000 + i])])
+            )
+        plane = ParallelDetectionPlane(registry, num_workers=2)
+        plane.start()
+        plane.close()
         roots = [Prefix.parse(f"10.{i}.0.0/16") for i in range(5)]
-        routing = assign_roots(roots, num_workers=2)
-        owners = [routing[root.ikey] for root in roots]
-        assert owners == [0, 1, 0, 1, 0]
+        assert plane.roots == roots
+        assert [plane._routing[root.ikey] for root in roots] == [0, 1, 0, 1, 0]
 
     def test_iter_trace_lines_rejects_truncation(self, tmp_path):
         trace = write_mini_trace(tmp_path / "t.trace", rounds=2)
