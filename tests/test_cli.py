@@ -403,3 +403,56 @@ class TestOneReplayCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("repro replay: malformed tenant spec")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+#: The recording ``experiment --tier1 3 --tier2 10 --stubs 25 --no-churn
+#: --hijack-prefix 10.0.0.0/24 --seed 4 --record-trace`` writes, byte for byte.
+RECORDED = os.path.join(os.path.dirname(__file__), "fixtures", "recorded_s4.trace")
+
+
+class TestRecordedReplay:
+    """The replay reports of a recorded seeded run: what each carries, and
+    that every engine agrees on the alerts."""
+
+    def replay(self, tmp_path, argv):
+        out = tmp_path / "report.json"
+        assert main(["replay"] + argv + ["--json", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_the_report_carries_the_whole_digest(self, tmp_path, capsys):
+        report = self.replay(tmp_path, [RECORDED])
+        assert len(report["merged_alert_digest"]) == 64, report
+
+    def test_faulted_replay_goes_dead_and_back_and_reports_what_it_skipped(
+        self, tmp_path, capsys
+    ):
+        # The recorded ris outage reaches the supervisor on the tap's
+        # engine; the plan's delay fault cannot replay and is listed.
+        report = self.replay(tmp_path, [RECORDED, "--faults", KILL_PLAN, "--supervise"])
+        ris = report["source_report"]["ris"]
+        assert ris["outages"] >= 1, ris
+        assert "delay:bgpmon" in report["faults_skipped"], report["faults_skipped"]
+
+    @pytest.mark.parametrize("source", ["recorded", "trace_and_spec"])
+    def test_one_and_two_workers_and_the_event_path_share_one_digest(
+        self, source, request, tmp_path, capsys
+    ):
+        from repro.feeds.replay import load_trace
+        from repro.tenants import DetectionPlane
+        from repro.tenants.synth import build_synth_registry, observed_origin_map
+
+        trace = RECORDED if source == "recorded" else request.getfixturevalue(source)[0]
+        w1, w2 = (
+            self.replay(tmp_path, [trace, "--synth-tenants", "50", "--detect-workers", n])
+            for n in ("1", "2")
+        )
+        # The event-object entry: load_trace + ingest, one event at a time.
+        events = load_trace(trace).events
+        plane = DetectionPlane(build_synth_registry(
+            observed_origin_map(events), num_tenants=50, num_prefixes=5000))
+        list(map(plane.ingest, events))
+        plane.flush()
+        a, b = w1["merged_alert_digest"], w2["merged_alert_digest"]
+        assert a == b == plane.digest() and plane.total_alerts(), (a, b, plane.digest())
+        waits = [w2[key] for key in ("router_send_wait_s", "worker_recv_wait_s")]
+        assert all(type(wait) in (int, float) for wait in waits), waits

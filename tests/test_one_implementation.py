@@ -1,0 +1,388 @@
+"""Deleted concepts stay deleted: one table of guards, run with the tests.
+
+Each collapse to one implementation per concept deleted a module, a class
+or a second spelling of something. A row of ``GUARDS`` keeps it deleted.
+A row is a ``grep``: the pattern, the paths it searches, the files it
+excludes, and grep's flags as fields (``word`` is ``-w``, ``include`` is
+``--include``, and ``extended=False`` is grep's basic syntax, in which
+``( ) | + ? { }`` are plain characters). The rest of the row is the commit
+that deleted the concept, a one-line reason, and an ``example``: a path and
+a line the row must catch.
+
+Most rows allow no matching line. A row whose pattern is ``None`` says its
+first path must not exist. Two rows are positive: ``expect`` gives the
+number of matching lines they allow.
+
+The matcher runs Python ``re`` over a walk of the working tree. It never
+calls git, so the tests also pass in a copy without ``.git``. The walk
+skips what ``.gitignore`` names, and it skips this file, which spells every
+pattern.
+"""
+
+from __future__ import annotations
+
+import fnmatch
+import os
+import re
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Dict, List, Mapping, Optional, Tuple
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: This file, as the walk names it; it spells every pattern, so it is skipped.
+HERE = "tests/test_one_implementation.py"
+
+#: The top-level directories the walk reads (every row's paths lie in them).
+WALKED = ("src", "tests", "benchmarks", "bench", "examples")
+
+
+@dataclass(frozen=True)
+class Guard:
+    """One deleted concept and the search that keeps it deleted."""
+
+    name: str
+    deleted_by: str  # the commit that deleted the concept
+    reason: str
+    example: Tuple[str, str]  # (path, line) this row must flag
+    pattern: Optional[str]  # None: paths[0] must not exist
+    paths: Tuple[str, ...]
+    exclude: Tuple[str, ...] = ()
+    include: Optional[str] = None  # basename glob, grep's --include
+    word: bool = False  # grep -w
+    extended: bool = True  # grep -E; False is grep's basic syntax
+    expect: Tuple[int, Optional[int]] = (0, 0)  # allowed matching lines
+
+
+GUARDS: Tuple[Guard, ...] = (
+    Guard(
+        "tenant-node-tree-module", "1725a75",
+        "One tenant tree ships; the node tree is a tests/ oracle.",
+        ("src/repro/tenants/prefixtree.py", '"""The node prefix tree."""'),
+        None, ("src/repro/tenants/prefixtree.py",),
+    ),
+    Guard(
+        "tenant-node-tree-import", "1725a75",
+        "Nothing in src/ imports the node tree.",
+        ("src/repro/tenants/pipeline.py", "from repro.tenants.prefixtree import PrefixTree"),
+        "tenants.prefixtree", ("src",), extended=False,
+    ),
+    Guard(
+        "compact-rib-module", "75a8962",
+        "One Adj-RIB-In layout ships.",
+        ("src/repro/bgp/ribcompact.py", "class CompactAdjRibIn:"),
+        None, ("src/repro/bgp/ribcompact.py",),
+    ),
+    Guard(
+        "compact-rib-and-recorder", "75a8962",
+        "One speaker class and one feed recorder (TraceRecorder) ship.",
+        ("examples/quickstart.py", "network = Network(graph, speaker_class=CompactSpeaker)"),
+        "ribcompact|CompactSpeaker|speaker_class|FeedRecorder", ("src", "examples"),
+        include="*.py",
+    ),
+    Guard(
+        "worker-substrate", "2adf915",
+        "Fork, pipes and worker death live in repro.proc and nowhere else.",
+        ("src/repro/shard/runner.py", "        except BrokenPipeError:"),
+        r"get_context|\.Pipe\(|BrokenPipeError|ConnectionResetError|\.terminate\(",
+        ("src",), exclude=("src/repro/proc.py",), include="*.py",
+    ),
+    Guard(
+        "reply-serializer", "2adf915",
+        "Workers answer with the pickled ok/error pair; no private serializer.",
+        ("tests/test_frames.py", "from repro.tenants.frames import encode_payload"),
+        "encode_payload|decode_payload|_encode_value|_decode_value",
+        ("src", "tests", "benchmarks"),
+    ),
+    Guard(
+        "experiment-driver", "34ae900",
+        "One experiment driver; a third-party baseline is a ScenarioConfig profile "
+        "(word match: tests/test_baselines.py keeps two class names as suite ids).",
+        ("src/repro/baselines/__init__.py", "from repro.baselines.runner import BaselineExperiment"),
+        r"BaselineExperiment|BaselineResult|ThirdPartyPipeline|run_baseline_suite|(argus|phas|ribdump)_factory",
+        ("src", "tests", "benchmarks", "examples"), word=True,
+    ),
+    Guard(
+        "mitigation-planner", "34ae900",
+        "Only MitigationService.plan de-aggregates.",
+        ("src/repro/testbed/scenario.py", "        for sub in prefix.deaggregate(1):"),
+        r"\.deaggregate\(",
+        ("src",), exclude=("src/repro/net/prefix.py", "src/repro/core/mitigation.py"),
+        include="*.py",
+    ),
+    Guard(
+        "prefix-order-key", "a979e0b",
+        "One order key per Prefix (ikey); sort_key was a second spelling.",
+        ("src/repro/net/prefix.py", "    def sort_key(self):"),
+        "sort_key", ("src",), include="*.py", word=True, extended=False,
+    ),
+    Guard(
+        "prefix-trie-module", "9a475c0",
+        "One prefix table, an ikey dict; the trie module is gone.",
+        ("src/repro/net/trie.py", '"""A radix trie over prefixes."""'),
+        None, ("src/repro/net/trie.py",),
+    ),
+    Guard(
+        "prefix-trie", "9a475c0",
+        "PrefixTrie is a tests/ oracle, never shipped code.",
+        ("bench/inputs.py", "from oracles import PrefixTrie"),
+        "PrefixTrie", ("src", "examples", "bench"), word=True, extended=False,
+    ),
+    Guard(
+        "root-partition", "666d71f",
+        "Worker roots are net/prefix.py's uncovered_keys, not a partition helper.",
+        ("benchmarks/test_tenants.py", "roots = partition_roots(registry.rules)"),
+        "partition_roots|assign_roots",
+        ("src", "tests", "benchmarks", "bench", "examples"), word=True,
+    ),
+    Guard(
+        "ikey-layout", "9a475c0",
+        "Only net/prefix.py spells the ikey layout (shifts by 137 or 9).",
+        ("src/repro/tenants/registry.py", "key = (value << 137) | length"),
+        r"<< 137|<< 9\b", ("src",), exclude=("src/repro/net/prefix.py",), include="*.py",
+    ),
+    Guard(
+        "tenant-tree-trie", "a037aa2",
+        "The tenant tree is one ikey table: no trie columns, slot pools or bit walk.",
+        ("src/repro/tenants/pipeline.py", "        bit = (value >> shift) & 1"),
+        r"\(value >> shift\) & 1|_free_(pids|rows|nodes)|_node_pid|_tenant_(mark|slot)|_ensure_node",
+        ("src",), exclude=("src/repro/net/prefix.py",), include="*.py",
+    ),
+    Guard(
+        "tenant-tree-arrays", "a037aa2",
+        "The tenant tree keeps no array columns.",
+        ("src/repro/tenants/registry.py", "from array import array"),
+        "from array import", ("src/repro/tenants",), extended=False,
+    ),
+    Guard(
+        "tenant-tree-resolves-by-covering", "a037aa2",
+        "FlatPrefixTree.resolve is one covering() read with the table's present lengths.",
+        ("src/repro/tenants/flattree.py", "        return self._walk(prefix)"),
+        "covering(self._table, prefix, self._lengths", ("src/repro/tenants/flattree.py",),
+        extended=False, expect=(1, None),
+    ),
+    Guard(
+        "worker-parses-by-decoder", "558361f",
+        "Detection workers decode lines through the plane, not parse_event.",
+        ("src/repro/tenants/workers.py", "from repro.feeds.dumpfile import parse_event"),
+        "parse_event", ("src/repro/tenants/workers.py",), extended=False,
+    ),
+    Guard(
+        "record-field-checks", "558361f",
+        "Field checks live in feeds/dumpfile.py and FeedEvent.__init__.",
+        ("src/repro/cli.py", '    fields = line.split("|")'),
+        r'isdigit|isascii|MAX_ASN|intern_as_path|split\("\|"',
+        ("src/repro/tenants", "src/repro/cli.py", "src/repro/feeds/replay.py"),
+        include="*.py",
+    ),
+    Guard(
+        "vantage-cache", "53d943c",
+        "The decoder's one lead table (_LEAD_CACHE) replaced the vantage cache.",
+        ("src/repro/feeds/dumpfile.py", "_VANTAGE_CACHE = {}"),
+        "_VANTAGE_CACHE", ("src",), extended=False,
+    ),
+    Guard(
+        "speaker-mark-exports", "17d6eb3",
+        "BGPSpeaker._mark_exports was dead; _install_best marks exports.",
+        ("src/repro/bgp/speaker.py", "    def _mark_exports(self, prefix):"),
+        "_mark_exports", ("src",), extended=False,
+    ),
+    Guard(
+        "source-contract-written-once", "1bf57d8",
+        "Subscription and transport are written once: three defs in src/repro/feeds.",
+        ("src/repro/feeds/replay.py", "    def subscribe(self, callback):"),
+        r"def (subscribe|disconnect|restore_transport)\(", ("src/repro/feeds",),
+        expect=(3, 3),
+    ),
+    Guard(
+        "replay-clock", "1bf57d8",
+        "A replayed trace runs on an Engine: one clock, one retry schedule.",
+        ("src/repro/feeds/stream.py", "import heapq"),
+        "ReplayClock|ReplaySourceView|check_now|next_retry_at|heapq", ("src/repro/feeds",),
+    ),
+    Guard(
+        "trace-loaders", "fcc91fa",
+        "Nothing in src/ but feeds/replay.py loads a trace.",
+        ("src/repro/cli.py", "    trace = load_trace(args.trace)"),
+        "load_trace(", ("src",), exclude=("src/repro/feeds/replay.py",), include="*.py",
+        extended=False,
+    ),
+    Guard(
+        "tap-event-list", "fcc91fa",
+        "The replay tap streams a trace file; it takes no event list.",
+        ("src/repro/feeds/replay.py", "    def __init__(self, events: Sequence[FeedEvent]):"),
+        r"Sequence\[FeedEvent\]|sorted\(trace", ("src/repro/feeds/replay.py",),
+    ),
+    Guard(
+        "origin-cache-module", "5383af2",
+        "One ground truth: the per-target origin caches are gone.",
+        ("src/repro/internet/origins.py", '"""Per-target origin caches."""'),
+        None, ("src/repro/internet/origins.py",),
+    ),
+    Guard(
+        "world-build", "5383af2",
+        "One ground truth (OriginTracker) and one world build (Network._build).",
+        ("src/repro/internet/network.py", "        self._origins = OriginCache(self)"),
+        "OriginCache|FlipLog|precompute_rov_adopters|_origin_cache_for|exclude_asns",
+        ("src", "examples"),
+    ),
+    Guard(
+        "export-rule", "679f78e",
+        "Gao-Rexford tables are repro.bgp.policy constants, built once per process.",
+        ("src/repro/bgp/policy.py", "    def refresh_export_matrix(self):"),
+        "refresh_export_matrix|export_matrix|export_rows|accept_import is Policy", ("src",),
+    ),
+    Guard(
+        "replay-command", "09c78a6",
+        "One replay command (cmd_replay) and one alert digest (merged_alert_digest).",
+        ("src/repro/tenants/__init__.py", "from repro.tenants.digest import alert_sequence_digest"),
+        "alert_sequence_digest|_cmd_replay_tenants", ("src", "examples"),
+    ),
+    Guard(
+        "unreached-code", "99827f3",
+        "tests/reachability.py found nothing but tests entering these.",
+        ("src/repro/net/prefix.py", "    def bit_at(self, index):"),
+        r"scalefree|ScaleFree|HijackEventCatalog|eval\.catalog|def disarm|_customer_cone|def"
+        r" (fraction_shorter_than|summarize_topology|single_announcement|single_withdrawal"
+        r"|prepended|has_loop|route_from|prefixes_from|drop_peer|from_announcement|path_length"
+        r"|same_attributes|remove_roa|_candidates|candidates_view|upstream_is_legit"
+        r"|covering_entry|covering_space|all_vantage_asns|streams|queries_per_minute"
+        r"|ases_routing_to|bit_at|is_more_specific_of|common_prefix_length|add_router"
+        r"|cut_links_of|jittered|make_rng|load_caida|targets)\(",
+        ("src", "examples"),
+    ),
+)
+
+#: The smallest tree both positive rows accept; each example is laid over it.
+PASSING: Dict[str, str] = {
+    "src/repro/tenants/flattree.py": "        return covering(self._table, prefix, self._lengths)\n",
+    "src/repro/feeds/interest.py": "    def subscribe(self, callback):\n",
+    "src/repro/feeds/health.py": "    def disconnect(self, down_until):\n    def restore_transport(self):\n",
+}
+
+
+@lru_cache(maxsize=None)
+def _regex(guard: Guard) -> "re.Pattern[str]":
+    pattern = guard.pattern
+    if not guard.extended:
+        # Basic syntax: bare ( ) | + ? { } are characters, \( \) ... operators.
+        pattern = re.sub(
+            r"\\?[(){}|+?]",
+            lambda m: m[0][1:] if len(m[0]) == 2 else "\\" + m[0],
+            pattern,
+        )
+    if guard.word:
+        pattern = rf"(?<!\w)(?:{pattern})(?!\w)"
+    return re.compile(pattern)
+
+
+def _searched(guard: Guard, path: str) -> bool:
+    if path in guard.exclude:
+        return False
+    if guard.include and not fnmatch.fnmatchcase(path.rsplit("/", 1)[-1], guard.include):
+        return False
+    return any(path == top or path.startswith(top + "/") for top in guard.paths)
+
+
+def findings(guard: Guard, files: Mapping[str, str]) -> List[str]:
+    """What ``guard`` finds wrong in ``files`` (repo-relative path -> text);
+    empty when the row holds."""
+    if guard.pattern is None:
+        return [f"{guard.paths[0]}: exists"] if guard.paths[0] in files else []
+    regex = _regex(guard)
+    hits = []
+    for path in sorted(p for p in files if _searched(guard, p)):
+        text = files[path]
+        lines = set()
+        for match in regex.finditer(text):
+            start = text.rfind("\n", 0, match.start()) + 1
+            if start in lines:
+                continue
+            lines.add(start)
+            end = text.find("\n", start)
+            line = text[start:] if end < 0 else text[start:end]
+            number = text.count("\n", 0, start) + 1
+            hits.append(f"{path}:{number}: {line.strip()}")
+    low, high = guard.expect
+    if low <= len(hits) and (high is None or len(hits) <= high):
+        return []
+    if guard.expect == (0, 0):
+        return hits
+    wanted = f"at least {low}" if high is None else f"{low}..{high}"
+    return [f"{len(hits)} matching lines in {', '.join(guard.paths)}, want {wanted}"] + hits
+
+
+def _ignore_rules(root: str) -> List[Tuple[str, bool, bool]]:
+    """``.gitignore`` as (glob, anchored, directories only) triples."""
+    rules = []
+    try:
+        with open(os.path.join(root, ".gitignore"), encoding="utf-8") as handle:
+            for line in handle:
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    rules.append((line.strip("/"), "/" in line.rstrip("/"), line.endswith("/")))
+    except FileNotFoundError:
+        pass
+    return rules
+
+
+def _ignored(rules, path: str, is_dir: bool) -> bool:
+    name = path.rsplit("/", 1)[-1]
+    return any(
+        fnmatch.fnmatchcase(path if anchored else name, glob)
+        for glob, anchored, dirs_only in rules
+        if is_dir or not dirs_only
+    )
+
+
+def tree_files(root: str = ROOT) -> Dict[str, str]:
+    """Every file under ``WALKED`` that ``.gitignore`` does not name, but
+    this one: repo-relative path -> text."""
+    rules = _ignore_rules(root)
+    files = {}
+    for top in WALKED:
+        for folder, dirs, names in os.walk(os.path.join(root, top)):
+            rel = os.path.relpath(folder, root).replace(os.sep, "/")
+            dirs[:] = [d for d in dirs if not _ignored(rules, f"{rel}/{d}", True)]
+            for name in names:
+                path = f"{rel}/{name}"
+                if path == HERE or _ignored(rules, path, False):
+                    continue
+                with open(os.path.join(folder, name), encoding="utf-8", errors="replace") as handle:
+                    files[path] = handle.read()
+    return files
+
+
+@pytest.fixture(scope="module")
+def tree() -> Dict[str, str]:
+    return tree_files()
+
+
+@pytest.mark.parametrize("guard", GUARDS, ids=[guard.name for guard in GUARDS])
+def test_deleted_concept_stays_deleted(tree, guard):
+    assert findings(guard, tree) == [], f"{guard.reason} (deleted by {guard.deleted_by})"
+
+
+@pytest.mark.parametrize("guard", GUARDS, ids=[guard.name for guard in GUARDS])
+def test_example_trips_its_row_alone(guard):
+    path, line = guard.example
+    files = {**PASSING, path: line + "\n"}
+    tripped = [other.name for other in GUARDS if findings(other, files)]
+    assert tripped == [guard.name]
+
+
+def test_passing_tree_trips_nothing():
+    assert [guard.name for guard in GUARDS if findings(guard, PASSING)] == []
+
+
+def test_every_row_searches_inside_the_walk():
+    for guard in GUARDS:
+        assert all(path.split("/")[0] in WALKED for path in guard.paths), guard.name
+
+
+def test_walk_skips_what_gitignore_names(tree):
+    assert "src/repro/__init__.py" in tree and HERE not in tree
+    assert not any("__pycache__" in path or path.endswith(".pyc") for path in tree)
+    assert not any(path.startswith(("bench/.cache/", "bench/out/")) for path in tree)

@@ -9,7 +9,8 @@ The contract under test (see DESIGN.md "Record decoder contract" and
   an index out of range is an ``IndexError``, a slice is a list, and
   ``len`` and ``bool`` agree with the footer's record count;
 * events are built fresh on every access, so identity is not preserved;
-* a load holds no event objects — at most 64 B per record, traced;
+* a load holds no event objects — at most 64 B per record, traced, and no
+  ``FeedEvent`` tracked by the collector after loading the recorded fixture;
 * ``span()`` is the extent of the delivery times, in whatever order they
   come;
 * a ``ReplayTap`` holds none of this: its traced peak does not grow with
@@ -168,6 +169,18 @@ def test_trace_bytes_per_record_ceiling(tmp_path):
         tracemalloc.stop()
     assert len(trace) == 51_200
     assert held / len(trace) <= 64, f"{held / len(trace):.1f} B per record"
+
+
+def test_a_loaded_recording_holds_columns_not_events():
+    """Right after a load of the committed recording the collector tracks
+    no FeedEvent the load made, and the view's length is the footer's
+    record count."""
+    gc.collect()
+    before = sum(type(o) is FeedEvent for o in gc.get_objects())
+    trace = load_trace(RECORDED)
+    tracked = sum(type(o) is FeedEvent for o in gc.get_objects()) - before
+    assert tracked == 0
+    assert len(trace.events) == footer_records(RECORDED) == 72
 
 
 def test_span_is_the_extent_of_unordered_delivery_times(tmp_path):
