@@ -112,7 +112,6 @@ def test_engine_tombstones_stay_bounded():
     assert len(engine._queue) <= 2 * len(live) + 64, (
         f"heap holds {len(engine._queue)} entries for {len(live)} live events"
     )
-    assert engine.compactions > 0
 
 
 def test_perf_full_experiment_small(benchmark):

@@ -270,7 +270,6 @@ class LocRib:
         """
         cached = self._snapshot
         if cached is not None:
-            _C.snapshot_cache_hits += 1
             return cached
         snapshot = self._snapshot = tuple(self.routes())
         return snapshot

@@ -92,7 +92,6 @@ class Route:
         #: Cached single-prepend export form ``(sender_asn, announcement)``;
         #: see :meth:`export_announcement`.
         self._export: Optional[Tuple[int, Announcement]] = None
-        _C.routes_created += 1
 
     @classmethod
     def local(cls, prefix: Prefix, local_pref: int = 1_000_000) -> "Route":

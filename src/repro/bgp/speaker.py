@@ -346,7 +346,6 @@ class BGPSpeaker:
             unshare_row = self.adj_rib_in._unshare_row
             neg_pref = -local_pref
             new_route = Route.__new__
-            created = 0
         for announcement in message.announcements:
             as_path = announcement.as_path
             if my_asn in as_path:  # RFC 4271 loop check
@@ -392,7 +391,6 @@ class BGPSpeaker:
                 sender_asn,
             )
             route._export = None
-            created += 1
             # Inline of AdjRibIn.insert against the hoisted ikey table.
             pikey = prefix.ikey
             row = by_prefix_get(pikey)
@@ -405,8 +403,6 @@ class BGPSpeaker:
             touched[pikey] = (
                 ("f", prefix) if pikey in touched else ("a", route, replaced)
             )
-        if message.announcements and created:
-            _C.routes_created += created
         # Inline of _decide_insert/_decide_withdraw per touched prefix (the
         # busiest dispatch in the simulation; see those methods for the
         # soundness argument).

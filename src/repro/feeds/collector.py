@@ -19,7 +19,6 @@ from repro.bgp.messages import UpdateMessage
 from repro.errors import FeedError
 from repro.feeds.interest import Subscribable
 from repro.net.prefix import Prefix
-from repro.perf import COUNTERS as _C
 from repro.sim.engine import Engine
 
 #: First pseudo-ASN handed to collectors (inside the RFC 6996 private range).
@@ -160,7 +159,6 @@ class RouteCollector(Subscribable):
         """
         cached = self._snapshot
         if cached is not None:
-            _C.snapshot_cache_hits += 1
             return cached
         snapshot = sorted(
             (vantage, prefix, path)

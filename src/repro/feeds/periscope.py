@@ -23,7 +23,6 @@ from repro.errors import FeedError
 from repro.feeds.events import FeedEvent
 from repro.feeds.interest import Subscribable
 from repro.net.prefix import Prefix
-from repro.perf import COUNTERS as _C
 from repro.sim.engine import Engine
 from repro.sim.latency import Delay, Shifted, Exponential, make_delay
 from repro.sim.rng import SeededRNG
@@ -139,7 +138,6 @@ class LookingGlass:
         version = loc_rib.version
         cached = self._answer_cache.get(target)
         if cached is not None and cached[0] == version:
-            _C.snapshot_cache_hits += 1
             rows = cached[1]
         else:
             rows = []

@@ -734,7 +734,6 @@ class ReplayTap(_TraceFrame):
     def _deliver(self, event: FeedEvent) -> None:
         if self.sources[event.source].deliver(event):
             self.events_delivered += 1
-            COUNTERS.replay_events_delivered += 1
         else:
             self.events_filtered += 1
 
@@ -757,7 +756,6 @@ class ReplayTap(_TraceFrame):
                     engine.step()
                     due = engine.peek_time()
                 self.records_read += 1
-                COUNTERS.replay_records_read += 1
                 self._pace(when, wall_start, event_anchor)
                 verdict = _PASS if self.injector is None else self.injector.judge(event)
                 if not verdict:
@@ -777,8 +775,6 @@ class ReplayTap(_TraceFrame):
                         self._in_flight += 1
                 if self._in_flight > self.backlog_peak:
                     self.backlog_peak = self._in_flight
-                    if self.backlog_peak > COUNTERS.replay_backlog_peak:
-                        COUNTERS.replay_backlog_peak = self.backlog_peak
             # Paused, the engine waits at the last record read; drained, it
             # runs on until the last delayed copy is out.
             engine.run(until=max(when, engine.now))

@@ -6,138 +6,122 @@ measurably cheap.  This module is the measurement: a single module-global
 :class:`PerfCounters` instance (:data:`COUNTERS`) that the hot paths bump
 with plain integer adds — cheap enough to leave enabled unconditionally.
 
-What the counters capture:
-
-* **engine** — events scheduled / processed / cancelled, tombstones purged
-  from the heap, and queue compactions (the lazy-purge machinery);
-* **bgp** — UPDATEs processed, flushes run, export announcements built vs
-  reused (the per-Loc-RIB-change sharing), and dirty marks skipped because
-  the policy can never export to that peer;
-* **interning** — AS-path tuple, prefix-parse and AS-path-parse cache hit
-  rates;
-* **checkpointing** — restores performed and copy-on-write forks taken by
-  restored speakers (how much of the shared checkpoint a run privatised);
-* **trace replay** — records read and events delivered/dropped on the
-  pure-ingest path (:mod:`repro.feeds.replay`), byte-identical duplicate
-  deliveries flagged by detection (barred from founding incidents), and
-  the peak pending-copy backlog gauge;
-* **sharded propagation** — cross-shard messages/bytes exchanged between
-  worker processes, sync-barrier stalls (windows a shard ran with nothing
-  to do), windows executed, and the per-shard peak RSS gauge;
-* **multi-tenant detection plane** — events ingested and batches drained by
-  the :mod:`repro.tenants` pipeline, prefix-table lookups vs per-batch memo
-  hits (the amortization ratio), backpressure stalls (a full ingest queue
-  forcing an inline drain), notifier emissions/drops, autoignore
-  suppressions, and the ``--detect-workers`` routing/batch counters, plus
-  queue-depth peak gauges and the bounded detection-state entry gauge;
-* **million-prefix tenant plane** — cross-batch verdict-cache hits and
-  evictions, binary frames shipped to detection workers (count and
-  bytes), malformed trace lines dropped by the parent-side router, and
-  the tenant prefix table's resident-byte gauge (``tree_bytes``);
-* **worker pipes** — nanoseconds the parent spent blocked sending to a
-  worker and detection workers spent blocked waiting for a frame;
-* **memory gauges** — peak RSS, intern-table populations and serialized
-  checkpoint size, sampled with :func:`sample_memory` rather than bumped.
-
-``repro.cli --profile`` prints :func:`format_profile` on exit; the parallel
-suite runner merges worker snapshots back into the parent so the table also
-covers multi-process runs.  Counter fields merge by summing; gauge fields
-merge by taking the maximum (a peak RSS summed across workers would be
-meaningless).
+:data:`METRICS` declares every metric once: its name, how it merges across
+processes, the layer that owns it and what it measures.  ``repro.cli
+--profile`` prints :func:`format_profile` on exit, grouped by layer, and
+``--profile-json`` writes :meth:`PerfCounters.as_dict`.  Three callers fold
+worker snapshots into the parent by each metric's ``merge``: the parallel
+suite pool, ``ShardRunner.collect_perf`` and
+``ParallelDetectionPlane.finish``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
-#: Counter fields, in display order.
-FIELDS: Tuple[str, ...] = (
-    # engine
-    "events_scheduled",
-    "events_processed",
-    "events_cancelled",
-    "tombstones_purged",
-    "queue_compactions",
-    # bgp
-    "updates_processed",
-    "flushes_run",
-    "announcements_built",
-    "announcements_reused",
-    "dirty_marks_skipped",
-    "decision_fast_path",
-    "decision_full_scans",
-    "deliveries_direct",
-    "snapshot_cache_hits",
-    # interning
-    "path_intern_hits",
-    "path_intern_misses",
-    "prefix_parse_hits",
-    "prefix_parse_misses",
-    "path_parse_hits",
-    "path_parse_misses",
-    # checkpointing
-    "routes_created",
-    "checkpoint_restores",
-    "cow_row_forks",
-    # trace replay (the pure-ingest path: no engine events here, so the
-    # replay throughput headline needs its own counters)
-    "replay_records_read",
-    "replay_events_delivered",
-    "replay_events_dropped",
-    "duplicate_evidence_skipped",
-    # sharded propagation (conservative-time windows across worker
-    # processes; bumped by the coordinator and by each shard worker)
-    "cross_shard_messages",
-    "cross_shard_bytes",
-    "sync_barrier_stalls",
-    "shard_windows",
-    # multi-tenant detection plane (repro.tenants: batched ingest pipeline,
-    # shared prefix tree, notifier stage, and the --detect-workers fan-out)
-    "pipeline_events_ingested",
-    "pipeline_batches",
-    "pipeline_trie_walks",
-    "pipeline_memo_hits",
-    "pipeline_backpressure_stalls",
-    "notifier_alerts_emitted",
-    "notifier_alerts_dropped",
-    "autoignore_suppressed",
-    "detect_events_routed",
-    "detect_worker_batches",
-    # million-prefix tenant plane (flat-array tree, cross-batch verdict
-    # cache, and the zero-pickle binary frame transport)
-    "verdict_cache_hits",
-    "verdict_cache_misses",
-    "verdict_cache_evictions",
-    "frames_sent",
-    "frames_bytes",
-    "events_malformed",
-    # worker pipes: nanoseconds blocked writing a message to a worker
-    # (repro.proc.WorkerGroup.send) and, in a detection worker, waiting
-    # for the next frame (summed across workers)
-    "pipe_send_wait_ns",
-    "pipe_recv_wait_ns",
-)
 
-#: Gauge fields: sampled point-in-time values, merged with ``max`` instead
-#: of ``+`` across worker processes (see :func:`sample_memory`).
-GAUGES: Tuple[str, ...] = (
-    "peak_rss_kb",
-    "path_cache_size",
-    "prefix_cache_size",
-    "checkpoint_bytes",
-    "replay_backlog_peak",
-    "shard_rss_peak_kb",
-    "pipeline_queue_depth_peak",
-    "notifier_queue_depth_peak",
-    "detection_state_entries",
-    "tree_bytes",
+class Metric(NamedTuple):
+    """One declared metric.  Units sit in the name's suffix (``_ns``,
+    ``_bytes``, ``_kb``); a bare name counts things."""
+
+    name: str
+    #: ``"sum"``: a counter, whose worker deltas add.  ``"max"``: a gauge,
+    #: a sampled level whose worker values max-fold (a peak summed across
+    #: processes would be meaningless).
+    merge: str
+    layer: str
+    meaning: str
+
+
+#: Every metric on :data:`COUNTERS`, grouped by layer in display order.
+METRICS: Tuple[Metric, ...] = (
+    Metric("events_scheduled", "sum", "engine", "events pushed on the heap"),
+    Metric("events_processed", "sum", "engine", "events dispatched"),
+    Metric("events_cancelled", "sum", "engine", "queued events cancelled (tombstoned)"),
+    Metric("updates_processed", "sum", "bgp", "UPDATE messages handled by speakers"),
+    Metric("flushes_run", "sum", "bgp", "MRAI flushes executed"),
+    Metric("announcements_built", "sum", "bgp", "export announcements constructed"),
+    Metric("announcements_reused", "sum", "bgp",
+           "export announcements shared per Loc-RIB change"),
+    Metric("dirty_marks_skipped", "sum", "bgp",
+           "exports skipped: policy can never send to that peer"),
+    Metric("decision_fast_path", "sum", "bgp", "incremental decision-process runs"),
+    Metric("decision_full_scans", "sum", "bgp", "full decision-process rescans"),
+    Metric("deliveries_direct", "sum", "bgp", "allocation-free session deliveries"),
+    Metric("path_intern_hits", "sum", "interning", "AS-path tuple intern table hits"),
+    Metric("path_intern_misses", "sum", "interning",
+           "AS-path tuple intern table misses"),
+    Metric("prefix_parse_hits", "sum", "interning", "prefix parse cache hits"),
+    Metric("prefix_parse_misses", "sum", "interning", "prefix parse cache misses"),
+    Metric("path_parse_hits", "sum", "interning",
+           "record decoder AS-path spelling hits"),
+    Metric("path_parse_misses", "sum", "interning",
+           "record decoder AS-path spelling misses"),
+    Metric("path_cache_size", "max", "interning", "AS-path intern table population"),
+    Metric("prefix_cache_size", "max", "interning", "prefix parse cache population"),
+    Metric("checkpoint_restores", "sum", "checkpoint",
+           "warm-start checkpoint restores"),
+    Metric("cow_row_forks", "sum", "checkpoint",
+           "copy-on-write Adj-RIB-In rows privatised"),
+    Metric("checkpoint_bytes", "max", "checkpoint", "serialized checkpoint size"),
+    Metric("replay_events_dropped", "sum", "replay",
+           "trace records dropped by the fault plan"),
+    Metric("cross_shard_messages", "sum", "shard",
+           "route bundles exchanged between shards"),
+    Metric("cross_shard_bytes", "sum", "shard", "pickled bytes of those bundles"),
+    Metric("sync_barrier_stalls", "sum", "shard",
+           "windows a shard ran with nothing to do"),
+    Metric("shard_windows", "sum", "shard", "conservative-time windows executed"),
+    Metric("shard_rss_peak_kb", "max", "shard", "busiest shard worker's peak RSS"),
+    Metric("pipeline_events_ingested", "sum", "tenants",
+           "events staged by the detection plane"),
+    Metric("pipeline_batches", "sum", "tenants", "batches drained"),
+    Metric("pipeline_trie_walks", "sum", "tenants",
+           "FlatPrefixTree.resolve calls (the name predates the table)"),
+    Metric("pipeline_memo_hits", "sum", "tenants", "per-batch prefix memo hits"),
+    Metric("pipeline_backpressure_stalls", "sum", "tenants",
+           "full ingest queue forcing an inline drain"),
+    Metric("notifier_alerts_emitted", "sum", "tenants", "notifications delivered"),
+    Metric("notifier_alerts_dropped", "sum", "tenants",
+           "oldest notifications dropped on overflow"),
+    Metric("autoignore_suppressed", "sum", "tenants",
+           "incidents withheld pending vantage corroboration"),
+    Metric("duplicate_evidence_skipped", "sum", "tenants",
+           "byte-identical duplicate deliveries barred from founding"),
+    Metric("detect_events_routed", "sum", "tenants",
+           "trace lines routed to detection workers"),
+    Metric("detect_worker_batches", "sum", "tenants",
+           "epoch-stamped shipments a worker received"),
+    Metric("events_malformed", "sum", "tenants",
+           "damaged trace lines dropped by the router"),
+    Metric("verdict_cache_hits", "sum", "tenants",
+           "announcements the verdict cache answered"),
+    Metric("verdict_cache_misses", "sum", "tenants",
+           "keys judged afresh (table lookup + rule ladder)"),
+    Metric("verdict_cache_evictions", "sum", "tenants",
+           "FIFO verdict-cache evictions past the bound"),
+    Metric("pipeline_queue_depth_peak", "max", "tenants",
+           "ingest queue high-water mark"),
+    Metric("notifier_queue_depth_peak", "max", "tenants",
+           "notifier queue high-water mark"),
+    Metric("detection_state_entries", "max", "tenants",
+           "per-incident bookkeeping entries"),
+    Metric("tree_bytes", "max", "tenants", "tenant prefix table resident bytes"),
+    Metric("frames_sent", "sum", "frames", "byte frames shipped down worker pipes"),
+    Metric("frames_bytes", "sum", "frames", "bytes of those frames"),
+    Metric("pipe_send_wait_ns", "sum", "pipes",
+           "parent blocked writing to a worker pipe"),
+    Metric("pipe_recv_wait_ns", "sum", "pipes",
+           "detection workers blocked waiting for a frame"),
+    Metric("peak_rss_kb", "max", "memory", "process peak RSS"),
 )
 
 
 class PerfCounters:
-    """A bag of monotonically increasing integer counters.
+    """One integer slot per metric in :data:`METRICS`: counters only grow
+    within a run, gauges hold a sampled level or peak.
 
     Hot paths increment attributes directly (``COUNTERS.events_scheduled +=
     1``); everything else — snapshots, merging worker processes, derived
@@ -145,36 +129,29 @@ class PerfCounters:
     integer add.
     """
 
-    __slots__ = FIELDS + GAUGES
+    __slots__ = tuple(metric.name for metric in METRICS)
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        """Zero every counter and gauge (start of a profiled run)."""
-        for field in FIELDS:
-            setattr(self, field, 0)
-        for gauge in GAUGES:
-            setattr(self, gauge, 0)
+        """Zero every metric (start of a profiled run)."""
+        for metric in METRICS:
+            setattr(self, metric.name, 0)
 
     def as_dict(self) -> Dict[str, int]:
         """A plain-dict snapshot (picklable; what workers send back)."""
-        snapshot = {field: getattr(self, field) for field in FIELDS}
-        for gauge in GAUGES:
-            snapshot[gauge] = getattr(self, gauge)
-        return snapshot
+        return {metric.name: getattr(self, metric.name) for metric in METRICS}
 
     def merge(self, snapshot: Mapping[str, int]) -> None:
-        """Fold a worker-process snapshot into this instance.
-
-        Counters add; gauges take the max (peaks and table populations are
-        per-process highs, not flows).
-        """
-        for field, value in snapshot.items():
-            if field in FIELDS:
-                setattr(self, field, getattr(self, field) + int(value))
-            elif field in GAUGES:
-                setattr(self, field, max(getattr(self, field), int(value)))
+        """Fold a worker-process snapshot into this instance by each
+        metric's ``merge``; names not in :data:`METRICS` are ignored."""
+        for name, merge, _layer, _meaning in METRICS:
+            if name in snapshot:
+                value = int(snapshot[name])
+                mine = getattr(self, name)
+                value = mine + value if merge == "sum" else max(mine, value)
+                setattr(self, name, value)
 
     def delta_since(self, before: Mapping[str, int]) -> Dict[str, int]:
         """What a worker sends home: counter deltas, gauge current values.
@@ -183,13 +160,12 @@ class PerfCounters:
         difference, so gauges pass through as-is and the parent's
         :meth:`merge` max-folds them.
         """
-        delta = {
-            field: getattr(self, field) - int(before.get(field, 0))
-            for field in FIELDS
+        return {
+            name: getattr(self, name) - int(before.get(name, 0))
+            if merge == "sum"
+            else getattr(self, name)
+            for name, merge, _layer, _meaning in METRICS
         }
-        for gauge in GAUGES:
-            delta[gauge] = getattr(self, gauge)
-        return delta
 
     # ------------------------------------------------------------ derived
 
@@ -216,12 +192,6 @@ class PerfCounters:
             + self.path_parse_hits
             + self.dirty_marks_skipped
         )
-
-    def events_per_second(self, wall_seconds: float) -> Optional[float]:
-        """Engine events dispatched per wall-clock second, if measurable."""
-        if wall_seconds <= 0:
-            return None
-        return self.events_processed / wall_seconds
 
     def __repr__(self) -> str:
         return (
@@ -286,14 +256,19 @@ def sample_memory() -> None:
 
 
 def profile_rows(wall_seconds: Optional[float] = None) -> List[Tuple[str, str]]:
-    """(name, value) rows for the ``--profile`` table, derived stats last."""
+    """(name, value) rows for the ``--profile`` table: each layer of
+    :data:`METRICS` as a heading row (empty value) over its metrics, then
+    the derived stats."""
     sample_memory()
     c = COUNTERS
-    rows: List[Tuple[str, str]] = [
-        (field.replace("_", " "), str(getattr(c, field))) for field in FIELDS
-    ]
-    for gauge in GAUGES:
-        rows.append((gauge.replace("_", " "), str(getattr(c, gauge))))
+    rows: List[Tuple[str, str]] = []
+    layer = None
+    for metric in METRICS:
+        if metric.layer != layer:
+            layer = metric.layer
+            rows.append((layer, ""))
+        rows.append((metric.name.replace("_", " "), str(getattr(c, metric.name))))
+    rows.append(("derived", ""))
     rows.append(("allocations avoided", str(c.allocations_avoided)))
     rows.append(("queue tombstone ratio", f"{c.tombstone_ratio:.4f}"))
     if wall_seconds is not None and wall_seconds > 0:
@@ -308,5 +283,5 @@ def format_profile(wall_seconds: Optional[float] = None) -> str:
     width = max(len(name) for name, _value in rows)
     lines = ["perf counters", "-" * (width + 16)]
     for name, value in rows:
-        lines.append(f"{name:<{width}}  {value:>12}")
+        lines.append(f"  {name:<{width}}  {value:>12}" if value else f"[{name}]")
     return "\n".join(lines)

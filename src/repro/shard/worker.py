@@ -11,7 +11,7 @@ a small synchronous command protocol: every request gets exactly one reply,
 Perf accounting: the worker's process-global counters are reset at startup;
 a ``perf`` command ships home the delta since the previous ``perf`` (plus
 current gauge values), which the coordinator folds into its own counters
-with the sum-counters / max-gauges merge semantics.
+by each metric's declared ``merge`` (:data:`repro.perf.METRICS`).
 """
 
 from __future__ import annotations

@@ -154,7 +154,6 @@ class Engine:
         #: Cancelled-but-still-queued entries (lazy purge bookkeeping).
         self._tombstones = 0
         self.events_processed = 0
-        self.compactions = 0
 
     @property
     def now(self) -> float:
@@ -234,9 +233,6 @@ class Engine:
         trigger compaction mid-drain — rebinding would strand those loops
         on a stale list while new events land on the replacement.
         """
-        _C.tombstones_purged += self._tombstones
-        _C.queue_compactions += 1
-        self.compactions += 1
         self._queue[:] = [entry for entry in self._queue if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._tombstones = 0
@@ -256,7 +252,6 @@ class Engine:
         while queue and queue[0][2].cancelled:
             heapq.heappop(queue)
             self._tombstones -= 1
-            _C.tombstones_purged += 1
         return queue[0][0] if queue else None
 
     def freeze(self) -> None:
@@ -294,7 +289,6 @@ class Engine:
             time, _seq, handle = heapq.heappop(queue)
             if handle.cancelled:
                 self._tombstones -= 1
-                _C.tombstones_purged += 1
                 continue
             self._now = time
             handle.fired = True
@@ -339,7 +333,6 @@ class Engine:
                     if handle.cancelled:
                         heapq.heappop(queue)
                         self._tombstones -= 1
-                        _C.tombstones_purged += 1
                         continue
                     if until is not None and time > until:
                         self._now = until
@@ -357,7 +350,6 @@ class Engine:
                         _t, _s, handle = heapq.heappop(queue)
                         if handle.cancelled:
                             self._tombstones -= 1
-                            _C.tombstones_purged += 1
                             continue
                         handle.fired = True
                         self.events_processed += 1

@@ -362,8 +362,9 @@ class ParallelDetectionPlane:
     def finish(self) -> Dict:
         """Flush, collect every worker's results, merge, and shut down.
 
-        Merges worker perf deltas into the parent's counters (sum for
-        counters, max for gauges) and returns::
+        Merges worker perf deltas into the parent's counters (by each
+        metric's declared ``merge`` in :data:`repro.perf.METRICS`) and
+        returns::
 
             {"rows", "digest", "alerts", "cpu_seconds": [per worker],
              "critical_path_cpu", "events_per_worker": [per worker],

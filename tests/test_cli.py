@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.perf import METRICS
 
 FAST_WORLD = [
     "--tier1", "3", "--tier2", "10", "--stubs", "25", "--no-churn",
@@ -141,6 +142,7 @@ class TestProfileAndJobs:
         assert payload["elapsed_seconds"] > 0
         assert payload["counters"]["events_processed"] > 0
         assert payload["counters"]["updates_processed"] > 0
+        assert set(payload["counters"]) == {metric.name for metric in METRICS}
         walls = payload["phase_walls"]
         assert set(walls) == {"setup", "phase1", "phase2", "phase3"}
         assert all(seconds >= 0 for seconds in walls.values())

@@ -35,8 +35,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: This file, as the walk names it; it spells every pattern, so it is skipped.
 HERE = "tests/test_one_implementation.py"
 
-#: The top-level directories the walk reads (every row's paths lie in them).
-WALKED = ("src", "tests", "benchmarks", "bench", "examples")
+#: The top-level directories and files the walk reads (every row's paths
+#: lie in them).
+WALKED = ("src", "tests", "benchmarks", "bench", "examples", "DESIGN.md")
 
 
 @dataclass(frozen=True)
@@ -253,6 +254,27 @@ GUARDS: Tuple[Guard, ...] = (
         r"|cut_links_of|jittered|make_rng|load_caida|targets)\(",
         ("src", "examples"),
     ),
+    Guard(
+        "perf-metric-tuples", "after b998662",
+        "repro.perf.METRICS declares each metric once; no counter or gauge name tuples.",
+        ("src/repro/perf.py", "FIELDS: Tuple[str, ...] = ("),
+        "FIELDS|GAUGES", ("src/repro/perf.py",), word=True,
+    ),
+    Guard(
+        "perf-catalogue-table", "after b998662",
+        "DESIGN.md points at repro.perf.METRICS instead of copying it into a table.",
+        ("DESIGN.md", "| Counter | Merge | What it measures |"),
+        r"\| Counter \| Merge \|", ("DESIGN.md",),
+    ),
+    Guard(
+        "owner-copied-counters", "after b998662",
+        "Metrics that copied a value their owner reports, or that nothing read, "
+        "stay deleted, as does Engine.compactions.",
+        ("src/repro/bgp/route.py", "        _C.routes_created += 1"),
+        r"replay_(records_read|events_delivered|backlog_peak)|queue_compactions"
+        r"|tombstones_purged|routes_created|snapshot_cache_hits|\.compactions\b",
+        ("src", "tests", "benchmarks"),
+    ),
 )
 
 #: The smallest tree both positive rows accept; each example is laid over it.
@@ -343,6 +365,8 @@ def tree_files(root: str = ROOT) -> Dict[str, str]:
     rules = _ignore_rules(root)
     files = {}
     for top in WALKED:
+        if os.path.isfile(os.path.join(root, top)):
+            files[top] = _read(os.path.join(root, top))
         for folder, dirs, names in os.walk(os.path.join(root, top)):
             rel = os.path.relpath(folder, root).replace(os.sep, "/")
             dirs[:] = [d for d in dirs if not _ignored(rules, f"{rel}/{d}", True)]
@@ -350,9 +374,13 @@ def tree_files(root: str = ROOT) -> Dict[str, str]:
                 path = f"{rel}/{name}"
                 if path == HERE or _ignored(rules, path, False):
                     continue
-                with open(os.path.join(folder, name), encoding="utf-8", errors="replace") as handle:
-                    files[path] = handle.read()
+                files[path] = _read(os.path.join(folder, name))
     return files
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8", errors="replace") as handle:
+        return handle.read()
 
 
 @pytest.fixture(scope="module")

