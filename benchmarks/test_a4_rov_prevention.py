@@ -41,7 +41,7 @@ def _run():
         )
     # Forged-origin attack under FULL ROV: prevention is blind, ARTEMIS not.
     forged = run_artemis_suite(
-        bench_scenario(rov_adoption=1.0, forge_origin=True),
+        bench_scenario(rov_adoption=1.0, hijack_type="type-1"),
         seeds=SEEDS,
     )
     return sweep_rows, forged

@@ -27,7 +27,7 @@ def main() -> None:
     config = ScenarioConfig(
         seed=seed,
         topology=GeneratorConfig(num_tier1=5, num_tier2=25, num_stubs=90),
-        forge_origin=True,
+        hijack_type="type-1",
     )
     experiment = HijackExperiment(config)
     print(f"running forged-path hijack experiment (seed {seed}) ...")

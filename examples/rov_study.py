@@ -51,7 +51,7 @@ def sweep(seeds: int) -> None:
 
 def forged_under_full_rov(seeds: int) -> None:
     template = ScenarioConfig(
-        topology=TOPOLOGY, rov_adoption=1.0, forge_origin=True
+        topology=TOPOLOGY, rov_adoption=1.0, hijack_type="type-1"
     )
     results = run_artemis_suite(template, seeds=range(seeds))
     peak = summarize(r.hijack_fraction_peak for r in results)

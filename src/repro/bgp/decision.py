@@ -6,9 +6,11 @@ carries:
 
 1. highest LOCAL_PREF (which encodes the Gao-Rexford preference);
 2. shortest AS path;
-3. lowest ORIGIN attribute code (IGP < EGP < INCOMPLETE);
-4. oldest route (stability preference — keeps churn down during hijacks);
-5. lowest neighbor ASN (the deterministic final tie-break).
+3. oldest route (stability preference — keeps churn down during hijacks);
+4. lowest neighbor ASN (the deterministic final tie-break).
+
+Every route carries ORIGIN IGP, so the ORIGIN step never decides and is
+left out.
 
 Self-originated routes carry a LOCAL_PREF far above any learned route, so
 they always win — an AS never prefers someone else's path to its own prefix.

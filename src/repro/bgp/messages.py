@@ -15,11 +15,6 @@ from repro.errors import BGPError
 from repro.net.prefix import Prefix
 from repro.perf import COUNTERS as _C
 
-#: BGP ORIGIN attribute codes (RFC 4271 §5.1.1) — lower is preferred.
-ORIGIN_IGP = 0
-ORIGIN_EGP = 1
-ORIGIN_INCOMPLETE = 2
-
 #: Interned AS-path tuples.  Propagation re-creates the same paths at every
 #: hop (each AS prepends itself to a path its neighbors also carry), so one
 #: canonical tuple per distinct path removes most of the per-UPDATE tuple
@@ -44,31 +39,19 @@ def intern_path(path: Sequence[int]) -> Tuple[int, ...]:
 
 
 class Announcement:
-    """One announced NLRI with its path attributes.
+    """One announced NLRI with its AS path.
 
     ``as_path[0]`` is the most recent (sending) AS and ``as_path[-1]`` is the
     origin AS — the convention used by route collectors and looking glasses.
     """
 
-    __slots__ = ("prefix", "as_path", "origin_attr", "communities")
+    __slots__ = ("prefix", "as_path")
 
-    def __init__(
-        self,
-        prefix: Prefix,
-        as_path: Sequence[int],
-        origin_attr: int = ORIGIN_IGP,
-        communities: Sequence[Tuple[int, int]] = (),
-    ):
+    def __init__(self, prefix: Prefix, as_path: Sequence[int]):
         if not as_path:
             raise BGPError(f"announcement for {prefix} has an empty AS path")
-        if origin_attr not in (ORIGIN_IGP, ORIGIN_EGP, ORIGIN_INCOMPLETE):
-            raise BGPError(f"invalid ORIGIN attribute {origin_attr}")
         self.prefix = prefix
         self.as_path: Tuple[int, ...] = intern_path(as_path)
-        self.origin_attr = origin_attr
-        self.communities: Tuple[Tuple[int, int], ...] = tuple(
-            (int(high), int(low)) for high, low in communities
-        )
 
     @property
     def origin_as(self) -> int:
@@ -88,15 +71,10 @@ class Announcement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Announcement):
             return NotImplemented
-        return (
-            self.prefix == other.prefix
-            and self.as_path == other.as_path
-            and self.origin_attr == other.origin_attr
-            and self.communities == other.communities
-        )
+        return self.prefix == other.prefix and self.as_path == other.as_path
 
     def __hash__(self) -> int:
-        return hash((self.prefix, self.as_path, self.origin_attr, self.communities))
+        return hash((self.prefix, self.as_path))
 
     def __repr__(self) -> str:
         path = " ".join(str(a) for a in self.as_path)

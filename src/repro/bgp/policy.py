@@ -23,7 +23,6 @@ import enum
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.bgp.messages import Announcement
-from repro.errors import BGPError
 from repro.net.prefix import Prefix
 
 
@@ -89,19 +88,14 @@ class AcceptAll(RouteFilter):
 
 
 class MaxLengthFilter(RouteFilter):
-    """Reject prefixes more specific than a limit (default /24 for IPv4).
+    """Reject prefixes more specific than /24 (IPv4) or /48 (IPv6).
 
     This models the common ISP practice the paper cites as the reason
-    de-aggregation cannot protect /24s.  IPv6 uses a /48 limit by default.
+    de-aggregation cannot protect /24s.
     """
 
-    def __init__(self, max_length_v4: int = 24, max_length_v6: int = 48):
-        if not 0 <= max_length_v4 <= 32:
-            raise BGPError(f"invalid IPv4 max length {max_length_v4}")
-        if not 0 <= max_length_v6 <= 128:
-            raise BGPError(f"invalid IPv6 max length {max_length_v6}")
-        self.max_length_v4 = max_length_v4
-        self.max_length_v6 = max_length_v6
+    max_length_v4 = 24
+    max_length_v6 = 48
 
     def accepts(self, announcement: Announcement) -> bool:
         prefix = announcement.prefix
@@ -197,15 +191,9 @@ class Policy:
     import rule, and checkpoint forks share it.
     """
 
-    def __init__(
-        self,
-        import_filter: Optional[RouteFilter] = None,
-        local_pref_overrides: Optional[Dict[Relationship, int]] = None,
-    ):
+    def __init__(self, import_filter: Optional[RouteFilter] = None):
         self.import_filter = import_filter or AcceptAll()
         self.local_pref = dict(DEFAULT_LOCAL_PREF)
-        if local_pref_overrides:
-            self.local_pref.update(local_pref_overrides)
 
     def __repr__(self) -> str:
         return f"Policy(import={self.import_filter!r})"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.bgp.messages import ORIGIN_IGP, Announcement, intern_path
+from repro.bgp.messages import Announcement, intern_path
 from repro.bgp.policy import LOCAL_REL_INDEX
 from repro.errors import BGPError
 from repro.net.prefix import Prefix
@@ -27,11 +27,9 @@ class Route:
     __slots__ = (
         "prefix",
         "as_path",
-        "origin_attr",
         "peer_asn",
         "local_pref",
         "learned_at",
-        "communities",
         "pref_key",
         "learned_rel_index",
         "_export",
@@ -43,9 +41,7 @@ class Route:
         as_path: Sequence[int],
         peer_asn: Optional[int],
         local_pref: int,
-        origin_attr: int = ORIGIN_IGP,
         learned_at: float = 0.0,
-        communities: Sequence[Tuple[int, int]] = (),
         rel_index: Optional[int] = None,
     ):
         if peer_asn is not None and not as_path:
@@ -56,7 +52,6 @@ class Route:
         self.as_path: Tuple[int, ...] = (
             as_path if type(as_path) is tuple else intern_path(as_path)
         )
-        self.origin_attr = origin_attr
         # Type checks instead of unconditional coercion: the hot constructor
         # call (UPDATE processing) always passes the right types already.
         self.peer_asn = (
@@ -68,14 +63,11 @@ class Route:
         self.learned_at = (
             learned_at if type(learned_at) is float else float(learned_at)
         )
-        self.communities: Tuple[Tuple[int, int], ...] = (
-            communities if type(communities) is tuple else tuple(communities)
-        )
         #: The learning session's dense relationship index (see
         #: ``repro.bgp.policy.REL_INDEX``), cached by the speaker at import
-        #: time so export checks skip the peer-table lookup.  ``None`` when
-        #: the importing context is unknown (e.g. routes built in tests);
-        #: consumers must then fall back to resolving the peer.
+        #: time so export checks skip the peer-table lookup.  A learned
+        #: route a speaker installs must carry it; ``None`` only suits
+        #: routes that never reach a speaker (RIB and decision tests).
         self.learned_rel_index = (
             LOCAL_REL_INDEX if self.peer_asn is None else rel_index
         )
@@ -85,7 +77,6 @@ class Route:
         self.pref_key = (
             -self.local_pref,
             len(self.as_path),
-            self.origin_attr,
             self.learned_at,
             self.peer_asn if self.peer_asn is not None else -1,
         )
@@ -112,14 +103,9 @@ class Route:
         """
         return self.as_path[-1] if self.as_path else None
 
-    def to_announcement(self, sender_asn: int, prepend: int = 1) -> Announcement:
+    def to_announcement(self, sender_asn: int) -> Announcement:
         """Export form of this route: ``sender_asn`` prepended to the path."""
-        return Announcement(
-            self.prefix,
-            (int(sender_asn),) * max(1, prepend) + self.as_path,
-            self.origin_attr,
-            self.communities,
-        )
+        return Announcement(self.prefix, (int(sender_asn),) + self.as_path)
 
     def export_announcement(self, sender_asn: int) -> Announcement:
         """The single-prepend export form, built once and shared.

@@ -369,27 +369,18 @@ class BGPSpeaker:
                 continue
             # Inline of Route construction (the busiest allocation in the
             # simulation): Announcement guarantees every field invariant the
-            # constructor would re-check — non-empty interned tuple path,
-            # valid origin, tuple communities — and the hoisted per-message
-            # context supplies the rest, so the attributes are stored
-            # directly on a bare instance.  Keep in lockstep with
-            # Route.__init__.
+            # constructor would re-check — a non-empty interned tuple path —
+            # and the hoisted per-message context supplies the rest, so the
+            # attributes are stored directly on a bare instance.  Keep in
+            # lockstep with Route.__init__.
             route = new_route(Route)
             route.prefix = prefix
             route.as_path = as_path
-            route.origin_attr = origin_attr = announcement.origin_attr
             route.peer_asn = sender_asn
             route.local_pref = local_pref
             route.learned_at = learned_at
-            route.communities = announcement.communities
             route.learned_rel_index = rel_index
-            route.pref_key = (
-                neg_pref,
-                len(as_path),
-                origin_attr,
-                learned_at,
-                sender_asn,
-            )
+            route.pref_key = (neg_pref, len(as_path), learned_at, sender_asn)
             route._export = None
             # Inline of AdjRibIn.insert against the hoisted ikey table.
             pikey = prefix.ikey
@@ -526,9 +517,8 @@ class BGPSpeaker:
         if (
             best is not None
             and old is not None
-            # Same attributes (both routes are for ``prefix`` by
-            # construction, so the prefix needs no check).
-            and best.origin_attr == old.origin_attr
+            # Same path (both routes are for ``prefix`` by construction,
+            # so the prefix needs no check).
             and best.as_path == old.as_path
             # Same peer too: a learned path always starts with its peer's
             # ASN, so an identical path from a *different* source can only
@@ -551,16 +541,12 @@ class BGPSpeaker:
         # --- export marking ---
         # One precomputed OR of the two export rows; the per-peer check
         # collapses to a single integer tuple index.  The new route is the
-        # just-installed best, so its import-time relationship index is both
-        # present and current; the old side must resolve the peer live — the
-        # route may predate a session teardown, and a vanished peer maps to
-        # the conservative export-to-all row.
-        if best is None:
-            new_index = ABSENT_REL_INDEX
-        else:
-            new_index = best.learned_rel_index
-            if new_index is None:
-                new_index = self._rel_grid_index(best)
+        # just-installed best, so its import-time relationship index is
+        # current (local routes carry ``LOCAL_REL_INDEX``); the old side
+        # must resolve the peer live — the route may predate a session
+        # teardown, and a vanished peer maps to the conservative
+        # export-to-all row.
+        new_index = ABSENT_REL_INDEX if best is None else best.learned_rel_index
         if old is None:
             old_index = ABSENT_REL_INDEX
         else:
@@ -654,16 +640,8 @@ class BGPSpeaker:
             # Inline of _exportable(best, state) — this loop runs for every
             # dirty prefix on every flush.  Installed best routes always
             # carry their import-time relationship index (and their peer is
-            # live: teardown re-decides synchronously); the ``None`` fallback
-            # only triggers for routes injected without one, e.g. in tests.
-            if best is None:
-                exportable = False
-            else:
-                learned_index = best.learned_rel_index
-                if learned_index is None:
-                    learned_index = self._rel_grid_index(best)
-                exportable = grid[learned_index][rel_index]
-            if exportable:
+            # live: teardown re-decides synchronously).
+            if best is not None and grid[best.learned_rel_index][rel_index]:
                 # Do not announce a route back to the peer it came from
                 # (split horizon; the peer would reject it on loop check
                 # anyway, this just saves messages).
@@ -683,15 +661,11 @@ class BGPSpeaker:
                 else:
                     announcement = best.export_announcement(my_asn)
                 # Inline announcement equality: both sides are keyed under
-                # ``prefix`` so only the attributes can differ, and the
+                # ``prefix`` so only the path can differ, and the
                 # shared-export cache makes the identity hit the common case.
                 if previous is not None and (
                     previous is announcement
-                    or (
-                        previous.origin_attr == announcement.origin_attr
-                        and previous.as_path == announcement.as_path
-                        and previous.communities == announcement.communities
-                    )
+                    or previous.as_path == announcement.as_path
                 ):
                     continue
                 announcements.append(announcement)

@@ -62,17 +62,11 @@ def _add_world_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-churn", action="store_true", help="disable background churn"
     )
     parser.add_argument(
-        "--forge-origin",
-        action="store_true",
-        help="type-1 hijack: forge the victim as path origin",
-    )
-    parser.add_argument(
         "--hijack-type",
-        default=None,
+        default="type-0",
         metavar="TYPE",
         help="attacker model from the full taxonomy: type-0, type-1, "
-        "type-N (any N), type-U, squatting, route-leak "
-        "(default: type-1 with --forge-origin, type-0 otherwise)",
+        "type-N (any N), type-U, squatting, route-leak (default: type-0)",
     )
     parser.add_argument(
         "--corroborate",
@@ -152,19 +146,18 @@ def _scenario_from_args(
         ),
         churn=None if args.no_churn else ScenarioConfig().churn,
         churn_warmup=0.0 if args.no_churn else 180.0,
-        forge_origin=args.forge_origin,
-        hijack_type=getattr(args, "hijack_type", None),
-        corroborate=getattr(args, "corroborate", None),
+        hijack_type=args.hijack_type,
+        corroborate=args.corroborate,
         num_helpers=args.helpers,
         faults=args.faults,
         failover_to_batch=args.failover_to_batch,
-        world_seed=getattr(args, "world_seed", None),
-        warm_start=getattr(args, "warm_start", False),
+        world_seed=args.world_seed,
+        warm_start=args.warm_start,
         record_trace=getattr(args, "record_trace", None),
-        cache_dir=getattr(args, "cache_dir", None),
+        cache_dir=args.cache_dir,
         **(PROFILES[defender] if defender else {}),
     )
-    path = getattr(args, "checkpoint", None)
+    path = args.checkpoint
     if path is not None:
         import os
 
@@ -642,9 +635,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         return "-" if value is None else f"{value:.3f}"
 
     rows = [
-        ["ASes", GeneratorConfig(
-            num_tier1=args.tier1, num_tier2=args.tier2, num_stubs=args.stubs
-        ).total_ases],
+        ["ASes", config.topology.total_ases],
         ["shards", args.shards],
         ["victim", f"AS{result.victim}"],
         ["hijacker", f"AS{result.hijacker}"],

@@ -60,7 +60,6 @@ def format_series(
     series: Sequence[Tuple[float, float]],
     title: str = "",
     width: int = 60,
-    value_format: str = "{:.2f}",
 ) -> str:
     """Render a (time, value) series as a text sparkline with min/max rows."""
     if not series:
@@ -86,15 +85,12 @@ def format_series(
     header = f"{title}\n" if title else ""
     return (
         f"{header}t=[{t0:.1f}s … {t1:.1f}s]  "
-        f"value=[{value_format.format(low)} … {value_format.format(high)}]\n"
+        f"value=[{low:.2f} … {high:.2f}]\n"
         f"|{chars}|"
     )
 
 
-def summary_rows(
-    summaries: Dict[str, "Summary"],
-    scale: float = 1.0,
-) -> List[List[Cell]]:
+def summary_rows(summaries: Dict[str, "Summary"]) -> List[List[Cell]]:
     """Rows (name, n, mean, median, p95, max) for :func:`format_table`."""
     rows: List[List[Cell]] = []
     for name, summary in summaries.items():
@@ -105,10 +101,10 @@ def summary_rows(
             [
                 name,
                 summary.count,
-                summary.mean / scale,
-                summary.median / scale,
-                summary.p95 / scale,
-                summary.maximum / scale,
+                summary.mean,
+                summary.median,
+                summary.p95,
+                summary.maximum,
             ]
         )
     return rows

@@ -26,7 +26,7 @@ cases alert, which is exactly the trade-off the matrix records.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.alerts import AlertType
 from repro.core.config import ArtemisConfig, OwnedPrefix, OwnedSpace
@@ -48,14 +48,14 @@ TAXONOMY: Dict[str, str] = {
 }
 
 
-def default_params(**overrides) -> Dict:
+def default_params() -> Dict:
     """Constructor kwargs for the small, churn-free world the matrix
     sweeps (fast, deterministic).
 
     Matches the test suite's ``fast_scenario`` preset so matrix cells and
     the regression tests agree on the world per seed.
     """
-    params = dict(
+    return dict(
         topology=GeneratorConfig(num_tier1=3, num_tier2=10, num_stubs=25),
         churn=None,
         baseline_settle=60.0,
@@ -68,17 +68,12 @@ def default_params(**overrides) -> Dict:
             num_batch_vantages=4,
         ),
     )
-    params.update(overrides)
-    return params
 
 
-def run_taxonomy_cell(
-    hijack_type: str, seed: int, template: Optional[Dict] = None
-) -> Dict:
+def run_taxonomy_cell(hijack_type: str, seed: int) -> Dict:
     """Run one (class, seed) cell and score it against the expected rule."""
     expected = TAXONOMY[hijack_type]
-    params = dict(template) if template is not None else default_params()
-    config = ScenarioConfig(seed=seed, hijack_type=hijack_type, **params)
+    config = ScenarioConfig(seed=seed, hijack_type=hijack_type, **default_params())
     result = HijackExperiment(config).run()
     detected = result.alert_type is not None
     return {
@@ -99,18 +94,12 @@ def run_taxonomy_cell(
     }
 
 
-def run_taxonomy_matrix(
-    seeds: Sequence[int],
-    classes: Optional[Sequence[str]] = None,
-    template: Optional[Dict] = None,
-) -> Dict:
-    """Sweep ``classes × seeds`` and aggregate TP/misclass/FN × delay."""
-    classes = list(classes) if classes is not None else list(TAXONOMY)
-    unknown = [c for c in classes if c not in TAXONOMY]
-    if unknown:
-        raise ValueError(f"unknown taxonomy classes: {unknown}")
+def run_taxonomy_matrix(seeds: Sequence[int]) -> Dict:
+    """Sweep every taxonomy class × ``seeds`` and aggregate TP/misclass/FN
+    × delay."""
+    classes = list(TAXONOMY)
     cells: List[Dict] = [
-        run_taxonomy_cell(hijack_type, seed, template)
+        run_taxonomy_cell(hijack_type, seed)
         for hijack_type in classes
         for seed in seeds
     ]

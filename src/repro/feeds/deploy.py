@@ -55,27 +55,16 @@ class MonitorDeployment:
         )
 
 
-def _pick_vantages(
-    network: Network,
-    rng: SeededRNG,
-    count: int,
-    stub_fraction: float = 0.2,
-    exclude: Optional[List[int]] = None,
-) -> List[int]:
+#: Share of each source's vantages drawn from stub ASes.
+STUB_FRACTION = 0.2
+
+
+def _pick_vantages(network: Network, rng: SeededRNG, count: int) -> List[int]:
     """Pick vantage ASes biased towards the well-connected core."""
     graph = network.graph
-    excluded = set(exclude or ())
-    core = [
-        node.asn
-        for node in graph.nodes()
-        if node.tier <= 2 and node.asn not in excluded
-    ]
-    stubs = [
-        node.asn
-        for node in graph.nodes()
-        if node.tier > 2 and node.asn not in excluded
-    ]
-    want_stubs = min(len(stubs), int(round(count * stub_fraction)))
+    core = [node.asn for node in graph.nodes() if node.tier <= 2]
+    stubs = [node.asn for node in graph.nodes() if node.tier > 2]
+    want_stubs = min(len(stubs), int(round(count * STUB_FRACTION)))
     want_core = min(len(core), count - want_stubs)
     picked = rng.sample(core, want_core) if want_core else []
     if want_stubs:

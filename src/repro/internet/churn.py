@@ -11,14 +11,14 @@ prefixes, each homed at a random AS, generates announce/withdraw/re-announce
 events as a Poisson process.  Every event propagates globally through the
 same BGP machinery as the experiment traffic, arming MRAI timers everywhere.
 
-Churn prefixes live in a reserved range (``172.16.0.0/12`` by default) so
-they never overlap experiment prefixes; feed subscriptions filter them out
+Churn prefixes live in a reserved range (:data:`PREFIX_POOL`) so they
+never overlap experiment prefixes; feed subscriptions filter them out
 before they reach ARTEMIS.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.internet.network import Network
@@ -26,30 +26,27 @@ from repro.net.prefix import Prefix
 from repro.sim.rng import SeededRNG
 
 
+#: The reserved range churn prefixes are carved from.
+PREFIX_POOL = Prefix.parse("172.16.0.0/12")
+
+#: Probability a flapped-down prefix comes back on the next event.
+ANNOUNCE_BIAS = 0.7
+
+#: Share of the pool announced when churn starts.
+WARM_FRACTION = 0.8
+
+
 class ChurnConfig:
     """Background churn parameters."""
 
-    def __init__(
-        self,
-        prefix_pool: Union[Prefix, str] = "172.16.0.0/12",
-        pool_size: int = 40,
-        event_rate: float = 0.25,
-        announce_bias: float = 0.7,
-    ):
-        if isinstance(prefix_pool, str):
-            prefix_pool = Prefix.parse(prefix_pool)
+    def __init__(self, pool_size: int = 40, event_rate: float = 0.25):
         if pool_size < 1:
             raise SimulationError("churn pool needs at least one prefix")
         if event_rate <= 0:
             raise SimulationError("churn event rate must be positive")
-        if not 0.0 <= announce_bias <= 1.0:
-            raise SimulationError("announce_bias must be a probability")
-        self.prefix_pool = prefix_pool
         self.pool_size = int(pool_size)
         #: Network-wide churn events per simulated second.
         self.event_rate = float(event_rate)
-        #: Probability a flapped-down prefix comes back on the next event.
-        self.announce_bias = float(announce_bias)
 
 
 class BackgroundChurn:
@@ -64,14 +61,9 @@ class BackgroundChurn:
         self.network = network
         self.config = config or ChurnConfig()
         self.rng = SeededRNG(seed).substream("churn")
-        pool_prefix = self.config.prefix_pool
-        # Carve /24-equivalents out of the pool range.
-        child_length = min(
-            pool_prefix.bits,
-            max(pool_prefix.length + 1, 24 if pool_prefix.version == 4 else 48),
-        )
+        # Carve /24s out of the pool range.
         children = []
-        for index, child in enumerate(pool_prefix.subnets(child_length)):
+        for index, child in enumerate(PREFIX_POOL.subnets(24)):
             if index >= self.config.pool_size:
                 break
             children.append(child)
@@ -86,8 +78,8 @@ class BackgroundChurn:
         self._running = False
         self.events_generated = 0
 
-    def start(self, warm_fraction: float = 0.8) -> None:
-        """Begin churning; ``warm_fraction`` of the pool starts announced.
+    def start(self) -> None:
+        """Begin churning; :data:`WARM_FRACTION` of the pool starts announced.
 
         Warm-starting means MRAI timers begin arming from the first events
         rather than after a long fill-in transient.
@@ -96,7 +88,7 @@ class BackgroundChurn:
             raise SimulationError("churn already started")
         self._running = True
         for prefix in self.prefixes:
-            if self.rng.random() < warm_fraction:
+            if self.rng.random() < WARM_FRACTION:
                 self._announce(prefix)
         self._schedule_next()
 
@@ -120,7 +112,7 @@ class BackgroundChurn:
             # Flap down, or re-announce elsewhere-looking churn (withdraw).
             self._withdraw(prefix)
         else:
-            if self.rng.random() < self.config.announce_bias:
+            if self.rng.random() < ANNOUNCE_BIAS:
                 self._announce(prefix)
         self.events_generated += 1
         self._schedule_next()

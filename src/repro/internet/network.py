@@ -46,8 +46,6 @@ class NetworkConfig:
         self,
         processing_delay: DelaySpec = None,
         mrai: DelaySpec = None,
-        max_prefix_length_v4: int = 24,
-        max_prefix_length_v6: int = 48,
         session_delay_override: Optional[DelaySpec] = None,
         rov_adoption: float = 0.0,
     ):
@@ -62,8 +60,6 @@ class NetworkConfig:
             mrai = Uniform(30.0, 90.0)
         self.processing_delay = make_delay(processing_delay)
         self.mrai = make_delay(mrai)
-        self.max_prefix_length_v4 = max_prefix_length_v4
-        self.max_prefix_length_v6 = max_prefix_length_v6
         self.session_delay_override = (
             make_delay(session_delay_override)
             if session_delay_override is not None
@@ -78,9 +74,7 @@ class NetworkConfig:
         """The import policy (every AS filters longer-than-/24 by default;
         ROV enforcement added for adopting ASes).  Policies are frozen, so
         one instance serves every AS with the same rule."""
-        length_filter = MaxLengthFilter(
-            self.max_prefix_length_v4, self.max_prefix_length_v6
-        )
+        length_filter = MaxLengthFilter()
         if rov_filter is None:
             return Policy(import_filter=length_filter)
         return Policy(import_filter=FilterChain([length_filter, rov_filter]))

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
-from repro.internet.network import NetworkConfig
 from repro.perf import COUNTERS as _C
 from repro.proc import WorkerGroup
 from repro.shard.boundary import DeliveryBundle, SendRecord
@@ -43,13 +42,8 @@ class SingleRunner:
 
     num_shards = 1
 
-    def __init__(
-        self,
-        graph: ASGraph,
-        config: Optional[NetworkConfig] = None,
-        seed: int = 0,
-    ):
-        self.world = ShardWorld(graph, config, seed, graph.asns())
+    def __init__(self, graph: ASGraph, seed: int = 0):
+        self.world = ShardWorld(graph, None, seed, graph.asns())
         self.now = 0.0
 
     def watch(self, target) -> None:
@@ -108,7 +102,6 @@ class ShardRunner:
         self,
         graph: ASGraph,
         plan: ShardPlan,
-        config: Optional[NetworkConfig] = None,
         seed: int = 0,
     ):
         if plan.num_shards < 2:
@@ -138,11 +131,7 @@ class ShardRunner:
         try:
             for shard in range(plan.num_shards):
                 spec = ShardSpec(
-                    shard,
-                    lines,
-                    frozenset(plan.shard_asns[shard]),
-                    seed,
-                    config,
+                    shard, lines, frozenset(plan.shard_asns[shard]), seed
                 )
                 self._group.fork(worker_main, spec)
             for shard in range(plan.num_shards):
@@ -322,15 +311,13 @@ class ShardRunner:
 def make_runner(
     graph: ASGraph,
     num_shards: int,
-    config: Optional[NetworkConfig] = None,
     seed: int = 0,
 ) -> Union[SingleRunner, ShardRunner]:
     """Build the right runner for ``num_shards`` (partitioning included)."""
     if num_shards < 1:
         raise SimulationError(f"num_shards must be >= 1, got {num_shards}")
     if num_shards == 1:
-        return SingleRunner(graph, config, seed)
+        return SingleRunner(graph, seed)
     from repro.shard.partition import partition_graph
 
-    plan = partition_graph(graph, num_shards, config)
-    return ShardRunner(graph, plan, config, seed)
+    return ShardRunner(graph, partition_graph(graph, num_shards), seed)

@@ -18,12 +18,24 @@ import hashlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.internet.network import NetworkConfig
 from repro.shard.runner import make_runner
 from repro.sim.rng import SeededRNG
 from repro.topology.cache import load_or_build_graph
 from repro.topology.generator import GeneratorConfig
 from repro.topology.graph import ASGraph
+
+
+#: The victim's owned prefix and the more-specific the hijacker announces.
+PREFIX = "10.0.0.0/22"
+HIJACK_PREFIX = "10.0.0.0/24"
+
+#: Fixed phase instants (simulated seconds): hijack, mitigation, end.
+T_HIJACK = 400.0
+T_MITIGATE = 800.0
+T_END = 1400.0
+
+#: Stub ASes whose data plane stands in for monitor feeds.
+NUM_MONITORS = 8
 
 
 class ShardScenarioConfig:
@@ -34,27 +46,11 @@ class ShardScenarioConfig:
         topology: Optional[GeneratorConfig] = None,
         seed: int = 0,
         num_shards: int = 1,
-        prefix: str = "10.0.0.0/22",
-        hijack_prefix: str = "10.0.0.0/24",
-        t_hijack: float = 400.0,
-        t_mitigate: float = 800.0,
-        t_end: float = 1400.0,
-        num_monitors: int = 8,
-        network: Optional[NetworkConfig] = None,
         cache_dir: Optional[str] = None,
     ):
-        if not 0.0 < t_hijack < t_mitigate < t_end:
-            raise SimulationError("phase instants must satisfy 0 < hijack < mitigate < end")
         self.topology = topology or GeneratorConfig()
         self.seed = seed
         self.num_shards = num_shards
-        self.prefix = prefix
-        self.hijack_prefix = hijack_prefix
-        self.t_hijack = t_hijack
-        self.t_mitigate = t_mitigate
-        self.t_end = t_end
-        self.num_monitors = num_monitors
-        self.network = network
         self.cache_dir = cache_dir
 
 
@@ -121,9 +117,7 @@ class ShardScenarioResult:
         )
 
 
-def pick_actors(
-    graph: ASGraph, seed: int, num_monitors: int
-) -> Tuple[int, int, int, List[int]]:
+def pick_actors(graph: ASGraph, seed: int) -> Tuple[int, int, int, List[int]]:
     """Deterministic (victim, hijacker, helper, monitors) for a graph."""
     rng = SeededRNG(seed).substream("shardscenario")
     stubs = graph.stubs()
@@ -135,7 +129,7 @@ def pick_actors(
         hijacker = rng.choice(stubs)
     helper = rng.choice(graph.tier1())
     observer_pool = [asn for asn in stubs if asn not in (victim, hijacker)]
-    monitors = sorted(rng.sample(observer_pool, min(num_monitors, len(observer_pool))))
+    monitors = sorted(rng.sample(observer_pool, min(NUM_MONITORS, len(observer_pool))))
     return victim, hijacker, helper, monitors
 
 
@@ -143,14 +137,13 @@ def _detection_delay(
     flips: List[Tuple[float, int, Optional[int]]],
     monitors: List[int],
     hijacker: int,
-    t_hijack: float,
 ) -> Optional[float]:
     """Seconds from the hijack instant until a monitor's data plane flips to
     the hijacker — the scenario's stand-in for monitor-feed detection."""
     monitor_set = set(monitors)
     for time, asn, origin in flips:
-        if time >= t_hijack and origin == hijacker and asn in monitor_set:
-            return time - t_hijack
+        if time >= T_HIJACK and origin == hijacker and asn in monitor_set:
+            return time - T_HIJACK
     return None
 
 
@@ -161,35 +154,28 @@ def run_shard_scenario(
     """Run the pinned scenario end to end; see the module docstring."""
     if graph is None:
         graph = load_or_build_graph(config.topology, config.seed, config.cache_dir)
-    victim, hijacker, helper, monitors = pick_actors(
-        graph, config.seed, config.num_monitors
-    )
-    runner = make_runner(
-        graph,
-        config.num_shards,
-        config=config.network,
-        seed=config.seed,
-    )
+    victim, hijacker, helper, monitors = pick_actors(graph, config.seed)
+    runner = make_runner(graph, config.num_shards, seed=config.seed)
     try:
-        runner.watch(config.hijack_prefix)
+        runner.watch(HIJACK_PREFIX)
         # Phase 0 — the legitimate announcement, converging cold.
-        runner.originate(victim, config.prefix)
-        runner.run_to(config.t_hijack)
-        phase_baseline = runner.observe(config.hijack_prefix)
+        runner.originate(victim, PREFIX)
+        runner.run_to(T_HIJACK)
+        phase_baseline = runner.observe(HIJACK_PREFIX)
         # Phase 1 — sub-prefix hijack: the attacker originates the /24, which
         # wins longest-match everywhere it propagates.
-        runner.originate(hijacker, config.hijack_prefix)
-        runner.run_to(config.t_mitigate)
-        phase_hijacked = runner.observe(config.hijack_prefix)
+        runner.originate(hijacker, HIJACK_PREFIX)
+        runner.run_to(T_MITIGATE)
+        phase_hijacked = runner.observe(HIJACK_PREFIX)
         # Phase 2 — ARTEMIS mitigation: the victim de-aggregates (announces
         # the exact hijacked prefix itself) and an organization helper AS
         # announces it too with the victim as forged origin (MOAS), pulling
         # traffic back from regions the victim alone cannot reach.
-        runner.originate(victim, config.hijack_prefix)
-        runner.originate_forged(helper, config.hijack_prefix, [victim])
-        runner.run_to(config.t_end)
-        phase_mitigated = runner.observe(config.hijack_prefix)
-        flips = runner.flips(config.hijack_prefix)
+        runner.originate(victim, HIJACK_PREFIX)
+        runner.originate_forged(helper, HIJACK_PREFIX, [victim])
+        runner.run_to(T_END)
+        phase_mitigated = runner.observe(HIJACK_PREFIX)
+        flips = runner.flips(HIJACK_PREFIX)
         stats = runner.stats()
         worker_perf = runner.collect_perf()
     finally:
@@ -205,7 +191,7 @@ def run_shard_scenario(
             "mitigated": phase_mitigated,
         },
         flips,
-        _detection_delay(flips, monitors, hijacker, config.t_hijack),
+        _detection_delay(flips, monitors, hijacker),
         stats,
         worker_perf=worker_perf,
     )

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import pickle
 import time
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
-from repro.internet.network import NetworkConfig
 from repro.perf import COUNTERS as _C
 from repro.perf import sample_memory
 from repro.shard.world import ShardWorld
@@ -35,7 +34,6 @@ class ShardSpec:
         "graph_lines",
         "local_asns",
         "seed",
-        "config",
     )
 
     def __init__(
@@ -44,17 +42,15 @@ class ShardSpec:
         graph_lines: List[str],
         local_asns: FrozenSet[int],
         seed: int,
-        config: Optional[NetworkConfig],
     ):
         self.shard_id = shard_id
         self.graph_lines = graph_lines
         self.local_asns = frozenset(local_asns)
         self.seed = seed
-        self.config = config
 
     def build_world(self) -> ShardWorld:
         graph = from_caida_lines(self.graph_lines, validate=False)
-        return ShardWorld(graph, self.config, self.seed, self.local_asns)
+        return ShardWorld(graph, None, self.seed, self.local_asns)
 
 
 def _refresh_gauges() -> None:

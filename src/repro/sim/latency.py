@@ -6,15 +6,13 @@ per-router update processing, stream publication latency, looking-glass query
 round trips, controller programming time, and the human operator models used
 by the baselines.
 
-``make_delay`` builds one from a compact spec (float → constant,
-tuple → uniform, dict → named distribution), which keeps scenario
-configuration files readable.
+``make_delay`` accepts a :class:`Delay` or a plain number (a constant).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence, Union
+from typing import Union
 
 from repro.errors import SimulationError
 from repro.sim.rng import SeededRNG
@@ -166,39 +164,13 @@ class Shifted(Delay):
         return f"Shifted({self.floor} + {self.tail!r})"
 
 
-DelaySpec = Union[Delay, float, int, Sequence[float], Mapping[str, float]]
+DelaySpec = Union[Delay, float, int]
 
 
 def make_delay(spec: DelaySpec) -> Delay:
-    """Build a :class:`Delay` from a compact spec.
-
-    * ``Delay`` instance → returned as-is
-    * number → :class:`Constant`
-    * ``(low, high)`` → :class:`Uniform`
-    * ``{"kind": "lognormal", "mean": 30, "sigma": 0.6}`` etc.
-    """
+    """A :class:`Delay` as-is, or a number as a :class:`Constant`."""
     if isinstance(spec, Delay):
         return spec
     if isinstance(spec, (int, float)):
         return Constant(float(spec))
-    if isinstance(spec, Mapping):
-        kind = str(spec.get("kind", "constant")).lower()
-        if kind == "constant":
-            return Constant(float(spec["value"]))
-        if kind == "uniform":
-            return Uniform(float(spec["low"]), float(spec["high"]))
-        if kind == "exponential":
-            return Exponential(float(spec["mean"]))
-        if kind == "lognormal":
-            return LogNormal(float(spec["mean"]), float(spec.get("sigma", 0.5)))
-        if kind == "shifted":
-            # Floor + exponential tail of the given mean: the common shape for
-            # network delays (propagation floor + queueing tail).
-            return Shifted(float(spec["floor"]), Exponential(float(spec["mean"])))
-        raise SimulationError(f"unknown delay kind {kind!r}")
-    if isinstance(spec, Sequence):
-        values = list(spec)
-        if len(values) != 2:
-            raise SimulationError(f"delay tuple must be (low, high), got {values}")
-        return Uniform(float(values[0]), float(values[1]))
     raise SimulationError(f"cannot build a delay from {spec!r}")

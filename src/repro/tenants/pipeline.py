@@ -124,8 +124,6 @@ def classify_batch_verdicts(
     """
     verdicts: List[Verdict] = []
     for rule, exact in matches:
-        if not path:
-            continue
         if rule.squat_space:
             verdict = classify_squat(path[-1], rule.legit_origins)
         else:

@@ -113,18 +113,13 @@ class TrackerCorroborator:
 _HIJACK_TYPE_RE = re.compile(r"type-(\d+)")
 
 
-def _parse_hijack_type(
-    raw: Optional[str], forge_origin: bool
-) -> Tuple[str, Optional[int]]:
+def _parse_hijack_type(raw: str) -> Tuple[str, Optional[int]]:
     """Canonicalize a ``hijack_type`` → ``(name, forge_depth)``.
 
     ``forge_depth`` is N for ``type-N`` announcements (0 = plain origin
     hijack) and ``None`` for the classes that are not a fixed-depth path
-    forgery (type-U, squatting, route-leak).  ``None`` input keeps the
-    historical knob: ``forge_origin`` selects type-1 over type-0.
+    forgery (type-U, squatting, route-leak).
     """
-    if raw is None:
-        return ("type-1", 1) if forge_origin else ("type-0", 0)
     text = str(raw).strip().lower()
     if text == "type-u":
         return "type-U", None
@@ -153,15 +148,12 @@ class ScenarioConfig:
         network: Optional[NetworkConfig] = None,
         monitors: Optional[Dict] = None,
         auto_mitigate: bool = True,
-        deaggregation_levels: int = 1,
-        max_announce_length_v4: int = 24,
         baseline_settle: float = 150.0,
         detection_timeout: float = 3600.0,
         completion_timeout: float = 3600.0,
         churn: Optional[ChurnConfig] = ChurnConfig(),
         churn_warmup: float = 180.0,
         observation_window: float = 600.0,
-        forge_origin: bool = False,
         num_helpers: int = 0,
         enabled_sources: Optional[Tuple[str, ...]] = None,
         monitor_grace: float = 150.0,
@@ -174,7 +166,7 @@ class ScenarioConfig:
         checkpoint=None,
         record_trace: Optional[str] = None,
         cache_dir: Optional[str] = None,
-        hijack_type: Optional[str] = None,
+        hijack_type: str = "type-0",
         corroborate: Optional[bool] = None,
         operator=None,
     ):
@@ -183,16 +175,15 @@ class ScenarioConfig:
         #: ``type-N`` (forged path N hops from the origin), ``type-U``
         #: (full real path, data-plane-only), ``squatting`` (originating
         #: owned-but-unannounced space), or ``route-leak`` (a real
-        #: multihomed stub re-exporting the victim's route).  ``None``
-        #: keeps the historical behaviour: type-1 when ``forge_origin``
-        #: else type-0, with the pre-taxonomy detection config.
-        self.hijack_type, self.forge_depth = _parse_hijack_type(
-            hijack_type, forge_origin
+        #: multihomed stub re-exporting the victim's route).
+        self.hijack_type, self.forge_depth = _parse_hijack_type(hijack_type)
+        #: True for the classes whose announcements keep the legitimate
+        #: origin (type-N with N ≥ 1, type-U, route-leak): detection needs
+        #: path rules (upstreams / adjacencies / sentinels), and ground
+        #: truth is offender-on-path rather than origin.
+        self.path_family = self.hijack_type in ("type-U", "route-leak") or (
+            self.forge_depth is not None and self.forge_depth >= 1
         )
-        #: Explicitly requested types get the full taxonomy detection
-        #: config (upstreams, adjacencies, sentinels); legacy scenarios
-        #: keep their original config bit-identically.
-        self.explicit_type = hijack_type is not None
         #: Owned-but-unannounced space the squatter targets; only set for
         #: squatting scenarios (the parent supernet of the owned prefix,
         #: with the unannounced sibling half as the squat target).
@@ -229,8 +220,6 @@ class ScenarioConfig:
         #: Keyword arguments forwarded to :func:`deploy_monitors`.
         self.monitors = dict(monitors or {})
         self.auto_mitigate = bool(auto_mitigate)
-        self.deaggregation_levels = int(deaggregation_levels)
-        self.max_announce_length_v4 = int(max_announce_length_v4)
         #: Extra settle time after convergence so LG baselines are polled.
         self.baseline_settle = float(baseline_settle)
         self.detection_timeout = float(detection_timeout)
@@ -239,13 +228,6 @@ class ScenarioConfig:
         #: (pass ``churn=None`` for a quiet laboratory network).
         self.churn = churn
         self.churn_warmup = float(churn_warmup)
-        #: Derived compatibility flag: True for the classes where the
-        #: *hijacker* forges a path ending at the victim (type-N with
-        #: N ≥ 1, and type-U) so origin checks pass.  Route leaks forge
-        #: too, but through a third-party leaker AS.
-        self.forge_origin = self.hijack_type == "type-U" or (
-            self.forge_depth is not None and self.forge_depth >= 1
-        )
         #: Outsourced-mitigation helper ASes (tier-1s with an agreement),
         #: engaged when the victim alone cannot fully recover.
         self.num_helpers = int(num_helpers)
@@ -346,16 +328,6 @@ class ScenarioConfig:
         #: at the console, so the controller adds no programming delay), or
         #: ``None`` for ARTEMIS, where nobody does.
         self.operator = operator
-
-    @property
-    def path_family(self) -> bool:
-        """True for classes whose announcements keep the legitimate origin
-        (type-N with N ≥ 1, type-U, route-leak) — the ones needing path
-        rules (upstreams / adjacencies / sentinels) to detect."""
-        return (
-            self.hijack_type in ("type-U", "route-leak")
-            or (self.forge_depth is not None and self.forge_depth >= 1)
-        )
 
 
 class ExperimentResult:
@@ -533,11 +505,7 @@ class HijackExperiment:
                 ROA(
                     cfg.prefix,
                     self.victim.asn,
-                    max_length=(
-                        cfg.max_announce_length_v4
-                        if cfg.prefix.version == 4
-                        else 48
-                    ),
+                    max_length=24 if cfg.prefix.version == 4 else 48,
                 )
             )
         # Ground-truth probe granularity below the owned prefix: 1 = the
@@ -577,15 +545,14 @@ class HijackExperiment:
                 ],
                 rng=SeededRNG(wseed).substream("helper-fleet"),
             )
-        # Helpers announce by agreement → whitelist them as origins.  For
-        # forged-path experiments, the victim's transit sites are the only
-        # legitimate first hops (enables type-1 / PATH detection).
-        legit_upstreams = set(self.victim.sites) if cfg.forge_origin else None
+        # Helpers announce by agreement → whitelist them as origins.
+        legit_upstreams = None
         adjacencies = None
         leak_sentinels = None
         owned_space: List[OwnedSpace] = []
-        if cfg.explicit_type and cfg.path_family:
-            # The taxonomy config: the full learned AS-adjacency map
+        if cfg.path_family:
+            # The victim's transit sites are the only legitimate first hops
+            # (the type-1 / PATH rule); the full learned AS-adjacency map
             # (built *after* the virtual ASes joined the graph, so the
             # victim's genuine links are known) enables the hop-N rule,
             # and for route leaks the known-stub sentinels enable the
@@ -610,8 +577,6 @@ class HijackExperiment:
             adjacencies=adjacencies,
             leak_sentinels=leak_sentinels,
             auto_mitigate=cfg.auto_mitigate,
-            deaggregation_levels=cfg.deaggregation_levels,
-            max_announce_length_v4=cfg.max_announce_length_v4,
         )
         sources = {
             "ris": self.monitors.ris,
@@ -659,7 +624,7 @@ class HijackExperiment:
             self.injector = FaultInjector(
                 self.network, self.monitors, cfg.faults, seed=cfg.seed
             )
-        if cfg.forge_origin or cfg.hijack_type == "route-leak":
+        if cfg.path_family:
             # Forged-path classes keep the legitimate origin, so ground
             # truth is offender-on-path: the hijacker for type-N/type-U,
             # the leaking stub for route leaks.
@@ -1045,7 +1010,7 @@ class HijackExperiment:
                 )
             leaker.originate_forged(cfg.hijack_prefix, tuple(route.as_path))
             result.hijacker_asn = self.leaker_asn
-        elif cfg.forge_origin:
+        elif cfg.path_family:
             # Type-N (N ≥ 1) / type-U: forge a path tail ending at the
             # victim so origin checks pass.
             self.hijacker.announce_forged(cfg.hijack_prefix, self._forged_suffix())
@@ -1077,9 +1042,7 @@ class HijackExperiment:
         # is judged by the path tracker instead: every AS's path must
         # avoid the offender.  For squatting, recovery is the owner taking
         # over the squatted block (judged by the squat tracker).
-        forged = self.path_tracker is not None and (
-            cfg.forge_origin or cfg.hijack_type == "route-leak"
-        )
+        forged = self.path_tracker is not None
         if cfg.hijack_type == "squatting" and self.squat_tracker is not None:
             completion_tracker = self.squat_tracker
             accepted = {self.victim.asn}

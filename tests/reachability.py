@@ -85,7 +85,7 @@ PRODUCT = [
     "observed_origin_map(events), num_tenants=50, num_prefixes=5000));"
     " list(map(plane.ingest, events)); plane.flush(); print(plane.digest())'",
     "-m repro experiment --seed 3 --stubs 40 --json experiment.json --profile",
-    f"-m repro experiment {SMALL} --forge-origin --helpers 2 --failover-to-batch --warm-start",
+    f"-m repro experiment {SMALL} --hijack-type type-1 --helpers 2 --failover-to-batch --warm-start",
     f"-m repro experiment {SMALL} --hijack-type type-U --corroborate --prefix 10.0.0.0/24",
     f"-m repro baselines --seed 3 {SMALL} --systems argus phas rib-dump",
     f"-m repro demo {SMALL} --html demo.html --json demo.json",

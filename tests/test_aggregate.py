@@ -50,6 +50,12 @@ class TestMergeSiblings:
         result = merge_siblings([P("10.0.0.0/24"), P("10.0.1.0/25"), P("10.0.1.128/25")])
         assert result == [P("10.0.0.0/23")]
 
+    def test_default_routes_of_both_families_stay(self):
+        # A /0 has no parent (Prefix.supernet raises), so the pair walk
+        # must not try to merge the v4 and v6 default routes.
+        defaults = [P("0.0.0.0/0"), P("::/0")]
+        assert merge_siblings(defaults) == defaults
+
 
 class TestAggregate:
     def test_deaggregation_roundtrip(self):
@@ -67,6 +73,9 @@ class TestAggregate:
             [P("10.0.0.0/24"), P("10.0.1.0/24")], [P("10.0.0.0/23")]
         )
         assert not covers_same_space([P("10.0.0.0/24")], [P("10.0.0.0/23")])
+
+    def test_halves_merge_into_the_default_route(self):
+        assert aggregate([P("128.0.0.0/1"), P("0.0.0.0/1")]) == [P("0.0.0.0/0")]
 
     def test_v4_v6_do_not_merge(self):
         prefixes = [P("10.0.0.0/24"), P("2001:db8::/48")]

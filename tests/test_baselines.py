@@ -286,7 +286,8 @@ class TestEveryRowDefendsTheSameAttack:
     @pytest.mark.parametrize(
         "attack, alert_type",
         [
-            (dict(forge_origin=True), "path"),
+            # A forged origin further from the hijacker than type-1's one hop.
+            (dict(hijack_type="type-2"), "path-n"),
             (dict(hijack_type="type-1"), "path"),
             (dict(hijack_type="squatting"), "squatting"),
         ],

@@ -12,15 +12,13 @@ class TestChurnConfig:
     def test_defaults(self):
         config = ChurnConfig()
         assert config.pool_size == 40
-        assert config.prefix_pool == Prefix.parse("172.16.0.0/12")
+        assert config.event_rate == 0.25
 
     def test_validation(self):
         with pytest.raises(SimulationError):
             ChurnConfig(pool_size=0)
         with pytest.raises(SimulationError):
             ChurnConfig(event_rate=0)
-        with pytest.raises(SimulationError):
-            ChurnConfig(announce_bias=1.5)
 
 
 class TestChurnBehaviour:

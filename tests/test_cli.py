@@ -26,7 +26,7 @@ class TestParser:
         args = build_parser().parse_args(["experiment"])
         assert args.seed == 1
         assert args.prefix == "10.0.0.0/23"
-        assert not args.forge_origin
+        assert args.hijack_type == "type-0"
 
     def test_baseline_choices_validated(self):
         with pytest.raises(SystemExit):
@@ -86,7 +86,9 @@ class TestCommands:
         assert payload["frames"]
 
     def test_forged_experiment(self, capsys):
-        code = main(["experiment", "--seed", "11", "--forge-origin"] + FAST_WORLD)
+        code = main(
+            ["experiment", "--seed", "11", "--hijack-type", "type-1"] + FAST_WORLD
+        )
         assert code == 0
         assert "detection delay" in capsys.readouterr().out
 

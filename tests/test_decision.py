@@ -1,15 +1,14 @@
 """Tests for the BGP decision process."""
 
 from repro.bgp.decision import better, preference_key, rank, select_best
-from repro.bgp.messages import ORIGIN_EGP, ORIGIN_IGP
 from repro.bgp.route import Route
 from repro.net.prefix import Prefix
 
 P23 = Prefix.parse("10.0.0.0/23")
 
 
-def route(path, peer, lp=100, origin=ORIGIN_IGP, at=0.0):
-    return Route(P23, path, peer, lp, origin_attr=origin, learned_at=at)
+def route(path, peer, lp=100, at=0.0):
+    return Route(P23, path, peer, lp, learned_at=at)
 
 
 class TestOrdering:
@@ -23,11 +22,6 @@ class TestOrdering:
         short = route([5, 8], peer=5)
         long = route([6, 7, 8], peer=6)
         assert select_best([long, short]) is short
-
-    def test_origin_attr_tiebreak(self):
-        igp = route([5, 8], peer=5, origin=ORIGIN_IGP)
-        egp = route([6, 8], peer=6, origin=ORIGIN_EGP)
-        assert select_best([egp, igp]) is igp
 
     def test_older_route_preferred(self):
         old = route([5, 8], peer=5, at=1.0)

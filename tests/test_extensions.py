@@ -63,7 +63,7 @@ class TestForgedOrigination:
 class TestForgedScenario:
     @pytest.fixture(scope="class")
     def result(self):
-        return HijackExperiment(fast_scenario(seed=11, forge_origin=True)).run()
+        return HijackExperiment(fast_scenario(seed=11, hijack_type="type-1")).run()
 
     def test_detected_as_path_hijack(self, result):
         assert result.alert_type == "path"

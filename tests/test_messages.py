@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.bgp.messages import (
-    ORIGIN_EGP,
-    Announcement,
-    UpdateMessage,
-    Withdrawal,
-)
+from repro.bgp.messages import Announcement, UpdateMessage, Withdrawal
 from repro.errors import BGPError
 from repro.net.prefix import Prefix
 
@@ -26,16 +21,12 @@ class TestAnnouncement:
         with pytest.raises(BGPError):
             Announcement(P("10.0.0.0/23"), [])
 
-    def test_invalid_origin_attr(self):
-        with pytest.raises(BGPError):
-            Announcement(P("10.0.0.0/23"), [1], origin_attr=7)
-
     def test_equality_and_hash(self):
         a = Announcement(P("10.0.0.0/23"), [1, 2])
         b = Announcement(P("10.0.0.0/23"), [1, 2])
         assert a == b and hash(a) == hash(b)
         assert a != Announcement(P("10.0.0.0/23"), [1, 3])
-        assert a != Announcement(P("10.0.0.0/23"), [1, 2], origin_attr=ORIGIN_EGP)
+        assert a != Announcement(P("10.0.0.0/24"), [1, 2])
 
     def test_path_is_tuple_of_ints(self):
         a = Announcement(P("10.0.0.0/23"), ["1", 2.0])

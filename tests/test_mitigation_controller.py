@@ -146,6 +146,7 @@ class TestMitigationExecution:
         alert = make_alert()
         action = service.execute(alert)
         assert alert.status is AlertStatus.MITIGATING
+        assert action.announced_at is None and action.announce_delay is None
         engine.run()
         assert action.announced_at == engine.now
         assert action.announce_delay == pytest.approx(15.0)
@@ -168,6 +169,8 @@ class TestMitigationExecution:
         alert.resolve(50.0)
         with pytest.raises(MitigationError):
             service.execute(alert)
+        assert service.actions == []
+        assert alert.status is AlertStatus.RESOLVED
 
     def test_rollback_withdraws_non_owned(self, world):
         engine, router, controller = world
@@ -191,3 +194,20 @@ class TestMitigationExecution:
         engine.run()
         assert ops == []  # nothing withdrawn
         assert router.originates(P("10.0.0.0/24"))
+
+    def test_rollback_skips_only_the_owned_prefixes(self, world):
+        engine, router, controller = world
+        # The /23's first half is configured as owned in its own right, so
+        # rolling back the de-aggregation keeps it and withdraws the other.
+        config = ArtemisConfig(
+            [OwnedPrefix("10.0.0.0/23", {64500}), OwnedPrefix("10.0.0.0/24", {64500})]
+        )
+        service = MitigationService(config, controller)
+        action = service.execute(make_alert())
+        assert action.prefixes == [P("10.0.0.0/24"), P("10.0.1.0/24")]
+        engine.run()
+        ops = service.rollback(action)
+        engine.run()
+        assert [op.prefix for op in ops] == [P("10.0.1.0/24")]
+        assert router.originates(P("10.0.0.0/24"))
+        assert not router.originates(P("10.0.1.0/24"))

@@ -255,25 +255,87 @@ GUARDS: Tuple[Guard, ...] = (
         ("src", "examples"),
     ),
     Guard(
-        "perf-metric-tuples", "after b998662",
+        "perf-metric-tuples", "77da2b7",
         "repro.perf.METRICS declares each metric once; no counter or gauge name tuples.",
         ("src/repro/perf.py", "FIELDS: Tuple[str, ...] = ("),
         "FIELDS|GAUGES", ("src/repro/perf.py",), word=True,
     ),
     Guard(
-        "perf-catalogue-table", "after b998662",
+        "perf-catalogue-table", "77da2b7",
         "DESIGN.md points at repro.perf.METRICS instead of copying it into a table.",
         ("DESIGN.md", "| Counter | Merge | What it measures |"),
         r"\| Counter \| Merge \|", ("DESIGN.md",),
     ),
     Guard(
-        "owner-copied-counters", "after b998662",
+        "owner-copied-counters", "77da2b7",
         "Metrics that copied a value their owner reports, or that nothing read, "
         "stay deleted, as does Engine.compactions.",
         ("src/repro/bgp/route.py", "        _C.routes_created += 1"),
         r"replay_(records_read|events_delivered|backlog_peak)|queue_compactions"
         r"|tombstones_purged|routes_created|snapshot_cache_hits|\.compactions\b",
         ("src", "tests", "benchmarks"),
+    ),
+    Guard(
+        "forge-origin-kwarg", "after 77da2b7",
+        "hijack_type is the one attacker spelling; type-1 is what the boolean chose.",
+        ("examples/forged_path_hijack.py", "        forge_origin=True,"),
+        "forge_origin", ("src", "tests", "benchmarks", "examples", "DESIGN.md"),
+    ),
+    Guard(
+        "forge-origin-flag", "after 77da2b7",
+        "--hijack-type type-1 is the one CLI spelling of a forged-path attack.",
+        ("src/repro/cli.py", '        "--forge-origin",'),
+        "--forge-origin", ("src", "tests", "examples", "DESIGN.md"),
+    ),
+    Guard(
+        "explicit-type-config", "after 77da2b7",
+        "Every path-forging class gets the one taxonomy detection config.",
+        ("src/repro/testbed/scenario.py", "        if cfg.explicit_type and cfg.path_family:"),
+        "explicit_type", ("src", "tests"), word=True,
+    ),
+    Guard(
+        "bgp-communities", "after 77da2b7",
+        "Nothing set BGP communities; Announcement and Route carry prefix and path.",
+        ("src/repro/bgp/route.py", '        "communities",'),
+        "communities", ("src", "tests", "benchmarks"), word=True,
+    ),
+    Guard(
+        "bgp-origin-attr", "after 77da2b7",
+        "Every route was ORIGIN IGP; the attribute never decided anything.",
+        ("src/repro/bgp/messages.py", "        self.origin_attr = origin_attr"),
+        "origin_attr", ("src", "tests", "benchmarks"), word=True,
+    ),
+    Guard(
+        "bgp-origin-codes", "after 77da2b7",
+        "The ORIGIN codes went with the attribute.",
+        ("tests/test_decision.py", "from repro.bgp.messages import ORIGIN_EGP, ORIGIN_IGP"),
+        "ORIGIN_(IGP|EGP|INCOMPLETE)", ("src", "tests", "benchmarks"), word=True,
+    ),
+    Guard(
+        "speaker-rel-index-fallback", "after 77da2b7",
+        "Every route a speaker installs carries learned_rel_index.",
+        ("src/repro/bgp/speaker.py", "                if learned_index is None:"),
+        "learned_(rel_)?index is None", ("src",),
+    ),
+    Guard(
+        "delay-kind-mapping", "after 77da2b7",
+        "make_delay takes a Delay or a number; no mapping or tuple spelling.",
+        ("src/repro/sim/latency.py", '        kind = str(spec.get("kind", "constant")).lower()'),
+        '"kind"', ("src/repro/sim",),
+    ),
+    Guard(
+        "shard-scenario-fields", "after 77da2b7",
+        "The pinned shard scenario's prefixes, phase instants and monitor count "
+        "are module constants.",
+        ("tests/test_determinism.py", "        ShardScenarioConfig(t_hijack=300.0)"),
+        "t_hijack|t_mitigate|t_end|num_monitors",
+        ("src/repro/shard", "tests", "benchmarks"), word=True,
+    ),
+    Guard(
+        "local-pref-overrides", "after 77da2b7",
+        "LOCAL_PREF is DEFAULT_LOCAL_PREF for every policy.",
+        ("tests/test_policy.py", "        policy = Policy(local_pref_overrides={Relationship.PEER: 250})"),
+        "local_pref_overrides", ("src", "tests"), word=True,
     ),
 )
 

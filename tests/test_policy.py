@@ -19,7 +19,6 @@ from repro.bgp.policy import (
     Relationship,
     should_export,
 )
-from repro.errors import BGPError
 from repro.net.prefix import Prefix
 
 
@@ -116,21 +115,15 @@ class TestFilters:
         assert AcceptAll().accepts(A("10.0.0.0/25"))
 
     def test_max_length_v4(self):
-        f = MaxLengthFilter(24)
+        f = MaxLengthFilter()
         assert f.accepts(A("10.0.0.0/24"))
         assert not f.accepts(A("10.0.0.0/25"))
         assert f.accepts(A("10.0.0.0/8"))
 
     def test_max_length_v6(self):
-        f = MaxLengthFilter(24, 48)
+        f = MaxLengthFilter()
         assert f.accepts(Announcement(Prefix.parse("2001:db8::/48"), (1,)))
         assert not f.accepts(Announcement(Prefix.parse("2001:db8::/49"), (1,)))
-
-    def test_max_length_validation(self):
-        with pytest.raises(BGPError):
-            MaxLengthFilter(33)
-        with pytest.raises(BGPError):
-            MaxLengthFilter(24, 129)
 
     def test_prefix_deny(self):
         f = PrefixDenyFilter([Prefix.parse("10.0.0.0/8")])
@@ -139,25 +132,22 @@ class TestFilters:
 
     def test_filter_chain_all_must_accept(self):
         chain = FilterChain(
-            [MaxLengthFilter(24), PrefixDenyFilter([Prefix.parse("10.0.0.0/8")])]
+            [MaxLengthFilter(), PrefixDenyFilter([Prefix.parse("10.0.0.0/8")])]
         )
         assert chain.accepts(A("11.0.0.0/24"))
         assert not chain.accepts(A("11.0.0.0/25"))  # too long
         assert not chain.accepts(A("10.0.0.0/24"))  # denied
 
     def test_filter_callable(self):
-        assert MaxLengthFilter(24)(A("10.0.0.0/24"))
+        assert MaxLengthFilter()(A("10.0.0.0/24"))
 
 
 class TestPolicyImport:
     def test_import_filter_applied(self):
-        policy = Policy(import_filter=MaxLengthFilter(24))
+        policy = Policy(import_filter=MaxLengthFilter())
         assert policy.import_filter.accepts(A("10.0.0.0/24"))
         assert not policy.import_filter.accepts(A("10.0.0.0/25"))
         assert type(Policy().import_filter) is AcceptAll
 
-    def test_local_pref_overrides(self):
-        policy = Policy(local_pref_overrides={Relationship.PEER: 250})
-        assert policy.local_pref[Relationship.PEER] == 250
-        assert policy.local_pref[Relationship.CUSTOMER] == 300
+    def test_default_local_pref(self):
         assert Policy().local_pref == DEFAULT_LOCAL_PREF

@@ -113,27 +113,13 @@ class TestMakeDelay:
         assert make_delay(3.5).mean == 3.5
 
     def test_tuple(self):
-        delay = make_delay((1.0, 2.0))
-        assert isinstance(delay, Uniform)
-
-    def test_tuple_wrong_arity(self):
+        # A Delay or a number is the whole spec; (low, high) is Uniform's.
         with pytest.raises(SimulationError):
-            make_delay((1.0, 2.0, 3.0))
+            make_delay((1.0, 2.0))
 
     def test_dict_specs(self):
-        assert isinstance(make_delay({"kind": "constant", "value": 1}), Constant)
-        assert isinstance(
-            make_delay({"kind": "uniform", "low": 1, "high": 2}), Uniform
-        )
-        assert isinstance(make_delay({"kind": "exponential", "mean": 2}), Exponential)
-        assert isinstance(make_delay({"kind": "lognormal", "mean": 2}), LogNormal)
-        shifted = make_delay({"kind": "shifted", "floor": 1, "mean": 2})
-        assert isinstance(shifted, Shifted)
-        assert shifted.mean == 3.0
-
-    def test_unknown_kind(self):
         with pytest.raises(SimulationError):
-            make_delay({"kind": "pareto", "mean": 1})
+            make_delay({"kind": "constant", "value": 1})
 
     def test_unbuildable(self):
         with pytest.raises(SimulationError):

@@ -178,7 +178,7 @@ class TestPolicyEnforcement:
     def test_import_filter_rejects_long_prefix(self):
         world = World()
         world.speaker(1)
-        world.speaker(2, policy=Policy(import_filter=MaxLengthFilter(24)))
+        world.speaker(2, policy=Policy(import_filter=MaxLengthFilter()))
         world.link(1, 2, Relationship.PROVIDER)
         world.speakers[1].originate(P("10.0.0.0/25"))
         world.speakers[1].originate(P("10.0.0.0/24"))
