@@ -1,25 +1,14 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
+``experiment``, ``suite``, ``baselines``, ``demo``, ``taxonomy`` and
+``scale`` run hijacks in the simulated Internet (``scale`` sharded across
+processes); ``topology`` writes a generated Internet as a CAIDA as-rel
+file; ``replay`` streams a recorded feed trace into a standalone detection
+plane.  ``python -m repro <command> --help`` lists each one's flags.
 
-``experiment``
-    Run one three-phase hijack experiment and print the full report.
-``suite``
-    Run N seeded experiments and print the §3 summary tables.
-``baselines``
-    Compare ARTEMIS against the third-party pipelines on the same hijack.
-``demo``
-    Render the SIGCOMM demo's geographic frames (ASCII and optional JSON).
-``topology``
-    Generate a synthetic Internet and write it as a CAIDA as-rel file,
-    optionally through the digest-keyed on-disk cache (``--cache-dir``).
-``scale``
-    Run the pinned sharded hijack scenario: partition the AS graph across
-    ``--shards N`` worker processes (bit-identical to ``--shards 1``).
-``replay``
-    Stream a recorded feed trace (``experiment --record-trace``) back into
-    a standalone detection plane — paced or flat-out, no simulator.
+Every command prints its own tables and returns its report: the ``--json``
+payload and the phase walls ``--profile-json`` records.  :func:`main` alone
+writes both files, prints ``--profile`` and owns the exit contract.
 """
 
 from __future__ import annotations
@@ -28,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.baselines import PROFILES
 from repro.errors import ConfigError, ReproError
@@ -47,17 +36,65 @@ from repro.viz.geomap import GeoMapRenderer
 from repro.viz.timeline import render_experiment_report
 
 
+#: What a command returns: its ``--json`` payload and the phase walls
+#: ``--profile-json`` records (``None`` where it has none).
+Report = Tuple[Any, Optional[Dict[str, float]]]
+
+
+def _add_world_size(
+    parser: argparse.ArgumentParser,
+    cache_help: str,
+    sizes: Tuple[int, int, int] = (5, 25, 90),
+    seed_help: str = "experiment seed",
+) -> None:
+    """``--seed``, ``--tier1/--tier2/--stubs`` and ``--cache-dir``: the
+    generated world every simulating command takes, at its own defaults."""
+    parser.add_argument("--seed", type=int, default=1, help=seed_help)
+    for flag, default, what in zip(
+        ("--tier1", "--tier2", "--stubs"), sizes, ("tier-1", "tier-2", "stub")
+    ):
+        parser.add_argument(
+            flag, type=int, default=default, help=f"number of {what} ASes"
+        )
+    parser.add_argument("--cache-dir", default=None, metavar="DIR", help=cache_help)
+
+
+def _world_size(args: argparse.Namespace) -> GeneratorConfig:
+    """The generator config :func:`_add_world_size`'s flags describe."""
+    return GeneratorConfig(
+        num_tier1=args.tier1, num_tier2=args.tier2, num_stubs=args.stubs
+    )
+
+
+def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--profile`` and ``--profile-json``, which :func:`main` serves."""
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="print perf counters (events/sec etc.) when done, merged across "
+        "suite workers and shards",
+    )
+    parser.add_argument(
+        "--profile-json",
+        default=None,
+        metavar="PATH",
+        help="write perf counters and per-phase wall times as JSON here "
+        "(suite runs merge worker counters and sum phase walls)",
+    )
+
+
 def _add_world_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=1, help="experiment seed")
+    _add_world_size(
+        parser,
+        "on-disk topology cache: graphs are stored per (params, seed) "
+        "digest, so suite workers and repeated runs skip regeneration",
+    )
     parser.add_argument("--prefix", default="10.0.0.0/23", help="owned prefix")
     parser.add_argument(
         "--hijack-prefix",
         default=None,
         help="what the hijacker announces (default: the owned prefix)",
     )
-    parser.add_argument("--tier1", type=int, default=5, help="number of tier-1 ASes")
-    parser.add_argument("--tier2", type=int, default=25, help="number of tier-2 ASes")
-    parser.add_argument("--stubs", type=int, default=90, help="number of stub ASes")
     parser.add_argument(
         "--no-churn", action="store_true", help="disable background churn"
     )
@@ -111,25 +148,7 @@ def _add_world_arguments(parser: argparse.ArgumentParser) -> None:
         "streams from --seed at the hijack instant, so one checkpointed "
         "world serves a whole sweep of run seeds bit-identically",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="on-disk topology cache: graphs are stored per (params, seed) "
-        "digest, so suite workers and repeated runs skip regeneration",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print simulation perf counters (events/sec etc.) when done",
-    )
-    parser.add_argument(
-        "--profile-json",
-        default=None,
-        metavar="PATH",
-        help="write perf counters and per-phase wall times as JSON here "
-        "(suite runs merge worker counters and sum phase walls)",
-    )
+    _add_profile_arguments(parser)
 
 
 def _scenario_from_args(
@@ -141,9 +160,7 @@ def _scenario_from_args(
         prefix=args.prefix,
         hijack_prefix=args.hijack_prefix,
         seed=args.seed if seed is None else seed,
-        topology=GeneratorConfig(
-            num_tier1=args.tier1, num_tier2=args.tier2, num_stubs=args.stubs
-        ),
+        topology=_world_size(args),
         churn=None if args.no_churn else ScenarioConfig().churn,
         churn_warmup=0.0 if args.no_churn else 180.0,
         hijack_type=args.hijack_type,
@@ -172,22 +189,17 @@ def _scenario_from_args(
     return config
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
+def cmd_experiment(args: argparse.Namespace) -> Report:
     """Run one three-phase hijack experiment and print the report."""
     experiment = HijackExperiment(_scenario_from_args(args))
     result = experiment.run()
-    args._phase_walls = dict(result.phase_walls)
     print(render_experiment_report(result))
     if experiment.recorder is not None:
         print(
             f"\ntrace recorded: {experiment.recorder.records} events "
             f"-> {args.record_trace}"
         )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
-        print(f"\nresult written to {args.json}")
-    return 0
+    return result.to_dict(), dict(result.phase_walls)
 
 
 #: The one replay report, whichever engine ran: its table rows (label,
@@ -230,6 +242,27 @@ _REPLAY_JSON_ONLY = (
     "source_report", "supervisor_transitions", "fault_channel",
     "faults_skipped", "counters",
 )
+
+
+def _cell(key: str, value: Any) -> str:
+    """One value cell of a metric table, formatted by its report key."""
+    if key == "speed":
+        return "flat-out" if value is None else f"{value:g}x"
+    if value is None:
+        return "-"
+    if isinstance(value, list):  # per worker: CPU seconds or events
+        return ", ".join(_cell(key, item) for item in value)
+    if isinstance(value, float):
+        return format(value, ".6f" if key == "verdict_cache_hit_ratio" else ".3f")
+    if key in ("victim", "hijacker", "helper"):
+        return f"AS{value}"
+    return str(value)[:16] if key.endswith("digest") else str(value)
+
+
+def _print_metrics(title: str, rows, report: Dict[str, Any]) -> None:
+    """The two-column table of ``rows`` ((label, key) pairs) read from ``report``."""
+    cells = [[label, _cell(key, report.get(key))] for label, key in rows]
+    print(format_table(["metric", "value"], cells, title=title))
 
 
 def _check_replay_flags(args: argparse.Namespace, plane: bool) -> None:
@@ -359,7 +392,7 @@ def _replay_plane(args: argparse.Namespace):
     return report, registry
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
+def cmd_replay(args: argparse.Namespace) -> Report:
     """Replay a recorded trace through a standalone detection plane: the
     event-time session, or with ``--tenants`` / ``--synth-tenants`` the
     flat-out registry plane.  Both print one table and write one report."""
@@ -380,20 +413,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     )
     keys = [key for _label, key in _REPLAY_ROWS] + list(_REPLAY_JSON_ONLY)
     report = {key: found.get(key) for key in keys}
-
-    def fmt(key: str, value) -> str:
-        if key == "speed":
-            return "flat-out" if value is None else f"{value:g}x"
-        if value is None:
-            return "-"
-        if isinstance(value, list):  # per worker: CPU seconds or events
-            return ", ".join(fmt(key, item) for item in value)
-        if isinstance(value, float):
-            return format(value, ".6f" if key == "verdict_cache_hit_ratio" else ".3f")
-        return str(value)[:16] if key == "merged_alert_digest" else str(value)
-
-    rows = [[label, fmt(key, report[key])] for label, key in _REPLAY_ROWS]
-    print(format_table(["metric", "value"], rows, title="trace replay"))
+    _print_metrics("trace replay", _REPLAY_ROWS, report)
     if report["per_source_delay_final"]:
         print()
         print(
@@ -404,15 +424,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 precision=2,
             )
         )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nreport written to {args.json}")
-    return 0
+    return report, None
 
 
-def cmd_suite(args: argparse.Namespace) -> int:
+def cmd_suite(args: argparse.Namespace) -> Report:
     """Run a suite of seeded experiments and print summary tables."""
     template = _scenario_from_args(args, seed=0)
     results = run_artemis_suite(
@@ -424,11 +439,10 @@ def cmd_suite(args: argparse.Namespace) -> int:
         ),
         jobs=args.jobs,
     )
-    walls: dict = {}
+    walls: Dict[str, float] = {}
     for result in results:
         for phase, seconds in result.phase_walls.items():
             walls[phase] = walls.get(phase, 0.0) + seconds
-    args._phase_walls = walls
     print()
     print(
         format_table(
@@ -446,54 +460,32 @@ def cmd_suite(args: argparse.Namespace) -> int:
         )
     )
     if any(result.faults_injected for result in results):
+        fields = ("runs", "outages", "downtime", "max_staleness", "detected_while_dead")
         rows = [
-            [
-                source,
-                row["runs"],
-                row["outages"],
-                row["downtime"],
-                row["max_staleness"],
-                row["detected_while_dead"],
-            ]
+            [source, *(row[field] for field in fields)]
             for source, row in sorted(liveness_summary(results).items())
         ]
         print()
         print(
             format_table(
-                [
-                    "source",
-                    "runs",
-                    "outages",
-                    "downtime (s)",
-                    "worst staleness (s)",
-                    "detected while dead",
-                ],
+                ["source", "runs", "outages", "downtime (s)",
+                 "worst staleness (s)", "detected while dead"],
                 rows,
                 title="source health under faults",
             )
         )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump([r.to_dict() for r in results], handle, indent=2)
-        print(f"\nresults written to {args.json}")
-    return 0
+    return [result.to_dict() for result in results], walls
 
 
-def cmd_taxonomy(args: argparse.Namespace) -> int:
+def cmd_taxonomy(args: argparse.Namespace) -> Report:
     """Sweep the hijack taxonomy and print the accuracy×delay matrix."""
     from repro.eval.taxonomy import run_false_positive_suite, run_taxonomy_matrix
 
     matrix = run_taxonomy_matrix(seeds=list(args.seeds))
+    columns = ("misclassified", "fn", "mitigated", "detection_delay_mean")
     rows = [
-        [
-            hijack_type,
-            stats["expected_alert"],
-            f"{stats['tp']}/{stats['runs']}",
-            stats["misclassified"],
-            stats["fn"],
-            stats["mitigated"],
-            stats["detection_delay_mean"],
-        ]
+        [hijack_type, stats["expected_alert"], f"{stats['tp']}/{stats['runs']}"]
+        + [stats[key] for key in columns]
         for hijack_type, stats in matrix["per_class"].items()
     ]
     print(
@@ -513,31 +505,19 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
             title="false-positive suite (corroborated)",
         )
     )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump({"matrix": matrix, "false_positives": fp}, handle, indent=2)
-        print(f"\nmatrix written to {args.json}")
-    return 0
+    return {"matrix": matrix, "false_positives": fp}, None
 
 
-def cmd_baselines(args: argparse.Namespace) -> int:
+def cmd_baselines(args: argparse.Namespace) -> Report:
     """Compare ARTEMIS against third-party pipelines on one hijack."""
-
-    def minutes(seconds: Optional[float]) -> Optional[float]:
-        # A miss (never detected, never recovered) prints "-", not 0.00.
-        return None if seconds is None else seconds / 60.0
 
     rows = []
     for name in [None, *args.systems]:
         result = HijackExperiment(_scenario_from_args(args, defender=name)).run()
-        rows.append(
-            [
-                name or "artemis",
-                minutes(result.detection_delay),
-                minutes(result.announce_delay),
-                minutes(result.total_time),
-            ]
-        )
+        seconds = (result.detection_delay, result.announce_delay, result.total_time)
+        # A miss (never detected, never recovered) prints "-", not 0.00.
+        minutes = [None if value is None else value / 60.0 for value in seconds]
+        rows.append([name or "artemis", *minutes])
     print(
         format_table(
             ["system", "detect (min)", "reaction (min)", "total (min)"],
@@ -546,28 +526,26 @@ def cmd_baselines(args: argparse.Namespace) -> int:
             precision=2,
         )
     )
-    return 0
+    return None, None
 
 
-def cmd_demo(args: argparse.Namespace) -> int:
+def cmd_demo(args: argparse.Namespace) -> Report:
     """Render the demo's geographic frames (ASCII / JSON / HTML)."""
     experiment = HijackExperiment(_scenario_from_args(args))
     result = experiment.run()
     renderer = GeoMapRenderer(
         experiment.network.graph, legit_origins={experiment.victim.asn}
     )
-    transitions = [
-        t
-        for t in experiment.artemis.monitoring.transitions
-        if t[0] >= result.hijack_time
-    ]
+    transitions = experiment.artemis.monitoring.transitions
     initial = {
         vantage: origin
-        for when, vantage, _prefix, origin in experiment.artemis.monitoring.transitions
+        for when, vantage, _prefix, origin in transitions
         if when < result.hijack_time
     }
     frames = renderer.frames_from_transitions(
-        transitions, initial=initial, max_frames=args.frames
+        [t for t in transitions if t[0] >= result.hijack_time],
+        initial=initial,
+        max_frames=args.frames,
     )
     for when, origins in frames:
         print()
@@ -576,29 +554,19 @@ def cmd_demo(args: argparse.Namespace) -> int:
                 origins, caption=f"t = {when - result.hijack_time:+.1f}s vs hijack"
             )
         )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(renderer.to_json(frames))
-        print(f"\nframes written to {args.json}")
     if args.html:
         from repro.viz.html import save_html
 
         save_html(args.html, renderer, frames)
         print(f"interactive map written to {args.html}")
-    return 0
+    return renderer.frames_payload(frames), None
 
 
-def cmd_topology(args: argparse.Namespace) -> int:
+def cmd_topology(args: argparse.Namespace) -> Report:
     """Generate a synthetic Internet as a CAIDA as-rel file."""
     if args.output is None and args.cache_dir is None:
-        print(
-            "topology: need an output path, --cache-dir, or both",
-            file=sys.stderr,
-        )
-        return 2
-    config = GeneratorConfig(
-        num_tier1=args.tier1, num_tier2=args.tier2, num_stubs=args.stubs
-    )
+        raise ConfigError("need an output path, --cache-dir, or both")
+    config = _world_size(args)
     if args.cache_dir is not None:
         from repro.topology.cache import cache_path, load_or_build_graph
 
@@ -611,17 +579,31 @@ def cmd_topology(args: argparse.Namespace) -> int:
         print(f"{len(graph)} ASes, {graph.link_count()} links -> {args.output}")
     else:
         print(f"{len(graph)} ASes, {graph.link_count()} links")
-    return 0
+    return None, None
 
 
-def cmd_scale(args: argparse.Namespace) -> int:
+#: The ``scale`` table: (label, key) rows of its report.  ``ases`` and
+#: ``updates_sent`` are table-only.
+_SCALE_ROWS = (
+    ("ASes", "ases"),
+    ("shards", "shards"),
+    ("victim", "victim"),
+    ("hijacker", "hijacker"),
+    ("helper", "helper"),
+    ("origin flips", "flips"),
+    ("detection delay (s)", "detection_delay"),
+    ("updates sent", "updates_sent"),
+    ("wall seconds", "wall_seconds"),
+    ("digest", "digest"),
+)
+
+
+def cmd_scale(args: argparse.Namespace) -> Report:
     """Run the pinned sharded hijack scenario (see repro.shard)."""
     from repro.shard.scenario import ShardScenarioConfig, run_shard_scenario
 
     config = ShardScenarioConfig(
-        topology=GeneratorConfig(
-            num_tier1=args.tier1, num_tier2=args.tier2, num_stubs=args.stubs
-        ),
+        topology=_world_size(args),
         seed=args.seed,
         num_shards=args.shards,
         cache_dir=args.cache_dir,
@@ -629,43 +611,26 @@ def cmd_scale(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     result = run_shard_scenario(config)
     wall = time.perf_counter() - started
-    args._phase_walls = {"scenario": wall}
-
-    def fmt(value) -> str:
-        return "-" if value is None else f"{value:.3f}"
-
-    rows = [
-        ["ASes", config.topology.total_ases],
-        ["shards", args.shards],
-        ["victim", f"AS{result.victim}"],
-        ["hijacker", f"AS{result.hijacker}"],
-        ["helper", f"AS{result.helper}"],
-        ["origin flips", len(result.flips)],
-        ["detection delay (s)", fmt(result.detection_delay)],
-        ["updates sent", result.stats.get("updates_sent", 0)],
-        ["wall seconds", f"{wall:.3f}"],
-        ["digest", result.digest[:16]],
-    ]
-    print(format_table(["metric", "value"], rows, title="sharded scenario"))
-    if args.json:
-        payload = {
-            "shards": args.shards,
-            "seed": args.seed,
-            "victim": result.victim,
-            "hijacker": result.hijacker,
-            "helper": result.helper,
-            "monitors": list(result.monitors),
-            "detection_delay": result.detection_delay,
-            "flips": len(result.flips),
-            "stats": dict(result.stats),
-            "wall_seconds": wall,
-            "digest": result.digest,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nresult written to {args.json}")
-    return 0
+    report = {
+        "shards": args.shards,
+        "seed": args.seed,
+        "victim": result.victim,
+        "hijacker": result.hijacker,
+        "helper": result.helper,
+        "monitors": list(result.monitors),
+        "detection_delay": result.detection_delay,
+        "flips": len(result.flips),
+        "stats": dict(result.stats),
+        "wall_seconds": wall,
+        "digest": result.digest,
+    }
+    table = dict(
+        report,
+        ases=config.topology.total_ases,
+        updates_sent=result.stats.get("updates_sent", 0),
+    )
+    _print_metrics("sharded scenario", _SCALE_ROWS, table)
+    return report, {"scenario": wall}
 
 
 def _at_least(minimum: int):
@@ -688,11 +653,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    experiment = commands.add_parser(
-        "experiment", help="run one hijack experiment"
-    )
+    def command(name: str, func, help: str, report: bool = True):
+        """A subcommand running ``func``; with ``report``, ``--json`` writes
+        the report it returns."""
+        sub = commands.add_parser(name, help=help)
+        sub.set_defaults(func=func)
+        if report:
+            sub.add_argument("--json", default=None, help="write the report JSON here")
+        return sub
+
+    experiment = command("experiment", cmd_experiment, "run one hijack experiment")
     _add_world_arguments(experiment)
-    experiment.add_argument("--json", default=None, help="write result JSON here")
     experiment.add_argument(
         "--record-trace",
         default=None,
@@ -700,10 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="archive the detection plane's feed as a replayable trace "
         "(replay it with the `replay` command); requires a cold start",
     )
-    experiment.set_defaults(func=cmd_experiment)
 
-    replay = commands.add_parser(
-        "replay", help="replay a recorded feed trace into detection"
+    replay = command(
+        "replay", cmd_replay, "replay a recorded feed trace into detection"
     )
     replay.add_argument("trace", help="trace file from experiment --record-trace")
     replay.add_argument(
@@ -768,10 +738,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="B",
         help="the registry plane's classifier batch size (default: 256)",
     )
-    replay.add_argument("--json", default=None, help="write the report JSON here")
-    replay.set_defaults(func=cmd_replay)
 
-    suite = commands.add_parser("suite", help="run a suite of experiments")
+    suite = command("suite", cmd_suite, "run a suite of experiments")
     _add_world_arguments(suite)
     suite.add_argument("--runs", type=int, default=10, help="number of seeds")
     suite.add_argument(
@@ -780,11 +748,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for the seed matrix (deterministic per seed)",
     )
-    suite.add_argument("--json", default=None, help="write results JSON here")
-    suite.set_defaults(func=cmd_suite)
 
-    taxonomy = commands.add_parser(
-        "taxonomy", help="sweep the full hijack taxonomy (accuracy × delay)"
+    taxonomy = command(
+        "taxonomy", cmd_taxonomy, "sweep the full hijack taxonomy (accuracy × delay)"
     )
     taxonomy.add_argument(
         "--seeds",
@@ -793,11 +759,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=[11],
         help="experiment seeds per class",
     )
-    taxonomy.add_argument("--json", default=None, help="write the matrix JSON here")
-    taxonomy.set_defaults(func=cmd_taxonomy)
 
-    baselines = commands.add_parser(
-        "baselines", help="compare against third-party pipelines"
+    baselines = command(
+        "baselines", cmd_baselines, "compare against third-party pipelines",
+        report=False,
     )
     _add_world_arguments(baselines)
     baselines.add_argument(
@@ -807,38 +772,32 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(PROFILES),
         help="which baselines to run",
     )
-    baselines.set_defaults(func=cmd_baselines)
 
-    demo = commands.add_parser("demo", help="render the demo's map frames")
+    demo = command("demo", cmd_demo, "render the demo's map frames")
     _add_world_arguments(demo)
     demo.add_argument("--frames", type=int, default=6, help="number of frames")
-    demo.add_argument("--json", default=None, help="write frame JSON here")
     demo.add_argument(
         "--html", default=None, help="write a self-contained interactive map here"
     )
-    demo.set_defaults(func=cmd_demo)
 
-    topology = commands.add_parser(
-        "topology", help="generate a CAIDA as-rel topology file"
+    topology = command(
+        "topology", cmd_topology, "generate a CAIDA as-rel topology file", report=False
     )
-    topology.add_argument("--seed", type=int, default=1)
-    topology.add_argument("--tier1", type=int, default=5)
-    topology.add_argument("--tier2", type=int, default=25)
-    topology.add_argument("--stubs", type=int, default=90)
-    topology.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="build through the on-disk topology cache (digest-keyed); "
+    _add_world_size(
+        topology,
+        "build through the on-disk topology cache (digest-keyed); "
         "with a cache dir the output path is optional",
+        seed_help="generator seed",
     )
     topology.add_argument("output", nargs="?", default=None, help="output path")
-    topology.set_defaults(func=cmd_topology)
 
-    scale = commands.add_parser(
-        "scale", help="run the pinned sharded hijack scenario"
+    scale = command("scale", cmd_scale, "run the pinned sharded hijack scenario")
+    _add_world_size(
+        scale,
+        "on-disk topology cache directory",
+        sizes=(8, 60, 250),
+        seed_help="scenario seed",
     )
-    scale.add_argument("--seed", type=int, default=1, help="scenario seed")
     scale.add_argument(
         "--shards",
         type=int,
@@ -847,67 +806,51 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes to partition the AS graph across "
         "(1 = in-process reference path; outcomes are bit-identical)",
     )
-    scale.add_argument("--tier1", type=int, default=8, help="number of tier-1 ASes")
-    scale.add_argument("--tier2", type=int, default=60, help="number of tier-2 ASes")
-    scale.add_argument("--stubs", type=int, default=250, help="number of stub ASes")
-    scale.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="on-disk topology cache directory",
-    )
-    scale.add_argument(
-        "--profile",
-        action="store_true",
-        help="print simulation perf counters (merged across shards)",
-    )
-    scale.add_argument(
-        "--profile-json",
-        default=None,
-        metavar="PATH",
-        help="write merged perf counters and wall time as JSON here",
-    )
-    scale.add_argument("--json", default=None, help="write result JSON here")
-    scale.set_defaults(func=cmd_scale)
+    _add_profile_arguments(scale)
 
     return parser
 
 
+def _write_json(path: str, payload: Any, what: str) -> None:
+    """The one JSON writer: indent 2, sorted keys, trailing newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"\n{what} written to {path}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     profile = getattr(args, "profile", False)
     profile_json = getattr(args, "profile_json", None)
     if profile or profile_json:
         COUNTERS.reset()
-        started = time.perf_counter()
+    started = time.perf_counter()
     try:
-        code = args.func(args)
+        report, walls = args.func(args)
+        if getattr(args, "json", None):
+            _write_json(args.json, report, "report")
+        if profile:
+            print()
+            print(format_profile(time.perf_counter() - started))
+        if profile_json:
+            sample_memory()
+            payload = {
+                "command": args.command,
+                "elapsed_seconds": time.perf_counter() - started,
+                "counters": COUNTERS.as_dict(),
+            }
+            if walls:
+                payload["phase_walls"] = walls
+            _write_json(profile_json, payload, "profile")
     except (ReproError, OSError) as error:
         # The one failure contract of every command: bad arguments, a
         # missing or damaged input file and a dead worker are one line on
         # stderr and exit code 2, never a traceback.
         print(f"repro {args.command}: {error}", file=sys.stderr)
         return 2
-    if profile:
-        print()
-        print(format_profile(time.perf_counter() - started))
-    if profile_json:
-        sample_memory()
-        payload = {
-            "command": args.command,
-            "elapsed_seconds": time.perf_counter() - started,
-            "counters": COUNTERS.as_dict(),
-        }
-        walls = getattr(args, "_phase_walls", None)
-        if walls:
-            payload["phase_walls"] = walls
-        with open(profile_json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nprofile written to {profile_json}")
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ the same thing without a browser:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
 from repro.topology.graph import ASGraph
@@ -148,17 +148,23 @@ class GeoMapRenderer:
         snapshots.append((t1, dict(state)))
         return snapshots
 
-    def to_json(
-        self,
-        frames: Sequence[Tuple[float, Dict[int, Optional[int]]]],
-        indent: int = 2,
-    ) -> str:
-        """JSON frame sequence for an external map front-end."""
-        payload = {
+    def frames_payload(
+        self, frames: Sequence[Tuple[float, Dict[int, Optional[int]]]]
+    ) -> Dict[str, Any]:
+        """The frame sequence as JSON-ready data: what an external map
+        front-end, the HTML page and ``demo --json`` read."""
+        return {
             "legit_origins": sorted(self.legit_origins),
             "frames": [
                 {"time": when, "vantages": self.vantage_states(origins)}
                 for when, origins in frames
             ],
         }
-        return json.dumps(payload, indent=indent)
+
+    def to_json(
+        self,
+        frames: Sequence[Tuple[float, Dict[int, Optional[int]]]],
+        indent: int = 2,
+    ) -> str:
+        """JSON frame sequence for an external map front-end."""
+        return json.dumps(self.frames_payload(frames), indent=indent)

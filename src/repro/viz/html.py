@@ -6,8 +6,8 @@ thing as a single HTML file — inline SVG dots on an equirectangular world,
 a time slider, and play/pause — with zero external assets or network
 access, so it opens anywhere.
 
-The input is the same frame structure :class:`~repro.viz.geomap.GeoMapRenderer`
-produces, keeping one source of truth for the frame semantics.
+The page embeds :meth:`~repro.viz.geomap.GeoMapRenderer.frames_payload`,
+the same data ``demo --json`` writes, so the frame semantics live in one place.
 """
 
 from __future__ import annotations
@@ -127,19 +127,12 @@ def render_html(
     height: int = 430,
 ) -> str:
     """Render a frame sequence into a self-contained HTML document."""
-    payload = {
-        "legit_origins": sorted(renderer.legit_origins),
-        "frames": [
-            {"time": when, "vantages": renderer.vantage_states(origins)}
-            for when, origins in frames
-        ],
-    }
     return _TEMPLATE.format(
         title=title,
         width=width,
         height=height,
-        last_frame=max(0, len(payload["frames"]) - 1),
-        payload=json.dumps(payload),
+        last_frame=max(0, len(frames) - 1),
+        payload=json.dumps(renderer.frames_payload(frames)),
     )
 
 

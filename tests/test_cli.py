@@ -1,7 +1,10 @@
 """Tests for the command-line interface (driving main() in-process)."""
 
+import argparse
 import json
 import os
+import re
+import shlex
 
 import pytest
 
@@ -11,6 +14,8 @@ from repro.perf import METRICS
 FAST_WORLD = [
     "--tier1", "3", "--tier2", "10", "--stubs", "25", "--no-churn",
 ]
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 class TestParser:
@@ -46,6 +51,76 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exit.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def readme_invocations():
+    """Every ``python -m repro`` line of README.md."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        lines = [line.strip() for line in handle]
+    return [line for line in lines if line.startswith("python -m repro ")]
+
+
+def workflow_invocations():
+    """Every ``python -m repro`` command of the CI workflow, read as text:
+    a folded ``run: >`` block is joined into one line, split on ``&&``, and
+    a leading ``timeout N`` or ``sh -c '`` is dropped."""
+    workflow = os.path.join(ROOT, ".github", "workflows", "ci.yml")
+    with open(workflow, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    runs = []
+    for index, line in enumerate(lines):
+        key = line.strip()
+        key = key[2:] if key.startswith("- ") else key
+        if not key.startswith("run:"):
+            continue
+        if key != "run: >":
+            runs.append(key[len("run:"):])
+            continue
+        indent = len(line) - len(line.lstrip())
+        block = []
+        for follow in lines[index + 1:]:
+            if follow.strip() and len(follow) - len(follow.lstrip()) <= indent:
+                break
+            block.append(follow.strip())
+        runs.append(" ".join(block))
+    segments = [segment for run in runs for segment in run.split("&&")]
+    commands = [
+        re.sub(r"^(timeout \d+ )?(sh -c ')?", "", segment.strip()).rstrip("'").strip()
+        for segment in segments
+    ]
+    return [command for command in commands if command.startswith("python -m repro ")]
+
+
+class TestDocumentedInvocations:
+    """Every CLI line the README shows and the CI workflow runs parses, so a
+    renamed flag fails here rather than in a reader's shell or in CI."""
+
+    @pytest.mark.parametrize(
+        "source, minimum",
+        [(readme_invocations, 8), (workflow_invocations, 16)],
+        ids=["README.md", "ci.yml"],
+    )
+    def test_parses(self, source, minimum, capsys):
+        parser = build_parser()
+        commands = next(
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        invocations = source()
+        assert len(invocations) >= minimum, invocations
+        for line in invocations:
+            argv = shlex.split(line, comments=True)[3:]
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{line!r}: {capsys.readouterr().err.strip()}")
+            # argparse accepts a prefix of a flag; a line must spell it whole.
+            known = {
+                option for action in commands[argv[0]]._actions
+                for option in action.option_strings
+            }
+            flags = {token.split("=")[0] for token in argv if token.startswith("--")}
+            assert flags <= known, (line, flags - known)
 
 
 class TestCommands:
@@ -105,8 +180,12 @@ class TestFailureContract:
             ["experiment", "--hijack-prefix", "11.0.0.0/24"],
             ["topology", "--tier1", "0", "out.txt"],
             ["replay", "/nonexistent"],
+            ["topology", "--stubs", "10"],
         ],
-        ids=["scale-shards-0", "hijack-type", "hijack-prefix", "tier1-0", "missing-trace"],
+        ids=[
+            "scale-shards-0", "hijack-type", "hijack-prefix", "tier1-0",
+            "missing-trace", "topology-no-output",
+        ],
     )
     def test_bad_input_is_one_line_and_exit_2(
         self, argv, capsys, tmp_path, monkeypatch
@@ -148,6 +227,22 @@ class TestProfileAndJobs:
         walls = payload["phase_walls"]
         assert set(walls) == {"setup", "phase1", "phase2", "phase3"}
         assert all(seconds >= 0 for seconds in walls.values())
+
+    def test_scale_report_and_profile(self, tmp_path, capsys):
+        report, profile = tmp_path / "scale.json", tmp_path / "profile.json"
+        code = main([
+            "scale", "--tier1", "3", "--tier2", "10", "--stubs", "40", "--shards", "1",
+            "--json", str(report), "--profile-json", str(profile),
+        ])
+        assert code == 0
+        payload = json.loads(report.read_text())
+        # One writer, one layout: indent 2, sorted keys, trailing newline.
+        assert report.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert len(payload["digest"]) == 64
+        # The table and the report are one dict.
+        lines = capsys.readouterr().out.splitlines()
+        assert ["digest", payload["digest"][:16]] in [line.split() for line in lines]
+        assert set(json.loads(profile.read_text())["phase_walls"]) == {"scenario"}
 
     def test_profile_json_suite_merges_workers(self, tmp_path):
         out = str(tmp_path / "profile.json")

@@ -10,7 +10,7 @@ that deleted the concept, a one-line reason, and an ``example``: a path and
 a line the row must catch.
 
 Most rows allow no matching line. A row whose pattern is ``None`` says its
-first path must not exist. Two rows are positive: ``expect`` gives the
+first path must not exist. Three rows are positive: ``expect`` gives the
 number of matching lines they allow.
 
 The matcher runs Python ``re`` over a walk of the working tree. It never
@@ -276,55 +276,55 @@ GUARDS: Tuple[Guard, ...] = (
         ("src", "tests", "benchmarks"),
     ),
     Guard(
-        "forge-origin-kwarg", "after 77da2b7",
+        "forge-origin-kwarg", "1de4db1",
         "hijack_type is the one attacker spelling; type-1 is what the boolean chose.",
         ("examples/forged_path_hijack.py", "        forge_origin=True,"),
         "forge_origin", ("src", "tests", "benchmarks", "examples", "DESIGN.md"),
     ),
     Guard(
-        "forge-origin-flag", "after 77da2b7",
+        "forge-origin-flag", "1de4db1",
         "--hijack-type type-1 is the one CLI spelling of a forged-path attack.",
         ("src/repro/cli.py", '        "--forge-origin",'),
         "--forge-origin", ("src", "tests", "examples", "DESIGN.md"),
     ),
     Guard(
-        "explicit-type-config", "after 77da2b7",
+        "explicit-type-config", "1de4db1",
         "Every path-forging class gets the one taxonomy detection config.",
         ("src/repro/testbed/scenario.py", "        if cfg.explicit_type and cfg.path_family:"),
         "explicit_type", ("src", "tests"), word=True,
     ),
     Guard(
-        "bgp-communities", "after 77da2b7",
+        "bgp-communities", "1de4db1",
         "Nothing set BGP communities; Announcement and Route carry prefix and path.",
         ("src/repro/bgp/route.py", '        "communities",'),
         "communities", ("src", "tests", "benchmarks"), word=True,
     ),
     Guard(
-        "bgp-origin-attr", "after 77da2b7",
+        "bgp-origin-attr", "1de4db1",
         "Every route was ORIGIN IGP; the attribute never decided anything.",
         ("src/repro/bgp/messages.py", "        self.origin_attr = origin_attr"),
         "origin_attr", ("src", "tests", "benchmarks"), word=True,
     ),
     Guard(
-        "bgp-origin-codes", "after 77da2b7",
+        "bgp-origin-codes", "1de4db1",
         "The ORIGIN codes went with the attribute.",
         ("tests/test_decision.py", "from repro.bgp.messages import ORIGIN_EGP, ORIGIN_IGP"),
         "ORIGIN_(IGP|EGP|INCOMPLETE)", ("src", "tests", "benchmarks"), word=True,
     ),
     Guard(
-        "speaker-rel-index-fallback", "after 77da2b7",
+        "speaker-rel-index-fallback", "1de4db1",
         "Every route a speaker installs carries learned_rel_index.",
         ("src/repro/bgp/speaker.py", "                if learned_index is None:"),
         "learned_(rel_)?index is None", ("src",),
     ),
     Guard(
-        "delay-kind-mapping", "after 77da2b7",
+        "delay-kind-mapping", "1de4db1",
         "make_delay takes a Delay or a number; no mapping or tuple spelling.",
         ("src/repro/sim/latency.py", '        kind = str(spec.get("kind", "constant")).lower()'),
         '"kind"', ("src/repro/sim",),
     ),
     Guard(
-        "shard-scenario-fields", "after 77da2b7",
+        "shard-scenario-fields", "1de4db1",
         "The pinned shard scenario's prefixes, phase instants and monitor count "
         "are module constants.",
         ("tests/test_determinism.py", "        ShardScenarioConfig(t_hijack=300.0)"),
@@ -332,18 +332,32 @@ GUARDS: Tuple[Guard, ...] = (
         ("src/repro/shard", "tests", "benchmarks"), word=True,
     ),
     Guard(
-        "local-pref-overrides", "after 77da2b7",
+        "local-pref-overrides", "1de4db1",
         "LOCAL_PREF is DEFAULT_LOCAL_PREF for every policy.",
         ("tests/test_policy.py", "        policy = Policy(local_pref_overrides={Relationship.PEER: 250})"),
         "local_pref_overrides", ("src", "tests"), word=True,
     ),
+    Guard(
+        "cli-phase-walls-attribute", "after 1de4db1",
+        "A command returns its phase walls to main; no attribute on args carries them.",
+        ("src/repro/cli.py", "    args._phase_walls = {\"scenario\": wall}"),
+        "_phase_walls", ("src/repro/cli.py",), extended=False,
+    ),
+    Guard(
+        "cli-one-json-writer", "after 1de4db1",
+        "main writes --json and --profile-json through one json.dump; no command "
+        "writes its own file.",
+        ("src/repro/cli.py", "            handle.write(renderer.to_json(frames))"),
+        "json.dump(", ("src/repro/cli.py",), extended=False, expect=(1, 1),
+    ),
 )
 
-#: The smallest tree both positive rows accept; each example is laid over it.
+#: The smallest tree the positive rows accept; each example is laid over it.
 PASSING: Dict[str, str] = {
     "src/repro/tenants/flattree.py": "        return covering(self._table, prefix, self._lengths)\n",
     "src/repro/feeds/interest.py": "    def subscribe(self, callback):\n",
     "src/repro/feeds/health.py": "    def disconnect(self, down_until):\n    def restore_transport(self):\n",
+    "src/repro/cli.py": "        json.dump(payload, handle, indent=2, sort_keys=True)\n",
 }
 
 
@@ -458,7 +472,10 @@ def test_deleted_concept_stays_deleted(tree, guard):
 @pytest.mark.parametrize("guard", GUARDS, ids=[guard.name for guard in GUARDS])
 def test_example_trips_its_row_alone(guard):
     path, line = guard.example
-    files = {**PASSING, path: line + "\n"}
+    # A forbidden line is added to the passing file; a positive row's
+    # example is the whole file, reading the way the row refuses.
+    base = PASSING.get(path, "") if guard.expect == (0, 0) else ""
+    files = {**PASSING, path: base + line + "\n"}
     tripped = [other.name for other in GUARDS if findings(other, files)]
     assert tripped == [guard.name]
 
