@@ -49,7 +49,6 @@ class IncidentLog:
                 "time": action.announced_at,
                 "event": "mitigation-announced",
                 "alert_id": action.alert.id,
-                "action_id": action.id,
                 "strategy": action.strategy,
                 "prefixes": [str(p) for p in action.prefixes],
                 "announce_delay": action.announce_delay,

@@ -21,12 +21,18 @@ victim's prefixes too and tunnel the traffic back), partial-recovery
 actions additionally engage the helpers after a coordination delay —
 competitive announcements from tier-1 positions recover far more of the
 Internet than the victim alone can.
+
+Mitigation is declared, not emitted: the service keeps its open actions
+(from :meth:`~MitigationService.execute` to
+:meth:`~MitigationService.rollback`), derives each controller's target from
+them, and has every controller reconcile to it.  Two incidents that need
+the same prefix share it, and closing one withdraws only what no open
+action still needs.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.alerts import AlertStatus, AlertType, HijackAlert
 from repro.core.config import ArtemisConfig
@@ -55,7 +61,7 @@ class HelperFleet:
     standing agreement (its ASN must be whitelisted as a legit origin in
     the ARTEMIS config, it tunnels captured traffic back to the victim)
     and its own controller.  ``coordination_delay`` covers the signalling
-    round trip before a helper's routers start announcing.
+    round trip before a helper reconciles to a changed target.
     """
 
     def __init__(
@@ -81,37 +87,12 @@ class HelperFleet:
             {asn for controller in self.controllers for asn in controller.routers}
         )
 
-    def engage(
-        self,
-        prefixes: List[Prefix],
-        on_op: Callable[[ControllerOp], None],
-    ) -> None:
-        """Ask every helper to announce ``prefixes`` (after coordination)."""
-        for controller in self.controllers:
-            delay = self.coordination_delay.sample(self.rng)
-
-            def request(controller=controller) -> None:
-                for prefix in prefixes:
-                    on_op(controller.announce_prefix(prefix))
-
-            controller.engine.schedule(delay, request)
-
-    def disengage(self, prefixes: List[Prefix]) -> List[ControllerOp]:
-        """Withdraw helper announcements (the incident is over)."""
-        ops = []
-        for controller in self.controllers:
-            for prefix in prefixes:
-                ops.append(controller.withdraw_prefix(prefix))
-        return ops
-
     def __repr__(self) -> str:
         return f"<HelperFleet helpers={self.helper_asns}>"
 
 
 class MitigationAction:
     """The mitigation performed for one alert."""
-
-    _ids = itertools.count(1)
 
     def __init__(
         self,
@@ -121,11 +102,10 @@ class MitigationAction:
         triggered_at: float,
         expected_full_recovery: bool,
     ):
-        self.id = next(MitigationAction._ids)
         self.alert = alert
-        #: "deaggregate", "compete", or "none".
+        #: "deaggregate" or "compete".
         self.strategy = strategy
-        #: Prefixes handed to the controller.
+        #: Prefixes the routers announce while the action is open.
         self.prefixes = list(prefixes)
         self.triggered_at = triggered_at
         #: When a human operator confirmed the alert; ``triggered_at`` is then
@@ -133,10 +113,10 @@ class MitigationAction:
         self.verified_at: Optional[float] = None
         #: False when ISP filtering (/24 case) caps what we can do.
         self.expected_full_recovery = expected_full_recovery
-        self.ops: List[ControllerOp] = []
+        #: When the last op pending on ``prefixes`` at execute completed
+        #: (the execute instant when none was pending).
         self.announced_at: Optional[float] = None
-        #: Controller ops issued by outsourcing helpers, when engaged.
-        self.helper_ops: List[ControllerOp] = []
+        #: Whether the helper fleet announces ``prefixes`` too.
         self.helpers_engaged = False
 
     @property
@@ -147,15 +127,15 @@ class MitigationAction:
         return self.announced_at - self.triggered_at
 
     def __repr__(self) -> str:
-        names = ", ".join(str(p) for p in self.prefixes) or "-"
+        names = ", ".join(str(p) for p in self.prefixes)
         return (
-            f"MitigationAction(#{self.id} {self.strategy} [{names}] "
+            f"MitigationAction({self.strategy} [{names}] "
             f"for alert #{self.alert.id})"
         )
 
 
 class MitigationService:
-    """Turns alerts into controller programs."""
+    """Turns alerts into controller targets."""
 
     def __init__(
         self,
@@ -168,7 +148,10 @@ class MitigationService:
         #: Optional outsourcing fleet, engaged when the victim's own
         #: counter-announcement cannot fully recover (the /24 case).
         self.helpers = helpers
+        #: Every action executed, in order.
         self.actions: List[MitigationAction] = []
+        #: The actions executed and not rolled back: every target's source.
+        self.open_actions: List[MitigationAction] = []
         self._callbacks: List[Callable[[MitigationAction], None]] = []
 
     def on_announced(self, callback: Callable[[MitigationAction], None]) -> None:
@@ -214,45 +197,67 @@ class MitigationService:
     # ----------------------------------------------------------------- execute
 
     def execute(self, alert: HijackAlert) -> MitigationAction:
-        """Plan and program the mitigation for ``alert``."""
+        """Plan the mitigation for ``alert``, open it, and reconcile."""
         if alert.status is AlertStatus.RESOLVED:
             raise MitigationError(f"alert #{alert.id} is already resolved")
         action = self.plan(alert)
         alert.status = AlertStatus.MITIGATING
+        action.helpers_engaged = (
+            self.helpers is not None and not action.expected_full_recovery
+        )
         self.actions.append(action)
-        remaining = len(action.prefixes)
-        if remaining == 0:
-            raise MitigationError(f"empty mitigation plan for alert #{alert.id}")
+        self._reconcile(self.open_actions + [action])
+        waiting = [op for op in self.controller.pending if op.prefix in action.prefixes]
 
         def one_done(op: ControllerOp) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                action.announced_at = self.controller.engine.now
-                for callback in self._callbacks:
-                    callback(action)
+            waiting.remove(op)
+            if not waiting:
+                self._announced(action)
 
-        for prefix in action.prefixes:
-            op = self.controller.announce_prefix(prefix, on_complete=one_done)
-            action.ops.append(op)
-        if self.helpers is not None and not action.expected_full_recovery:
-            action.helpers_engaged = True
-            self.helpers.engage(action.prefixes, action.helper_ops.append)
+        for op in waiting:
+            op.on_complete.append(one_done)
+        if not waiting:
+            # Already programmed: announced now, logged after the alert.
+            self.controller.engine.schedule(0.0, self._announced, action)
         return action
 
-    def rollback(self, action: MitigationAction) -> List[ControllerOp]:
-        """Withdraw an action's announcements (hijack over, clean up)."""
-        ops = []
-        for prefix in action.prefixes:
-            # Never withdraw a prefix the operator configured as owned —
-            # "compete" actions may re-announce an owned prefix itself.
-            if self.config.entry_for(prefix) is not None:
-                continue
-            ops.append(self.controller.withdraw_prefix(prefix))
-        if action.helpers_engaged and self.helpers is not None:
-            # Helpers always withdraw: they were never the owner.
-            ops.extend(self.helpers.disengage(action.prefixes))
-        return ops
+    def rollback(self, action: MitigationAction) -> None:
+        """Close ``action`` and reconcile: withdraw what no open action needs."""
+        self._reconcile([a for a in self.open_actions if a is not action])
+
+    def _reconcile(self, open_actions: List[MitigationAction]) -> None:
+        """Make ``open_actions`` the open set; bring every controller to it."""
+        helper_target = self._helper_target()
+        self.open_actions = open_actions
+        # Never withdraw a prefix the operator configured as owned —
+        # "compete" actions may re-announce an owned prefix itself.
+        owned = [
+            p for p in self.controller.programmed if self.config.entry_for(p) is not None
+        ]
+        self.controller.reconcile(
+            [p for action in open_actions for p in action.prefixes] + owned
+        )
+        helpers = self.helpers
+        if helpers is not None and self._helper_target() != helper_target:
+            for controller in helpers.controllers:
+                delay = helpers.coordination_delay.sample(helpers.rng)
+                controller.engine.schedule(delay, self._reconcile_helper, controller)
+
+    def _helper_target(self) -> Dict[Prefix, None]:
+        """The prefixes every helper announces, in order (compares as a set)."""
+        return dict.fromkeys(
+            p for action in self.open_actions if action.helpers_engaged
+            for p in action.prefixes
+        )
+
+    def _reconcile_helper(self, controller: BGPController) -> None:
+        # Helpers always withdraw what they drop: they were never the owner.
+        controller.reconcile(self._helper_target())
+
+    def _announced(self, action: MitigationAction) -> None:
+        action.announced_at = self.controller.engine.now
+        for callback in self._callbacks:
+            callback(action)
 
     def __repr__(self) -> str:
-        return f"<MitigationService {len(self.actions)} actions>"
+        return f"<MitigationService {len(self.open_actions)} open actions>"

@@ -2,16 +2,16 @@
 
 The paper runs ARTEMIS "as an application-level module, over a network
 controller that supports BGP".  The controller owns the BGP routers of the
-operator's network and can originate or withdraw prefixes on them — with a
-programming latency (app → controller core → router config → first UPDATE
-out) that the paper measures at ~15 s.  That latency is this class's main
-behaviour; everything else is bookkeeping that the monitoring service and
-the benches read back.
+operator's network and brings the prefixes they originate to a target the
+application declares — with a programming latency (app → controller core →
+router config → first UPDATE out) that the paper measures at ~15 s.  That
+latency is this class's main behaviour; everything else is bookkeeping that
+the mitigation service reads back.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.bgp.speaker import BGPSpeaker
 from repro.errors import MitigationError
@@ -24,20 +24,15 @@ from repro.sim.rng import SeededRNG
 class ControllerOp:
     """One completed-or-pending controller operation."""
 
-    __slots__ = ("kind", "prefix", "router_asns", "requested_at", "completed_at")
+    __slots__ = ("kind", "prefix", "requested_at", "completed_at", "on_complete")
 
-    def __init__(
-        self,
-        kind: str,
-        prefix: Prefix,
-        router_asns: Sequence[int],
-        requested_at: float,
-    ):
+    def __init__(self, kind: str, prefix: Prefix, requested_at: float):
         self.kind = kind
         self.prefix = prefix
-        self.router_asns = tuple(router_asns)
         self.requested_at = requested_at
         self.completed_at: Optional[float] = None
+        #: Called with the op once the routers have applied it.
+        self.on_complete: List[Callable[[ControllerOp], None]] = []
 
     @property
     def pending(self) -> bool:
@@ -77,74 +72,43 @@ class BGPController:
         )
         self.rng = rng or SeededRNG(0)
         self.name = name
-        self.ops: List[ControllerOp] = []
+        #: The prefixes the routers originate on this controller's say-so
+        #: once every pending op has completed: the last target.
+        self.programmed: Set[Prefix] = set()
+        #: Ops requested and not yet completed, oldest first.
+        self.pending: List[ControllerOp] = []
 
-    def _resolve_targets(
-        self, router_asns: Optional[Sequence[int]]
-    ) -> List[BGPSpeaker]:
-        if router_asns is None:
-            return list(self.routers.values())
-        targets = []
-        for asn in router_asns:
-            if asn not in self.routers:
-                raise MitigationError(
-                    f"controller {self.name} does not manage AS{asn}"
-                )
-            targets.append(self.routers[asn])
-        return targets
+    def reconcile(self, target: Iterable[Prefix]) -> List[ControllerOp]:
+        """Bring the routers to originate ``target`` (after programming).
 
-    def announce_prefix(
-        self,
-        prefix: Union[Prefix, str],
-        router_asns: Optional[Sequence[int]] = None,
-        on_complete: Optional[Callable[[ControllerOp], None]] = None,
-    ) -> ControllerOp:
-        """Originate ``prefix`` from the managed routers (after programming).
-
-        Returns the op immediately; ``op.completed_at`` is set (and
-        ``on_complete`` fires) once the routers have started announcing.
+        Announces what ``target`` adds, in its order, then withdraws what
+        it drops, in prefix order.  Each op draws its own programming delay
+        and, on completion, applies its prefix's programmed state at that
+        instant, so an earlier op can never overtake a later one.
         """
-        if isinstance(prefix, str):
-            prefix = Prefix.parse(prefix)
-        targets = self._resolve_targets(router_asns)
-        op = ControllerOp("announce", prefix, [t.asn for t in targets], self.engine.now)
-        self.ops.append(op)
-        delay = self.programming_delay.sample(self.rng)
+        wanted = list(dict.fromkeys(target))
+        now = self.engine.now
+        ops = [ControllerOp("announce", p, now) for p in wanted if p not in self.programmed]
+        dropped = self.programmed.difference(wanted)
+        ops += [ControllerOp("withdraw", p, now) for p in sorted(dropped)]
+        self.programmed = set(wanted)
+        for op in ops:
+            self.pending.append(op)
+            self.engine.schedule(self.programming_delay.sample(self.rng), self._apply, op)
+        return ops
 
-        def program() -> None:
-            for router in targets:
+    def _apply(self, op: ControllerOp) -> None:
+        prefix = op.prefix
+        announce = prefix in self.programmed
+        for router in self.routers.values():
+            if announce:
                 router.originate(prefix)
-            op.completed_at = self.engine.now
-            if on_complete is not None:
-                on_complete(op)
-
-        self.engine.schedule(delay, program)
-        return op
-
-    def withdraw_prefix(
-        self,
-        prefix: Union[Prefix, str],
-        router_asns: Optional[Sequence[int]] = None,
-        on_complete: Optional[Callable[[ControllerOp], None]] = None,
-    ) -> ControllerOp:
-        """Withdraw ``prefix`` from the managed routers (after programming)."""
-        if isinstance(prefix, str):
-            prefix = Prefix.parse(prefix)
-        targets = self._resolve_targets(router_asns)
-        op = ControllerOp("withdraw", prefix, [t.asn for t in targets], self.engine.now)
-        self.ops.append(op)
-        delay = self.programming_delay.sample(self.rng)
-
-        def program() -> None:
-            for router in targets:
-                if router.originates(prefix):
-                    router.withdraw_origin(prefix)
-            op.completed_at = self.engine.now
-            if on_complete is not None:
-                on_complete(op)
-
-        self.engine.schedule(delay, program)
-        return op
+            elif router.originates(prefix):
+                router.withdraw_origin(prefix)
+        op.completed_at = self.engine.now
+        self.pending.remove(op)
+        for callback in op.on_complete:
+            callback(op)
 
     def __repr__(self) -> str:
         return f"<BGPController {self.name} routers={sorted(self.routers)}>"

@@ -104,13 +104,26 @@ class TestHelperFleet:
         _controllers, fleet = self._fleet(engine, [100, 200])
         assert fleet.helper_asns == [100, 200]
 
+    def _service(self, engine, fleet):
+        victim = BGPSpeaker(64500, engine, rng=SeededRNG(1))
+        controller = BGPController(
+            engine, [victim], programming_delay=Constant(1.0), rng=SeededRNG(2)
+        )
+        config = ArtemisConfig(
+            [OwnedPrefix("10.0.0.0/24", {64500, *fleet.helper_asns})]
+        )
+        return MitigationService(config, controller, helpers=fleet)
+
     def test_engage_announces_after_coordination(self):
         engine = Engine()
         controllers, fleet = self._fleet(engine, [100, 200])
-        ops = []
-        fleet.engage([P("10.0.0.0/24")], ops.append)
+        service = self._service(engine, fleet)
+        action = service.execute(self._alert("10.0.0.0/24", "10.0.0.0/24"))
+        assert action.helpers_engaged
+        engine.run_for(12.0)
+        ops = [op for controller in controllers for op in controller.pending]
+        assert [(op.kind, op.requested_at) for op in ops] == [("announce", 10.0)] * 2
         engine.run()
-        assert len(ops) == 2
         for controller in controllers:
             router = next(iter(controller.routers.values()))
             assert router.originates(P("10.0.0.0/24"))
@@ -120,12 +133,26 @@ class TestHelperFleet:
     def test_disengage_withdraws(self):
         engine = Engine()
         controllers, fleet = self._fleet(engine, [100])
-        fleet.engage([P("10.0.0.0/24")], lambda op: None)
+        service = self._service(engine, fleet)
+        action = service.execute(self._alert("10.0.0.0/24", "10.0.0.0/24"))
         engine.run()
-        fleet.disengage([P("10.0.0.0/24")])
+        service.rollback(action)
         engine.run()
         router = next(iter(controllers[0].routers.values()))
         assert not router.originates(P("10.0.0.0/24"))
+
+    def test_rollback_inside_coordination_window(self):
+        # The helper reconciles against the target when it gets to it; a
+        # rollback before then leaves it nothing to announce.
+        engine = Engine()
+        controllers, fleet = self._fleet(engine, [100])
+        service = self._service(engine, fleet)
+        action = service.execute(self._alert("10.0.0.0/24", "10.0.0.0/24"))
+        engine.run_for(1.0)
+        service.rollback(action)
+        engine.run()
+        router = next(iter(controllers[0].routers.values()))
+        assert router.originated_prefixes == []
 
     def _alert(self, owned, announced):
         from repro.core.alerts import AlertType, HijackAlert
@@ -184,7 +211,9 @@ class TestHelperScenario:
         experiment.run()
         action = experiment.artemis.actions[0]
         assert action.helpers_engaged
-        assert action.helper_ops
+        for controller in experiment.artemis.mitigation.helpers.controllers:
+            for router in controller.routers.values():
+                assert router.originates(P("10.0.0.0/24"))
 
     def test_helpers_not_engaged_when_deaggregation_works(self):
         config = fast_scenario(seed=12, num_helpers=2)  # /23: full recovery

@@ -14,6 +14,11 @@ def P(text):
     return Prefix.parse(text)
 
 
+def rollback_all(mitigation):
+    for action in list(mitigation.open_actions):
+        mitigation.rollback(action)
+
+
 @pytest.fixture
 def mitigated_world():
     """A world where one hijack has been detected and fully mitigated."""
@@ -32,11 +37,11 @@ class TestRollback:
         # The hijacker gives up.
         experiment.hijacker.withdraw(P("10.0.0.0/23"))
         network.run_until_converged()
-        # ARTEMIS withdraws the de-aggregated /24s.  Controller programming
-        # is not BGP activity, so advance the clock past its 10-20 s delay
-        # before waiting for routing convergence.
-        action = experiment.artemis.actions[0]
-        experiment.artemis.mitigation.rollback(action)
+        # ARTEMIS ends every open incident and withdraws the de-aggregated
+        # /24s (the seed re-founds the hijack once, so two actions share
+        # them).  Controller programming is not BGP activity, so advance the
+        # clock past its 10-20 s delay before waiting for routing convergence.
+        rollback_all(experiment.artemis.mitigation)
         network.run_for(30.0)
         network.run_until_converged()
         victim = experiment.victim
@@ -56,7 +61,7 @@ class TestRollback:
         before = len(network.speaker(probe_asn).loc_rib)
         experiment.hijacker.withdraw(P("10.0.0.0/23"))
         network.run_until_converged()
-        experiment.artemis.mitigation.rollback(experiment.artemis.actions[0])
+        rollback_all(experiment.artemis.mitigation)
         network.run_for(30.0)
         network.run_until_converged()
         after = len(network.speaker(probe_asn).loc_rib)

@@ -57,3 +57,14 @@ class TestIncidentLog:
         text = log.to_text()
         assert "ALERT" in text and "MITIGATE" in text
 
+
+
+def test_same_scenario_twice_writes_the_same_log():
+    # Nothing in an entry may come from process-global state (action ids
+    # used to count across runs).
+    logs = []
+    for _ in range(2):
+        experiment = HijackExperiment(fast_scenario(seed=11))
+        experiment.run()
+        logs.append(experiment.artemis.log.to_json())
+    assert logs[0] == logs[1]

@@ -1,17 +1,19 @@
 """Tests for the SDN controller and the mitigation service."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.speaker import BGPSpeaker
 from repro.core.alerts import AlertStatus, AlertType, HijackAlert
 from repro.core.config import ArtemisConfig, OwnedPrefix
-from repro.core.mitigation import MitigationService
+from repro.core.mitigation import HelperFleet, MitigationService
 from repro.errors import MitigationError
 from repro.feeds.events import FeedEvent
 from repro.net.prefix import Prefix
 from repro.sdn.controller import BGPController
 from repro.sim.engine import Engine
-from repro.sim.latency import Constant
+from repro.sim.latency import Constant, Uniform
 from repro.sim.rng import SeededRNG
 
 
@@ -42,49 +44,56 @@ def world():
 class TestController:
     def test_announce_after_programming_delay(self, world):
         engine, router, controller = world
-        op = controller.announce_prefix("10.0.0.0/24")
-        assert op.pending
+        (op,) = controller.reconcile([P("10.0.0.0/24")])
+        assert op.kind == "announce" and op.pending
+        assert controller.pending == [op]
         assert not router.originates(P("10.0.0.0/24"))
         engine.run()
         assert op.completed_at == 15.0
         assert op.latency == 15.0
+        assert controller.pending == []
         assert router.originates(P("10.0.0.0/24"))
 
     def test_withdraw(self, world):
         engine, router, controller = world
-        controller.announce_prefix("10.0.0.0/24")
+        controller.reconcile([P("10.0.0.0/24")])
         engine.run()
-        controller.withdraw_prefix("10.0.0.0/24")
+        (op,) = controller.reconcile([])
+        assert op.kind == "withdraw"
         engine.run()
         assert not router.originates(P("10.0.0.0/24"))
 
     def test_withdraw_not_originated_is_noop(self, world):
         engine, router, controller = world
-        op = controller.withdraw_prefix("10.0.0.0/24")
+        # Announce and withdraw land at the same instant; each applies the
+        # state at that instant, so the router never originates the prefix.
+        ops = controller.reconcile([P("10.0.0.0/24")]) + controller.reconcile([])
+        assert [op.kind for op in ops] == ["announce", "withdraw"]
         engine.run()
-        assert op.completed_at is not None
+        assert all(op.completed_at == 15.0 for op in ops)
+        assert not router.originates(P("10.0.0.0/24"))
 
     def test_on_complete_callback(self, world):
         engine, router, controller = world
         done = []
-        controller.announce_prefix("10.0.0.0/24", on_complete=done.append)
+        (op,) = controller.reconcile([P("10.0.0.0/24")])
+        op.on_complete.append(done.append)
         engine.run()
-        assert len(done) == 1 and done[0].kind == "announce"
+        assert done == [op]
 
-    def test_unknown_router_rejected(self, world):
+    def test_reconcile_emits_only_the_difference(self, world):
         _engine, _router, controller = world
-        with pytest.raises(MitigationError):
-            controller.announce_prefix("10.0.0.0/24", router_asns=[999])
+        a, b, c = P("10.0.0.0/24"), P("10.0.1.0/24"), P("10.0.2.0/24")
+        controller.reconcile([b, a])
+        assert controller.reconcile([a, b]) == []
+        ops = controller.reconcile([c, a])
+        # Additions in target order, then drops in prefix order.
+        assert [(op.kind, op.prefix) for op in ops] == [("announce", c), ("withdraw", b)]
+        assert controller.programmed == {a, c}
 
     def test_needs_routers(self):
         with pytest.raises(MitigationError):
             BGPController(Engine(), [])
-
-    def test_ops_recorded(self, world):
-        engine, _router, controller = world
-        controller.announce_prefix("10.0.0.0/24")
-        controller.withdraw_prefix("10.0.0.0/24")
-        assert len(controller.ops) == 2
 
 
 def make_service(controller, **config_kw):
@@ -190,9 +199,9 @@ class TestMitigationExecution:
         alert = make_alert(owned="10.0.0.0/24", announced="10.0.0.0/24")
         action = service.execute(alert)  # compete: re-announce the /24
         engine.run()
-        ops = service.rollback(action)
+        service.rollback(action)
+        assert controller.pending == []  # nothing withdrawn
         engine.run()
-        assert ops == []  # nothing withdrawn
         assert router.originates(P("10.0.0.0/24"))
 
     def test_rollback_skips_only_the_owned_prefixes(self, world):
@@ -206,8 +215,135 @@ class TestMitigationExecution:
         action = service.execute(make_alert())
         assert action.prefixes == [P("10.0.0.0/24"), P("10.0.1.0/24")]
         engine.run()
-        ops = service.rollback(action)
+        service.rollback(action)
+        assert [op.prefix for op in controller.pending] == [P("10.0.1.0/24")]
         engine.run()
-        assert [op.prefix for op in ops] == [P("10.0.1.0/24")]
         assert router.originates(P("10.0.0.0/24"))
         assert not router.originates(P("10.0.1.0/24"))
+
+    def test_reexecute_of_programmed_prefixes_emits_no_op(self, world):
+        engine, _router, controller = world
+        service = make_service(controller)
+        done = []
+        service.on_announced(done.append)
+        service.execute(make_alert())
+        engine.run()
+        again = service.execute(make_alert())  # the same hijack, alerted anew
+        assert controller.pending == []
+        engine.run()
+        assert again.announced_at == again.triggered_at
+        assert done[-1] is again
+
+
+class TestNoOrphans:
+    """Ending an incident leaves exactly what open incidents still need."""
+
+    def test_rollback_during_programming(self):
+        # A withdraw drawn shorter than its announce lands first; the
+        # announce must then leave the /24 unannounced.
+        for seed in range(200):
+            engine = Engine()
+            router = BGPSpeaker(64500, engine, rng=SeededRNG(1))
+            router.originate(P("10.0.0.0/23"))
+            controller = BGPController(
+                engine, [router], programming_delay=Uniform(10.0, 20.0),
+                rng=SeededRNG(seed),
+            )
+            service = make_service(controller)
+            action = service.execute(make_alert())
+            engine.run_for(2.0)
+            service.rollback(action)
+            engine.run()
+            assert router.originated_prefixes == [P("10.0.0.0/23")], seed
+
+    def test_rollback_keeps_what_another_incident_needs(self, world):
+        engine, router, controller = world
+        router.originate(P("10.0.0.0/23"))
+        service = make_service(controller)
+        exact = service.execute(make_alert())
+        sub = service.execute(
+            make_alert(AlertType.SUB_PREFIX, announced="10.0.1.0/24", offender=777)
+        )
+        assert sub.strategy == "compete" and sub.prefixes == [P("10.0.1.0/24")]
+        engine.run()
+        service.rollback(exact)
+        engine.run()
+        assert not router.originates(P("10.0.0.0/24"))
+        assert router.originates(P("10.0.1.0/24"))
+        service.rollback(sub)
+        engine.run()
+        assert router.originated_prefixes == [P("10.0.0.0/23")]
+
+
+#: Overlapping incidents on an owned /23 and an owned /24: alert arguments
+#: and the model's plan (prefixes, whether the helpers announce them too).
+INCIDENTS = {
+    "exact": (
+        dict(),
+        ({P("10.0.0.0/24"), P("10.0.1.0/24")}, False),
+    ),
+    "sub-low": (
+        dict(alert_type=AlertType.SUB_PREFIX, announced="10.0.0.0/24"),
+        ({P("10.0.0.0/24")}, True),
+    ),
+    "sub-high": (
+        dict(alert_type=AlertType.SUB_PREFIX, announced="10.0.1.0/24"),
+        ({P("10.0.1.0/24")}, True),
+    ),
+    "owned-24": (
+        dict(owned="10.0.2.0/24", announced="10.0.2.0/24"),
+        ({P("10.0.2.0/24")}, True),
+    ),
+}
+
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("execute"), st.sampled_from(sorted(INCIDENTS))),
+        st.tuples(st.just("rollback"), st.integers(0, 7)),
+        st.tuples(st.just("run"), st.floats(0.0, 30.0)),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=STEPS, seed=st.integers(0, 2**16))
+def test_quiescent_routers_originate_the_open_plans(steps, seed):
+    engine = Engine()
+    owned = {P("10.0.0.0/23"), P("10.0.2.0/24")}
+    victim = BGPSpeaker(64500, engine, rng=SeededRNG(1))
+    for prefix in owned:
+        victim.originate(prefix)  # configured outside the controller
+    controller = BGPController(
+        engine, [victim], programming_delay=Uniform(10.0, 20.0), rng=SeededRNG(seed)
+    )
+    helpers = [
+        BGPController(engine, [BGPSpeaker(asn, engine, rng=SeededRNG(asn))],
+                      rng=SeededRNG(seed).substream("helper", asn))
+        for asn in (100, 200)
+    ]
+    config = ArtemisConfig(
+        [OwnedPrefix(str(prefix), {64500, 100, 200}) for prefix in sorted(owned)]
+    )
+    service = MitigationService(
+        config, controller, helpers=HelperFleet(helpers, rng=SeededRNG(seed))
+    )
+    model = []  # (action, plan) of every open incident, in execute order
+    for step, arg in steps:
+        if step == "execute":
+            alert_kw, plan = INCIDENTS[arg]
+            model.append((service.execute(make_alert(**alert_kw)), plan))
+        elif step == "rollback" and model:
+            action, _plan = model.pop(arg % len(model))
+            service.rollback(action)
+        elif step == "run":
+            engine.run_for(arg)
+    engine.run()
+    assert [action for action, _plan in model] == service.open_actions
+    assert all(action.announced_at is not None for action in service.actions)
+    announced = set().union(*(plan for _action, (plan, _helped) in model))
+    helped = set().union(*(plan for _action, (plan, engaged) in model if engaged))
+    assert set(victim.originated_prefixes) == owned | announced
+    for helper in helpers:
+        for router in helper.routers.values():
+            assert set(router.originated_prefixes) == helped

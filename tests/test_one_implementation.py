@@ -338,17 +338,37 @@ GUARDS: Tuple[Guard, ...] = (
         "local_pref_overrides", ("src", "tests"), word=True,
     ),
     Guard(
-        "cli-phase-walls-attribute", "after 1de4db1",
+        "cli-phase-walls-attribute", "9180a29",
         "A command returns its phase walls to main; no attribute on args carries them.",
         ("src/repro/cli.py", "    args._phase_walls = {\"scenario\": wall}"),
         "_phase_walls", ("src/repro/cli.py",), extended=False,
     ),
     Guard(
-        "cli-one-json-writer", "after 1de4db1",
+        "cli-one-json-writer", "9180a29",
         "main writes --json and --profile-json through one json.dump; no command "
         "writes its own file.",
         ("src/repro/cli.py", "            handle.write(renderer.to_json(frames))"),
         "json.dump(", ("src/repro/cli.py",), extended=False, expect=(1, 1),
+    ),
+    Guard(
+        "helper-fleet-op-emitters", "after c015b81",
+        "Helpers reconcile to the target the open actions declare; the fleet "
+        "and the action keep no op lists of their own.",
+        ("src/repro/core/mitigation.py", "    def disengage(self, prefixes):"),
+        r"def (dis)?engage\b|helper_ops", ("src/repro/core/mitigation.py",),
+    ),
+    Guard(
+        "controller-op-emitters", "after c015b81",
+        "BGPController.reconcile is the one way to program routers, and the "
+        "controller keeps no op log.",
+        ("src/repro/sdn/controller.py", "    def announce_prefix(self, prefix):"),
+        r"def (announce|withdraw)_prefix\b|self\.ops\b", ("src/repro/sdn/controller.py",),
+    ),
+    Guard(
+        "mitigation-action-global-ids", "after c015b81",
+        "An action is named by its alert; no process-global counter numbers it.",
+        ("src/repro/core/mitigation.py", "    _ids = itertools.count(1)"),
+        r"itertools\.count", ("src/repro/core/mitigation.py",),
     ),
 )
 
