@@ -23,10 +23,6 @@ from repro.bgp.speaker import BGPSpeaker
 from repro.internet.network import Network
 from repro.net.prefix import Address, Prefix
 
-#: Tracking key: (asn, probe index).
-Key = Tuple[int, int]
-
-
 def _selected_origin(speaker: BGPSpeaker, probe: Address) -> Optional[int]:
     """Default tracked value: the origin AS the speaker selects for ``probe``.
 
@@ -64,14 +60,10 @@ class OriginTracker:
         #: Loc-RIB change network-wide, so the overlap test is inlined bitwise.
         self._watch_shift = watch.bits - watch.length
         self._watch_top = watch.value >> self._watch_shift
-        self._current: Dict[Key, Optional[int]] = {}
-        #: Per-AS probe-value rows maintained incrementally on every flip,
-        #: so the fraction views never rebuild the whole map.
+        #: One row per AS: its probe values now, kept current on every flip.
         self._per_as: Dict[int, List[Optional[int]]] = {}
-        #: State snapshot when each key began being tracked.
-        self._initial: Dict[Key, Optional[int]] = {}
-        #: Time each key began being tracked.
-        self._since: Dict[Key, float] = {}
+        #: Per AS, when tracking began and its row then: where replay starts.
+        self._start: Dict[int, Tuple[float, Tuple[Optional[int], ...]]] = {}
         #: Flip log: (time, asn, probe_index, new_origin), append-only.
         self.flips: List[Tuple[float, int, int, Optional[int]]] = []
         for speaker in self.network.speakers.values():
@@ -79,16 +71,9 @@ class OriginTracker:
 
     def track_speaker(self, speaker: BGPSpeaker) -> None:
         """Start tracking an AS (also used for ASes attached later)."""
-        now = self.network.engine.now
-        values: List[Optional[int]] = []
-        for index, probe in enumerate(self.probes):
-            key = (speaker.asn, index)
-            value = self._value_fn(speaker, probe)
-            self._current[key] = value
-            self._initial[key] = value
-            self._since[key] = now
-            values.append(value)
-        self._per_as[speaker.asn] = values
+        row = [self._value_fn(speaker, probe) for probe in self.probes]
+        self._per_as[speaker.asn] = row
+        self._start[speaker.asn] = (self.network.engine.now, tuple(row))
         speaker.on_best_change(self._on_change)
 
     def _on_change(
@@ -110,18 +95,18 @@ class OriginTracker:
             if (watch.value >> shift) != (prefix.value >> shift):
                 return
         now = self.network.engine.now
+        asn = speaker.asn
+        row = self._per_as[asn]
         for index, probe in enumerate(self.probes):
-            key = (speaker.asn, index)
             value = self._value_fn(speaker, probe)
-            if self._current[key] != value:
-                self._current[key] = value
-                self._per_as[speaker.asn][index] = value
-                self.flips.append((now, speaker.asn, index, value))
+            if row[index] != value:
+                row[index] = value
+                self.flips.append((now, asn, index, value))
 
     # ------------------------------------------------------------------- views
 
     def tracked_asns(self) -> List[int]:
-        return sorted({asn for asn, _index in self._current})
+        return sorted(self._per_as)
 
     @staticmethod
     def _mode_check(mode: str):
@@ -170,20 +155,6 @@ class OriginTracker:
 
     # ------------------------------------------------------------------ replay
 
-    def _state_at(self, when: float) -> Dict[Key, Optional[int]]:
-        """Reconstruct tracked state at time ``when`` (≥ construction time)."""
-        state = {
-            key: origin
-            for key, origin in self._initial.items()
-            if self._since[key] <= when
-        }
-        for flip_time, asn, index, origin in self.flips:
-            if flip_time > when:
-                break
-            if (asn, index) in state:
-                state[(asn, index)] = origin
-        return state
-
     def fraction_series(
         self,
         origins: Union[int, Set[int]],
@@ -200,14 +171,19 @@ class OriginTracker:
         accepted = {origins} if isinstance(origins, int) else set(origins)
         check = self._mode_check(mode)
         num_probes = len(self.probes)
-        # Seed per-AS rows from the state at start_time (missing probes of a
-        # partially tracked AS read as None, as in the historical AS map).
-        per_as: Dict[int, List[Optional[int]]] = {}
-        for (asn, index), origin in self._state_at(start_time).items():
+        # The rows at start_time: each AS tracked by then, from its initial
+        # row forward through the flips up to start_time.
+        per_as = {
+            asn: list(initial)
+            for asn, (since, initial) in self._start.items()
+            if since <= start_time
+        }
+        for flip_time, asn, index, origin in self.flips:
+            if flip_time > start_time:
+                break
             row = per_as.get(asn)
-            if row is None:
-                row = per_as[asn] = [None] * num_probes
-            row[index] = origin
+            if row is not None:
+                row[index] = origin
         good = sum(
             1
             for values in per_as.values()

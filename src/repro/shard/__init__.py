@@ -14,10 +14,10 @@ Layers:
 * :mod:`repro.shard.boundary` — the cross-shard session mirror and bundles;
 * :mod:`repro.shard.world` — a shard-local :class:`~repro.internet.network.Network`
   (the one build, restricted to local ASes) plus flip tracking and
-  warm-start forking;
+  warm-start forking; over the whole graph, the in-process 1-shard runner;
 * :mod:`repro.shard.worker` — the worker-process command loop;
 * :mod:`repro.shard.runner` — the coordinator (conservative windows,
-  bundle routing, quiescence detection) and the in-process 1-shard runner;
+  bundle routing, quiescence detection) and ``make_runner``;
 * :mod:`repro.shard.scenario` — the pinned 10k-AS hijack scenario and its
   outcome digest.
 """

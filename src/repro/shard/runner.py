@@ -17,9 +17,9 @@ No shard ever receives a message scheduled before its clock (workers verify
 this and raise), so the distributed run processes exactly the event
 sequence of the single-process run — see DESIGN.md for the full argument.
 
-:class:`SingleRunner` is the in-process degenerate case (``--shards 1``):
-the same command surface over one :class:`~repro.shard.world.ShardWorld`
-with an empty cut, so callers and tests can compare the two bit-for-bit.
+The ``--shards 1`` runner is one in-process
+:class:`~repro.shard.world.ShardWorld` over the whole graph: the same
+surface with an empty cut, so callers and tests compare the two bit-for-bit.
 """
 
 from __future__ import annotations
@@ -37,64 +37,6 @@ from repro.topology.graph import ASGraph
 from repro.topology.serial import to_caida_lines
 
 
-class SingleRunner:
-    """The ``--shards 1`` runner: one in-process world, same surface."""
-
-    num_shards = 1
-
-    def __init__(self, graph: ASGraph, seed: int = 0):
-        self.world = ShardWorld(graph, None, seed, graph.asns())
-        self.now = 0.0
-
-    def watch(self, target) -> None:
-        self.world.watch(target)
-
-    def originate(self, asn: int, prefix) -> None:
-        self.world.originate(asn, prefix)
-
-    def originate_forged(self, asn: int, prefix, path_suffix: Sequence[int]) -> None:
-        self.world.originate_forged(asn, prefix, path_suffix)
-
-    def withdraw(self, asn: int, prefix) -> None:
-        self.world.withdraw(asn, prefix)
-
-    def run_to(self, time: float) -> None:
-        if time < self.now:
-            raise SimulationError(f"cannot run backwards to {time} from {self.now}")
-        self.world.network.engine.run(until=time)
-        self.now = time
-
-    def observe(self, target) -> Dict[int, Optional[int]]:
-        return self.world.observe(target)
-
-    def flips(self, target) -> List[Tuple[float, int, Optional[int]]]:
-        return sorted(self.world.flips(target))
-
-    def stats(self) -> Dict[str, int]:
-        return self.world.stats()
-
-    def snapshot(self) -> None:
-        self.world.snapshot()
-        self._snapshot_now = self.now
-
-    def restore(self) -> None:
-        self.world.restore()
-        self.now = self._snapshot_now
-
-    def collect_perf(self) -> List[Dict[str, float]]:
-        """Nothing to fold: the in-process world bumps the live counters."""
-        return []
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "SingleRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 class ShardRunner:
     """Coordinator for ``N >= 2`` worker processes (fork start method)."""
 
@@ -105,7 +47,7 @@ class ShardRunner:
         seed: int = 0,
     ):
         if plan.num_shards < 2:
-            raise SimulationError("ShardRunner needs >= 2 shards; use SingleRunner")
+            raise SimulationError("ShardRunner needs >= 2 shards; use ShardWorld")
         self.plan = plan
         self.num_shards = plan.num_shards
         self.now = 0.0
@@ -211,7 +153,7 @@ class ShardRunner:
                 for link in sorted(pending)
             ]
             self._pending[shard] = {}
-            requests.append(("window", epoch, window_end, bundles))
+            requests.append(("run_window", epoch, window_end, bundles))
         link_shards = self._link_shards
         replies = self._group.ask_all(requests)
         for shard, (out, next_time, in_flight) in enumerate(replies):
@@ -312,12 +254,12 @@ def make_runner(
     graph: ASGraph,
     num_shards: int,
     seed: int = 0,
-) -> Union[SingleRunner, ShardRunner]:
+) -> Union[ShardWorld, ShardRunner]:
     """Build the right runner for ``num_shards`` (partitioning included)."""
     if num_shards < 1:
         raise SimulationError(f"num_shards must be >= 1, got {num_shards}")
     if num_shards == 1:
-        return SingleRunner(graph, seed)
+        return ShardWorld(graph, None, seed, graph.asns())
     from repro.shard.partition import partition_graph
 
     return ShardRunner(graph, partition_graph(graph, num_shards), seed)

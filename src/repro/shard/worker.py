@@ -5,8 +5,8 @@ The coordinator forks one worker per shard.  Each worker receives a
 :mod:`repro.topology.serial` rather than relying on fork-inherited memory,
 so every worker rebuilds its graph from the same canonical text the cache
 and CLI use), its local ASN set, the world seed and config — and then obeys
-a small synchronous command protocol: every request gets exactly one reply,
-``("ok", payload)`` or ``("error", message)``.
+a small synchronous protocol: every request but the farewell gets exactly
+one reply, ``("ok", payload)`` or ``("error", message)``.
 
 Perf accounting: the worker's process-global counters are reset at startup;
 a ``perf`` command ships home the delta since the previous ``perf`` (plus
@@ -16,9 +16,8 @@ by each metric's declared ``merge`` (:data:`repro.perf.METRICS`).
 
 from __future__ import annotations
 
-import pickle
 import time
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List
 
 from repro.perf import COUNTERS as _C
 from repro.perf import sample_memory
@@ -53,6 +52,14 @@ class ShardSpec:
         return ShardWorld(graph, None, self.seed, self.local_asns)
 
 
+#: World methods that change it; each replies with the world's status.
+COMMANDS = frozenset(
+    {"watch", "originate", "originate_forged", "withdraw", "snapshot", "restore"}
+)
+#: World methods that answer with what they return.
+QUERIES = frozenset({"run_window", "observe", "flips", "stats"})
+
+
 def _refresh_gauges() -> None:
     sample_memory()
     if _C.peak_rss_kb > _C.shard_rss_peak_kb:
@@ -60,7 +67,12 @@ def _refresh_gauges() -> None:
 
 
 def worker_main(spec: ShardSpec, conn) -> None:
-    """Entry point of a shard worker process: build, then serve commands."""
+    """Entry point of a shard worker process: build, then serve requests.
+
+    A request is ``(name, *args)``: a name in :data:`COMMANDS` or
+    :data:`QUERIES` calls that :class:`ShardWorld` method; ``perf`` ships
+    the counter delta; ``stop`` is a farewell and gets no reply.
+    """
     _C.reset()
     perf_mark: Dict[str, int] = _C.as_dict()
     cpu_mark = time.process_time()
@@ -73,63 +85,30 @@ def worker_main(spec: ShardSpec, conn) -> None:
     conn.send(("ok", world.status()))
     while True:
         try:
-            request = conn.recv()
+            name, *args = conn.recv()
         except EOFError:
             break
-        command = request[0]
+        if name == "stop":
+            break  # a farewell: the parent has closed its end already
         try:
-            if command == "window":
-                _epoch, _window_end, bundles = request[1], request[2], request[3]
-                out, next_time, in_flight = world.run_window(
-                    _epoch, _window_end, bundles
-                )
-                if out:
-                    # Honest transport accounting: what actually crosses the
-                    # process boundary is this pickled record map.
-                    _C.cross_shard_bytes += len(
-                        pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
-                    )
-                reply: object = (out, next_time, in_flight)
-            elif command == "originate":
-                world.originate(request[1], request[2])
-                reply = world.status()
-            elif command == "originate_forged":
-                world.originate_forged(request[1], request[2], request[3])
-                reply = world.status()
-            elif command == "withdraw":
-                world.withdraw(request[1], request[2])
-                reply = world.status()
-            elif command == "watch":
-                world.watch(request[1])
-                reply = world.status()
-            elif command == "observe":
-                reply = world.observe(request[1])
-            elif command == "flips":
-                reply = world.flips(request[1])
-            elif command == "stats":
-                reply = world.stats()
-            elif command == "snapshot":
-                world.snapshot()
-                reply = world.status()
-            elif command == "restore":
-                world.restore()
-                reply = world.status()
-            elif command == "perf":
+            if name in COMMANDS:
+                getattr(world, name)(*args)
+                reply: object = world.status()
+            elif name in QUERIES:
+                reply = getattr(world, name)(*args)
+            elif name == "perf":
                 _refresh_gauges()
-                delta = _C.delta_since(perf_mark)
+                reply = _C.delta_since(perf_mark)
                 perf_mark = _C.as_dict()
                 # Not a counter: this worker's busy CPU since the last perf
                 # collection, for critical-path accounting (a parallel run's
                 # wall is bounded below by the busiest shard).
-                delta["cpu_seconds"] = time.process_time() - cpu_mark
+                reply["cpu_seconds"] = time.process_time() - cpu_mark
                 cpu_mark = time.process_time()
-                reply = delta
-            elif command == "stop":
-                break  # a farewell: the parent has closed its end already
             else:
-                raise ValueError(f"unknown shard command {command!r}")
+                raise ValueError(f"unknown shard command {name!r}")
         except BaseException as exc:  # noqa: BLE001 - ship home, stay alive
-            conn.send(("error", f"shard {spec.shard_id} {command}: {exc!r}"))
+            conn.send(("error", f"shard {spec.shard_id} {name}: {exc!r}"))
         else:
             conn.send(("ok", reply))
     conn.close()

@@ -10,15 +10,18 @@ per-speaker peer insertion order are therefore the single-process build's
 by construction.
 
 :class:`ShardWorld` wraps a shard network with everything a worker process
-(or the in-process single-shard runner) needs: origin-flip tracking (one
-:class:`~repro.internet.tracker.OriginTracker` per watched target), the
-epoch-validated window step, and warm-start snapshot/restore using the
-checkpoint machinery's copy-on-write shell-fork pattern.
+needs: origin-flip tracking (one :class:`~repro.internet.tracker.OriginTracker`
+per watched target), the epoch-validated window step, and warm-start
+snapshot/restore using the checkpoint machinery's copy-on-write shell-fork
+pattern.  Built over the whole graph it is also the ``--shards 1`` runner:
+:meth:`run_to` steps its one engine, and the rest of the runner surface is
+its own.
 """
 
 from __future__ import annotations
 
 import copy
+import pickle
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bgp.policy import Relationship
@@ -83,6 +86,9 @@ class ShardNetwork(Network):
 class ShardWorld:
     """One shard's complete run state plus the window/observation protocol."""
 
+    #: As a runner (``make_runner(graph, 1)``) the world is the only shard.
+    num_shards = 1
+
     def __init__(
         self,
         graph: ASGraph,
@@ -123,6 +129,16 @@ class ShardWorld:
             self.network.withdraw(asn, prefix)
 
     # -------------------------------------------------------------- windows
+
+    @property
+    def now(self) -> float:
+        return self.network.engine.now
+
+    def run_to(self, time: float) -> None:
+        """The one-shard runner's step: run the engine to simulated ``time``."""
+        if time < self.now:
+            raise SimulationError(f"cannot run backwards to {time} from {self.now}")
+        self.network.engine.run(until=time)
 
     def run_window(
         self,
@@ -179,6 +195,9 @@ class ShardWorld:
                 sent += len(records)
         if sent:
             _C.cross_shard_messages += sent
+            # Honest transport accounting: what crosses the process boundary
+            # is this record map, pickled.
+            _C.cross_shard_bytes += len(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
         # Collected records stay pending (the mirror still owes their RNG
         # draws next window); everything fully drained drops off the set.
         for key in [key for key in active if not sessions[key].has_backlog]:
@@ -199,7 +218,7 @@ class ShardWorld:
         tracker = self.trackers.get(watch)
         if tracker is None:
             raise SimulationError(f"target {watch} is not being watched")
-        return [(time, asn, value) for time, asn, _probe, value in tracker.flips]
+        return sorted((time, asn, value) for time, asn, _probe, value in tracker.flips)
 
     def stats(self) -> Dict[str, int]:
         speakers = self.network.speakers.values()
@@ -251,6 +270,21 @@ class ShardWorld:
         self.network = fork.network
         self.trackers = fork.trackers
         self.epoch = self._snapshot_epoch
+
+    # ------------------------------------------------------- runner lifecycle
+
+    def collect_perf(self) -> List[Dict[str, float]]:
+        """Nothing to fold: an in-process world bumps the live counters."""
+        return []
+
+    def close(self) -> None:
+        pass
+
+    def __enter__(self) -> "ShardWorld":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def fork_world(world: ShardWorld) -> ShardWorld:

@@ -60,7 +60,7 @@ from repro.topology.graph import ASGraph
 
 #: Bump when the captured object graph changes incompatibly; saved
 #: checkpoints from other versions are refused at load time.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Deep object graphs (speaker → session → speaker …) exceed the default
 #: interpreter recursion limit under pickle at Internet scale; raised

@@ -17,6 +17,7 @@ paper's three timings plus per-source and adoption detail.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 import time
@@ -443,13 +444,15 @@ class HijackExperiment:
         self.supervisor: Optional[SourceSupervisor] = None
         self.injector: Optional[FaultInjector] = None
         self.recorder: Optional[TraceRecorder] = None
+        #: Origin of every AS for the owned prefix (phase 1 converges on it).
         self.tracker: Optional[OriginTracker] = None
-        #: Only for forged-path runs (type-N/type-U/route-leak): tracks
-        #: offender-on-path instead of origin (the origin never changes).
-        self.path_tracker: Optional[OriginTracker] = None
-        #: Only for squatting runs: tracks the squatted sibling block,
-        #: which lies outside the main tracker's watch.
-        self.squat_tracker: Optional[OriginTracker] = None
+        #: The ground truth every measured number is read from, decided once
+        #: per hijack class at setup: an AS has recovered when every probe
+        #: of its ``truth`` row is in ``recovered``, and is captured when
+        #: any is in ``captured``.
+        self.truth: Optional[OriginTracker] = None
+        self.recovered: frozenset = frozenset()
+        self.captured: frozenset = frozenset()
         #: Only for route-leak runs: the real multihomed stub that leaks.
         self.leaker_asn: Optional[int] = None
         #: Built at setup when ``corroborate`` is on; attached to the
@@ -486,7 +489,8 @@ class HijackExperiment:
         )
         network_config = cfg.network
         if cfg.rov_adoption > 0.0:
-            network_config = network_config or NetworkConfig()
+            # A copy: the caller's config may be shared, and it is keyed.
+            network_config = copy.copy(network_config or NetworkConfig())
             network_config.rov_adoption = cfg.rov_adoption
         self.network = Network(graph, config=network_config, seed=wseed)
         self.testbed = PeeringTestbed(self.network, seed=wseed)
@@ -514,11 +518,6 @@ class HijackExperiment:
         # a deep sub-prefix hijack at all.
         probe_depth = max(1, cfg.hijack_prefix.length - cfg.prefix.length)
         self.tracker = OriginTracker(self.network, cfg.prefix, probe_depth=probe_depth)
-        if cfg.squat_space is not None:
-            # The squatted sibling lies outside the main tracker's watch;
-            # its recovery (the owner announcing the block post-alert) is
-            # judged by a dedicated tracker.
-            self.squat_tracker = OriginTracker(self.network, cfg.hijack_prefix)
         self.monitors = deploy_monitors(self.network, seed=wseed, **cfg.monitors)
         if cfg.churn is not None:
             self.churn = BackgroundChurn(self.network, cfg.churn, seed=wseed)
@@ -624,6 +623,10 @@ class HijackExperiment:
             self.injector = FaultInjector(
                 self.network, self.monitors, cfg.faults, seed=cfg.seed
             )
+        # Paper Phase-3 ends "when all the vantage points ... have switched
+        # to the legitimate ASN"; helper-origin routes count, as they tunnel
+        # traffic to the victim.
+        legit = frozenset({self.victim.asn, *helper_asns})
         if cfg.path_family:
             # Forged-path classes keep the legitimate origin, so ground
             # truth is offender-on-path: the hijacker for type-N/type-U,
@@ -633,23 +636,32 @@ class HijackExperiment:
                 if cfg.hijack_type == "route-leak"
                 else self.hijacker.asn
             )
-            self.path_tracker = OriginTracker(
+            self.truth = OriginTracker(
                 self.network,
                 cfg.prefix,
                 probe_depth=probe_depth,
                 value_fn=PathPresenceProbe(offender),
             )
+            self.recovered, self.captured = frozenset({False}), frozenset({True})
+        else:
+            # Squatting is judged on the squatted sibling block, outside the
+            # owned prefix: recovery is the owner announcing it post-alert.
+            self.truth = (
+                self.tracker
+                if cfg.squat_space is None
+                else OriginTracker(self.network, cfg.hijack_prefix)
+            )
+            self.recovered, self.captured = legit, frozenset({self.hijacker.asn})
         if cfg.corroborate:
-            if self.path_tracker is not None:
-                # Healthy = no tracked AS's data plane goes via the
-                # offender (a MitM attacker blackholes what it attracts).
-                self.corroborator = TrackerCorroborator(self.path_tracker, {False})
-            else:
-                # Healthy = traffic still reaches operator infrastructure
-                # (the victim or a whitelisted helper origin).
-                self.corroborator = TrackerCorroborator(
-                    self.tracker, {self.victim.asn, *helper_asns}
-                )
+            # Healthy = traffic still reaches operator infrastructure, or
+            # for forged paths no data plane goes via the offender (a MitM
+            # attacker blackholes what it attracts).  The probe watches the
+            # owned prefix, so a squatting run's is the origin tracker.
+            self.corroborator = (
+                TrackerCorroborator(self.tracker, legit)
+                if cfg.squat_space is not None
+                else TrackerCorroborator(self.truth, self.recovered)
+            )
         self._setup_done = True
         self.phase_walls["setup"] = time.perf_counter() - wall_start
 
@@ -796,13 +808,12 @@ class HijackExperiment:
             engine.step()
         return True
 
-    def _run_until_routing(self, origins, timeout: float, tracker=None) -> bool:
-        """Step until every tracked AS's probes all resolve into ``origins``.
+    def _run_until_routing(self, tracker, origins, timeout: float) -> bool:
+        """Step until every AS's ``tracker`` probes all resolve into ``origins``.
 
         The (relatively expensive) data-plane check is re-evaluated only
         when the tracker logged new flips, so stepping stays O(1) per event.
         """
-        tracker = tracker or self.tracker
         engine = self.network.engine
         deadline = engine.now + timeout
         seen_flips = -1
@@ -837,7 +848,9 @@ class HijackExperiment:
             self.churn.start()
             network.run_for(cfg.churn_warmup)
         self.victim.announce(cfg.prefix)
-        if not self._run_until_routing({self.victim.asn}, cfg.completion_timeout):
+        if not self._run_until_routing(
+            self.tracker, {self.victim.asn}, cfg.completion_timeout
+        ):
             raise ExperimentError(
                 "phase-1 failed: not every AS routes to the victim after setup"
             )
@@ -868,33 +881,18 @@ class HijackExperiment:
     def _adopt_world(self, fork: "HijackExperiment") -> None:
         """Take over a forked experiment's world as this run's own.
 
-        Everything built by phases 0–1 comes from the fork; the pieces that
-        are run-scoped — the fault injector (seeded by the *run* seed and
-        armed at the hijack instant) and this experiment's config — are
-        built fresh here, which is also why the capture-time config may
-        differ from ours in exactly those fields (see ``world_config``).
+        Everything built by phases 0–1 comes from the fork; this run keeps
+        its own config, its phase walls and the run-scoped fault injector
+        (seeded by the *run* seed and armed at the hijack instant), which is
+        also why the capture-time config may differ from ours in exactly
+        those fields (see ``world_config``).
         """
-        cfg = self.config
-        self.network = fork.network
-        self.testbed = fork.testbed
-        self.victim = fork.victim
-        self.hijacker = fork.hijacker
-        self.monitors = fork.monitors
-        self.controller = fork.controller
-        self.artemis = fork.artemis
-        self.supervisor = fork.supervisor
-        self.tracker = fork.tracker
-        self.path_tracker = fork.path_tracker
-        self.squat_tracker = fork.squat_tracker
-        self.leaker_asn = fork.leaker_asn
-        self.corroborator = fork.corroborator
-        self.churn = fork.churn
-        if cfg.faults is not None:
-            self.injector = FaultInjector(
-                self.network, self.monitors, cfg.faults, seed=cfg.seed
-            )
-        self._setup_done = True
-        self._phase1_done = True
+        cfg, walls = self.config, self.phase_walls
+        self.__dict__.update(fork.__dict__)
+        self.config, self.phase_walls = cfg, walls
+        self.injector = None if cfg.faults is None else FaultInjector(
+            self.network, self.monitors, cfg.faults, seed=cfg.seed
+        )
 
     def _iter_world_rngs(self):
         """Every RNG stream owned by the simulated world, in a fixed order.
@@ -1037,25 +1035,8 @@ class HijackExperiment:
         wall_mark = now_wall
 
         # Phase-3: mitigation (already triggered by the alert callback when
-        # auto-mitigation is on) and recovery.  For forged-path classes
-        # (type-N/type-U/route-leak) the origin never changes, so recovery
-        # is judged by the path tracker instead: every AS's path must
-        # avoid the offender.  For squatting, recovery is the owner taking
-        # over the squatted block (judged by the squat tracker).
-        forged = self.path_tracker is not None
-        if cfg.hijack_type == "squatting" and self.squat_tracker is not None:
-            completion_tracker = self.squat_tracker
-            accepted = {self.victim.asn}
-        elif forged:
-            completion_tracker = self.path_tracker
-            accepted = {False}
-        else:
-            completion_tracker = self.tracker
-            accepted = {self.victim.asn}
-        helpers = self.artemis.mitigation.helpers
-        if not forged and helpers is not None:
-            # Helper-origin routes deliver traffic to the victim by tunnel.
-            accepted |= set(helpers.helper_asns)
+        # auto-mitigation is on) and recovery, judged on the ground truth.
+        truth, recovered = self.truth, self.recovered
         # ARTEMIS has acted by the time the alert callback returns; a human
         # operator has not, so wait for the action to exist before reading it.
         mitigating = detected and cfg.auto_mitigate and self._run_until(
@@ -1069,16 +1050,16 @@ class HijackExperiment:
             if action.announced_at is not None:
                 result.announce_delay = action.announced_at - alert.detected_at
             result.strategy = action.strategy
-            recovered = self._run_until_routing(
-                accepted,
+            converged = self._run_until_routing(
+                truth,
+                recovered,
                 cfg.completion_timeout
                 if action.expected_full_recovery
                 else cfg.observation_window,
-                tracker=completion_tracker,
             )
-            if recovered:
-                completion = completion_tracker.first_time_all_route_to(
-                    accepted, since=action.announced_at or hijack_time
+            if converged:
+                completion = truth.first_time_all_route_to(
+                    recovered, since=action.announced_at or hijack_time
                 )
                 if completion is not None:
                     result.completion_delay = completion - (
@@ -1103,9 +1084,8 @@ class HijackExperiment:
         # an AS counts as affected when any probe routes to (or via, for
         # forged paths) the hijacker — a sub-prefix hijack steals only part
         # of the owned space.
-        adoption_accepted = {True} if forged else {result.hijacker_asn}
-        hijacker_series = completion_tracker.fraction_series(
-            adoption_accepted, start_time=hijack_time, mode="any"
+        hijacker_series = truth.fraction_series(
+            self.captured, start_time=hijack_time, mode="any"
         )
         result.hijack_fraction_peak = max(
             (fraction for _t, fraction in hijacker_series), default=0.0
@@ -1117,8 +1097,8 @@ class HijackExperiment:
         # shows the clean phase-1 state (the hijacker's own flip lands at
         # exactly hijack_time).
         just_before = math.nextafter(hijack_time, -math.inf)
-        result.ground_truth_series = completion_tracker.fraction_series(
-            accepted, start_time=just_before
+        result.ground_truth_series = truth.fraction_series(
+            recovered, start_time=just_before
         )
         result.monitor_series = self.artemis.monitoring.fraction_series(cfg.prefix)
         result.lg_queries = self.monitors.periscope.queries_sent

@@ -224,6 +224,18 @@ class TestKeysAndRegistry:
             fast_scenario(seed=4, hijack_prefix="10.0.0.0/24")
         )
 
+    def test_setup_leaves_a_shared_network_config_alone(self):
+        """Two scenarios sharing one NetworkConfig do not leak ROV adoption
+        into each other, and setup does not move the world key."""
+        shared = fast_network_config()
+        adopting = fast_scenario(seed=4, network=shared, rov_adoption=0.5)
+        key = checkpoint_key(adopting)
+        HijackExperiment(adopting).setup()
+        assert checkpoint_key(adopting) == key
+        plain = HijackExperiment(fast_scenario(seed=4, network=shared))
+        plain.setup()
+        assert plain.network.config.rov_adoption == 0.0
+
     def test_world_config_strips_run_fields(self):
         config = fast_scenario(
             seed=77, world_seed=9, faults=RICH_PLAN, warm_start=True

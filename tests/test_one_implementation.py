@@ -351,24 +351,44 @@ GUARDS: Tuple[Guard, ...] = (
         "json.dump(", ("src/repro/cli.py",), extended=False, expect=(1, 1),
     ),
     Guard(
-        "helper-fleet-op-emitters", "after c015b81",
+        "helper-fleet-op-emitters", "8db6c1e",
         "Helpers reconcile to the target the open actions declare; the fleet "
         "and the action keep no op lists of their own.",
         ("src/repro/core/mitigation.py", "    def disengage(self, prefixes):"),
         r"def (dis)?engage\b|helper_ops", ("src/repro/core/mitigation.py",),
     ),
     Guard(
-        "controller-op-emitters", "after c015b81",
+        "controller-op-emitters", "8db6c1e",
         "BGPController.reconcile is the one way to program routers, and the "
         "controller keeps no op log.",
         ("src/repro/sdn/controller.py", "    def announce_prefix(self, prefix):"),
         r"def (announce|withdraw)_prefix\b|self\.ops\b", ("src/repro/sdn/controller.py",),
     ),
     Guard(
-        "mitigation-action-global-ids", "after c015b81",
+        "mitigation-action-global-ids", "8db6c1e",
         "An action is named by its alert; no process-global counter numbers it.",
         ("src/repro/core/mitigation.py", "    _ids = itertools.count(1)"),
         r"itertools\.count", ("src/repro/core/mitigation.py",),
+    ),
+    Guard(
+        "single-runner", "after 8db6c1e",
+        "The --shards 1 runner is one ShardWorld; no wrapper forwards to it.",
+        ("src/repro/shard/runner.py", "class SingleRunner:"),
+        "SingleRunner", ("src",), word=True,
+    ),
+    Guard(
+        "experiment-truth-trackers", "after 8db6c1e",
+        "setup decides the ground truth once (truth, recovered, captured); "
+        "run() picks no tracker by hijack class.",
+        ("src/repro/testbed/scenario.py", "        self.path_tracker = fork.path_tracker"),
+        "path_tracker|squat_tracker", ("src/repro/testbed/scenario.py",),
+    ),
+    Guard(
+        "tracker-duplicate-tables", "after 8db6c1e",
+        "OriginTracker keeps one row per AS and where each row started; no "
+        "keyed copy of the rows.",
+        ("src/repro/internet/tracker.py", "            self._current[key] = value"),
+        "_current|_initial|_since", ("src/repro/internet/tracker.py",), word=True,
     ),
 )
 

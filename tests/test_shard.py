@@ -18,7 +18,7 @@ from repro.errors import SimulationError
 from repro.internet.network import Network, NetworkConfig
 from repro.shard.boundary import DeliveryBundle
 from repro.shard.partition import partition_graph
-from repro.shard.runner import ShardRunner, SingleRunner, make_runner
+from repro.shard.runner import ShardRunner, make_runner
 from repro.shard.world import ShardNetwork, ShardWorld
 from repro.sim.latency import Constant
 from repro.topology.cache import cache_path, graph_cache_key, load_or_build_graph
@@ -161,11 +161,9 @@ class TestWindowProtocol:
 
 class TestRunners:
     def test_make_runner_dispatches_on_shard_count(self, graph):
-        single = make_runner(graph, 1, seed=7)
-        try:
-            assert isinstance(single, SingleRunner)
-        finally:
-            single.close()
+        with make_runner(graph, 1, seed=7) as single:
+            assert isinstance(single, ShardWorld)
+            assert single.num_shards == 1
         with make_runner(graph, 2, seed=7) as sharded:
             assert isinstance(sharded, ShardRunner)
         with pytest.raises(SimulationError):
@@ -227,15 +225,17 @@ class TestRunners:
         assert origins[squatter] == squatter
         assert {asn: last.get(asn) for asn in origins} == origins
 
-    def test_cannot_run_backwards(self, graph):
-        with make_runner(graph, 2, seed=7) as runner:
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_cannot_run_backwards(self, graph, num_shards):
+        with make_runner(graph, num_shards, seed=7) as runner:
             runner.run_to(10.0)
             with pytest.raises(SimulationError):
                 runner.run_to(5.0)
 
-    def test_snapshot_restore_replays_identically(self, graph):
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_snapshot_restore_replays_identically(self, graph, num_shards):
         victim, hijacker = graph.stubs()[0], graph.stubs()[1]
-        with make_runner(graph, 2, seed=7) as runner:
+        with make_runner(graph, num_shards, seed=7) as runner:
             runner.watch("10.0.0.0/24")
             runner.originate(victim, "10.0.0.0/22")
             runner.run_to(400.0)
@@ -252,8 +252,9 @@ class TestRunners:
         assert first == second
         assert any(origin == hijacker for origin in first[0].values())
 
-    def test_restore_without_snapshot_raises(self, graph):
-        with make_runner(graph, 2, seed=7) as runner:
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_restore_without_snapshot_raises(self, graph, num_shards):
+        with make_runner(graph, num_shards, seed=7) as runner:
             with pytest.raises(SimulationError, match="no snapshot"):
                 runner.restore()
 
