@@ -3,8 +3,8 @@
 Not a paper artefact — this bench guards the throughput architecture that
 ``repro.tenants`` adds: one shared prefix tree and a batched ingest
 pipeline serving a thousand tenants from a single recorded feed, versus
-the naive pre-pipeline architecture (one one-tenant DetectionService per
-tenant fed through per-event callback fan-out).  The workload is the
+the naive pre-pipeline architecture (one one-tenant plane per tenant fed
+through per-event callback fan-out).  The workload is the
 pinned 1000-AS scenario of ``test_scale.py`` recorded **unfiltered** —
 churn and all — so the feed actually exercises the tree (every churn
 prefix is watched by ~50 synthetic tenants, and the hijack fires for all
@@ -65,6 +65,7 @@ from repro.tenants import (
     ParallelDetectionPlane,
     incident_rows,
 )
+from repro.tenants.pipeline import OPERATOR
 from repro.tenants.synth import (
     baseline_services,
     build_synth_registry,
@@ -165,9 +166,9 @@ def test_registry_and_tree_build(benchmark, tenant_world):
 def test_batched_pipeline_vs_per_event_baseline(benchmark, tenant_world):
     """Same events, same incidents, ≥``TENANTS_MIN_SPEEDUP``x faster.
 
-    The baseline is the pre-pipeline architecture: one DetectionService
-    per tenant — each a one-tenant plane of batch size 1 — with events
-    fanned out per-event through the InterestIndex: what N independent
+    The baseline is the pre-pipeline architecture: one one-tenant plane of
+    batch size 1 per tenant, with events fanned out per-event through the
+    InterestIndex: what N independent
     single-operator deployments sharing a feed would run.  Both sides are
     the same engine, so what this checks is tenant isolation (N private
     planes and one shared plane found byte-identical incident rows) and
@@ -177,11 +178,11 @@ def test_batched_pipeline_vs_per_event_baseline(benchmark, tenant_world):
     # Built once, outside both timed loops: they time ingest, not decoding.
     events = list(tenant_world["trace"].events)
 
-    # --- baseline: per-event callback fan-out across N services --------
-    services = baseline_services(registry)
+    # --- baseline: per-event callback fan-out across N planes ----------
+    planes = baseline_services(registry)
     index = InterestIndex()
-    for service in services.values():
-        index.add(service.handle_event, prefixes=service.config.owned_prefixes)
+    for name, solo in planes.items():
+        index.add(solo.ingest, prefixes=[r.prefix for r in registry.rules_for(name)])
     baseline_started = time.perf_counter()
     lookup = index.lookup
     for event in events:
@@ -189,7 +190,7 @@ def test_batched_pipeline_vs_per_event_baseline(benchmark, tenant_world):
             subscription.callback(event)
     baseline_wall = time.perf_counter() - baseline_started
     baseline_rows = incident_rows(
-        {name: s.alert_manager for name, s in services.items()}
+        {name: solo.tenant_state(OPERATOR).alerts for name, solo in planes.items()}
     )
 
     # --- batched plane (timed region) ----------------------------------

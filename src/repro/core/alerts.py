@@ -10,7 +10,6 @@ first evidence.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -56,11 +55,8 @@ class HijackAlert:
 
     Alert IDs are assigned by the owning :class:`AlertManager`, restarting
     at 1 per manager, so identically-seeded experiments sharing a process
-    get identical IDs.  The class-level counter only backs directly
-    constructed alerts (ad-hoc use in tests/tools).
+    get identical IDs.
     """
-
-    _ids = itertools.count(1)
 
     def __init__(
         self,
@@ -69,9 +65,9 @@ class HijackAlert:
         announced_prefix: Prefix,
         offender_asn: Optional[int],
         first_event: FeedEvent,
-        alert_id: Optional[int] = None,
+        alert_id: int,
     ):
-        self.id = int(alert_id) if alert_id is not None else next(HijackAlert._ids)
+        self.id = alert_id
         self.type = alert_type
         #: The configured prefix this incident is against.
         self.owned_prefix = owned_prefix

@@ -14,16 +14,31 @@ reconfigures.  ARTEMIS proper is the case with nobody there.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.alerts import HijackAlert
 from repro.core.config import ArtemisConfig
-from repro.core.detection import DetectionService
 from repro.core.mitigation import MitigationAction, MitigationService
 from repro.core.monitoring import MonitoringService
 from repro.errors import ConfigError
 from repro.sdn.controller import BGPController
 from repro.sim.rng import SeededRNG
+from repro.tenants.pipeline import OPERATOR, DetectionPlane, one_tenant_plane
+
+
+def feed_consumers(
+    config: ArtemisConfig, detection: DetectionPlane, monitoring: MonitoringService
+) -> Tuple[Tuple[Callable, Sequence], ...]:
+    """Every feed consumer and the prefixes it reads, in delivery order.
+
+    Detection reads everything the operator watches, monitoring only the
+    owned prefixes; each source delivers to detection before monitoring.
+    The live application and a trace replay both subscribe from this.
+    """
+    return (
+        (detection.ingest, config.monitored_prefixes),
+        (monitoring.handle_event, config.owned_prefixes),
+    )
 
 
 class Artemis:
@@ -64,20 +79,24 @@ class Artemis:
             self.sources.append(periscope)
         if not self.sources:
             raise ConfigError("ARTEMIS needs at least one monitoring source")
-        self.detection = DetectionService(config)
+        #: The one-tenant detection plane (tenant ``OPERATOR``), and that
+        #: tenant's incidents: alerts, first evidence, live sources.
+        self.detection = one_tenant_plane(config, notify=self._alerted)
+        self.incidents = self.detection.tenant_state(OPERATOR)
         self.mitigation = MitigationService(config, controller, helpers=helpers)
         self.monitoring = MonitoringService(config)
         self.supervisor = supervisor
         self.operator = operator
         self.rng = rng or SeededRNG(0)
+        #: One list for the primary subscriptions and the failover onto
+        #: backups alike.
+        self.consumers = feed_consumers(config, self.detection, self.monitoring)
         if supervisor is not None:
-            self.detection.attach_supervisor(supervisor)
-            monitored = config.monitored_prefixes
-            supervisor.register_failover(self.detection.handle_event, monitored)
-            supervisor.register_failover(self.monitoring.handle_event, monitored)
+            for callback, prefixes in self.consumers:
+                supervisor.register_failover(callback, prefixes)
+        self._subscriptions: List = []
         self._alert_callbacks: List[Callable[[HijackAlert], None]] = []
         self._running = False
-        self.detection.on_alert(self._handle_alert)
         # Structured audit trail, always on (operators need the history).
         from repro.core.log import IncidentLog
 
@@ -90,8 +109,11 @@ class Artemis:
         if self._running:
             return
         self._running = True
-        self.detection.start(self.sources)
-        self.monitoring.start(self.sources)
+        self._subscriptions = [
+            source.subscribe(callback, prefixes=prefixes)
+            for source in self.sources
+            for callback, prefixes in self.consumers
+        ]
         if self.periscope is not None:
             self.periscope.watch(self.config.monitored_prefixes)
         if self.supervisor is not None:
@@ -101,8 +123,9 @@ class Artemis:
         if not self._running:
             return
         self._running = False
-        self.detection.stop()
-        self.monitoring.stop()
+        for subscription in self._subscriptions:
+            subscription.active = False
+        self._subscriptions = []
         if self.periscope is not None:
             self.periscope.stop()
         if self.supervisor is not None:
@@ -119,7 +142,12 @@ class Artemis:
 
     # ------------------------------------------------------------------ alerts
 
-    def _handle_alert(self, alert: HijackAlert) -> None:
+    def _alerted(self, _tenant: str, alert: HijackAlert) -> None:
+        """The plane's ``notify``: runs inside ``ingest``, once per new
+        incident, so mitigation is under way before the event's delivery
+        returns.  The sources believed live go on record first."""
+        if self.supervisor is not None:
+            self.incidents.live_at_alert[alert.id] = self.supervisor.live_sources()
         if self.config.auto_mitigate:
 
             def mitigate(verified_at: Optional[float] = None) -> None:
@@ -160,7 +188,7 @@ class Artemis:
 
     @property
     def alerts(self) -> List[HijackAlert]:
-        return self.detection.alert_manager.alerts
+        return self.incidents.alerts.alerts
 
     @property
     def actions(self) -> List[MitigationAction]:

@@ -76,31 +76,12 @@ class MonitoringService:
         #: flip, in delivery order.  The raw series behind the demo map.
         self.transitions: List[Tuple[float, int, Prefix, Optional[int]]] = []
         self._last_effective: Dict[Tuple[int, Prefix], Optional[int]] = {}
-        self._subscriptions = []
-        self.started = False
         self.events_seen = 0
         #: Events ingested per source name (degraded feeds show up as gaps).
         self.events_by_source: Dict[str, int] = {}
         #: Per source: (count, total realized feed lag) where lag is
         #: ``delivered_at - observed_at`` — what the fault layer inflates.
         self._lag_by_source: Dict[str, Tuple[int, float]] = {}
-
-    def start(self, sources: List) -> None:
-        """Subscribe to every source, filtered to the owned prefixes."""
-        if self.started:
-            return
-        self.started = True
-        prefixes = self.config.owned_prefixes
-        for source in sources:
-            self._subscriptions.append(
-                source.subscribe(self.handle_event, prefixes=prefixes)
-            )
-
-    def stop(self) -> None:
-        for subscription in self._subscriptions:
-            subscription.active = False
-        self._subscriptions.clear()
-        self.started = False
 
     # ----------------------------------------------------------------- ingest
 

@@ -31,8 +31,8 @@ def _config_for_seed(template: ScenarioConfig, seed: int) -> ScenarioConfig:
 
 
 #: The scenario template each worker process runs seeds against.  Installed
-#: once per worker by the pool initializer, so the (potentially large,
-#: pre-built-topology) template is pickled per worker rather than per seed.
+#: once per worker by the pool initializer, so the template is pickled per
+#: worker rather than per seed.
 _WORKER_TEMPLATE: Optional[ScenarioConfig] = None
 
 

@@ -14,8 +14,9 @@ False positives cannot come out of the attack runs (every run contains a
 real hijack), so :func:`run_false_positive_suite` scores them separately:
 benign control-plane events that *look* like hijacks — a legitimate MOAS
 origin, a new peering, the operator's own de-aggregation — replayed
-through a fully-armed :class:`~repro.core.detection.DetectionService`
-with a healthy data-plane probe.  With Oscilloscope-style corroboration
+through a fully-armed one-tenant detection plane
+(:func:`~repro.tenants.pipeline.one_tenant_plane`) with a healthy
+data-plane probe.  With Oscilloscope-style corroboration
 every one of them must stay silent; without it the MOAS and new-peering
 cases alert, which is exactly the trade-off the matrix records.
 
@@ -30,10 +31,10 @@ from typing import Dict, List, Sequence
 
 from repro.core.alerts import AlertType
 from repro.core.config import ArtemisConfig, OwnedPrefix, OwnedSpace
-from repro.core.detection import DetectionService
 from repro.eval.stats import summarize
 from repro.feeds.events import ANNOUNCE, FeedEvent
 from repro.net.prefix import Prefix
+from repro.tenants.pipeline import OPERATOR, one_tenant_plane
 from repro.testbed.scenario import HijackExperiment, ScenarioConfig
 from repro.topology.generator import GeneratorConfig
 
@@ -206,19 +207,18 @@ def run_false_positive_suite(corroborate: bool = True) -> Dict:
     )
     results = []
     for scenario in false_positive_scenarios():
-        service = DetectionService(config)
+        plane = one_tenant_plane(config)
         if corroborate:
-            service.attach_corroborator(lambda prefix: True)
+            plane.corroborator = lambda prefix: True
         for event in scenario["events"]:
-            service.handle_event(event)
+            plane.ingest(event)
+        alerts = plane.tenant_state(OPERATOR).alerts.alerts
         results.append(
             {
                 "name": scenario["name"],
                 "events": len(scenario["events"]),
-                "false_positives": len(service.alert_manager.alerts),
-                "alert_types": sorted(
-                    alert.type.value for alert in service.alert_manager.alerts
-                ),
+                "false_positives": len(alerts),
+                "alert_types": sorted(alert.type.value for alert in alerts),
             }
         )
     return {

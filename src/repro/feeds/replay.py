@@ -824,9 +824,9 @@ class ReplayTap(_TraceFrame):
 class ReplaySession:
     """A standalone detection plane fed from a recorded trace file.
 
-    Builds :class:`DetectionService` + :class:`MonitoringService` from the
-    trace's embedded config (or an explicit one) and subscribes them to
-    the recorded sources of a :class:`ReplayTap` over ``path``; with
+    Builds the one-tenant detection plane and a :class:`MonitoringService`
+    from the trace's embedded config (or an explicit one) and subscribes
+    them to the recorded sources of a :class:`ReplayTap` over ``path``; with
     ``supervise=True`` it also starts a
     :class:`~repro.feeds.health.SourceSupervisor` over those sources on the
     tap's engine, as :class:`~repro.core.artemis.Artemis` does with live
@@ -845,8 +845,9 @@ class ReplaySession:
         supervise: bool = False,
         supervision: Optional[Dict] = None,
     ):
-        from repro.core.detection import DetectionService
+        from repro.core.artemis import feed_consumers
         from repro.core.monitoring import MonitoringService
+        from repro.tenants.pipeline import OPERATOR, one_tenant_plane
 
         self.tap = ReplayTap(path, speed=speed, timer=timer, faults=faults, seed=seed)
         config = config if config is not None else self.tap.config
@@ -856,24 +857,29 @@ class ReplaySession:
             )
         self.config = config
         sources = list(self.tap.sources.values())
-        self.detection = DetectionService(config)
+        self.detection = one_tenant_plane(config, notify=self._alerted)
+        self.incidents = self.detection.tenant_state(OPERATOR)
         self.monitoring = MonitoringService(config)
-        self.detection.start(sources)
-        self.monitoring.start(sources)
+        consumers = feed_consumers(config, self.detection, self.monitoring)
+        for source in sources:
+            for callback, prefixes in consumers:
+                source.subscribe(callback, prefixes=prefixes)
         self.supervisor = None
         if supervise:
             self.supervisor = SourceSupervisor(
                 self.tap.engine, sources, **(supervision or {})
             )
-            self.detection.attach_supervisor(self.supervisor)
             self.supervisor.start()
         self._timer = self.tap._timer
         self._run_wall_start: Optional[float] = None
         #: Wall seconds from run start to the first alert callback.
         self.first_alert_wall: Optional[float] = None
-        self.detection.on_alert(self._note_first_alert)
 
-    def _note_first_alert(self, _alert) -> None:
+    def _alerted(self, _tenant: str, alert) -> None:
+        """The plane's ``notify``: the live sources and the first alert's
+        wall time go on record."""
+        if self.supervisor is not None:
+            self.incidents.live_at_alert[alert.id] = self.supervisor.live_sources()
         if self.first_alert_wall is None and self._run_wall_start is not None:
             self.first_alert_wall = self._timer.monotonic() - self._run_wall_start
 
@@ -886,7 +892,7 @@ class ReplaySession:
 
     @property
     def alerts(self):
-        return self.detection.alert_manager.alerts
+        return self.incidents.alerts.alerts
 
     def report(self) -> Dict:
         sample_memory()
@@ -901,7 +907,7 @@ class ReplaySession:
         if self.alerts and hijack_time is not None:
             first = self.alerts[0]
             report["detection_delay"] = first.detected_at - hijack_time
-            report["per_source_delay_final"] = self.detection.per_source_delay(
+            report["per_source_delay_final"] = self.incidents.per_source_delay(
                 first, hijack_time
             )
         else:

@@ -1,8 +1,8 @@
 """The detection engine: a batched, multi-tenant pipeline.
 
 This is the only place announcements are judged.  The paper's single
-operator is the one-tenant case (:class:`~repro.core.detection.DetectionService`
-wraps a one-tenant plane of batch size 1); a deployment protecting a
+operator is the one-tenant case (:func:`one_tenant_plane`: the tenant
+``operator`` on a plane of batch size 1); a deployment protecting a
 thousand operators is the same code with a bigger registry.  Dispatching
 one callback per (event, tenant) pair would make the fan-out dominate such
 a run, so :class:`DetectionPlane` is a throughput pipeline:
@@ -54,6 +54,7 @@ from itertools import chain, islice
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.alerts import AlertManager, AlertType, HijackAlert
+from repro.core.config import ArtemisConfig
 from repro.core.rules import classify_announcement, classify_squat
 from repro.feeds.dumpfile import Record, decode_records
 from repro.feeds.events import ANNOUNCE, FeedEvent, validated_event
@@ -74,6 +75,9 @@ STATE_RETENTION = 3600.0
 
 #: One classification verdict: (rule, alert type, offender ASN).
 Verdict = Tuple[TenantRule, AlertType, Optional[int]]
+
+#: The one tenant of the paper's single-operator deployment.
+OPERATOR = "operator"
 
 
 class _TenantState:
@@ -105,6 +109,22 @@ class _TenantState:
         #: Per alert id: the feed sources live at alert time, as recorded
         #: by the ``notify`` consumer; here to be counted and pruned too.
         self.live_at_alert: Dict[int, Tuple[str, ...]] = {}
+
+    def per_source_delay(
+        self, alert: HijackAlert, reference_time: float
+    ) -> Dict[str, float]:
+        """Detection delay each source achieved for ``alert``'s incident.
+
+        ``reference_time`` is the ground-truth incident start (the hijack
+        announcement time); sources that never reported it are absent.
+        Because the sources are independent, the incident's detection delay
+        is the minimum of these (paper §2; experiment E2 compares them).
+        """
+        per_source = self.first_evidence.get(alert.id, {})
+        return {
+            source: delivered - reference_time
+            for source, delivered in sorted(per_source.items())
+        }
 
 
 def classify_batch_verdicts(
@@ -527,16 +547,35 @@ class DetectionPlane:
         )
 
 
+def _discard(_tenant: str, _alert: HijackAlert) -> None:
+    """A listener-less one-tenant plane's ``notify``: drops each notification."""
+
+
+def one_tenant_plane(
+    config: ArtemisConfig,
+    notify: Optional[Callable[[str, HijackAlert], None]] = None,
+) -> DetectionPlane:
+    """The single-operator detection plane: ``config`` compiled as the one
+    tenant :data:`OPERATOR`, judged at batch size 1.
+
+    Each event is therefore judged, and a new incident's ``notify(tenant,
+    alert)`` run, before :meth:`DetectionPlane.ingest` returns — automatic
+    mitigation relies on that synchrony.  With no ``notify`` the notifier
+    still drains, into nothing, instead of filling and counting drops.
+    """
+    registry = TenantRegistry()
+    registry.add_tenant(OPERATOR, config)
+    return DetectionPlane(registry, batch_size=1, notify=notify or _discard)
+
+
 # ------------------------------------------------------------------ digests
 
 
 def incident_rows(managers: Dict[str, AlertManager]) -> List[Tuple]:
     """Canonical, sorted, plain-tuple incident rows for digesting.
 
-    Works for any per-tenant manager mapping — one plane, N one-tenant
-    :class:`~repro.core.detection.DetectionService` instances (wrap each
-    service's ``alert_manager``), or rows merged back from
-    ``--detect-workers`` processes.  One row per tenant and incident
+    Works for any per-tenant manager mapping — one plane's, or rows merged
+    back from ``--detect-workers`` processes.  One row per tenant and incident
     pattern (type, owned prefix, announced prefix, offender): a resolve
     followed by fresh evidence of the same pattern splits it into a second
     alert object, and that bookkeeping must not move the digest — a replay

@@ -30,6 +30,7 @@ from repro.core.config import ArtemisConfig, OwnedPrefix
 from repro.errors import ConfigError
 from repro.feeds.events import FeedEvent
 from repro.net.prefix import Prefix
+from repro.tenants.pipeline import one_tenant_plane
 from repro.tenants.registry import TenantRegistry
 
 #: First /24 of the dense padding pool (11.0.0.0/8, then 12.0.0.0/8, ...).
@@ -114,16 +115,15 @@ def build_synth_registry(
 
 
 def baseline_services(registry: TenantRegistry):
-    """One one-tenant DetectionService per tenant (the comparator).
+    """One one-tenant plane per tenant (the comparator).
 
     This is the pre-pipeline architecture the benches measure against:
     every event is offered to every tenant's own one-tenant plane
     independently, with no shared tree and no batching.
-    Returns ``{tenant: DetectionService}``.
+    Returns ``{tenant: DetectionPlane}``; each plane's one tenant is
+    :data:`~repro.tenants.pipeline.OPERATOR`.
     """
-    from repro.core.detection import DetectionService
-
-    services = {}
+    planes = {}
     for name in registry.tenant_names():
         rules = registry.rules_for(name)
         policy = rules[0].policy
@@ -138,5 +138,5 @@ def baseline_services(registry: TenantRegistry):
             detect_path=policy.detect_path,
             alert_cooldown=policy.cooldown,
         )
-        services[name] = DetectionService(config)
-    return services
+        planes[name] = one_tenant_plane(config)
+    return planes

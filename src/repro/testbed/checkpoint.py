@@ -56,11 +56,10 @@ from repro.errors import ExperimentError
 from repro.net.prefix import Prefix
 from repro.perf import COUNTERS as _C
 from repro.testbed.scenario import HijackExperiment, ScenarioConfig
-from repro.topology.graph import ASGraph
 
 #: Bump when the captured object graph changes incompatibly; saved
 #: checkpoints from other versions are refused at load time.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 #: Deep object graphs (speaker → session → speaker …) exceed the default
 #: interpreter recursion limit under pickle at Internet scale; raised
@@ -85,26 +84,12 @@ def world_config(config: ScenarioConfig) -> ScenarioConfig:
     return base
 
 
-def graph_digest(graph: ASGraph) -> str:
-    """Structural digest of a topology: nodes (with attributes) and links."""
-    hasher = hashlib.sha256()
-    for node in graph.nodes():
-        hasher.update(
-            repr((node.asn, node.tier, str(node.region), sorted(node.tags))).encode()
-        )
-    for link in graph.links():
-        hasher.update(repr((link[0], link[1], str(link[2]))).encode())
-    return hasher.hexdigest()
-
-
 def _signature(value) -> str:
     """A stable, recursive textual form of a config value (for keying)."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return repr(value)
     if isinstance(value, Prefix):
         return f"Prefix({value})"
-    if isinstance(value, ASGraph):
-        return f"ASGraph({graph_digest(value)})"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_signature(item) for item in value) + "]"
     if isinstance(value, (set, frozenset)):

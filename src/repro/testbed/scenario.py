@@ -42,7 +42,7 @@ from repro.sim.rng import SeededRNG
 from repro.testbed.peering import PeeringTestbed, VirtualAS
 from repro.topology.cache import load_or_build_graph
 from repro.topology.generator import GeneratorConfig
-from repro.topology.graph import ASGraph, Relationship
+from repro.topology.graph import Relationship
 from repro.topology.stats import customer_cone
 
 #: Transit sites the victim and the hijacker virtual AS each connect through
@@ -145,7 +145,6 @@ class ScenarioConfig:
         hijack_prefix: Optional[str] = None,
         seed: int = 0,
         topology: Optional[GeneratorConfig] = None,
-        graph: Optional[ASGraph] = None,
         network: Optional[NetworkConfig] = None,
         monitors: Optional[Dict] = None,
         auto_mitigate: bool = True,
@@ -216,7 +215,6 @@ class ScenarioConfig:
                 )
         self.seed = int(seed)
         self.topology = topology or GeneratorConfig()
-        self.graph = graph
         self.network = network
         #: Keyword arguments forwarded to :func:`deploy_monitors`.
         self.monitors = dict(monitors or {})
@@ -479,12 +477,10 @@ class HijackExperiment:
         # Internet) the world comes from it and the run seed only re-keys
         # the streams at the hijack instant (see :meth:`_reseed_for_run`).
         wseed = cfg.seed if cfg.world_seed is None else cfg.world_seed
-        # A caller-supplied graph is copied: setup grafts the virtual ASes
-        # onto it, and suites rerun many seeds against one shared topology.
-        # Otherwise the graph is built per (topology, wseed) — through the
-        # on-disk cache when one is configured, so suite workers and repeated
-        # runs skip regeneration.
-        graph = cfg.graph.copy() if cfg.graph is not None else load_or_build_graph(
+        # The graph is built per (topology, wseed) — through the on-disk
+        # cache when one is configured, so suite workers and repeated runs
+        # skip regeneration.
+        graph = load_or_build_graph(
             cfg.topology, seed=wseed, cache_dir=cfg.cache_dir
         )
         network_config = cfg.network
@@ -995,7 +991,7 @@ class HijackExperiment:
         if self.corroborator is not None:
             # Attached only now: phase 1's legitimate convergence churn is
             # exactly the "data plane in flux" state the probe flags.
-            self.artemis.detection.attach_corroborator(self.corroborator)
+            self.artemis.detection.corroborator = self.corroborator
         if cfg.hijack_type == "route-leak":
             # A real multihomed stub re-exports its learned route to all
             # its providers; they prefer the customer route and spread it.
@@ -1023,11 +1019,11 @@ class HijackExperiment:
             alert = self.artemis.alerts[0]
             result.detection_delay = alert.detected_at - hijack_time
             result.alert_type = alert.type.value
-            result.per_source_delay = self.artemis.detection.per_source_delay(
+            result.per_source_delay = self.artemis.incidents.per_source_delay(
                 alert, hijack_time
             )
             result.sources_live_at_alert = list(
-                self.artemis.detection.live_at_alert.get(alert.id, ())
+                self.artemis.incidents.live_at_alert.get(alert.id, ())
             )
 
         now_wall = time.perf_counter()
@@ -1102,14 +1098,14 @@ class HijackExperiment:
         )
         result.monitor_series = self.artemis.monitoring.fraction_series(cfg.prefix)
         result.lg_queries = self.monitors.periscope.queries_sent
-        result.feed_events_checked = self.artemis.detection.events_checked
+        result.feed_events_checked = self.artemis.detection.events_ingested
         result.source_report = self.supervisor.report()
         result.source_lag = self.artemis.monitoring.mean_lag_by_source()
         if detected:
             # Re-read the evidence table now that the slower feeds flushed:
             # the alert-time snapshot above only has the sources that had
             # already reported when the alert fired.
-            result.per_source_delay_final = self.artemis.detection.per_source_delay(
+            result.per_source_delay_final = self.artemis.incidents.per_source_delay(
                 alert, hijack_time
             )
         if self.injector is not None:

@@ -95,6 +95,31 @@ def fraction_routing_to(network: Network, target, origin: int) -> float:
     return sum(value == origin for value in origins.values()) / len(origins)
 
 
+def classify(config, event, probe=None):
+    """The shipped verdict for one announcement: ``(type, owned_prefix,
+    offender)`` of the most specific monitored prefix covering it, or None.
+
+    An exact owned entry wins, else the deeper of the covering owned prefix
+    and the covering owned *space* (a /24 in an owned /23 is a sub-prefix
+    incident even under a wider space block; a /24 in a deeper unannounced
+    hole is a squatting one).  With ``detect_squatting=False`` owned space
+    is not monitored, so the hole case is ``SUB_PREFIX``.
+    """
+    from repro.tenants.pipeline import classify_batch_verdicts, one_tenant_plane
+
+    verdicts = classify_batch_verdicts(
+        one_tenant_plane(config).tree.resolve(event.prefix),
+        event.prefix,
+        event.as_path,
+        event.vantage_asn,
+        probe=probe,
+    )
+    if not verdicts:
+        return None
+    rule, alert_type, offender = verdicts[0]
+    return alert_type, rule.prefix, offender
+
+
 def kill_worker(victim, side: str) -> None:
     """SIGKILL a forked worker so its parent meets the death on ``side``.
 

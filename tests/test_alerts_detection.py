@@ -1,13 +1,15 @@
-"""Tests for alert lifecycle and the detection service (pure event level)."""
+"""Tests for alert lifecycle and the one-tenant detection plane (pure event level)."""
 
 import pytest
 
 from repro.core.alerts import AlertManager, AlertStatus, AlertType, HijackAlert
 from repro.core.config import ArtemisConfig, OwnedPrefix
-from repro.core.detection import DetectionService
 from repro.errors import ReproError
 from repro.feeds.events import FeedEvent
 from repro.net.prefix import Prefix
+from repro.tenants.pipeline import OPERATOR, one_tenant_plane
+
+from conftest import classify
 
 
 def P(text):
@@ -34,6 +36,32 @@ def make_config(**kw):
     )
     defaults.update(kw)
     return ArtemisConfig(**defaults)
+
+
+def incidents(plane):
+    return plane.tenant_state(OPERATOR)
+
+
+def make_artemis(config, live_sources):
+    """An unstarted Artemis whose supervisor reports ``live_sources``."""
+    from repro.bgp.speaker import BGPSpeaker
+    from repro.core.artemis import Artemis
+    from repro.feeds.ris import RISLiveStream
+    from repro.sdn.controller import BGPController
+    from repro.sim.engine import Engine
+    from repro.sim.rng import SeededRNG
+
+    class Supervisor:
+        def register_failover(self, callback, prefixes):
+            pass
+
+        def live_sources(self):
+            return live_sources
+
+    engine = Engine()
+    controller = BGPController(engine, [BGPSpeaker(64500, engine, rng=SeededRNG(1))])
+    stream = RISLiveStream(engine, rng=SeededRNG(2))
+    return Artemis(config, controller, sources=[stream], supervisor=Supervisor())
 
 
 class TestAlertManager:
@@ -102,60 +130,53 @@ class TestAlertManager:
     def test_first_source(self):
         alert = HijackAlert(
             AlertType.EXACT_ORIGIN, P("10.0.0.0/23"), P("10.0.0.0/23"), 666,
-            event(source="periscope"),
+            event(source="periscope"), alert_id=1,
         )
         assert alert.first_source == "periscope"
 
 
 class TestClassification:
     def test_exact_origin_hijack(self):
-        service = DetectionService(make_config())
-        verdict = service.classify(event(path=(3, 2, 666)))
+        verdict = classify(make_config(), event(path=(3, 2, 666)))
         assert verdict == (AlertType.EXACT_ORIGIN, P("10.0.0.0/23"), 666)
 
     def test_legit_exact_announcement_ignored(self):
-        service = DetectionService(make_config())
-        assert service.classify(event(path=(3, 2, 64500))) is None
+        assert classify(make_config(), event(path=(3, 2, 64500))) is None
 
     def test_subprefix_hijack(self):
-        service = DetectionService(make_config())
-        verdict = service.classify(event(prefix="10.0.0.0/24", path=(3, 666)))
+        verdict = classify(make_config(), event(prefix="10.0.0.0/24", path=(3, 666)))
         assert verdict == (AlertType.SUB_PREFIX, P("10.0.0.0/23"), 666)
 
     def test_own_mitigation_subprefix_ignored(self):
         # De-aggregated /24s announced by the legit origin must not alert.
-        service = DetectionService(make_config())
-        assert service.classify(event(prefix="10.0.0.0/24", path=(3, 64500))) is None
+        announcement = event(prefix="10.0.0.0/24", path=(3, 64500))
+        assert classify(make_config(), announcement) is None
 
     def test_subprefix_detection_can_be_disabled(self):
-        service = DetectionService(make_config(detect_subprefix=False))
-        assert service.classify(event(prefix="10.0.0.0/24", path=(3, 666))) is None
+        config = make_config(detect_subprefix=False)
+        assert classify(config, event(prefix="10.0.0.0/24", path=(3, 666))) is None
 
     def test_unrelated_prefix_ignored(self):
-        service = DetectionService(make_config())
-        assert service.classify(event(prefix="99.0.0.0/16", path=(3, 666))) is None
+        unrelated = event(prefix="99.0.0.0/16", path=(3, 666))
+        assert classify(make_config(), unrelated) is None
 
     def test_path_hijack_detected_with_upstreams(self):
         config = make_config(owned_kw={"legit_upstreams": {10, 11}})
-        service = DetectionService(config)
-        verdict = service.classify(event(path=(3, 666, 64500)))
+        verdict = classify(config, event(path=(3, 666, 64500)))
         assert verdict == (AlertType.PATH, P("10.0.0.0/23"), 666)
 
     def test_path_check_passes_legit_upstream(self):
         config = make_config(owned_kw={"legit_upstreams": {10, 11}})
-        service = DetectionService(config)
-        assert service.classify(event(path=(3, 10, 64500))) is None
+        assert classify(config, event(path=(3, 10, 64500))) is None
 
     def test_path_check_disabled_flag(self):
         config = make_config(
             owned_kw={"legit_upstreams": {10}}, detect_path=False
         )
-        service = DetectionService(config)
-        assert service.classify(event(path=(3, 666, 64500))) is None
+        assert classify(config, event(path=(3, 666, 64500))) is None
 
     def test_path_check_skipped_without_upstream_config(self):
-        service = DetectionService(make_config())
-        assert service.classify(event(path=(3, 666, 64500))) is None
+        assert classify(make_config(), event(path=(3, 666, 64500))) is None
 
     def test_single_hop_forged_announcement_flags_vantage(self):
         # Regression for the len-1 bypass: a path of length 1 means the
@@ -163,56 +184,53 @@ class TestClassification:
         # vantage itself is the first hop.  Vantage 3 is not a configured
         # upstream → PATH alert with the vantage as offender.
         config = make_config(owned_kw={"legit_upstreams": {10}})
-        service = DetectionService(config)
-        verdict = service.classify(event(path=(64500,)))
+        verdict = classify(config, event(path=(64500,)))
         assert verdict == (AlertType.PATH, P("10.0.0.0/23"), 3)
 
     def test_single_hop_from_legit_upstream_passes(self):
         config = make_config(owned_kw={"legit_upstreams": {3, 10}})
-        service = DetectionService(config)
-        assert service.classify(event(path=(64500,))) is None
+        assert classify(config, event(path=(64500,))) is None
 
     def test_single_hop_from_origin_itself_passes(self):
         # The origin's own session to the collector: vantage == origin.
         config = make_config(owned_kw={"legit_upstreams": {10}})
-        service = DetectionService(config)
-        assert service.classify(event(vantage=64500, path=(64500,))) is None
+        assert classify(config, event(vantage=64500, path=(64500,))) is None
 
     def test_single_hop_without_upstream_config_passes(self):
         # No legit_upstreams configured → path checking stays off.
-        service = DetectionService(make_config())
-        assert service.classify(event(path=(64500,))) is None
+        assert classify(make_config(), event(path=(64500,))) is None
 
 
 class TestHandleEvent:
     def test_alert_callback_fires_once_per_incident(self):
-        service = DetectionService(make_config())
         alerts = []
-        service.on_alert(alerts.append)
-        service.handle_event(event(t=10))
-        service.handle_event(event(t=20, vantage=5))
+        plane = one_tenant_plane(
+            make_config(), notify=lambda _tenant, alert: alerts.append(alert)
+        )
+        plane.ingest(event(t=10))
+        plane.ingest(event(t=20, vantage=5))
         assert len(alerts) == 1
         assert len(alerts[0].evidence) == 2
 
     def test_withdrawals_ignored(self):
-        service = DetectionService(make_config())
-        service.handle_event(event(kind="W", path=()))
-        assert len(service.alert_manager) == 0
+        plane = one_tenant_plane(make_config())
+        plane.ingest(event(kind="W", path=()))
+        assert len(incidents(plane).alerts) == 0
 
     def test_per_source_first_evidence(self):
-        service = DetectionService(make_config())
-        service.handle_event(event(t=10, source="ris"))
-        service.handle_event(event(t=12, source="ris"))
-        service.handle_event(event(t=30, source="bgpmon"))
-        alert = service.alert_manager.alerts[0]
-        delays = service.per_source_delay(alert, reference_time=5.0)
+        plane = one_tenant_plane(make_config())
+        plane.ingest(event(t=10, source="ris"))
+        plane.ingest(event(t=12, source="ris"))
+        plane.ingest(event(t=30, source="bgpmon"))
+        alert = incidents(plane).alerts.alerts[0]
+        delays = incidents(plane).per_source_delay(alert, reference_time=5.0)
         assert delays == {"ris": 5.0, "bgpmon": 25.0}
 
     def test_events_checked_counter(self):
-        service = DetectionService(make_config())
-        service.handle_event(event(path=(3, 64500)))
-        service.handle_event(event(path=(3, 666)))
-        assert service.events_checked == 2
+        plane = one_tenant_plane(make_config())
+        plane.ingest(event(path=(3, 64500)))
+        plane.ingest(event(path=(3, 666)))
+        assert plane.events_ingested == 2
 
 
 class TestIncidentLifecycleRegressions:
@@ -221,46 +239,37 @@ class TestIncidentLifecycleRegressions:
         # key, so a re-fired incident inherited the *old* incident's
         # per-source times and its delays came out wrong (even negative).
         config = make_config(alert_cooldown=5.0)
-        service = DetectionService(config)
-        service.handle_event(event(t=10, source="ris"))
-        first = service.alert_manager.alerts[0]
+        plane = one_tenant_plane(config)
+        plane.ingest(event(t=10, source="ris"))
+        first = incidents(plane).alerts.alerts[0]
         first.resolve(20.0)
         # Past cooldown: same pattern fires again as a new incident.
-        service.handle_event(event(t=100, source="ris"))
-        assert len(service.alert_manager) == 2
-        fresh = service.alert_manager.alerts[1]
+        plane.ingest(event(t=100, source="ris"))
+        assert len(incidents(plane).alerts) == 2
+        fresh = incidents(plane).alerts.alerts[1]
         assert fresh is not first
-        assert service.per_source_delay(fresh, reference_time=90.0) == {"ris": 10.0}
+        assert incidents(plane).per_source_delay(fresh, reference_time=90.0) == {"ris": 10.0}
         # The original incident's record is untouched.
-        assert service.per_source_delay(first, reference_time=5.0) == {"ris": 5.0}
+        assert incidents(plane).per_source_delay(first, reference_time=5.0) == {"ris": 5.0}
 
     def test_alert_ids_deterministic_across_runs(self):
         # Regression: IDs came from a process-global counter, so a second
         # identically-seeded run in the same process saw different IDs.
         def run():
-            service = DetectionService(make_config())
-            service.handle_event(event(t=10, path=(3, 2, 666)))
-            service.handle_event(event(t=11, path=(3, 2, 777)))
-            service.handle_event(
+            plane = one_tenant_plane(make_config())
+            plane.ingest(event(t=10, path=(3, 2, 666)))
+            plane.ingest(event(t=11, path=(3, 2, 777)))
+            plane.ingest(
                 event(t=12, prefix="10.0.0.0/24", path=(3, 666))
             )
-            return [a.id for a in service.alert_manager.alerts]
+            return [a.id for a in incidents(plane).alerts.alerts]
 
         first, second = run(), run()
         assert first == second == [1, 2, 3]
 
-    def test_directly_constructed_alerts_still_get_ids(self):
-        a = HijackAlert(
-            AlertType.EXACT_ORIGIN, P("10.0.0.0/23"), P("10.0.0.0/23"), 666, event()
-        )
-        b = HijackAlert(
-            AlertType.EXACT_ORIGIN, P("10.0.0.0/23"), P("10.0.0.0/23"), 777, event()
-        )
-        assert b.id == a.id + 1
-
 
 class TestOneTenantPlaneByConstruction:
-    """DetectionService is the N=1 case of DetectionPlane, not a twin of it."""
+    """The single operator is the N=1 case of DetectionPlane, at batch size 1."""
 
     COOLDOWN = 5.0
 
@@ -290,64 +299,58 @@ class TestOneTenantPlaneByConstruction:
         flush()
 
     def test_same_stream_same_incidents_evidence_and_duplicates(self):
-        from repro.tenants import DetectionPlane, TenantRegistry, incident_rows
+        from repro.tenants import DetectionPlane, TenantRegistry
 
         config = make_config(alert_cooldown=self.COOLDOWN)
-        service = DetectionService(config)
-        self.run(service.handle_event, lambda: None, lambda: service.alert_manager)
+        solo = one_tenant_plane(config)
+        # Batch size 1: every event is judged before ingest returns.
+        self.run(solo.ingest, lambda: None, lambda: incidents(solo).alerts)
 
         registry = TenantRegistry()
-        registry.add_tenant("solo", config)
+        registry.add_tenant(OPERATOR, config)
         plane = DetectionPlane(registry, batch_size=64)
-        state = plane.tenant_state("solo")
-        self.run(plane.ingest, plane.flush, lambda: state.alerts)
+        self.run(plane.ingest, plane.flush, lambda: incidents(plane).alerts)
 
-        assert len(service.alert_manager) == 2  # the incident and its re-fire
-        assert [len(a.evidence) for a in service.alert_manager.alerts] == [5, 1]
-        assert incident_rows({"solo": service.alert_manager}) == plane.incident_rows()
-        assert service.first_evidence == state.first_evidence
-        assert service.first_evidence[1] == {
+        assert len(incidents(solo).alerts) == 2  # the incident and its re-fire
+        assert [len(a.evidence) for a in incidents(solo).alerts.alerts] == [5, 1]
+        assert solo.incident_rows() == plane.incident_rows()
+        assert incidents(solo).first_evidence == incidents(plane).first_evidence
+        assert incidents(solo).first_evidence[1] == {
             "ris": 10.0, "bgpmon": 12.0, "periscope": 23.0,
         }
-        assert service.duplicate_events_skipped == 2
+        assert solo.duplicate_events_skipped == 2
         assert plane.duplicate_events_skipped == 2
-        assert service.events_checked == 7
+        assert solo.events_ingested == plane.events_ingested == 7
 
     def test_alert_manager_exists_and_is_empty_before_any_event(self):
-        service = DetectionService(make_config())
-        assert len(service.alert_manager) == 0
-        assert service.alert_manager.cooldown == 0.0
-        assert service.first_evidence == {} and service.live_at_alert == {}
-        assert service.detection_state_entries() == 0
+        plane = one_tenant_plane(make_config())
+        state = incidents(plane)
+        assert len(state.alerts) == 0
+        assert state.alerts.cooldown == 0.0
+        assert state.first_evidence == {} and state.live_at_alert == {}
+        assert plane.detection_state_entries() == 0
 
     def test_callback_and_live_sources_recorded_inside_handle_event(self):
-        class Supervisor:
-            def live_sources(self):
-                return ("bgpmon", "ris")
-
-        service = DetectionService(make_config())
-        service.attach_supervisor(Supervisor())
+        artemis = make_artemis(make_config(), ("bgpmon", "ris"))
         seen = []
-        service.on_alert(
-            lambda alert: seen.append((alert.id, dict(service.live_at_alert)))
+        artemis.on_alert(
+            lambda alert: seen.append(
+                (alert.id, dict(artemis.incidents.live_at_alert))
+            )
         )
-        service.handle_event(event(t=10))
-        # Both happened before handle_event returned, in this order: the
-        # audit trail is on record by the time the operator callback runs.
+        artemis.detection.ingest(event(t=10))
+        # Both happened before ingest returned, in this order: the audit
+        # trail is on record by the time the operator callback runs.
         assert seen == [(1, {1: ("bgpmon", "ris")})]
 
     def test_prune_drops_live_at_alert_with_the_rest(self):
-        class Supervisor:
-            def live_sources(self):
-                return ("ris",)
-
-        service = DetectionService(make_config(alert_cooldown=self.COOLDOWN))
-        service.attach_supervisor(Supervisor())
-        service.state_retention = 100.0
-        service.handle_event(event(t=10))
-        assert service.detection_state_entries() == 3
-        service.alert_manager.alerts[0].resolve(20.0)
-        assert service.prune_state(now=50.0) == 0
-        assert service.prune_state(now=200.0) == 3
-        assert service.live_at_alert == {} and service.first_evidence == {}
-        assert service.entries_pruned == 3
+        artemis = make_artemis(make_config(alert_cooldown=self.COOLDOWN), ("ris",))
+        plane, state = artemis.detection, artemis.incidents
+        plane.state_retention = 100.0
+        plane.ingest(event(t=10))
+        assert plane.detection_state_entries() == 3
+        state.alerts.alerts[0].resolve(20.0)
+        assert plane.prune_state(now=50.0) == 0
+        assert plane.prune_state(now=200.0) == 3
+        assert state.live_at_alert == {} and state.first_evidence == {}
+        assert plane.entries_pruned == 3

@@ -2,13 +2,18 @@
 
 import pytest
 
+from repro.bgp.messages import Announcement, UpdateMessage
+from repro.bgp.speaker import BGPSpeaker
 from repro.core.artemis import Artemis
-from repro.core.config import ArtemisConfig, OwnedPrefix
+from repro.core.config import ArtemisConfig, OwnedPrefix, OwnedSpace
 from repro.errors import ConfigError
+from repro.feeds.collector import RouteCollector
+from repro.feeds.health import SourceSupervisor
 from repro.feeds.periscope import LookingGlass, PeriscopeAPI
 from repro.feeds.ris import RISLiveStream
 from repro.net.prefix import Prefix
 from repro.sdn.controller import BGPController
+from repro.sim.engine import Engine
 from repro.sim.latency import Constant
 from repro.sim.rng import SeededRNG
 
@@ -51,15 +56,28 @@ class TestWiring:
         assert artemis.periscope in artemis.sources
 
     def test_start_stop_idempotent(self, setup):
-        _net, artemis = setup
+        net, artemis = setup
         artemis.start()
         artemis.start()
         assert artemis.running
         assert artemis.periscope.polling
+        net.announce(6, "10.0.0.0/23")
+        net.run_until_converged()
+        net.run_for(5.0)
+        ingested = artemis.detection.events_ingested
+        seen = artemis.monitoring.events_seen
+        assert ingested > 0 and seen > 0
         artemis.stop()
         artemis.stop()
         assert not artemis.running
         assert not artemis.periscope.polling
+        # Stopped: no source reaches detection or monitoring any more.
+        net.announce(7, "10.0.0.0/23")
+        net.run_until_converged()
+        net.run_for(30.0)
+        assert artemis.detection.events_ingested == ingested
+        assert artemis.monitoring.events_seen == seen
+        assert artemis.alerts == []
 
 
 class TestEndToEnd:
@@ -139,3 +157,52 @@ class TestEndToEnd:
         assert series
         # The curve ends fully legitimate after mitigation.
         assert series[-1][1] == 1.0
+
+
+class TestOneConsumerList:
+    """Primary subscriptions and failover come from one (callback, prefixes)
+    list, so a backup feeds each consumer exactly what a primary does."""
+
+    def test_owned_space_reaches_detection_not_monitoring_on_any_source(self):
+        engine = Engine()
+        router = BGPSpeaker(64500, engine, rng=SeededRNG(1))
+        controller = BGPController(engine, [router])
+        config = ArtemisConfig(
+            [OwnedPrefix("10.0.0.0/24", {64500})],
+            owned_space=[OwnedSpace("10.0.0.0/23", {64500})],
+            auto_mitigate=False,
+        )
+        feeds = []
+        for name in ("ris", "backup"):
+            stream = RISLiveStream(
+                engine, latency=Constant(1.0), rng=SeededRNG(7), name=name
+            )
+            collector = RouteCollector(f"{name}-c0", engine)
+            collector.register_vantage(3)
+            stream.attach_collector(collector)
+            feeds.append((stream, collector))
+        (primary, primary_collector), (backup, backup_collector) = feeds
+        supervisor = SourceSupervisor(engine, [primary], staleness_timeout=30.0)
+        supervisor.add_backup(backup)
+        artemis = Artemis(config, controller, sources=[primary], supervisor=supervisor)
+        artemis.start()
+        # Owned space, outside the owned prefix: squatting for detection,
+        # nothing monitoring reads.
+        squat = UpdateMessage(
+            3, announcements=[Announcement(P("10.0.1.0/24"), (3, 666))]
+        )
+
+        primary_collector.deliver(3, squat)
+        engine.run_for(5.0)
+        assert [alert.type.value for alert in artemis.alerts] == ["squatting"]
+        primary.disconnect()
+        engine.run_for(60.0)
+        assert supervisor.failover_engaged
+        backup_collector.deliver(3, squat)
+        engine.run_for(5.0)
+
+        assert [event.source for event in artemis.alerts[0].evidence] == [
+            "ris", "backup",
+        ]
+        assert artemis.monitoring.events_seen == 0
+        assert artemis.monitoring.mean_lag_by_source() == {}

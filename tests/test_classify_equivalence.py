@@ -1,6 +1,6 @@
 """Property test: the shipped rule selection agrees with an independent one.
 
-``DetectionService.classify`` is the flat tenant tree's most-specific
+``conftest.classify`` is the one-tenant plane's flat-tree most-specific
 resolve plus the rule ladder.  The oracle
 (:func:`oracles.classify_with_config_tries`) picks the rule off a pair of
 ``PrefixTrie`` built over the config's owned prefixes and owned space.  This test
@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 
 from repro.core.alerts import AlertType
 from repro.core.config import ArtemisConfig, OwnedPrefix, OwnedSpace
-from repro.core.detection import DetectionService
 from repro.feeds.events import FeedEvent
 from repro.net.prefix import Prefix
-from repro.tenants.pipeline import classify_batch_verdicts
+from repro.tenants.pipeline import OPERATOR, classify_batch_verdicts, one_tenant_plane
 from repro.tenants.registry import TenantRegistry
 
+from conftest import classify
 from oracles import PrefixTree, classify_with_config_tries
 
 ADJACENCIES = {
@@ -115,9 +115,7 @@ def test_single_tenant_and_plane_verdicts_identical(
     event = announcement(prefix, path, vantage)
     expected = classify_with_config_tries(config, event, probe)
 
-    service = DetectionService(config)
-    service.attach_corroborator(probe)
-    assert service.classify(event) == expected
+    assert classify(config, event, probe) == expected
 
     registry = TenantRegistry()
     registry.add_tenant("t0", config)
@@ -150,8 +148,7 @@ def squat_hole_config(detect_squatting: bool) -> ArtemisConfig:
 
 
 def test_hole_in_owned_space_is_squatting_when_squatting_is_on():
-    service = DetectionService(squat_hole_config(detect_squatting=True))
-    verdict = service.classify(squat_hole_event())
+    verdict = classify(squat_hole_config(detect_squatting=True), squat_hole_event())
     assert verdict == (AlertType.SQUATTING, Prefix.parse("10.0.2.0/23"), 666)
 
 
@@ -159,9 +156,10 @@ def test_squatting_off_does_not_swallow_subprefix_hijack():
     # With squatting detection off the hole is not monitored at all; the
     # announcement is still a more-specific of the owned /22.
     config = squat_hole_config(detect_squatting=False)
-    service = DetectionService(config)
-    verdict = service.classify(squat_hole_event())
+    verdict = classify(config, squat_hole_event())
     assert verdict == (AlertType.SUB_PREFIX, Prefix.parse("10.0.0.0/22"), 666)
     assert classify_with_config_tries(config, squat_hole_event()) == verdict
-    service.handle_event(squat_hole_event())
-    assert [a.type for a in service.alert_manager.alerts] == [AlertType.SUB_PREFIX]
+    plane = one_tenant_plane(config)
+    plane.ingest(squat_hole_event())
+    alerts = plane.tenant_state(OPERATOR).alerts.alerts
+    assert [a.type for a in alerts] == [AlertType.SUB_PREFIX]

@@ -163,7 +163,9 @@ class TestHelperFleet:
             prefix=P(announced), as_path=(3, 666),
             observed_at=9.0, delivered_at=10.0,
         )
-        return HijackAlert(AlertType.EXACT_ORIGIN, P(owned), P(announced), 666, event)
+        return HijackAlert(
+            AlertType.EXACT_ORIGIN, P(owned), P(announced), 666, event, alert_id=1
+        )
 
     def test_engaged_only_for_partial_recovery(self):
         engine = Engine()

@@ -13,7 +13,6 @@ import pytest
 from repro.bgp.messages import Announcement, UpdateMessage, Withdrawal
 from repro.core.alerts import AlertStatus
 from repro.core.config import ArtemisConfig, OwnedPrefix
-from repro.core.detection import DetectionService
 from repro.core.monitoring import MonitoringService
 from repro.faults import ChannelFault
 from repro.feeds.collector import RouteCollector
@@ -23,6 +22,7 @@ from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 from repro.sim.latency import Constant
 from repro.sim.rng import SeededRNG
+from repro.tenants.pipeline import OPERATOR, one_tenant_plane
 
 HIJACKER = 666
 VANTAGE = 3
@@ -72,12 +72,18 @@ class Rig:
         )
         self.stream.attach_collector(self.collector)
         self.config = make_config(**config_kw)
-        self.detection = DetectionService(self.config)
-        self.monitoring = MonitoringService(self.config)
-        self.detection.start([self.stream])
-        self.monitoring.start([self.stream])
         self.fired = []
-        self.detection.on_alert(self.fired.append)
+        self.detection = one_tenant_plane(
+            self.config, notify=lambda _tenant, alert: self.fired.append(alert)
+        )
+        self.incidents = self.detection.tenant_state(OPERATOR)
+        self.monitoring = MonitoringService(self.config)
+        self.stream.subscribe(
+            self.detection.ingest, prefixes=self.config.monitored_prefixes
+        )
+        self.stream.subscribe(
+            self.monitoring.handle_event, prefixes=self.config.owned_prefixes
+        )
 
     def deliver(self, message, vantage=VANTAGE):
         self.collector.deliver(vantage, message)
@@ -87,7 +93,7 @@ class Rig:
 
     @property
     def alerts(self):
-        return self.detection.alert_manager.alerts
+        return self.incidents.alerts.alerts
 
 
 class TestDuplicateDelivery:
@@ -112,7 +118,7 @@ class TestDuplicateDelivery:
         rig.deliver(announce("10.0.0.0/23"))
         rig.run()
         alert = rig.alerts[0]
-        per_source = rig.detection.first_evidence[alert.id]
+        per_source = rig.incidents.first_evidence[alert.id]
         assert set(per_source) == {"ris"}
         # The recorded time is the first copy's delivery, i.e. the alert's
         # own detection time — later duplicates never move it.
@@ -190,31 +196,33 @@ class TestWithdrawBeforeAnnounce:
 
 class TestStaleReplay:
     def _detector(self, cooldown=50.0):
-        detection = DetectionService(make_config(alert_cooldown=cooldown))
         fired = []
-        detection.on_alert(fired.append)
+        detection = one_tenant_plane(
+            make_config(alert_cooldown=cooldown),
+            notify=lambda _tenant, alert: fired.append(alert),
+        )
         return detection, fired
 
     def test_replay_within_cooldown_attaches_to_resolved(self):
         detection, fired = self._detector(cooldown=50.0)
-        detection.handle_event(event(t=10.0))
-        alert = detection.alert_manager.alerts[0]
+        detection.ingest(event(t=10.0))
+        alert = detection.tenant_state(OPERATOR).alerts.alerts[0]
         alert.resolve(20.0)
-        detection.handle_event(event(t=30.0, vantage=4))  # replayed stale copy
-        assert len(detection.alert_manager) == 1
+        detection.ingest(event(t=30.0, vantage=4))  # replayed stale copy
+        assert len(detection.tenant_state(OPERATOR).alerts) == 1
         assert len(fired) == 1  # no second incident announced
         assert alert.status is AlertStatus.RESOLVED  # no resurrection
         assert len(alert.evidence) == 2  # but the replay is kept on record
 
     def test_replay_after_cooldown_is_fresh_incident(self):
         detection, fired = self._detector(cooldown=50.0)
-        detection.handle_event(event(t=10.0))
-        old = detection.alert_manager.alerts[0]
+        detection.ingest(event(t=10.0))
+        old = detection.tenant_state(OPERATOR).alerts.alerts[0]
         old.resolve(20.0)
-        detection.handle_event(event(t=100.0))  # past 20 + 50 cooldown
-        assert len(detection.alert_manager) == 2
+        detection.ingest(event(t=100.0))  # past 20 + 50 cooldown
+        assert len(detection.tenant_state(OPERATOR).alerts) == 2
         assert len(fired) == 2
-        new = detection.alert_manager.alerts[1]
+        new = detection.tenant_state(OPERATOR).alerts.alerts[1]
         assert new.id != old.id
         assert new.status is AlertStatus.ACTIVE
         assert old.status is AlertStatus.RESOLVED
@@ -222,16 +230,17 @@ class TestStaleReplay:
 
     def test_fresh_incident_gets_fresh_evidence_keying(self):
         detection, _ = self._detector(cooldown=50.0)
-        detection.handle_event(event(t=10.0))
-        old = detection.alert_manager.alerts[0]
+        detection.ingest(event(t=10.0))
+        old = detection.tenant_state(OPERATOR).alerts.alerts[0]
         old.resolve(20.0)
-        detection.handle_event(event(t=100.0, source="bgpmon"))
-        new = detection.alert_manager.alerts[1]
+        detection.ingest(event(t=100.0, source="bgpmon"))
+        new = detection.tenant_state(OPERATOR).alerts.alerts[1]
         # The new incident's per-source table starts from scratch: it must
         # not inherit the old incident's "ris at t=10" entry.
-        assert detection.first_evidence[new.id] == {"bgpmon": 100.0}
-        assert detection.first_evidence[old.id] == {"ris": 10.0}
-        assert detection.per_source_delay(new, 95.0) == {"bgpmon": 5.0}
+        state = detection.tenant_state(OPERATOR)
+        assert state.first_evidence[new.id] == {"bgpmon": 100.0}
+        assert state.first_evidence[old.id] == {"ris": 10.0}
+        assert state.per_source_delay(new, 95.0) == {"bgpmon": 5.0}
 
     def test_replay_through_stream_no_resurrection(self):
         # End-to-end flavour: the same hijack UPDATE replayed after the
@@ -258,5 +267,5 @@ class TestStaleReplay:
         rig.deliver(announce("10.0.0.0/23"))
         rig.run()
         assert channel.messages_dropped == 1
-        assert rig.detection.events_checked == 0
+        assert rig.detection.events_ingested == 0
         assert rig.alerts == []

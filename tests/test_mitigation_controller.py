@@ -28,7 +28,7 @@ def make_alert(alert_type=AlertType.EXACT_ORIGIN, owned="10.0.0.0/23",
         prefix=P(announced), as_path=(3, offender),
         observed_at=9.0, delivered_at=10.0,
     )
-    return HijackAlert(alert_type, P(owned), P(announced), offender, event)
+    return HijackAlert(alert_type, P(owned), P(announced), offender, event, alert_id=1)
 
 
 @pytest.fixture

@@ -119,12 +119,18 @@ class TestMonitoringService:
 
         service = make_service()
         stream = RISLiveStream.deploy(net7, [3, 4], seed=0, latency=Constant(1.0))
-        service.start([stream])
+        subscription = stream.subscribe(
+            service.handle_event, prefixes=service.config.owned_prefixes
+        )
         net7.announce(6, "10.0.0.0/23")
         net7.run_until_converged()
         net7.run_for(5.0)
         # Vantages report the path origin 6 — not in the legit set {64500}.
         assert service.fraction_legitimate(P("10.0.0.0/23")) == 0.0
         assert set(service.vantages) == {3, 4}
-        service.stop()
-        assert not service.started
+        seen = service.events_seen
+        subscription.active = False
+        net7.withdraw(6, "10.0.0.0/23")
+        net7.run_until_converged()
+        net7.run_for(5.0)
+        assert service.events_seen == seen

@@ -366,29 +366,58 @@ GUARDS: Tuple[Guard, ...] = (
     ),
     Guard(
         "mitigation-action-global-ids", "8db6c1e",
-        "An action is named by its alert; no process-global counter numbers it.",
+        "An action is named by its alert and an alert by its AlertManager; "
+        "no process-global counter numbers either.",
         ("src/repro/core/mitigation.py", "    _ids = itertools.count(1)"),
-        r"itertools\.count", ("src/repro/core/mitigation.py",),
+        r"itertools\.count", ("src/repro/core",),
     ),
     Guard(
-        "single-runner", "after 8db6c1e",
+        "single-runner", "9e603ab",
         "The --shards 1 runner is one ShardWorld; no wrapper forwards to it.",
         ("src/repro/shard/runner.py", "class SingleRunner:"),
         "SingleRunner", ("src",), word=True,
     ),
     Guard(
-        "experiment-truth-trackers", "after 8db6c1e",
+        "experiment-truth-trackers", "9e603ab",
         "setup decides the ground truth once (truth, recovered, captured); "
         "run() picks no tracker by hijack class.",
         ("src/repro/testbed/scenario.py", "        self.path_tracker = fork.path_tracker"),
         "path_tracker|squat_tracker", ("src/repro/testbed/scenario.py",),
     ),
     Guard(
-        "tracker-duplicate-tables", "after 8db6c1e",
+        "tracker-duplicate-tables", "9e603ab",
         "OriginTracker keeps one row per AS and where each row started; no "
         "keyed copy of the rows.",
         ("src/repro/internet/tracker.py", "            self._current[key] = value"),
         "_current|_initial|_since", ("src/repro/internet/tracker.py",), word=True,
+    ),
+    Guard(
+        "detection-service-module", "after 9e603ab",
+        "The single operator's detection is the one-tenant DetectionPlane; "
+        "no facade module forwards to it.",
+        ("src/repro/core/detection.py", '"""The ARTEMIS detection service."""'),
+        None, ("src/repro/core/detection.py",),
+    ),
+    Guard(
+        "detection-service", "after 9e603ab",
+        "Artemis and ReplaySession hold a one_tenant_plane and read it directly. "
+        "bench/README.md is excluded: bench/ changes only with the benchmark.",
+        ("src/repro/core/artemis.py", "        self.detection = DetectionService(config)"),
+        "DetectionService", WALKED, exclude=("bench/README.md",), word=True,
+    ),
+    Guard(
+        "monitoring-subscription-bookkeeping", "after 9e603ab",
+        "Artemis subscribes every consumer from one (callback, prefixes) list; "
+        "MonitoringService keeps no subscriptions of its own.",
+        ("src/repro/core/monitoring.py", "    def start(self, sources):"),
+        r"def (start|stop)\b", ("src/repro/core/monitoring.py",),
+    ),
+    Guard(
+        "scenario-graph-knob", "after 9e603ab",
+        "A world's graph comes from its topology config and world seed; no "
+        "caller-supplied graph is copied or digested into a checkpoint key.",
+        ("src/repro/testbed/scenario.py", "        graph = cfg.graph.copy()"),
+        r"graph_digest|cfg\.graph", ("src",),
     ),
 )
 

@@ -10,7 +10,7 @@ Each class asserts:
   offender, full-precision delay, peak adoption, mitigation) — any drift
   in the world, the rules, or the harness shows up as a digest change;
 * the **rule-config matrix**: replaying the alert's founding evidence
-  through DetectionService variants proves the verdict comes from the
+  through one-tenant plane variants proves the verdict comes from the
   matching rule (disable it → silent) and reacts to corroboration the
   way the taxonomy says it must.
 """
@@ -22,9 +22,8 @@ import json
 
 import pytest
 
-from conftest import fast_scenario
+from conftest import classify, fast_scenario
 from repro.core.config import ArtemisConfig
-from repro.core.detection import DetectionService
 from repro.eval.taxonomy import TAXONOMY
 from repro.testbed.scenario import HijackExperiment
 
@@ -135,11 +134,8 @@ def variant_config(base: ArtemisConfig, **overrides) -> ArtemisConfig:
 
 def reclassify(experiment, probe=None, **overrides):
     """Replay the first alert's founding evidence through a rule variant."""
-    service = DetectionService(variant_config(experiment.artemis.config, **overrides))
-    if probe is not None:
-        service.attach_corroborator(probe)
-    evidence = experiment.artemis.alerts[0].evidence[0]
-    return service.classify(evidence)
+    config = variant_config(experiment.artemis.config, **overrides)
+    return classify(config, experiment.artemis.alerts[0].evidence[0], probe)
 
 
 class TestRuleConfigMatrix:

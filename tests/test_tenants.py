@@ -8,14 +8,14 @@ Contracts under test (see DESIGN.md "Detection plane"):
   matches — most specific rule per tenant, deterministic tenant order,
   incremental add/remove with epoch bumps;
 * the batched pipeline produces byte-identical incidents to a fan-out
-  over one-tenant DetectionServices (tenant isolation), for any batch
+  over one-tenant planes (tenant isolation), for any batch
   size, with the memo/backpressure/notifier/autoignore counters visible
   in repro.perf;
 * incidents are keyed per tenant: cooldown, resurrection, and the
   duplicate-delivery founding gate apply independently per tenant even
   when the same (prefix, origin) pattern fires under two tenants;
 * resolved-incident bookkeeping is pruned after cooldown + retention —
-  one sweep, the plane's, which DetectionService shares (bounded soaks);
+  one sweep, the plane's, at any tenant count (bounded soaks);
 * the --detect-workers partitioning merges to a digest bit-identical to
   the single-process plane; workers are forked with the registry and the
   whole tree (no registry bytes on the pipes); a stale/reordered batch
@@ -38,7 +38,6 @@ from hypothesis import strategies as st
 from conftest import kill_worker
 from repro.core.alerts import AlertStatus, AlertType
 from repro.core.config import ArtemisConfig, OwnedPrefix, OwnedSpace
-from repro.core.detection import DetectionService
 from repro.feeds.dumpfile import format_event
 from repro.feeds.events import FeedEvent
 from repro.feeds.replay import TraceError, TraceWriter, iter_trace_lines
@@ -54,7 +53,12 @@ from repro.tenants import (
     merged_alert_digest,
 )
 from repro.tenants import frames
-from repro.tenants.pipeline import PRUNE_CHECK_INTERVAL, classify_batch_verdicts
+from repro.tenants.pipeline import (
+    OPERATOR,
+    PRUNE_CHECK_INTERVAL,
+    classify_batch_verdicts,
+    one_tenant_plane,
+)
 from repro.tenants.registry import TenantRule
 from repro.tenants.synth import (
     baseline_services,
@@ -399,12 +403,12 @@ class TestDetectionPlane:
             plane.ingest(event)
         plane.flush()
 
-        services = baseline_services(registry)
+        planes = baseline_services(registry)
         for event in events:
-            for service in services.values():
-                service.handle_event(event)
+            for solo in planes.values():
+                solo.ingest(event)
         baseline_rows = incident_rows(
-            {name: s.alert_manager for name, s in services.items()}
+            {name: solo.tenant_state(OPERATOR).alerts for name, solo in planes.items()}
         )
         assert plane.incident_rows() == baseline_rows
         assert plane.digest() == merged_alert_digest(baseline_rows)
@@ -519,21 +523,21 @@ class TestDetectionPlane:
         registry = TenantRegistry()
         registry.add_tenant("acme", config)
         plane = DetectionPlane(registry, batch_size=batch_size)
-        service = DetectionService(config)
+        solo = one_tenant_plane(config)
         clean = [
             make_event(float(t), "10.0.0.0/23", (64600, 65001), vantage=100 + t)
             for t in range(5)
         ]
-        for sink in (plane.ingest, service.handle_event):
+        for sink in (plane.ingest, solo.ingest):
             sink(clean[0])
             sink(clean[1])
         plane.flush()
         assert plane.total_alerts() == 0 and len(plane._verdict_cache) == 1
         plane.corroborator = unhealthy = lambda prefix: False
-        service.attach_corroborator(unhealthy)
+        solo.corroborator = unhealthy
         for event in clean[2:]:
             plane.ingest(event)
-            service.handle_event(event)
+            solo.ingest(event)
         plane.flush()
         alerts = plane.alert_managers()["acme"].alerts
         assert [(a.type, a.detected_at) for a in alerts] == [
@@ -541,7 +545,7 @@ class TestDetectionPlane:
         ]
         assert len(alerts[0].evidence) == 3
         assert plane.incident_rows() == incident_rows(
-            {"acme": service.alert_manager}
+            {"acme": solo.tenant_state(OPERATOR).alerts}
         )
 
     def test_verdict_cache_epoch_bump_with_full_cache(self):
@@ -857,32 +861,33 @@ class TestStateBounding:
         assert len(sweeps) == 2
 
     def test_detection_service_prunes_resolved_incidents(self):
-        service = DetectionService(
+        solo = one_tenant_plane(
             ArtemisConfig([OwnedPrefix("10.0.0.0/24", [65001])], alert_cooldown=5.0)
         )
-        service.state_retention = 100.0
-        service.handle_event(make_event(1.0, "10.0.0.0/24", (1, 666)))
-        assert service.detection_state_entries() == 2
-        alert = service.alert_manager.alerts[0]
+        solo.state_retention = 100.0
+        solo.ingest(make_event(1.0, "10.0.0.0/24", (1, 666)))
+        assert solo.detection_state_entries() == 2
+        state = solo.tenant_state(OPERATOR)
+        alert = state.alerts.alerts[0]
         alert.resolve(2.0)
-        assert service.prune_state(now=50.0) == 0
+        assert solo.prune_state(now=50.0) == 0
         # Late re-reads still work inside the retention window.
-        assert service.per_source_delay(alert, 0.5) == {"ris": 0.5}
-        assert service.prune_state(now=200.0) == 2
-        assert service.detection_state_entries() == 0
-        assert service.entries_pruned == 2
+        assert state.per_source_delay(alert, 0.5) == {"ris": 0.5}
+        assert solo.prune_state(now=200.0) == 2
+        assert solo.detection_state_entries() == 0
+        assert solo.entries_pruned == 2
 
     def test_detection_service_prune_hook_fires_periodically(self):
-        service = DetectionService(
+        solo = one_tenant_plane(
             ArtemisConfig([OwnedPrefix("10.0.0.0/24", [65001])], alert_cooldown=0.0)
         )
-        service.state_retention = 10.0
-        service.handle_event(make_event(1.0, "10.0.0.0/24", (1, 666)))
-        service.alert_manager.alerts[0].resolve(2.0)
+        solo.state_retention = 10.0
+        solo.ingest(make_event(1.0, "10.0.0.0/24", (1, 666)))
+        solo.tenant_state(OPERATOR).alerts.alerts[0].resolve(2.0)
         benign = make_event(10_000.0, "10.0.0.0/24", (1, 65001))
         for _ in range(PRUNE_CHECK_INTERVAL):
-            service.handle_event(benign)
-        assert service.detection_state_entries() == 0
+            solo.ingest(benign)
+        assert solo.detection_state_entries() == 0
 
 
 # ------------------------------------------------------------------ workers
