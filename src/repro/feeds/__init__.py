@@ -3,9 +3,11 @@
 The paper's detection speed comes from combining three kinds of
 control-plane visibility, all modelled here:
 
-* **streaming collectors** — :class:`~repro.feeds.ris.RISLiveStream` and
-  :class:`~repro.feeds.bgpmon.BGPMonStream`: route collectors peered with
-  vantage ASes, publishing each update after a service-specific latency;
+* **streaming collectors** — the RIS live and BGPmon streams, each a
+  :class:`~repro.feeds.stream.StreamingService` that
+  :func:`~repro.feeds.deploy.deploy_monitors` builds from its name,
+  latency and collector names: route collectors peered with vantage ASes,
+  publishing each update after a service-specific latency;
 * **looking glasses** — :class:`~repro.feeds.periscope.PeriscopeAPI`:
   poll-based queries against operational routers (no collector in the path,
   but bounded by the poll interval and per-LG rate limits);
@@ -18,7 +20,6 @@ detection service is source-agnostic.
 """
 
 from repro.feeds.batch import BatchArchive
-from repro.feeds.bgpmon import BGPMonStream
 from repro.feeds.collector import RouteCollector
 from repro.feeds.deploy import MonitorDeployment, deploy_monitors
 from repro.feeds.events import FeedEvent
@@ -33,18 +34,15 @@ from repro.feeds.replay import (
     TraceWriter,
     load_trace,
 )
-from repro.feeds.ris import RISLiveStream
 from repro.feeds.stream import StreamingService
 
 __all__ = [
-    "BGPMonStream",
     "BatchArchive",
     "FeedEvent",
     "InterestIndex",
     "LookingGlass",
     "MonitorDeployment",
     "PeriscopeAPI",
-    "RISLiveStream",
     "ReplaySession",
     "ReplayTap",
     "RouteCollector",

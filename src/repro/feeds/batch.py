@@ -158,25 +158,6 @@ class BatchArchive(Transport):
         self.files_published += 1
         self._deliver_rows(rows)
 
-    @classmethod
-    def deploy(
-        cls,
-        network,
-        vantage_asns: List[int],
-        seed: int = 0,
-        name: str = "routeviews",
-        **kwargs,
-    ) -> "BatchArchive":
-        """Stand up an archive with its own collector on ``network``."""
-        rng = SeededRNG(seed).substream(name)
-        archive = cls(network.engine, rng=rng, name=name, **kwargs)
-        box = RouteCollector(f"{name}-collector", network.engine)
-        archive.attach_collector(box)
-        for vantage in vantage_asns:
-            box.register_vantage(vantage)
-            network.add_monitor_session(vantage, box)
-        return archive
-
     def __repr__(self) -> str:
         return (
             f"<BatchArchive {self.name} every {self.update_interval:.0f}s "

@@ -206,14 +206,23 @@ class SourceSupervisor:
     # ----------------------------------------------------------------- control
 
     def start(self) -> None:
+        """Check on an interval; a source still dead from before a stop is
+        the retry loop's again, and its consumers fail over again."""
         if self.started:
             return
         self.started = True
         self._check_handle = self.engine.schedule_periodic(
             self.check_interval, self._check_all
         )
+        for health in self.health.values():
+            if health.state == DEAD:
+                self._engage_backups()
+                health._retry_handle = self.engine.schedule(
+                    self.backoff_base, self._attempt_reconnect, health
+                )
 
     def stop(self) -> None:
+        """Stop checking and retrying, and take the consumers off the backups."""
         if not self.started:
             return
         self.started = False
@@ -224,6 +233,7 @@ class SourceSupervisor:
             if health._retry_handle is not None:
                 health._retry_handle.cancel()
                 health._retry_handle = None
+        self._disengage_backups()
 
     # ---------------------------------------------------------------- failover
 

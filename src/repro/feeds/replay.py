@@ -63,6 +63,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import time
 from array import array
 from collections.abc import Sequence as SequenceABC
@@ -656,8 +657,10 @@ class ReplayTap(_TraceFrame):
         arm_at: Optional[float] = None,
         seed: int = 0,
     ):
-        if speed is not None and speed <= 0:
-            raise TraceError(f"replay speed must be positive, got {speed}")
+        if speed is not None and not 0 < speed < math.inf:
+            raise TraceError(
+                f"replay speed must be a positive finite number, got {speed}"
+            )
         # The verifying pass: records are decoded and dropped block by block.
         leads: set = set()
         start: Optional[float] = None

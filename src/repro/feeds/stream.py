@@ -29,27 +29,24 @@ from repro.sim.rng import SeededRNG
 
 
 class StreamingService(Transport):
-    """Base class for RIS-live / BGPmon style streams.
+    """A RIS-live / BGPmon style stream: ``name`` is stamped on its events.
 
     While the transport is down (:class:`~repro.feeds.health.Transport`),
     observations are not published and in-flight publications are lost on
     delivery: a dropped streaming connection loses whatever was on the wire.
     """
 
-    #: Subclasses override: service name stamped on events.
-    source_name = "stream"
-
     def __init__(
         self,
         engine: Engine,
         latency: Delay,
         rng: Optional[SeededRNG] = None,
-        name: Optional[str] = None,
+        name: str = "stream",
     ):
         super().__init__(engine)
         self.latency = make_delay(latency)
         self.rng = rng or SeededRNG(0)
-        self.name = name or self.source_name
+        self.name = name
         self.collectors: List[RouteCollector] = []
         self.events_published = 0
         self.events_delivered = 0

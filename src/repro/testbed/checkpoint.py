@@ -59,7 +59,7 @@ from repro.testbed.scenario import HijackExperiment, ScenarioConfig
 
 #: Bump when the captured object graph changes incompatibly; saved
 #: checkpoints from other versions are refused at load time.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: Deep object graphs (speaker → session → speaker …) exceed the default
 #: interpreter recursion limit under pickle at Internet scale; raised
@@ -184,8 +184,16 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Checkpoint":
-        with _raised_recursion_limit():
-            checkpoint = pickle.loads(data)
+        """Unpickle a checkpoint; damaged bytes, or a graph naming code
+        this build no longer has, are an :class:`ExperimentError`."""
+        try:
+            with _raised_recursion_limit():
+                checkpoint = pickle.loads(data)
+        except Exception as exc:  # pickle raises whatever the bytes provoke
+            raise ExperimentError(
+                "unreadable checkpoint, damaged or saved by another build "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
         if not isinstance(checkpoint, cls):
             raise ExperimentError("data does not contain a Checkpoint")
         if checkpoint.format_version != FORMAT_VERSION:

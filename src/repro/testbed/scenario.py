@@ -29,7 +29,12 @@ from repro.core.mitigation import HelperFleet
 from repro.errors import ExperimentError
 from repro.faults import FaultInjector, FaultPlan, load_plan
 from repro.feeds.batch import BatchArchive
-from repro.feeds.deploy import MonitorDeployment, deploy_monitors
+from repro.feeds.deploy import (
+    MonitorDeployment,
+    deploy_monitors,
+    vantages,
+    wire_collectors,
+)
 from repro.feeds.health import SourceSupervisor
 from repro.feeds.replay import TraceRecorder
 from repro.internet.churn import BackgroundChurn, ChurnConfig
@@ -581,12 +586,17 @@ class HijackExperiment:
         if "rib-dump" in cfg.enabled_sources:
             # Deployed last: its monitor sessions join each vantage's peer
             # list behind everything a world without it has.
-            sources["rib-dump"] = self.monitors.rib_archive = BatchArchive.deploy(
-                self.network,
-                self.monitors.batch_vantages or self.monitors.ris_vantages,
-                seed=wseed,
+            rib_archive = BatchArchive(
+                self.network.engine,
+                rng=SeededRNG(wseed).substream("rib-only"),
                 name="rib-only",
                 publish_updates=False,
+            )
+            sources["rib-dump"] = self.monitors.rib_archive = wire_collectors(
+                self.network,
+                rib_archive,
+                ["rib-only-collector"],
+                vantages(self.monitors.batch) or vantages(self.monitors.ris),
             )
         streams = [sources[name] for name in sources if name in cfg.enabled_sources]
         periscope = (

@@ -9,8 +9,11 @@ import threading
 
 import pytest
 
+from repro.feeds.deploy import wire_collectors
+from repro.feeds.stream import StreamingService
 from repro.internet.network import Network, NetworkConfig
 from repro.sim.latency import Constant, Uniform
+from repro.sim.rng import SeededRNG
 from repro.testbed.scenario import ScenarioConfig
 from repro.topology.generator import GeneratorConfig, generate_internet
 from repro.topology.graph import ASGraph
@@ -47,6 +50,14 @@ def fast_network_config() -> NetworkConfig:
         mrai=Constant(0.5),
         session_delay_override=Constant(0.02),
     )
+
+
+def ris_stream(network: Network, vantage_asns) -> StreamingService:
+    """A stream named ``ris`` with a 1 s latency, peered with each of
+    ``vantage_asns`` through a collector of its own (``ris-rrc00``, ...)."""
+    stream = StreamingService(network.engine, Constant(1.0), SeededRNG(0), "ris")
+    names = [f"ris-rrc{i:02d}" for i in range(len(vantage_asns))]
+    return wire_collectors(network, stream, names, vantage_asns)
 
 
 def fast_scenario(seed: int = 0, **overrides) -> ScenarioConfig:

@@ -46,7 +46,7 @@ def make_artemis(config, live_sources):
     """An unstarted Artemis whose supervisor reports ``live_sources``."""
     from repro.bgp.speaker import BGPSpeaker
     from repro.core.artemis import Artemis
-    from repro.feeds.ris import RISLiveStream
+    from repro.feeds.stream import StreamingService
     from repro.sdn.controller import BGPController
     from repro.sim.engine import Engine
     from repro.sim.rng import SeededRNG
@@ -60,7 +60,7 @@ def make_artemis(config, live_sources):
 
     engine = Engine()
     controller = BGPController(engine, [BGPSpeaker(64500, engine, rng=SeededRNG(1))])
-    stream = RISLiveStream(engine, rng=SeededRNG(2))
+    stream = StreamingService(engine, 1.0, SeededRNG(2), "ris")
     return Artemis(config, controller, sources=[stream], supervisor=Supervisor())
 
 

@@ -10,14 +10,14 @@ from repro.errors import ConfigError
 from repro.feeds.collector import RouteCollector
 from repro.feeds.health import SourceSupervisor
 from repro.feeds.periscope import LookingGlass, PeriscopeAPI
-from repro.feeds.ris import RISLiveStream
+from repro.feeds.stream import StreamingService
 from repro.net.prefix import Prefix
 from repro.sdn.controller import BGPController
 from repro.sim.engine import Engine
 from repro.sim.latency import Constant
 from repro.sim.rng import SeededRNG
 
-from conftest import fraction_routing_to
+from conftest import fraction_routing_to, ris_stream
 
 
 def P(text):
@@ -27,7 +27,7 @@ def P(text):
 @pytest.fixture
 def setup(net7):
     """Victim = AS6, ARTEMIS over a RIS stream + 2 LGs, hijacker = AS7."""
-    stream = RISLiveStream.deploy(net7, [3, 4], seed=0, latency=Constant(1.0))
+    stream = ris_stream(net7, [3, 4])
     lgs = [
         LookingGlass(f"lg-{asn}", net7.speaker(asn), net7.engine,
                      query_delay=Constant(0.2), min_query_interval=0.0,
@@ -116,7 +116,7 @@ class TestEndToEnd:
     def test_auto_mitigate_disabled(self, net7):
         # Vantages at 4 and 5 (the hijacker AS7's providers) see the bogus
         # route for sure.
-        stream = RISLiveStream.deploy(net7, [4, 5], seed=0, latency=Constant(1.0))
+        stream = ris_stream(net7, [4, 5])
         controller = BGPController(net7.engine, [net7.speaker(6)])
         config = ArtemisConfig(
             [OwnedPrefix("10.0.0.0/23", {6})], auto_mitigate=False
@@ -159,32 +159,39 @@ class TestEndToEnd:
         assert series[-1][1] == 1.0
 
 
+def failover_rig():
+    """An engine and an unstarted ARTEMIS over a supervised primary stream
+    ``ris`` with one backup stream; each has one collector, peered with AS3."""
+    engine = Engine()
+    router = BGPSpeaker(64500, engine, rng=SeededRNG(1))
+    controller = BGPController(engine, [router])
+    config = ArtemisConfig(
+        [OwnedPrefix("10.0.0.0/24", {64500})],
+        owned_space=[OwnedSpace("10.0.0.0/23", {64500})],
+        auto_mitigate=False,
+    )
+    primary, backup = (
+        StreamingService(engine, Constant(1.0), SeededRNG(7), name)
+        for name in ("ris", "backup")
+    )
+    for stream in (primary, backup):
+        collector = RouteCollector(f"{stream.name}-c0", engine)
+        collector.register_vantage(3)
+        stream.attach_collector(collector)
+    supervisor = SourceSupervisor(engine, [primary], staleness_timeout=30.0)
+    supervisor.add_backup(backup)
+    artemis = Artemis(config, controller, sources=[primary], supervisor=supervisor)
+    return engine, artemis
+
+
 class TestOneConsumerList:
     """Primary subscriptions and failover come from one (callback, prefixes)
     list, so a backup feeds each consumer exactly what a primary does."""
 
     def test_owned_space_reaches_detection_not_monitoring_on_any_source(self):
-        engine = Engine()
-        router = BGPSpeaker(64500, engine, rng=SeededRNG(1))
-        controller = BGPController(engine, [router])
-        config = ArtemisConfig(
-            [OwnedPrefix("10.0.0.0/24", {64500})],
-            owned_space=[OwnedSpace("10.0.0.0/23", {64500})],
-            auto_mitigate=False,
-        )
-        feeds = []
-        for name in ("ris", "backup"):
-            stream = RISLiveStream(
-                engine, latency=Constant(1.0), rng=SeededRNG(7), name=name
-            )
-            collector = RouteCollector(f"{name}-c0", engine)
-            collector.register_vantage(3)
-            stream.attach_collector(collector)
-            feeds.append((stream, collector))
-        (primary, primary_collector), (backup, backup_collector) = feeds
-        supervisor = SourceSupervisor(engine, [primary], staleness_timeout=30.0)
-        supervisor.add_backup(backup)
-        artemis = Artemis(config, controller, sources=[primary], supervisor=supervisor)
+        engine, artemis = failover_rig()
+        supervisor = artemis.supervisor
+        (primary,), (backup,) = artemis.sources, supervisor.backups
         artemis.start()
         # Owned space, outside the owned prefix: squatting for detection,
         # nothing monitoring reads.
@@ -192,13 +199,13 @@ class TestOneConsumerList:
             3, announcements=[Announcement(P("10.0.1.0/24"), (3, 666))]
         )
 
-        primary_collector.deliver(3, squat)
+        primary.collectors[0].deliver(3, squat)
         engine.run_for(5.0)
         assert [alert.type.value for alert in artemis.alerts] == ["squatting"]
         primary.disconnect()
         engine.run_for(60.0)
         assert supervisor.failover_engaged
-        backup_collector.deliver(3, squat)
+        backup.collectors[0].deliver(3, squat)
         engine.run_for(5.0)
 
         assert [event.source for event in artemis.alerts[0].evidence] == [
@@ -206,3 +213,39 @@ class TestOneConsumerList:
         ]
         assert artemis.monitoring.events_seen == 0
         assert artemis.monitoring.mean_lag_by_source() == {}
+
+
+class TestSupervisorLifecycle:
+    def test_stop_takes_consumers_off_the_backups(self):
+        engine, artemis = failover_rig()
+        (primary,), (backup,) = artemis.sources, artemis.supervisor.backups
+        artemis.start()
+        primary.disconnect()
+        engine.run_for(60.0)
+        assert artemis.supervisor.failover_engaged
+        artemis.stop()
+        assert not artemis.supervisor.failover_engaged
+        # Stopped: nothing through the backup reaches detection or monitoring.
+        hijack = Announcement(P("10.0.0.0/24"), (3, 666))
+        backup.collectors[0].deliver(3, UpdateMessage(3, announcements=[hijack]))
+        engine.run_for(5.0)
+        assert artemis.detection.events_ingested == 0
+        assert artemis.monitoring.events_seen == 0
+        assert artemis.alerts == []
+
+    def test_restart_retries_a_source_that_was_dead_at_stop(self):
+        engine, artemis = failover_rig()
+        supervisor = artemis.supervisor
+        (primary,) = artemis.sources
+        artemis.start()
+        primary.disconnect()
+        engine.run_for(60.0)
+        assert supervisor.dead_sources() == ("ris",)
+        artemis.stop()
+        primary.restore_transport()
+        artemis.start()
+        assert supervisor.failover_engaged
+        engine.run_for(600.0)
+        assert supervisor.dead_sources() == ()
+        assert not supervisor.failover_engaged
+        assert supervisor.report()["ris"]["state"] == "live"

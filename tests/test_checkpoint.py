@@ -11,6 +11,7 @@ that lets one checkpoint serve a whole sweep of run seeds.
 """
 
 import pickle
+import random
 
 import pytest
 
@@ -311,3 +312,30 @@ class TestSaveLoad:
     def test_garbage_is_refused(self):
         with pytest.raises(ExperimentError, match="Checkpoint"):
             Checkpoint.from_bytes(pickle.dumps({"not": "a checkpoint"}))
+
+    @pytest.mark.parametrize("damage", ["truncated", "random", "missing-module"])
+    def test_damaged_bytes_are_refused(self, damage):
+        if damage == "truncated":
+            data = Checkpoint.capture(
+                fast_scenario(seed=6, network=fast_network_config())
+            ).to_bytes()
+            data = data[: len(data) // 2]
+        elif damage == "random":
+            data = random.Random(0).randbytes(4096)
+        else:
+            # What a checkpoint saved before the stream subclasses went names.
+            data = b"crepro.feeds.ris\nRISLiveStream\n."
+        with pytest.raises(ExperimentError, match="unreadable checkpoint"):
+            Checkpoint.from_bytes(data)
+
+    def test_damaged_checkpoint_file_is_exit_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "world.ckpt"
+        path.write_bytes(random.Random(1).randbytes(4096))
+        argv = ["experiment", "--checkpoint", str(path), "--tier1", "3",
+                "--tier2", "10", "--stubs", "25", "--no-churn"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro experiment: unreadable checkpoint")
+        assert captured.err.count("\n") == 1

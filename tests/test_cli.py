@@ -518,6 +518,15 @@ class TestRecordedReplay:
         assert main(["replay"] + argv + ["--json", str(out)]) == 0
         return json.loads(out.read_text())
 
+    @pytest.mark.parametrize("speed", ["0", "-1", "nan", "inf"])
+    def test_a_speed_that_is_not_positive_and_finite_is_refused(self, speed, capsys):
+        assert main(["replay", RECORDED, "--speed", speed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "repro replay: replay speed must be a positive finite number"
+        ), captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_the_report_carries_the_whole_digest(self, tmp_path, capsys):
         report = self.replay(tmp_path, [RECORDED])
         assert len(report["merged_alert_digest"]) == 64, report

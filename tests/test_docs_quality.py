@@ -1,9 +1,11 @@
-"""Documentation quality gates: every module and public symbol documented."""
+"""Documentation quality gates: every module and public symbol documented,
+and every `repro.…` name the docs cite still names something."""
 
 import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -68,3 +70,30 @@ def test_design_doc_covers_every_bench():
         if bench.name == "test_perf_micro.py":
             continue  # listed as the perf-guardrail row
         assert bench.name in design, f"{bench.name} missing from DESIGN.md"
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names an importable module or an attribute of one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "PAPER.md"])
+def test_dotted_names_in_docs_resolve(doc):
+    text = (SRC.parent.parent / doc).read_text()
+    stale = [
+        f"{doc}:{text.count(chr(10), 0, match.start()) + 1}: {match[1]}"
+        for match in re.finditer(r"`(repro(?:\.[A-Za-z_]\w*)+)", text)
+        if not _resolves(match[1])
+    ]
+    assert stale == [], "backticked names that name nothing: " + ", ".join(stale)

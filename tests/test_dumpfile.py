@@ -79,10 +79,9 @@ class TestFileIO:
 
 class TestRecorder:
     def test_records_from_live_source(self, net7, tmp_path):
-        from repro.feeds.ris import RISLiveStream
-        from repro.sim.latency import Constant
+        from conftest import ris_stream
 
-        stream = RISLiveStream.deploy(net7, [3, 4], seed=0, latency=Constant(1.0))
+        stream = ris_stream(net7, [3, 4])
         recorder = TraceRecorder(str(tmp_path / "live.trace"))
         recorder.attach(stream)
         net7.announce(6, "10.0.0.0/23")

@@ -17,7 +17,7 @@ from repro.core.monitoring import MonitoringService
 from repro.faults import ChannelFault
 from repro.feeds.collector import RouteCollector
 from repro.feeds.events import FeedEvent
-from repro.feeds.ris import RISLiveStream
+from repro.feeds.stream import StreamingService
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 from repro.sim.latency import Constant
@@ -67,8 +67,8 @@ class Rig:
         self.engine = Engine()
         self.collector = RouteCollector("ris-rrc00", self.engine)
         self.collector.register_vantage(VANTAGE)
-        self.stream = RISLiveStream(
-            self.engine, latency=Constant(latency), rng=SeededRNG(7)
+        self.stream = StreamingService(
+            self.engine, Constant(latency), SeededRNG(7), "ris"
         )
         self.stream.attach_collector(self.collector)
         self.config = make_config(**config_kw)

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import FeedError
 from repro.feeds.batch import BatchArchive
 from repro.feeds.collector import RouteCollector
-from repro.feeds.deploy import deploy_monitors
+from repro.feeds.deploy import deploy_monitors, vantages, wire_collectors
 from repro.net.prefix import Prefix
 from repro.sim.latency import Constant
 from repro.sim.rng import SeededRNG
@@ -88,7 +88,12 @@ class TestBatchArchive:
             BatchArchive(net7.engine, update_interval=0.0)
 
     def test_deploy_helper(self, net7):
-        archive = BatchArchive.deploy(net7, [3, 4], seed=1, fetch_delay=Constant(1.0))
+        archive = wire_collectors(
+            net7,
+            BatchArchive(net7.engine, fetch_delay=Constant(1.0)),
+            ["routeviews-collector"],
+            [3, 4],
+        )
         events = []
         archive.subscribe(events.append)
         net7.announce(6, "10.0.0.0/23")
@@ -107,17 +112,18 @@ class TestDeployMonitors:
             num_lgs=4,
             num_batch_vantages=3,
         )
-        assert len(deployment.ris_vantages) == 5
-        assert len(deployment.bgpmon_vantages) == 3
-        assert len(deployment.lg_asns) == 4
-        assert len(deployment.batch_vantages) == 3
-        assert deployment.batch is not None
+        assert len(vantages(deployment.ris)) == 5
+        assert len(vantages(deployment.bgpmon)) == 3
         assert len(deployment.periscope.looking_glasses) == 4
+        assert len(vantages(deployment.batch)) == 3
+        assert [box.name for box in deployment.batch.collectors] == [
+            "routeviews-collector"
+        ]
 
     def test_without_batch(self, gen_network):
         deployment = deploy_monitors(gen_network, seed=1, with_batch=False)
         assert deployment.batch is None
-        assert deployment.batch_vantages == []
+        assert vantages(deployment.batch) == []
 
     def test_deterministic(self, graph7):
         from conftest import fast_network_config
@@ -133,20 +139,20 @@ class TestDeployMonitors:
             )
             picks.append(
                 (
-                    deployment.ris_vantages,
-                    deployment.bgpmon_vantages,
-                    deployment.lg_asns,
+                    vantages(deployment.ris),
+                    vantages(deployment.bgpmon),
+                    [lg.asn for lg in deployment.periscope.looking_glasses],
+                    vantages(deployment.batch),
                 )
             )
         assert picks[0] == picks[1]
 
     def test_vantages_are_real_ases(self, gen_network):
         deployment = deploy_monitors(gen_network, seed=3)
-        vantages = (
-            deployment.ris_vantages + deployment.bgpmon_vantages
-            + deployment.lg_asns + deployment.batch_vantages
-        )
-        for asn in vantages:
+        picked = [lg.asn for lg in deployment.periscope.looking_glasses]
+        for source in (deployment.ris, deployment.bgpmon, deployment.batch):
+            picked += vantages(source)
+        for asn in picked:
             assert asn in gen_network.speakers
 
     def test_too_many_vantages_rejected(self, net7):

@@ -3,10 +3,15 @@
 import pytest
 
 from repro.errors import FeedError
-from repro.feeds.bgpmon import BGPMonStream
 from repro.feeds.collector import RouteCollector
+from repro.feeds.deploy import (
+    BGPMON_LATENCY,
+    RIS_LATENCY,
+    deploy_monitors,
+    vantages,
+    wire_collectors,
+)
 from repro.feeds.events import FeedEvent
-from repro.feeds.ris import RISLiveStream
 from repro.feeds.stream import StreamingService
 from repro.net.prefix import Prefix
 from repro.sim.latency import Constant
@@ -169,19 +174,63 @@ class TestStreamingService:
 
 
 class TestDeployHelpers:
+    def test_wire_collectors_round_robins_in_session_order(self, net7):
+        service = StreamingService(net7.engine, Constant(1.0))
+        opened = []
+        open_session = net7.add_monitor_session
+
+        def record(vantage, box):
+            opened.append((vantage, box.name, list(box.vantage_asns)))
+            return open_session(vantage, box)
+
+        net7.add_monitor_session = record
+        assert wire_collectors(net7, service, ["a", "b"], [5, 1, 4, 2, 3]) is service
+        assert [box.name for box in service.collectors] == ["a", "b"]
+        assert [box.vantage_asns for box in service.collectors] == [[5, 4, 3], [1, 2]]
+        # Each vantage is registered, then its session opened, in list order.
+        assert opened == [
+            (5, "a", [5]), (1, "b", [1]), (4, "a", [5, 4]), (2, "b", [1, 2]),
+            (3, "a", [5, 4, 3]),
+        ]
+
     def test_ris_deploy_round_robins_collectors(self, net7):
-        service = RISLiveStream.deploy(net7, [1, 2, 3, 4], collectors=2, seed=0)
-        assert len(service.collectors) == 2
-        sizes = sorted(len(c.vantage_asns) for c in service.collectors)
-        assert sizes == [2, 2]
+        deployment = deploy_monitors(
+            net7, num_ris_vantages=5, num_bgpmon_vantages=2, num_lgs=1,
+            with_batch=False,
+        )
+        ris = deployment.ris
+        assert (ris.name, ris.latency) == ("ris", RIS_LATENCY)
+        assert [box.name for box in ris.collectors] == [
+            "ris-rrc00", "ris-rrc01", "ris-rrc02",
+        ]
+        picked = vantages(ris)
+        assert [box.vantage_asns for box in ris.collectors] == [
+            picked[0::3], picked[1::3], picked[2::3],
+        ]
+
+    @pytest.mark.parametrize("count, boxes", [(0, 1), (2, 2)])
+    def test_ris_collectors_capped_at_vantage_count(self, net7, count, boxes):
+        deployment = deploy_monitors(
+            net7, num_ris_vantages=count, num_bgpmon_vantages=1, num_lgs=1,
+            with_batch=False,
+        )
+        assert len(deployment.ris.collectors) == boxes
 
     def test_bgpmon_deploy_single_collector(self, net7):
-        service = BGPMonStream.deploy(net7, [1, 2, 3], seed=0)
-        assert len(service.collectors) == 1
-        assert service.collectors[0].vantage_asns == [1, 2, 3]
+        deployment = deploy_monitors(
+            net7, num_ris_vantages=1, num_bgpmon_vantages=3, num_lgs=1,
+            with_batch=False,
+        )
+        bgpmon = deployment.bgpmon
+        assert (bgpmon.name, bgpmon.latency) == ("bgpmon", BGPMON_LATENCY)
+        assert [box.name for box in bgpmon.collectors] == ["bgpmon-collector"]
+        assert bgpmon.collectors[0].vantage_asns == vantages(bgpmon)
+        assert len(vantages(bgpmon)) == 3
 
     def test_deployed_stream_sees_announcements(self, net7):
-        service = RISLiveStream.deploy(net7, [1, 2], seed=0, latency=Constant(1.0))
+        service = wire_collectors(
+            net7, StreamingService(net7.engine, Constant(1.0)), ["c0"], [1, 2]
+        )
         events = []
         service.subscribe(events.append, prefixes=[P("10.0.0.0/23")])
         net7.announce(6, "10.0.0.0/23")

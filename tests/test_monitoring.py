@@ -114,11 +114,10 @@ class TestMonitoringService:
 
     def test_live_subscription(self, net7):
         # End-to-end: monitoring fed by a real stream on a real network.
-        from repro.feeds.ris import RISLiveStream
-        from repro.sim.latency import Constant
+        from conftest import ris_stream
 
         service = make_service()
-        stream = RISLiveStream.deploy(net7, [3, 4], seed=0, latency=Constant(1.0))
+        stream = ris_stream(net7, [3, 4])
         subscription = stream.subscribe(
             service.handle_event, prefixes=service.config.owned_prefixes
         )

@@ -4,11 +4,12 @@ import pytest
 
 from repro.core.artemis import Artemis
 from repro.core.config import ArtemisConfig, OwnedPrefix
-from repro.feeds.ris import RISLiveStream
 from repro.net.prefix import Prefix
 from repro.sdn.controller import BGPController
 from repro.sim.latency import Constant
 from repro.sim.rng import SeededRNG
+
+from conftest import ris_stream
 
 
 def P(text):
@@ -18,7 +19,7 @@ def P(text):
 @pytest.fixture
 def world(net7):
     """AS6 owns two prefixes; ARTEMIS over a 2-vantage RIS stream."""
-    stream = RISLiveStream.deploy(net7, [4, 5], seed=0, latency=Constant(1.0))
+    stream = ris_stream(net7, [4, 5])
     controller = BGPController(
         net7.engine, [net7.speaker(6)],
         programming_delay=Constant(10.0), rng=SeededRNG(1),
@@ -70,7 +71,7 @@ class TestMultiPrefix:
 class TestAnycastMOAS:
     def test_second_legit_origin_never_alerts(self, net7):
         # Anycast: both AS6 and AS7 legitimately originate the prefix.
-        stream = RISLiveStream.deploy(net7, [4, 5], seed=0, latency=Constant(1.0))
+        stream = ris_stream(net7, [4, 5])
         controller = BGPController(net7.engine, [net7.speaker(6)])
         config = ArtemisConfig([OwnedPrefix("10.0.0.0/23", {6, 7})])
         artemis = Artemis(config, controller, sources=[stream])
@@ -85,7 +86,7 @@ class TestAnycastMOAS:
         assert artemis.monitoring.fraction_legitimate(P("10.0.0.0/23")) == 1.0
 
     def test_third_origin_still_caught(self, net7):
-        stream = RISLiveStream.deploy(net7, [3, 4, 5], seed=0, latency=Constant(1.0))
+        stream = ris_stream(net7, [3, 4, 5])
         controller = BGPController(net7.engine, [net7.speaker(6)])
         config = ArtemisConfig(
             [OwnedPrefix("10.0.0.0/23", {6, 7})], auto_mitigate=False

@@ -392,32 +392,65 @@ GUARDS: Tuple[Guard, ...] = (
         "_current|_initial|_since", ("src/repro/internet/tracker.py",), word=True,
     ),
     Guard(
-        "detection-service-module", "after 9e603ab",
+        "detection-service-module", "f2298e1",
         "The single operator's detection is the one-tenant DetectionPlane; "
         "no facade module forwards to it.",
         ("src/repro/core/detection.py", '"""The ARTEMIS detection service."""'),
         None, ("src/repro/core/detection.py",),
     ),
     Guard(
-        "detection-service", "after 9e603ab",
+        "detection-service", "f2298e1",
         "Artemis and ReplaySession hold a one_tenant_plane and read it directly. "
         "bench/README.md is excluded: bench/ changes only with the benchmark.",
         ("src/repro/core/artemis.py", "        self.detection = DetectionService(config)"),
         "DetectionService", WALKED, exclude=("bench/README.md",), word=True,
     ),
     Guard(
-        "monitoring-subscription-bookkeeping", "after 9e603ab",
+        "monitoring-subscription-bookkeeping", "f2298e1",
         "Artemis subscribes every consumer from one (callback, prefixes) list; "
         "MonitoringService keeps no subscriptions of its own.",
         ("src/repro/core/monitoring.py", "    def start(self, sources):"),
         r"def (start|stop)\b", ("src/repro/core/monitoring.py",),
     ),
     Guard(
-        "scenario-graph-knob", "after 9e603ab",
+        "scenario-graph-knob", "f2298e1",
         "A world's graph comes from its topology config and world seed; no "
         "caller-supplied graph is copied or digested into a checkpoint key.",
         ("src/repro/testbed/scenario.py", "        graph = cfg.graph.copy()"),
         r"graph_digest|cfg\.graph", ("src",),
+    ),
+    Guard(
+        "ris-stream-module", "after f2298e1",
+        "RIS live is deployment data for the one StreamingService.",
+        ("src/repro/feeds/ris.py", '"""RIPE RIS streaming service model."""'),
+        None, ("src/repro/feeds/ris.py",),
+    ),
+    Guard(
+        "bgpmon-stream-module", "after f2298e1",
+        "BGPmon is deployment data for the one StreamingService.",
+        ("src/repro/feeds/bgpmon.py", '"""BGPmon streaming service model."""'),
+        None, ("src/repro/feeds/bgpmon.py",),
+    ),
+    Guard(
+        "stream-subclasses", "after f2298e1",
+        "A live stream is one StreamingService; no subclass per service.",
+        ("src/repro/feeds/deploy.py", "    ris = RISLiveStream.deploy(network, ris_vantages, seed=seed)"),
+        "RISLiveStream|BGPMonStream", WALKED, word=True,
+    ),
+    Guard(
+        "feed-deploy-classmethods", "after f2298e1",
+        "deploy_monitors and the scenario wire every source's collectors "
+        "through wire_collectors; no source deploys itself.",
+        ("src/repro/feeds/batch.py", "    def deploy(cls, network, vantage_asns, seed=0):"),
+        "def deploy", ("src/repro/feeds",), word=True,
+    ),
+    Guard(
+        "deployment-vantage-copies", "after f2298e1",
+        "The collectors' vantage_asns and the looking glasses' asn are the "
+        "record; MonitorDeployment keeps no copy of either.",
+        ("src/repro/testbed/scenario.py", "                self.monitors.batch_vantages or self.monitors.ris_vantages,"),
+        r"\.(ris_vantages|bgpmon_vantages|batch_vantages|lg_asns)\b",
+        ("src", "tests", "benchmarks", "bench", "examples"),
     ),
 )
 

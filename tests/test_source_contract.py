@@ -3,7 +3,7 @@
 Two pieces, each one implementation:
 
 * **subscription** (:class:`repro.feeds.interest.Subscribable`) — the
-  route collector, both streams, the archive, Periscope and a recorded
+  route collector, both deployed streams, the archive, Periscope and a recorded
   source: a prefix filter, ``unsubscribe``, and a subscription whose
   ``active`` flag was cleared dropped from the index on the next lookup;
 * **transport** (:class:`repro.feeds.health.Transport`) — both streams,
@@ -23,12 +23,12 @@ import pytest
 
 from repro.bgp.messages import Announcement, UpdateMessage
 from repro.feeds.batch import BatchArchive
-from repro.feeds.bgpmon import BGPMonStream
 from repro.feeds.collector import RouteCollector
+from repro.feeds.deploy import BGPMON_LATENCY, RIS_LATENCY
 from repro.feeds.events import ANNOUNCE, FeedEvent
 from repro.feeds.periscope import PeriscopeAPI
 from repro.feeds.replay import RecordedSource
-from repro.feeds.ris import RISLiveStream
+from repro.feeds.stream import StreamingService
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 from repro.sim.latency import Constant
@@ -48,15 +48,16 @@ def collector_rig():
     return collector, lambda prefix: collector.deliver(VANTAGE, _announce(prefix))
 
 
-def stream_rig(cls):
+def stream_rig(name, latency):
+    # RIS live and BGPmon are one class; each rig is a deployed feed's data.
     engine = Engine()
     collector = RouteCollector("c0", engine)
-    stream = cls(engine, latency=Constant(1.0), rng=SeededRNG(0))
+    stream = StreamingService(engine, latency, SeededRNG(0).substream(name), name)
     stream.attach_collector(collector)
 
     def emit(prefix):
         collector.deliver(VANTAGE, _announce(prefix))
-        engine.run_for(5.0)
+        engine.run_for(3600.0)  # past any latency these seeds draw
 
     return stream, emit
 
@@ -95,8 +96,8 @@ def recorded_rig():
 
 SUBSCRIBABLE = {
     "collector": collector_rig,
-    "ris": lambda: stream_rig(RISLiveStream),
-    "bgpmon": lambda: stream_rig(BGPMonStream),
+    "ris": lambda: stream_rig("ris", RIS_LATENCY),
+    "bgpmon": lambda: stream_rig("bgpmon", BGPMON_LATENCY),
     "archive": archive_rig,
     "periscope": periscope_rig,
     "recorded": recorded_rig,
