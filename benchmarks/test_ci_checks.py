@@ -133,6 +133,46 @@ def test_trace_load_pauses_the_collector():
     )
 
 
+def test_tenant_compile_pauses_the_collector():
+    # build_synth_registry pauses the cyclic collector over the compile and
+    # files what it built in the oldest generation: zero collections across
+    # the bench registry's 104,000 rows (333 with the collector live), no
+    # full collection in start()'s partition and fork, gc enabled after,
+    # and the pinned registry and partition.
+    import hashlib
+
+    import rep  # bench/rep.py: the bench registry and worker count
+    from repro.tenants import ParallelDetectionPlane
+
+    with deadline(300):
+        prepared = inputs.prepare("replay_workers", 11)
+        origins = rep.origin_map(prepared["summary"])
+        # A full sweep first, so that this process's earlier tests leave no
+        # generation counts behind: the bench runs set-up in a fresh one.
+        gc.collect()
+        before = collections()
+        registry = rep.build_registry(origins)
+        compiled = collections()
+        parallel = ParallelDetectionPlane(registry, num_workers=2, batch_size=rep.BATCH_SIZE)
+        try:
+            parallel.start()
+            started = collections()
+            spec = hashlib.sha256(repr(registry.to_spec()).encode("utf-8")).hexdigest()
+            parallel.feed_trace(prepared["trace"])
+            per_worker = parallel.finish()["events_per_worker"]
+        finally:
+            parallel.close()
+    print(f"collections {before} -> {compiled} -> {started} enabled {gc.isenabled()} "
+          f"spec {spec[:12]} events per worker {per_worker}")
+    assert not (
+        compiled != before
+        or started[2] != compiled[2]
+        or not gc.isenabled()
+        or not spec.startswith("11f649231c9d")
+        or per_worker != [102603, 102197]
+    )
+
+
 def test_decoder_warm_equals_cold():
     # decode_records resolves a repeated lead (kind|source|collector|
     # vantage) with one table lookup. Decoding the trace's lines once from

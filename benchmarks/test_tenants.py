@@ -286,7 +286,7 @@ def test_detect_workers_scaling(benchmark, tenant_world):
                 "events_routed": result["events_routed"],
                 "events_unrouted": result["events_unrouted"],
                 "alerts": result["alerts"],
-                "roots": len(parallel.roots),
+                "roots": len(parallel._routing),
             }
         return runs
 

@@ -28,7 +28,7 @@ from repro.eval.experiments import (
     summarize_results,
 )
 from repro.eval.report import format_duration, format_table, summary_rows
-from repro.perf import COUNTERS, format_profile, sample_memory
+from repro.perf import COUNTERS, collector_handed_off, format_profile, sample_memory
 from repro.testbed.scenario import HijackExperiment, ScenarioConfig
 from repro.topology.generator import GeneratorConfig, generate_internet
 from repro.topology.serial import save_caida
@@ -320,12 +320,13 @@ def _replay_plane(args: argparse.Namespace):
         try:
             with open(args.tenants, "r", encoding="utf-8") as handle:
                 spec = json.load(handle)
-            for name, entry in sorted(spec["tenants"].items()):
-                registry.add_tenant(
-                    name,
-                    ArtemisConfig.from_dict(entry["config"]),
-                    autoignore_visibility=entry.get("autoignore_visibility", 0),
-                )
+            with collector_handed_off():
+                for name, entry in sorted(spec["tenants"].items()):
+                    registry.add_tenant(
+                        name,
+                        ArtemisConfig.from_dict(entry["config"]),
+                        autoignore_visibility=entry.get("autoignore_visibility", 0),
+                    )
         # Not JSON, a missing key, or a list or string where an object belongs.
         except (AttributeError, KeyError, TypeError, ValueError) as error:
             raise ConfigError(

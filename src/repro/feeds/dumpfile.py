@@ -103,12 +103,18 @@ def decode_records(lines: Iterable[str]) -> Iterator[Record]:
             # FeedEvent's own checks, as one conjunction: an announcement has
             # a path, anything else is a withdrawal; the timestamps are finite
             # and ordered; a lead not seen before has its vantage in range
-            # (digits: never < 0).
+            # (digits: never < 0).  Then what float() forgives in a timestamp
+            # but repr() never writes: a non-ASCII digit, "_" between digits,
+            # a "+" sign or whitespace around it.
             kind = lead[3]
             if not (
                 (as_path if kind == ANNOUNCE else kind == WITHDRAW)
                 and -inf < observed_at <= delivered_at < inf
                 and (not fresh or lead[2] <= MAX_ASN)
+                and observed.isascii() and delivered.isascii()
+                and "_" not in observed and "_" not in delivered
+                and observed.strip(_PADS) == observed
+                and delivered.strip(_PADS) == delivered
             ):
                 # raises, naming the field
                 FeedEvent(*lead, prefix, as_path, observed_at, delivered_at)
@@ -147,6 +153,11 @@ def parse_event(line: str) -> FeedEvent:
     (record,) = decode_records((line,))
     return validated_event(record)
 
+
+#: What ``float()`` strips from either end of a timestamp and ``repr()``
+#: never writes there: a "+" sign and ASCII whitespace (``str.isascii``
+#: has refused the rest by then).
+_PADS = "+ \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
 
 #: Lead spelling (``kind|source|collector|vantage``) -> its validated
 #: ``(source, collector, vantage_asn, kind)``; bounded, cleared wholesale

@@ -13,6 +13,11 @@ processes, the layer that owns it and what it measures.  ``repro.cli
 worker snapshots into the parent by each metric's ``merge``: the parallel
 suite pool, ``ShardRunner.collect_perf`` and
 ``ParallelDetectionPlane.finish``.
+
+Two context managers keep CPython's cyclic collector off bulk allocation
+that frees nothing cyclic: :func:`collector_paused` defers collection
+across an engine drain or a trace load, and :func:`collector_handed_off`
+also files a ground-truth compile's objects in the oldest generation.
 """
 
 from __future__ import annotations
@@ -225,6 +230,27 @@ def collector_paused() -> Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
+
+
+@contextlib.contextmanager
+def collector_handed_off() -> Iterator[None]:
+    """:func:`collector_paused` over a bulk compile of long-lived, acyclic
+    ground truth; on a normal exit ``gc.freeze()`` then ``gc.unfreeze()``
+    move everything built to the oldest generation without a traversal, so
+    no young collection is owed when the collector resumes.
+
+    A heap already frozen (the worker plane's pre-fork freeze,
+    ``pin_checkpoints``) stays frozen: then, and when the block raises,
+    this resumes exactly as :func:`collector_paused` does.  Never wrap a
+    live simulated world: it is cyclic, and in the oldest generation a
+    dropped one waits for full collections that may not come.
+    """
+    frozen = gc.get_freeze_count()
+    with collector_paused():
+        yield
+        if not frozen:
+            gc.freeze()
+            gc.unfreeze()
 
 
 def sample_memory() -> None:

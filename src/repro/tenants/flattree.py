@@ -47,6 +47,8 @@ class FlatPrefixTree:
 
     Tenants onboard and retire incrementally (the registry's ``attach_tree``
     sync calls ``insert_rules`` / ``remove_rules``); each batch bumps ``epoch``.
+    :meth:`root_keys` is the worker plane's partition, read as the table's
+    own ``ikey`` ints: no ``Prefix`` is built for a root.
     """
 
     def __init__(self, registry=None) -> None:
@@ -145,10 +147,10 @@ class FlatPrefixTree:
         """Distinct stored prefixes, in deterministic bit order."""
         return [_rows(self._table[key])[0].prefix for key in sorted(self._table)]
 
-    def roots(self) -> List[Prefix]:
-        """Stored prefixes no other stored prefix covers, in bit order."""
-        table = self._table
-        return [_rows(table[key])[0].prefix for key in uncovered_keys(table)]
+    def root_keys(self) -> List[int]:
+        """The ``ikey`` of each stored prefix no other stored prefix covers,
+        ascending (bit order): one sorted walk over the table's own keys."""
+        return uncovered_keys(self._table)
 
     def tenants_at(self, prefix: Prefix) -> List[str]:
         """Tenant names monitoring exactly ``prefix``."""

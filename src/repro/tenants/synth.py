@@ -30,6 +30,7 @@ from repro.core.config import ArtemisConfig, OwnedPrefix
 from repro.errors import ConfigError
 from repro.feeds.events import FeedEvent
 from repro.net.prefix import Prefix
+from repro.perf import collector_handed_off
 from repro.tenants.pipeline import one_tenant_plane
 from repro.tenants.registry import TenantRegistry
 
@@ -56,6 +57,7 @@ def pad_prefix(index: int) -> Prefix:
     return Prefix(_PAD_BASE + (index << 8), 24, 4)
 
 
+@collector_handed_off()  # rows and policies: nothing cyclic, all long-lived
 def build_synth_registry(
     origin_map: Dict[Prefix, int],
     num_tenants: int,

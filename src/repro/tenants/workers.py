@@ -9,11 +9,12 @@ merged digest is bit-identical to a single worker's by construction.
 
 The partition unit is a **root**: a monitored prefix not covered by any
 other monitored prefix.  ``start()`` takes the roots from one ascending walk
-over the shared tree's own keys (:func:`~repro.net.prefix.uncovered_keys`)
-and round-robins them across workers in that order — deterministic for any
-worker count.  Roots are disjoint, so routing one announcement is one
-longest-match against the ``root.ikey`` → worker dict at the roots' present
-lengths; sub-prefix announcements inside a root land with it.
+over the shared tree's own keys (:meth:`FlatPrefixTree.root_keys`, ints,
+no ``Prefix`` per root) and round-robins them across workers in that order
+— deterministic for any worker count.  Roots are disjoint, so routing one
+announcement is one longest-match against the root ``ikey`` → worker dict at
+the roots' present lengths; sub-prefix announcements inside a root land
+with it.
 
 **Hand-off contract.**  Workers are forked (through
 :class:`repro.proc.WorkerGroup`; fork is the only start method this module
@@ -208,9 +209,9 @@ class ParallelDetectionPlane:
         self.registry = registry
         self.num_workers = int(num_workers)
         self.batch_size = int(batch_size)
-        #: The partition, its ``root.ikey`` → worker map and the roots' present
-        #: lengths, taken in :meth:`start` from the tree the workers fork with.
-        self.roots: List[Prefix] = []
+        #: The partition — root ``ikey`` → worker, roots in bit order — and
+        #: the roots' present lengths, taken in :meth:`start` from the tree
+        #: the workers fork with.
         self._routing: Dict[int, int] = {}
         self._route_lengths = present_lengths(())
         #: prefix field (bytes) → worker id, ``None`` (unrouted), or
@@ -248,17 +249,14 @@ class ParallelDetectionPlane:
         # Attached to the registry, so any later add/remove moves its epoch
         # — the signal the stale-registry guard reads.
         tree = FlatPrefixTree(self.registry)
-        roots = tree.roots()
+        roots = tree.root_keys()
         if not roots:
             self.registry.detach_tree(tree)
             raise ReproError("registry has no monitored prefixes to partition")
         self._tree = tree
         self._fork_epoch = tree.epoch
-        self.roots = roots
-        self._routing = dict(
-            zip([root.ikey for root in roots], cycle(range(self.num_workers)))
-        )
-        self._route_lengths = present_lengths(self._routing)
+        self._routing = dict(zip(roots, cycle(range(self.num_workers))))
+        self._route_lengths = present_lengths(roots)
         # What the children are forked to share: frozen, no full collection
         # — here or in a worker, whenever CPython's thresholds next call for
         # one — walks it and dirties the copy-on-write pages it sits on.
@@ -430,5 +428,5 @@ class ParallelDetectionPlane:
     def __repr__(self) -> str:
         return (
             f"<ParallelDetectionPlane workers={self.num_workers} "
-            f"roots={len(self.roots)} routed={self.events_routed}>"
+            f"roots={len(self._routing)} routed={self.events_routed}>"
         )

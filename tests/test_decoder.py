@@ -124,6 +124,10 @@ HOSTILE = {
     "nan delivered": line(delivered="nan"),
     "inf delivered": line(delivered="inf"),
     "-inf observed": line(observed="-inf"),
+    "underscore timestamp": line(observed="1_0", delivered="20.0"),
+    "padded timestamp": line(observed=" 1.0", delivered="2.0 "),
+    "non-ASCII timestamp digit": line(observed="１.0", delivered="١"),
+    "signed timestamp": line(observed="+1.0"),
     "negative vantage": line(vantage="-1"),
     "signed vantage": line(vantage="+5"),
     "fullwidth vantage": line(vantage="１２"),
@@ -165,6 +169,20 @@ class TestHostileLines:
         path.write_text(seal([GOOD, bad]), encoding="utf-8")
         with pytest.raises(FeedError):
             load_trace(str(path))
+
+
+@pytest.mark.parametrize("field", ["observed", "delivered"])
+def test_timestamps_take_only_what_repr_writes(field):
+    # Each spelling float() forgives, on either side: refused.
+    other = {"observed": "0.5", "delivered": "20.0"}
+    for spelling in ("1_0", " 1.0", "1.0 ", "\t1.0", "１.0", "١", "+1.0"):
+        with pytest.raises(FeedError):
+            parse_event(line(**dict(other, **{field: spelling})))
+    # What repr() writes: a sign and exponents of either sign are kept.
+    for spelling in ("-1.5", "5e-05", "1e+16", "10"):
+        lower, upper = ("-2.0", spelling) if field == "delivered" else (spelling, "2e+16")
+        event = parse_event(line(observed=lower, delivered=upper))
+        assert repr(getattr(event, field + "_at")) == repr(float(spelling))
 
 
 def test_constructor_guards_live_feeds_too():

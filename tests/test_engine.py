@@ -1,12 +1,15 @@
 """Tests for the discrete-event engine."""
 
 import gc
+import weakref
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.perf import collector_paused
+from repro.net.prefix import Prefix
+from repro.perf import collector_handed_off, collector_paused
 from repro.sim.engine import Engine
+from repro.tenants.synth import build_synth_registry
 
 from conftest import gc_collections
 
@@ -402,3 +405,65 @@ class TestCollectorPause:
         before = gc_collections()
         engine.run()
         assert inside == [before]
+
+
+@pytest.fixture
+def thawed_heap(restore_gc):
+    """A heap nothing has frozen: a worker plane started by an earlier test
+    freezes this process for good.  Frozen again afterwards if it was."""
+    frozen = gc.get_freeze_count()
+    gc.unfreeze()
+    yield
+    if frozen:
+        gc.freeze()
+
+
+class _Node:
+    pass
+
+
+class TestCollectorHandOff:
+    """A bulk compile pauses the collector and files what it built in the
+    oldest generation, so no young collection is owed when it resumes."""
+
+    def test_synth_compile_runs_no_collection(self, thawed_heap):
+        gc.enable()
+        origins = {Prefix.parse(f"10.{i}.0.0/16"): 65000 + i for i in range(8)}
+        started = []
+        gc.callbacks.append(lambda phase, info: started.append(info["generation"]))
+        try:
+            # 4,000 rows: 14 collections with the collector live.
+            registry = build_synth_registry(origins, num_tenants=40, num_prefixes=4000)
+        finally:
+            gc.callbacks.pop()
+        assert registry.num_rules == 4000
+        assert started == []
+        assert gc.isenabled()
+
+    def test_a_frozen_heap_stays_frozen(self, restore_gc):
+        gc.enable()
+        thawed = not gc.get_freeze_count()
+        if thawed:
+            gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            with collector_handed_off():
+                assert not gc.isenabled()
+                keep = [[i] for i in range(1000)]
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled() and len(keep) == 1000
+        finally:
+            if thawed:
+                gc.unfreeze()
+
+    def test_a_cycle_dropped_inside_is_still_freed(self, thawed_heap):
+        gc.enable()
+        with collector_handed_off():
+            node = _Node()
+            node.self = node
+            ref = weakref.ref(node)
+            del node
+        assert gc.get_freeze_count() == 0
+        assert ref() is not None  # refcounting alone cannot free a cycle
+        gc.collect()
+        assert ref() is None

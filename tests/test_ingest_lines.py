@@ -255,6 +255,8 @@ class TestHostileLinesBehindAWarmCache:
         thread.start()
         lines = [text.encode("utf-8") for text in (GOOD, GOOD, GOOD, bad)]
         parent_conn.send_bytes(frames.encode_batch(1, lines))
+        # A worker that accepts the line waits for the next frame: no reply.
+        assert parent_conn.poll(10.0), "the worker accepted the damaged line"
         assert parent_conn.recv() == ("error", repr(FeedError(feed_error_text(bad))))
         thread.join(timeout=5.0)
         assert not thread.is_alive()

@@ -1018,14 +1018,13 @@ class TestPartitioning:
         plane = ParallelDetectionPlane(registry, num_workers=3)
         plane.start()  # the partition is taken from the tree it forks with
         plane.close()
-        assert [str(root) for root in plane.roots] == [
+        assert [str(root) for root in oracle] == [
             "10.0.0.0/23", "11.0.0.0/8", "192.168.0.0/24", "2001:db8::/32",
         ]
-        assert plane.roots == oracle
-        assert plane._routing == {
-            root.ikey: index % 3 for index, root in enumerate(oracle)
-        }
-        assert [plane._routing[root.ikey] for root in plane.roots] == [0, 1, 2, 0]
+        # The routing dict is the partition: its keys are the roots' ikeys
+        # in bit order, its values the round-robin.
+        assert list(plane._routing) == [root.ikey for root in oracle]
+        assert list(plane._routing.values()) == [0, 1, 2, 0]
         assert plane._route_lengths == {4: [24, 23, 8], 6: [32]}
 
     def test_roots_round_robin_deterministic(self):
@@ -1038,8 +1037,8 @@ class TestPartitioning:
         plane.start()
         plane.close()
         roots = [Prefix.parse(f"10.{i}.0.0/16") for i in range(5)]
-        assert plane.roots == roots
-        assert [plane._routing[root.ikey] for root in roots] == [0, 1, 0, 1, 0]
+        assert list(plane._routing) == [root.ikey for root in roots]
+        assert list(plane._routing.values()) == [0, 1, 0, 1, 0]
 
     def test_iter_trace_lines_rejects_truncation(self, tmp_path):
         trace = write_mini_trace(tmp_path / "t.trace", rounds=2)
