@@ -50,12 +50,14 @@ def _add_world_size(
     """``--seed``, ``--tier1/--tier2/--stubs`` and ``--cache-dir``: the
     generated world every simulating command takes, at its own defaults."""
     parser.add_argument("--seed", type=int, default=1, help=seed_help)
-    for flag, default, what in zip(
-        ("--tier1", "--tier2", "--stubs"), sizes, ("tier-1", "tier-2", "stub")
+    # The generator refuses ``--tier1 0`` itself, in one line (exit 2).
+    for flag, kind, default, what in zip(
+        ("--tier1", "--tier2", "--stubs"),
+        (int, _at_least(0), _at_least(0)),
+        sizes,
+        ("tier-1", "tier-2", "stub"),
     ):
-        parser.add_argument(
-            flag, type=int, default=default, help=f"number of {what} ASes"
-        )
+        parser.add_argument(flag, type=kind, default=default, help=f"number of {what} ASes")
     parser.add_argument("--cache-dir", default=None, metavar="DIR", help=cache_help)
 
 
@@ -113,7 +115,7 @@ def _add_world_arguments(parser: argparse.ArgumentParser) -> None:
         "(default: only for type-U, which needs it)",
     )
     parser.add_argument(
-        "--helpers", type=int, default=0, help="outsourced-mitigation helper ASes"
+        "--helpers", type=_at_least(0), default=0, help="outsourced-mitigation helper ASes"
     )
     parser.add_argument(
         "--faults",
@@ -742,10 +744,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite = command("suite", cmd_suite, "run a suite of experiments")
     _add_world_arguments(suite)
-    suite.add_argument("--runs", type=int, default=10, help="number of seeds")
+    suite.add_argument("--runs", type=_at_least(1), default=10, help="number of seeds")
     suite.add_argument(
         "--jobs",
-        type=int,
+        type=_at_least(1),
         default=1,
         help="worker processes for the seed matrix (deterministic per seed)",
     )
@@ -776,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = command("demo", cmd_demo, "render the demo's map frames")
     _add_world_arguments(demo)
-    demo.add_argument("--frames", type=int, default=6, help="number of frames")
+    demo.add_argument("--frames", type=_at_least(1), default=6, help="number of frames")
     demo.add_argument(
         "--html", default=None, help="write a self-contained interactive map here"
     )

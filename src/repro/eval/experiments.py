@@ -16,11 +16,11 @@ seed order regardless of completion order.
 from __future__ import annotations
 
 import copy
-import multiprocessing
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.eval.stats import Summary, summarize
 from repro.perf import COUNTERS, sample_memory
+from repro.proc import FORK
 from repro.testbed.scenario import ExperimentResult, HijackExperiment, ScenarioConfig
 
 
@@ -36,25 +36,9 @@ def _config_for_seed(template: ScenarioConfig, seed: int) -> ScenarioConfig:
 _WORKER_TEMPLATE: Optional[ScenarioConfig] = None
 
 
-def _init_worker(
-    template: ScenarioConfig,
-    checkpoint_key: Optional[str] = None,
-    checkpoint_blob: Optional[bytes] = None,
-) -> None:
+def _init_worker(template: ScenarioConfig) -> None:
     global _WORKER_TEMPLATE
     _WORKER_TEMPLATE = template
-    if checkpoint_blob is not None:
-        # Warm-start suite: the parent captured the converged world once
-        # and shipped it pickled, once per *process*.  Under the ``fork``
-        # start method the registry is inherited and the blob is never
-        # touched; under ``spawn`` it is deserialized exactly once here.
-        from repro.testbed import checkpoint as ckpt
-
-        if ckpt.registered_checkpoint(checkpoint_key) is None:
-            ckpt.register_checkpoint(ckpt.Checkpoint.from_bytes(checkpoint_blob))
-        # The checkpoint lives for the whole worker; stop the GC from
-        # re-walking a converged Internet on every collection.
-        ckpt.pin_checkpoints()
     COUNTERS.reset()
 
 
@@ -74,8 +58,8 @@ def run_artemis_suite(
 ) -> List[ExperimentResult]:
     """Run one experiment per seed (independent worlds).
 
-    ``jobs > 1`` fans the seeds out over that many worker processes; the
-    per-seed outputs are identical to a serial run (each world is fully
+    ``jobs > 1`` fans the seeds out over that many forked worker processes;
+    the per-seed outputs are identical to a serial run (each world is fully
     seeded) and ``on_result`` still fires in seed order.  Worker perf
     counters are merged back into the parent's
     :data:`repro.perf.COUNTERS` so ``--profile`` stays meaningful.
@@ -83,14 +67,16 @@ def run_artemis_suite(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = list(seeds)
-    if jobs == 1 or len(seeds) <= 1:
-        if template.warm_start or template.checkpoint is not None:
-            # Build/load the shared world up front, then pin it so the GC
-            # stops re-walking it on every pass of the sweep loop.
-            from repro.testbed import checkpoint as ckpt
+    if template.warm_start or template.checkpoint is not None:
+        # Build (or load) the shared world once and register it by key:
+        # forked workers inherit the registry, so every seed everywhere
+        # forks this one master.  Pinning it before the fork keeps the GC,
+        # here and in the workers, from re-walking a converged Internet.
+        from repro.testbed import checkpoint as ckpt
 
-            ckpt.acquire_checkpoint(template)
-            ckpt.pin_checkpoints()
+        ckpt.register_checkpoint(ckpt.acquire_checkpoint(template))
+        ckpt.pin_checkpoints()
+    if jobs == 1 or len(seeds) <= 1:
         results = []
         for seed in seeds:
             result = HijackExperiment(_config_for_seed(template, seed)).run()
@@ -98,27 +84,17 @@ def run_artemis_suite(
             if on_result is not None:
                 on_result(result)
         return results
-    checkpoint_key: Optional[str] = None
-    checkpoint_blob: Optional[bytes] = None
     worker_template = template
-    if template.warm_start or template.checkpoint is not None:
-        # Build (or load) the shared world once in the parent, serialize it
-        # once, and let each worker process deserialize it once.  Workers
-        # then resolve it from their registry by key, so the template they
-        # receive must not carry the checkpoint object itself.
-        from repro.testbed import checkpoint as ckpt
-
-        master = ckpt.acquire_checkpoint(template)
-        checkpoint_key = master.key
-        checkpoint_blob = master.to_bytes()
+    if template.checkpoint is not None:
+        # Workers resolve the master from their inherited registry by key.
         worker_template = copy.copy(template)
         worker_template.checkpoint = None
         worker_template.warm_start = True
     results = []
-    with multiprocessing.Pool(
+    with FORK.Pool(
         min(jobs, len(seeds)),
         initializer=_init_worker,
-        initargs=(worker_template, checkpoint_key, checkpoint_blob),
+        initargs=(worker_template,),
     ) as pool:
         # imap preserves seed order, so output is deterministic even when
         # workers finish out of order.

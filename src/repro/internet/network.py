@@ -347,12 +347,6 @@ class Network:
             prefix = Prefix.parse(prefix)
         self.speaker(asn).originate(prefix)
 
-    def withdraw(self, asn: int, prefix: Union[Prefix, str]) -> None:
-        """AS ``asn`` stops originating ``prefix``."""
-        if isinstance(prefix, str):
-            prefix = Prefix.parse(prefix)
-        self.speaker(asn).withdraw_origin(prefix)
-
     def run_until_converged(
         self,
         max_time: float = 3600.0,

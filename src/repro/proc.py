@@ -50,6 +50,12 @@ from repro.perf import COUNTERS as _COUNTERS
 #: default (≈208 KiB on Linux) holds less than one.
 PIPE_BUFFER_BYTES = 4 << 20
 
+#: The one start method of every worker process: a child is a fork of this
+#: process and inherits its state.  :class:`WorkerGroup` forks through it,
+#: and so does the seed-matrix ``Pool`` of :mod:`repro.eval.experiments`,
+#: whose workers inherit the registered warm-start checkpoint.
+FORK = multiprocessing.get_context("fork")
+
 
 def _widen(conn) -> None:
     """Ask for :data:`PIPE_BUFFER_BYTES` both ways on ``conn``'s socket."""
@@ -80,7 +86,7 @@ class WorkerGroup:
     def __init__(self, label: str, error: Type[Exception]):
         self._label = label
         self._error = error
-        self._context = multiprocessing.get_context("fork")
+        self._context = FORK
         self._conns: List = []
         #: Nanoseconds this group's sends spent blocked (also counted in
         #: ``pipe_send_wait_ns``).

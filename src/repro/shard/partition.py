@@ -125,24 +125,20 @@ def partition_graph(
     config = config or NetworkConfig()
 
     assignment: Dict[int, int] = {}
-    if num_shards == 1:
-        for asn in graph.asns():
-            assignment[asn] = 0
+    buckets = _geo_buckets(graph, num_shards)
+    if len(buckets) >= num_shards:
+        ordered = sorted(buckets.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+        loads = [0] * num_shards
+        for _name, asns in ordered:
+            shard = loads.index(min(loads))
+            loads[shard] += len(asns)
+            for asn in asns:
+                assignment[asn] = shard
     else:
-        buckets = _geo_buckets(graph, num_shards)
-        if len(buckets) >= num_shards:
-            ordered = sorted(buckets.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-            loads = [0] * num_shards
-            for _name, asns in ordered:
-                shard = loads.index(min(loads))
-                loads[shard] += len(asns)
-                for asn in asns:
-                    assignment[asn] = shard
-        else:
-            asns = graph.asns()
-            chunk = -(-len(asns) // num_shards)  # ceil division
-            for index, asn in enumerate(asns):
-                assignment[asn] = min(index // chunk, num_shards - 1)
+        asns = graph.asns()
+        chunk = -(-len(asns) // num_shards)  # ceil division
+        for index, asn in enumerate(asns):
+            assignment[asn] = min(index // chunk, num_shards - 1)
 
     cut_links: List[LinkKey] = []
     link_floors: Dict[LinkKey, float] = {}

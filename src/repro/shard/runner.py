@@ -64,8 +64,6 @@ class ShardRunner:
             {} for _ in range(plan.num_shards)
         ]
         self._next_times: List[Optional[float]] = [None] * plan.num_shards
-        self._in_flight: List[int] = [0] * plan.num_shards
-        self._snapshot_state: Optional[tuple] = None
         # Ship the topology as canonical annotated text (one serialization,
         # every worker rebuilds the same graph the cache/CLI would load).
         lines = to_caida_lines(graph, annotate=True)
@@ -77,33 +75,26 @@ class ShardRunner:
                 )
                 self._group.fork(worker_main, spec)
             for shard in range(plan.num_shards):
-                self._record_status(shard, self._group.recv(shard))
+                self._next_times[shard] = self._group.recv(shard)
         except BaseException:
             self.close()
             raise
 
     # ------------------------------------------------------------- transport
 
-    def _record_status(self, shard: int, status: Tuple[Optional[float], int]) -> None:
-        self._next_times[shard], self._in_flight[shard] = status
-
     def _ask_all(self, *request) -> List:
         """One request to every shard; every reply, in shard order."""
         return self._group.ask_all([request] * self.num_shards)
 
-    def _command_all(self, *request) -> None:
-        """Send a mutating command to every shard; statuses refresh."""
-        for shard, status in enumerate(self._ask_all(*request)):
-            self._record_status(shard, status)
-
     def _command_one(self, shard: int, *request) -> None:
+        """Send a mutating command to one shard; its next event time refreshes."""
         self._group.send(shard, request)
-        self._record_status(shard, self._group.recv(shard))
+        self._next_times[shard] = self._group.recv(shard)
 
     # -------------------------------------------------------------- commands
 
     def watch(self, target) -> None:
-        self._command_all("watch", target)
+        self._next_times = self._ask_all("watch", target)
 
     def originate(self, asn: int, prefix) -> None:
         self._command_one(self.plan.shard_of(asn), "originate", asn, prefix)
@@ -113,9 +104,6 @@ class ShardRunner:
             self.plan.shard_of(asn),
             "originate_forged", asn, prefix, list(path_suffix),
         )
-
-    def withdraw(self, asn: int, prefix) -> None:
-        self._command_one(self.plan.shard_of(asn), "withdraw", asn, prefix)
 
     # --------------------------------------------------------------- windows
 
@@ -156,9 +144,8 @@ class ShardRunner:
             requests.append(("run_window", epoch, window_end, bundles))
         link_shards = self._link_shards
         replies = self._group.ask_all(requests)
-        for shard, (out, next_time, in_flight) in enumerate(replies):
+        for shard, (out, next_time) in enumerate(replies):
             self._next_times[shard] = next_time
-            self._in_flight[shard] = in_flight
             for link, records in out.items():
                 shard_a, shard_b = link_shards[link]
                 target = shard_b if shard_a == shard else shard_a
@@ -198,30 +185,6 @@ class ShardRunner:
             for key, value in stats.items():
                 merged[key] = merged.get(key, 0) + value
         return merged
-
-    # --------------------------------------------------------------- warm start
-
-    def _assert_quiescent(self, action: str) -> None:
-        if any(time is not None for time in self._next_times) or any(
-            self._in_flight
-        ):
-            raise SimulationError(f"cannot {action}: shards are not quiescent")
-        if any(self._pending):
-            raise SimulationError(f"cannot {action}: cross-shard records pending")
-
-    def snapshot(self) -> None:
-        """Snapshot every shard's (quiescent) state for repeated restores."""
-        self._assert_quiescent("snapshot")
-        self._command_all("snapshot")
-        self._snapshot_state = (self.now, self.epoch)
-
-    def restore(self) -> None:
-        """Fork every shard back to the snapshot; resets the global clock."""
-        if self._snapshot_state is None:
-            raise SimulationError("no snapshot captured on this runner")
-        self._command_all("restore")
-        self.now, self.epoch = self._snapshot_state
-        self._pending = [{} for _ in range(self.num_shards)]
 
     # ------------------------------------------------------------------ perf
 

@@ -52,10 +52,8 @@ class ShardSpec:
         return ShardWorld(graph, None, self.seed, self.local_asns)
 
 
-#: World methods that change it; each replies with the world's status.
-COMMANDS = frozenset(
-    {"watch", "originate", "originate_forged", "withdraw", "snapshot", "restore"}
-)
+#: World methods that change it; each replies with the world's next event time.
+COMMANDS = frozenset({"watch", "originate", "originate_forged"})
 #: World methods that answer with what they return.
 QUERIES = frozenset({"run_window", "observe", "flips", "stats"})
 

@@ -1,4 +1,4 @@
-"""Shard-local world state: network subclass, flip tracking, warm forking.
+"""Shard-local world state: network subclass and flip tracking.
 
 :class:`ShardNetwork` is a :class:`Network` that builds **one shard** of a
 partitioned graph: :meth:`Network._build` runs unchanged over the full
@@ -11,16 +11,14 @@ by construction.
 
 :class:`ShardWorld` wraps a shard network with everything a worker process
 needs: origin-flip tracking (one :class:`~repro.internet.tracker.OriginTracker`
-per watched target), the epoch-validated window step, and warm-start
-snapshot/restore using the checkpoint machinery's copy-on-write shell-fork
-pattern.  Built over the whole graph it is also the ``--shards 1`` runner:
+per watched target) and the epoch-validated window step.  Built over the
+whole graph it is also the ``--shards 1`` runner:
 :meth:`run_to` steps its one engine, and the rest of the runner surface is
 its own.
 """
 
 from __future__ import annotations
 
-import copy
 import pickle
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -100,8 +98,6 @@ class ShardWorld:
         #: Watched prefix -> its one-probe tracker (see :meth:`watch`).
         self.trackers: Dict[Prefix, OriginTracker] = {}
         self.epoch = 0
-        self._snapshot: Optional["ShardWorld"] = None
-        self._snapshot_epoch = 0
 
     # ------------------------------------------------------------- commands
 
@@ -124,10 +120,6 @@ class ShardWorld:
                 prefix = Prefix.parse(prefix)
             self.network.speaker(asn).originate_forged(prefix, path_suffix)
 
-    def withdraw(self, asn: int, prefix: Union[Prefix, str]) -> None:
-        if asn in self.network.speakers:
-            self.network.withdraw(asn, prefix)
-
     # -------------------------------------------------------------- windows
 
     @property
@@ -145,10 +137,10 @@ class ShardWorld:
         epoch: int,
         window_end: float,
         bundles: Sequence[DeliveryBundle],
-    ) -> Tuple[Dict[LinkKey, List[SendRecord]], Optional[float], int]:
+    ) -> Tuple[Dict[LinkKey, List[SendRecord]], Optional[float]]:
         """One conservative window: integrate, run to the barrier, collect.
 
-        Returns ``(outgoing_records_by_link, next_event_time, in_flight)``.
+        Returns ``(outgoing_records_by_link, next_event_time)``.
         Epoch stamps are validated strictly — a bundle from any epoch other
         than this window's is a protocol violation, not a retry.
         """
@@ -202,10 +194,12 @@ class ShardWorld:
         # draws next window); everything fully drained drops off the set.
         for key in [key for key in active if not sessions[key].has_backlog]:
             active.discard(key)
-        return out, self.network.engine.peek_time(), self.network.tracker.in_flight
+        return out, self.status()
 
-    def status(self) -> Tuple[Optional[float], int]:
-        return self.network.engine.peek_time(), self.network.tracker.in_flight
+    def status(self) -> Optional[float]:
+        """This shard's next event time (``None`` when idle): all the
+        coordinator's barrier reads of it."""
+        return self.network.engine.peek_time()
 
     # ---------------------------------------------------------- observation
 
@@ -230,47 +224,6 @@ class ShardWorld:
             "total_nlri": tracker.total_nlri,
         }
 
-    # ------------------------------------------------------------- snapshot
-
-    def _assert_quiescent(self, action: str) -> None:
-        if self.network.tracker.busy:
-            raise SimulationError(f"cannot {action}: BGP work is in flight")
-        for session in self.network.boundary_sessions.values():
-            if session.has_backlog:
-                raise SimulationError(
-                    f"cannot {action}: boundary backlog on {session!r}"
-                )
-
-    def snapshot(self) -> None:
-        """Capture the (quiescent) world; restorable any number of times.
-
-        Follows the checkpoint discipline: the *current* state becomes the
-        permanently frozen master (forks alias its RIB rows copy-on-write,
-        so it must never advance again) and the live world continues on a
-        fresh fork of it.
-        """
-        self._assert_quiescent("snapshot")
-        master = copy.copy(self)
-        master._snapshot = None
-        master.network.engine.freeze()
-        self._snapshot = master
-        self._snapshot_epoch = self.epoch
-        fork = fork_world(master)
-        fork.network.engine.thaw()
-        self.network = fork.network
-        self.trackers = fork.trackers
-
-    def restore(self) -> None:
-        """Replace the live state with a fresh fork of the snapshot."""
-        if self._snapshot is None:
-            raise SimulationError("no snapshot captured on this shard")
-        fork = fork_world(self._snapshot)
-        fork.network.engine.thaw()
-        _C.checkpoint_restores += 1
-        self.network = fork.network
-        self.trackers = fork.trackers
-        self.epoch = self._snapshot_epoch
-
     # ------------------------------------------------------- runner lifecycle
 
     def collect_perf(self) -> List[Dict[str, float]]:
@@ -286,12 +239,3 @@ class ShardWorld:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def fork_world(world: ShardWorld) -> ShardWorld:
-    """Deepcopy a :class:`ShardWorld` through :meth:`Network.fork_memo`."""
-    memo = world.network.fork_memo()
-    clone = copy.copy(world)
-    clone.network = copy.deepcopy(world.network, memo)
-    clone.trackers = copy.deepcopy(world.trackers, memo)
-    clone._snapshot = None
-    return clone

@@ -45,16 +45,15 @@ def _tuple_size(held: Held) -> int:  # a table value's share of ``nbytes()``
 class FlatPrefixTree:
     """Longest-match service over every tenant's monitored prefixes.
 
-    Tenants onboard and retire incrementally (the registry's ``attach_tree``
-    sync calls ``insert_rules`` / ``remove_rules``); each batch bumps ``epoch``.
+    Tenants onboard incrementally (the registry's ``attach_tree`` sync calls
+    ``insert_rules``); each batch bumps ``epoch``.
     :meth:`root_keys` is the worker plane's partition, read as the table's
     own ``ikey`` ints: no ``Prefix`` is built for a root.
     """
 
     def __init__(self, registry=None) -> None:
         self._table: Dict[int, Held] = {}
-        #: The table's ``present_lengths``, grown by each batch's new keys (a
-        #: removal leaves a vanished length: a probe there just misses).
+        #: The table's ``present_lengths``, grown by each batch's new keys.
         self._lengths = present_lengths(())
         self._tuple_bytes = 0  # the shared-prefix rule tuples' bytes, kept per row
         #: Bumped once per mutation batch; the verdict cache and the
@@ -88,39 +87,13 @@ class FlatPrefixTree:
             # and the epoch moves, so no verdict cache outlives the change.
             if added:
                 self.num_rules += added
+                self.epoch += 1
                 # The keys this batch created are the dict's last ones: only
                 # they are read, so a batch costs its rows, not the table.
-                self._changed(present_lengths(islice(reversed(table), len(table) - size)))
-
-    def remove_rules(self, rules: Iterable[TenantRule]) -> None:
-        """Drop rule rows (a tenant retiring); one epoch bump per call."""
-        removed = 0
-        try:
-            for rule in rules:
-                key = rule.prefix.ikey
-                held = self._table.get(key, ())
-                rows = list(_rows(held))
-                if rule not in rows:
-                    raise KeyError(f"rule {rule!r} not present in the prefix tree")
-                rows.remove(rule)
-                self._tuple_bytes -= _tuple_size(held)
-                if rows:
-                    self._table[key] = rows[0] if len(rows) == 1 else tuple(rows)
-                    self._tuple_bytes += _tuple_size(self._table[key])
-                else:
-                    del self._table[key]
-                removed += 1
-        finally:
-            # A batch that raises on an absent rule unlinked those before it.
-            if removed:
-                self.num_rules -= removed
-                self._changed({})
-
-    def _changed(self, added_lengths: Dict[int, List[int]]) -> None:
-        self.epoch += 1
-        for version, new in added_lengths.items():
-            self._lengths[version] = sorted({*self._lengths[version], *new}, reverse=True)
-        _COUNTERS.tree_bytes = max(_COUNTERS.tree_bytes, self.nbytes())
+                added_lengths = present_lengths(islice(reversed(table), len(table) - size))
+                for version, new in added_lengths.items():
+                    self._lengths[version] = sorted({*self._lengths[version], *new}, reverse=True)
+                _COUNTERS.tree_bytes = max(_COUNTERS.tree_bytes, self.nbytes())
 
     def resolve(self, prefix: Prefix) -> List[Match]:
         """The **most specific** rule covering ``prefix`` of each tenant,

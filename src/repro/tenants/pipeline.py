@@ -22,7 +22,7 @@ a run, so :class:`DetectionPlane` is a throughput pipeline:
    *across* batches too, so the verdict cache is **cross-batch**: a
    bounded FIFO dict keyed on ``(prefix.ikey, path[, vantage])`` that
    survives from one drain to the next and is invalidated wholesale when
-   the tree's epoch moves (a tenant onboarded or retired).  A steady-state
+   the tree's epoch moves (a tenant onboarded).  A steady-state
    feed converges to zero table lookups and zero rule-ladder runs per batch.
    With a data-plane ``corroborator`` probe attached the cache reverts to
    per-batch lifetime (cleared after every drain), because a probe's

@@ -16,7 +16,7 @@ single operator's config is a one-tenant registry):
   boilerplate policy reference the same frozensets.
 * :class:`TenantRegistry` — compiles :class:`~repro.core.config.ArtemisConfig`
   style ground truth for N tenants into bundle rows, supports incremental
-  tenant add/remove (propagated to any attached
+  tenant onboarding (propagated to any attached
   :class:`~repro.tenants.flattree.FlatPrefixTree`), and dumps to canonical
   plain-tuple rows.  ``--detect-workers`` processes are forked with the
   registry itself; nothing here is a wire format.
@@ -138,7 +138,7 @@ class TenantRegistry:
         #: Interning tables: identical policy material is stored once.
         self._asn_sets: Dict[FrozenSet[int], FrozenSet[int]] = {}
         self._adjacency_maps: Dict[Tuple, Dict[int, FrozenSet[int]]] = {}
-        #: Attached prefix trees, notified on tenant add/remove.
+        #: Attached prefix trees, notified when a tenant is added.
         self._trees: List = []
 
     # ------------------------------------------------------------- interning
@@ -219,16 +219,8 @@ class TenantRegistry:
             tree.insert_rules(rows)
         return rows
 
-    def remove_tenant(self, name: str) -> None:
-        """Retire a tenant; its rows vanish from every attached tree."""
-        rows = self._tenants.pop(name, None)
-        if rows is None:
-            raise ConfigError(f"no tenant {name!r} registered")
-        for tree in self._trees:
-            tree.remove_rules(rows)
-
     def attach_tree(self, tree) -> None:
-        """Keep ``tree`` in sync with future add/remove calls."""
+        """Keep ``tree`` in sync with future :meth:`add_tenant` calls."""
         if tree not in self._trees:
             self._trees.append(tree)
 

@@ -246,7 +246,7 @@ class ParallelDetectionPlane:
         """
         if self.started:
             return
-        # Attached to the registry, so any later add/remove moves its epoch
+        # Attached to the registry, so any later add_tenant moves its epoch
         # — the signal the stale-registry guard reads.
         tree = FlatPrefixTree(self.registry)
         roots = tree.root_keys()

@@ -39,8 +39,7 @@ Checkpoints are keyed by a digest of the *world-defining* configuration —
 everything except the run-scoped fields (``seed`` when ``world_seed`` is
 pinned, the fault plan, and the warm-start flags themselves).  A
 process-wide registry maps key → checkpoint so a suite builds the world
-once; workers receive the pickled checkpoint once per process via the pool
-initializer and fork it per seed.
+once; its forked workers inherit the registry and fork the master per seed.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import gc
 import hashlib
 import pickle
 import sys
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import ExperimentError
 from repro.net.prefix import Prefix
@@ -175,7 +174,8 @@ class Checkpoint:
     # ---------------------------------------------------------- serialization
 
     def to_bytes(self) -> bytes:
-        """Pickle for shipping to suite workers (once per process)."""
+        """Pickle for :func:`save_checkpoint` (suite workers inherit the
+        master by fork and never read these bytes)."""
         with _raised_recursion_limit():
             data = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
         if len(data) > _C.checkpoint_bytes:
@@ -226,9 +226,9 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 # ------------------------------------------------------------------ registry
 
-#: Process-wide registry: checkpoint key → checkpoint.  Suites register the
-#: shared checkpoint here (workers do so in their pool initializer) so every
-#: warm experiment in the process forks the same master.
+#: Process-wide registry: checkpoint key → checkpoint.  A suite registers its
+#: shared checkpoint here before forking its workers, so every warm
+#: experiment in the process and its workers forks the same master.
 _REGISTRY: Dict[str, Checkpoint] = {}
 
 #: Checkpoints loaded from disk, cached per path so a sweep pointing many
@@ -239,11 +239,6 @@ _LOADED: Dict[str, Checkpoint] = {}
 def register_checkpoint(checkpoint: Checkpoint) -> None:
     """Install ``checkpoint`` in the process-wide registry, keyed by world."""
     _REGISTRY[checkpoint.key] = checkpoint
-
-
-def registered_checkpoint(key: str) -> Optional[Checkpoint]:
-    """The registered checkpoint for a world key, or ``None``."""
-    return _REGISTRY.get(key)
 
 
 def clear_registry() -> None:
@@ -259,9 +254,9 @@ def pin_checkpoints() -> None:
     the process, which roughly doubles the heap every generational collector
     pass has to walk; on a 1000-AS world that costs more wall clock than the
     forks themselves.  Collect once, then ``gc.freeze()`` so the permanent
-    objects stop being scanned.  Call after the checkpoint is registered
-    (suite workers do this in their initializer; sweep drivers should call
-    it after :func:`acquire_checkpoint`).
+    objects stop being scanned.  Call after :func:`acquire_checkpoint`
+    (a suite does so before it forks its workers, which inherit the frozen
+    heap).
     """
     gc.collect()
     gc.freeze()

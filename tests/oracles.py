@@ -287,23 +287,6 @@ class PrefixTree:
             self.num_rules += added
             self.epoch += 1
 
-    def remove_rules(self, rules: Iterable[TenantRule]) -> None:
-        """Drop rule rows (a tenant retiring); one epoch bump per call."""
-        removed = 0
-        try:
-            for rule in rules:
-                bucket = self._trie.get(rule.prefix)
-                if bucket is None or rule not in bucket:
-                    raise KeyError(f"rule {rule!r} not present in the prefix tree")
-                bucket.remove(rule)
-                if not bucket:
-                    self._trie.remove(rule.prefix)
-                removed += 1
-        finally:  # a failed batch still counts what it unlinked
-            if removed:
-                self.num_rules -= removed
-                self.epoch += 1
-
     def resolve(self, prefix: Prefix) -> List[Match]:
         """The most specific covering rule per tenant, sorted by tenant."""
         per_tenant: Dict[str, Match] = {}

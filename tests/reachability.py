@@ -64,6 +64,7 @@ SCALE = "--tier1 6 --tier2 94 --stubs 900 --seed 11 --cache-dir topocache"
 KILL = "--faults examples/fault_plans/midhijack_kill.json"
 PRODUCT = [
     f"-m repro suite --runs 2 --jobs 2 {SMALL} --profile-json profile.json",
+    f"-m repro suite --runs 2 --jobs 2 {SMALL} --warm-start",
     f"-m repro experiment {SMALL} --world-seed 9 --seed 101 --checkpoint world.ckpt",
     f"-m repro experiment {SMALL} --world-seed 9 --seed 102 --checkpoint world.ckpt",
     f"-m repro baselines --seed 1 {SMALL} {KILL}",

@@ -27,7 +27,6 @@ from repro.testbed.checkpoint import (
     clear_registry,
     load_checkpoint,
     register_checkpoint,
-    registered_checkpoint,
     save_checkpoint,
     world_config,
 )
@@ -110,10 +109,9 @@ class TestWorldSeedMode:
         key = checkpoint_key(self._config(201))
         assert key == checkpoint_key(self._config(999))
         HijackExperiment(self._config(201, warm_start=True)).run()
-        master = registered_checkpoint(key)
-        assert master is not None
+        master = acquire_checkpoint(self._config(999))
         HijackExperiment(self._config(202, warm_start=True)).run()
-        assert registered_checkpoint(key) is master
+        assert acquire_checkpoint(self._config(202)) is master
 
     @pytest.mark.slow
     def test_parallel_warm_suite_matches_serial_cold(self):
@@ -123,6 +121,22 @@ class TestWorldSeedMode:
             self._config(0, warm_start=True), seeds, jobs=2
         )
         assert [r.seed for r in warm_results] == seeds
+        assert [r.to_dict() for r in warm_results] == [r.to_dict() for r in cold]
+
+    def test_parallel_suite_workers_inherit_an_explicit_checkpoint(self, monkeypatch):
+        """A ``jobs=2`` suite hands its workers the checkpoint by fork: with
+        pickling refused, an explicit checkpoint still reproduces the
+        serial cold run seed for seed."""
+        seeds = [101, 102, 103]
+        cold = run_artemis_suite(self._config(0), seeds, jobs=1)
+        template = self._config(0)
+        template.checkpoint = Checkpoint.capture(template)
+
+        def refuse(checkpoint):
+            raise AssertionError("suite workers must inherit the checkpoint")
+
+        monkeypatch.setattr(Checkpoint, "to_bytes", refuse)
+        warm_results = run_artemis_suite(template, seeds, jobs=2)
         assert [r.to_dict() for r in warm_results] == [r.to_dict() for r in cold]
 
 
@@ -251,8 +265,8 @@ class TestKeysAndRegistry:
     def test_acquire_registers_on_miss_and_reuses(self):
         config = fast_scenario(seed=4, network=fast_network_config())
         first = acquire_checkpoint(config)
-        assert registered_checkpoint(first.key) is first
         assert acquire_checkpoint(config) is first
+        assert acquire_checkpoint(fast_scenario(seed=4, network=fast_network_config())) is first
 
     def test_acquire_rejects_incompatible_explicit_checkpoint(self):
         checkpoint = Checkpoint.capture(
@@ -268,9 +282,10 @@ class TestKeysAndRegistry:
             fast_scenario(seed=4, network=fast_network_config())
         )
         register_checkpoint(checkpoint)
-        assert registered_checkpoint(checkpoint.key) is checkpoint
+        config = fast_scenario(seed=4, network=fast_network_config())
+        assert acquire_checkpoint(config) is checkpoint
         clear_registry()
-        assert registered_checkpoint(checkpoint.key) is None
+        assert acquire_checkpoint(config) is not checkpoint
 
 
 # ------------------------------------------------------------- serialization

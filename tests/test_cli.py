@@ -197,6 +197,27 @@ class TestFailureContract:
         assert captured.err.endswith("\n") and captured.err.count("\n") == 1
         assert "---" not in captured.out  # no table
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "--runs", "-3"],
+            ["suite", "--jobs", "0"],
+            ["suite", "--jobs", "-2"],
+            ["suite", "--stubs", "-5"],
+            ["experiment", "--tier2", "-2"],
+            ["experiment", "--helpers", "-1"],
+            ["demo", "--frames", "0"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[1]}{argv[2]}",
+    )
+    def test_bad_count_flags_are_refused_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        assert exit.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {argv[1]}: must be at least" in captured.err
+        assert captured.out == ""
+
 
 class TestProfileAndJobs:
     def test_profile_prints_counter_table(self, capsys):

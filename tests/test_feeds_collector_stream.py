@@ -77,7 +77,7 @@ class TestCollector:
         net7.add_monitor_session(3, collector)
         net7.announce(6, "10.0.0.0/23")
         net7.run_until_converged()
-        net7.withdraw(6, "10.0.0.0/23")
+        net7.speaker(6).withdraw_origin(P("10.0.0.0/23"))
         net7.run_until_converged()
         assert collector.rib_snapshot() == []
 

@@ -122,7 +122,7 @@ class TestPeriscope:
         net7.announce(6, "10.0.0.0/23")
         net7.run_until_converged()
         net7.run_for(45.0)
-        net7.withdraw(6, "10.0.0.0/23")
+        net7.speaker(6).withdraw_origin(P("10.0.0.0/23"))
         net7.run_until_converged()
         net7.run_for(45.0)
         assert any(not e.is_announcement for e in events)

@@ -2,9 +2,8 @@
 
 ``FlatPrefixTree`` must agree with the node-object oracle ``PrefixTree``:
 same resolve semantics (most specific rule per tenant, sorted tenant
-order, per-bucket exact flags), same incremental mutation surface (epoch
-bump per batch, loud KeyError on unknown removal), plus the ``tree_bytes``
-gauge.
+order, per-bucket exact flags), same incremental onboarding (one epoch
+bump per batch), plus the ``tree_bytes`` gauge.
 Cross-implementation equivalence under randomized operation sequences is
 property-tested separately in ``test_flattree_equivalence.py``.
 """
@@ -110,40 +109,14 @@ class TestMutation:
             "gamma", ArtemisConfig([OwnedPrefix("10.7.0.0/16", [65007])])
         )
         assert tree.epoch == 2
-        registry.remove_tenant("gamma")
+        registry.add_tenant(
+            "delta",
+            ArtemisConfig(
+                [OwnedPrefix("10.8.0.0/16", [65008]), OwnedPrefix("10.8.1.0/24", [65008])]
+            ),
+        )
         assert tree.epoch == 3
-        assert tree.num_rules == 3
-
-    def test_remove_unknown_rule_is_loud(self):
-        registry = small_registry()
-        tree = FlatPrefixTree(registry)
-        victim = registry.rules_for("beta")
-        tree.remove_rules(victim)
-        with pytest.raises(KeyError, match="not present in the prefix tree"):
-            tree.remove_rules(victim)
-
-    @pytest.mark.parametrize("tree_class", [FlatPrefixTree, PrefixTree])
-    def test_failed_removal_counts_what_it_unlinked(self, tree_class):
-        """``remove_rules([present, absent])`` raises on ``absent`` with
-        ``present`` already gone: the rule count and the epoch must say so,
-        or an epoch-stamped cache keeps serving the removed row."""
-        registry = small_registry()
-        tree = tree_class(registry)
-        present = registry.rules_for("beta")[0]
-        absent = TenantRegistry().add_tenant(
-            "ghost", ArtemisConfig([OwnedPrefix("10.9.0.0/16", [65009])])
-        )[0]
-        epoch, rules, size = tree.epoch, tree.num_rules, len(tree)
-        with pytest.raises(KeyError, match="not present in the prefix tree"):
-            tree.remove_rules([present, absent])
-        assert tree.resolve(present.prefix) == [(registry.rules_for("alpha")[0], False)]
-        assert tree.num_rules == rules - 1
-        assert len(tree) == size - 1
-        assert tree.epoch == epoch + 1
-        # A batch that fails on its first row changed nothing: no bump.
-        with pytest.raises(KeyError):
-            tree.remove_rules([absent, registry.rules_for("alpha")[0]])
-        assert (tree.epoch, tree.num_rules) == (epoch + 1, rules - 1)
+        assert tree.num_rules == 6
 
     def test_failed_insert_counts_what_it_linked(self):
         """A row that cannot name its tenant, or names no prefix, stops the
@@ -191,8 +164,8 @@ class TestMutation:
 
     def test_tenant_add_reads_only_its_own_keys(self, monkeypatch):
         """On a 10k-prefix attached tree, onboarding a tenant hands
-        ``present_lengths`` that tenant's new keys and nothing else, and
-        retiring it hands it none: a mutation costs its own rows."""
+        ``present_lengths`` that tenant's new keys and nothing else: a
+        mutation costs its own rows."""
         from repro.tenants.synth import build_synth_registry
 
         registry = build_synth_registry(
@@ -222,17 +195,21 @@ class TestMutation:
         assert sorted(passed[0]) == [rows[0].prefix.ikey, rows[2].prefix.ikey]
         assert tree.resolve(Prefix.parse("10.200.7.0/24")) == [(rows[0], False)]
         assert tree.resolve(Prefix.parse("2001:db8::/48")) == [(rows[2], True)]
-        registry.remove_tenant("newcomer")
-        assert len(passed) == 1
-        assert tree.resolve(Prefix.parse("10.200.7.0/24")) == []
 
     def test_size_tracks_distinct_prefixes(self):
         registry = small_registry()
         tree = FlatPrefixTree(registry)
         node = PrefixTree(registry)
         assert len(tree) == len(node) == 3
-        registry.remove_tenant("alpha")
-        assert len(tree) == len(node) == 1
+        # A shared prefix is one entry; only the new one adds to the size.
+        registry.add_tenant(
+            "gamma",
+            ArtemisConfig(
+                [OwnedPrefix("10.0.0.0/23", [65003]), OwnedPrefix("10.3.0.0/16", [65003])]
+            ),
+        )
+        assert len(tree) == len(node) == 4
+        assert tree.num_rules == node.num_rules == 5
 
 
 class TestMemoryAccounting:

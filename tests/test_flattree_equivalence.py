@@ -1,8 +1,8 @@
 """Property test: the flat tree is observationally equal to the node tree.
 
 Same shape as ``test_classify_equivalence.py``: hypothesis drives
-randomized operation sequences — tenant onboarding, tenant retirement,
-resolve probes — through the oracle ``PrefixTree`` and a ``FlatPrefixTree``
+randomized operation sequences — tenant onboarding and resolve probes —
+through the oracle ``PrefixTree`` and a ``FlatPrefixTree``
 attached to one shared registry, and every observable must agree at every
 step: resolve results (rule identity, exact flags, and order), stored
 size, epoch, rule count, monitored-prefix listing, and exact-tenant
@@ -50,14 +50,8 @@ _PROBES = [Prefix.parse(text) for text in _POOL] + [
     Prefix.parse("2001:db9::/32"),
 ]
 
-_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["add", "remove", "readd"]),
-        st.integers(min_value=0, max_value=2 ** 16),
-    ),
-    min_size=1,
-    max_size=24,
-)
+#: One onboarded tenant per seed, its config drawn from the seed.
+_OPS = st.lists(st.integers(min_value=0, max_value=2 ** 16), min_size=1, max_size=24)
 
 
 def _config(seed: int) -> ArtemisConfig:
@@ -76,30 +70,14 @@ def _observe(tree, probe):
 
 @settings(max_examples=150, deadline=None)
 @given(ops=_OPS)
-def test_flat_tree_equivalent_under_randomized_churn(ops):
+def test_flat_tree_equivalent_under_randomized_onboarding(ops):
     registry = TenantRegistry()
     node = PrefixTree()
     flat = FlatPrefixTree()
     registry.attach_tree(node)
     registry.attach_tree(flat)
-    live = []
-    serial = 0
-    for kind, seed in ops:
-        if kind == "add" or (kind == "readd" and not live):
-            name = f"tenant-{serial:04d}"
-            serial += 1
-            registry.add_tenant(name, _config(seed))
-            live.append((name, seed))
-        elif kind == "remove" and live:
-            name, _seed = live.pop(seed % len(live))
-            registry.remove_tenant(name)
-        elif kind == "readd":
-            # Retire and immediately re-onboard: the tenant's rows leave
-            # and re-enter their prefixes' entries within two epochs.
-            index = seed % len(live)
-            name, tenant_seed = live[index]
-            registry.remove_tenant(name)
-            registry.add_tenant(name, _config(tenant_seed))
+    for serial, seed in enumerate(ops):
+        registry.add_tenant(f"tenant-{serial:04d}", _config(seed))
         assert node.epoch == flat.epoch
         assert node.num_rules == flat.num_rules
         assert len(node) == len(flat)
@@ -112,8 +90,8 @@ def test_flat_tree_equivalent_under_randomized_churn(ops):
 
 # ------------------------------------------------------------ batch mutation
 #
-# ``FlatPrefixTree.insert_rules`` and ``remove_rules`` take a batch of rows
-# and bump the epoch once for it.  The property: whatever the batches, the
+# ``FlatPrefixTree.insert_rules`` takes a batch of rows and bumps the epoch
+# once for it.  The property: whatever the batches, the
 # table is the one the same rows build one at a time — in the node oracle
 # and in a second table fed single-row batches.
 
@@ -132,24 +110,27 @@ _BULK_POLICIES = [
     for name in ("t-a", "t-b", "t-c")
 ]
 
-#: (insert?, picks): an insert batch takes (tenant, prefix) picks — the same
-#: pick twice is the same prefix twice under one tenant; a remove batch
-#: reads each pick as an index into the live rows.
+#: Insert batches of (tenant, prefix) picks — the same pick twice is the
+#: same prefix twice under one tenant.
 _BULK_OPS = st.lists(
-    st.tuples(
-        st.booleans(),
-        st.lists(
-            st.tuples(
-                st.integers(0, len(_BULK_POLICIES) - 1),
-                st.integers(0, len(_BULK_POOL) - 1),
-            ),
-            min_size=1,
-            max_size=10,
+    st.lists(
+        st.tuples(
+            st.integers(0, len(_BULK_POLICIES) - 1),
+            st.integers(0, len(_BULK_POOL) - 1),
         ),
+        min_size=1,
+        max_size=10,
     ),
     min_size=1,
     max_size=14,
 )
+
+
+def _batch(picks):
+    return [
+        TenantRule(_BULK_POLICIES[tenant], _BULK_POOL[index], frozenset({65000}))
+        for tenant, index in picks
+    ]
 
 
 @settings(max_examples=200, deadline=None)
@@ -157,26 +138,13 @@ _BULK_OPS = st.lists(
 def test_bulk_load_is_the_one_at_a_time_insert(ops):
     bulk, single, node = FlatPrefixTree(), FlatPrefixTree(), PrefixTree()
     live = []
-    for insert, picks in ops:
-        if insert or not live:
-            batch = [
-                TenantRule(_BULK_POLICIES[tenant], _BULK_POOL[index], frozenset({65000}))
-                for tenant, index in picks
-            ]
-            live.extend(batch)
-            bulk.insert_rules(batch)
-            for rule in batch:
-                single.insert_rules([rule])
-                node.insert_rules([rule])
-        else:
-            chosen = sorted({(tenant * 31 + index) % len(live) for tenant, index in picks})
-            batch = [live[i] for i in chosen]
-            for i in reversed(chosen):
-                del live[i]
-            bulk.remove_rules(batch)
-            for rule in batch:
-                single.remove_rules([rule])
-                node.remove_rules([rule])
+    for picks in ops:
+        batch = _batch(picks)
+        live.extend(batch)
+        bulk.insert_rules(batch)
+        for rule in batch:
+            single.insert_rules([rule])
+            node.insert_rules([rule])
         assert bulk.num_rules == single.num_rules == node.num_rules == len(live)
         assert len(bulk) == len(single) == len(node)
         assert bulk.nbytes() == single.nbytes()
@@ -192,11 +160,9 @@ def test_bulk_load_is_the_one_at_a_time_insert(ops):
 
 # ------------------------------------------------------------ O(batch) upkeep
 #
-# A mutation batch keeps the tree's lengths and shared-tuple bytes up to date
-# from its own rows: a removal may leave a vanished length behind (a probe at
-# an absent length just misses).  The property: whatever the batches, the
-# tree answers as a tree freshly built from the live rows, and ``nbytes()``
-# is a full recount.
+# An insert batch keeps the tree's lengths and shared-tuple bytes up to date
+# from its own rows.  The property: whatever the batches, the tree answers as
+# a tree freshly built from the live rows, and ``nbytes()`` is a full recount.
 
 _RANDOM_PROBES = st.lists(
     st.one_of(
@@ -220,27 +186,15 @@ _RANDOM_PROBES = st.lists(
 def test_mutated_tree_answers_as_a_fresh_build(ops, probes):
     tree = FlatPrefixTree()
     live = []
-    for insert, picks in ops:
-        if insert or not live:
-            batch = [
-                TenantRule(_BULK_POLICIES[tenant], _BULK_POOL[index], frozenset({65000}))
-                for tenant, index in picks
-            ]
-            live.extend(batch)
-            tree.insert_rules(batch)
-        else:
-            chosen = sorted({(tenant * 31 + index) % len(live) for tenant, index in picks})
-            tree.remove_rules([live[i] for i in chosen])
-            for i in reversed(chosen):
-                del live[i]
+    for picks in ops:
+        batch = _batch(picks)
+        live.extend(batch)
+        tree.insert_rules(batch)
         fresh = FlatPrefixTree()
         fresh.insert_rules(live)
         assert tree.nbytes() == sys.getsizeof(tree._table) + sum(
             sys.getsizeof(held) for held in tree._table.values() if type(held) is tuple
         )
-        stored = present_lengths(tree._table)
-        for version in (4, 6):
-            assert set(stored[version]) <= set(tree._lengths[version])
-            assert tree._lengths[version] == sorted(set(tree._lengths[version]), reverse=True)
+        assert tree._lengths == present_lengths(tree._table)
         for probe in _BULK_PROBES + fresh.monitored_prefixes() + probes:
             assert _observe(tree, probe) == _observe(fresh, probe), probe

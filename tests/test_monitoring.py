@@ -129,7 +129,7 @@ class TestMonitoringService:
         assert set(service.vantages) == {3, 4}
         seen = service.events_seen
         subscription.active = False
-        net7.withdraw(6, "10.0.0.0/23")
+        net7.speaker(6).withdraw_origin(P("10.0.0.0/23"))
         net7.run_until_converged()
         net7.run_for(5.0)
         assert service.events_seen == seen

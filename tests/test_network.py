@@ -48,7 +48,7 @@ class TestAnnouncePropagation:
     def test_withdraw_clears_routes(self, net7):
         net7.announce(6, "10.0.0.0/23")
         net7.run_until_converged()
-        net7.withdraw(6, "10.0.0.0/23")
+        net7.speaker(6).withdraw_origin(P("10.0.0.0/23"))
         net7.run_until_converged()
         assert fraction_routing_to(net7, "10.0.0.5", 6) == 0.0
 

@@ -452,6 +452,28 @@ GUARDS: Tuple[Guard, ...] = (
         r"\.(ris_vantages|bgpmon_vantages|batch_vantages|lg_asns)\b",
         ("src", "tests", "benchmarks", "bench", "examples"),
     ),
+    Guard(
+        "shard-snapshot", "after 47ba9af",
+        "A converged world is frozen one way, testbed.checkpoint; a shard "
+        "keeps no snapshot, restore or fork of its own.",
+        ("src/repro/shard/world.py", "    def snapshot(self) -> None:"),
+        r"fork_world|_snapshot_state|def (snapshot|restore|_assert_quiescent)",
+        ("src/repro/shard",),
+    ),
+    Guard(
+        "suite-checkpoint-blob", "after 47ba9af",
+        "Suite workers inherit the registered checkpoint by fork; no pickled "
+        "copy is shipped to them.",
+        ("src/repro/eval/experiments.py", "        checkpoint_blob = master.to_bytes()"),
+        "checkpoint_blob", ("src/repro/eval",), word=True,
+    ),
+    Guard(
+        "tenant-removal", "after 47ba9af",
+        "Tenants only onboard; the item that retires tenants brings removal "
+        "back with its own tests.",
+        ("src/repro/tenants/registry.py", "    def remove_tenant(self, name: str) -> None:"),
+        "remove_tenant|remove_rules", ("src",), word=True,
+    ),
 )
 
 #: The smallest tree the positive rows accept; each example is laid over it.

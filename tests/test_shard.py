@@ -1,7 +1,7 @@
 """Tests for the sharded propagation engine (:mod:`repro.shard`).
 
 Partitioning invariants, the epoch-stamped window protocol, cross-shard
-session bookkeeping, snapshot/restore, and the on-disk topology cache.
+session bookkeeping, and the on-disk topology cache.
 The bit-identity guarantee itself (``--shards 1`` vs ``2`` vs ``4``) is
 enforced in ``tests/test_determinism.py`` next to the other golden digests.
 """
@@ -231,32 +231,6 @@ class TestRunners:
             runner.run_to(10.0)
             with pytest.raises(SimulationError):
                 runner.run_to(5.0)
-
-    @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_snapshot_restore_replays_identically(self, graph, num_shards):
-        victim, hijacker = graph.stubs()[0], graph.stubs()[1]
-        with make_runner(graph, num_shards, seed=7) as runner:
-            runner.watch("10.0.0.0/24")
-            runner.originate(victim, "10.0.0.0/22")
-            runner.run_to(400.0)
-            runner.snapshot()
-
-            def hijack_run():
-                runner.originate(hijacker, "10.0.0.0/24")
-                runner.run_to(700.0)
-                return runner.observe("10.0.0.0/24"), runner.flips("10.0.0.0/24")
-
-            first = hijack_run()
-            runner.restore()
-            second = hijack_run()
-        assert first == second
-        assert any(origin == hijacker for origin in first[0].values())
-
-    @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_restore_without_snapshot_raises(self, graph, num_shards):
-        with make_runner(graph, num_shards, seed=7) as runner:
-            with pytest.raises(SimulationError, match="no snapshot"):
-                runner.restore()
 
     def test_close_prints_no_worker_traceback(self, graph, capfd):
         """``close()`` reads no reply to its ``stop``, so a worker answers

@@ -59,7 +59,6 @@ from repro.tenants.pipeline import (
     classify_batch_verdicts,
     one_tenant_plane,
 )
-from repro.tenants.registry import TenantRule
 from repro.tenants.synth import (
     baseline_services,
     build_synth_registry,
@@ -160,29 +159,6 @@ class TestTenantRegistry:
             registry.add_tenant(
                 "acme", ArtemisConfig([OwnedPrefix("10.1.0.0/24", [2])])
             )
-
-    def test_remove_unknown_tenant_rejected(self):
-        with pytest.raises(Exception, match="no tenant"):
-            TenantRegistry().remove_tenant("ghost")
-
-    def test_churned_tenant_leaves_no_rows_behind(self):
-        """1,000 add/remove rounds of one tenant, a new prefix each round:
-        the registry retains the rows a fresh one holds and not one more."""
-
-        def live_rows():
-            gc.collect()
-            return sum(1 for obj in gc.get_objects() if type(obj) is TenantRule)
-
-        registry = two_tenant_registry()
-        before = live_rows()  # this registry's two, plus any other test's
-        for round_ in range(1000):
-            registry.add_tenant(
-                "churn", ArtemisConfig([OwnedPrefix(pad_prefix(round_), [65001])])
-            )
-            registry.remove_tenant("churn")
-        assert live_rows() == before
-        assert registry.num_rules == 2
-        assert registry.to_spec() == two_tenant_registry().to_spec()
 
     def test_spec_roundtrip(self):
         # The canonical row dump: equal for equal registries, plain data.
@@ -308,7 +284,7 @@ class TestPrefixTree:
         # sub-prefix detection is strictly more-specific, as in the engine.
         assert tree.resolve(Prefix.parse("10.0.0.0/16")) == []
 
-    def test_incremental_add_remove_with_epochs(self):
+    def test_incremental_add_with_epochs(self):
         registry = two_tenant_registry()
         tree = PrefixTree(registry)
         epoch = tree.epoch
@@ -317,19 +293,8 @@ class TestPrefixTree:
         )
         assert tree.epoch == epoch + 1
         assert tree.tenants_at(Prefix.parse("10.0.0.0/24")) == ["beta", "gamma"]
-        registry.remove_tenant("beta")
-        assert tree.epoch == epoch + 2
-        assert tree.tenants_at(Prefix.parse("10.0.0.0/24")) == ["gamma"]
         matches = tree.resolve(Prefix.parse("10.0.0.0/24"))
-        assert {r.policy.tenant for r, _ in matches} == {"acme", "gamma"}
-
-    def test_remove_unknown_rule_is_loud(self):
-        registry = two_tenant_registry()
-        tree = PrefixTree(registry)
-        rule = registry.rules_for("acme")[0]
-        tree.remove_rules([rule])
-        with pytest.raises(KeyError):
-            tree.remove_rules([rule])
+        assert {r.policy.tenant for r, _ in matches} == {"acme", "beta", "gamma"}
 
 
 # ------------------------------------------------------------ batch verdicts
@@ -628,26 +593,6 @@ class TestDetectionPlane:
         # re-hit the rebuilt cache.
         assert COUNTERS.pipeline_trie_walks == 2
         assert COUNTERS.verdict_cache_hits == hits_before + 3
-
-    def test_failed_removal_never_serves_the_removed_rule(self):
-        """A ``remove_rules`` batch that raises half-way has still removed
-        the rows before the bad one; the tree's epoch must move so that the
-        identical announcement is re-judged, not answered from the cache."""
-        registry = two_tenant_registry(cooldown_a=0.0, cooldown_b=0.0)
-        plane = DetectionPlane(registry, batch_size=1)
-        plane.ingest(make_event(1.0, "10.0.0.0/24", (64600, 666)))
-        evidence = lambda name: len(plane.alert_managers()[name].alerts[0].evidence)
-        assert (evidence("acme"), evidence("beta")) == (1, 1)
-        gone = registry.rules_for("beta")[0]
-        absent = TenantRegistry().add_tenant(
-            "ghost", ArtemisConfig([OwnedPrefix("10.9.0.0/16", [65009])])
-        )[0]
-        with pytest.raises(KeyError):
-            plane.tree.remove_rules([gone, absent])
-        plane.ingest(make_event(2.0, "10.0.0.0/24", (64600, 666)))
-        # acme's covering /23 still matches; beta's row is gone for good.
-        assert (evidence("acme"), evidence("beta")) == (2, 1)
-        assert plane.tree.num_rules == 1
 
     def test_verdict_cache_per_batch_with_corroborator(self):
         COUNTERS.reset()
