@@ -235,7 +235,7 @@ def test_batched_pipeline_vs_per_event_baseline(benchmark, tenant_world):
         "alerts": plane.total_alerts(),
         "batches": COUNTERS.pipeline_batches,
         "trie_walks": COUNTERS.pipeline_trie_walks,
-        "memo_hits": COUNTERS.pipeline_memo_hits,
+        "memo_hits": COUNTERS.verdict_cache_hits,
         "merged_alert_digest": plane.digest(),
     }
     benchmark.extra_info.update(numbers)

@@ -1,4 +1,4 @@
-"""Routing policy: business relationships, Gao-Rexford rules, route filters.
+"""Routing policy: business relationships, Gao-Rexford rules, the import rule.
 
 The policy model is the standard economic one:
 
@@ -12,18 +12,17 @@ It is exactly this policy structure that makes a hijack *partially*
 successful (only ASes economically "closer" to the hijacker switch), which is
 the behaviour ARTEMIS' monitoring visualises and its mitigation reverses.
 
-Route filters model operational practice; the one the paper calls out is the
-widespread filtering of announcements more specific than /24, which is why
-de-aggregating a /24 does not work (experiment E6).
+Every speaker applies one import rule: drop a prefix longer than
+:data:`MAX_PREFIX_LENGTH` — the widespread filtering of announcements more
+specific than /24 the paper calls out, which is why de-aggregating a /24
+does not work (experiment E6) — and, at an AS that enforces RPKI route-origin
+validation, drop what the registry calls invalid.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Optional, Sequence, Tuple
-
-from repro.bgp.messages import Announcement
-from repro.net.prefix import Prefix
+from typing import Dict, Optional, Tuple
 
 
 class Relationship(enum.Enum):
@@ -66,70 +65,15 @@ DEFAULT_LOCAL_PREF: Dict[Relationship, int] = {
     Relationship.MONITOR: 0,
 }
 
+#: :data:`DEFAULT_LOCAL_PREF` indexed by :data:`REL_INDEX`, so the speaker
+#: reads a peer's LOCAL_PREF with its ``rel_index`` instead of an enum hash.
+LOCAL_PREF_BY_INDEX: Tuple[int, ...] = tuple(
+    DEFAULT_LOCAL_PREF[rel] for rel in Relationship
+)
 
-class RouteFilter:
-    """Base class for import/export filters; return False to reject."""
-
-    def accepts(self, announcement: Announcement) -> bool:
-        raise NotImplementedError
-
-    def __call__(self, announcement: Announcement) -> bool:
-        return self.accepts(announcement)
-
-
-class AcceptAll(RouteFilter):
-    """The permissive default."""
-
-    def accepts(self, announcement: Announcement) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return "AcceptAll()"
-
-
-class MaxLengthFilter(RouteFilter):
-    """Reject prefixes more specific than /24 (IPv4) or /48 (IPv6).
-
-    This models the common ISP practice the paper cites as the reason
-    de-aggregation cannot protect /24s.
-    """
-
-    max_length_v4 = 24
-    max_length_v6 = 48
-
-    def accepts(self, announcement: Announcement) -> bool:
-        prefix = announcement.prefix
-        limit = self.max_length_v4 if prefix.version == 4 else self.max_length_v6
-        return prefix.length <= limit
-
-    def __repr__(self) -> str:
-        return f"MaxLengthFilter(v4</{self.max_length_v4}, v6</{self.max_length_v6})"
-
-
-class PrefixDenyFilter(RouteFilter):
-    """Reject announcements covered by any of the given prefixes (bogons etc.)."""
-
-    def __init__(self, denied: Iterable[Prefix]):
-        self.denied = tuple(denied)
-
-    def accepts(self, announcement: Announcement) -> bool:
-        return not any(d.contains(announcement.prefix) for d in self.denied)
-
-    def __repr__(self) -> str:
-        return f"PrefixDenyFilter({[str(p) for p in self.denied]})"
-
-
-class FilterChain(RouteFilter):
-    """All filters must accept."""
-
-    def __init__(self, filters: Sequence[RouteFilter]):
-        self.filters = tuple(filters)
-
-    def accepts(self, announcement: Announcement) -> bool:
-        return all(f.accepts(announcement) for f in self.filters)
-
-    def __repr__(self) -> str:
-        return f"FilterChain({list(self.filters)})"
+#: The longest prefix any speaker imports, by IP version: announcements more
+#: specific than /24 (IPv4) or /48 (IPv6) are filtered everywhere.
+MAX_PREFIX_LENGTH: Dict[int, int] = {4: 24, 6: 48}
 
 
 def should_export(
@@ -181,19 +125,3 @@ MARK_GRID: Tuple[Tuple[Tuple[bool, ...], ...], ...] = tuple(
     tuple(_mark_row(new_row, old_row) for old_row in EXPORT_GRID)
     for new_row in EXPORT_GRID
 )
-
-
-class Policy:
-    """A speaker's import side: the import filter chain and LOCAL_PREF by
-    relationship.  Export is the process-wide :data:`EXPORT_GRID`.
-
-    Frozen after set-up: one instance serves every speaker with the same
-    import rule, and checkpoint forks share it.
-    """
-
-    def __init__(self, import_filter: Optional[RouteFilter] = None):
-        self.import_filter = import_filter or AcceptAll()
-        self.local_pref = dict(DEFAULT_LOCAL_PREF)
-
-    def __repr__(self) -> str:
-        return f"Policy(import={self.import_filter!r})"

@@ -9,8 +9,9 @@ always possible" (§1).  This module makes that trade-off measurable:
   an announcement is **valid** if some covering ROA matches its origin and
   length, **invalid** if covering ROAs exist but none match, **not-found**
   when no ROA covers it;
-* :class:`ROVFilter` — an import filter for ROV-enforcing ASes: drop
-  invalids, accept valid and not-found (standard deployment practice).
+* route-origin validation at import — a speaker built with a registry
+  (``BGPSpeaker(rov=registry)``, every ROV-adopting AS) drops invalids and
+  accepts valid and not-found (standard deployment practice).
 
 ROV stops exact-origin hijacks at adopting ASes (experiment A4 sweeps
 adoption), but *cannot* stop forged-path (type-1) attacks — the origin in
@@ -24,7 +25,6 @@ import enum
 from typing import Dict, Iterable, List, Optional
 
 from repro.bgp.messages import Announcement
-from repro.bgp.policy import RouteFilter
 from repro.errors import BGPError
 from repro.net.prefix import Prefix, covering
 
@@ -123,16 +123,3 @@ class RPKIRegistry:
 
     def __repr__(self) -> str:
         return f"<RPKIRegistry {self._count} ROAs>"
-
-
-class ROVFilter(RouteFilter):
-    """Import filter for a ROV-enforcing AS: drop INVALID announcements."""
-
-    def __init__(self, registry: RPKIRegistry):
-        self.registry = registry
-
-    def accepts(self, announcement: Announcement) -> bool:
-        return self.registry.validate(announcement) is not Validity.INVALID
-
-    def __repr__(self) -> str:
-        return f"ROVFilter({self.registry!r})"

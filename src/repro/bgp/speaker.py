@@ -1,8 +1,8 @@
 """The BGP speaker: a router's control plane as a simulation process.
 
-Each speaker owns its RIBs and policy and reacts to delivered UPDATEs:
+Each speaker owns its RIBs and reacts to delivered UPDATEs:
 
-    deliver → (processing delay) → import filter / loop check → Adj-RIB-In
+    deliver → (processing delay) → loop check / import rule → Adj-RIB-In
             → decision process → Loc-RIB change → export marking
             → (MRAI batching) → UPDATE out on each session
 
@@ -23,14 +23,14 @@ from repro.bgp.policy import (
     LOCAL_REL_INDEX,
     MARK_ALL_ROW,
     MARK_GRID,
-    AcceptAll,
-    MaxLengthFilter,
-    Policy,
+    LOCAL_PREF_BY_INDEX,
+    MAX_PREFIX_LENGTH,
     REL_INDEX,
     Relationship,
 )
 from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.route import Route
+from repro.bgp.rpki import RPKIRegistry, Validity
 from repro.bgp.session import ActivityTracker, Session
 from repro.errors import BGPError
 from repro.net.prefix import Address, Prefix
@@ -97,7 +97,7 @@ class BGPSpeaker:
         self,
         asn: int,
         engine: Engine,
-        policy: Optional[Policy] = None,
+        rov: Optional[RPKIRegistry] = None,
         rng: Optional[SeededRNG] = None,
         tracker: Optional[ActivityTracker] = None,
         processing_delay: Optional[Delay] = None,
@@ -105,7 +105,10 @@ class BGPSpeaker:
     ):
         self.asn = int(asn)
         self.engine = engine
-        self.policy = policy or Policy()
+        #: The RPKI registry this AS enforces route-origin validation
+        #: against (``None``: no ROV).  The rest of the import rule, the
+        #: :data:`MAX_PREFIX_LENGTH` limit, holds at every speaker.
+        self.rov = rov
         self.rng = rng or SeededRNG(self.asn)
         self.tracker = tracker
         #: Per-UPDATE processing time at this router.
@@ -319,24 +322,13 @@ class BGPSpeaker:
         if message.announcements:
             # Loop-invariant per-message context: every announcement shares
             # the sender's relationship and the current clock.
-            policy = self.policy
-            local_pref = policy.local_pref[state.relationship]
+            rel_index = state.rel_index
+            local_pref = LOCAL_PREF_BY_INDEX[rel_index]
             learned_at = self.engine.now
             my_asn = self.asn
-            rel_index = state.rel_index
-            # The permissive default accepts everything; detect it once per
-            # message and skip a call frame per announcement.  The other
-            # ubiquitous filter — the plain too-specific limit every transit
-            # AS applies — gets the same treatment: its verdict is two
-            # integer compares, hoisted to ``max4``/``max6``.
-            import_filter = policy.import_filter
-            accept_all = type(import_filter) is AcceptAll
-            max4 = max6 = 0
-            plain_max_length = type(import_filter) is MaxLengthFilter
-            if plain_max_length:
-                max4 = import_filter.max_length_v4
-                max6 = import_filter.max_length_v6
-            accepts = import_filter.accepts
+            max4 = MAX_PREFIX_LENGTH[4]
+            max6 = MAX_PREFIX_LENGTH[6]
+            rov = self.rov
             by_prefix = self._rib_rows
             by_prefix_get = by_prefix.get
             # Empty (falsy) unless this RIB was forked from a checkpoint;
@@ -351,13 +343,11 @@ class BGPSpeaker:
             if my_asn in as_path:  # RFC 4271 loop check
                 continue
             prefix = announcement.prefix
-            if accept_all:
-                accepted = True
-            elif plain_max_length:
-                accepted = prefix.length <= (max4 if prefix.version == 4 else max6)
-            else:
-                accepted = accepts(announcement)
-            if not accepted:
+            # The import rule: the length limit first, then ROV.
+            if not (
+                prefix.length <= (max4 if prefix.version == 4 else max6)
+                and (rov is None or rov.validate(announcement) is not Validity.INVALID)
+            ):
                 # A rejected announcement still implicitly withdraws any
                 # previously accepted route for the prefix from this peer.
                 removed = self.adj_rib_in.withdraw(sender_asn, prefix)

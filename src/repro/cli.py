@@ -222,7 +222,7 @@ _REPLAY_ROWS = (
     ("pending-copy backlog peak", "backlog_peak"),
     ("pipeline batches", "pipeline_batches"),
     ("prefix-table lookups", "pipeline_trie_walks"),
-    ("memo hits", "pipeline_memo_hits"),
+    ("verdict cache hits", "verdict_cache_hits"),
     ("verdict cache misses", "verdict_cache_misses"),
     ("verdict cache hit ratio", "verdict_cache_hit_ratio"),
     ("backpressure stalls", "pipeline_backpressure_stalls"),

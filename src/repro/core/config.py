@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.bgp.policy import MAX_PREFIX_LENGTH
 from repro.errors import ConfigError
 from repro.net.prefix import Prefix
 
@@ -149,8 +150,8 @@ class ArtemisConfig:
         self,
         owned: Sequence[OwnedPrefix],
         auto_mitigate: bool = True,
-        max_announce_length_v4: int = 24,
-        max_announce_length_v6: int = 48,
+        max_announce_length_v4: int = MAX_PREFIX_LENGTH[4],
+        max_announce_length_v6: int = MAX_PREFIX_LENGTH[6],
         deaggregation_levels: int = 1,
         detect_subprefix: bool = True,
         detect_path: bool = True,
@@ -263,8 +264,12 @@ class ArtemisConfig:
         return cls(
             owned,
             auto_mitigate=data.get("auto_mitigate", True),
-            max_announce_length_v4=data.get("max_announce_length_v4", 24),
-            max_announce_length_v6=data.get("max_announce_length_v6", 48),
+            max_announce_length_v4=data.get(
+                "max_announce_length_v4", MAX_PREFIX_LENGTH[4]
+            ),
+            max_announce_length_v6=data.get(
+                "max_announce_length_v6", MAX_PREFIX_LENGTH[6]
+            ),
             deaggregation_levels=data.get("deaggregation_levels", 1),
             detect_subprefix=data.get("detect_subprefix", True),
             detect_path=data.get("detect_path", True),

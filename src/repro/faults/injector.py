@@ -53,23 +53,22 @@ class FaultInjector:
     # --------------------------------------------------------------- resolving
 
     def _streams(self) -> Dict[str, object]:
-        streams = {
-            self.deployment.ris.name: self.deployment.ris,
-            self.deployment.bgpmon.name: self.deployment.bgpmon,
-        }
-        if self.deployment.batch is not None:
-            streams[self.deployment.batch.name] = self.deployment.batch
-        return streams
+        """Every deployed collector-backed source, by name."""
+        deployment = self.deployment
+        sources = (
+            deployment.ris,
+            deployment.bgpmon,
+            deployment.batch,
+            deployment.rib_archive,
+        )
+        return {source.name: source for source in sources if source is not None}
 
     def _collectors(self) -> Dict[str, object]:
-        collectors = {}
-        for service in (self.deployment.ris, self.deployment.bgpmon):
-            for box in service.collectors:
-                collectors[box.name] = box
-        if self.deployment.batch is not None:
-            for box in self.deployment.batch.collectors:
-                collectors[box.name] = box
-        return collectors
+        return {
+            box.name: box
+            for source in self._streams().values()
+            for box in source.collectors
+        }
 
     def _looking_glasses(self) -> Dict[str, object]:
         return {lg.name: lg for lg in self.deployment.periscope.looking_glasses}

@@ -11,7 +11,9 @@ Kinds
 ``outage``
     The target source's transport goes down for the window: events observed
     or in flight during it are lost.  Targets: a source name (``ris``,
-    ``bgpmon``, ``periscope``) or a single looking-glass name (``lg-<asn>``).
+    ``bgpmon``, ``periscope``, the ``routeviews`` batch archive, the
+    ``rib-only`` archive when deployed) or a single looking-glass name
+    (``lg-<asn>``).
 ``delay``
     Publication-latency inflation on a stream source for the window:
     each sampled latency becomes ``latency * factor + add``.

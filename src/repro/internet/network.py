@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.bgp.policy import FilterChain, MaxLengthFilter, Policy, Relationship
-from repro.bgp.rpki import ROVFilter, RPKIRegistry
+from repro.bgp.policy import Relationship
+from repro.bgp.rpki import RPKIRegistry
 from repro.bgp.session import ActivityTracker, Session
 from repro.bgp.speaker import BGPSpeaker
 from repro.errors import SimulationError, TopologyError
@@ -70,15 +70,6 @@ class NetworkConfig:
             raise SimulationError("rov_adoption must be a probability")
         self.rov_adoption = float(rov_adoption)
 
-    def make_policy(self, rov_filter: Optional[ROVFilter] = None) -> Policy:
-        """The import policy (every AS filters longer-than-/24 by default;
-        ROV enforcement added for adopting ASes).  Policies are frozen, so
-        one instance serves every AS with the same rule."""
-        length_filter = MaxLengthFilter()
-        if rov_filter is None:
-            return Policy(import_filter=length_filter)
-        return Policy(import_filter=FilterChain([length_filter, rov_filter]))
-
 
 class Network:
     """A live simulated Internet."""
@@ -107,11 +98,11 @@ class Network:
 
     # ------------------------------------------------------------------ build
 
-    def _make_speaker(self, asn: int, policy: Optional[Policy] = None) -> BGPSpeaker:
+    def _make_speaker(self, asn: int, rov: Optional[RPKIRegistry] = None) -> BGPSpeaker:
         speaker = BGPSpeaker(
             asn,
             self.engine,
-            policy=policy or self.config.make_policy(),
+            rov=rov,
             rng=self.rng.substream("speaker", asn),
             tracker=self.tracker,
             processing_delay=self.config.processing_delay,
@@ -155,23 +146,18 @@ class Network:
         whole-graph order, local or not, so a network that builds only some
         ASes (:meth:`_is_local`) gives each of them the draws and the peer
         insertion order of the whole-graph build — same-instant MRAI
-        flushes fire in peer order and each consumes a draw.  Two policies
-        serve every AS: the plain import rule and, for ROV adopters, the
-        same rule behind an RPKI filter.
+        flushes fire in peer order and each consumes a draw.  ROV adopters
+        validate against the shared :attr:`rpki` registry.
         """
         rov_rng = self.rng.substream("rov")
         adoption = self.config.rov_adoption
-        plain = self.config.make_policy()
-        rov = self.config.make_policy(ROVFilter(self.rpki))
         for node in self.graph.nodes():
             adopts = adoption > 0.0 and rov_rng.random() < adoption
             if not self._is_local(node.asn):
                 continue
-            policy = plain
             if adopts:
                 self.rov_adopters.add(node.asn)
-                policy = rov
-            self._make_speaker(node.asn, policy=policy)
+            self._make_speaker(node.asn, rov=self.rpki if adopts else None)
         for a, b, a_view in self.graph.links():
             a_local = self._is_local(a)
             b_local = self._is_local(b)
@@ -199,9 +185,9 @@ class Network:
     def fork_memo(self, shared=()) -> Dict[int, object]:
         """The ``deepcopy`` memo that forks this network copy-on-write.
 
-        The graph, config, RPKI registry, the speakers' shared policies and
-        the caller's ``shared`` objects map to themselves (frozen after setup,
-        never copied).  Every speaker is pre-registered as an empty shell
+        The graph, config, RPKI registry and the caller's ``shared``
+        objects map to themselves (frozen after setup, never copied).
+        Every speaker is pre-registered as an empty shell
         before any is filled, which (a) bounds recursion depth — a naive
         deepcopy would chain speaker → session → peer speaker → … through
         the whole connected graph — and (b) lets every session/callback
@@ -212,7 +198,6 @@ class Network:
             id(obj): obj for obj in (self.graph, self.config, self.rpki, *shared)
         }
         for speaker in self.speakers.values():
-            memo[id(speaker.policy)] = speaker.policy
             memo[id(speaker)] = BGPSpeaker.__new__(BGPSpeaker)
         for speaker in self.speakers.values():
             memo[id(speaker)]._fill_from_fork(speaker, memo)
@@ -236,7 +221,6 @@ class Network:
         asn: int,
         provider_asns: List[int],
         region: Optional[Region] = None,
-        policy: Optional[Policy] = None,
     ) -> BGPSpeaker:
         """Attach a new edge AS at runtime (used by the PEERING-style testbed).
 
@@ -258,7 +242,7 @@ class Network:
                     f"a session between AS{asn} and AS{provider} already exists"
                 )
         self.graph.add_as(asn, tier=3, region=region, tags={"stub", "attached"})
-        speaker = self._make_speaker(asn, policy=policy)
+        speaker = self._make_speaker(asn)
         for provider in provider_asns:
             provider_speaker = self.speaker(provider)
             self.graph.add_customer_provider(asn, provider)

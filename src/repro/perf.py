@@ -85,7 +85,6 @@ METRICS: Tuple[Metric, ...] = (
     Metric("pipeline_batches", "sum", "tenants", "batches drained"),
     Metric("pipeline_trie_walks", "sum", "tenants",
            "FlatPrefixTree.resolve calls (the name predates the table)"),
-    Metric("pipeline_memo_hits", "sum", "tenants", "per-batch prefix memo hits"),
     Metric("pipeline_backpressure_stalls", "sum", "tenants",
            "full ingest queue forcing an inline drain"),
     Metric("notifier_alerts_emitted", "sum", "tenants", "notifications delivered"),

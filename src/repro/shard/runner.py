@@ -31,10 +31,9 @@ from repro.perf import COUNTERS as _C
 from repro.proc import WorkerGroup
 from repro.shard.boundary import DeliveryBundle, SendRecord
 from repro.shard.partition import LinkKey, ShardPlan
-from repro.shard.worker import ShardSpec, worker_main
+from repro.shard.worker import worker_main
 from repro.shard.world import ShardWorld
 from repro.topology.graph import ASGraph
-from repro.topology.serial import to_caida_lines
 
 
 class ShardRunner:
@@ -64,16 +63,11 @@ class ShardRunner:
             {} for _ in range(plan.num_shards)
         ]
         self._next_times: List[Optional[float]] = [None] * plan.num_shards
-        # Ship the topology as canonical annotated text (one serialization,
-        # every worker rebuilds the same graph the cache/CLI would load).
-        lines = to_caida_lines(graph, annotate=True)
+        # Workers inherit ``graph`` by fork; nothing is serialized.
         self._group = WorkerGroup("shard {} worker", SimulationError)
         try:
             for shard in range(plan.num_shards):
-                spec = ShardSpec(
-                    shard, lines, frozenset(plan.shard_asns[shard]), seed
-                )
-                self._group.fork(worker_main, spec)
+                self._group.fork(worker_main, shard, graph, plan.shard_asns[shard], seed)
             for shard in range(plan.num_shards):
                 self._next_times[shard] = self._group.recv(shard)
         except BaseException:

@@ -1,12 +1,11 @@
 """The shard worker process: one :class:`ShardWorld` behind a pipe.
 
-The coordinator forks one worker per shard.  Each worker receives a
-:class:`ShardSpec` — the *serialized* annotated topology (shipped through
-:mod:`repro.topology.serial` rather than relying on fork-inherited memory,
-so every worker rebuilds its graph from the same canonical text the cache
-and CLI use), its local ASN set, the world seed and config — and then obeys
-a small synchronous protocol: every request but the farewell gets exactly
-one reply, ``("ok", payload)`` or ``("error", message)``.
+The coordinator forks one worker per shard.  Each worker inherits the
+coordinator's in-memory topology through ``fork`` and builds a
+:class:`ShardWorld` over it from its shard id, local ASN set and the world
+seed — the graph the one-shard run builds over, with nothing serialized —
+and then obeys a small synchronous protocol: every request but the farewell
+gets exactly one reply, ``("ok", payload)`` or ``("error", message)``.
 
 Perf accounting: the worker's process-global counters are reset at startup;
 a ``perf`` command ships home the delta since the previous ``perf`` (plus
@@ -17,39 +16,12 @@ by each metric's declared ``merge`` (:data:`repro.perf.METRICS`).
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List
+from typing import Dict, Iterable
 
 from repro.perf import COUNTERS as _C
 from repro.perf import sample_memory
 from repro.shard.world import ShardWorld
-from repro.topology.serial import from_caida_lines
-
-
-class ShardSpec:
-    """Everything a worker needs to build its shard (picklable)."""
-
-    __slots__ = (
-        "shard_id",
-        "graph_lines",
-        "local_asns",
-        "seed",
-    )
-
-    def __init__(
-        self,
-        shard_id: int,
-        graph_lines: List[str],
-        local_asns: FrozenSet[int],
-        seed: int,
-    ):
-        self.shard_id = shard_id
-        self.graph_lines = graph_lines
-        self.local_asns = frozenset(local_asns)
-        self.seed = seed
-
-    def build_world(self) -> ShardWorld:
-        graph = from_caida_lines(self.graph_lines, validate=False)
-        return ShardWorld(graph, None, self.seed, self.local_asns)
+from repro.topology.graph import ASGraph
 
 
 #: World methods that change it; each replies with the world's next event time.
@@ -64,7 +36,9 @@ def _refresh_gauges() -> None:
         _C.shard_rss_peak_kb = _C.peak_rss_kb
 
 
-def worker_main(spec: ShardSpec, conn) -> None:
+def worker_main(
+    shard_id: int, graph: ASGraph, local_asns: Iterable[int], seed: int, conn
+) -> None:
     """Entry point of a shard worker process: build, then serve requests.
 
     A request is ``(name, *args)``: a name in :data:`COMMANDS` or
@@ -75,9 +49,9 @@ def worker_main(spec: ShardSpec, conn) -> None:
     perf_mark: Dict[str, int] = _C.as_dict()
     cpu_mark = time.process_time()
     try:
-        world = spec.build_world()
+        world = ShardWorld(graph, None, seed, local_asns)
     except BaseException as exc:  # noqa: BLE001 - must report, then die
-        conn.send(("error", f"shard {spec.shard_id} build failed: {exc!r}"))
+        conn.send(("error", f"shard {shard_id} build failed: {exc!r}"))
         conn.close()
         return
     conn.send(("ok", world.status()))
@@ -106,7 +80,7 @@ def worker_main(spec: ShardSpec, conn) -> None:
             else:
                 raise ValueError(f"unknown shard command {name!r}")
         except BaseException as exc:  # noqa: BLE001 - ship home, stay alive
-            conn.send(("error", f"shard {spec.shard_id} {name}: {exc!r}"))
+            conn.send(("error", f"shard {shard_id} {name}: {exc!r}"))
         else:
             conn.send(("ok", reply))
     conn.close()

@@ -217,9 +217,8 @@ class DetectionPlane:
         #: Byte-identical duplicate deliveries this plane detected
         #: (attached-or-dropped), one per tenant incident they hit.
         self.duplicate_events_skipped = 0
-        #: Event-time retention for resolved-incident state (``None``
-        #: disables pruning entirely).
-        self.state_retention: Optional[float] = STATE_RETENTION
+        #: Event-time retention for resolved-incident state.
+        self.state_retention = STATE_RETENTION
         self._events_since_prune = 0
         self.entries_pruned = 0
         self._last_event_time = 0.0
@@ -370,7 +369,6 @@ class DetectionPlane:
                 for verdict in verdicts:
                     apply_verdict(verdict, event)
         self._last_event_time = last_event_time
-        counters.pipeline_memo_hits += hits
         counters.verdict_cache_hits += hits
         if per_batch_probe:
             # A probe's answer is time-dependent, so probed verdicts only
@@ -461,8 +459,6 @@ class DetectionPlane:
         )
 
     def _maybe_prune(self, drained: int) -> None:
-        if self.state_retention is None:
-            return
         self._events_since_prune += drained
         if self._events_since_prune >= PRUNE_CHECK_INTERVAL:
             self._events_since_prune = 0
@@ -485,8 +481,6 @@ class DetectionPlane:
         entries = self.detection_state_entries()
         if entries > _COUNTERS.detection_state_entries:
             _COUNTERS.detection_state_entries = entries
-        if self.state_retention is None:
-            return 0
         dropped = 0
         for state in self._states.values():
             horizon = state.alerts.cooldown + self.state_retention

@@ -58,7 +58,7 @@ from repro.testbed.scenario import HijackExperiment, ScenarioConfig
 
 #: Bump when the captured object graph changes incompatibly; saved
 #: checkpoints from other versions are refused at load time.
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 #: Deep object graphs (speaker → session → speaker …) exceed the default
 #: interpreter recursion limit under pickle at Internet scale; raised

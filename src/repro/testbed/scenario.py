@@ -23,6 +23,8 @@ import re
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.bgp.policy import MAX_PREFIX_LENGTH
+from repro.bgp.rpki import ROA
 from repro.core.artemis import Artemis
 from repro.core.config import ArtemisConfig, OwnedPrefix, OwnedSpace
 from repro.core.mitigation import HelperFleet
@@ -504,13 +506,11 @@ class HijackExperiment:
         if cfg.rov_adoption > 0.0:
             # Publish the victim's ROA, authorising the prefix and its
             # de-aggregated more-specifics down to the filtering limit.
-            from repro.bgp.rpki import ROA
-
             self.network.rpki.add_roa(
                 ROA(
                     cfg.prefix,
                     self.victim.asn,
-                    max_length=24 if cfg.prefix.version == 4 else 48,
+                    max_length=MAX_PREFIX_LENGTH[cfg.prefix.version],
                 )
             )
         # Ground-truth probe granularity below the owned prefix: 1 = the

@@ -17,8 +17,8 @@ adds one structured comment line per node::
     # node <asn> tier=<n> region=<name> tags=<a,b>
 
 These are ignored by any standard as-rel consumer (they are comments) but are
-round-tripped by :func:`from_caida_lines`, so a graph shipped to a shard
-worker process rebuilds **bit-identically** — same tiers, same regions, same
+round-tripped by :func:`from_caida_lines`, so a graph loaded back from the
+topology cache rebuilds **bit-identically** — same tiers, same regions, same
 link iteration order.
 """
 

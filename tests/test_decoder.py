@@ -585,10 +585,10 @@ class TestTenantReplayCli:
         rows = dict(
             line.strip().rsplit(None, 1)
             for line in capsys.readouterr().out.splitlines()
-            if line.lstrip().startswith(("memo hits", "verdict cache"))
+            if line.lstrip().startswith("verdict cache")
         )
         assert code == 0
-        hits = int(rows["memo hits"])
+        hits = int(rows["verdict cache hits"])
         misses = int(rows["verdict cache misses"])
         # Every judged announcement is a hit or a miss, in the workers too.
         assert misses > 0

@@ -152,6 +152,16 @@ class TestInjectorResolution:
         with pytest.raises(FaultError):
             FaultInjector(experiment.network, experiment.monitors, bogus)
 
+    def test_outage_can_target_the_rib_archive(self):
+        plan = FaultPlan([Fault("outage", "rib-only", 5.0, duration=120.0)])
+        experiment, result = run_chaos(faults=plan, enabled_sources=("rib-dump",))
+        assert experiment.monitors.rib_archive.name == "rib-only"
+        assert [entry[1:] for entry in result.fault_log] == [
+            ["outage", "rib-only"],
+            ["recovery", "rib-only"],
+        ]
+        assert result.fault_log[0][0] == result.hijack_time + 5.0
+
     def test_double_arm_rejected(self):
         experiment = HijackExperiment(chaos_config())
         experiment.setup()

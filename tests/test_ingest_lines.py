@@ -62,7 +62,6 @@ _COUNTED = (
     "pipeline_events_ingested",
     "pipeline_batches",
     "pipeline_trie_walks",
-    "pipeline_memo_hits",
     "pipeline_queue_depth_peak",
     "pipeline_backpressure_stalls",
     "verdict_cache_hits",

@@ -368,11 +368,9 @@ class TestPeerOrder:
         config.rov_adoption = 0.5
         net = Network(graph7, config=config, seed=3)
         assert net.rov_adopters and len(net.rov_adopters) < len(net.speakers)
-        policies = {id(s.policy) for s in net.speakers.values()}
-        assert len(policies) == 2
-        rov = {id(net.speaker(asn).policy) for asn in net.rov_adopters}
-        assert len(rov) == 1
+        for asn, speaker in net.speakers.items():
+            assert speaker.rov is (net.rpki if asn in net.rov_adopters else None)
         fork = copy.deepcopy(net, net.fork_memo())
         assert all(
-            fork.speakers[asn].policy is s.policy for asn, s in net.speakers.items()
+            fork.speakers[asn].rov is s.rov for asn, s in net.speakers.items()
         )

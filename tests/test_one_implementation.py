@@ -474,6 +474,27 @@ GUARDS: Tuple[Guard, ...] = (
         ("src/repro/tenants/registry.py", "    def remove_tenant(self, name: str) -> None:"),
         "remove_tenant|remove_rules", ("src",), word=True,
     ),
+    Guard(
+        "route-filter-hierarchy", "after 2201d7d",
+        "Every speaker applies one import rule: the MAX_PREFIX_LENGTH limit, "
+        "then ROV when it holds a registry; no filter classes, no Policy.",
+        ("src/repro/internet/network.py", "        plain = self.config.make_policy()"),
+        r"\b(RouteFilter|AcceptAll|MaxLengthFilter|PrefixDenyFilter|FilterChain"
+        r"|ROVFilter|import_filter|make_policy)\b|\bPolicy\(",
+        ("src",),
+    ),
+    Guard(
+        "shard-graph-text", "after 2201d7d",
+        "Shard workers inherit the graph by fork; it is never serialized to them.",
+        ("src/repro/shard/runner.py", "        lines = to_caida_lines(graph, annotate=True)"),
+        "ShardSpec|caida_lines", ("src/repro/shard",),
+    ),
+    Guard(
+        "memo-hits-counter", "after 2201d7d",
+        "Every judged announcement counts once, as a verdict-cache hit or miss.",
+        ("src/repro/tenants/pipeline.py", "        counters.pipeline_memo_hits += hits"),
+        "pipeline_memo_hits", ("src", "tests"), word=True,
+    ),
 )
 
 #: The smallest tree the positive rows accept; each example is laid over it.

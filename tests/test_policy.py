@@ -1,29 +1,48 @@
-"""Tests for relationships, Gao-Rexford export rules, and route filters."""
+"""Tests for relationships, Gao-Rexford export rules, the import rule and
+LOCAL_PREF."""
 
 import pytest
 
-from repro.bgp.messages import Announcement
+from repro.bgp.messages import Announcement, UpdateMessage
 from repro.bgp.policy import (
     ABSENT_REL_INDEX,
     DEFAULT_LOCAL_PREF,
     EXPORT_GRID,
+    LOCAL_PREF_BY_INDEX,
     LOCAL_REL_INDEX,
     MARK_ALL_ROW,
     MARK_GRID,
+    MAX_PREFIX_LENGTH,
     REL_INDEX,
-    AcceptAll,
-    FilterChain,
-    MaxLengthFilter,
-    Policy,
-    PrefixDenyFilter,
     Relationship,
     should_export,
 )
+from repro.bgp.rpki import ROA, RPKIRegistry
+from repro.bgp.session import Session
+from repro.bgp.speaker import BGPSpeaker
 from repro.net.prefix import Prefix
+from repro.sim.engine import Engine
 
 
 def A(prefix, path=(1, 2)):
     return Announcement(Prefix.parse(prefix), path)
+
+
+def imported(announcements, rov=None):
+    """The prefixes a speaker keeps from one UPDATE sent by customer AS 1."""
+    engine = Engine()
+    speaker = BGPSpeaker(9, engine, rov=rov)
+    peer = BGPSpeaker(1, engine)
+    session = Session(engine, speaker, peer)
+    speaker.add_peer(session, Relationship.CUSTOMER)
+    peer.add_peer(session, Relationship.PROVIDER)
+    speaker.deliver(1, UpdateMessage(1, list(announcements), []))
+    engine.run()
+    return {
+        str(a.prefix)
+        for a in announcements
+        if speaker.adj_rib_in.candidates(a.prefix)
+    }
 
 
 class TestRelationship:
@@ -111,43 +130,37 @@ class TestGrids:
 
 
 class TestFilters:
-    def test_accept_all(self):
-        assert AcceptAll().accepts(A("10.0.0.0/25"))
+    """The one import rule: the length limit, then ROV where it is held."""
 
     def test_max_length_v4(self):
-        f = MaxLengthFilter()
-        assert f.accepts(A("10.0.0.0/24"))
-        assert not f.accepts(A("10.0.0.0/25"))
-        assert f.accepts(A("10.0.0.0/8"))
+        assert MAX_PREFIX_LENGTH[4] == 24
+        assert imported([A("10.0.0.0/24"), A("10.0.0.0/25"), A("10.0.0.0/8")]) == {
+            "10.0.0.0/24",
+            "10.0.0.0/8",
+        }
 
     def test_max_length_v6(self):
-        f = MaxLengthFilter()
-        assert f.accepts(Announcement(Prefix.parse("2001:db8::/48"), (1,)))
-        assert not f.accepts(Announcement(Prefix.parse("2001:db8::/49"), (1,)))
-
-    def test_prefix_deny(self):
-        f = PrefixDenyFilter([Prefix.parse("10.0.0.0/8")])
-        assert not f.accepts(A("10.1.0.0/16"))
-        assert f.accepts(A("11.0.0.0/16"))
+        assert MAX_PREFIX_LENGTH[6] == 48
+        assert imported([A("2001:db8::/48"), A("2001:db8::/49")]) == {"2001:db8::/48"}
 
     def test_filter_chain_all_must_accept(self):
-        chain = FilterChain(
-            [MaxLengthFilter(), PrefixDenyFilter([Prefix.parse("10.0.0.0/8")])]
+        registry = RPKIRegistry()
+        registry.add_roa(ROA(Prefix.parse("11.0.0.0/16"), 2, max_length=32))
+        registry.add_roa(ROA(Prefix.parse("10.0.0.0/8"), 64500, max_length=32))
+        kept = imported(
+            [A("11.0.0.0/24"), A("11.0.0.0/25"), A("10.0.0.0/24")], rov=registry
         )
-        assert chain.accepts(A("11.0.0.0/24"))
-        assert not chain.accepts(A("11.0.0.0/25"))  # too long
-        assert not chain.accepts(A("10.0.0.0/24"))  # denied
-
-    def test_filter_callable(self):
-        assert MaxLengthFilter()(A("10.0.0.0/24"))
+        # 11.0.0.0/25 is ROA-valid but too long; 10.0.0.0/24 is ROA-invalid.
+        assert kept == {"11.0.0.0/24"}
 
 
 class TestPolicyImport:
     def test_import_filter_applied(self):
-        policy = Policy(import_filter=MaxLengthFilter())
-        assert policy.import_filter.accepts(A("10.0.0.0/24"))
-        assert not policy.import_filter.accepts(A("10.0.0.0/25"))
-        assert type(Policy().import_filter) is AcceptAll
+        assert BGPSpeaker(1, Engine()).rov is None
+        # With no arguments a speaker still applies the length limit.
+        assert imported([A("10.0.0.0/24"), A("10.0.0.0/25")]) == {"10.0.0.0/24"}
 
     def test_default_local_pref(self):
-        assert Policy().local_pref == DEFAULT_LOCAL_PREF
+        assert len(LOCAL_PREF_BY_INDEX) == len(Relationship)
+        for rel in Relationship:
+            assert LOCAL_PREF_BY_INDEX[REL_INDEX[rel]] == DEFAULT_LOCAL_PREF[rel]

@@ -3,11 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bgp.messages import Announcement
-from repro.bgp.rpki import ROA, ROVFilter, RPKIRegistry, Validity
+from repro.bgp.messages import Announcement, UpdateMessage
+from repro.bgp.policy import Relationship
+from repro.bgp.rpki import ROA, RPKIRegistry, Validity
+from repro.bgp.session import Session
+from repro.bgp.speaker import BGPSpeaker
 from repro.errors import BGPError
 from repro.internet.network import Network, NetworkConfig
 from repro.net.prefix import Prefix
+from repro.sim.engine import Engine
 from repro.testbed.scenario import HijackExperiment
 
 from conftest import fast_network_config, fast_scenario, fraction_routing_to, tiny_graph
@@ -78,10 +82,26 @@ class TestRegistry:
 
     def test_rov_filter(self):
         registry = self.make()
-        rov = ROVFilter(registry)
-        assert rov.accepts(A("10.0.0.0/23", 64500))
-        assert rov.accepts(A("99.0.0.0/16", 666))        # not-found passes
-        assert not rov.accepts(A("10.0.0.0/23", 666))    # invalid dropped
+        registry.add_roa(ROA(P("10.0.0.0/23"), 64500, max_length=25))
+        engine = Engine()
+        speaker = BGPSpeaker(1, engine, rov=registry)
+        for peer_asn, announcements in (
+            (3, [A("10.0.0.0/23", 64500), A("10.0.0.0/25", 64500)]),
+            (4, [A("10.0.0.0/23", 666, 4), A("99.0.0.0/16", 666, 4)]),
+        ):
+            peer = BGPSpeaker(peer_asn, engine)
+            session = Session(engine, speaker, peer)
+            speaker.add_peer(session, Relationship.CUSTOMER)
+            peer.add_peer(session, Relationship.PROVIDER)
+            speaker.deliver(peer_asn, UpdateMessage(peer_asn, announcements, []))
+        engine.run()
+        rib = speaker.adj_rib_in
+        # Valid accepted; invalid dropped while the same prefix's valid
+        # route stays; not-found passes.
+        assert [r.peer_asn for r in rib.candidates(P("10.0.0.0/23"))] == [3]
+        assert [r.peer_asn for r in rib.candidates(P("99.0.0.0/16"))] == [4]
+        # The length limit holds at a ROV speaker too: a ROA-valid /25 is dropped.
+        assert rib.candidates(P("10.0.0.0/25")) == []
 
 
 @st.composite

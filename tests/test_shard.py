@@ -77,7 +77,7 @@ class TestPartition:
             partition_graph(graph, 0)
 
 
-# ------------------------------------------------- topology shipping format
+# ---------------------------------------------- annotated topology text
 
 
 class TestAnnotatedRoundTrip:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bgp.messages import UpdateMessage
-from repro.bgp.policy import MaxLengthFilter, Policy, Relationship
+from repro.bgp.policy import Relationship
 from repro.bgp.session import ActivityTracker, Session
 from repro.bgp.speaker import BGPSpeaker
 from repro.errors import BGPError
@@ -25,11 +25,10 @@ class World:
         self.tracker = ActivityTracker()
         self.speakers = {}
 
-    def speaker(self, asn, policy=None, mrai=0.0):
+    def speaker(self, asn, mrai=0.0):
         speaker = BGPSpeaker(
             asn,
             self.engine,
-            policy=policy,
             rng=SeededRNG(asn),
             tracker=self.tracker,
             processing_delay=Constant(0.01),
@@ -176,9 +175,11 @@ class TestPolicyEnforcement:
         assert best.peer_asn == 2  # via the customer
 
     def test_import_filter_rejects_long_prefix(self):
+        # Every speaker applies the length limit; the receiver is built
+        # with no import arguments at all.
         world = World()
         world.speaker(1)
-        world.speaker(2, policy=Policy(import_filter=MaxLengthFilter()))
+        world.speaker(2)
         world.link(1, 2, Relationship.PROVIDER)
         world.speakers[1].originate(P("10.0.0.0/25"))
         world.speakers[1].originate(P("10.0.0.0/24"))

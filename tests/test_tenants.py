@@ -400,7 +400,7 @@ class TestDetectionPlane:
         plane.flush()
         # One walk for the unique prefix; every other event is a memo hit.
         assert COUNTERS.pipeline_trie_walks == 1
-        assert COUNTERS.pipeline_memo_hits == 63
+        assert COUNTERS.verdict_cache_hits == 63
         assert COUNTERS.pipeline_batches == 1
         assert COUNTERS.pipeline_events_ingested == 64
 
@@ -417,7 +417,6 @@ class TestDetectionPlane:
         # cross-batch cache, not just the per-batch memo.
         assert COUNTERS.pipeline_trie_walks == 1
         assert COUNTERS.verdict_cache_hits == 31
-        assert COUNTERS.pipeline_memo_hits == 31
         assert COUNTERS.verdict_cache_evictions == 0
 
     def test_verdict_cache_bounded_fifo_eviction(self):
@@ -762,13 +761,6 @@ class TestStateBounding:
         assert plane.prune_state(now=200.0) == 4
         assert plane.detection_state_entries() == 0
         assert plane.entries_pruned == 4
-
-    def test_plane_retention_none_disables_pruning(self):
-        plane = self.run_plane_incident(retention=None)
-        for manager in plane.alert_managers().values():
-            manager.alerts[0].resolve(2.0)
-        assert plane.prune_state(now=1e9) == 0
-        assert plane.detection_state_entries() == 4
 
     def test_plane_active_incidents_never_pruned(self):
         plane = self.run_plane_incident(retention=100.0)
