@@ -13,7 +13,7 @@ minutes regime, and every run fully mitigated.
 from conftest import bench_scenario, run_once
 
 from repro.eval.experiments import run_artemis_suite, summarize_results
-from repro.eval.report import format_table, summary_rows
+from repro.eval.report import SUMMARY_HEADERS, format_table, summary_rows
 
 SEEDS = range(10)
 
@@ -25,7 +25,7 @@ def test_e1_headline_timings(benchmark):
     )
     summaries = summarize_results(results)
     table = format_table(
-        ["metric", "n", "mean (s)", "median (s)", "p95 (s)", "max (s)"],
+        ["metric", *SUMMARY_HEADERS],
         summary_rows(summaries),
         title="E1: three-phase timings "
         "(paper: detect ~45s / announce ~15s / complete <5min / total ~6min)",

@@ -10,7 +10,7 @@ equals the per-run minimum and its mean beats every single source's mean.
 from conftest import bench_scenario, run_once
 
 from repro.eval.experiments import per_source_detection, run_artemis_suite
-from repro.eval.report import format_table, summary_rows
+from repro.eval.report import SUMMARY_HEADERS, format_table, summary_rows
 
 SEEDS = range(8)
 
@@ -22,7 +22,7 @@ def test_e2_source_comparison(benchmark):
     )
     table_data = per_source_detection(results)
     table = format_table(
-        ["source", "n", "mean (s)", "median (s)", "p95 (s)", "max (s)"],
+        ["source", *SUMMARY_HEADERS],
         summary_rows(table_data),
         title="E2: detection delay per source (combined = min over sources)",
     )

@@ -16,7 +16,12 @@ import sys
 
 from repro.eval import run_artemis_suite, summarize_results
 from repro.eval.experiments import per_source_detection
-from repro.eval.report import format_duration, format_table, summary_rows
+from repro.eval.report import (
+    SUMMARY_HEADERS,
+    format_duration,
+    format_table,
+    summary_rows,
+)
 from repro.testbed import ScenarioConfig
 from repro.topology import GeneratorConfig
 
@@ -42,7 +47,7 @@ def main() -> None:
     summaries = summarize_results(results)
     print(
         format_table(
-            ["metric", "n", "mean (s)", "median (s)", "p95 (s)", "max (s)"],
+            ["metric", *SUMMARY_HEADERS],
             summary_rows(summaries),
             title="Section 3 timings (paper: detect ~45s, announce ~15s, "
             "complete <5min, total ~6min)",
@@ -51,7 +56,7 @@ def main() -> None:
     print()
     print(
         format_table(
-            ["source", "n", "mean (s)", "median (s)", "p95 (s)", "max (s)"],
+            ["source", *SUMMARY_HEADERS],
             summary_rows(per_source_detection(results)),
             title="Detection delay per source (combined = min over sources)",
         )

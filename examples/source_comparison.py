@@ -16,7 +16,7 @@ import sys
 
 from repro.eval import run_artemis_suite, summarize_results
 from repro.eval.experiments import per_source_detection
-from repro.eval.report import format_table, summary_rows
+from repro.eval.report import SUMMARY_HEADERS, format_table, summary_rows
 from repro.eval.stats import summarize
 from repro.testbed import ScenarioConfig
 from repro.topology import GeneratorConfig
@@ -29,7 +29,7 @@ def per_source_table(count: int) -> None:
     results = run_artemis_suite(template, seeds=range(count))
     print(
         format_table(
-            ["source", "n", "mean (s)", "median (s)", "p95 (s)", "max (s)"],
+            ["source", *SUMMARY_HEADERS],
             summary_rows(per_source_detection(results)),
             title=f"Detection delay per source over {count} runs "
             "(combined = ARTEMIS = min over sources)",

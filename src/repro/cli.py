@@ -1,10 +1,10 @@
 """Command-line interface: ``python -m repro <command>``.
 
-``experiment``, ``suite``, ``baselines``, ``demo``, ``taxonomy`` and
-``scale`` run hijacks in the simulated Internet (``scale`` sharded across
-processes); ``topology`` writes a generated Internet as a CAIDA as-rel
-file; ``replay`` streams a recorded feed trace into a standalone detection
-plane.  ``python -m repro <command> --help`` lists each one's flags.
+``experiment``, ``suite``, ``baselines``, ``demo`` and ``taxonomy`` run
+hijacks in the simulated Internet; ``topology`` writes a generated
+Internet as a CAIDA as-rel file; ``replay`` streams a recorded feed trace
+into a standalone detection plane.  ``python -m repro <command> --help``
+lists each one's flags.
 
 Every command prints its own tables and returns its report: the ``--json``
 payload and the phase walls ``--profile-json`` records.  :func:`main` alone
@@ -27,7 +27,12 @@ from repro.eval.experiments import (
     run_artemis_suite,
     summarize_results,
 )
-from repro.eval.report import format_duration, format_table, summary_rows
+from repro.eval.report import (
+    SUMMARY_HEADERS,
+    format_duration,
+    format_table,
+    summary_rows,
+)
 from repro.perf import COUNTERS, collector_handed_off, format_profile, sample_memory
 from repro.testbed.scenario import HijackExperiment, ScenarioConfig
 from repro.topology.generator import GeneratorConfig, generate_internet
@@ -44,17 +49,16 @@ Report = Tuple[Any, Optional[Dict[str, float]]]
 def _add_world_size(
     parser: argparse.ArgumentParser,
     cache_help: str,
-    sizes: Tuple[int, int, int] = (5, 25, 90),
     seed_help: str = "experiment seed",
 ) -> None:
     """``--seed``, ``--tier1/--tier2/--stubs`` and ``--cache-dir``: the
-    generated world every simulating command takes, at its own defaults."""
+    generated world every simulating command takes."""
     parser.add_argument("--seed", type=int, default=1, help=seed_help)
     # The generator refuses ``--tier1 0`` itself, in one line (exit 2).
     for flag, kind, default, what in zip(
         ("--tier1", "--tier2", "--stubs"),
         (int, _at_least(0), _at_least(0)),
-        sizes,
+        (5, 25, 90),
         ("tier-1", "tier-2", "stub"),
     ):
         parser.add_argument(flag, type=kind, default=default, help=f"number of {what} ASes")
@@ -74,7 +78,7 @@ def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
         "--profile",
         action="store_true",
         help="print perf counters (events/sec etc.) when done, merged across "
-        "suite workers and shards",
+        "suite workers",
     )
     parser.add_argument(
         "--profile-json",
@@ -256,8 +260,6 @@ def _cell(key: str, value: Any) -> str:
         return ", ".join(_cell(key, item) for item in value)
     if isinstance(value, float):
         return format(value, ".6f" if key == "verdict_cache_hit_ratio" else ".3f")
-    if key in ("victim", "hijacker", "helper"):
-        return f"AS{value}"
     return str(value)[:16] if key.endswith("digest") else str(value)
 
 
@@ -449,7 +451,7 @@ def cmd_suite(args: argparse.Namespace) -> Report:
     print()
     print(
         format_table(
-            ["metric", "n", "mean (s)", "median (s)", "p95 (s)", "max (s)"],
+            ["metric", *SUMMARY_HEADERS],
             summary_rows(summarize_results(results)),
             title=f"timings over {args.runs} experiments",
         )
@@ -457,7 +459,7 @@ def cmd_suite(args: argparse.Namespace) -> Report:
     print()
     print(
         format_table(
-            ["source", "n", "mean (s)", "median (s)", "p95 (s)", "max (s)"],
+            ["source", *SUMMARY_HEADERS],
             summary_rows(per_source_detection(results)),
             title="detection delay per source",
         )
@@ -583,57 +585,6 @@ def cmd_topology(args: argparse.Namespace) -> Report:
     else:
         print(f"{len(graph)} ASes, {graph.link_count()} links")
     return None, None
-
-
-#: The ``scale`` table: (label, key) rows of its report.  ``ases`` and
-#: ``updates_sent`` are table-only.
-_SCALE_ROWS = (
-    ("ASes", "ases"),
-    ("shards", "shards"),
-    ("victim", "victim"),
-    ("hijacker", "hijacker"),
-    ("helper", "helper"),
-    ("origin flips", "flips"),
-    ("detection delay (s)", "detection_delay"),
-    ("updates sent", "updates_sent"),
-    ("wall seconds", "wall_seconds"),
-    ("digest", "digest"),
-)
-
-
-def cmd_scale(args: argparse.Namespace) -> Report:
-    """Run the pinned sharded hijack scenario (see repro.shard)."""
-    from repro.shard.scenario import ShardScenarioConfig, run_shard_scenario
-
-    config = ShardScenarioConfig(
-        topology=_world_size(args),
-        seed=args.seed,
-        num_shards=args.shards,
-        cache_dir=args.cache_dir,
-    )
-    started = time.perf_counter()
-    result = run_shard_scenario(config)
-    wall = time.perf_counter() - started
-    report = {
-        "shards": args.shards,
-        "seed": args.seed,
-        "victim": result.victim,
-        "hijacker": result.hijacker,
-        "helper": result.helper,
-        "monitors": list(result.monitors),
-        "detection_delay": result.detection_delay,
-        "flips": len(result.flips),
-        "stats": dict(result.stats),
-        "wall_seconds": wall,
-        "digest": result.digest,
-    }
-    table = dict(
-        report,
-        ases=config.topology.total_ases,
-        updates_sent=result.stats.get("updates_sent", 0),
-    )
-    _print_metrics("sharded scenario", _SCALE_ROWS, table)
-    return report, {"scenario": wall}
 
 
 def _at_least(minimum: int):
@@ -793,23 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
         seed_help="generator seed",
     )
     topology.add_argument("output", nargs="?", default=None, help="output path")
-
-    scale = command("scale", cmd_scale, "run the pinned sharded hijack scenario")
-    _add_world_size(
-        scale,
-        "on-disk topology cache directory",
-        sizes=(8, 60, 250),
-        seed_help="scenario seed",
-    )
-    scale.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes to partition the AS graph across "
-        "(1 = in-process reference path; outcomes are bit-identical)",
-    )
-    _add_profile_arguments(scale)
 
     return parser
 

@@ -127,15 +127,16 @@ def per_source_detection(
 ) -> Dict[str, Summary]:
     """Summaries of per-source detection delay across a suite (E2).
 
-    Only runs where a source produced evidence contribute to its summary;
-    the "combined" entry is the actual (min-over-sources) ARTEMIS delay.
+    A run where a source produced no evidence is a miss in its summary's
+    ``runs``; the "combined" entry is the actual (min-over-sources) ARTEMIS
+    delay, and a run ARTEMIS never detected is its miss.
     """
-    sources: Dict[str, List[float]] = {}
-    for result in results:
-        for source, delay in result.per_source_delay.items():
-            sources.setdefault(source, []).append(delay)
-        if result.detection_delay is not None:
-            sources.setdefault("combined", []).append(result.detection_delay)
+    names = {source for result in results for source in result.per_source_delay}
+    sources = {
+        name: [result.per_source_delay.get(name) for result in results]
+        for name in names
+    }
+    sources["combined"] = [result.detection_delay for result in results]
     return {name: summarize(values) for name, values in sorted(sources.items())}
 
 

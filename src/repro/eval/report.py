@@ -90,12 +90,18 @@ def format_series(
     )
 
 
+#: The columns of :func:`summary_rows` after the name: ``detected`` is
+#: ``k/n``, the runs with a value of all the runs summarized.
+SUMMARY_HEADERS = ("n", "mean (s)", "median (s)", "p95 (s)", "max (s)", "detected")
+
+
 def summary_rows(summaries: Dict[str, "Summary"]) -> List[List[Cell]]:
-    """Rows (name, n, mean, median, p95, max) for :func:`format_table`."""
+    """Rows (name, n, mean, median, p95, max, k/n) for :func:`format_table`."""
     rows: List[List[Cell]] = []
     for name, summary in summaries.items():
+        detected = f"{summary.count}/{summary.runs}"
         if summary.count == 0:
-            rows.append([name, 0, None, None, None, None])
+            rows.append([name, 0, None, None, None, None, detected])
             continue
         rows.append(
             [
@@ -105,6 +111,7 @@ def summary_rows(summaries: Dict[str, "Summary"]) -> List[List[Cell]]:
                 summary.median,
                 summary.p95,
                 summary.maximum,
+                detected,
             ]
         )
     return rows

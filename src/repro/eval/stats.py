@@ -7,7 +7,7 @@ interpolation) so results are stable and dependency-free.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -29,12 +29,22 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 
 class Summary:
-    """Five-number-plus summary of one metric across runs."""
+    """Five-number-plus summary of one metric across runs.
 
-    __slots__ = ("count", "mean", "stdev", "minimum", "p25", "median", "p75", "p95", "maximum")
+    A run without a value (``None``: say, a hijack nobody detected) is left
+    out of the statistics but not out of :attr:`runs`, so ``count`` of
+    ``runs`` says how many runs the numbers speak for.
+    """
 
-    def __init__(self, values: Sequence[float]):
+    __slots__ = (
+        "runs", "count", "mean", "stdev", "minimum", "p25", "median", "p75", "p95",
+        "maximum",
+    )
+
+    def __init__(self, values: Iterable[Optional[float]]):
+        values = list(values)
         cleaned = [float(v) for v in values if v is not None]
+        self.runs = len(values)
         self.count = len(cleaned)
         if not cleaned:
             self.mean = self.stdev = self.minimum = self.maximum = float("nan")
@@ -55,6 +65,7 @@ class Summary:
 
     def to_dict(self) -> Dict[str, float]:
         return {
+            "runs": self.runs,
             "count": self.count,
             "mean": self.mean,
             "stdev": self.stdev,
@@ -76,5 +87,5 @@ class Summary:
 
 
 def summarize(values: Iterable[Optional[float]]) -> Summary:
-    """Summary of the non-None ``values``."""
-    return Summary([v for v in values if v is not None])
+    """Summary of ``values``, a ``None`` counting as a run without one."""
+    return Summary(values)

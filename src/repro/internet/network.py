@@ -129,47 +129,27 @@ class Network:
         self.sessions.append(session)
         self._session_index[key] = session
 
-    def _is_local(self, asn: int) -> bool:
-        """Whether this network builds ``asn``'s speaker (every AS here)."""
-        return True
-
-    def _cut_link(
-        self, a: int, b: int, a_view: Relationship, delay: Delay, rng: SeededRNG
-    ) -> None:
-        """Wire a link with exactly one local endpoint (never, here)."""
-        raise TopologyError(f"AS{a}<->AS{b} has a non-local endpoint")
-
     def _build(self) -> None:
         """The one world build: speakers in node order, sessions in link order.
 
-        Every node draws its ROV adoption and every link its substreams in
-        whole-graph order, local or not, so a network that builds only some
-        ASes (:meth:`_is_local`) gives each of them the draws and the peer
-        insertion order of the whole-graph build — same-instant MRAI
-        flushes fire in peer order and each consumes a draw.  ROV adopters
-        validate against the shared :attr:`rpki` registry.
+        Every node draws its ROV adoption in node order, and every link its
+        session substream in link order; a speaker's peer insertion order
+        is therefore link order, and same-instant MRAI flushes fire in peer
+        order, each consuming a draw.  ROV adopters validate against the
+        shared :attr:`rpki` registry.
         """
         rov_rng = self.rng.substream("rov")
         adoption = self.config.rov_adoption
         for node in self.graph.nodes():
             adopts = adoption > 0.0 and rov_rng.random() < adoption
-            if not self._is_local(node.asn):
-                continue
             if adopts:
                 self.rov_adopters.add(node.asn)
             self._make_speaker(node.asn, rov=self.rpki if adopts else None)
         for a, b, a_view in self.graph.links():
-            a_local = self._is_local(a)
-            b_local = self._is_local(b)
-            if not (a_local or b_local):
-                continue
             delay = self._session_delay(
                 self.graph.node(a).region, self.graph.node(b).region
             )
             rng = self.rng.substream("session", a, b)
-            if not (a_local and b_local):
-                self._cut_link(a, b, a_view, delay, rng)
-                continue
             speaker_a = self.speakers[a]
             speaker_b = self.speakers[b]
             session = Session(

@@ -9,10 +9,9 @@ with plain integer adds — cheap enough to leave enabled unconditionally.
 :data:`METRICS` declares every metric once: its name, how it merges across
 processes, the layer that owns it and what it measures.  ``repro.cli
 --profile`` prints :func:`format_profile` on exit, grouped by layer, and
-``--profile-json`` writes :meth:`PerfCounters.as_dict`.  Three callers fold
+``--profile-json`` writes :meth:`PerfCounters.as_dict`.  Two callers fold
 worker snapshots into the parent by each metric's ``merge``: the parallel
-suite pool, ``ShardRunner.collect_perf`` and
-``ParallelDetectionPlane.finish``.
+suite pool and ``ParallelDetectionPlane.finish``.
 
 Two context managers keep CPython's cyclic collector off bulk allocation
 that frees nothing cyclic: :func:`collector_paused` defers collection
@@ -73,13 +72,6 @@ METRICS: Tuple[Metric, ...] = (
     Metric("checkpoint_bytes", "max", "checkpoint", "serialized checkpoint size"),
     Metric("replay_events_dropped", "sum", "replay",
            "trace records dropped by the fault plan"),
-    Metric("cross_shard_messages", "sum", "shard",
-           "route bundles exchanged between shards"),
-    Metric("cross_shard_bytes", "sum", "shard", "pickled bytes of those bundles"),
-    Metric("sync_barrier_stalls", "sum", "shard",
-           "windows a shard ran with nothing to do"),
-    Metric("shard_windows", "sum", "shard", "conservative-time windows executed"),
-    Metric("shard_rss_peak_kb", "max", "shard", "busiest shard worker's peak RSS"),
     Metric("pipeline_events_ingested", "sum", "tenants",
            "events staged by the detection plane"),
     Metric("pipeline_batches", "sum", "tenants", "batches drained"),

@@ -1,14 +1,13 @@
 """The one worker-process substrate: N forked children, one duplex pipe each.
 
 Everything about running worker processes that is not the caller's message
-vocabulary lives here, once, for the sharded simulator
-(:mod:`repro.shard.runner`) and the detection workers
+vocabulary lives here, once, for the detection workers
 (:mod:`repro.tenants.workers`).  The caller decides *what* is said; this
 module owns how it travels and what a failure looks like:
 
-* **Down** a message is either ``bytes`` — shipped raw as one frame, read
-  by the child with ``recv_bytes()`` and counted in ``frames_sent`` /
-  ``frames_bytes`` — or any other object, pickled and read with ``recv()``.
+* **Down** every message is ``bytes`` — one frame, shipped raw, read by
+  the child with ``recv_bytes()`` and counted in ``frames_sent`` /
+  ``frames_bytes``.
 * **Up** every reply is a pickled pair, ``("ok", payload)`` or
   ``("error", message)``.  An error reply raises the caller's typed error
   carrying the worker's own message; so does a reply that is not such a
@@ -39,7 +38,6 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import socket
-from multiprocessing.reduction import ForkingPickler
 from time import perf_counter_ns
 from typing import Callable, List, Sequence, Type
 
@@ -79,8 +77,8 @@ def _child_main(inherited: Sequence, target: Callable, args: tuple, conn) -> Non
 class WorkerGroup:
     """Forked workers addressed by index, failing as the caller's ``error``.
 
-    ``label`` names a worker in messages: ``"shard {} worker"`` formats to
-    ``"shard 1 worker died"``.
+    ``label`` names a worker in messages: ``"detect worker {}"`` formats to
+    ``"detect worker 1 died"``.
     """
 
     def __init__(self, label: str, error: Type[Exception]):
@@ -118,29 +116,26 @@ class WorkerGroup:
         self._conns.append(parent_conn)
         self.processes.append(process)
 
-    def send(self, worker: int, message) -> None:
-        """Ship one message: ``bytes`` raw and counted, anything else pickled.
+    def send(self, worker: int, frame: bytes) -> None:
+        """Ship one frame raw, counted in ``frames_sent`` / ``frames_bytes``.
 
-        Only the write is timed (``pipe_send_wait_ns``), once per message:
+        Only the write is timed (``pipe_send_wait_ns``), once per frame:
         it returns as soon as the kernel has queued the bytes.
         """
-        raw = isinstance(message, bytes)
-        data = message if raw else ForkingPickler.dumps(message)
         try:
             started = perf_counter_ns()
-            self._conns[worker].send_bytes(data)
+            self._conns[worker].send_bytes(frame)
         except (BrokenPipeError, ConnectionResetError):
             pass
         else:
             waited = perf_counter_ns() - started
             self.send_wait_ns += waited
             _COUNTERS.pipe_send_wait_ns += waited
-            if raw:
-                _COUNTERS.frames_sent += 1
-                _COUNTERS.frames_bytes += len(data)
+            _COUNTERS.frames_sent += 1
+            _COUNTERS.frames_bytes += len(frame)
             return
         # Raised outside the handler, so the typed error does not drag the
-        # pipe exception (and the pickler's buffer its frames hold) along.
+        # pipe exception and its traceback along.
         raise self._last_words(worker)
 
     def recv(self, worker: int):
@@ -171,17 +166,17 @@ class WorkerGroup:
         except self._error as exc:
             return exc  # its error reply, or "died" once the pipe is dry
 
-    def ask_all(self, messages: Sequence) -> List:
-        """Send ``messages[i]`` to worker ``i``; return every reply's payload.
+    def ask_all(self, frames: Sequence[bytes]) -> List:
+        """Send ``frames[i]`` to worker ``i``; return every reply's payload.
 
         Every worker that took its message is read before the first
         failure is raised, so the reply streams stay aligned.
         """
         failures: List[Exception] = []
         asked: List[int] = []
-        for worker, message in enumerate(messages):
+        for worker, frame in enumerate(frames):
             try:
-                self.send(worker, message)
+                self.send(worker, frame)
                 asked.append(worker)
             except self._error as exc:
                 failures.append(exc)
@@ -195,7 +190,7 @@ class WorkerGroup:
             raise failures[0]
         return replies
 
-    def close(self, farewell) -> None:
+    def close(self, farewell: bytes) -> None:
         """Tell every worker ``farewell`` (best effort), then reap them all."""
         for worker in range(len(self._conns)):
             try:

@@ -34,17 +34,6 @@ class Delay:
         """Analytic mean of the distribution, used in reports."""
         raise NotImplementedError
 
-    @property
-    def lower_bound(self) -> float:
-        """Infimum of the support: no sample is ever below this value.
-
-        The sharded propagation runner derives its conservative-time
-        lookahead from the cut links' lower bounds, so these must be exact
-        infima (never optimistic).  Unbounded-below-towards-zero tails
-        (exponential, lognormal) report 0.0.
-        """
-        return 0.0
-
 
 class Constant(Delay):
     """Always the same delay."""
@@ -59,10 +48,6 @@ class Constant(Delay):
 
     @property
     def mean(self) -> float:
-        return self.value
-
-    @property
-    def lower_bound(self) -> float:
         return self.value
 
     def __repr__(self) -> str:
@@ -84,10 +69,6 @@ class Uniform(Delay):
     @property
     def mean(self) -> float:
         return (self.low + self.high) / 2.0
-
-    @property
-    def lower_bound(self) -> float:
-        return self.low
 
     def __repr__(self) -> str:
         return f"Uniform({self.low}, {self.high})"
@@ -155,10 +136,6 @@ class Shifted(Delay):
     @property
     def mean(self) -> float:
         return self.floor + self.tail.mean
-
-    @property
-    def lower_bound(self) -> float:
-        return self.floor + self.tail.lower_bound
 
     def __repr__(self) -> str:
         return f"Shifted({self.floor} + {self.tail!r})"

@@ -2,9 +2,9 @@
 
 Parent → worker, the detection-worker pipes carry the trace itself, as
 compact length-prefixed binary frames shipped raw
-(:meth:`repro.proc.WorkerGroup.send` of ``bytes``, ``recv_bytes`` in the
-worker) — never pickled, which would re-serialize every line's string
-object per shipment and pay the pickle VM on both ends.  The registry and
+(:meth:`repro.proc.WorkerGroup.send`, ``recv_bytes`` in the worker) —
+never pickled, which would re-serialize every line's string object per
+shipment and pay the pickle VM on both ends.  The registry and
 prefix tree do **not** travel here: workers inherit them at fork (see
 :mod:`repro.tenants.workers`), so the parent's traffic is the trace plus a
 handful of control frames.
@@ -22,7 +22,7 @@ handful of control frames.
 
 Worker → parent there is no frame: a worker answers ``FINISH`` once, with
 :mod:`repro.proc`'s pickled ``("ok", result)`` / ``("error", message)``
-pair, like a shard worker.  One reply per worker per run, from a fork of
+pair.  One reply per worker per run, from a fork of
 this very process, is not worth a private serializer: on the real RESULT
 ``pickle`` is 0.57× the bytes and an order of magnitude faster than the
 tagged codec that used to carry it (DESIGN.md "Worker processes").  Every frame shipped is

@@ -58,9 +58,8 @@ one's.
 Malformed record lines (wrong field count, unparsable prefix field) are
 **dropped by the router** and counted in the ``events_malformed`` perf
 counter — a damaged feed line costs one counter bump, not the run.
-Batches carry a per-worker epoch stamp — the same loud-failure idiom as
-``repro.shard``'s route bundles: a stale, duplicated, or reordered batch
-is a protocol bug and kills the run, never a silent wrong answer.
+Batches carry a per-worker epoch stamp: a stale, duplicated, or reordered
+batch is a protocol bug and kills the run, never a silent wrong answer.
 """
 
 from __future__ import annotations

@@ -40,6 +40,9 @@ everything except the run-scoped fields (``seed`` when ``world_seed`` is
 pinned, the fault plan, and the warm-start flags themselves).  A
 process-wide registry maps key → checkpoint so a suite builds the world
 once; its forked workers inherit the registry and fork the master per seed.
+A saved file opens with a fixed header (magic, format version, world key),
+so a file for another build or another world is refused before its body
+is read.
 """
 
 from __future__ import annotations
@@ -47,18 +50,27 @@ from __future__ import annotations
 import copy
 import gc
 import hashlib
+import io
 import pickle
+import struct
 import sys
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.errors import ExperimentError
 from repro.net.prefix import Prefix
 from repro.perf import COUNTERS as _C
 from repro.testbed.scenario import HijackExperiment, ScenarioConfig
 
-#: Bump when the captured object graph changes incompatibly; saved
-#: checkpoints from other versions are refused at load time.
-FORMAT_VERSION = 7
+#: Bump when the captured object graph or the file layout changes
+#: incompatibly; saved checkpoints from other versions are refused at load
+#: time, from their header.
+FORMAT_VERSION = 8
+
+#: The fixed header ahead of every saved checkpoint's pickle: magic, format
+#: version and world key (a sha256 hex digest), so a file for another
+#: build or another world is refused before its body is read.
+_MAGIC = b"REPROCKP"
+_HEADER = struct.Struct("!8sI64s")
 
 #: Deep object graphs (speaker → session → speaker …) exceed the default
 #: interpreter recursion limit under pickle at Internet scale; raised
@@ -121,6 +133,32 @@ def checkpoint_key(config: ScenarioConfig) -> str:
     return hashlib.sha256(_signature(dict(base.__dict__)).encode()).hexdigest()
 
 
+def _incompatible(found: str, wanted: str) -> ExperimentError:
+    return ExperimentError(
+        "checkpoint is incompatible with this scenario "
+        f"(checkpoint world {found[:12]}…, scenario world {wanted[:12]}…)"
+    )
+
+
+def _check_header(header: bytes, key: Optional[str]) -> None:
+    """Refuse ``header`` unless it opens a checkpoint of this build's format
+    for world ``key`` (any world when ``key`` is None)."""
+    if len(header) < _HEADER.size or not header.startswith(_MAGIC):
+        raise ExperimentError(
+            "unreadable checkpoint: no Checkpoint header "
+            "(damaged, or saved by another build)"
+        )
+    _magic, version, saved = _HEADER.unpack_from(header)
+    if version != FORMAT_VERSION:
+        raise ExperimentError(
+            f"checkpoint format v{version} is not readable by this build "
+            f"(expects v{FORMAT_VERSION})"
+        )
+    found = saved.decode("ascii", "replace")
+    if key is not None and found != key:
+        raise _incompatible(found, key)
+
+
 class _raised_recursion_limit:
     """Temporarily raise the interpreter recursion limit (pickle only)."""
 
@@ -174,21 +212,27 @@ class Checkpoint:
     # ---------------------------------------------------------- serialization
 
     def to_bytes(self) -> bytes:
-        """Pickle for :func:`save_checkpoint` (suite workers inherit the
-        master by fork and never read these bytes)."""
+        """Header plus pickle, for :func:`save_checkpoint` (suite workers
+        inherit the master by fork and never read these bytes)."""
+        # One buffer, header first: no second copy of a many-MB pickle.
+        buffer = io.BytesIO()
+        buffer.write(_HEADER.pack(_MAGIC, self.format_version, self.key.encode("ascii")))
         with _raised_recursion_limit():
-            data = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump(self, buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        data = buffer.getvalue()
         if len(data) > _C.checkpoint_bytes:
             _C.checkpoint_bytes = len(data)
         return data
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Checkpoint":
-        """Unpickle a checkpoint; damaged bytes, or a graph naming code
-        this build no longer has, are an :class:`ExperimentError`."""
+        """Check the header, then unpickle the body.  Another format
+        version (refused unread), damaged bytes, or a graph naming code
+        this build no longer has are an :class:`ExperimentError`."""
+        _check_header(data[:_HEADER.size], None)
         try:
             with _raised_recursion_limit():
-                checkpoint = pickle.loads(data)
+                checkpoint = pickle.loads(memoryview(data)[_HEADER.size:])
         except Exception as exc:  # pickle raises whatever the bytes provoke
             raise ExperimentError(
                 "unreadable checkpoint, damaged or saved by another build "
@@ -196,11 +240,6 @@ class Checkpoint:
             ) from exc
         if not isinstance(checkpoint, cls):
             raise ExperimentError("data does not contain a Checkpoint")
-        if checkpoint.format_version != FORMAT_VERSION:
-            raise ExperimentError(
-                f"checkpoint format v{checkpoint.format_version} is not "
-                f"readable by this build (expects v{FORMAT_VERSION})"
-            )
         if len(data) > _C.checkpoint_bytes:
             _C.checkpoint_bytes = len(data)
         return checkpoint
@@ -218,9 +257,12 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
         handle.write(checkpoint.to_bytes())
 
 
-def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+def load_checkpoint(path: str, key: Optional[str] = None) -> Checkpoint:
+    """Read a checkpoint written by :func:`save_checkpoint`; with ``key``,
+    a file for another world is refused from its header alone."""
     with open(path, "rb") as handle:
+        _check_header(handle.read(_HEADER.size), key)
+        handle.seek(0)
         return Checkpoint.from_bytes(handle.read())
 
 
@@ -279,7 +321,7 @@ def acquire_checkpoint(config: ScenarioConfig) -> Checkpoint:
         path = str(supplied)
         checkpoint = _LOADED.get(path)
         if checkpoint is None:
-            checkpoint = load_checkpoint(path)
+            checkpoint = load_checkpoint(path, key)
             _LOADED[path] = checkpoint
     elif supplied is None:
         checkpoint = _REGISTRY.get(key)
@@ -293,9 +335,5 @@ def acquire_checkpoint(config: ScenarioConfig) -> Checkpoint:
             f"got {type(supplied).__name__}"
         )
     if checkpoint.key != key:
-        raise ExperimentError(
-            "checkpoint is incompatible with this scenario "
-            f"(checkpoint world {checkpoint.key[:12]}…, "
-            f"scenario world {key[:12]}…)"
-        )
+        raise _incompatible(checkpoint.key, key)
     return checkpoint

@@ -1,7 +1,7 @@
 """Content-addressed cache of generated topologies.
 
 Generating a 10k-AS graph takes meaningful time and is repeated identically
-by every suite worker and every shard coordinator.  This module serializes
+by every suite worker and every run on the same world.  This module serializes
 a generated graph once — annotated CAIDA text via :mod:`repro.topology.serial`,
 so tiers/regions/tags survive — under a digest of everything that determines
 its content: the generator parameters and the seed.  A later request with

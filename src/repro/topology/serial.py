@@ -76,8 +76,8 @@ def from_caida_lines(lines: Iterable[str], validate: bool = True) -> ASGraph:
 
     ``validate=False`` skips the structural validation pass — used when the
     lines were produced by :func:`to_caida_lines` from an already-validated
-    graph (e.g. shard workers rebuilding a coordinator-shipped topology),
-    where re-validating a 10k-node graph per worker is pure overhead.
+    graph (the topology cache reloading a file it wrote), where
+    re-validating a 10k-node graph on every load is pure overhead.
     """
     graph = ASGraph()
     annotations: dict = {}

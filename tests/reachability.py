@@ -71,8 +71,8 @@ PRODUCT = [
     f"-m repro experiment --seed 5 {SMALL} --hijack-prefix 10.0.0.0/24 {KILL}",
     f"-m repro suite --runs 3 {SMALL} --hijack-prefix 10.0.0.0/24"
     " --faults examples/fault_plans/chaos_mix.json",
-    f"-m repro scale {SCALE} --shards 2 --profile-json profile_scale.json --json s2.json",
-    f"-m repro scale {SCALE} --shards 1 --profile --json s1.json",
+    f"-m repro experiment {SCALE} --no-churn --profile-json profile_scale.json"
+    " --json scale.json",
     f"-m repro experiment {SMALL} --hijack-prefix 10.0.0.0/24 --seed 4 --record-trace smoke.trace",
     "-m repro replay smoke.trace --synth-tenants 50 --detect-workers 1 --json w1.json",
     "-m repro replay smoke.trace --synth-tenants 50 --detect-workers 2 --json w2.json",

@@ -324,6 +324,28 @@ class TestSaveLoad:
             with pytest.raises(ExperimentError, match="format"):
                 Checkpoint.from_bytes(checkpoint.to_bytes())
 
+    def test_wrong_world_or_version_is_refused_unread(self, tmp_path, monkeypatch):
+        """The header alone refuses a file: nothing is unpickled."""
+        checkpoint = Checkpoint.capture(
+            fast_scenario(seed=4, network=fast_network_config())
+        )
+        path = str(tmp_path / "world.ckpt")
+        save_checkpoint(checkpoint, path)
+        checkpoint.format_version = FORMAT_VERSION - 1
+        stale = str(tmp_path / "stale.ckpt")
+        save_checkpoint(checkpoint, stale)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the body was unpickled")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        other = fast_scenario(seed=5, network=fast_network_config(), checkpoint=path)
+        with pytest.raises(ExperimentError, match="incompatible"):
+            acquire_checkpoint(other)
+        same = fast_scenario(seed=4, network=fast_network_config(), checkpoint=stale)
+        with pytest.raises(ExperimentError, match="format"):
+            acquire_checkpoint(same)
+
     def test_garbage_is_refused(self):
         with pytest.raises(ExperimentError, match="Checkpoint"):
             Checkpoint.from_bytes(pickle.dumps({"not": "a checkpoint"}))

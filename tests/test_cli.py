@@ -43,7 +43,7 @@ class TestParser:
             ["experiment", "--no-corroborate"],
             ["taxonomy", "--classes", "type-0"],
             ["taxonomy", "--no-corroborate"],
-            ["scale", "--monitors", "4"],
+            ["experiment", "--shards", "2"],
         ],
     )
     def test_unused_flags_are_gone(self, argv, capsys):
@@ -175,7 +175,6 @@ class TestFailureContract:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["scale", "--shards", "0"],
             ["experiment", "--hijack-type", "bogus"],
             ["experiment", "--hijack-prefix", "11.0.0.0/24"],
             ["topology", "--tier1", "0", "out.txt"],
@@ -183,7 +182,7 @@ class TestFailureContract:
             ["topology", "--stubs", "10"],
         ],
         ids=[
-            "scale-shards-0", "hijack-type", "hijack-prefix", "tier1-0",
+            "hijack-type", "hijack-prefix", "tier1-0",
             "missing-trace", "topology-no-output",
         ],
     )
@@ -235,10 +234,15 @@ class TestProfileAndJobs:
 
     def test_profile_json_experiment(self, tmp_path):
         out = str(tmp_path / "profile.json")
+        report = tmp_path / "report.json"
         code = main(
-            ["experiment", "--seed", "2", "--profile-json", out] + FAST_WORLD
+            ["experiment", "--seed", "2", "--profile-json", out, "--json", str(report)]
+            + FAST_WORLD
         )
         assert code == 0
+        # One writer, one layout: indent 2, sorted keys, trailing newline.
+        written = json.loads(report.read_text())
+        assert report.read_text() == json.dumps(written, indent=2, sort_keys=True) + "\n"
         payload = json.loads(open(out).read())
         assert payload["command"] == "experiment"
         assert payload["elapsed_seconds"] > 0
@@ -248,22 +252,6 @@ class TestProfileAndJobs:
         walls = payload["phase_walls"]
         assert set(walls) == {"setup", "phase1", "phase2", "phase3"}
         assert all(seconds >= 0 for seconds in walls.values())
-
-    def test_scale_report_and_profile(self, tmp_path, capsys):
-        report, profile = tmp_path / "scale.json", tmp_path / "profile.json"
-        code = main([
-            "scale", "--tier1", "3", "--tier2", "10", "--stubs", "40", "--shards", "1",
-            "--json", str(report), "--profile-json", str(profile),
-        ])
-        assert code == 0
-        payload = json.loads(report.read_text())
-        # One writer, one layout: indent 2, sorted keys, trailing newline.
-        assert report.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        assert len(payload["digest"]) == 64
-        # The table and the report are one dict.
-        lines = capsys.readouterr().out.splitlines()
-        assert ["digest", payload["digest"][:16]] in [line.split() for line in lines]
-        assert set(json.loads(profile.read_text())["phase_walls"]) == {"scenario"}
 
     def test_profile_json_suite_merges_workers(self, tmp_path):
         out = str(tmp_path / "profile.json")

@@ -7,6 +7,7 @@ outcome — only wall-clock time.  These tests pin that down two ways:
 * a golden sha256 digest of a fully seeded E1-style scenario, hard-coded
   from the pre-optimisation seed tree, so any behavioural drift (timings,
   per-source delays, BGP update counts, data-plane flips) fails loudly;
+  the same digest pins E1 at 1,000 and at 10,000 ASes, each one process;
 * a jobs=1 vs jobs=N comparison of the suite runner, proving the
   multiprocessing fan-out returns byte-identical per-seed results in order.
 
@@ -77,6 +78,30 @@ def _outcome_digest(experiment: HijackExperiment, result) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+#: E1 on the 1000-AS smoke world (6/94/900), seed 11, without churn.
+GOLDEN_DIGEST_1000 = (
+    "72e798634d0daae0759ee61b13d5621f9df7d120298b833c3f6ca8ae403c7fa8"
+)
+
+#: E1 on the 10k-AS world (12/988/9000) without churn, by seed.  Seed 13
+#: detects and fully recovers.  Seed 11 is a known miss: its hijack takes
+#: 4 % of ASes and no vantage sees it, so ARTEMIS never alerts.
+GOLDEN_DIGEST_10K = {
+    13: "786711ba3803de37789fcc828e389186f41882ffb92a7202c6e931c49159c49e",
+    11: "425aa0647f82d8a14d41e478990339ea0a2bb111ad033034a0317fe61995fcb9",
+}
+
+
+def _no_churn_config(seed: int, tier1: int, tier2: int, stubs: int) -> ScenarioConfig:
+    """What ``repro experiment --no-churn`` runs on a world of this size."""
+    return ScenarioConfig(
+        seed=seed,
+        topology=GeneratorConfig(num_tier1=tier1, num_tier2=tier2, num_stubs=stubs),
+        churn=None,
+        churn_warmup=0.0,
+    )
+
+
 def _golden_config_400() -> ScenarioConfig:
     return ScenarioConfig(
         seed=7,
@@ -107,6 +132,23 @@ def test_golden_400as_digest_matches_seed_tree():
     assert _outcome_digest(experiment, result) == GOLDEN_DIGEST_400
 
 
+def test_golden_1000as_digest():
+    experiment = HijackExperiment(_no_churn_config(11, 6, 94, 900))
+    result = experiment.run()
+    assert result.mitigated
+    assert _outcome_digest(experiment, result) == GOLDEN_DIGEST_1000
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed, detected", [(13, True), (11, False)])
+def test_e1_10k_digest(seed, detected):
+    experiment = HijackExperiment(_no_churn_config(seed, 12, 988, 9000))
+    result = experiment.run()
+    assert (result.detection_delay is not None) is detected
+    assert result.mitigated is detected
+    assert _outcome_digest(experiment, result) == GOLDEN_DIGEST_10K[seed]
+
+
 def test_same_seed_twice_is_bit_identical():
     first_exp = HijackExperiment(_golden_config(seed=9))
     first = _outcome_digest(first_exp, first_exp.run())
@@ -135,37 +177,3 @@ def test_parallel_runner_rejects_bad_jobs():
     template = ScenarioConfig(seed=0)
     with pytest.raises(ValueError):
         run_artemis_suite(template, [1], jobs=0)
-
-
-# ------------------------------------------------------- sharded propagation
-#
-# The sharded engine's whole contract is that partitioning the AS graph
-# across worker processes is an implementation detail: the pinned scenario's
-# outcome digest (per-phase origin maps, flip log, detection delay, traffic
-# totals) must not depend on the shard count or on which run of the same
-# configuration produced it.
-
-SHARD_TOPOLOGY = GeneratorConfig(num_tier1=4, num_tier2=12, num_stubs=40)
-
-
-def _shard_digest(num_shards: int) -> str:
-    from repro.shard.scenario import ShardScenarioConfig, run_shard_scenario
-
-    result = run_shard_scenario(
-        ShardScenarioConfig(
-            topology=SHARD_TOPOLOGY,
-            seed=7,
-            num_shards=num_shards,
-        )
-    )
-    return result.digest
-
-
-def test_sharded_scenario_matches_single_process():
-    reference = _shard_digest(1)
-    assert _shard_digest(2) == reference
-    assert _shard_digest(4) == reference
-
-
-def test_sharded_scenario_repeat_is_bit_identical():
-    assert _shard_digest(2) == _shard_digest(2)

@@ -68,6 +68,13 @@ class TestSummary:
         summary = summarize([1.0, None, 3.0])
         assert summary.count == 2
 
+    def test_a_run_without_a_value_counts_as_a_miss(self):
+        summary = summarize([40.0, None, 20.0])
+        assert (summary.count, summary.runs, summary.mean) == (2, 3, 30.0)
+        assert summary.to_dict()["runs"] == 3
+        assert summary_rows({"detect": summary})[0][-1] == "2/3"
+        assert summary_rows({"none": Summary([None])})[0][-1] == "0/1"
+
     def test_to_dict(self):
         data = Summary([1, 2]).to_dict()
         assert data["count"] == 2 and data["mean"] == 1.5

@@ -10,8 +10,8 @@ that deleted the concept, a one-line reason, and an ``example``: a path and
 a line the row must catch.
 
 Most rows allow no matching line. A row whose pattern is ``None`` says its
-first path must not exist. Three rows are positive: ``expect`` gives the
-number of matching lines they allow.
+first path, a file or a directory, must not exist. Three rows are
+positive: ``expect`` gives the number of matching lines they allow.
 
 The matcher runs Python ``re`` over a walk of the working tree. It never
 calls git, so the tests also pass in a copy without ``.git``. The walk
@@ -86,7 +86,7 @@ GUARDS: Tuple[Guard, ...] = (
     Guard(
         "worker-substrate", "2adf915",
         "Fork, pipes and worker death live in repro.proc and nowhere else.",
-        ("src/repro/shard/runner.py", "        except BrokenPipeError:"),
+        ("src/repro/tenants/workers.py", "        except BrokenPipeError:"),
         r"get_context|\.Pipe\(|BrokenPipeError|ConnectionResetError|\.terminate\(",
         ("src",), exclude=("src/repro/proc.py",), include="*.py",
     ),
@@ -373,8 +373,8 @@ GUARDS: Tuple[Guard, ...] = (
     ),
     Guard(
         "single-runner", "9e603ab",
-        "The --shards 1 runner is one ShardWorld; no wrapper forwards to it.",
-        ("src/repro/shard/runner.py", "class SingleRunner:"),
+        "A world runs on one Network; no runner wrapper forwards to it.",
+        ("src/repro/internet/network.py", "class SingleRunner:"),
         "SingleRunner", ("src",), word=True,
     ),
     Guard(
@@ -453,14 +453,6 @@ GUARDS: Tuple[Guard, ...] = (
         ("src", "tests", "benchmarks", "bench", "examples"),
     ),
     Guard(
-        "shard-snapshot", "after 47ba9af",
-        "A converged world is frozen one way, testbed.checkpoint; a shard "
-        "keeps no snapshot, restore or fork of its own.",
-        ("src/repro/shard/world.py", "    def snapshot(self) -> None:"),
-        r"fork_world|_snapshot_state|def (snapshot|restore|_assert_quiescent)",
-        ("src/repro/shard",),
-    ),
-    Guard(
         "suite-checkpoint-blob", "after 47ba9af",
         "Suite workers inherit the registered checkpoint by fork; no pickled "
         "copy is shipped to them.",
@@ -484,10 +476,19 @@ GUARDS: Tuple[Guard, ...] = (
         ("src",),
     ),
     Guard(
-        "shard-graph-text", "after 2201d7d",
-        "Shard workers inherit the graph by fork; it is never serialized to them.",
-        ("src/repro/shard/runner.py", "        lines = to_caida_lines(graph, annotate=True)"),
-        "ShardSpec|caida_lines", ("src/repro/shard",),
+        "shard-package", "after e4367c0",
+        "A 10k-AS world is one Network in one process; the sharded engine "
+        "stays in git at e4367c0.",
+        ("src/repro/shard/runner.py", "class ShardRunner:"),
+        None, ("src/repro/shard",),
+    ),
+    Guard(
+        "shard-names", "after e4367c0",
+        "The 10k world is reached through repro experiment's size flags; no "
+        "shard runner, Network seam or scale command is left to call.",
+        ("src/repro/cli.py", "def cmd_scale(args: argparse.Namespace) -> Report:"),
+        "ShardWorld|make_runner|_cut_link|run_shard_scenario|cmd_scale",
+        ("src", "tests", "benchmarks", "bench", "examples"),
     ),
     Guard(
         "memo-hits-counter", "after 2201d7d",
@@ -533,7 +534,8 @@ def findings(guard: Guard, files: Mapping[str, str]) -> List[str]:
     """What ``guard`` finds wrong in ``files`` (repo-relative path -> text);
     empty when the row holds."""
     if guard.pattern is None:
-        return [f"{guard.paths[0]}: exists"] if guard.paths[0] in files else []
+        present = any(_searched(guard, path) for path in files)
+        return [f"{guard.paths[0]}: exists"] if present else []
     regex = _regex(guard)
     hits = []
     for path in sorted(p for p in files if _searched(guard, p)):

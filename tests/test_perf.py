@@ -61,33 +61,33 @@ class TestPerfCounters:
         assert delta["events_processed"] == 15
         assert delta["peak_rss_kb"] == 700
 
-    def test_merge_shard_deltas_sum_counters_max_rss(self):
-        """Coordinator fold: worker counter deltas add, RSS gauges race.
+    def test_merge_worker_deltas_sum_counters_max_rss(self):
+        """Parent fold: worker counter deltas add, RSS gauges race.
 
-        ``ShardRunner.collect_perf`` merges one delta per worker; traffic
-        totals must accumulate across shards while the per-process peak-RSS
-        gauge takes the worst worker, not the sum.
+        ``ParallelDetectionPlane.finish`` merges one delta per worker;
+        traffic totals must accumulate across workers while the
+        per-process peak-RSS gauge takes the worst worker, not the sum.
         """
         counters = PerfCounters()
         counters.merge({
-            "cross_shard_messages": 5,
-            "cross_shard_bytes": 1000,
-            "sync_barrier_stalls": 2,
-            "shard_windows": 40,
-            "shard_rss_peak_kb": 900,
+            "detect_events_routed": 5,
+            "frames_bytes": 1000,
+            "detect_worker_batches": 2,
+            "frames_sent": 40,
+            "peak_rss_kb": 900,
         })
         counters.merge({
-            "cross_shard_messages": 3,
-            "cross_shard_bytes": 700,
-            "sync_barrier_stalls": 1,
-            "shard_windows": 40,
-            "shard_rss_peak_kb": 400,
+            "detect_events_routed": 3,
+            "frames_bytes": 700,
+            "detect_worker_batches": 1,
+            "frames_sent": 40,
+            "peak_rss_kb": 400,
         })
-        assert counters.cross_shard_messages == 8
-        assert counters.cross_shard_bytes == 1700
-        assert counters.sync_barrier_stalls == 3
-        assert counters.shard_windows == 80
-        assert counters.shard_rss_peak_kb == 900
+        assert counters.detect_events_routed == 8
+        assert counters.frames_bytes == 1700
+        assert counters.detect_worker_batches == 3
+        assert counters.frames_sent == 80
+        assert counters.peak_rss_kb == 900
 
     def test_tombstone_ratio(self):
         counters = PerfCounters()

@@ -1,7 +1,7 @@
 """The worker-process substrate (:mod:`repro.proc`), on toy children.
 
-No BGP and no registry here: the children below speak a four-word
-vocabulary, and the tests pin what :class:`~repro.proc.WorkerGroup`
+No BGP and no registry here: the children below answer a few byte
+requests, and the tests pin what :class:`~repro.proc.WorkerGroup`
 promises every caller — the reply pair, typed errors, last words, aligned
 fan-outs, and a ``close()`` that always reaps.
 """
@@ -28,11 +28,16 @@ class ToyError(Exception):
     """The caller's typed error for these groups."""
 
 
+def ask(word, value=""):
+    """One toy request: ``word``, a space and ``value``, as bytes."""
+    return f"{word} {value}".encode()
+
+
 def toy(conn):
-    """Answer pickled ``(word, value)`` requests until told to stop."""
+    """Answer ``word value`` byte requests until told to stop."""
     while True:
         try:
-            word, value = conn.recv()
+            word, _, value = conn.recv_bytes().decode().partition(" ")
         except EOFError:
             break
         if word == "echo":
@@ -85,7 +90,7 @@ def buffer_sizes(fileno):
         )
 
 
-STOP = ("stop", None)
+STOP = ask("stop")
 
 
 @pytest.fixture
@@ -108,11 +113,13 @@ def wait_for_exit(process):
 
 
 class TestRoundTrip:
-    def test_pickled_messages(self, group):
+    def test_byte_requests(self, group):
         forked(group)
-        group.send(1, ("echo", {"a": (1, 2.5)}))
-        assert group.recv(1) == {"a": (1, 2.5)}
-        assert group.ask_all([("echo", "x"), ("echo", "y")]) == ["x", "y"]
+        before = COUNTERS.frames_sent
+        group.send(1, ask("echo", "a b"))
+        assert group.recv(1) == "a b"
+        assert group.ask_all([ask("echo", "x"), ask("echo", "y")]) == ["x", "y"]
+        assert COUNTERS.frames_sent - before == 3
 
     def test_raw_frames(self, group):
         group.fork(raw_echo)
@@ -168,22 +175,22 @@ class TestErrorReplies:
     @pytest.mark.parametrize("failing", [0, 1])
     def test_typed_error_and_streams_stay_aligned(self, group, failing):
         forked(group)
-        requests = [("echo", "fine"), ("echo", "fine")]
-        requests[failing] = ("fail", "divide")
+        requests = [ask("echo", "fine"), ask("echo", "fine")]
+        requests[failing] = ask("fail", "divide")
         with pytest.raises(ToyError, match="toy cannot divide"):
             group.ask_all(requests)
         # Both workers are alive and neither has a reply left over.
-        assert group.ask_all([("echo", 1), ("echo", 2)]) == [1, 2]
+        assert group.ask_all([ask("echo", 1), ask("echo", 2)]) == ["1", "2"]
 
     def test_first_of_several_errors_is_raised(self, group):
         forked(group)
         with pytest.raises(ToyError, match="toy cannot one"):
-            group.ask_all([("fail", "one"), ("fail", "two")])
-        assert group.ask_all([("echo", 1), ("echo", 2)]) == [1, 2]
+            group.ask_all([ask("fail", "one"), ask("fail", "two")])
+        assert group.ask_all([ask("echo", 1), ask("echo", 2)]) == ["1", "2"]
 
     def test_unreadable_reply_is_typed(self, group):
         forked(group, 1)
-        group.send(0, ("garbage", None))
+        group.send(0, ask("garbage"))
         with pytest.raises(ToyError, match="toy 0: unreadable reply"):
             group.recv(0)
 
@@ -191,7 +198,7 @@ class TestErrorReplies:
 class TestDeath:
     def test_last_words_on_receive(self, group):
         forked(group, 1)
-        group.send(0, ("die", "thirst"))
+        group.send(0, ask("die", "thirst"))
         with pytest.raises(ToyError, match="toy died of thirst"):
             group.recv(0)
         with pytest.raises(ToyError, match="toy 0 died"):
@@ -199,24 +206,24 @@ class TestDeath:
 
     def test_last_words_on_send(self, group):
         forked(group, 1)
-        group.send(0, ("echo", "unread"))  # an ok reply ahead of the error
-        group.send(0, ("die", "thirst"))
+        group.send(0, ask("echo", "unread"))  # an ok reply ahead of the error
+        group.send(0, ask("die", "thirst"))
         wait_for_exit(group.processes[0])
         with pytest.raises(ToyError, match="toy died of thirst"):
-            group.send(0, ("echo", "anyone?"))
+            group.send(0, ask("echo", "anyone?"))
         # Nothing is left to say after that.
         with pytest.raises(ToyError, match="toy 0 died"):
-            group.send(0, ("echo", "anyone?"))
+            group.send(0, ask("echo", "anyone?"))
 
     def test_last_words_through_a_fan_out(self, group):
         forked(group)
-        group.send(1, ("die", "thirst"))
+        group.send(1, ask("die", "thirst"))
         wait_for_exit(group.processes[1])
         with pytest.raises(ToyError, match="toy died of thirst"):
-            group.ask_all([("echo", 1), ("echo", 2)])
+            group.ask_all([ask("echo", 1), ask("echo", 2)])
         # Worker 0 was asked and read all the same: it is still aligned.
-        group.send(0, ("echo", 3))
-        assert group.recv(0) == 3
+        group.send(0, ask("echo", 3))
+        assert group.recv(0) == "3"
 
     @pytest.mark.parametrize("side", ["send", "receive"])
     def test_killed_worker_is_a_typed_error(self, group, side):
@@ -224,12 +231,12 @@ class TestDeath:
         kill_worker(group.processes[1], side)
         started = time.monotonic()
         with pytest.raises(ToyError, match="toy 1 died"):
-            group.ask_all([("echo", 1), ("echo", 2)])
+            group.ask_all([ask("echo", 1), ask("echo", 2)])
         assert time.monotonic() - started < 5.0
 
     def test_killed_mid_reply(self, group):
         forked(group, 1)
-        group.send(0, ("half", None))
+        group.send(0, ask("half"))
         with pytest.raises(ToyError, match="toy 0 died"):
             group.recv(0)
 
@@ -316,7 +323,7 @@ class TestClose:
                 group.fork(toy)
         # The failed fork registered nothing; the first worker still answers.
         assert len(group.processes) == 1
-        group.send(0, ("echo", "still here"))
+        group.send(0, ask("echo", "still here"))
         assert group.recv(0) == "still here"
         group.close(STOP)
         assert multiprocessing.active_children() == []

@@ -1,10 +1,14 @@
-"""Tests for the AS graph, generator, geo embedding, and serialisation."""
+"""Tests for the AS graph, generator, geo embedding, serialisation and the
+on-disk topology cache."""
+
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp.policy import Relationship
 from repro.errors import TopologyError
+from repro.topology.cache import cache_path, graph_cache_key, load_or_build_graph
 from repro.topology.generator import GeneratorConfig, generate_internet
 from repro.topology.geo import (
     REGIONS,
@@ -271,3 +275,46 @@ class TestSerial:
         with open(path, encoding="utf-8") as handle:
             loaded = from_caida_lines(handle)
         assert len(loaded) == len(graph)
+
+
+TOPOLOGY = GeneratorConfig(num_tier1=4, num_tier2=12, num_stubs=40)
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return generate_internet(TOPOLOGY, seed=7)
+
+
+class TestAnnotatedRoundTrip:
+    def test_annotated_lines_rebuild_the_same_graph(self, graph):
+        rebuilt = from_caida_lines(to_caida_lines(graph, annotate=True))
+        assert rebuilt.asns() == graph.asns()
+        assert rebuilt.link_count() == graph.link_count()
+        for asn in graph.asns():
+            original, clone = graph.node(asn), rebuilt.node(asn)
+            assert clone.tier == original.tier
+            assert clone.region == original.region
+            assert clone.tags == original.tags
+
+
+class TestTopologyCache:
+    def test_miss_builds_and_hit_loads_identical_graph(self, tmp_path):
+        cache_dir = str(tmp_path)
+        built = load_or_build_graph(TOPOLOGY, seed=7, cache_dir=cache_dir)
+        assert os.path.exists(cache_path(cache_dir, TOPOLOGY, 7))
+        loaded = load_or_build_graph(TOPOLOGY, seed=7, cache_dir=cache_dir)
+        assert list(to_caida_lines(loaded, annotate=True)) == list(
+            to_caida_lines(built, annotate=True)
+        )
+
+    def test_key_changes_with_seed_and_params(self):
+        base = graph_cache_key(TOPOLOGY, 7)
+        assert graph_cache_key(TOPOLOGY, 8) != base
+        other = GeneratorConfig(num_tier1=4, num_tier2=12, num_stubs=41)
+        assert graph_cache_key(other, 7) != base
+
+    def test_no_cache_dir_means_plain_generation(self, graph):
+        direct = load_or_build_graph(TOPOLOGY, seed=7, cache_dir=None)
+        assert list(to_caida_lines(direct, annotate=True)) == list(
+            to_caida_lines(graph, annotate=True)
+        )
