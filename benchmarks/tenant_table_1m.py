@@ -36,7 +36,7 @@ def main() -> None:
     origins = {Prefix.parse(f"10.{i}.0.0/23"): 65001 + i for i in range(40)}
     origins.update({Prefix.parse(f"10.{i}.1.0/24"): 65100 + i for i in range(40)})
     registry = build_synth_registry(origins, num_tenants=10_000, num_prefixes=1_020_000)
-    monitored = registry.monitored_prefixes()
+    monitored = registry.tree.monitored_prefixes()
     rng = random.Random(7)
     probes = rng.sample(monitored, 100_000)
     probes += [Prefix(p.value, p.length + 2, 4) for p in rng.sample(monitored, 50_000)]

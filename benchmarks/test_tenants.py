@@ -141,7 +141,7 @@ def test_registry_and_tree_build(benchmark, tenant_world):
 
     monitored = len(tree)
     assert len(registry) >= min(TENANTS, 1000) or len(registry) == TENANTS
-    assert monitored == len(registry.monitored_prefixes())
+    assert monitored == len(registry.tree)
     if TENANTS >= 1000 and PREFIXES >= 104_000:
         assert monitored >= 100_000, (
             f"only {monitored} distinct monitored prefixes — "
@@ -286,7 +286,7 @@ def test_detect_workers_scaling(benchmark, tenant_world):
                 "events_routed": result["events_routed"],
                 "events_unrouted": result["events_unrouted"],
                 "alerts": result["alerts"],
-                "roots": len(parallel._routing),
+                "roots": len(parallel._roots),
             }
         return runs
 

@@ -184,7 +184,7 @@ def test_million_prefix_tree_memory(benchmark, trace_world):
     node: PrefixTree = built["node"]
 
     monitored = len(flat)
-    assert monitored == len(node) == len(registry.monitored_prefixes())
+    assert monitored == len(node) == len(registry.tree)
     if PREFIXES >= 1_000_000:
         assert monitored >= 1_000_000, (
             f"only {monitored} distinct monitored prefixes resident — "

@@ -412,7 +412,7 @@ def cmd_replay(args: argparse.Namespace) -> Report:
         speed=args.speed,
         tenants=len(registry),
         rules=registry.num_rules,
-        monitored_prefixes=len(registry.monitored_prefixes()),
+        monitored_prefixes=len(registry.tree),
         verdict_cache_hit_ratio=COUNTERS.verdict_cache_hit_ratio,
         counters=counters,
     )

@@ -105,14 +105,18 @@ def decode_records(lines: Iterable[str]) -> Iterator[Record]:
             # and ordered; a lead not seen before has its vantage in range
             # (digits: never < 0).  Then what float() forgives in a timestamp
             # but repr() never writes: a non-ASCII digit, "_" between digits,
-            # a "+" sign or whitespace around it.
+            # a "+" sign or whitespace around it.  An ASCII line with no "_"
+            # clears the first two for both fields at once.
             kind = lead[3]
             if not (
                 (as_path if kind == ANNOUNCE else kind == WITHDRAW)
                 and -inf < observed_at <= delivered_at < inf
                 and (not fresh or lead[2] <= MAX_ASN)
-                and observed.isascii() and delivered.isascii()
-                and "_" not in observed and "_" not in delivered
+                and (
+                    line.isascii() and "_" not in line
+                    or observed.isascii() and delivered.isascii()
+                    and "_" not in observed and "_" not in delivered
+                )
                 and observed.strip(_PADS) == observed
                 and delivered.strip(_PADS) == delivered
             ):

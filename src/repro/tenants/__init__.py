@@ -6,7 +6,8 @@ shared feed; the paper's single operator is the N=1 case of the same code
 into:
 
 * :mod:`repro.tenants.registry` — compiled per-tenant rule bundles over
-  interned policy sets (:class:`TenantRegistry`, :class:`TenantRule`);
+  interned policy sets (:class:`TenantRegistry`, :class:`TenantRule`),
+  linked once into the registry's one prefix table;
 * :mod:`repro.tenants.flattree` — the shared prefix table answering
   "whose rules match this announcement?" in one covering lookup
   (:class:`FlatPrefixTree`, an ``ikey`` dict of every tenant's rules);

@@ -9,24 +9,30 @@ lookup per announced prefix surfaces every tenant whose space it touches,
 and for each tenant only its **most specific** covering rule.  A one-tenant
 table is the paper's single-operator rule selection; ``tests/oracles.py``
 holds the node-object tree it is property-tested against.
+
+The table a deployment reads is the registry's own, ``TenantRegistry.tree``:
+``add_tenant`` links each row into it once, and every detection plane,
+every forked worker and the worker router read it.
 """
 
 from __future__ import annotations
 
 import sys
 from itertools import islice
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.net.prefix import Prefix, covering, present_lengths, uncovered_keys
 from repro.perf import COUNTERS as _COUNTERS
-from repro.tenants.registry import TenantRule
+
+if TYPE_CHECKING:  # the registry owns a tree, so it imports this module
+    from repro.tenants.registry import TenantRule
 
 #: One resolved match: the rule that applies, and whether the announced
 #: prefix is the rule's monitored prefix (exact) or a more-specific inside it.
-Match = Tuple[TenantRule, bool]
+Match = Tuple["TenantRule", bool]
 
 #: A table value: one prefix's rule, or its rules in arrival order.
-Held = Union[TenantRule, Tuple[TenantRule, ...]]
+Held = Union["TenantRule", Tuple["TenantRule", ...]]
 
 #: Shared empty resolve result: most announced prefixes match no tenant, so
 #: a miss allocates nothing.  Callers treat resolve results as read-only.
@@ -45,10 +51,13 @@ def _tuple_size(held: Held) -> int:  # a table value's share of ``nbytes()``
 class FlatPrefixTree:
     """Longest-match service over every tenant's monitored prefixes.
 
-    Tenants onboard incrementally (the registry's ``attach_tree`` sync calls
-    ``insert_rules``); each batch bumps ``epoch``.
+    Tenants onboard incrementally (``TenantRegistry.add_tenant`` calls
+    ``insert_rules`` on the registry's tree); each batch bumps ``epoch``.
     :meth:`root_keys` is the worker plane's partition, read as the table's
-    own ``ikey`` ints: no ``Prefix`` is built for a root.
+    own ``ikey`` ints: no ``Prefix`` is built for a root, and
+    :meth:`root_key` names the root an announcement falls under.
+    ``FlatPrefixTree(registry)`` is a snapshot of the registry's rows as
+    they stand: a later ``add_tenant`` does not reach it.
     """
 
     def __init__(self, registry=None) -> None:
@@ -62,7 +71,6 @@ class FlatPrefixTree:
         self.num_rules = 0
         if registry is not None:
             self.insert_rules(registry.all_rules())
-            registry.attach_tree(self)
 
     def __len__(self) -> int:
         """Distinct monitored prefixes (not rules) stored."""
@@ -124,6 +132,13 @@ class FlatPrefixTree:
         """The ``ikey`` of each stored prefix no other stored prefix covers,
         ascending (bit order): one sorted walk over the table's own keys."""
         return uncovered_keys(self._table)
+
+    def root_key(self, prefix: Prefix) -> Optional[int]:
+        """The ``ikey`` of the root ``prefix`` falls under — the least
+        specific stored prefix covering it, which no stored prefix covers —
+        or ``None`` when nothing stored covers it.  One covering lookup."""
+        hits = covering(self._table, prefix, self._lengths[prefix.version])
+        return _rows(hits[0])[0].prefix.ikey if hits else None
 
     def tenants_at(self, prefix: Prefix) -> List[str]:
         """Tenant names monitoring exactly ``prefix``."""

@@ -59,7 +59,6 @@ from repro.core.rules import classify_announcement, classify_squat
 from repro.feeds.dumpfile import Record, decode_records
 from repro.feeds.events import ANNOUNCE, FeedEvent, validated_event
 from repro.perf import COUNTERS as _COUNTERS
-from repro.tenants.flattree import FlatPrefixTree
 from repro.tenants.registry import TenantRegistry, TenantRule
 
 #: Events between opportunistic per-tenant state prune sweeps.
@@ -182,9 +181,13 @@ class DetectionPlane:
         verdict_cache_size: int = 65536,
     ):
         self.registry = registry
-        #: ``tree`` is a pre-built :class:`FlatPrefixTree` over ``registry``
-        #: (forked workers inherit one); by default the plane builds it.
-        self.tree = tree if tree is not None else FlatPrefixTree(registry)
+        #: The registry's own table, so a tenant onboarded later is judged
+        #: too; ``tree`` substitutes a
+        #: :class:`~repro.tenants.flattree.FlatPrefixTree` snapshot.
+        self.tree = registry.tree if tree is None else tree
+        # The table is built before a caller's counter reset (the CLI's
+        # replay resets after the compile): report the one this plane reads.
+        _COUNTERS.tree_bytes = max(_COUNTERS.tree_bytes, self.tree.nbytes())
         #: Optional data-plane corroboration probe shared by all tenants
         #: (``probe(prefix) -> bool``); evaluated at most once per memo key
         #: per batch, so verdicts within a batch stay memo-consistent.

@@ -16,10 +16,12 @@ single operator's config is a one-tenant registry):
   boilerplate policy reference the same frozensets.
 * :class:`TenantRegistry` — compiles :class:`~repro.core.config.ArtemisConfig`
   style ground truth for N tenants into bundle rows, supports incremental
-  tenant onboarding (propagated to any attached
-  :class:`~repro.tenants.flattree.FlatPrefixTree`), and dumps to canonical
-  plain-tuple rows.  ``--detect-workers`` processes are forked with the
-  registry itself; nothing here is a wire format.
+  tenant onboarding, and dumps to canonical plain-tuple rows.  It owns the
+  deployment's one prefix table, :attr:`TenantRegistry.tree` (a
+  :class:`~repro.tenants.flattree.FlatPrefixTree`): ``add_tenant`` links a
+  tenant's rows into it in one batch, and every detection plane, every
+  ``--detect-workers`` process and the worker router read it.  Workers are
+  forked with the registry itself; nothing here is a wire format.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from repro.core.config import ArtemisConfig
 from repro.errors import ConfigError
 from repro.net.prefix import Prefix
+from repro.tenants.flattree import FlatPrefixTree
 
 
 class TenantPolicy:
@@ -138,8 +141,9 @@ class TenantRegistry:
         #: Interning tables: identical policy material is stored once.
         self._asn_sets: Dict[FrozenSet[int], FrozenSet[int]] = {}
         self._adjacency_maps: Dict[Tuple, Dict[int, FrozenSet[int]]] = {}
-        #: Attached prefix trees, notified when a tenant is added.
-        self._trees: List = []
+        #: The one prefix table over every row: each tenant's rows are
+        #: linked once, in one batch (one epoch bump) per ``add_tenant``.
+        self.tree = FlatPrefixTree()
 
     # ------------------------------------------------------------- interning
 
@@ -215,19 +219,8 @@ class TenantRegistry:
                 for s in config.owned_space
             )
         self._tenants[name] = rows
-        for tree in self._trees:
-            tree.insert_rules(rows)
+        self.tree.insert_rules(rows)
         return rows
-
-    def attach_tree(self, tree) -> None:
-        """Keep ``tree`` in sync with future :meth:`add_tenant` calls."""
-        if tree not in self._trees:
-            self._trees.append(tree)
-
-    def detach_tree(self, tree) -> None:
-        """Stop syncing ``tree`` (its owner is done with it)."""
-        if tree in self._trees:
-            self._trees.remove(tree)
 
     # ---------------------------------------------------------------- access
 
@@ -251,11 +244,6 @@ class TenantRegistry:
     @property
     def num_rules(self) -> int:
         return sum(len(rows) for rows in self._tenants.values())
-
-    def monitored_prefixes(self) -> List[Prefix]:
-        """Distinct monitored prefixes across all tenants, sorted."""
-        by_key = {rule.prefix.ikey: rule.prefix for rule in self.all_rules()}
-        return [by_key[key] for key in sorted(by_key)]
 
     def cooldown_for(self, name: str) -> float:
         rows = self._tenants[name]

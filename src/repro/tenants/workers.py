@@ -9,29 +9,29 @@ merged digest is bit-identical to a single worker's by construction.
 
 The partition unit is a **root**: a monitored prefix not covered by any
 other monitored prefix.  ``start()`` takes the roots from one ascending walk
-over the shared tree's own keys (:meth:`FlatPrefixTree.root_keys`, ints,
-no ``Prefix`` per root) and round-robins them across workers in that order
-— deterministic for any worker count.  Roots are disjoint, so routing one
-announcement is one longest-match against the root ``ikey`` → worker dict at
-the roots' present lengths; sub-prefix announcements inside a root land
-with it.
+over the registry's own table (:attr:`TenantRegistry.tree`'s
+:meth:`~repro.tenants.flattree.FlatPrefixTree.root_keys`, ints, no
+``Prefix`` per root); root *i* in that order belongs to worker
+``i % num_workers`` — deterministic for any worker count.  The router keeps
+no table of its own: the least specific stored prefix covering an
+announcement *is* its root (:meth:`~repro.tenants.flattree.FlatPrefixTree.root_key`,
+one covering lookup of the registry's table), and a bisect into the root
+keys gives its index.  Sub-prefix announcements inside a root land with it.
 
 **Hand-off contract.**  Workers are forked (through
 :class:`repro.proc.WorkerGroup`; fork is the only start method this module
-has ever supported) *after* the parent has built one
-:class:`~repro.tenants.flattree.FlatPrefixTree` over the registry, and
-receive ``(registry, tree)`` as plain ``Process`` arguments — under fork
-those are not pickled, the child simply keeps the parent's objects
-copy-on-write.  No registry bytes cross a pipe.  The roots are taken
-from that same tree, so routing and the workers' rows are one snapshot.
-Every worker holds the *whole* tree, not just its partition; that is exact,
+has ever supported) with the registry as a plain ``Process`` argument —
+under fork it is not pickled, the child simply keeps the parent's objects,
+the registry's table included, copy-on-write.  No registry bytes cross a
+pipe, and the router and every worker read one table.
+Every worker holds the *whole* table, not just its partition; that is exact,
 not approximate, because of the routing invariant above: a worker only
 ever receives announcements under its own roots, a root is covered by no
 other monitored prefix, and so every rule that can match such an
 announcement sits under that same root — the other workers' rows are
 never reached by any lookup.  Workers classify against the registry **as of
 ``start()``**: mutating it on the parent afterwards cannot reach them, so
-the parent remembers the pre-fork tree's epoch and
+the parent remembers the table's epoch at the fork and
 ``feed_line_bytes``/``finish`` raise :class:`TenantWorkerError` if it has
 moved.
 
@@ -46,7 +46,7 @@ ships line batches down a pipe as
 feed path.  Each worker hands a batch's lines to the line entry of its own
 :class:`~repro.tenants.pipeline.DetectionPlane`
 (:meth:`~repro.tenants.pipeline.DetectionPlane.ingest_lines`; the plane is
-lazy per tenant, so constructing it over the inherited tree costs nothing)
+lazy per tenant, so constructing it over the inherited table costs nothing)
 — decoding and validating a record is :mod:`repro.feeds.dumpfile`'s job
 alone.  Frames go
 down only (``BATCH``/``FINISH``/``STOP``); up, a worker answers ``FINISH``
@@ -66,12 +66,12 @@ from __future__ import annotations
 
 import gc
 import time
-from itertools import cycle
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.feeds.replay import iter_trace_line_bytes
-from repro.net.prefix import Prefix, longest_match, present_lengths
+from repro.net.prefix import Prefix
 from repro.perf import COUNTERS as _COUNTERS, sample_memory
 from repro.tenants.frames import (
     FRAME_BATCH,
@@ -82,7 +82,6 @@ from repro.tenants.frames import (
     encode_batch,
     encode_frame,
 )
-from repro.tenants.flattree import FlatPrefixTree
 from repro.tenants.pipeline import DetectionPlane, merged_alert_digest
 from repro.tenants.registry import TenantRegistry
 
@@ -107,14 +106,13 @@ _ROUTE_MEMO_MAX = 65536
 def tenant_worker_main(
     worker_id: int,
     registry: TenantRegistry,
-    tree: FlatPrefixTree,
     batch_size: int,
     conn,
 ) -> None:
     """Entry point of one detection worker process.
 
-    ``registry`` and ``tree`` are the parent's own objects, inherited at
-    fork.  Down the pipe it reads :mod:`~repro.tenants.frames`: ``BATCH``
+    ``registry`` is the parent's own object, its table included, inherited
+    at fork.  Down the pipe it reads :mod:`~repro.tenants.frames`: ``BATCH``
     frames carry epoch-stamped raw trace lines, ``FINISH`` is answered with
     ``("ok", result)``, ``STOP`` exits; any failure is answered with
     ``("error", repr(exc))`` — the :mod:`repro.proc` reply pair — and the
@@ -123,7 +121,7 @@ def tenant_worker_main(
     _COUNTERS.reset()
     perf_mark = _COUNTERS.as_dict()
     cpu_mark = time.process_time()
-    plane = DetectionPlane(registry, tree=tree, batch_size=batch_size)
+    plane = DetectionPlane(registry, batch_size=batch_size)
     expected_epoch = 1
     while True:
         try:
@@ -208,11 +206,10 @@ class ParallelDetectionPlane:
         self.registry = registry
         self.num_workers = int(num_workers)
         self.batch_size = int(batch_size)
-        #: The partition — root ``ikey`` → worker, roots in bit order — and
-        #: the roots' present lengths, taken in :meth:`start` from the tree
-        #: the workers fork with.
-        self._routing: Dict[int, int] = {}
-        self._route_lengths = present_lengths(())
+        #: The partition: the registry table's root ``ikey`` ints in bit
+        #: order, taken in :meth:`start`; root *i* goes to worker
+        #: ``i % num_workers``.
+        self._roots: List[int] = []
         #: prefix field (bytes) → worker id, ``None`` (unrouted), or
         #: :data:`_MALFORMED`.
         self._route_memo: Dict[bytes, Optional[int]] = {}
@@ -220,8 +217,7 @@ class ParallelDetectionPlane:
             [] for _ in range(self.num_workers)
         ]
         self._epochs = [0] * self.num_workers
-        #: The tree the workers were forked with, and its epoch at fork.
-        self._tree: Optional[FlatPrefixTree] = None
+        #: The registry table's epoch when the workers were forked.
         self._fork_epoch = 0
         # Imported on use, as ``multiprocessing`` was before it: every
         # single-process run imports this package, and multiprocessing,
@@ -238,24 +234,20 @@ class ParallelDetectionPlane:
     # ----------------------------------------------------------- lifecycle
 
     def start(self) -> None:
-        """Build the shared tree once, partition it, and fork the workers.
+        """Partition the registry's table and fork the workers.
 
-        Routing and the workers' tree are one snapshot of the registry, so
-        a tenant added between construction and here is routed too.
+        Routing and the workers read the registry as it stands here, so a
+        tenant added between construction and here is routed too.
         """
         if self.started:
             return
-        # Attached to the registry, so any later add_tenant moves its epoch
-        # — the signal the stale-registry guard reads.
-        tree = FlatPrefixTree(self.registry)
+        tree = self.registry.tree
         roots = tree.root_keys()
         if not roots:
-            self.registry.detach_tree(tree)
             raise ReproError("registry has no monitored prefixes to partition")
-        self._tree = tree
+        # Any later add_tenant moves the epoch: the stale-registry guard.
         self._fork_epoch = tree.epoch
-        self._routing = dict(zip(roots, cycle(range(self.num_workers))))
-        self._route_lengths = present_lengths(roots)
+        self._roots = roots
         # What the children are forked to share: frozen, no full collection
         # — here or in a worker, whenever CPython's thresholds next call for
         # one — walks it and dirties the copy-on-write pages it sits on.
@@ -265,31 +257,34 @@ class ParallelDetectionPlane:
                 tenant_worker_main,
                 worker_id,
                 self.registry,
-                self._tree,
                 self.batch_size,
             )
         self.started = True
 
     def _check_registry_unmoved(self) -> None:
         """Workers hold the registry as of the fork; a later edit is lost."""
-        if self._tree.epoch != self._fork_epoch:
+        epoch = self.registry.tree.epoch
+        if epoch != self._fork_epoch:
             raise TenantWorkerError(
                 f"registry changed after start(): workers were forked at "
                 f"tree epoch {self._fork_epoch}, the registry is now at "
-                f"epoch {self._tree.epoch} — they cannot see the change"
+                f"epoch {epoch} — they cannot see the change"
             )
 
     # ------------------------------------------------------------- routing
 
     def _route_prefix(self, prefix_field: bytes) -> Optional[int]:
-        """Longest-match a never-seen prefix field; memoize the answer."""
+        """Find a never-seen prefix field's root; memoize its worker."""
         try:
             prefix = Prefix.parse(prefix_field.decode("ascii"))
         except (ValueError, UnicodeDecodeError):
             worker = _MALFORMED
         else:
-            lengths = self._route_lengths[prefix.version]
-            worker = longest_match(self._routing, prefix, lengths)
+            root = self.registry.tree.root_key(prefix)
+            worker = (
+                None if root is None
+                else bisect_left(self._roots, root) % self.num_workers
+            )
         memo = self._route_memo
         if len(memo) >= _ROUTE_MEMO_MAX:
             memo.clear()
@@ -414,8 +409,6 @@ class ParallelDetectionPlane:
         """Stop and reap the workers; also the error-path cleanup."""
         if self._group.processes:
             self._group.close(encode_frame(FRAME_STOP, 0))
-        if self._tree is not None:
-            self.registry.detach_tree(self._tree)
 
     def __enter__(self) -> "ParallelDetectionPlane":
         self.start()
@@ -427,5 +420,5 @@ class ParallelDetectionPlane:
     def __repr__(self) -> str:
         return (
             f"<ParallelDetectionPlane workers={self.num_workers} "
-            f"roots={len(self._routing)} routed={self.events_routed}>"
+            f"roots={len(self._roots)} routed={self.events_routed}>"
         )

@@ -814,7 +814,7 @@ class HijackExperiment:
             engine.step()
         return True
 
-    def _run_until_routing(self, tracker, origins, timeout: float) -> bool:
+    def _run_until_all_route_to(self, tracker, origins, timeout: float) -> bool:
         """Step until every AS's ``tracker`` probes all resolve into ``origins``.
 
         The (relatively expensive) data-plane check is re-evaluated only
@@ -854,7 +854,7 @@ class HijackExperiment:
             self.churn.start()
             network.run_for(cfg.churn_warmup)
         self.victim.announce(cfg.prefix)
-        if not self._run_until_routing(
+        if not self._run_until_all_route_to(
             self.tracker, {self.victim.asn}, cfg.completion_timeout
         ):
             raise ExperimentError(
@@ -1056,7 +1056,7 @@ class HijackExperiment:
             if action.announced_at is not None:
                 result.announce_delay = action.announced_at - alert.detected_at
             result.strategy = action.strategy
-            converged = self._run_until_routing(
+            converged = self._run_until_all_route_to(
                 truth,
                 recovered,
                 cfg.completion_timeout

@@ -17,13 +17,17 @@ two independent derivations rather than a thing with itself:
 * :func:`config_tries` / :func:`classify_with_config_tries` — the
   owned-prefix and owned-space ``PrefixTrie`` pair ``ArtemisConfig`` kept
   before its tables became ``ikey`` dicts, and single-operator rule
-  selection read straight off that pair.
+  selection read straight off that pair;
+* :class:`RootPartition` — the worker router's root ``ikey`` → worker dict,
+  read by ``longest_match``, from before the router asked the registry's
+  own table for an announcement's root.
 
 None is imported by anything under ``src/``.
 """
 
 from __future__ import annotations
 
+from itertools import cycle
 from typing import (
     Dict,
     Generic,
@@ -40,7 +44,13 @@ from repro.core.alerts import AlertType
 from repro.core.config import ArtemisConfig
 from repro.core.rules import classify_announcement, classify_squat
 from repro.feeds.events import FeedEvent
-from repro.net.prefix import Address, Prefix
+from repro.net.prefix import (
+    Address,
+    Prefix,
+    longest_match,
+    present_lengths,
+    uncovered_keys,
+)
 from repro.tenants.flattree import Match
 from repro.tenants.registry import TenantRule
 
@@ -259,7 +269,10 @@ class PrefixTrie(Generic[V]):
 
 
 class PrefixTree:
-    """Node-object twin of ``FlatPrefixTree`` (same public surface)."""
+    """Node-object twin of ``FlatPrefixTree`` (same public surface).
+
+    ``PrefixTree(registry)`` is a snapshot of the registry's rows; hand a
+    later ``add_tenant``'s returned rows to :meth:`insert_rules`."""
 
     def __init__(self, registry=None) -> None:
         self._trie: PrefixTrie[List[TenantRule]] = PrefixTrie()
@@ -267,7 +280,6 @@ class PrefixTree:
         self.num_rules = 0
         if registry is not None:
             self.insert_rules(registry.all_rules())
-            registry.attach_tree(self)
 
     def __len__(self) -> int:
         """Distinct monitored prefixes (not rules) stored."""
@@ -305,6 +317,30 @@ class PrefixTree:
         """Tenant names monitoring exactly ``prefix``."""
         bucket = self._trie.get(prefix)
         return sorted({rule.policy.tenant for rule in bucket}) if bucket else []
+
+
+class RootPartition:
+    """Which worker an announcement's prefix field goes to, the old way.
+
+    The roots (stored prefixes no other stored prefix covers) in bit order
+    are round-robined over ``num_workers`` into a root ``ikey`` → worker
+    dict, and a field's worker is its parsed prefix's ``longest_match`` in
+    that dict at the roots' present lengths: ``None`` when no root covers
+    it, ``malformed`` when the field does not parse.
+    """
+
+    def __init__(self, prefixes: Iterable[Prefix], num_workers: int, malformed) -> None:
+        roots = uncovered_keys(prefix.ikey for prefix in prefixes)
+        self.routing: Dict[int, int] = dict(zip(roots, cycle(range(num_workers))))
+        self.lengths = present_lengths(roots)
+        self.malformed = malformed
+
+    def worker(self, prefix_field: bytes):
+        try:
+            prefix = Prefix.parse(prefix_field.decode("ascii"))
+        except (ValueError, UnicodeDecodeError):
+            return self.malformed
+        return longest_match(self.routing, prefix, self.lengths[prefix.version])
 
 
 def config_tries(config: ArtemisConfig) -> Tuple[PrefixTrie, PrefixTrie]:

@@ -26,6 +26,7 @@ import gc
 import hashlib
 import json
 import multiprocessing
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -336,14 +337,19 @@ class TestSharedLeafFields:
         assert again is not kept  # the table really was cleared in between
 
 
-#: One mutated field's text: the characters every field check turns on, and
-#: digit runs on both sides of the 32-bit ASN bound.
-_FIELD_TEXT = st.lists(
-    st.one_of(
-        st.sampled_from(list("0123456789| +-.") + ["nan", "inf", "１", "２", ""]),
-        st.integers(min_value=0, max_value=1 << 33).map(str),
-    ),
-    max_size=6,
+#: One mutated field's text: the characters every field check turns on,
+#: digit runs on both sides of the 32-bit ASN bound, and a leading "+".
+_FIELD_TEXT = st.tuples(
+    st.sampled_from(["", "+"]),
+    st.lists(
+        st.one_of(
+            st.sampled_from(
+                list("0123456789| +-._\t") + ["nan", "inf", "１", "２", "١", ""]
+            ),
+            st.integers(min_value=0, max_value=1 << 33).map(str),
+        ),
+        max_size=6,
+    ).map("".join),
 ).map("".join)
 
 
@@ -379,6 +385,53 @@ def test_a_warm_lead_decodes_as_a_cold_decoder(field, text):
         except FeedError:
             pass
     assert decoded(mutated) == cold
+
+
+def repr_timestamp(text):
+    """``text``'s value if it is a timestamp ``repr()`` could have written —
+    what ``float()`` takes, less a non-ASCII character, a "_", a leading "+"
+    or whitespace around it — else ``None``; judged for the field alone."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    plain = text.isascii() and "_" not in text and text == text.strip()
+    return value if plain and not text.startswith("+") else None
+
+
+#: Timestamp spellings near what repr() writes: two digit runs with one
+#: joint between them ("." "_" an exponent, a non-ASCII digit), a sign or a
+#: pad on either side; and any field text without a separator.
+_TIMESTAMP_TEXT = st.builds(
+    "{}{}{}{}{}".format,
+    st.sampled_from(["", "", "+", "-", " ", "\t"]),
+    st.integers(0, 99).map(str),
+    st.sampled_from([".", "_", "e", "e+", "e-", "١", ""]),
+    st.integers(0, 99).map(str),
+    st.sampled_from(["", "", " ", "\t", "+"]),
+) | _FIELD_TEXT.filter(lambda text: "|" not in text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    source=st.sampled_from(["ris", "ris_live", "rïs"]),
+    observed=_TIMESTAMP_TEXT,
+    delivered=_TIMESTAMP_TEXT,
+)
+def test_timestamp_accept_set_is_per_field(source, observed, delivered):
+    """Each timestamp is judged on its own text, whatever the rest of the
+    line holds: a "_" or a non-ASCII character in the source neither lets
+    a bad timestamp through nor refuses a good one."""
+    text = f"A|{source}|c|1|10.0.0.0/24|1 2 3|{observed}|{delivered}"
+    low, high = repr_timestamp(observed), repr_timestamp(delivered)
+    accepted = low is not None and high is not None and -inf < low <= high < inf
+    try:
+        event = parse_event(text)
+    except FeedError:
+        assert not accepted, text
+    else:
+        assert accepted, text
+        assert (event.observed_at, event.delivered_at) == (low, high)
 
 
 # ------------------------------------------------------- frame verification

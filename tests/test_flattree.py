@@ -3,7 +3,8 @@
 ``FlatPrefixTree`` must agree with the node-object oracle ``PrefixTree``:
 same resolve semantics (most specific rule per tenant, sorted tenant
 order, per-bucket exact flags), same incremental onboarding (one epoch
-bump per batch), plus the ``tree_bytes`` gauge.
+bump per batch: per tenant in the registry's own table, once for a
+``FlatPrefixTree(registry)`` snapshot), plus the ``tree_bytes`` gauge.
 Cross-implementation equivalence under randomized operation sequences is
 property-tested separately in ``test_flattree_equivalence.py``.
 """
@@ -103,19 +104,20 @@ class TestResolveSemantics:
 class TestMutation:
     def test_epoch_bumps_once_per_batch(self):
         registry = small_registry()
-        tree = FlatPrefixTree(registry)
-        assert tree.epoch == 1  # one insert_rules batch at construction
+        tree = registry.tree
+        assert tree.epoch == 2  # one insert_rules batch per tenant
+        assert FlatPrefixTree(registry).epoch == 1  # a snapshot is one batch
         registry.add_tenant(
             "gamma", ArtemisConfig([OwnedPrefix("10.7.0.0/16", [65007])])
         )
-        assert tree.epoch == 2
+        assert tree.epoch == 3
         registry.add_tenant(
             "delta",
             ArtemisConfig(
                 [OwnedPrefix("10.8.0.0/16", [65008]), OwnedPrefix("10.8.1.0/24", [65008])]
             ),
         )
-        assert tree.epoch == 3
+        assert tree.epoch == 4
         assert tree.num_rules == 6
 
     def test_failed_insert_counts_what_it_linked(self):
@@ -163,7 +165,7 @@ class TestMutation:
         assert tree.resolve(Prefix.parse("10.7.1.0/24")) == [(good, False)]
 
     def test_tenant_add_reads_only_its_own_keys(self, monkeypatch):
-        """On a 10k-prefix attached tree, onboarding a tenant hands
+        """On a registry's 10k-prefix table, onboarding a tenant hands
         ``present_lengths`` that tenant's new keys and nothing else: a
         mutation costs its own rows."""
         from repro.tenants.synth import build_synth_registry
@@ -171,7 +173,7 @@ class TestMutation:
         registry = build_synth_registry(
             {Prefix.parse("10.0.0.0/24"): 65001}, num_tenants=10, num_prefixes=10_000
         )
-        tree = FlatPrefixTree(registry)
+        tree = registry.tree
         assert len(tree) > 9_000
         passed = []
 
@@ -198,16 +200,17 @@ class TestMutation:
 
     def test_size_tracks_distinct_prefixes(self):
         registry = small_registry()
-        tree = FlatPrefixTree(registry)
+        tree = registry.tree
         node = PrefixTree(registry)
         assert len(tree) == len(node) == 3
         # A shared prefix is one entry; only the new one adds to the size.
-        registry.add_tenant(
+        rows = registry.add_tenant(
             "gamma",
             ArtemisConfig(
                 [OwnedPrefix("10.0.0.0/23", [65003]), OwnedPrefix("10.3.0.0/16", [65003])]
             ),
         )
+        node.insert_rules(rows)
         assert len(tree) == len(node) == 4
         assert tree.num_rules == node.num_rules == 5
 

@@ -2,9 +2,9 @@
 
 Same shape as ``test_classify_equivalence.py``: hypothesis drives
 randomized operation sequences — tenant onboarding and resolve probes —
-through the oracle ``PrefixTree`` and a ``FlatPrefixTree``
-attached to one shared registry, and every observable must agree at every
-step: resolve results (rule identity, exact flags, and order), stored
+through the oracle ``PrefixTree``, handed each onboarded tenant's rows,
+and the registry's own ``FlatPrefixTree``, and every observable must
+agree at every step: resolve results (rule identity, exact flags, and order), stored
 size, epoch, rule count, monitored-prefix listing, and exact-tenant
 lookups.  Rules are interned per registry, so result equality is object
 identity — the strictest possible match.
@@ -73,11 +73,9 @@ def _observe(tree, probe):
 def test_flat_tree_equivalent_under_randomized_onboarding(ops):
     registry = TenantRegistry()
     node = PrefixTree()
-    flat = FlatPrefixTree()
-    registry.attach_tree(node)
-    registry.attach_tree(flat)
+    flat = registry.tree
     for serial, seed in enumerate(ops):
-        registry.add_tenant(f"tenant-{serial:04d}", _config(seed))
+        node.insert_rules(registry.add_tenant(f"tenant-{serial:04d}", _config(seed)))
         assert node.epoch == flat.epoch
         assert node.num_rules == flat.num_rules
         assert len(node) == len(flat)

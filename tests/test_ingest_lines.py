@@ -30,7 +30,7 @@ from repro.errors import FeedError
 from repro.feeds.dumpfile import parse_event
 from repro.feeds.replay import TraceError, load_trace
 from repro.perf import COUNTERS
-from repro.tenants import DetectionPlane, FlatPrefixTree, TenantRegistry, frames
+from repro.tenants import DetectionPlane, TenantRegistry, frames
 from repro.tenants.workers import tenant_worker_main
 
 from test_decoder import GOOD, HOSTILE, clear_decoder_tables, seal
@@ -248,7 +248,7 @@ class TestHostileLinesBehindAWarmCache:
         parent_conn, child_conn = multiprocessing.Pipe()
         thread = threading.Thread(
             target=tenant_worker_main,
-            args=(0, registry, FlatPrefixTree(registry), 1, child_conn),
+            args=(0, registry, 1, child_conn),
             daemon=True,
         )
         thread.start()

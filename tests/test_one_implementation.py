@@ -496,6 +496,28 @@ GUARDS: Tuple[Guard, ...] = (
         ("src/repro/tenants/pipeline.py", "        counters.pipeline_memo_hits += hits"),
         "pipeline_memo_hits", ("src", "tests"), word=True,
     ),
+    Guard(
+        "registry-tree-sync", "after ba74f70",
+        "The registry owns its one table and links each row into it once; "
+        "no second table is kept in step with it.",
+        ("src/repro/tenants/registry.py", "    def attach_tree(self, tree) -> None:"),
+        r"attach_tree|detach_tree|_trees\b", ("src", "tests", "benchmarks", "bench", "examples"),
+    ),
+    Guard(
+        "router-root-dict", "after ba74f70",
+        "The worker router asks the registry's table for an announcement's "
+        "root; it keeps no root -> worker dict of its own.",
+        ("src/repro/tenants/workers.py", "        self._routing: Dict[int, int] = {}"),
+        "_routing|_route_lengths", ("src", "tests", "benchmarks", "bench", "examples"), word=True,
+    ),
+    Guard(
+        "registry-monitored-prefixes", "after ba74f70",
+        "The distinct monitored prefixes are the registry table's "
+        "FlatPrefixTree.monitored_prefixes(); the registry derives them no "
+        "second way.",
+        ("src/repro/tenants/registry.py", "    def monitored_prefixes(self) -> List[Prefix]:"),
+        "def monitored_prefixes", ("src/repro/tenants/registry.py",),
+    ),
 )
 
 #: The smallest tree the positive rows accept; each example is laid over it.

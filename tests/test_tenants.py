@@ -16,11 +16,14 @@ Contracts under test (see DESIGN.md "Detection plane"):
   when the same (prefix, origin) pattern fires under two tenants;
 * resolved-incident bookkeeping is pruned after cooldown + retention —
   one sweep, the plane's, at any tenant count (bounded soaks);
+* the registry owns the one prefix table: each row is linked once, and
+  every plane, every worker and the router read that table;
 * the --detect-workers partitioning merges to a digest bit-identical to
-  the single-process plane; workers are forked with the registry and the
-  whole tree (no registry bytes on the pipes); a stale/reordered batch
-  epoch, or a registry edited after the fork, is a loud error, never a
-  silent wrong answer.
+  the single-process plane, and routes each prefix field to the worker
+  the old root → worker dict would; workers are forked with the registry
+  and its whole table (no registry bytes on the pipes); a stale/reordered
+  batch epoch, or a registry edited after the fork, is a loud error,
+  never a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -65,9 +68,9 @@ from repro.tenants.synth import (
     observed_origin_map,
     pad_prefix,
 )
-from repro.tenants.workers import _ROUTE_MEMO_MAX, tenant_worker_main
+from repro.tenants.workers import _MALFORMED, _ROUTE_MEMO_MAX, tenant_worker_main
 
-from oracles import PrefixTree, PrefixTrie
+from oracles import PrefixTree, PrefixTrie, RootPartition
 
 
 def make_event(
@@ -216,10 +219,10 @@ class TestTenantRegistry:
 
     def test_bytes_per_row_ceiling(self):
         """What a monitored row costs to keep — registry rows, prefixes,
-        policies and the tree over them — is pinned: 428.9 B at commit
-        34ae900, 260.5 B since ``Prefix`` carries one key and a tenant's
-        settings are stored once.  ``tracemalloc`` repeats exactly, so the
-        next slot added to ``Prefix`` or ``TenantRule`` fails here."""
+        policies and the registry's table over them — is pinned: 428.9 B at
+        commit 34ae900, 260.5 B since ``Prefix`` carries one key and a
+        tenant's settings are stored once.  ``tracemalloc`` repeats exactly,
+        so the next slot added to ``Prefix`` or ``TenantRule`` fails here."""
         import tracemalloc
 
         gc.collect()
@@ -229,7 +232,7 @@ class TestTenantRegistry:
             registry = build_synth_registry(
                 SYNTH_ORIGINS, num_tenants=100, num_prefixes=10_400
             )
-            tree = FlatPrefixTree(registry)
+            tree = registry.tree
             gc.collect()
             per_row = (tracemalloc.get_traced_memory()[0] - before) / registry.num_rules
         finally:
@@ -242,9 +245,55 @@ class TestTenantRegistry:
         registry.add_tenant(
             "gamma", ArtemisConfig([OwnedPrefix("10.0.0.0/24", [65009])])
         )
-        monitored = registry.monitored_prefixes()
+        monitored = registry.tree.monitored_prefixes()
         assert monitored == sorted(set(monitored), key=lambda p: p.ikey)
         assert len(monitored) == 2  # /23 and /24, the duplicate collapsed
+
+
+class TestOneTable:
+    """The registry's table is the only one: a row is linked once, however
+    many planes and workers read it."""
+
+    def test_each_row_is_linked_once(self, monkeypatch):
+        linked = []
+        insert_rules = FlatPrefixTree.insert_rules
+
+        def counting(tree, rules):
+            rules = list(rules)
+            linked.append(len(rules))
+            return insert_rules(tree, rules)
+
+        monkeypatch.setattr(FlatPrefixTree, "insert_rules", counting)
+        registry = build_synth_registry(
+            SYNTH_ORIGINS, num_tenants=100, num_prefixes=10_400
+        )
+        assert registry.num_rules == 10_400
+        assert len(linked) == 100  # one batch per tenant
+        DetectionPlane(registry)
+        parallel = ParallelDetectionPlane(registry, num_workers=2)
+        try:
+            parallel.start()
+        finally:
+            parallel.close()
+        assert sum(linked) == 10_400
+
+    def test_planes_read_the_registry_table(self):
+        registry = two_tenant_registry()
+        COUNTERS.reset()  # after the compile, as the CLI's replay does
+        assert DetectionPlane(registry).tree is registry.tree
+        assert COUNTERS.tree_bytes == registry.tree.nbytes() > 0
+        plane = one_tenant_plane(ArtemisConfig([OwnedPrefix("10.0.0.0/23", [65001])]))
+        assert plane.tree is plane.registry.tree
+
+    def test_a_snapshot_misses_a_later_tenant(self):
+        registry = two_tenant_registry()
+        snapshot = FlatPrefixTree(registry)
+        late = Prefix.parse("10.9.0.0/16")
+        registry.add_tenant("late", ArtemisConfig([OwnedPrefix(late, [65009])]))
+        assert snapshot.tenants_at(late) == []
+        assert snapshot.resolve(late) == []
+        assert registry.tree.tenants_at(late) == ["late"]
+        assert (snapshot.epoch, registry.tree.epoch) == (1, 3)
 
 
 # ------------------------------------------------------------- prefix tree
@@ -285,16 +334,21 @@ class TestPrefixTree:
         assert tree.resolve(Prefix.parse("10.0.0.0/16")) == []
 
     def test_incremental_add_with_epochs(self):
+        """An onboarded tenant is one batch, one epoch bump, in the
+        registry's table and in the oracle handed the same rows."""
         registry = two_tenant_registry()
-        tree = PrefixTree(registry)
-        epoch = tree.epoch
-        registry.add_tenant(
-            "gamma", ArtemisConfig([OwnedPrefix("10.0.0.0/24", [65009])])
+        oracle = PrefixTree(registry)
+        assert (registry.tree.epoch, oracle.epoch) == (2, 1)
+        oracle.insert_rules(
+            registry.add_tenant(
+                "gamma", ArtemisConfig([OwnedPrefix("10.0.0.0/24", [65009])])
+            )
         )
-        assert tree.epoch == epoch + 1
-        assert tree.tenants_at(Prefix.parse("10.0.0.0/24")) == ["beta", "gamma"]
-        matches = tree.resolve(Prefix.parse("10.0.0.0/24"))
-        assert {r.policy.tenant for r, _ in matches} == {"acme", "beta", "gamma"}
+        assert (registry.tree.epoch, oracle.epoch) == (3, 2)
+        for tree in (registry.tree, oracle):
+            assert tree.tenants_at(Prefix.parse("10.0.0.0/24")) == ["beta", "gamma"]
+            matches = tree.resolve(Prefix.parse("10.0.0.0/24"))
+            assert {r.policy.tenant for r, _ in matches} == {"acme", "beta", "gamma"}
 
 
 # ------------------------------------------------------------ batch verdicts
@@ -876,6 +930,38 @@ def trie_roots(prefixes):
     return [prefix for prefix in trie.keys() if len(list(trie.covering(prefix))) == 1]
 
 
+#: Few distinct high bits and short lengths: nesting and duplicates are the
+#: common case, not the rare one.  Each family's /0 covers the whole family.
+_NESTED_PREFIXES = st.one_of(
+    st.builds(
+        lambda value, length: Prefix(value << 24, length, 4),
+        st.integers(0, 255),
+        st.integers(0, 12),
+    ),
+    st.builds(
+        lambda value, length: Prefix(value << 120, length, 6),
+        st.integers(0, 255),
+        st.integers(0, 12),
+    ),
+    st.sampled_from([Prefix(0, 0, 4), Prefix(0, 0, 6)]),
+)
+
+#: Prefix fields no router may parse.
+_MALFORMED_FIELDS = [
+    b"", b"garbage", b"10.0.0.0/33", b"10.0.0/8", b"2001:db8::/129",
+    b"10.0.0.0/-1", b"\xff\xfe", b"10.0.0.\xc3\xa9/24",
+]
+
+
+def started_router(registry, num_workers):
+    """A :class:`ParallelDetectionPlane` whose ``start()`` partitioned the
+    registry but forked nothing: its router alone, for routing tests."""
+    plane = ParallelDetectionPlane(registry, num_workers=num_workers)
+    plane._group.fork = lambda *args: None
+    plane.start()
+    return plane
+
+
 class TestPartitioning:
     def test_uncovered_keys_keeps_only_maximal_prefixes(self):
         prefixes = [
@@ -910,27 +996,7 @@ class TestPartitioning:
         ]
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                # Few distinct high bits and short lengths: nesting and
-                # duplicates are the common case, not the rare one.
-                st.builds(
-                    lambda value, length: Prefix(value << 24, length, 4),
-                    st.integers(0, 255),
-                    st.integers(0, 12),
-                ),
-                st.builds(
-                    lambda value, length: Prefix(value << 120, length, 6),
-                    st.integers(0, 255),
-                    st.integers(0, 12),
-                ),
-                # Each family's /0 covers the whole family and nothing else.
-                st.sampled_from([Prefix(0, 0, 4), Prefix(0, 0, 6)]),
-            ),
-            max_size=40,
-        )
-    )
+    @given(st.lists(_NESTED_PREFIXES, max_size=40))
     def test_uncovered_keys_matches_trie_oracle(self, prefixes):
         """The sorted sweep ≡ "covered by nothing but itself" in a trie."""
         roots = uncovered_keys(prefix.ikey for prefix in prefixes)
@@ -938,10 +1004,9 @@ class TestPartitioning:
         assert len(set(roots)) == len(roots)
 
     def test_plane_partitions_nested_and_duplicate_rows(self):
-        """The plane takes its roots straight from the tree's keys — the
-        same prefix under several tenants, nested covers, both families —
-        and they are the trie oracle's maximal prefixes, round-robined in
-        bit order."""
+        """The same prefix under several tenants, nested covers, both
+        families: the plane's roots are the trie oracle's maximal prefixes,
+        in bit order, and each field goes where the old root dict sent it."""
         registry = two_tenant_registry()  # 10.0.0.0/23 ⊃ 10.0.0.0/24
         for name, owned in (
             ("gamma", ["10.0.0.0/24", "10.0.0.0/23", "2001:db8::/32"]),
@@ -952,17 +1017,26 @@ class TestPartitioning:
                 name, ArtemisConfig([OwnedPrefix(text, [65009]) for text in owned])
             )
         oracle = trie_roots(rule.prefix for rule in registry.all_rules())
-        plane = ParallelDetectionPlane(registry, num_workers=3)
-        plane.start()  # the partition is taken from the tree it forks with
-        plane.close()
         assert [str(root) for root in oracle] == [
             "10.0.0.0/23", "11.0.0.0/8", "192.168.0.0/24", "2001:db8::/32",
         ]
-        # The routing dict is the partition: its keys are the roots' ikeys
-        # in bit order, its values the round-robin.
-        assert list(plane._routing) == [root.ikey for root in oracle]
-        assert list(plane._routing.values()) == [0, 1, 2, 0]
-        assert plane._route_lengths == {4: [24, 23, 8], 6: [32]}
+        plane = started_router(registry, 3)
+        assert plane._roots == [root.ikey for root in oracle]
+        routed = {
+            text: plane._route_prefix(text.encode())
+            for text in (
+                "10.0.0.0/23", "10.0.1.0/24", "10.0.1.128/25", "11.2.0.0/16",
+                "192.168.0.0/24", "2001:db8::/64", "2001:db8:1::/48",
+                "10.0.0.0/22", "2001:db9::/32",
+            )
+        }
+        assert routed == {
+            "10.0.0.0/23": 0, "10.0.1.0/24": 0, "10.0.1.128/25": 0,
+            "11.2.0.0/16": 1, "192.168.0.0/24": 2, "2001:db8::/64": 0,
+            "2001:db8:1::/48": 0, "10.0.0.0/22": None, "2001:db9::/32": None,
+        }
+        partition = RootPartition(oracle, 3, _MALFORMED)
+        assert routed == {text: partition.worker(text.encode()) for text in routed}
 
     def test_roots_round_robin_deterministic(self):
         registry = TenantRegistry()
@@ -970,12 +1044,54 @@ class TestPartitioning:
             registry.add_tenant(
                 f"t{i}", ArtemisConfig([OwnedPrefix(f"10.{i}.0.0/16", [65000 + i])])
             )
-        plane = ParallelDetectionPlane(registry, num_workers=2)
-        plane.start()
-        plane.close()
+        plane = started_router(registry, 2)
         roots = [Prefix.parse(f"10.{i}.0.0/16") for i in range(5)]
-        assert list(plane._routing) == [root.ikey for root in roots]
-        assert list(plane._routing.values()) == [0, 1, 0, 1, 0]
+        assert plane._roots == [root.ikey for root in roots]
+        assert [plane._route_prefix(f"10.{i}.7.0/24".encode()) for i in range(5)] == [
+            0, 1, 0, 1, 0,
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tenants=st.lists(
+            # A tenant owns a prefix once; tenants share them freely.
+            st.lists(_NESTED_PREFIXES, min_size=1, max_size=8, unique_by=lambda p: p.ikey),
+            min_size=1,
+            max_size=5,
+        ),
+        probes=st.lists(
+            st.one_of(
+                _NESTED_PREFIXES.map(lambda prefix: str(prefix).encode()),
+                st.builds(
+                    lambda prefix, extra: str(
+                        Prefix(prefix.value, min(prefix.length + extra, prefix.bits), prefix.version)
+                    ).encode(),
+                    _NESTED_PREFIXES,
+                    st.integers(0, 40),
+                ),
+                st.sampled_from(_MALFORMED_FIELDS),
+            ),
+            max_size=30,
+        ),
+        num_workers=st.integers(1, 4),
+    )
+    def test_router_agrees_with_the_root_dict(self, tenants, probes, num_workers):
+        """Whatever the tenants' rows — both families, nesting, the same
+        prefix under several tenants, each family's /0 — every prefix field,
+        covered, uncovered or malformed, goes to the worker the root
+        ``ikey`` → worker dict names."""
+        registry = TenantRegistry()
+        for index, prefixes in enumerate(tenants):
+            registry.add_tenant(
+                f"t{index}", ArtemisConfig([OwnedPrefix(p, [65001]) for p in prefixes])
+            )
+        plane = started_router(registry, num_workers)
+        partition = RootPartition(
+            [rule.prefix for rule in registry.all_rules()], num_workers, _MALFORMED
+        )
+        stored = [str(rule.prefix).encode() for rule in registry.all_rules()]
+        for field in stored + probes:
+            assert plane._route_prefix(field) == partition.worker(field), field
 
     def test_iter_trace_lines_rejects_truncation(self, tmp_path):
         trace = write_mini_trace(tmp_path / "t.trace", rounds=2)
@@ -1071,7 +1187,7 @@ class TestParallelDetectionPlane:
         parent_conn, child_conn = multiprocessing.Pipe()
         thread = threading.Thread(
             target=tenant_worker_main,
-            args=(0, registry, FlatPrefixTree(registry), 32, child_conn),
+            args=(0, registry, 32, child_conn),
             daemon=True,
         )
         thread.start()
@@ -1115,11 +1231,12 @@ class TestParallelDetectionPlane:
         finally:
             parallel.close()
 
-    def test_start_that_never_forked_detaches_its_tree(self, monkeypatch):
-        """``start()`` attaches its tree to the registry before the first
-        fork; when that fork raises, ``close()`` must still let go of it,
-        or every later ``add_tenant`` keeps syncing a tree nobody reads."""
+    def test_start_that_never_forked_leaves_the_registry_whole(self, monkeypatch):
+        """When the first fork raises, ``start()`` has built nothing the
+        registry must let go of: ``close()`` is a no-op, twice, and the
+        registry keeps onboarding into its one table."""
         registry = worker_registry()
+        tree, epoch = registry.tree, registry.tree.epoch
         parallel = ParallelDetectionPlane(registry, num_workers=2)
 
         def no_fork(*args):
@@ -1128,10 +1245,11 @@ class TestParallelDetectionPlane:
         monkeypatch.setattr(parallel._group, "fork", no_fork)
         with pytest.raises(OSError, match="fork"):
             parallel.start()
-        assert registry._trees == [parallel._tree]
         parallel.close()
-        assert registry._trees == []
         parallel.close()  # idempotent
+        assert not parallel.started
+        registry.add_tenant("late", ArtemisConfig([OwnedPrefix("10.200.0.0/16", [65200])]))
+        assert registry.tree is tree and tree.epoch == epoch + 1
 
     @pytest.mark.parametrize("batch_size", [1, 1024])
     @pytest.mark.parametrize("num_workers", [1, 2, 3, 4])
@@ -1218,15 +1336,13 @@ class TestParallelDetectionPlane:
             registry.add_tenant(
                 "late", ArtemisConfig([OwnedPrefix("10.200.0.0/16", [65200])])
             )
-            with pytest.raises(TenantWorkerError, match=r"epoch 1\b.*epoch 2\b"):
+            with pytest.raises(TenantWorkerError, match=r"epoch 8\b.*epoch 9\b"):
                 parallel.feed_trace(trace)
             with pytest.raises(TenantWorkerError, match="registry changed"):
                 parallel.finish()
         finally:
             parallel.close()
         assert children and not any(child.is_alive() for child in children)
-        # The plane let go of its tree: the registry no longer feeds it.
-        assert registry._trees == []
 
     @pytest.mark.parametrize("side", ["send", "receive"])
     def test_dead_worker_is_a_typed_error(self, tmp_path, side):
