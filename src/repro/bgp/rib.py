@@ -16,52 +16,36 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.bgp.route import Route
 from repro.net.prefix import Address, Prefix, covered_range, longest_match
-from repro.perf import COUNTERS as _C
 
 
 class AdjRibIn:
     """Routes learned from neighbors, indexed by prefix.
 
-    ``by_prefix`` drives the decision process (all candidates for a prefix)
-    and is the only index: the per-peer reader (session teardown) is rare,
-    so it scans it instead of every announcement paying for a second
-    table.  It is keyed by
-    :attr:`Prefix.ikey` (C-level int hashing on the hot path); the stored
-    routes carry the real :class:`Prefix` objects.
+    One table, ``ikey -> row``, keyed by :attr:`Prefix.ikey` (C-level int
+    hashing on the hot path); the stored routes carry the real
+    :class:`Prefix` objects.  A row is an immutable tuple of the prefix's
+    candidate routes, one per peer in arrival order: a replacement keeps
+    its peer's slot, a withdraw closes the gap, and every write replaces
+    the whole tuple.  It drives the decision process (all candidates for a
+    prefix) and is the only index: the per-peer reader (session teardown)
+    is rare, so it scans the table instead of every announcement paying
+    for a second one.  Because no row is ever written in place, a
+    checkpoint fork shares every row with its master for good.
     """
 
     def __init__(self) -> None:
-        self._by_prefix: Dict[int, Dict[int, Route]] = {}
-        #: ikeys of ``_by_prefix`` rows still shared with a checkpoint master
-        #: (see :meth:`__deepcopy__`); empty on every non-forked RIB, so the
-        #: hot-path membership tests reduce to one falsy check.
-        self._shared_rows: set = set()
+        self._by_prefix: Dict[int, Tuple[Route, ...]] = {}
 
     def __deepcopy__(self, memo) -> "AdjRibIn":
-        """Copy-on-write fork for checkpoint restore.
-
-        Only the outer dict is copied; the inner per-prefix rows stay shared
-        with the (frozen) master and are marked in ``_shared_rows``.  Every
-        write path un-shares a row by copying it the first time churn
-        touches it, so a restored 1000-AS Internet forks O(changed prefixes)
-        dicts instead of the full RIB population.  The :class:`Route` values
-        are immutable and shared unconditionally.
-        """
+        """Fork for checkpoint restore: copy the outer table and share every
+        (immutable) row and the :class:`Route` objects in it."""
         clone = AdjRibIn.__new__(AdjRibIn)
         memo[id(self)] = clone
         clone._by_prefix = dict(self._by_prefix)
-        clone._shared_rows = set(self._by_prefix)
         # The speaker caches ``prefix_table()``; route that cached alias to
         # the clone's table when the speaker is copied in the same pass.
         memo[id(self._by_prefix)] = clone._by_prefix
         return clone
-
-    def _unshare_row(self, ikey: int) -> Dict[int, Route]:
-        """Privatise one shared ``_by_prefix`` row (first write after fork)."""
-        row = self._by_prefix[ikey] = dict(self._by_prefix[ikey])
-        self._shared_rows.discard(ikey)
-        _C.cow_row_forks += 1
-        return row
 
     def insert(self, route: Route) -> Optional[Route]:
         """Store ``route`` (implicit withdraw of the peer's previous route).
@@ -71,68 +55,64 @@ class AdjRibIn:
         assert route.peer_asn is not None, "Adj-RIB-In only holds learned routes"
         peer = route.peer_asn
         ikey = route.prefix.ikey
-        by_peer_routes = self._by_prefix.get(ikey)
-        if by_peer_routes is None:
-            by_peer_routes = self._by_prefix[ikey] = {}
-        elif self._shared_rows and ikey in self._shared_rows:
-            by_peer_routes = self._unshare_row(ikey)
-        previous = by_peer_routes.get(peer)
-        by_peer_routes[peer] = route
-        return previous
+        row = self._by_prefix.get(ikey)
+        if row is None:
+            self._by_prefix[ikey] = (route,)
+            return None
+        for previous in row:
+            if previous.peer_asn == peer:
+                index = row.index(previous)
+                self._by_prefix[ikey] = row[:index] + (route,) + row[index + 1:]
+                return previous
+        self._by_prefix[ikey] = row + (route,)
+        return None
 
-    def shared_rows(self) -> set:
-        """The live set of ``_by_prefix`` ikeys still shared with a checkpoint
-        master — empty (falsy) unless this RIB was forked from one.  Callers
-        inlining :meth:`insert` writes must copy a row listed here first;
-        :meth:`_unshare_row` does both steps."""
-        return self._shared_rows
-
-    def prefix_table(self) -> Dict[int, Dict[int, Route]]:
-        """The live ``ikey -> {peer_asn: route}`` table (never rebound).
+    def prefix_table(self) -> Dict[int, Tuple[Route, ...]]:
+        """The live ``ikey -> (route, ...)`` table (never rebound).
 
         The speaker's decision process reads candidate rows per prefix
         millions of times per run; handing the table out once lets it do a
         single int-keyed ``dict.get`` per decision.  UPDATE processing also
-        inlines :meth:`insert` against it, honouring :meth:`shared_rows`
-        before writing a row; every other caller treats it as read-only.
+        inlines :meth:`insert` against it; every other caller treats it as
+        read-only.
         """
         return self._by_prefix
 
     def withdraw(self, peer_asn: int, prefix: Prefix) -> Optional[Route]:
         """Remove the peer's route for ``prefix``; returns it if present."""
         ikey = prefix.ikey
-        candidates = self._by_prefix.get(ikey)
-        removed = None
-        if candidates is not None:
-            if self._shared_rows and ikey in self._shared_rows:
-                if peer_asn not in candidates:
-                    candidates = None  # nothing to remove; keep the row shared
-                else:
-                    candidates = self._unshare_row(ikey)
-        if candidates is not None:
-            removed = candidates.pop(peer_asn, None)
-            if not candidates:
-                del self._by_prefix[ikey]
-                self._shared_rows.discard(ikey)
-        return removed
+        row = self._by_prefix.get(ikey)
+        if row is not None:
+            for removed in row:
+                if removed.peer_asn == peer_asn:
+                    if len(row) == 1:
+                        del self._by_prefix[ikey]
+                    else:
+                        index = row.index(removed)
+                        self._by_prefix[ikey] = row[:index] + row[index + 1:]
+                    return removed
+        return None
 
     def candidates(self, prefix: Prefix) -> List[Route]:
-        """All learned routes for ``prefix``, as an owned list.
+        """All learned routes for ``prefix`` in arrival order, as a list.
 
-        Convenience/API form — the copy makes the result safe to hold across
-        mutations.  Hot paths (the decision process, LG queries) use
-        :meth:`prefix_table` instead; no simulation hot path calls this.
+        Convenience/API form.  Hot paths (the decision process, LG queries)
+        use :meth:`prefix_table` instead; no simulation hot path calls this.
         """
-        return list(self._by_prefix.get(prefix.ikey, {}).values())
+        return list(self._by_prefix.get(prefix.ikey, ()))
 
     def _routes_from(self, peer_asn: int) -> List[Route]:
         """``peer_asn``'s routes in ascending ``ikey`` (= prefix) order: one
-        scan of the table, O(rows) — both callers are cold."""
-        by_prefix = self._by_prefix
+        scan of the table, O(routes) — both callers are cold."""
+        # A row holds at most one route per peer, so no two pairs share an
+        # ikey and the sort never compares routes.
         learned = sorted(
-            ikey for ikey, row in by_prefix.items() if peer_asn in row
+            (ikey, route)
+            for ikey, row in self._by_prefix.items()
+            for route in row
+            if route.peer_asn == peer_asn
         )
-        return [by_prefix[ikey][peer_asn] for ikey in learned]
+        return [route for _ikey, route in learned]
 
     def drop_peer_routes(self, peer_asn: int) -> List[Tuple[Prefix, Route]]:
         """Remove every route from ``peer_asn`` (session down) and return the
@@ -147,7 +127,7 @@ class AdjRibIn:
         return pairs
 
     def __len__(self) -> int:
-        return sum(len(peers) for peers in self._by_prefix.values())
+        return sum(map(len, self._by_prefix.values()))
 
     def prefixes(self) -> Iterator[Prefix]:
         """Distinct prefixes with at least one learned route.
@@ -155,9 +135,7 @@ class AdjRibIn:
         Rows are dropped as they empty, so every row has a route to take the
         canonical :class:`Prefix` object from.
         """
-        return (
-            next(iter(row.values())).prefix for row in self._by_prefix.values()
-        )
+        return (row[0].prefix for row in self._by_prefix.values())
 
 
 class LocRib:

@@ -147,7 +147,7 @@ class BGPSpeaker:
         return clone
 
     def _fill_from_fork(self, master: "BGPSpeaker", memo: dict) -> None:
-        """Populate this (pre-registered) shell as a CoW fork of ``master``.
+        """Populate this (pre-registered) shell as a fork of ``master``.
 
         Split out of :meth:`__deepcopy__` so a checkpoint restore can
         register *every* speaker shell in the memo first and then fill them:
@@ -331,11 +331,6 @@ class BGPSpeaker:
             rov = self.rov
             by_prefix = self._rib_rows
             by_prefix_get = by_prefix.get
-            # Empty (falsy) unless this RIB was forked from a checkpoint;
-            # rows listed here are shared with the frozen master and must be
-            # privatised before the inline insert below writes them.
-            shared_rows = self.adj_rib_in.shared_rows()
-            unshare_row = self.adj_rib_in._unshare_row
             neg_pref = -local_pref
             new_route = Route.__new__
         for announcement in message.announcements:
@@ -372,15 +367,22 @@ class BGPSpeaker:
             route.learned_rel_index = rel_index
             route.pref_key = (neg_pref, len(as_path), learned_at, sender_asn)
             route._export = None
-            # Inline of AdjRibIn.insert against the hoisted ikey table.
+            # Inline of AdjRibIn.insert against the hoisted ikey table: a
+            # replacement takes its peer's slot, a newcomer appends.
             pikey = prefix.ikey
             row = by_prefix_get(pikey)
             if row is None:
-                row = by_prefix[pikey] = {}
-            elif shared_rows and pikey in shared_rows:
-                row = unshare_row(pikey)
-            replaced = row.get(sender_asn)
-            row[sender_asn] = route
+                replaced = None
+                by_prefix[pikey] = (route,)
+            else:
+                for replaced in row:
+                    if replaced.peer_asn == sender_asn:
+                        index = row.index(replaced)
+                        by_prefix[pikey] = row[:index] + (route,) + row[index + 1:]
+                        break
+                else:
+                    replaced = None
+                    by_prefix[pikey] = row + (route,)
             touched[pikey] = (
                 ("f", prefix) if pikey in touched else ("a", route, replaced)
             )
@@ -438,7 +440,7 @@ class BGPSpeaker:
         best = None
         row = self._rib_rows.get(pikey)
         if row:
-            for candidate in row.values():
+            for candidate in row:
                 if best is None or candidate.pref_key < best.pref_key:
                     best = candidate
         local = self._local_routes.get(pikey)

@@ -163,7 +163,7 @@ class Network:
     # -------------------------------------------------------------------- fork
 
     def fork_memo(self, shared=()) -> Dict[int, object]:
-        """The ``deepcopy`` memo that forks this network copy-on-write.
+        """The ``deepcopy`` memo that forks this network.
 
         The graph, config, RPKI registry and the caller's ``shared``
         objects map to themselves (frozen after setup, never copied).
@@ -172,7 +172,8 @@ class Network:
         deepcopy would chain speaker → session → peer speaker → … through
         the whole connected graph — and (b) lets every session/callback
         encountered later resolve its speaker references through the memo.
-        RIB tables fork copy-on-write via the RIBs' own ``__deepcopy__``.
+        The RIBs fork through their own ``__deepcopy__``: one outer dict
+        each, sharing every immutable Adj-RIB-In row and every route.
         """
         memo: Dict[int, object] = {
             id(obj): obj for obj in (self.graph, self.config, self.rpki, *shared)

@@ -67,8 +67,6 @@ METRICS: Tuple[Metric, ...] = (
     Metric("prefix_cache_size", "max", "interning", "prefix parse cache population"),
     Metric("checkpoint_restores", "sum", "checkpoint",
            "warm-start checkpoint restores"),
-    Metric("cow_row_forks", "sum", "checkpoint",
-           "copy-on-write Adj-RIB-In rows privatised"),
     Metric("checkpoint_bytes", "max", "checkpoint", "serialized checkpoint size"),
     Metric("replay_events_dropped", "sum", "replay",
            "trace records dropped by the fault plan"),

@@ -4,25 +4,22 @@ Every hijack experiment spends the bulk of its wall clock in phases 0–1 —
 building the topology, converging the victim's announcement everywhere, and
 polling the looking-glass baselines — before the part under study (the
 attack) even begins.  A :class:`Checkpoint` captures that converged world
-exactly once and hands out **copy-on-write forks**: restored speakers share
-the checkpoint's immutable :class:`~repro.bgp.route.Route` objects, interned
-AS-path tuples and prefixes, and — crucially — its RIB *tables* structurally,
-privatising a table row only when the attack's churn first writes to it (see
+exactly once and hands out **forks**: restored speakers share the
+checkpoint's immutable :class:`~repro.bgp.route.Route` objects, interned
+AS-path tuples and prefixes, and — crucially — its Adj-RIB-In *rows*, which
+are immutable tuples that a write replaces rather than edits (see
 ``AdjRibIn.__deepcopy__`` / ``LocRib.__deepcopy__``).
 
 What is shared vs copied on fork
 --------------------------------
 
 * **Shared forever (immutable):** routes, announcements, withdrawals,
-  prefixes, AS-path tuples, delay specs, fault plans, the AS graph, the
-  network/scenario configs, per-speaker policies, the RPKI registry.
-  These either define ``__deepcopy__`` returning ``self`` or are seeded
-  into the deepcopy memo here.
-* **Shared until first write (copy-on-write):** Adj-RIB-In rows.  The
-  fork gets its own *outer* dict immediately (cheap) but the per-prefix
-  inner tables stay shared; the perf counter ``cow_row_forks`` counts
-  privatisations.  (The Loc-RIB is one flat dict of shared routes and is
-  copied eagerly.)
+  prefixes, AS-path tuples, Adj-RIB-In rows, delay specs, fault plans, the
+  AS graph, the network/scenario configs, per-speaker policies, the RPKI
+  registry.  These either define ``__deepcopy__`` returning ``self`` or are
+  seeded into the deepcopy memo here; a RIB's ``__deepcopy__`` copies only
+  its outer dict, so the fork shares every row (Adj-RIB-In) and route
+  (Loc-RIB) in it.
 * **Copied eagerly (mutable run state):** the engine (clock + pending
   timers, MRAI and poll events included), session state, Adj-RIB-Out and
   dirty maps, RNG streams (exact generator positions), trackers, feeds,
@@ -64,7 +61,7 @@ from repro.testbed.scenario import HijackExperiment, ScenarioConfig
 #: Bump when the captured object graph or the file layout changes
 #: incompatibly; saved checkpoints from other versions are refused at load
 #: time, from their header.
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 #: The fixed header ahead of every saved checkpoint's pickle: magic, format
 #: version and world key (a sha256 hex digest), so a file for another

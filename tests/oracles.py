@@ -21,6 +21,9 @@ two independent derivations rather than a thing with itself:
 * :class:`RootPartition` — the worker router's root ``ikey`` → worker dict,
   read by ``longest_match``, from before the router asked the registry's
   own table for an announcement's root.
+* :class:`DictAdjRibIn` — the Adj-RIB-In as one ``{peer_asn: route}``
+  dict per prefix, from before its rows became immutable route tuples; it
+  pins the shipped rows' candidate order and teardown order.
 
 None is imported by anything under ``src/``.
 """
@@ -40,6 +43,7 @@ from typing import (
     Union,
 )
 
+from repro.bgp.route import Route
 from repro.core.alerts import AlertType
 from repro.core.config import ArtemisConfig
 from repro.core.rules import classify_announcement, classify_squat
@@ -341,6 +345,53 @@ class RootPartition:
         except (ValueError, UnicodeDecodeError):
             return self.malformed
         return longest_match(self.routing, prefix, self.lengths[prefix.version])
+
+
+class DictAdjRibIn:
+    """The Adj-RIB-In the old way: ``ikey -> {peer_asn: route}``.
+
+    A dict key keeps its slot when its value is replaced and goes to the
+    end when it is deleted and set again, which is the candidate order the
+    tuple rows reproduce.
+    """
+
+    def __init__(self) -> None:
+        self._by_prefix: Dict[int, Dict[int, Route]] = {}
+
+    def insert(self, route: Route) -> Optional[Route]:
+        row = self._by_prefix.setdefault(route.prefix.ikey, {})
+        previous = row.get(route.peer_asn)
+        row[route.peer_asn] = route
+        return previous
+
+    def withdraw(self, peer_asn: int, prefix: Prefix) -> Optional[Route]:
+        row = self._by_prefix.get(prefix.ikey)
+        if row is None:
+            return None
+        removed = row.pop(peer_asn, None)
+        if not row:
+            del self._by_prefix[prefix.ikey]
+        return removed
+
+    def candidates(self, prefix: Prefix) -> List[Route]:
+        return list(self._by_prefix.get(prefix.ikey, {}).values())
+
+    def _routes_from(self, peer_asn: int) -> List[Route]:
+        by_prefix = self._by_prefix
+        learned = sorted(ikey for ikey, row in by_prefix.items() if peer_asn in row)
+        return [by_prefix[ikey][peer_asn] for ikey in learned]
+
+    def drop_peer_routes(self, peer_asn: int) -> List[Tuple[Prefix, Route]]:
+        pairs = [(route.prefix, route) for route in self._routes_from(peer_asn)]
+        for prefix, _route in pairs:
+            self.withdraw(peer_asn, prefix)
+        return pairs
+
+    def __len__(self) -> int:
+        return sum(len(row) for row in self._by_prefix.values())
+
+    def prefixes(self) -> Iterator[Prefix]:
+        return (next(iter(row.values())).prefix for row in self._by_prefix.values())
 
 
 def config_tries(config: ArtemisConfig) -> Tuple[PrefixTrie, PrefixTrie]:

@@ -3,8 +3,8 @@
 The contract under test is the strongest one the substrate makes: an
 experiment forked from a checkpoint of the converged phase-1 world must be
 **bit-identical** to a cold run of the same configuration — including under
-fault plans — while sharing routes and RIB tables with the checkpoint
-copy-on-write.  Plus the supporting machinery: fork isolation (no write in
+fault plans — while sharing routes and Adj-RIB-In rows with the
+checkpoint.  Plus the supporting machinery: fork isolation (no write in
 a fork ever reaches the master or a sibling), keying/registry behaviour,
 disk roundtrips, the frozen-master engine guard, and the `world_seed` mode
 that lets one checkpoint serve a whole sweep of run seeds.
@@ -175,7 +175,7 @@ class TestForkIsolation:
         }
         mutated = checkpoint.fork()
         # Tear down a real transit link in the fork and let the withdrawal
-        # churn propagate — heavy writes into CoW-shared tables.
+        # churn propagate — heavy writes into rows shared with the master.
         graph = mutated.network.graph
         provider = graph.providers_of(asn)[0] if graph.providers_of(asn) else (
             graph.peers_of(asn)[0]
@@ -211,14 +211,6 @@ class TestForkIsolation:
         checkpoint.fork()
         checkpoint.fork()
         assert COUNTERS.checkpoint_restores == before + 2
-
-    def test_warm_run_takes_cow_forks(self):
-        config = fast_scenario(
-            seed=3, network=fast_network_config(), warm_start=True
-        )
-        before = COUNTERS.cow_row_forks
-        HijackExperiment(config).run()
-        assert COUNTERS.cow_row_forks > before
 
 
 # ---------------------------------------------------------- keys & registry

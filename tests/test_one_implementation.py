@@ -518,6 +518,19 @@ GUARDS: Tuple[Guard, ...] = (
         ("src/repro/tenants/registry.py", "    def monitored_prefixes(self) -> List[Prefix]:"),
         "def monitored_prefixes", ("src/repro/tenants/registry.py",),
     ),
+    Guard(
+        "adj-rib-in-row-cow", "after 049c6fd",
+        "Adj-RIB-In rows are immutable tuples a fork shares for good; no row "
+        "is privatised on first write.",
+        ("src/repro/bgp/rib.py", "    def _unshare_row(self, ikey: int) -> Dict[int, Route]:"),
+        "_unshare_row|shared_rows|_shared_rows", ("src/repro/bgp",),
+    ),
+    Guard(
+        "cow-row-forks-metric", "after 049c6fd",
+        "With no row privatisation there is nothing for cow_row_forks to count.",
+        ("src/repro/perf.py", '    Metric("cow_row_forks", "sum", "checkpoint",'),
+        "cow_row_forks", ("src",),
+    ),
 )
 
 #: The smallest tree the positive rows accept; each example is laid over it.
