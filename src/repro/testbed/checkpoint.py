@@ -61,7 +61,7 @@ from repro.testbed.scenario import HijackExperiment, ScenarioConfig
 #: Bump when the captured object graph or the file layout changes
 #: incompatibly; saved checkpoints from other versions are refused at load
 #: time, from their header.
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 #: The fixed header ahead of every saved checkpoint's pickle: magic, format
 #: version and world key (a sha256 hex digest), so a file for another

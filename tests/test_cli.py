@@ -63,7 +63,8 @@ def readme_invocations():
 def workflow_invocations():
     """Every ``python -m repro`` command of the CI workflow, read as text:
     a folded ``run: >`` block is joined into one line, split on ``&&``, and
-    a leading ``timeout N`` or ``sh -c '`` is dropped."""
+    a leading ``timeout N``, ``sh -c '`` or ``python benchmarks/peak_rss.py
+    LIMIT`` wrapper is dropped."""
     workflow = os.path.join(ROOT, ".github", "workflows", "ci.yml")
     with open(workflow, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -85,7 +86,10 @@ def workflow_invocations():
         runs.append(" ".join(block))
     segments = [segment for run in runs for segment in run.split("&&")]
     commands = [
-        re.sub(r"^(timeout \d+ )?(sh -c ')?", "", segment.strip()).rstrip("'").strip()
+        re.sub(
+            r"^(timeout \d+ )?(sh -c ' *)?(python benchmarks/peak_rss\.py \d+ )?",
+            "", segment.strip(),
+        ).rstrip("'").strip()
         for segment in segments
     ]
     return [command for command in commands if command.startswith("python -m repro ")]

@@ -531,6 +531,13 @@ GUARDS: Tuple[Guard, ...] = (
         ("src/repro/perf.py", '    Metric("cow_row_forks", "sum", "checkpoint",'),
         "cow_row_forks", ("src",),
     ),
+    Guard(
+        "rng-mersenne-state", "after 7ee451b",
+        "A stream is its key, the words drawn and a word block filled from "
+        "one shared generator; no stream holds Mersenne Twister state.",
+        ("src/repro/sim/rng.py", "class SeededRNG(random.Random):"),
+        r"class SeededRNG\(.*Random|\b(get|set)state\(", ("src/repro/sim/rng.py",),
+    ),
 )
 
 #: The smallest tree the positive rows accept; each example is laid over it.

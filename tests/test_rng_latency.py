@@ -1,9 +1,15 @@
 """Tests for seeded RNG substreams and delay distributions."""
 
+import copy
+import pickle
+import random
+import sys
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
+from repro.internet.network import Network
 from repro.sim.latency import (
     Constant,
     Exponential,
@@ -13,6 +19,7 @@ from repro.sim.latency import (
     make_delay,
 )
 from repro.sim.rng import SeededRNG, derive_seed
+from repro.topology.generator import GeneratorConfig, generate_internet
 
 
 class TestDeriveSeed:
@@ -132,3 +139,124 @@ def test_substream_determinism_property(seed):
         SeededRNG(seed).substream("x", 1).random()
         == SeededRNG(seed).substream("x", 1).random()
     )
+
+
+# -- a stream draws what random.Random draws ---------------------------------
+
+#: One step of a script: a draw, or a deepcopy / pickle / re-key of the
+#: stream.  ``burst`` draws enough words to cross one or more refills.
+STEPS = st.one_of(
+    st.tuples(st.just("random")),
+    st.tuples(st.just("burst"), st.integers(1, 300)),
+    st.tuples(st.just("getrandbits"), st.integers(0, 100)),
+    st.tuples(st.just("uniform"), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    st.tuples(st.just("expovariate"), st.floats(1e-3, 1e3)),
+    st.tuples(st.just("lognormvariate"), st.floats(-5, 5), st.floats(1e-3, 3)),
+    st.tuples(st.just("gauss"), st.floats(-5, 5), st.floats(1e-3, 3)),
+    st.tuples(st.just("choice"), st.integers(1, 5000)),
+    st.tuples(st.just("sample"), st.integers(1, 300), st.integers(0, 300)),
+    st.tuples(st.just("randint"), st.integers(-10**6, 10**6), st.integers(0, 2**70)),
+    st.tuples(st.just("shuffle"), st.integers(0, 60)),
+    st.tuples(st.just("deepcopy")),
+    st.tuples(st.just("pickle")),
+    st.tuples(st.just("reseed_run"), st.integers(0, 2**32)),
+)
+
+
+def apply_step(rng, step):
+    """Run one script step on ``rng``; return (what it drew, the stream to
+    continue with)."""
+    name, *args = step
+    if name == "burst":
+        return [rng.random() for _ in range(args[0])], rng
+    if name in ("random", "getrandbits", "uniform", "expovariate",
+                "lognormvariate", "gauss"):
+        return getattr(rng, name)(*args), rng
+    if name == "choice":
+        return rng.choice(range(args[0])), rng
+    if name == "sample":
+        size, want = args
+        return rng.sample(range(size), min(want, size)), rng
+    if name == "randint":
+        low, width = args
+        return rng.randint(low, low + width), rng
+    if name == "shuffle":
+        items = list(range(args[0]))
+        rng.shuffle(items)
+        return items, rng
+    if name == "deepcopy":
+        return None, copy.deepcopy(rng)
+    if name == "pickle":
+        return None, pickle.loads(pickle.dumps(rng, pickle.HIGHEST_PROTOCOL))
+    raise AssertionError(name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds=st.lists(st.integers(-2**64, 2**64), min_size=1, max_size=3),
+    script=st.lists(st.tuples(st.integers(0, 2), STEPS), max_size=60),
+)
+def test_streams_draw_what_random_random_draws(seeds, script):
+    """Interleaved streams, forked, pickled and re-keyed at any point, mid
+    block or across refills, draw what ``random.Random`` seeded with their
+    key draws, value for value.  This pins every CPython method the
+    stream borrows, on whichever Python runs it."""
+    pairs = [(SeededRNG(seed), random.Random(seed)) for seed in seeds]
+    for which, step in script:
+        which %= len(pairs)
+        ours, ref = pairs[which]
+        if step[0] == "reseed_run":
+            ours.reseed_run(step[1])
+            ref = random.Random(derive_seed(ours.base_seed, "run", step[1]))
+            pairs[which] = (ours, ref)
+            continue
+        drawn, ours_next = apply_step(ours, step)
+        expected, ref_next = apply_step(ref, step)
+        assert drawn == expected, step
+        assert ours_next.base_seed == ours.base_seed
+        if ours_next is not ours:
+            # The original stream goes on too, sharing the fork's block.
+            pairs.append((ours, ref))
+            pairs[which] = (ours_next, ref_next)
+    for ours, ref in pairs:
+        assert [ours.random() for _ in range(130)] == [ref.random() for _ in range(130)]
+
+
+def test_getrandbits_refuses_negative_widths_like_random_random():
+    with pytest.raises(ValueError):
+        random.Random(1).getrandbits(-1)
+    with pytest.raises(ValueError):
+        SeededRNG(1).getrandbits(-1)
+
+
+def test_a_pickled_stream_is_its_key_and_position():
+    rng = SeededRNG(5).substream("x")
+    for _ in range(1000):
+        rng.random()
+    assert len(pickle.dumps(rng, pickle.HIGHEST_PROTOCOL)) < 160
+
+
+class TestStreamMemory:
+    """A stream costs at most 640 bytes (the object plus its word block).
+
+    On this world after convergence (default delays, so every speaker and
+    session draws; CPython 3.11, 64-bit) a stream reads ≈430 B; one
+    ``random.Random`` of Mersenne Twister state per stream read 2,560 B.
+    """
+
+    BOUND = 640
+
+    def test_bytes_per_stream(self):
+        graph = generate_internet(
+            GeneratorConfig(num_tier1=3, num_tier2=10, num_stubs=25), seed=5
+        )
+        network = Network(graph, seed=5)
+        network.announce(network.asns()[0], "10.0.0.0/23")
+        network.announce(network.asns()[-1], "10.0.0.0/23")
+        network.announce(network.asns()[-1], "10.0.0.0/24")
+        network.run_until_converged()
+        streams = [speaker.rng for speaker in network.speakers.values()]
+        streams += [session.rng for session in network.sessions]
+        assert sum(1 for rng in streams if rng._block) > len(streams) // 2
+        total = sum(sys.getsizeof(rng) + sys.getsizeof(rng._block) for rng in streams)
+        assert total / len(streams) <= self.BOUND
